@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "neuro/common/matrix.h"
 #include "neuro/common/rng.h"
 #include "neuro/cycle/event_queue.h"
 #include "neuro/datasets/synth_digits.h"
@@ -90,69 +89,6 @@ BM_MlpForward(benchmark::State &state)
                             static_cast<int64_t>(net.weightCount()));
 }
 BENCHMARK(BM_MlpForward)->Arg(15)->Arg(100);
-
-void
-BM_Gemv(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    Matrix m(n, 784);
-    Rng rng(1);
-    m.fillUniform(rng, -1.0f, 1.0f);
-    std::vector<float> x(784, 0.5f), y(n);
-    for (auto _ : state) {
-        m.gemv(x.data(), y.data());
-        benchmark::DoNotOptimize(y.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(n * 784));
-}
-BENCHMARK(BM_Gemv)->Arg(100)->Arg(300);
-
-void
-BM_GemvT(benchmark::State &state)
-{
-    // The transposed product backprop's hidden-delta step is built on:
-    // rows = next-layer neurons, cols = hidden fan-in. Row-blocked
-    // streaming over the row-major storage instead of a column-strided
-    // walk is the cache fix being measured here.
-    const auto rows = static_cast<std::size_t>(state.range(0));
-    const auto cols = static_cast<std::size_t>(state.range(1));
-    Matrix m(rows, cols);
-    Rng rng(1);
-    m.fillUniform(rng, -1.0f, 1.0f);
-    std::vector<float> d(rows, 0.25f), out(cols);
-    for (auto _ : state) {
-        m.gemvT(d.data(), out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(rows * cols));
-}
-BENCHMARK(BM_GemvT)->Args({10, 101})->Args({10, 301})->Args({100, 785});
-
-void
-BM_HiddenDelta(benchmark::State &state)
-{
-    // One full hidden-delta computation (gemvT + derivative scaling)
-    // for a 784-H-10 network, the loop bench_micro_ops tracked before
-    // and after the blocked-gemvT rewrite.
-    const auto hidden = static_cast<std::size_t>(state.range(0));
-    Matrix w_next(10, hidden + 1);
-    Rng rng(1);
-    w_next.fillUniform(rng, -1.0f, 1.0f);
-    const mlp::Activation act(mlp::ActivationKind::Sigmoid);
-    std::vector<float> deltas_next(10, 0.1f), y(hidden, 0.5f);
-    std::vector<float> sink(hidden + 1), deltas(hidden);
-    for (auto _ : state) {
-        w_next.gemvT(deltas_next.data(), sink.data());
-        for (std::size_t j = 0; j < hidden; ++j)
-            deltas[j] = act.derivativeFromOutput(y[j]) * sink[j];
-        benchmark::DoNotOptimize(deltas.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(10 * (hidden + 1)));
-}
-BENCHMARK(BM_HiddenDelta)->Arg(15)->Arg(100)->Arg(300);
 
 void
 BM_ShiftMultiply(benchmark::State &state)

@@ -632,16 +632,26 @@ main(int argc, char **argv)
                   "(coordinated-omission guard)");
     table.print(std::cout);
 
-    const double kneeReqS =
-        knee < byRate.size() ? byRate[knee]->offeredReqS : 0.0;
     std::cout << "RESULT: burst estimate "
-              << TextTable::fmt(capacityReqS, 0) << " req/s; knee at ~"
-              << TextTable::fmt(kneeReqS, 0)
-              << " req/s offered; goodput plateau "
+              << TextTable::fmt(capacityReqS, 0)
+              << " req/s; goodput plateau "
               << TextTable::fmt(plateauLow, 0) << ".."
               << TextTable::fmt(plateauHigh, 0)
-              << " req/s beyond it; beyond-knee p99/p50 up to "
-              << TextTable::fmt(beyondKneeRatio, 1)
-              << "x; slo flaps = " << sloFlaps << "\n";
+              << " req/s where offered load exceeds measured capacity; ";
+    if (knee < byRate.size()) {
+        std::cout << "knee at ~"
+                  << TextTable::fmt(byRate[knee]->offeredReqS, 0)
+                  << " req/s offered, beyond-knee p99/p50 up to "
+                  << TextTable::fmt(beyondKneeRatio, 1) << "x";
+    } else {
+        std::cout << "no knee found within the measured rates (p99 "
+                     "stayed within 5x the lightest row's up to "
+                  << TextTable::fmt(byRate.empty()
+                                        ? 0.0
+                                        : byRate.back()->offeredReqS,
+                                    0)
+                  << " req/s offered)";
+    }
+    std::cout << "; slo flaps = " << sloFlaps << "\n";
     return 0;
 }

@@ -82,13 +82,6 @@ Matrix::addOuter(float eta, const float *d, const float *x)
 }
 
 void
-Matrix::addOuterBias(float eta, const float *d, const float *x)
-{
-    NEURO_ASSERT(cols_ > 0, "addOuterBias needs a bias column");
-    kernels::addOuterBias(data_.data(), rows_, cols_, eta, d, x);
-}
-
-void
 Matrix::addScaled(const Matrix &other, float scale)
 {
     NEURO_ASSERT(other.rows_ == rows_ && other.cols_ == cols_,

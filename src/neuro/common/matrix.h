@@ -65,13 +65,6 @@ class Matrix
      */
     void gemvBias(const float *x, float *y) const;
 
-    /**
-     * this += eta * d * [x; 1]^T: outer-product update against an
-     * input extended with the constant bias 1 (@p x has cols() - 1
-     * entries) — the MLP's per-layer weight update.
-     */
-    void addOuterBias(float eta, const float *d, const float *x);
-
     /** this += scale * other (same shape). */
     void addScaled(const Matrix &other, float scale);
 

@@ -301,9 +301,7 @@ void
 addOuterBias(float *w, std::size_t rows, std::size_t cols, float eta,
              const float *d, const float *x)
 {
-    NEURO_ASSERT(cols > 0, "addOuterBias needs a bias column");
-    metrics().outer->inc();
-    active().addOuterBias(w, rows, cols, eta, d, x);
+    addOuterBiasBatch(w, rows, cols, eta, &d, &x, 1);
 }
 
 void

@@ -97,9 +97,6 @@ struct KernelTable
                        int32_t *y) = nullptr;
     void (*addOuter)(float *w, std::size_t rows, std::size_t cols,
                      float eta, const float *d, const float *x) = nullptr;
-    void (*addOuterBias)(float *w, std::size_t rows, std::size_t cols,
-                         float eta, const float *d,
-                         const float *x) = nullptr;
     void (*addOuterBiasBatch)(float *w, std::size_t rows,
                               std::size_t cols, float eta,
                               const float *const *deltas,
@@ -194,7 +191,8 @@ void addOuter(float *w, std::size_t rows, std::size_t cols, float eta,
 
 /**
  * W += eta * d * [x; 1]^T (@p x has cols - 1 entries; the bias column
- * sees a constant 1), skipping rows whose eta * d[r] == 0.
+ * sees a constant 1), skipping rows whose eta * d[r] == 0. The
+ * one-sample case of addOuterBiasBatch, and run as exactly that.
  */
 void addOuterBias(float *w, std::size_t rows, std::size_t cols,
                   float eta, const float *d, const float *x);
@@ -203,7 +201,7 @@ void addOuterBias(float *w, std::size_t rows, std::size_t cols,
  * The whole minibatch's outer-product update in one pass:
  * W += eta * deltas[b] * [acts[b]; 1]^T applied for b = 0..batch-1 in
  * sample order. Per weight element the floating-point adds happen in
- * exactly the order @p batch sequential addOuterBias calls would
+ * exactly the order @p batch sequential one-sample updates would
  * produce (and rows with eta * deltas[b][r] == 0 are skipped the same
  * way), so the result is bit-identical — but the weight matrix
  * streams through the cache once per batch instead of once per

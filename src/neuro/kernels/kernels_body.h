@@ -9,7 +9,8 @@
  * intrinsics: the bit-identity argument of docs/kernels.md rests on
  * every variant executing the same per-result operation sequence,
  * with width only changing how many independent results advance per
- * instruction.
+ * instruction. GNU vector types are fine: their operators act lane by
+ * lane, so each lane is one chain of that sequence.
  *
  * Every loop follows one of two shapes:
  *  - independent element chains (gemvT, addOuter*, addScaled,
@@ -18,9 +19,9 @@
  *  - fixed-schedule reductions (gemv, gemvBias, the strips): four
  *    partial accumulators merged as (a0+a1)+(a2+a3), then the tail,
  *    then the bias — dotUnrolled's historical order, now the layer's
- *    contract. Single-vector reductions cannot widen without
- *    reassociating, which is why the strip kernels exist: they
- *    vectorize across kStripWidth samples instead of within one.
+ *    contract. A row's four partials are the lanes of one 4-float
+ *    vector and kGemvRows rows advance per column pass; the strip
+ *    kernels vectorize across kStripWidth samples instead.
  *
  * The q8 and popcount kernels are exact integer arithmetic, so the
  * compiler may reassociate them freely without changing results.
@@ -31,6 +32,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "neuro/kernels/kernels.h"
 
@@ -47,45 +49,100 @@ namespace kernels {
 namespace NEURO_KERNELS_ISA_NS {
 namespace {
 
+/** Four floats as one vector: lane k is dotUnrolled's partial k. */
+typedef float Lane4 __attribute__((vector_size(16)));
+
+/** Rows one gemv column pass carries: 8 independent add chains. */
+constexpr std::size_t kGemvRows = 8;
+
+inline Lane4
+load4(const float *p)
+{
+    Lane4 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
 /**
  * 4-wide unrolled dot product — the exact accumulator schedule the
- * scalar Matrix paths have always used: independent partials broken
- * out of the loop-carried chain, merged pairwise, tail appended.
+ * scalar Matrix paths have always used: four partials (lane k sums
+ * the columns c with c % 4 == k, in column order) merged pairwise,
+ * tail appended. Held in one Lane4: as four scalars, -O3 turns the
+ * loop into wide loads plus permutes that ran 2-3x slower than scalar
+ * in the AVX tables.
  */
 inline float
 dotUnrolled(const float *__restrict w, const float *__restrict x,
             std::size_t n)
 {
-    float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+    Lane4 acc = {};
+    std::size_t c = 0;
+    for (; c + 4 <= n; c += 4)
+        acc += load4(w + c) * load4(x + c);
+    float dot = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for (; c < n; ++c)
+        dot += w[c] * x[c];
+    return dot;
+}
+
+/**
+ * dotUnrolled over kGemvRows rows (row stride @p stride) at once:
+ * lane k of acc[j] is row j's partial k, so each lane sees exactly
+ * dotUnrolled's mul-then-add sequence; the rows only interleave.
+ * Every row is then merged as (a0+a1)+(a2+a3) plus its tail columns.
+ * The pragmas (8 == kGemvRows) keep the accumulators in registers at
+ * -O2, where the row loops would otherwise stay rolled over a stack
+ * array.
+ */
+inline void
+dotRows(const float *__restrict w, std::size_t stride,
+        const float *__restrict x, std::size_t n,
+        float *__restrict dots)
+{
+    Lane4 acc[kGemvRows] = {};
     std::size_t c = 0;
     for (; c + 4 <= n; c += 4) {
-        acc0 += w[c] * x[c];
-        acc1 += w[c + 1] * x[c + 1];
-        acc2 += w[c + 2] * x[c + 2];
-        acc3 += w[c + 3] * x[c + 3];
+        const Lane4 xv = load4(x + c);
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < kGemvRows; ++j)
+            acc[j] += load4(w + j * stride + c) * xv;
     }
-    float acc = (acc0 + acc1) + (acc2 + acc3);
-    for (; c < n; ++c)
-        acc += w[c] * x[c];
-    return acc;
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < kGemvRows; ++j) {
+        const float *wr = w + j * stride;
+        float dot = (acc[j][0] + acc[j][1]) + (acc[j][2] + acc[j][3]);
+        for (std::size_t t = c; t < n; ++t)
+            dot += wr[t] * x[t];
+        dots[j] = dot;
+    }
+}
+
+/** y[r] = dot(row r, x) over the first @p n of @p cols columns. */
+inline void
+dotAllRows(const float *w, std::size_t rows, std::size_t cols,
+           const float *x, std::size_t n, float *y)
+{
+    std::size_t r = 0;
+    for (; r + kGemvRows <= rows; r += kGemvRows)
+        dotRows(w + r * cols, cols, x, n, y + r);
+    for (; r < rows; ++r)
+        y[r] = dotUnrolled(w + r * cols, x, n);
 }
 
 void
 kGemv(const float *w, std::size_t rows, std::size_t cols,
       const float *x, float *y)
 {
-    for (std::size_t r = 0; r < rows; ++r)
-        y[r] = dotUnrolled(w + r * cols, x, cols);
+    dotAllRows(w, rows, cols, x, cols, y);
 }
 
 void
 kGemvBias(const float *w, std::size_t rows, std::size_t cols,
           const float *x, float *y)
 {
-    for (std::size_t r = 0; r < rows; ++r) {
-        const float *__restrict wr = w + r * cols;
-        y[r] = dotUnrolled(wr, x, cols - 1) + wr[cols - 1];
-    }
+    dotAllRows(w, rows, cols, x, cols - 1, y);
+    for (std::size_t r = 0; r < rows; ++r)
+        y[r] += w[r * cols + cols - 1];
 }
 
 void
@@ -253,23 +310,6 @@ kAddOuter(float *w, std::size_t rows, std::size_t cols, float eta,
 }
 
 void
-kAddOuterBias(float *w, std::size_t rows, std::size_t cols, float eta,
-              const float *d, const float *x)
-{
-    const float *__restrict in = x;
-    const std::size_t n = cols - 1;
-    for (std::size_t r = 0; r < rows; ++r) {
-        float *__restrict wr = w + r * cols;
-        const float scale = eta * d[r];
-        if (scale == 0.0f)
-            continue;
-        for (std::size_t c = 0; c < n; ++c)
-            wr[c] += scale * in[c];
-        wr[n] += scale; // bias input is the constant 1.
-    }
-}
-
-void
 kAddOuterBiasBatch(float *w, std::size_t rows, std::size_t cols,
                    float eta, const float *const *deltas,
                    const float *const *acts, std::size_t batch)
@@ -286,8 +326,8 @@ kAddOuterBiasBatch(float *w, std::size_t rows, std::size_t cols,
     // minibatch L1-resident while every row streams over them. Per
     // weight element the adds happen in one rounded float chain in
     // sample order (b ascending) with the same zero-scale skip —
-    // exactly the FP sequence `batch` sequential kAddOuterBias calls
-    // produce, so the result is bit-identical.
+    // exactly the FP sequence of `batch` sequential per-sample
+    // W += eta * d * [x; 1]^T updates, so the result is bit-identical.
     constexpr std::size_t kBatchAccTile = 64;
     constexpr std::size_t kBatchColGroup = 256;
     for (std::size_t c0 = 0; c0 < n; c0 += kBatchColGroup) {
@@ -380,7 +420,6 @@ table()
         kt.gemvBiasStrip = kGemvBiasStrip;
         kt.gemvBiasQ8 = kGemvBiasQ8;
         kt.addOuter = kAddOuter;
-        kt.addOuterBias = kAddOuterBias;
         kt.addOuterBiasBatch = kAddOuterBiasBatch;
         kt.addScaled = kAddScaled;
         kt.addRowF64 = kAddRowF64;

@@ -231,7 +231,7 @@ train(Mlp &net, const datasets::Dataset &data, const TrainConfig &config,
             // each weight row streams once per batch instead of once
             // per sample. Per element the adds still run in batch
             // order (sample 0 first), so the result is bit-identical
-            // to the historical per-sample addOuterBias loop.
+            // to the historical per-sample update loop.
             for (std::size_t b = 0; b < count; ++b)
                 sq_error += scratch[b].sqError;
             for (std::size_t l = 0; l < net.numLayers(); ++l) {

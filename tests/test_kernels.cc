@@ -120,12 +120,20 @@ refDotQ8(const int8_t *wr, const uint8_t *x, std::size_t fan_in)
 
 // --------------------------------------------------------- fixtures
 
-/** Ragged shapes: unroll tails (cols % 4 != 0), row-block remainders
- *  (rows % 4 != 0), degenerate single-row/column cases. */
+/** Ragged shapes: unroll tails (every cols % 4 and (cols - 1) % 4
+ *  with at least one full 8-row gemv block), row-block remainders on
+ *  both sides of the 4-row strip and 8-row gemv blocks, degenerate
+ *  single-row/column cases. */
 const std::size_t kShapes[][2] = {
-    {1, 1}, {1, 5}, {3, 2}, {4, 4},  {5, 3},    {7, 17},
-    {8, 9}, {10, 101}, {17, 33}, {33, 64}, {100, 785},
+    {1, 1},   {1, 5},   {3, 2},    {4, 4},    {5, 3},
+    {7, 17},  {8, 9},   {8, 785},  {9, 785},  {10, 101},
+    {11, 787}, {15, 4}, {16, 5},   {16, 786}, {17, 33},
+    {24, 101}, {33, 64}, {100, 785},
 };
+
+/** Float offsets of the weight matrix in its buffer: 1 misaligns
+ *  every row start, covering the unaligned vector loads. */
+const std::size_t kWeightOffsets[] = {0, 1};
 
 class KernelsTest : public ::testing::Test
 {
@@ -170,14 +178,19 @@ TEST_F(KernelsTest, GemvMatchesReferenceAtEveryIsa)
         const auto x = randomVec(rng, cols);
         std::vector<float> expect;
         refGemv(w, rows, cols, x, expect);
-        for (SimdMode mode : reachableModes()) {
-            setSimdMode(mode);
-            std::vector<float> y(rows, -1.0f);
-            gemv(w.data(), rows, cols, x.data(), y.data());
-            ASSERT_EQ(0, std::memcmp(expect.data(), y.data(),
-                                     rows * sizeof(float)))
-                << "gemv " << rows << "x" << cols << " differs at "
-                << isaName(activeIsa());
+        for (std::size_t offset : kWeightOffsets) {
+            std::vector<float> buf(offset, 0.0f);
+            buf.insert(buf.end(), w.begin(), w.end());
+            for (SimdMode mode : reachableModes()) {
+                setSimdMode(mode);
+                std::vector<float> y(rows, -1.0f);
+                gemv(buf.data() + offset, rows, cols, x.data(),
+                     y.data());
+                ASSERT_EQ(0, std::memcmp(expect.data(), y.data(),
+                                         rows * sizeof(float)))
+                    << "gemv " << rows << "x" << cols << " offset "
+                    << offset << " differs at " << isaName(activeIsa());
+            }
         }
     }
 }
@@ -191,14 +204,19 @@ TEST_F(KernelsTest, GemvBiasMatchesReferenceAtEveryIsa)
         const auto x = randomVec(rng, cols - 1);
         std::vector<float> expect;
         refGemvBias(w, rows, cols, x, expect);
-        for (SimdMode mode : reachableModes()) {
-            setSimdMode(mode);
-            std::vector<float> y(rows, -1.0f);
-            gemvBias(w.data(), rows, cols, x.data(), y.data());
-            ASSERT_EQ(0, std::memcmp(expect.data(), y.data(),
-                                     rows * sizeof(float)))
-                << "gemvBias " << rows << "x" << cols << " differs at "
-                << isaName(activeIsa());
+        for (std::size_t offset : kWeightOffsets) {
+            std::vector<float> buf(offset, 0.0f);
+            buf.insert(buf.end(), w.begin(), w.end());
+            for (SimdMode mode : reachableModes()) {
+                setSimdMode(mode);
+                std::vector<float> y(rows, -1.0f);
+                gemvBias(buf.data() + offset, rows, cols, x.data(),
+                         y.data());
+                ASSERT_EQ(0, std::memcmp(expect.data(), y.data(),
+                                         rows * sizeof(float)))
+                    << "gemvBias " << rows << "x" << cols << " offset "
+                    << offset << " differs at " << isaName(activeIsa());
+            }
         }
     }
 }

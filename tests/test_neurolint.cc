@@ -521,6 +521,13 @@ struct FixtureCase
     int minFindings;
 };
 
+// Without this, gtest prints the raw bytes of the case, pointer values
+// included, so the listed test names change with every process launch.
+void PrintTo(const FixtureCase &fc, std::ostream *os)
+{
+    *os << fc.file;
+}
+
 class FixtureTest : public testing::TestWithParam<FixtureCase>
 {};
 
