@@ -4,7 +4,7 @@
  * every kernel runs at every reachable ISA level (scalar, then AVX2 /
  * AVX512 when the CPU and toolchain provide them) over the shapes the
  * repo actually uses — the MNIST MLP layers for the float kernels, the
- * quantized MLP for q8, the event engine's bit plane for popcount —
+ * quantized MLP for q8, the SNN's packed spike plane for popcount —
  * and reports wall time, element throughput and speedup vs the scalar
  * table as CSV (bench_kernels.csv).
  *

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "neuro/common/rng.h"
-#include "neuro/cycle/event_queue.h"
 #include "neuro/datasets/synth_digits.h"
 #include "neuro/mlp/activation.h"
 #include "neuro/mlp/mlp.h"
@@ -117,22 +116,5 @@ BM_PiecewiseSigmoid(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PiecewiseSigmoid);
-
-void
-BM_EventQueue(benchmark::State &state)
-{
-    for (auto _ : state) {
-        cycle::EventQueue queue;
-        int sink = 0;
-        for (int i = 0; i < 256; ++i) {
-            queue.schedule((i * 37) % 101,
-                           [&sink](int64_t) { ++sink; });
-        }
-        queue.run();
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_EventQueue);
 
 } // namespace

@@ -1,16 +1,15 @@
 /**
  * @file
- * Dense-vs-event SNN engine benchmark: wall time and throughput of the
- * three SNN pipeline phases (STDP training, self-labeling, evaluation)
- * under both execution engines, at 1 and 4 threads, on the MNIST-like
- * workload at paper parameters (Poisson coding, 500 ms window, 300
- * neurons at full scale).
+ * SNN engine benchmark: wall time and throughput of the three SNN
+ * pipeline phases (STDP training, self-labeling, evaluation) through
+ * the event-driven presentation path, at 1 and 4 threads, on the
+ * MNIST-like workload at paper parameters (Poisson coding, 500 ms
+ * window, 300 neurons at full scale).
  *
- * Determinism cross-check: the two engines are required to produce
- * bit-identical results, so every run's neuron labels and accuracy are
- * compared against the dense 1-thread reference and the bench aborts
- * on any mismatch — the speedup numbers can't come from divergent
- * dynamics.
+ * Determinism cross-check: results must not depend on the thread
+ * count, so every run's neuron labels and accuracy are compared against
+ * the first run's (1 thread by default) and the bench aborts on any
+ * mismatch — the rates can't come from divergent dynamics.
  *
  * The grid-cache effect is reported alongside: training runs 2 epochs
  * and prints the epoch-2 hit rate (expected ~100%: encodings are
@@ -51,7 +50,7 @@ secondsOf(const std::function<void()> &fn)
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/** One engine's full pipeline outcome (for the cross-check). */
+/** One run's full pipeline outcome (for the cross-check). */
 struct PipelineResult
 {
     std::vector<int> labels;
@@ -62,7 +61,6 @@ struct PipelineResult
 struct PhaseRow
 {
     std::string phase;
-    std::string engine;
     std::size_t threads = 0;
     std::size_t items = 0;
     double wall_s = 0.0;
@@ -108,135 +106,103 @@ main(int argc, char **argv)
            base.coding.periodMs,
            snn::codingSchemeName(base.coding.scheme).c_str());
 
-    const std::vector<snn::SnnEngine> engines = {snn::SnnEngine::Dense,
-                                                 snn::SnnEngine::Event};
-
     std::vector<PhaseRow> rows;
     PipelineResult reference;
     bool have_reference = false;
 
     for (const std::size_t threads : thread_counts) {
         setParallelThreadCount(threads);
-        for (const snn::SnnEngine engine : engines) {
-            snn::SnnConfig config = base;
-            config.engine = engine;
+        Rng rng(9);
+        snn::SnnNetwork net(base, rng);
+        snn::SnnStdpTrainer trainer(base);
+        snn::SnnTrainConfig tc;
+        tc.epochs = 2;
+        tc.seed = 11;
 
-            Rng rng(9);
-            snn::SnnNetwork net(config, rng);
-            snn::SnnStdpTrainer trainer(config);
-            snn::SnnTrainConfig tc;
-            tc.epochs = 2;
-            tc.seed = 11;
+        // --- train: cold cache, 2 epochs; epoch-2 hit rate from the
+        // stats delta at the epoch boundary.
+        snn::GridCacheStats epoch1;
+        const double train_s = secondsOf([&] {
+            trainer.train(net, w.data.train, tc,
+                          [&](const snn::SnnEpochReport &r) {
+                              if (r.epoch == 0)
+                                  epoch1 = trainer.gridCache().stats();
+                          });
+        });
+        const snn::GridCacheStats after = trainer.gridCache().stats();
+        const double e2_hits = static_cast<double>(after.hits - epoch1.hits);
+        const double e2_total = e2_hits +
+            static_cast<double>(after.misses - epoch1.misses);
+        rows.push_back({"train_2ep", threads, 2 * w.data.train.size(),
+                        train_s, e2_total > 0 ? e2_hits / e2_total : 0.0});
 
-            // --- train: cold cache, 2 epochs; epoch-2 hit rate from
-            // the stats delta at the epoch boundary.
-            snn::GridCacheStats epoch1;
-            const double train_s = secondsOf([&] {
-                trainer.train(net, w.data.train, tc,
-                              [&](const snn::SnnEpochReport &r) {
-                                  if (r.epoch == 0)
-                                      epoch1 = trainer.gridCache().stats();
-                              });
-            });
-            const snn::GridCacheStats after = trainer.gridCache().stats();
-            const double e2_hits =
-                static_cast<double>(after.hits - epoch1.hits);
-            const double e2_total = e2_hits +
-                static_cast<double>(after.misses - epoch1.misses);
-            rows.push_back({"train_2ep", snn::snnEngineName(engine),
-                            threads, 2 * w.data.train.size(), train_s,
-                            e2_total > 0 ? e2_hits / e2_total : 0.0});
+        // --- label: warm-up pass fills the cache for this seed, the
+        // timed pass presents from it.
+        trainer.labelNeurons(net, w.data.train, snn::EvalMode::Wt, 31);
+        const auto before_label = trainer.gridCache().stats();
+        std::vector<int> labels;
+        const double label_s = secondsOf([&] {
+            labels = trainer.labelNeurons(net, w.data.train,
+                                          snn::EvalMode::Wt, 31);
+        });
+        const auto after_label = trainer.gridCache().stats();
+        const double label_hits =
+            static_cast<double>(after_label.hits - before_label.hits);
+        const double label_total = label_hits +
+            static_cast<double>(after_label.misses - before_label.misses);
+        rows.push_back({"label", threads, w.data.train.size(), label_s,
+                        label_total > 0 ? label_hits / label_total : 0.0});
 
-            // --- label: warm-up pass fills the cache for this seed,
-            // the timed pass presents from it.
-            trainer.labelNeurons(net, w.data.train, snn::EvalMode::Wt, 31);
-            const auto before_label = trainer.gridCache().stats();
-            std::vector<int> labels;
-            const double label_s = secondsOf([&] {
-                labels = trainer.labelNeurons(net, w.data.train,
-                                              snn::EvalMode::Wt, 31);
-            });
-            const auto after_label = trainer.gridCache().stats();
-            const double label_hits = static_cast<double>(
-                after_label.hits - before_label.hits);
-            const double label_total = label_hits +
-                static_cast<double>(after_label.misses -
-                                    before_label.misses);
-            rows.push_back({"label", snn::snnEngineName(engine), threads,
-                            w.data.train.size(), label_s,
-                            label_total > 0 ? label_hits / label_total
-                                            : 0.0});
+        // --- evaluate: same warm-cache protocol.
+        trainer.evaluate(net, labels, w.data.test, snn::EvalMode::Wt, 32);
+        snn::SnnEvalResult eval;
+        const double eval_s = secondsOf([&] {
+            eval = trainer.evaluate(net, labels, w.data.test,
+                                    snn::EvalMode::Wt, 32);
+        });
+        rows.push_back({"evaluate", threads, w.data.test.size(), eval_s,
+                        1.0});
 
-            // --- evaluate: same warm-cache protocol.
-            trainer.evaluate(net, labels, w.data.test, snn::EvalMode::Wt,
-                             32);
-            snn::SnnEvalResult eval;
-            const double eval_s = secondsOf([&] {
-                eval = trainer.evaluate(net, labels, w.data.test,
-                                        snn::EvalMode::Wt, 32);
-            });
-            rows.push_back({"evaluate", snn::snnEngineName(engine),
-                            threads, w.data.test.size(), eval_s, 1.0});
-
-            // --- cross-check against the dense 1-thread reference.
-            if (!have_reference) {
-                reference = {labels, eval.accuracy, eval.silent};
-                have_reference = true;
-            } else {
-                if (labels != reference.labels)
-                    fatal("engine %s at %zu threads diverged on labels",
-                          snn::snnEngineName(engine), threads);
-                if (eval.accuracy != reference.accuracy ||
-                    eval.silent != reference.silent) {
-                    fatal("engine %s at %zu threads diverged: accuracy "
-                          "%f vs %f",
-                          snn::snnEngineName(engine), threads,
-                          eval.accuracy, reference.accuracy);
-                }
+        // --- cross-check against the first run.
+        if (!have_reference) {
+            reference = {labels, eval.accuracy, eval.silent};
+            have_reference = true;
+        } else {
+            if (labels != reference.labels)
+                fatal("%zu threads diverged on labels", threads);
+            if (eval.accuracy != reference.accuracy ||
+                eval.silent != reference.silent) {
+                fatal("%zu threads diverged: accuracy %f vs %f", threads,
+                      eval.accuracy, reference.accuracy);
             }
         }
     }
     setParallelThreadCount(1);
 
-    // Dense wall time per (phase, threads), for the speedup column.
-    const auto denseWall = [&](const std::string &phase,
-                               std::size_t threads) {
-        for (const PhaseRow &r : rows) {
-            if (r.phase == phase && r.threads == threads &&
-                r.engine == "dense")
-                return r.wall_s;
-        }
-        return 0.0;
-    };
-
-    TextTable table("SNN engine comparison (identical results enforced)");
-    table.setHeader({"Phase", "Engine", "Threads", "Wall (s)", "Items/s",
-                     "Speedup vs dense", "Cache hit"});
+    TextTable table("SNN engine (identical results across threads "
+                    "enforced)");
+    table.setHeader({"Phase", "Threads", "Wall (s)", "Items/s",
+                     "Cache hit"});
     CsvWriter csv("bench_snn_engine.csv",
-                  {"phase", "engine", "threads", "wall_s", "items_per_s",
-                   "speedup_vs_dense", "cache_hit_rate"});
+                  {"phase", "threads", "wall_s", "items_per_s",
+                   "cache_hit_rate"});
     for (const PhaseRow &r : rows) {
-        const double dense_s = denseWall(r.phase, r.threads);
-        const double speedup = r.wall_s > 0 ? dense_s / r.wall_s : 0.0;
-        table.addRow({r.phase, r.engine,
+        table.addRow({r.phase,
                       TextTable::num(static_cast<long long>(r.threads)),
                       TextTable::fmt(r.wall_s, 3),
                       TextTable::fmt(
                           static_cast<double>(r.items) / r.wall_s, 1),
-                      TextTable::fmt(speedup, 2),
                       TextTable::fmt(r.cacheHitRate, 2)});
         csv.writeRow(std::vector<std::string>{
-            r.phase, r.engine, std::to_string(r.threads),
+            r.phase, std::to_string(r.threads),
             TextTable::fmt(r.wall_s, 4),
             TextTable::fmt(static_cast<double>(r.items) / r.wall_s, 1),
-            TextTable::fmt(speedup, 2), TextTable::fmt(r.cacheHitRate, 2)});
+            TextTable::fmt(r.cacheHitRate, 2)});
     }
-    table.addNote("speedup: dense wall time / this row's wall time at "
-                  "the same phase and thread count");
     table.addNote("train runs 2 epochs on a cold cache; its hit rate "
                   "is the epoch-2 rate. label/evaluate are timed warm.");
     table.print(std::cout);
-    std::cout << "RESULT: dense and event engines matched bit-for-bit "
-                 "across all runs\n";
+    std::cout << "RESULT: labels and accuracy matched bit-for-bit "
+                 "across all thread counts\n";
     return 0;
 }

@@ -41,6 +41,7 @@ main(int argc, char **argv)
     snn::SnnNetwork net(config, rng);
     snn::SpikeEncoder encoder(config.coding);
     Rng spike_rng(11);
+    snn::PackedSpikeGrid grid;
 
     // Online label estimation: running win counters, re-finalized on the
     // fly — exactly the self-labeling circuit a deployed STDP
@@ -54,13 +55,13 @@ main(int argc, char **argv)
     std::size_t correct_in_window = 0, seen_in_window = 0;
     for (std::size_t i = 0; i < stream.size(); ++i) {
         const auto &sample = stream[i];
-        const auto grid = encoder.encode(sample.pixels.data(),
-                                         sample.pixels.size(), spike_rng);
+        encoder.encodePacked(sample.pixels.data(), sample.pixels.size(),
+                             spike_rng, grid);
         // Test: predict with the labels learned so far...
         const auto labels = labeling.finalize(label_counts);
         // ...while the same presentation also learns (STDP is online:
         // no separate training phase).
-        const auto result = net.presentImage(grid, /*learn=*/true);
+        const auto result = net.present(grid, /*learn=*/true);
         const int winner = result.winner(snn::Readout::FirstSpike);
         if (winner >= 0 &&
             labels[static_cast<std::size_t>(winner)] == sample.label) {

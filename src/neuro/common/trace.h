@@ -9,7 +9,7 @@
  * - instant events marking a point in time (a neuron fired, an SRAM
  *   array was built);
  * - counter events plotting a numeric series over time (spikes per
- *   tick, cumulative SRAM reads, event-queue depth);
+ *   tick, cumulative SRAM reads);
  * - async span events ('b'/'e' with an id) tracking one logical
  *   operation — e.g. one inference request — across threads and
  *   queues, with explicit (possibly backdated) timestamps captured

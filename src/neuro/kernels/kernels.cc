@@ -149,9 +149,9 @@ selectTable(SimdMode mode)
 }
 
 /**
- * The active table, resolved on first use: NEURO_SIMD if set (like
- * defaultSnnEngine's env fallback, so binaries that never call
- * initKernels still honor it), else the widest supported ISA.
+ * The active table, resolved on first use: NEURO_SIMD if set (read
+ * here, so binaries that never call initKernels still honor it), else
+ * the widest supported ISA.
  */
 const KernelTable &
 active()

@@ -388,7 +388,7 @@ kAddRowF64(double *acc, const float *row, std::size_t n)
 {
     double *__restrict out = acc;
     const float *__restrict in = row;
-    // Independent per-element double chains: the event engine calls
+    // Independent per-element double chains: SnnNetwork::present calls
     // this once per input spike, so element i accumulates its spikes
     // in emission order whatever the vector width.
     // neurolint: ordered-sum

@@ -66,7 +66,6 @@
 #include "neuro/hw/truenorth.h"
 
 // Cycle-level simulation.
-#include "neuro/cycle/event_queue.h"
 #include "neuro/cycle/folded_mlp_sim.h"
 #include "neuro/cycle/folded_snn_sim.h"
 #include "neuro/cycle/pipeline.h"

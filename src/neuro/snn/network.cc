@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "neuro/common/logging.h"
@@ -13,27 +11,6 @@
 
 namespace neuro {
 namespace snn {
-
-SnnEngine
-defaultSnnEngine()
-{
-    static const SnnEngine engine = [] {
-        const char *env = std::getenv("NEURO_SNN_ENGINE");
-        if (env != nullptr &&
-            (std::strcmp(env, "dense") == 0 ||
-             std::strcmp(env, "Dense") == 0)) {
-            return SnnEngine::Dense;
-        }
-        return SnnEngine::Event;
-    }();
-    return engine;
-}
-
-const char *
-snnEngineName(SnnEngine engine)
-{
-    return engine == SnnEngine::Dense ? "dense" : "event";
-}
 
 int
 PresentationResult::winner(Readout readout) const
@@ -129,7 +106,7 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
         result.stdpPotentiated += potentiated;
         result.stdpDepressed += num_inputs - potentiated;
         if (!weightsTDirty_) {
-            // Keep the event engine's transposed copy coherent: the
+            // Keep present()'s transposed copy coherent: the
             // STDP update rewrote one weight row = one column of it.
             const float *row = weights_.row(fn);
             for (std::size_t p = 0; p < num_inputs; ++p)
@@ -148,7 +125,6 @@ SnnNetwork::stepTick(int64_t t, const std::vector<uint16_t> &spikes,
     if (spikes.empty())
         return;
     const std::size_t num_neurons = config_.numNeurons;
-    const std::size_t num_inputs = config_.numInputs;
 
     result.inputSpikeCount += spikes.size();
     if (Tracer::enabled()) {
@@ -174,10 +150,8 @@ SnnNetwork::stepTick(int64_t t, const std::vector<uint16_t> &spikes,
             drive += row[p];
         potentials_[n] += drive;
     }
-    for (uint16_t p : spikes) {
-        NEURO_ASSERT(p < num_inputs, "input spike out of range");
+    for (uint16_t p : spikes)
         lastInputSpike_[p] = t;
-    }
 
     // Fire at most one neuron per tick: the one whose potential
     // exceeds its threshold by the largest margin (the WTA inhibition
@@ -254,6 +228,12 @@ SnnNetwork::presentImage(const SpikeTrainGrid &grid, bool learn,
     NEURO_ASSERT(grid.ticks.size() == static_cast<std::size_t>(period),
                  "spike grid length %zu != period %d", grid.ticks.size(),
                  period);
+    // stepTick indexes weight rows with every spike before it reaches
+    // lastInputSpike_, so reject bad indices up front.
+    for (const auto &tick : grid.ticks) {
+        for (uint16_t p : tick)
+            NEURO_ASSERT(p < config_.numInputs, "input spike out of range");
+    }
 
     PresentationResult result;
     beginPresentation(result);
@@ -285,15 +265,6 @@ SnnNetwork::presentImage(const SpikeTrainGrid &grid, bool learn,
     return result;
 }
 
-PresentationResult
-SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
-{
-    if (config_.engine == SnnEngine::Event)
-        return presentEvents(grid, learn);
-    grid.toDense(denseScratch_);
-    return presentImage(denseScratch_, learn);
-}
-
 void
 SnnNetwork::refreshWeightsT()
 {
@@ -312,7 +283,7 @@ SnnNetwork::refreshWeightsT()
 }
 
 PresentationResult
-SnnNetwork::presentEvents(const PackedSpikeGrid &grid, bool learn)
+SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
 {
     NEURO_PROFILE_SCOPE("snn/present_events");
     const std::size_t num_neurons = config_.numNeurons;
@@ -334,7 +305,7 @@ SnnNetwork::presentEvents(const PackedSpikeGrid &grid, bool learn)
     // Shared-exponential decay table: exp(-dt/Tleak) depends only on
     // dt, and at any tick most ungated neurons share the same dt (the
     // gap since the previous active tick) — one exp serves them all,
-    // where the dense walk pays one exp per neuron per tick. Lazily
+    // where the reference walk pays one exp per neuron per tick. Lazily
     // filled, NaN marks unset.
     decayFactors_.assign(static_cast<std::size_t>(period) + 1,
                          std::numeric_limits<double>::quiet_NaN());

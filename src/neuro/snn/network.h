@@ -7,16 +7,19 @@
  * wins; the hardware SNNwot variant reads out the highest potential
  * instead.
  *
- * Two execution engines share the same dynamics (docs/snn_engine.md):
+ * One production presentation path plus one reference
+ * (docs/snn_engine.md):
  *
- *  - Dense: the reference per-tick walk over a `SpikeTrainGrid`
- *    (presentImage / stepTick), unchanged from the original code;
- *  - Event: an event-driven sweep over a bit-packed `PackedSpikeGrid`
- *    (presentEvents) that touches only spike-carrying ticks, shares one
- *    exponential per distinct decay interval, and accumulates synaptic
- *    drive through a transposed weight copy so the inner loop is a
- *    contiguous vector sweep. The two engines are bit-identical: same
- *    winners, same potentials, same learned weights (tests enforce it).
+ *  - present(): an event-driven sweep over a bit-packed
+ *    `PackedSpikeGrid` that touches only spike-carrying ticks, shares
+ *    one exponential per distinct decay interval, and accumulates
+ *    synaptic drive through a transposed weight copy so the inner loop
+ *    is a contiguous vector sweep. Training, labeling, evaluation and
+ *    serving all run it;
+ *  - presentImage(): the reference per-tick walk over a dense
+ *    `SpikeTrainGrid`, kept as the test oracle and as the Figure 3
+ *    trace path. The two are bit-identical: same winners, same
+ *    potentials, same learned weights (tests enforce it).
  *
  * LIF state is kept as structure-of-arrays (separate potential /
  * threshold / timing arrays) so the per-tick inner loops vectorize; the
@@ -42,22 +45,6 @@ class Rng;
 
 namespace snn {
 
-/** Which execution engine drives a presentation. */
-enum class SnnEngine
-{
-    Dense, ///< reference dense tick loop over SpikeTrainGrid.
-    Event, ///< event-driven sparse engine over PackedSpikeGrid.
-};
-
-/**
- * Process-wide default engine: Event, unless the NEURO_SNN_ENGINE
- * environment variable says "dense" (the CI reference-path job).
- */
-SnnEngine defaultSnnEngine();
-
-/** @return a printable name for @p engine. */
-const char *snnEngineName(SnnEngine engine);
-
 /** Full SNN configuration (paper defaults of Table 1). */
 struct SnnConfig
 {
@@ -80,8 +67,6 @@ struct SnnConfig
     HomeostasisConfig homeostasis;///< threshold adaptation.
     float wInitMin = 0.3f * 255.0f; ///< initial weight range, low.
     float wInitMax = 0.7f * 255.0f; ///< initial weight range, high.
-    /** Execution engine for packed presentations (present()). */
-    SnnEngine engine = defaultSnnEngine();
 };
 
 /** How the winning neuron is read out. */
@@ -139,8 +124,8 @@ class SnnNetwork
 
     /** @return the weight matrix (numNeurons x numInputs). */
     const Matrix &weights() const { return weights_; }
-    /** @return mutable weights (tests, SNN+BP); invalidates the event
-     *  engine's transposed copy, which is rebuilt lazily. */
+    /** @return mutable weights (tests, SNN+BP); invalidates present()'s
+     *  transposed copy, which is rebuilt lazily. */
     Matrix &
     weights()
     {
@@ -156,8 +141,18 @@ class SnnNetwork
     std::vector<double> &thresholds() { return thresholds_; }
 
     /**
-     * Present one encoded image for a full window with the reference
-     * dense engine.
+     * Present one encoded image for a full window: walk only the
+     * spike-carrying ticks of the packed grid. The production path.
+     *
+     * @param grid   the input spike train (finalized).
+     * @param learn  apply STDP on firing events and advance homeostasis.
+     */
+    PresentationResult present(const PackedSpikeGrid &grid, bool learn);
+
+    /**
+     * The reference tick walk over a dense grid: bit-identical to
+     * present() on the equivalent packed grid. Kept as the test oracle
+     * and for traces, which present() does not record.
      *
      * @param grid   the input spike train.
      * @param learn  apply STDP on firing events and advance homeostasis.
@@ -165,41 +160,6 @@ class SnnNetwork
      */
     PresentationResult presentImage(const SpikeTrainGrid &grid, bool learn,
                                     PresentationTrace *trace = nullptr);
-
-    /**
-     * Present a packed grid with the engine selected by
-     * config().engine: the Event engine runs presentEvents(); the
-     * Dense engine expands the grid into an internal scratch buffer
-     * and runs the reference presentImage(). Results are identical
-     * either way.
-     */
-    PresentationResult present(const PackedSpikeGrid &grid, bool learn);
-
-    /**
-     * The event-driven engine: walk only the spike-carrying ticks of a
-     * packed grid. Bit-identical to presentImage() on the equivalent
-     * dense grid (no trace support — use the dense engine for traces).
-     */
-    PresentationResult presentEvents(const PackedSpikeGrid &grid,
-                                     bool learn);
-
-    /**
-     * Step-wise presentation API: presentImage() is equivalent to
-     * beginPresentation(), stepTick() for every non-empty tick in
-     * order, then finishPresentation(). Exposed so event-driven
-     * drivers (cycle::presentViaEventQueue) can run the same dynamics
-     * from an event queue.
-     */
-    void beginPresentation(PresentationResult &result);
-
-    /** Integrate the spikes arriving at tick @p t and run the WTA. */
-    void stepTick(int64_t t, const std::vector<uint16_t> &spikes,
-                  bool learn, PresentationResult &result,
-                  PresentationTrace *trace = nullptr);
-
-    /** Decay to the window end, resolve the max-potential readout and
-     *  (when learning) advance homeostasis. */
-    void finishPresentation(bool learn, PresentationResult &result);
 
     /**
      * The SNNwot forward path (Section 4.2.2): potentials from spike
@@ -227,17 +187,30 @@ class SnnNetwork
         return t < refractoryUntil_[n] || t < inhibitedUntil_[n];
     }
 
-    /** Shared fire-and-inhibit path of both engines (tick @p t). */
+    /** Reset the per-presentation state (start of a window). */
+    void beginPresentation(PresentationResult &result);
+
+    /** presentImage()'s step: integrate the spikes arriving at tick
+     *  @p t and run the WTA. */
+    void stepTick(int64_t t, const std::vector<uint16_t> &spikes,
+                  bool learn, PresentationResult &result,
+                  PresentationTrace *trace);
+
+    /** Shared fire-and-inhibit path of both walks (tick @p t). */
     void fireNeuron(int fire_n, int64_t t, bool learn,
                     PresentationResult &result);
+
+    /** Decay to the window end, resolve the max-potential readout and
+     *  (when learning) advance homeostasis. */
+    void finishPresentation(bool learn, PresentationResult &result);
 
     /** Rebuild the transposed weight copy if weights changed. */
     void refreshWeightsT();
 
     SnnConfig config_;
     Matrix weights_;
-    /** Transposed weights (numInputs x numNeurons) for the event
-     *  engine's contiguous drive accumulation; lazily rebuilt. */
+    /** Transposed weights (numInputs x numNeurons) for present()'s
+     *  contiguous drive accumulation; lazily rebuilt. */
     Matrix weightsT_;
     bool weightsTDirty_ = true;
 
@@ -255,15 +228,13 @@ class SnnNetwork
     /** Per-input time of last presynaptic spike (presentation-local). */
     std::vector<int64_t> lastInputSpike_;
 
-    // Event-engine scratch (presentation-local, reused across calls).
+    // present() scratch (presentation-local, reused across calls).
     std::vector<double> driveScratch_;
     /** Lazily filled exp(-dt/Tleak) per integer dt (NaN = unset). */
     std::vector<double> decayFactors_;
     /** Output-spike bit plane: one bit per (neuron, tick); the
      *  MaxSpikeCount readout counts are popcounts over it. */
     std::vector<uint64_t> outSpikeBits_;
-    /** Dense expansion buffer for the Dense-engine present() path. */
-    SpikeTrainGrid denseScratch_;
 };
 
 } // namespace snn

@@ -1,9 +1,10 @@
 /**
  * @file
- * Bit-packed spike grids for the event-driven SNN engine. A dense
- * `SpikeTrainGrid` spends one heap vector per tick even though, at the
- * paper's parameters (U = 50 ms over a 500 ms window), well over 95% of
- * the (tick, pixel) cells are empty. `PackedSpikeGrid` stores the same
+ * Bit-packed spike grids for the event-driven SNN presentation path
+ * (SnnNetwork::present). A dense `SpikeTrainGrid` spends one heap
+ * vector per tick even though, at the paper's parameters (U = 50 ms
+ * over a 500 ms window), well over 95% of the (tick, pixel) cells are
+ * empty. `PackedSpikeGrid` stores the same
  * train two ways at once:
  *
  *  - a bit plane: one bit per (input, tick), 64 ticks per `uint64_t`
@@ -15,9 +16,9 @@
  *    ticks where anything happens and silent ticks cost nothing.
  *
  * The emission order is preserved so that `toDense()` reproduces the
- * dense encoder's grid byte-for-byte, which is what lets the Dense and
- * Event engines produce bit-identical results (drive sums are ordered
- * float reductions). At most one spike per (input, tick) is stored —
+ * dense encoder's grid byte-for-byte, which is what lets present() and
+ * its dense presentImage() reference produce bit-identical results
+ * (drive sums are ordered float reductions). At most one spike per (input, tick) is stored —
  * one clock cycle models one millisecond in the paper's hardware, and
  * a per-pixel spike generator cannot emit twice in one cycle.
  */

@@ -67,19 +67,6 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
             report.outputSpikes += r.outputSpikeCount;
             if (r.outputSpikeCount == 0)
                 ++report.silentImages;
-            if (stats_) {
-                stats_->inc("snn.images_presented");
-                stats_->inc("snn.input_spikes", r.inputSpikeCount);
-                stats_->inc("snn.output_spikes", r.outputSpikeCount);
-                stats_->sample("snn.output_spikes_per_image",
-                               static_cast<double>(
-                                   r.outputSpikeCount));
-                if (r.firstSpikeTimeMs >= 0) {
-                    stats_->sample("snn.first_spike_ms",
-                                   static_cast<double>(
-                                       r.firstSpikeTimeMs));
-                }
-            }
         }
         if (obsEnabled()) {
             obsCount("snn.images_presented", n);

@@ -11,7 +11,6 @@
 #include <functional>
 #include <vector>
 
-#include "neuro/common/stats.h"
 #include "neuro/datasets/dataset.h"
 #include "neuro/snn/grid_cache.h"
 #include "neuro/snn/network.h"
@@ -69,14 +68,6 @@ class SnnStdpTrainer
         const SnnConfig &config,
         std::size_t cache_budget_bytes = GridCache::kDefaultBudgetBytes);
 
-    /**
-     * Attach a statistics sink (gem5-style): training then records
-     * presented images, input/output spike counts and per-image spike
-     * distributions under "snn.*" names. Pass nullptr to detach; the
-     * registry must outlive the trainer's use of it.
-     */
-    void setStats(StatRegistry *stats) { stats_ = stats; }
-
     /** Run unsupervised STDP over @p data. */
     void train(SnnNetwork &net, const datasets::Dataset &data,
                const SnnTrainConfig &config,
@@ -129,7 +120,6 @@ class SnnStdpTrainer
     SpikeEncoder encoder_;
     uint64_t codingHash_ = 0;
     mutable GridCache gridCache_;
-    StatRegistry *stats_ = nullptr;
 };
 
 /**

@@ -1,12 +1,11 @@
-// Tests for the cycle-level machinery: event queue, staggered pipeline
-// and the folded schedule simulators (validated against the analytic
-// cycle formulas of hw/folded.h).
+// Tests for the cycle-level machinery: the staggered pipeline and the
+// folded schedule simulators (validated against the analytic cycle
+// formulas of hw/folded.h).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "neuro/cycle/event_queue.h"
 #include "neuro/cycle/folded_mlp_sim.h"
 #include "neuro/cycle/folded_snn_sim.h"
 #include "neuro/cycle/pipeline.h"
@@ -15,56 +14,6 @@
 namespace neuro {
 namespace cycle {
 namespace {
-
-TEST(EventQueue, ProcessesInTimeOrder)
-{
-    EventQueue queue;
-    std::vector<int64_t> fired;
-    queue.schedule(30, [&](int64_t t) { fired.push_back(t); });
-    queue.schedule(10, [&](int64_t t) { fired.push_back(t); });
-    queue.schedule(20, [&](int64_t t) { fired.push_back(t); });
-    queue.run();
-    ASSERT_EQ(fired.size(), 3u);
-    EXPECT_EQ(fired[0], 10);
-    EXPECT_EQ(fired[1], 20);
-    EXPECT_EQ(fired[2], 30);
-    EXPECT_EQ(queue.now(), 30);
-}
-
-TEST(EventQueue, StableTieBreakByInsertionOrder)
-{
-    EventQueue queue;
-    std::vector<int> fired;
-    queue.schedule(5, [&](int64_t) { fired.push_back(1); });
-    queue.schedule(5, [&](int64_t) { fired.push_back(2); });
-    queue.run();
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue queue;
-    int count = 0;
-    std::function<void(int64_t)> reschedule = [&](int64_t t) {
-        if (++count < 5)
-            queue.schedule(t + 10, reschedule);
-    };
-    queue.schedule(0, reschedule);
-    const uint64_t processed = queue.run();
-    EXPECT_EQ(processed, 5u);
-    EXPECT_EQ(queue.now(), 40);
-}
-
-TEST(EventQueue, HorizonStopsEarly)
-{
-    EventQueue queue;
-    int count = 0;
-    queue.schedule(10, [&](int64_t) { ++count; });
-    queue.schedule(100, [&](int64_t) { ++count; });
-    queue.run(50);
-    EXPECT_EQ(count, 1);
-    EXPECT_FALSE(queue.empty());
-}
 
 TEST(Pipeline, LatencyAndInitiationInterval)
 {

@@ -6,7 +6,6 @@
 
 #include "neuro/common/config.h"
 #include "neuro/common/rng.h"
-#include "neuro/cycle/event_queue.h"
 #include "neuro/datasets/synth_digits.h"
 #include "neuro/snn/trainer.h"
 
@@ -83,13 +82,21 @@ TEST(EdgeCases, EncoderHandlesAllBlackAndAllWhiteImages)
 
 using EdgeDeathTest = ::testing::Test;
 
-TEST(EdgeDeathTest, EventQueueRejectsPastScheduling)
+TEST(EdgeDeathTest, PresentImageRejectsOutOfRangeSpike)
 {
-    cycle::EventQueue queue;
-    queue.schedule(10, [](int64_t) {});
-    queue.run();
-    EXPECT_DEATH(queue.schedule(5, [](int64_t) {}),
-                 "cannot schedule in the past");
+    // Input 7 on a 4-input net: the index must be rejected before any
+    // weight row is read with it.
+    snn::SnnConfig config;
+    config.numInputs = 4;
+    config.numNeurons = 1;
+    config.coding.periodMs = 20;
+    config.homeostasis.enabled = false;
+    Rng rng(4);
+    snn::SnnNetwork net(config, rng);
+    snn::SpikeTrainGrid grid;
+    grid.ticks.resize(20);
+    grid.ticks[3].push_back(7);
+    EXPECT_DEATH(net.presentImage(grid, false), "input spike out of range");
 }
 
 TEST(EdgeDeathTest, DatasetRejectsWrongGeometry)

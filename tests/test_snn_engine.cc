@@ -1,11 +1,13 @@
-// Dense-vs-event engine equivalence: the event-driven sparse engine
-// must be bit-identical to the reference dense tick walk — same
-// winners, same potentials, same learned weights — at any thread
-// count. Also covers the trainer's grid-cache routing.
+// present() against its oracle: the event-driven production path must
+// be bit-identical to the reference tick walk presentImage() — same
+// winners, same potentials, same learned weights — and the full
+// pipeline must agree at any thread count. Also covers the trainer's
+// grid-cache routing.
 
 #include <gtest/gtest.h>
 
 #include "neuro/common/parallel.h"
+#include "neuro/common/profile.h"
 #include "neuro/common/rng.h"
 #include "neuro/snn/spike_bits.h"
 #include "neuro/snn/trainer.h"
@@ -38,10 +40,9 @@ makeHalves(std::size_t count, uint64_t seed)
 }
 
 SnnConfig
-engineConfig(SnnEngine engine)
+smallConfig()
 {
     SnnConfig config;
-    config.engine = engine;
     config.numInputs = 64;
     config.numNeurons = 8;
     config.coding.periodMs = 200;
@@ -67,50 +68,100 @@ expectIdenticalResults(const PresentationResult &a,
     EXPECT_EQ(a.maxPotentialNeuron, b.maxPotentialNeuron) << "sample " << i;
     EXPECT_EQ(a.inputSpikeCount, b.inputSpikeCount) << "sample " << i;
     EXPECT_EQ(a.outputSpikeCount, b.outputSpikeCount) << "sample " << i;
+    EXPECT_EQ(a.wtaInhibitions, b.wtaInhibitions) << "sample " << i;
+    EXPECT_EQ(a.stdpPotentiated, b.stdpPotentiated) << "sample " << i;
+    EXPECT_EQ(a.stdpDepressed, b.stdpDepressed) << "sample " << i;
     EXPECT_EQ(a.spikeCountPerNeuron, b.spikeCountPerNeuron)
         << "sample " << i;
 }
 
-TEST(SnnEngine, PresentationsBitIdenticalAcrossEngines)
+/** Compare the full network state exactly. */
+void
+expectIdenticalState(const SnnNetwork &a, const SnnNetwork &b)
 {
-    const datasets::Dataset data = makeHalves(64, 7);
-    const SnnConfig dense_cfg = engineConfig(SnnEngine::Dense);
-    const SnnConfig event_cfg = engineConfig(SnnEngine::Event);
-    const SpikeEncoder encoder(dense_cfg.coding);
-
-    Rng dense_init(9);
-    SnnNetwork dense_net(dense_cfg, dense_init);
-    Rng event_init(9);
-    SnnNetwork event_net(event_cfg, event_init);
-
-    PackedSpikeGrid grid;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        Rng rng(deriveStreamSeed(21, i));
-        encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
-                             rng, grid);
-        // learn=true: STDP + homeostasis must also evolve identically.
-        const auto dense_r = dense_net.present(grid, /*learn=*/true);
-        const auto event_r = event_net.present(grid, /*learn=*/true);
-        expectIdenticalResults(dense_r, event_r, i);
-    }
-
-    // After 64 learned presentations the full state agrees exactly.
-    EXPECT_EQ(dense_net.weights().data(), event_net.weights().data());
-    EXPECT_EQ(dense_net.thresholds(), event_net.thresholds());
-    EXPECT_EQ(dense_net.potentials(), event_net.potentials());
+    EXPECT_EQ(a.weights().data(), b.weights().data());
+    EXPECT_EQ(a.thresholds(), b.thresholds());
+    EXPECT_EQ(a.potentials(), b.potentials());
+    EXPECT_EQ(a.homeostasisEpochs(), b.homeostasisEpochs());
 }
 
-TEST(SnnEngine, EventPresentEqualsDensePresentImage)
+/** present() on the packed form of @p dense vs presentImage() on
+ *  @p dense itself, both from copies of @p net.
+ *  @return present()'s result. */
+PresentationResult
+expectHandBuiltGridAgrees(const SnnNetwork &net,
+                          const SpikeTrainGrid &dense,
+                          std::size_t expected_active_ticks)
 {
-    // present() with the Event engine vs the original presentImage()
-    // on the expanded grid: the public API contract.
+    SnnNetwork present_net(net);
+    SnnNetwork oracle_net(net);
+    PackedSpikeGrid packed;
+    packed.fromDense(dense, net.config().numInputs);
+
+    Profiler::instance().setEnabled(true);
+    Profiler::instance().reset();
+    const auto r = present_net.present(packed, /*learn=*/false);
+    const StatRegistry snap = Profiler::instance().snapshot();
+    Profiler::instance().setEnabled(false);
+    Profiler::instance().reset();
+    const auto ref = oracle_net.presentImage(dense, /*learn=*/false);
+
+    expectIdenticalResults(ref, r, 0);
+    expectIdenticalState(oracle_net, present_net);
+    EXPECT_EQ(r.inputSpikeCount, dense.totalSpikes());
+    // Only spike-carrying ticks are visited; the rest are skipped.
+    EXPECT_EQ(snap.counter("snn.engine.ticks_active"),
+              expected_active_ticks);
+    EXPECT_EQ(snap.counter("snn.engine.ticks_skipped"),
+              dense.ticks.size() - expected_active_ticks);
+    return r;
+}
+
+TEST(SnnPresent, PresentationsBitIdenticalToPresentImage)
+{
+    const datasets::Dataset data = makeHalves(64, 7);
+    const SnnConfig config = smallConfig();
+    const SpikeEncoder encoder(config.coding);
+
+    Rng init(9);
+    SnnNetwork present_net(config, init);
+    SnnNetwork oracle_net(present_net); // identical copy.
+
+    PackedSpikeGrid packed;
+    SpikeTrainGrid dense;
+    std::size_t potentiated = 0;
+    // Two learning epochs (STDP + homeostasis must evolve identically),
+    // then a no-learn pass over the learned network.
+    for (const uint64_t seed : {21u, 22u, 23u}) {
+        const bool learn = seed != 23u;
+        for (std::size_t i = 0; i < data.size(); ++i) {
+            Rng rng(deriveStreamSeed(seed, i));
+            encoder.encodePacked(data[i].pixels.data(),
+                                 data[i].pixels.size(), rng, packed);
+            packed.toDense(dense);
+            const auto r = present_net.present(packed, learn);
+            const auto ref = oracle_net.presentImage(dense, learn);
+            expectIdenticalResults(ref, r, i);
+            potentiated += r.stdpPotentiated;
+        }
+        expectIdenticalState(oracle_net, present_net);
+    }
+    // The sequence must actually exercise learning and homeostasis.
+    EXPECT_GT(potentiated, 0u);
+    EXPECT_GT(present_net.homeostasisEpochs(), 0);
+}
+
+TEST(SnnPresent, PresentEqualsPresentImageWithoutLearning)
+{
+    // present() on the packed grid vs presentImage() on its expansion,
+    // from a fresh network with learning off: the public API contract.
     const datasets::Dataset data = makeHalves(16, 3);
-    const SnnConfig config = engineConfig(SnnEngine::Event);
+    const SnnConfig config = smallConfig();
     const SpikeEncoder encoder(config.coding);
 
     Rng init(4);
-    SnnNetwork event_net(config, init);
-    SnnNetwork dense_net(event_net); // identical copy.
+    SnnNetwork present_net(config, init);
+    SnnNetwork oracle_net(present_net); // identical copy.
 
     PackedSpikeGrid packed;
     SpikeTrainGrid dense;
@@ -119,19 +170,55 @@ TEST(SnnEngine, EventPresentEqualsDensePresentImage)
         encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
                              rng, packed);
         packed.toDense(dense);
-        const auto event_r = event_net.present(packed, /*learn=*/false);
-        const auto dense_r = dense_net.presentImage(dense, /*learn=*/false);
-        expectIdenticalResults(dense_r, event_r, i);
+        const auto r = present_net.present(packed, /*learn=*/false);
+        const auto ref = oracle_net.presentImage(dense, /*learn=*/false);
+        expectIdenticalResults(ref, r, i);
     }
+    expectIdenticalState(oracle_net, present_net);
 }
 
-/** Winners of a full label+evaluate pass under the given engine. */
-SnnEvalResult
-evalWithEngine(SnnEngine engine, const datasets::Dataset &train_set,
-               const datasets::Dataset &test_set,
-               std::vector<int> *labels_out)
+/** A 784-input net whose threshold no hand-built grid reaches. */
+SnnNetwork
+quietNetwork(uint64_t seed)
 {
-    const SnnConfig config = engineConfig(engine);
+    SnnConfig config;
+    config.numInputs = 784;
+    config.numNeurons = 20;
+    config.coding.periodMs = 200;
+    config.coding.minIntervalMs = 20;
+    config.tLeakMs = 200.0;
+    config.initialThreshold = 30000.0;
+    config.homeostasis.enabled = false;
+    Rng rng(seed);
+    return SnnNetwork(config, rng);
+}
+
+TEST(SnnPresent, HandBuiltSparseGridMatchesPresentImage)
+{
+    SpikeTrainGrid grid;
+    grid.ticks.resize(200);
+    grid.ticks[3].push_back(1);
+    grid.ticks[3].push_back(2);
+    grid.ticks[50].push_back(0);
+    grid.ticks[150].push_back(3);
+    expectHandBuiltGridAgrees(quietNetwork(7), grid, 3); // 3 instants.
+}
+
+TEST(SnnPresent, EmptyWindowMatchesPresentImage)
+{
+    SpikeTrainGrid empty;
+    empty.ticks.resize(200);
+    const auto r = expectHandBuiltGridAgrees(quietNetwork(8), empty, 0);
+    EXPECT_EQ(r.outputSpikeCount, 0u);
+    EXPECT_EQ(r.firstSpikeNeuron, -1);
+}
+
+/** Winners of a full train+label+evaluate pass. */
+SnnEvalResult
+evalPipeline(const datasets::Dataset &train_set,
+             const datasets::Dataset &test_set, std::vector<int> *labels_out)
+{
+    const SnnConfig config = smallConfig();
     Rng rng(2);
     SnnNetwork net(config, rng);
     SnnStdpTrainer trainer(config);
@@ -145,7 +232,7 @@ evalWithEngine(SnnEngine engine, const datasets::Dataset &train_set,
     return trainer.evaluate(net, labels, test_set, EvalMode::Wt, 202);
 }
 
-TEST(SnnEngine, FullPipelineBitIdenticalAcrossEnginesAndThreads)
+TEST(SnnPresent, FullPipelineBitIdenticalAcrossThreads)
 {
     const datasets::Dataset train_set = makeHalves(64, 11);
     const datasets::Dataset test_set = makeHalves(32, 12);
@@ -154,25 +241,21 @@ TEST(SnnEngine, FullPipelineBitIdenticalAcrossEnginesAndThreads)
     std::vector<int> ref_labels;
     setParallelThreadCount(1);
     const SnnEvalResult reference =
-        evalWithEngine(SnnEngine::Dense, train_set, test_set, &ref_labels);
+        evalPipeline(train_set, test_set, &ref_labels);
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        setParallelThreadCount(threads);
-        std::vector<int> labels;
-        const SnnEvalResult result =
-            evalWithEngine(SnnEngine::Event, train_set, test_set, &labels);
-        EXPECT_EQ(labels, ref_labels) << "threads=" << threads;
-        EXPECT_DOUBLE_EQ(result.accuracy, reference.accuracy)
-            << "threads=" << threads;
-        EXPECT_EQ(result.silent, reference.silent) << "threads=" << threads;
-    }
+    setParallelThreadCount(4);
+    std::vector<int> labels;
+    const SnnEvalResult result = evalPipeline(train_set, test_set, &labels);
+    EXPECT_EQ(labels, ref_labels);
+    EXPECT_DOUBLE_EQ(result.accuracy, reference.accuracy);
+    EXPECT_EQ(result.silent, reference.silent);
     setParallelThreadCount(saved);
 }
 
-TEST(SnnEngine, TrainerServesSecondPassFromGridCache)
+TEST(SnnPresent, TrainerServesSecondPassFromGridCache)
 {
     const datasets::Dataset data = makeHalves(48, 13);
-    const SnnConfig config = engineConfig(SnnEngine::Event);
+    const SnnConfig config = smallConfig();
     Rng rng(2);
     SnnNetwork net(config, rng);
     SnnStdpTrainer trainer(config);
@@ -199,15 +282,6 @@ TEST(SnnEngine, TrainerServesSecondPassFromGridCache)
     EXPECT_EQ(after_eval.misses, after_label.misses)
         << "second pass must not re-encode";
     EXPECT_EQ(after_eval.hits, after_label.hits + data.size());
-}
-
-TEST(SnnEngine, DefaultEngineHonorsEnvironment)
-{
-    // The suite runs with or without NEURO_SNN_ENGINE=dense (CI runs
-    // both); just pin the name mapping and the config default.
-    EXPECT_STREQ(snnEngineName(SnnEngine::Dense), "dense");
-    EXPECT_STREQ(snnEngineName(SnnEngine::Event), "event");
-    EXPECT_EQ(SnnConfig{}.engine, defaultSnnEngine());
 }
 
 } // namespace

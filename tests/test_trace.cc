@@ -241,11 +241,9 @@ TEST_F(TraceTest, SnnTrainingEmitsValidPairedChromeTrace)
     // The instrumented layers all show up.
     EXPECT_GT(balance.count("snn/train"), 0u);
     EXPECT_GT(balance.count("snn/train/epoch"), 0u);
-    // Presentations run under the engine's scope: "snn/present" for
-    // the dense walk, "snn/present_events" for the event engine.
-    EXPECT_GT(balance.count("snn/present") +
-                  balance.count("snn/present_events"),
-              0u);
+    // Training presents through present(), traced as
+    // "snn/present_events".
+    EXPECT_GT(balance.count("snn/present_events"), 0u);
     EXPECT_GT(counters, 0u);
     bool sawSpikeCounter = false;
     for (const TraceEvent &ev : events) {
@@ -262,7 +260,7 @@ TEST_F(TraceTest, DisabledTracingRecordsNothing)
     runTinyTraining();
     const StatRegistry snap = Profiler::instance().snapshot();
     EXPECT_EQ(snap.distribution("scope/snn/train").count(), 0u);
-    EXPECT_EQ(snap.distribution("scope/snn/present").count(), 0u);
+    EXPECT_EQ(snap.distribution("scope/snn/present_events").count(), 0u);
     EXPECT_EQ(snap.counter("snn.input_spikes"), 0u);
     std::ostringstream os;
     snap.dump(os);

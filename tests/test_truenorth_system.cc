@@ -1,10 +1,10 @@
 // Tests for the multi-core TrueNorth system model and the trainer's
-// statistics sink.
+// observability counters.
 
 #include <gtest/gtest.h>
 
+#include "neuro/common/profile.h"
 #include "neuro/common/rng.h"
-#include "neuro/common/stats.h"
 #include "neuro/hw/truenorth.h"
 #include "neuro/snn/trainer.h"
 
@@ -42,7 +42,7 @@ TEST(TrueNorthSystem, AreaAndEnergyScaleWithCores)
               one.totalEnergyPerImageUj() * 1.5);
 }
 
-TEST(TrainerStats, RecordsSpikesWhenAttached)
+TEST(TrainerStats, CountsImagesAndSpikes)
 {
     snn::SnnConfig config;
     config.numInputs = 64;
@@ -66,38 +66,21 @@ TEST(TrainerStats, RecordsSpikesWhenAttached)
     Rng rng(2);
     snn::SnnNetwork net(config, rng);
     snn::SnnStdpTrainer trainer(config);
-    StatRegistry stats;
-    trainer.setStats(&stats);
     snn::SnnTrainConfig train;
     train.epochs = 2;
-    trainer.train(net, data, train);
+    std::size_t reported_output_spikes = 0;
+    Profiler::instance().setEnabled(true);
+    Profiler::instance().reset();
+    trainer.train(net, data, train, [&](const snn::SnnEpochReport &r) {
+        reported_output_spikes += r.outputSpikes;
+    });
+    const StatRegistry snap = Profiler::instance().snapshot();
+    Profiler::instance().setEnabled(false);
+    Profiler::instance().reset();
 
-    EXPECT_EQ(stats.counter("snn.images_presented"), 24u);
-    EXPECT_GT(stats.counter("snn.input_spikes"), 0u);
-    EXPECT_EQ(stats.distribution("snn.output_spikes_per_image").count(),
-              24u);
-}
-
-TEST(TrainerStats, SilentWithoutSink)
-{
-    snn::SnnConfig config;
-    config.numInputs = 16;
-    config.numNeurons = 3;
-    config.coding.periodMs = 50;
-    config.homeostasis.enabled = false;
-    datasets::Dataset data("toy", 4, 4, 2);
-    datasets::Sample s;
-    s.label = 0;
-    s.pixels.assign(16, 200);
-    data.add(s);
-
-    Rng rng(3);
-    snn::SnnNetwork net(config, rng);
-    snn::SnnStdpTrainer trainer(config);
-    snn::SnnTrainConfig train;
-    train.epochs = 1;
-    trainer.train(net, data, train); // must not crash without a sink.
-    SUCCEED();
+    EXPECT_EQ(snap.counter("snn.images_presented"), 24u);
+    EXPECT_GT(snap.counter("snn.input_spikes"), 0u);
+    EXPECT_EQ(snap.counter("snn.output_spikes"), reported_output_spikes);
 }
 
 } // namespace
