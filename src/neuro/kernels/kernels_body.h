@@ -25,6 +25,16 @@
  *
  * The q8 and popcount kernels are exact integer arithmetic, so the
  * compiler may reassociate them freely without changing results.
+ *
+ * Loops whose length is only known at run time are written so the
+ * compiler can prove their trip count is a multiple of the vector
+ * width: a fixed-trip tile for the element-wise kernels, a trip count
+ * rounded down to a whole number of blocks for the q8 reduction, and
+ * a scalar tail after either. At -O2, GCC's very-cheap vectorizer
+ * cost model only vectorizes a loop when no scalar epilogue or
+ * runtime alias check remains, so a plain runtime-length loop stays
+ * scalar in every table there; the __restrict parameters rule out
+ * the alias check (docs/kernels.md, "How to add a kernel").
  */
 
 #pragma once
@@ -54,6 +64,17 @@ typedef float Lane4 __attribute__((vector_size(16)));
 
 /** Rows one gemv column pass carries: 8 independent add chains. */
 constexpr std::size_t kGemvRows = 8;
+
+/** Elements per fixed-trip tile of the independent-chain kernels. */
+constexpr std::size_t kTile = 16;
+
+/**
+ * gemvBiasQ8 block: its MAC loop runs over fan_in rounded down to a
+ * multiple of 64, which the compiler can prove divides by every
+ * vector width up to 64 int8 lanes (AVX-512), so the reduction
+ * vectorizes at -O2 with no scalar epilogue.
+ */
+constexpr std::size_t kQ8Block = 64;
 
 inline Lane4
 load4(const float *p)
@@ -146,38 +167,52 @@ kGemvBias(const float *w, std::size_t rows, std::size_t cols,
 }
 
 void
-kGemvT(const float *w, std::size_t rows, std::size_t cols,
-       const float *x, float *y)
+kGemvT(const float *__restrict w, std::size_t rows, std::size_t cols,
+       const float *__restrict x, float *__restrict y)
 {
     // Row-blocked transposed product: streams the matrix row-major
     // and touches each y[c] cache line once per four-row block. Per
     // output element the adds run in row order — vectorizing across
     // c keeps every element's chain intact.
-    float *__restrict out = y;
     for (std::size_t c = 0; c < cols; ++c)
-        out[c] = 0.0f;
+        y[c] = 0.0f;
     std::size_t r = 0;
     for (; r + 4 <= rows; r += 4) {
         const float x0 = x[r], x1 = x[r + 1];
         const float x2 = x[r + 2], x3 = x[r + 3];
         if (x0 == 0.0f && x1 == 0.0f && x2 == 0.0f && x3 == 0.0f)
             continue;
-        const float *__restrict w0 = w + r * cols;
-        const float *__restrict w1 = w0 + cols;
-        const float *__restrict w2 = w1 + cols;
-        const float *__restrict w3 = w2 + cols;
-        for (std::size_t c = 0; c < cols; ++c) {
-            out[c] += (w0[c] * x0 + w1[c] * x1) +
-                (w2[c] * x2 + w3[c] * x3);
+        const float *w0 = w + r * cols;
+        const float *w1 = w0 + cols;
+        const float *w2 = w1 + cols;
+        const float *w3 = w2 + cols;
+        std::size_t c = 0;
+        for (; c + kTile <= cols; c += kTile) {
+            float *o = y + c;
+            const float *a0 = w0 + c, *a1 = w1 + c;
+            const float *a2 = w2 + c, *a3 = w3 + c;
+            for (std::size_t k = 0; k < kTile; ++k) {
+                o[k] += (a0[k] * x0 + a1[k] * x1) +
+                    (a2[k] * x2 + a3[k] * x3);
+            }
         }
+        for (; c < cols; ++c)
+            y[c] += (w0[c] * x0 + w1[c] * x1) + (w2[c] * x2 + w3[c] * x3);
     }
     for (; r < rows; ++r) {
         const float xr = x[r];
         if (xr == 0.0f)
             continue;
-        const float *__restrict wr = w + r * cols;
-        for (std::size_t c = 0; c < cols; ++c)
-            out[c] += wr[c] * xr;
+        const float *wr = w + r * cols;
+        std::size_t c = 0;
+        for (; c + kTile <= cols; c += kTile) {
+            float *o = y + c;
+            const float *a = wr + c;
+            for (std::size_t k = 0; k < kTile; ++k)
+                o[k] += a[k] * xr;
+        }
+        for (; c < cols; ++c)
+            y[c] += wr[c] * xr;
     }
 }
 
@@ -278,34 +313,44 @@ kGemvBiasStrip(const float *w, std::size_t rows, std::size_t cols,
 }
 
 void
-kGemvBiasQ8(const int8_t *w, std::size_t rows, std::size_t cols,
-            const uint8_t *x, int32_t *y)
+kGemvBiasQ8(const int8_t *__restrict w, std::size_t rows, std::size_t cols,
+            const uint8_t *__restrict x, int32_t *__restrict y)
 {
     const std::size_t fan_in = cols - 1;
+    const std::size_t body = fan_in & ~(kQ8Block - 1);
     for (std::size_t r = 0; r < rows; ++r) {
-        const int8_t *__restrict wr = w + r * cols;
-        // Bias weight fed by the constant-1 input (code 255), then a
-        // widening int8 x uint8 MAC — exact integer arithmetic, so
-        // the vectorizer's partial sums are harmless.
-        int32_t acc = static_cast<int32_t>(wr[fan_in]) * 255;
-        for (std::size_t i = 0; i < fan_in; ++i)
+        const int8_t *wr = w + r * cols;
+        // Widening int8 x uint8 MACs over whole kQ8Block blocks, then
+        // the ragged tail, then the bias weight fed by the constant-1
+        // input (code 255). Exact integer arithmetic, so the
+        // vectorizer's partial sums cannot change the result.
+        int32_t acc = 0;
+        for (std::size_t i = 0; i < body; ++i)
             acc += static_cast<int32_t>(wr[i]) * x[i];
-        y[r] = acc;
+        for (std::size_t i = body; i < fan_in; ++i)
+            acc += static_cast<int32_t>(wr[i]) * x[i];
+        y[r] = acc + static_cast<int32_t>(wr[fan_in]) * 255;
     }
 }
 
 void
-kAddOuter(float *w, std::size_t rows, std::size_t cols, float eta,
-          const float *d, const float *x)
+kAddOuter(float *__restrict w, std::size_t rows, std::size_t cols,
+          float eta, const float *__restrict d, const float *__restrict x)
 {
-    const float *__restrict in = x;
     for (std::size_t r = 0; r < rows; ++r) {
-        float *__restrict wr = w + r * cols;
+        float *wr = w + r * cols;
         const float scale = eta * d[r];
         if (scale == 0.0f)
             continue;
-        for (std::size_t c = 0; c < cols; ++c)
-            wr[c] += scale * in[c];
+        std::size_t c = 0;
+        for (; c + kTile <= cols; c += kTile) {
+            float *o = wr + c;
+            const float *v = x + c;
+            for (std::size_t k = 0; k < kTile; ++k)
+                o[k] += scale * v[k];
+        }
+        for (; c < cols; ++c)
+            wr[c] += scale * x[c];
     }
 }
 
@@ -375,25 +420,38 @@ kAddOuterBiasBatch(float *w, std::size_t rows, std::size_t cols,
 }
 
 void
-kAddScaled(float *dst, const float *src, std::size_t n, float scale)
+kAddScaled(float *__restrict dst, const float *__restrict src,
+           std::size_t n, float scale)
 {
-    float *__restrict out = dst;
-    const float *__restrict in = src;
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] += scale * in[i];
+    std::size_t i = 0;
+    for (; i + kTile <= n; i += kTile) {
+        float *o = dst + i;
+        const float *v = src + i;
+        for (std::size_t k = 0; k < kTile; ++k)
+            o[k] += scale * v[k];
+    }
+    for (; i < n; ++i)
+        dst[i] += scale * src[i];
 }
 
 void
-kAddRowF64(double *acc, const float *row, std::size_t n)
+kAddRowF64(double *__restrict acc, const float *__restrict row,
+           std::size_t n)
 {
-    double *__restrict out = acc;
-    const float *__restrict in = row;
     // Independent per-element double chains: SnnNetwork::present calls
     // this once per input spike, so element i accumulates its spikes
-    // in emission order whatever the vector width.
+    // in emission order whatever the vector width or tiling.
+    std::size_t i = 0;
     // neurolint: ordered-sum
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] += static_cast<double>(in[i]);
+    for (; i + kTile <= n; i += kTile) {
+        double *o = acc + i;
+        const float *v = row + i;
+        for (std::size_t k = 0; k < kTile; ++k)
+            o[k] += static_cast<double>(v[k]);
+    }
+    // neurolint: ordered-sum
+    for (; i < n; ++i)
+        acc[i] += static_cast<double>(row[i]);
 }
 
 std::size_t

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "neuro/common/logging.h"
+#include "neuro/common/parallel.h"
 #include "neuro/kernels/kernels.h"
 
 namespace neuro {
@@ -53,45 +55,55 @@ QuantizedMlp::QuantizedMlp(const Mlp &net, int weight_bits)
     }
 }
 
-void
-QuantizedMlp::forward(const uint8_t *pixels, uint8_t *output) const
+const uint8_t *
+QuantizedMlp::forward(const uint8_t *pixels, Scratch &scratch) const
 {
     // Activations travel as 8-bit unsigned codes for [0,1].
-    std::vector<uint8_t> cur(pixels, pixels + inputSize_);
-    std::vector<uint8_t> next;
-    std::vector<int32_t> acc;
-
+    const uint8_t *in = pixels;
     for (const Layer &layer : layers_) {
-        next.assign(layer.fanOut, 0);
-        acc.resize(layer.fanOut);
+        scratch.next.resize(layer.fanOut);
+        scratch.acc.resize(layer.fanOut);
         // 32-bit MAC over int8 weights and uint8 activations, plus
         // the bias weight fed by the constant-1 input (code 255) —
         // integer arithmetic, so the SIMD kernel is exact whatever
         // the dispatch width.
         kernels::gemvBiasQ8(layer.weights.data(), layer.fanOut,
-                            layer.fanIn + 1, cur.data(), acc.data());
+                            layer.fanIn + 1, in, scratch.acc.data());
         const float inv_scale =
             1.0f / (static_cast<float>(1 << layer.fracBits) * 255.0f);
         for (std::size_t j = 0; j < layer.fanOut; ++j) {
             // Dequantize the pre-activation and apply the hardware
             // piecewise-linear sigmoid, then requantize to 8 bits.
-            const float s = static_cast<float>(acc[j]) * inv_scale;
+            const float s = static_cast<float>(scratch.acc[j]) * inv_scale;
             const float y = sigmoid_.apply(s);
-            next[j] = static_cast<uint8_t>(
+            scratch.next[j] = static_cast<uint8_t>(
                 std::clamp(std::lround(y * 255.0f), 0L, 255L));
         }
-        cur.swap(next);
+        scratch.cur.swap(scratch.next);
+        in = scratch.cur.data();
     }
-    std::copy(cur.begin(), cur.end(), output);
+    return in;
+}
+
+void
+QuantizedMlp::forward(const uint8_t *pixels, uint8_t *output) const
+{
+    Scratch scratch;
+    std::copy_n(forward(pixels, scratch), outputSize_, output);
+}
+
+int
+QuantizedMlp::predict(const uint8_t *pixels, Scratch &scratch) const
+{
+    const uint8_t *out = forward(pixels, scratch);
+    return static_cast<int>(std::max_element(out, out + outputSize_) - out);
 }
 
 int
 QuantizedMlp::predict(const uint8_t *pixels) const
 {
-    std::vector<uint8_t> out(outputSize_);
-    forward(pixels, out.data());
-    return static_cast<int>(
-        std::max_element(out.begin(), out.end()) - out.begin());
+    Scratch scratch;
+    return predict(pixels, scratch);
 }
 
 std::size_t
@@ -130,14 +142,22 @@ QuantizedMlp::setWeightAt(std::size_t idx, int8_t value)
 double
 QuantizedMlp::evaluate(const datasets::Dataset &data) const
 {
+    NEURO_ASSERT(!data.empty(), "cannot evaluate on an empty dataset");
     NEURO_ASSERT(data.inputSize() == inputSize_,
                  "dataset input size mismatch");
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        if (predict(data[i].pixels.data()) == data[i].label)
-            ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(data.size());
+    const std::size_t n = data.size();
+    // Per-sample hit flags, as in mlp::evaluate: each prediction is a
+    // pure function of its pixels, so the count below cannot observe
+    // the shard boundaries or the thread count.
+    std::vector<uint8_t> hit(n, 0);
+    parallelForRange(0, n, 64, [&](std::size_t i0, std::size_t i1) {
+        Scratch scratch;
+        for (std::size_t i = i0; i < i1; ++i)
+            hit[i] = predict(data[i].pixels.data(), scratch) == data[i].label;
+    });
+    const std::size_t correct =
+        std::accumulate(hit.begin(), hit.end(), std::size_t{0});
+    return static_cast<double>(correct) / static_cast<double>(n);
 }
 
 } // namespace mlp

@@ -101,6 +101,21 @@ class QuantizedMlp
     void setWeightAt(std::size_t idx, int8_t value);
 
   private:
+    /** Caller-owned activation and accumulator buffers: reused across
+     *  images, so a warm scratch makes forward() allocation-free. */
+    struct Scratch
+    {
+        std::vector<uint8_t> cur, next;
+        std::vector<int32_t> acc;
+    };
+
+    /** Feed-forward through @p scratch. @return the outputSize()
+     *  output codes, valid until @p scratch is next used. */
+    const uint8_t *forward(const uint8_t *pixels, Scratch &scratch) const;
+
+    /** @return argmax class for @p pixels, computed in @p scratch. */
+    int predict(const uint8_t *pixels, Scratch &scratch) const;
+
     struct Layer
     {
         std::size_t fanIn = 0;        ///< inputs (excluding bias).

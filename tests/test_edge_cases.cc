@@ -7,6 +7,7 @@
 #include "neuro/common/config.h"
 #include "neuro/common/rng.h"
 #include "neuro/datasets/synth_digits.h"
+#include "neuro/mlp/quantized.h"
 #include "neuro/snn/trainer.h"
 
 namespace neuro {
@@ -115,6 +116,18 @@ TEST(EdgeDeathTest, DatasetRejectsOutOfRangeLabel)
     s.label = 7;
     s.pixels.assign(4, 0);
     EXPECT_DEATH(data.add(s), "label");
+}
+
+TEST(EdgeDeathTest, QuantizedEvaluateRejectsEmptyDataset)
+{
+    // An empty test set has no accuracy: asserting beats returning the
+    // 0/0 NaN, and matches mlp::evaluate.
+    mlp::MlpConfig config;
+    config.layerSizes = {4, 3, 2};
+    Rng rng(5);
+    const mlp::QuantizedMlp quant(mlp::Mlp(config, rng));
+    const datasets::Dataset empty("toy", 2, 2, 2);
+    EXPECT_DEATH(quant.evaluate(empty), "empty dataset");
 }
 
 TEST(EdgeDeathTest, RngRejectsZeroRange)

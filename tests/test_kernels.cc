@@ -4,9 +4,10 @@
  * every dispatchable ISA level must be bit-identical to a hand-rolled
  * scalar reference of the documented summation schedule, over ragged
  * shapes that exercise unroll tails and row-block remainders. Also
- * covers the q8 saturation edges, the strip/per-sample equivalence,
- * the batched outer-product update, dispatch forcing (NEURO_SIMD=off
- * and friends) and the kernel call counters.
+ * covers lengths at the edges of the fixed-trip tiles, the q8
+ * saturation edges, the strip/per-sample equivalence, the batched
+ * outer-product update, dispatch forcing (NEURO_SIMD=off and
+ * friends) and the kernel call counters.
  */
 
 #include <cmath>
@@ -109,6 +110,21 @@ refAddOuterBias(std::vector<float> &w, std::size_t rows,
     }
 }
 
+/** addOuter's schedule: one scale per row, zero-scale rows skipped. */
+void
+refAddOuter(std::vector<float> &w, std::size_t rows, std::size_t cols,
+            float eta, const std::vector<float> &d,
+            const std::vector<float> &x)
+{
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float scale = eta * d[r];
+        if (scale == 0.0f)
+            continue;
+        for (std::size_t c = 0; c < cols; ++c)
+            w[r * cols + c] += scale * x[c];
+    }
+}
+
 int32_t
 refDotQ8(const int8_t *wr, const uint8_t *x, std::size_t fan_in)
 {
@@ -123,9 +139,12 @@ refDotQ8(const int8_t *wr, const uint8_t *x, std::size_t fan_in)
 /** Ragged shapes: unroll tails (every cols % 4 and (cols - 1) % 4
  *  with at least one full 8-row gemv block), row-block remainders on
  *  both sides of the 4-row strip and 8-row gemv blocks, degenerate
- *  single-row/column cases. */
+ *  single-row/column cases, and column counts below, at and above
+ *  one and four 16-element tiles (gemvT, addOuter), including the
+ *  SNN's 300-neuron row. */
 const std::size_t kShapes[][2] = {
     {1, 1},   {1, 5},   {3, 2},    {4, 4},    {5, 3},
+    {6, 15},  {6, 16},  {6, 63},   {6, 65},   {6, 300},
     {7, 17},  {8, 9},   {8, 785},  {9, 785},  {10, 101},
     {11, 787}, {15, 4}, {16, 5},   {16, 786}, {17, 33},
     {24, 101}, {33, 64}, {100, 785},
@@ -305,6 +324,29 @@ TEST_F(KernelsTest, AddOuterBiasMatchesReferenceAtEveryIsa)
     }
 }
 
+TEST_F(KernelsTest, AddOuterMatchesReferenceAtEveryIsa)
+{
+    Rng rng(110);
+    for (const auto &shape : kShapes) {
+        const std::size_t rows = shape[0], cols = shape[1];
+        const auto w0 = randomVec(rng, rows * cols);
+        auto d = randomVec(rng, rows);
+        d[0] = 0.0f; // exercise the zero-delta row skip.
+        const auto x = randomVec(rng, cols);
+        auto expect = w0;
+        refAddOuter(expect, rows, cols, 0.25f, d, x);
+        for (SimdMode mode : reachableModes()) {
+            setSimdMode(mode);
+            auto w = w0;
+            addOuter(w.data(), rows, cols, 0.25f, d.data(), x.data());
+            ASSERT_EQ(0, std::memcmp(expect.data(), w.data(),
+                                     w.size() * sizeof(float)))
+                << "addOuter " << rows << "x" << cols << " differs at "
+                << isaName(activeIsa());
+        }
+    }
+}
+
 TEST_F(KernelsTest, AddOuterBiasBatchEqualsSequentialUpdates)
 {
     Rng rng(106);
@@ -342,9 +384,10 @@ TEST_F(KernelsTest, AddOuterBiasBatchEqualsSequentialUpdates)
 
 TEST_F(KernelsTest, AddScaledAndAddRowF64MatchReference)
 {
+    // Lengths below, at and above one and four 16-element tiles, and
+    // the SNN's 300-neuron row.
     Rng rng(107);
-    for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{64},
-                          std::size_t{301}}) {
+    for (std::size_t n : {1, 7, 15, 16, 17, 63, 64, 65, 300, 301}) {
         const auto src = randomVec(rng, n);
         const auto dst0 = randomVec(rng, n);
         std::vector<float> expect_f(dst0);
@@ -407,10 +450,9 @@ TEST_F(KernelsTest, Q8MatchesReferenceIncludingSaturationEdges)
         EXPECT_EQ(expect, y) << "q8 differs at " << isaName(activeIsa());
     }
 
-    // Ragged fan-ins against random codes.
+    // Ragged fan-ins against random codes, around the 64-code blocks.
     Rng rng(108);
-    for (std::size_t fi : {std::size_t{1}, std::size_t{3}, std::size_t{17},
-                           std::size_t{784}}) {
+    for (std::size_t fi : {1, 3, 17, 63, 64, 65, 127, 128, 129, 784}) {
         std::vector<int8_t> wr(fi + 1);
         std::vector<uint8_t> xr(fi);
         for (auto &v : wr)

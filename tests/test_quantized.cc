@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
 #include "neuro/datasets/synth_digits.h"
+#include "neuro/kernels/kernels.h"
 #include "neuro/mlp/backprop.h"
 #include "neuro/mlp/quantized.h"
 
@@ -82,6 +84,51 @@ TEST(QuantizedMlp, SmallAccuracyLossOnTrainedNet)
     EXPECT_GT(float_acc, 0.85);
     EXPECT_GT(fixed_acc, float_acc - 0.05)
         << "8-bit quantization lost more than 5%";
+}
+
+TEST(QuantizedMlp, EvaluateEqualsSerialPredictAtAnyThreadCountAndIsa)
+{
+    // evaluate() shards the test set; its count must equal one serial
+    // predict() per sample, whatever the thread count or kernel table.
+    // 203 samples leave a ragged last shard.
+    datasets::SynthDigitsOptions opt;
+    opt.trainSize = 300;
+    opt.testSize = 203;
+    const datasets::Split split = datasets::makeSynthDigits(opt);
+    MlpConfig config;
+    config.layerSizes = {784, 24, 10};
+    TrainConfig train;
+    train.epochs = 2;
+    Rng rng(11);
+    Mlp net(config, rng);
+    mlp::train(net, split.train, train);
+    const QuantizedMlp quant(net);
+
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < split.test.size(); ++i) {
+        if (quant.predict(split.test[i].pixels.data()) ==
+            split.test[i].label)
+            ++hits;
+    }
+    const double expect = static_cast<double>(hits) /
+        static_cast<double>(split.test.size());
+
+    const std::size_t saved = parallelThreadCount();
+    for (kernels::SimdMode mode :
+         {kernels::SimdMode::Off, kernels::SimdMode::Avx2,
+          kernels::SimdMode::Avx512}) {
+        // Forcing a level the machine lacks falls back to a narrower
+        // one, which is simply covered twice.
+        kernels::setSimdMode(mode);
+        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            setParallelThreadCount(threads);
+            EXPECT_EQ(expect, quant.evaluate(split.test))
+                << threads << " threads at "
+                << kernels::isaName(kernels::activeIsa());
+        }
+    }
+    setParallelThreadCount(saved);
+    kernels::setSimdMode(kernels::SimdMode::Auto);
 }
 
 } // namespace
