@@ -48,6 +48,7 @@
 #include "neuro/mlp/mlp.h"
 #include "neuro/serve/backend.h"
 #include "neuro/serve/server.h"
+#include "neuro/telemetry/histogram.h"
 
 namespace {
 
@@ -58,10 +59,10 @@ struct RunResult
     double wallS = 0.0;
     uint64_t completed = 0;
     uint64_t batches = 0;
-    serve::LatencyHistogram::Summary lat;
-    serve::LatencyHistogram::Summary stageQueue;
-    serve::LatencyHistogram::Summary stageBatch;
-    serve::LatencyHistogram::Summary stageCompute;
+    telemetry::LatencyHistogram::Summary lat;
+    telemetry::LatencyHistogram::Summary stageQueue;
+    telemetry::LatencyHistogram::Summary stageBatch;
+    telemetry::LatencyHistogram::Summary stageCompute;
     std::vector<int> classes; ///< per-request predictions (trace order).
 
     double throughput() const
@@ -70,23 +71,25 @@ struct RunResult
     }
 };
 
-/** Replay @p requests test-set samples with @p inflight outstanding. */
+/**
+ * Replay @p requests test-set samples with @p inflight outstanding,
+ * on a server labeled @p model. Every run has its own label, so the
+ * server's registry series (counters, latency and stage histograms)
+ * hold that run's numbers alone, and a NEURO_METRICS export keeps
+ * each run as its own `serve.*{model="<mode>.t<workers>"}` series.
+ */
 RunResult
 runTrace(const std::shared_ptr<serve::InferenceBackend> &backend,
-         const datasets::Dataset &test, uint64_t requests,
-         std::size_t maxBatch, std::size_t inflight, uint64_t seed,
-         bool traceRequests = false)
+         const std::string &model, const datasets::Dataset &test,
+         uint64_t requests, std::size_t maxBatch, std::size_t inflight,
+         uint64_t seed, bool traceRequests = false)
 {
-    // The stage histograms are registry-owned and accumulate across
-    // servers; zero them so this run's percentiles are its own.
-    serve::InferenceServer::resetStageMetrics();
-
     serve::ServeConfig sc;
     sc.queueCapacity = inflight + maxBatch; // closed loop never rejects.
     sc.batch.maxBatch = maxBatch;
     sc.batch.maxWaitMicros = 200;
     sc.traceRequests = traceRequests;
-    serve::InferenceServer server(backend, sc);
+    serve::InferenceServer server(backend, sc, nullptr, model);
 
     RunResult out;
     out.classes.assign(requests, -1);
@@ -226,13 +229,16 @@ main(int argc, char **argv)
     for (const std::size_t workers : threadCounts) {
         setParallelThreadCount(workers);
         // Warm-up pass (pool spin-up, page cache) then the timed runs.
-        runTrace(backend, w.data.test, std::min<uint64_t>(requests, 256),
-                 maxBatch, inflight, seed);
-        const RunResult single = runTrace(backend, w.data.test, requests,
-                                          1, 1, seed, traceRequests);
+        const std::string suffix = ".t" + std::to_string(workers);
+        runTrace(backend, "warmup" + suffix, w.data.test,
+                 std::min<uint64_t>(requests, 256), maxBatch, inflight,
+                 seed);
+        const RunResult single =
+            runTrace(backend, "single" + suffix, w.data.test, requests, 1,
+                     1, seed, traceRequests);
         const RunResult batched =
-            runTrace(backend, w.data.test, requests, maxBatch, inflight,
-                     seed, traceRequests);
+            runTrace(backend, "batched" + suffix, w.data.test, requests,
+                     maxBatch, inflight, seed, traceRequests);
 
         if (reference.empty())
             reference = single.classes;
@@ -268,7 +274,7 @@ main(int argc, char **argv)
                  TextTable::fmt(row.r->lat.p99Us, 0),
                  TextTable::fmt(row.speedup, 2)});
             const std::pair<const char *,
-                            const serve::LatencyHistogram::Summary *>
+                            const telemetry::LatencyHistogram::Summary *>
                 stages[] = {{"queue", &row.r->stageQueue},
                             {"batch", &row.r->stageBatch},
                             {"compute", &row.r->stageCompute}};

@@ -24,11 +24,14 @@
  *  - fairness: two models, one offered ~3x its fair share, one
  *              lightly loaded; per-model InferenceServers mean the
  *              overloaded model degrades to *its own* rejections and
- *              the light model's goodput tracks its offered rate;
+ *              the light model's goodput tracks its offered rate; a
+ *              second table sets each model's server-side counts and
+ *              queue p99 (its `serve.*{model=...}` series) next to
+ *              the client's;
  *  - slo:      the base model with its quantized sibling as SLO
- *              fallback; overload drives p99 across the SLO and the
- *              serve.slo.degrade_enter/exit counters record the
- *              degrade/restore flapping.
+ *              fallback; overload drives p99 across the SLO and m0's
+ *              serve.slo.degrade_enter/exit{model="m0"} counters
+ *              record the degrade/restore flapping.
  *
  * Before any load runs, the harness replays a fixed trace both over
  * the wire and against an in-process InferenceServer and asserts the
@@ -484,7 +487,6 @@ main(int argc, char **argv)
         ladder.push_back(cfg.getDouble("rate", 0.0) / capacityReqS);
     std::vector<StreamResult> sweep;
     auto sweepOne = [&](double rateReqS) {
-        serve::InferenceServer::resetStageMetrics();
         net::ServeFrontend frontend(registry, sc);
         net::NetServer server(frontend);
         std::string error;
@@ -571,8 +573,18 @@ main(int argc, char **argv)
     }
 
     // --- fairness: overloaded m0 next to lightly loaded m1 ------------
+    // Every frontend labels its servers' series with the model name,
+    // so the sweep's m0 traffic is still on the books: zero the
+    // registry, and the server-side accounting printed next to the
+    // client's is this scenario's alone.
     StreamResult fairHeavy, fairLight;
+    TextTable fairTable("fairness: client vs server accounting "
+                        "(serve.*{model=...})");
+    fairTable.setHeader({"Model", "Ok", "Completed", "Rejected",
+                         "Srv rejected", "Expired", "Srv expired",
+                         "Queue p99 (us)"});
     {
+        telemetry::MetricRegistry::instance().resetValues();
         net::ServeFrontend frontend(registry, sc);
         net::NetServer server(frontend);
         std::string error;
@@ -594,16 +606,32 @@ main(int argc, char **argv)
         server.stop();
         report("fairness", fairHeavy, 0);
         report("fairness", fairLight, 0);
+        for (const StreamResult *r : {&fairHeavy, &fairLight}) {
+            const serve::InferenceServer &model =
+                *frontend.server(r->model);
+            const serve::ServeCounters c = model.counters();
+            auto count = [](uint64_t v) {
+                return TextTable::num(static_cast<long long>(v));
+            };
+            fairTable.addRow(
+                {r->model, count(r->ok), count(c.completed),
+                 count(r->rejected), count(c.rejected),
+                 count(r->expired), count(c.expired),
+                 TextTable::fmt(model.stageLatency(serve::Stage::Queue)
+                                    .percentile(0.99),
+                                0)});
+        }
     }
 
     // --- slo: overload with the q8 sibling as fallback ----------------
     uint64_t sloFlaps = 0;
     {
+        // The frontend labels m0's server with its name.
         auto &reg = telemetry::MetricRegistry::instance();
         const auto degradeEnter =
-            reg.counter("serve.slo.degrade_enter");
+            reg.counter("serve.slo.degrade_enter", "m0");
         const auto degradeExit =
-            reg.counter("serve.slo.degrade_exit");
+            reg.counter("serve.slo.degrade_exit", "m0");
         const uint64_t enter0 = degradeEnter->value();
         const uint64_t exit0 = degradeExit->value();
 
@@ -631,6 +659,9 @@ main(int argc, char **argv)
     table.addNote("latency anchors to scheduled arrival times "
                   "(coordinated-omission guard)");
     table.print(std::cout);
+    fairTable.addNote("client columns count responses over the wire; "
+                      "Srv columns read the model's registry series");
+    fairTable.print(std::cout);
 
     std::cout << "RESULT: burst estimate "
               << TextTable::fmt(capacityReqS, 0)

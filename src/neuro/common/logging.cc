@@ -11,7 +11,7 @@ std::atomic<LogLevel> g_level{LogLevel::Normal};
 
 /**
  * Each message is emitted under a single stream lock so that
- * multi-threaded callers (profiler-instrumented benches) never
+ * multi-threaded callers (instrumented parallel benches) never
  * interleave tag, body and newline of concurrent messages.
  */
 void

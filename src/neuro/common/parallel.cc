@@ -297,8 +297,7 @@ ThreadPool::forRange(std::size_t begin, std::size_t end,
         q.erase(std::remove(q.begin(), q.end(), job), q.end());
     }
 
-    if (obsEnabled())
-        obsCount("parallel.chunks", job->numChunks);
+    obsCount<"parallel.chunks">(job->numChunks);
     std::exception_ptr error;
     {
         MutexGuard lock(job->mutex);

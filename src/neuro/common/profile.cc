@@ -1,6 +1,7 @@
 #include "neuro/common/profile.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "neuro/common/config.h"
 #include "neuro/common/logging.h"
 #include "neuro/common/mutex.h"
+#include "neuro/telemetry/export.h"
 #include "neuro/telemetry/telemetry.h"
 
 namespace neuro {
@@ -64,26 +66,37 @@ registerAtExitOnce()
     if (registered)
         return;
     registered = true;
-    // Built-in shutdown steps. The telemetry flush registers itself at
-    // priority 10 when NEURO_METRICS / --metrics is active, so the
+    // Built-in shutdown step. The telemetry flush (priority 10) and
+    // the stats dump (20) register themselves when requested, so the
     // full sequence is: metrics flush, stats dump, trace finalizer.
-    addObservabilityExitHook(20, [] {
-        if (Profiler::enabled())
-            // The process is exiting: logging may already be torn
-            // down, and stderr is the documented sink for
-            // NEURO_STATS_DUMP.
-            // neurolint: allow(R3)
-            Profiler::instance().dump(std::cerr);
-    });
     addObservabilityExitHook(30, [] { Tracer::instance().stop(); });
     std::atexit(observabilityAtExit);
 }
 
+/** Print the metric registry as text to stderr at exit (once, however
+ *  many times NEURO_STATS_DUMP / --stats-dump asks for it). */
+void
+requestStatsDump()
+{
+    static std::atomic<bool> requested{false};
+    if (requested.exchange(true, std::memory_order_relaxed))
+        return;
+    addObservabilityExitHook(20, [] {
+        const telemetry::MetricsSnapshot snap =
+            telemetry::MetricRegistry::instance().snapshot();
+        // The process is exiting: logging may already be torn down,
+        // and stderr is the documented sink for NEURO_STATS_DUMP.
+        // neurolint: allow(R3)
+        telemetry::writeText(snap, std::cerr);
+    });
+}
+
 /**
- * Environment-only bootstrap: NEURO_TRACE / NEURO_STATS_DUMP turn the
- * sinks on in any binary linking this library, so every bench and
- * example can record without code changes. Config-driven setup
- * (initObservability) still applies on top for the CLI.
+ * Environment-only bootstrap: NEURO_TRACE / NEURO_STATS_DUMP /
+ * NEURO_METRICS choose the outputs of any binary linking this
+ * library, so every bench and example can report without code
+ * changes. Config-driven setup (initObservability) still applies on
+ * top for the CLI.
  */
 struct EnvObservabilityInit
 {
@@ -94,16 +107,10 @@ struct EnvObservabilityInit
         const char *trace = std::getenv("NEURO_TRACE");
         // NOLINTNEXTLINE(concurrency-mt-unsafe)
         const char *dump = std::getenv("NEURO_STATS_DUMP");
-        bool any = false;
-        if (trace && *trace)
-            any = Tracer::instance().start(trace);
-        if (dump && *dump && std::string(dump) != "0") {
-            Profiler::instance().setEnabled(true);
-            any = true;
-        } else if (any) {
-            // A trace without timings is half a story; keep them in sync.
-            Profiler::instance().setEnabled(true);
-        }
+        if (trace && *trace && Tracer::instance().start(trace))
+            registerAtExitOnce();
+        if (dump && *dump && std::string(dump) != "0")
+            requestStatsDump();
         // NOLINTNEXTLINE(concurrency-mt-unsafe)
         const char *metrics = std::getenv("NEURO_METRICS");
         if (metrics && *metrics) {
@@ -119,8 +126,6 @@ struct EnvObservabilityInit
             }
             telemetry::startGlobalTelemetry(tcfg);
         }
-        if (any)
-            registerAtExitOnce();
     }
 };
 
@@ -128,106 +133,34 @@ EnvObservabilityInit g_envObservabilityInit;
 
 } // namespace
 
-Profiler &
-Profiler::instance()
+telemetry::Counter &
+siteCounter(const char *name)
 {
-    static Profiler profiler;
-    return profiler;
+    // The process registry never drops a series, so the reference
+    // outlives the returned shared_ptr.
+    return *telemetry::MetricRegistry::instance().counter(name);
 }
 
-void
-Profiler::setEnabled(bool on)
+telemetry::Gauge &
+siteGauge(const char *name)
 {
-    active_.store(on, std::memory_order_relaxed);
+    return *telemetry::MetricRegistry::instance().gauge(name);
 }
 
-void
-Profiler::recordScope(const char *name, double seconds)
+telemetry::LatencyHistogram &
+siteHistogram(const std::string &name)
 {
-    MutexGuard lock(mutex_);
-    stats_.sample(std::string("scope/") + name, seconds);
-}
-
-void
-Profiler::inc(const std::string &name, uint64_t delta)
-{
-    MutexGuard lock(mutex_);
-    stats_.inc(name, delta);
-}
-
-uint64_t
-Profiler::incAndGet(const std::string &name, uint64_t delta)
-{
-    MutexGuard lock(mutex_);
-    stats_.inc(name, delta);
-    return stats_.counter(name);
-}
-
-void
-Profiler::sample(const std::string &name, double v)
-{
-    MutexGuard lock(mutex_);
-    stats_.sample(name, v);
-}
-
-StatRegistry
-Profiler::snapshot() const
-{
-    MutexGuard lock(mutex_);
-    return stats_;
-}
-
-void
-Profiler::dump(std::ostream &os) const
-{
-    MutexGuard lock(mutex_);
-    stats_.dump(os);
-}
-
-void
-Profiler::reset()
-{
-    MutexGuard lock(mutex_);
-    stats_.reset();
-}
-
-void
-obsCount(const char *name, uint64_t delta)
-{
-    const bool profile = Profiler::enabled();
-    const bool trace = Tracer::enabled();
-    if (!profile && !trace)
-        return;
-    const uint64_t total = Profiler::instance().incAndGet(name, delta);
-    if (trace)
-        Tracer::instance().counter(name, static_cast<double>(total));
-}
-
-void
-obsSample(const char *name, double v)
-{
-    const bool profile = Profiler::enabled();
-    const bool trace = Tracer::enabled();
-    if (!profile && !trace)
-        return;
-    if (profile)
-        Profiler::instance().sample(name, v);
-    if (trace)
-        Tracer::instance().counter(name, v);
+    return *telemetry::MetricRegistry::instance().histogram(name);
 }
 
 void
 initObservability(const Config &cfg)
 {
     const std::string trace = cfg.getString("trace", "");
-    const bool dump = cfg.getBool("stats_dump", false);
-    bool any = false;
-    if (!trace.empty())
-        any = Tracer::instance().start(trace) || any;
-    if (dump || any) {
-        Profiler::instance().setEnabled(true);
-        any = true;
-    }
+    if (!trace.empty() && Tracer::instance().start(trace))
+        registerAtExitOnce();
+    if (cfg.getBool("stats_dump", false))
+        requestStatsDump();
     const std::string metrics = cfg.getString("metrics", "");
     if (!metrics.empty()) {
         telemetry::TelemetryConfig tcfg;
@@ -237,8 +170,6 @@ initObservability(const Config &cfg)
             tcfg.periodMillis = ms;
         telemetry::startGlobalTelemetry(tcfg);
     }
-    if (any)
-        registerAtExitOnce();
 }
 
 void

@@ -1,118 +1,97 @@
 /**
  * @file
- * Scoped profiler and observability entry points. The profiling layer
- * has two halves that share one on/off discipline:
+ * Instrumentation call sites and observability entry points. Every
+ * signal lands in the one metric registry (telemetry/metrics.h),
+ * always on:
  *
- * - Profiler: a process-wide, thread-safe StatRegistry that aggregates
- *   per-scope wall-clock timings (count/total/min/max under
- *   "scope/<name>") plus domain counters and distributions recorded
- *   through obsCount()/obsSample().
- * - Tracer (trace.h): a Chrome trace_event JSON sink receiving
- *   begin/end events for the same scopes and counter/instant events
- *   for the same domain signals.
+ * - NEURO_PROFILE_SCOPE("snn/train") times the enclosing scope into
+ *   the `scope/snn/train` histogram (µs per invocation);
+ * - obsCount<"snn.input_spikes">(n) bumps a counter;
+ * - obsSample<"serve.batch_size">(v) records into a histogram, whose
+ *   buckets are integer-valued (counts, cycles, µs);
+ * - obsGauge<"mlp.epoch_error">(v) sets a gauge (fractional values).
  *
- * Instrument a region with the RAII macro:
+ * Each site resolves its registry handle once, on first execution;
+ * later calls take no lock, allocate nothing and look nothing up, so
+ * a scope costs two clock reads and two relaxed atomic increments,
+ * and a count one relaxed atomic increment. Names must be string
+ * literals (they are template arguments).
  *
- *     void train(...) {
- *         NEURO_PROFILE_SCOPE("snn/train");
- *         ...
- *     }
+ * The Tracer (trace.h) is the one gated sink: while tracing, a scope
+ * also brackets its region with begin/end events, and counts, samples
+ * and gauges plot their value as a Chrome counter series (a counter
+ * plots its new cumulative total).
  *
- * When both the profiler and the tracer are disabled (the default) a
- * scope costs two relaxed atomic loads and records nothing; counters
- * cost one. Enable collection programmatically, with the config keys
- * `trace=<path>` / `stats_dump=1` / `metrics=<path>` via
- * initObservability(), or with the NEURO_TRACE / NEURO_STATS_DUMP /
- * NEURO_METRICS environment variables, which work in any binary
- * linking neuro_common with no code changes.
- *
- * All observability shutdown work runs through one prioritized atexit
- * sequence (addObservabilityExitHook): metrics flush (10), stats dump
- * (20), trace finalizer (30).
+ * initObservability() / the NEURO_TRACE, NEURO_STATS_DUMP and
+ * NEURO_METRICS environment variables choose the exit-time outputs of
+ * any binary linking neuro_common, with no code changes: the trace
+ * file, the text stats dump on stderr, and the Prometheus/JSON/CSV
+ * export. All observability shutdown work runs through one
+ * prioritized atexit sequence (addObservabilityExitHook): metrics
+ * flush (10), stats dump (20), trace finalizer (30).
  */
 
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <ostream>
 #include <string>
 
-#include "neuro/common/mutex.h"
-#include "neuro/common/stats.h"
 #include "neuro/common/trace.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 
 class Config;
 
-/** Process-wide aggregation point for scope timings and counters. */
-class Profiler
+/** A string literal as a template argument: the name of one
+ *  instrumentation site (`obsCount<"snn.input_spikes">`). */
+template <std::size_t N>
+struct SiteName
 {
-  public:
-    /** @return the process-wide profiler. */
-    static Profiler &instance();
+    // Implicit on purpose: the literal converts at the call site.
+    // NOLINTNEXTLINE(google-explicit-constructor)
+    constexpr SiteName(const char (&s)[N]) { std::copy_n(s, N, value); }
 
-    /** @return true if the profiler is collecting (cheap). */
-    static bool
-    enabled()
-    {
-        return instance().active_.load(std::memory_order_relaxed);
-    }
-
-    /** Turn collection on or off. */
-    void setEnabled(bool on);
-
-    /** Record one completed scope invocation of @p seconds. */
-    void recordScope(const char *name, double seconds);
-
-    /** Increment the named counter (thread-safe). */
-    void inc(const std::string &name, uint64_t delta = 1);
-
-    /** @return the counter's value after adding @p delta. */
-    uint64_t incAndGet(const std::string &name, uint64_t delta);
-
-    /** Record a distribution sample (thread-safe). */
-    void sample(const std::string &name, double v);
-
-    /** @return a consistent copy of the collected statistics. */
-    StatRegistry snapshot() const;
-
-    /** Dump every collected statistic (scope timings in seconds). */
-    void dump(std::ostream &os) const;
-
-    /** Forget everything collected so far (collection state kept). */
-    void reset();
-
-  private:
-    Profiler() = default;
-    Profiler(const Profiler &) = delete;
-    Profiler &operator=(const Profiler &) = delete;
-
-    std::atomic<bool> active_{false};
-    mutable Mutex mutex_;
-    StatRegistry stats_ NEURO_GUARDED_BY(mutex_);
+    char value[N];
 };
 
 /**
- * RAII scope timer: feeds the Profiler ("scope/<name>" distribution,
- * seconds per invocation) and brackets the region with begin/end trace
- * events. Inert when both sinks are off.
+ * @return the process registry's series behind one site, registering
+ * it on first use. Call sites cache the reference (a function-local
+ * static per site), so these run once per site. Out of line on
+ * purpose: every instrumented object file then links profile.cc,
+ * whose static initializer applies NEURO_TRACE / NEURO_STATS_DUMP /
+ * NEURO_METRICS in any binary.
+ */
+telemetry::Counter &siteCounter(const char *name);
+telemetry::Gauge &siteGauge(const char *name);
+telemetry::LatencyHistogram &siteHistogram(const std::string &name);
+
+/** @return the `scope/<Name>` histogram, resolved on first use. */
+template <SiteName Name>
+telemetry::LatencyHistogram &
+scopeHistogram()
+{
+    static telemetry::LatencyHistogram &histogram =
+        siteHistogram(std::string("scope/") + Name.value);
+    return histogram;
+}
+
+/**
+ * RAII scope timer: records the scope's wall time (µs) into its
+ * histogram and, while tracing, brackets the region with begin/end
+ * trace events. Built by NEURO_PROFILE_SCOPE.
  */
 class ProfileScope
 {
   public:
-    explicit ProfileScope(const char *name)
+    ProfileScope(telemetry::LatencyHistogram &histogram, const char *name)
+        : histogram_(histogram), name_(name), traced_(Tracer::enabled())
     {
-        const bool profile = Profiler::enabled();
-        const bool trace = Tracer::enabled();
-        if (!profile && !trace)
-            return;
-        name_ = name;
-        profiled_ = profile;
-        traced_ = trace;
         if (traced_)
             Tracer::instance().begin(name_);
         start_ = std::chrono::steady_clock::now();
@@ -120,13 +99,9 @@ class ProfileScope
 
     ~ProfileScope()
     {
-        if (!name_)
-            return;
-        if (profiled_) {
-            const auto dt = std::chrono::steady_clock::now() - start_;
-            Profiler::instance().recordScope(
-                name_, std::chrono::duration<double>(dt).count());
-        }
+        const auto dt = std::chrono::steady_clock::now() - start_;
+        histogram_.record(
+            std::chrono::duration<double, std::micro>(dt).count());
         if (traced_)
             Tracer::instance().end(name_);
     }
@@ -135,46 +110,63 @@ class ProfileScope
     ProfileScope &operator=(const ProfileScope &) = delete;
 
   private:
-    const char *name_ = nullptr;
-    bool profiled_ = false;
-    bool traced_ = false;
+    telemetry::LatencyHistogram &histogram_;
+    const char *name_;
+    bool traced_;
     std::chrono::steady_clock::time_point start_;
 };
 
 #define NEURO_PROFILE_CONCAT2(a, b) a##b
 #define NEURO_PROFILE_CONCAT(a, b) NEURO_PROFILE_CONCAT2(a, b)
 
-/** Time the enclosing scope under the given hierarchical name. */
+/** Time the enclosing scope under the given hierarchical name (a
+ *  string literal). */
 #define NEURO_PROFILE_SCOPE(name)                                       \
     ::neuro::ProfileScope NEURO_PROFILE_CONCAT(neuroProfileScope_,      \
-                                               __LINE__)(name)
+                                               __LINE__)(               \
+        ::neuro::scopeHistogram<name>(), name)
 
-/** @return true if either observability sink is collecting. */
-inline bool
-obsEnabled()
+/** Add @p delta to the counter @p Name; while tracing, plot its new
+ *  total as a Chrome counter series. */
+template <SiteName Name>
+void
+obsCount(uint64_t delta = 1)
 {
-    return Profiler::enabled() || Tracer::enabled();
+    static telemetry::Counter &counter = siteCounter(Name.value);
+    const uint64_t total = counter.inc(delta);
+    if (Tracer::enabled())
+        Tracer::instance().counter(Name.value, static_cast<double>(total));
+}
+
+/** Record @p v into the histogram @p Name (rounded to an integer);
+ *  while tracing, also plot the sample as a counter series. */
+template <SiteName Name>
+void
+obsSample(double v)
+{
+    static telemetry::LatencyHistogram &histogram =
+        siteHistogram(Name.value);
+    histogram.record(v);
+    if (Tracer::enabled())
+        Tracer::instance().counter(Name.value, v);
+}
+
+/** Set the gauge @p Name to @p v; while tracing, also plot it. */
+template <SiteName Name>
+void
+obsGauge(double v)
+{
+    static telemetry::Gauge &gauge = siteGauge(Name.value);
+    gauge.set(v);
+    if (Tracer::enabled())
+        Tracer::instance().counter(Name.value, v);
 }
 
 /**
- * Record a domain counter: bumps the Profiler counter and, when
- * tracing, plots the new cumulative value as a Chrome counter series.
- * No-op (one relaxed load) when observability is off.
- */
-void obsCount(const char *name, uint64_t delta = 1);
-
-/**
- * Record a domain distribution sample; when tracing, also plots the
- * sample as a Chrome counter series (a gauge over time).
- */
-void obsSample(const char *name, double v);
-
-/**
  * Wire observability up from a parsed Config: `trace=<path>` starts
- * the Chrome-trace sink, `stats_dump=1` (or any truthy value) enables
- * the profiler and dumps its registry to stderr at process exit; a
- * trace also enables the profiler so scope timings and the trace
- * agree. `metrics=<path>` starts the global telemetry sampler
+ * the Chrome-trace sink, `stats_dump=1` (or any truthy value) prints
+ * the metric registry as text to stderr at process exit, and
+ * `metrics=<path>` starts the global telemetry sampler
  * (telemetry/telemetry.h) with period `metrics_period_ms`. The CLI
  * exposes these as --trace=<path> / --stats-dump / --metrics=<path>,
  * and parseEnv() maps NEURO_TRACE / NEURO_STATS_DUMP / NEURO_METRICS
@@ -194,4 +186,3 @@ void addObservabilityExitHook(int priority,
                               std::function<void()> hook);
 
 } // namespace neuro
-

@@ -1,37 +1,8 @@
 #include "neuro/common/stats.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace neuro {
-
-namespace {
-
-/**
- * Fixed %.6g formatting, independent of any std::ostream state the
- * caller left behind (width/precision/floatfield): the dump is a
- * machine-diffable artifact (CI golden tests, run-to-run comparison),
- * so its bytes must depend on the data only.
- */
-std::string
-formatValue(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-/** Left-pad @p name to the traditional 40-column value alignment. */
-std::string
-padName(const std::string &name)
-{
-    std::string out = name;
-    if (out.size() < 40)
-        out.append(40 - out.size(), ' ');
-    return out;
-}
-
-} // namespace
 
 void
 Distribution::sample(double v)
@@ -70,76 +41,6 @@ void
 Distribution::reset()
 {
     *this = Distribution();
-}
-
-void
-StatRegistry::inc(const std::string &name, uint64_t delta)
-{
-    counters_[name] += delta;
-}
-
-void
-StatRegistry::setScalar(const std::string &name, double v)
-{
-    scalars_[name] = v;
-}
-
-void
-StatRegistry::sample(const std::string &name, double v)
-{
-    distributions_[name].sample(v);
-}
-
-uint64_t
-StatRegistry::counter(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-double
-StatRegistry::scalar(const std::string &name) const
-{
-    auto it = scalars_.find(name);
-    return it == scalars_.end() ? 0.0 : it->second;
-}
-
-const Distribution &
-StatRegistry::distribution(const std::string &name) const
-{
-    static const Distribution empty;
-    auto it = distributions_.find(name);
-    return it == distributions_.end() ? empty : it->second;
-}
-
-void
-StatRegistry::reset()
-{
-    counters_.clear();
-    scalars_.clear();
-    distributions_.clear();
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    // Deterministic layout: every line is produced with fixed %.6g
-    // formatting and the std::maps iterate in sorted key order, so two
-    // runs that collected the same statistics emit identical bytes.
-    os << "---------- stats ----------\n";
-    for (const auto &[name, v] : counters_)
-        os << padName(name) << v << "\n";
-    for (const auto &[name, v] : scalars_)
-        os << padName(name) << formatValue(v) << "\n";
-    for (const auto &[name, d] : distributions_) {
-        os << padName(name) << "n=" << d.count()
-           << " total=" << formatValue(d.sum())
-           << " mean=" << formatValue(d.mean())
-           << " sd=" << formatValue(d.stddev())
-           << " min=" << formatValue(d.min())
-           << " max=" << formatValue(d.max()) << "\n";
-    }
-    os << "---------------------------\n";
 }
 
 } // namespace neuro

@@ -1,16 +1,14 @@
 /**
  * @file
- * Simulation statistics, in the spirit of gem5's stats package but sized
- * for this project: named counters, scalars, and streaming distributions
- * collected into a registry that can be dumped at end of run.
+ * A streaming distribution (count, sum, min/max, mean, stddev) for
+ * analyses that need exact moments of real-valued samples
+ * (snn/analysis.h, examples/inspect_network.cpp). Run-time signals go
+ * to the metric registry instead (telemetry/metrics.h).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 
 namespace neuro {
 
@@ -43,43 +41,6 @@ class Distribution
     double sumSq_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * A named collection of counters, scalar values and distributions.
- * Simulators register into one of these; benches dump it after the run.
- */
-class StatRegistry
-{
-  public:
-    /** Increment the named counter by @p delta (created on first use). */
-    void inc(const std::string &name, uint64_t delta = 1);
-
-    /** Set the named scalar. */
-    void setScalar(const std::string &name, double v);
-
-    /** Record a sample into the named distribution. */
-    void sample(const std::string &name, double v);
-
-    /** @return the value of a counter (0 if absent). */
-    uint64_t counter(const std::string &name) const;
-
-    /** @return the value of a scalar (0 if absent). */
-    double scalar(const std::string &name) const;
-
-    /** @return the named distribution (empty one if absent). */
-    const Distribution &distribution(const std::string &name) const;
-
-    /** Remove all statistics. */
-    void reset();
-
-    /** Write a human-readable dump of everything to @p os. */
-    void dump(std::ostream &os) const;
-
-  private:
-    std::map<std::string, uint64_t> counters_;
-    std::map<std::string, double> scalars_;
-    std::map<std::string, Distribution> distributions_;
 };
 
 } // namespace neuro

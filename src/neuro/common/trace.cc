@@ -133,13 +133,15 @@ Tracer::instant(const char *name, const char *cat)
 }
 
 void
-Tracer::counter(const char *name, double value)
+Tracer::counter(const char *name, double value,
+                const std::string &series)
 {
-    char extra[64];
-    std::snprintf(extra, sizeof(extra), ",\"args\":{\"value\":%.6g}",
-                  value);
+    char number[32];
+    std::snprintf(number, sizeof(number), "%.6g", value);
+    const std::string extra =
+        ",\"args\":{\"" + jsonEscape(series.c_str()) + "\":" + number + "}";
     MutexGuard lock(mutex_);
-    emitLocked(name, "counter", 'C', extra);
+    emitLocked(name, "counter", 'C', extra.c_str());
 }
 
 void

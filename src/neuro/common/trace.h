@@ -75,8 +75,10 @@ class Tracer
     /** Emit an instant (point-in-time) event. */
     void instant(const char *name, const char *cat = "event");
 
-    /** Emit a counter event: plots @p value on the series @p name. */
-    void counter(const char *name, double value);
+    /** Emit a counter event: plots @p value on the counter track
+     *  @p name, as its @p series line (a model label, or "value"). */
+    void counter(const char *name, double value,
+                 const std::string &series = "value");
 
     /**
      * Emit an async-span event: @p phase is 'b' (span begin) or 'e'

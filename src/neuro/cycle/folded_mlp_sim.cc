@@ -49,12 +49,10 @@ simulateFoldedMlp(const hw::MlpTopology &topo, std::size_t ni)
 
     walkLayer(stats, topo.hidden, topo.inputs, ni, hidden_banks);
     walkLayer(stats, topo.outputs, topo.hidden, ni, output_banks);
-    if (obsEnabled()) {
-        obsCount("cycle.images_simulated");
-        obsCount("cycle.sram_word_reads", stats.sramWordReads);
-        obsSample("cycle.mlp.cycles_per_image",
-                  static_cast<double>(stats.cycles));
-    }
+    obsCount<"cycle.images_simulated">();
+    obsCount<"cycle.sram_word_reads">(stats.sramWordReads);
+    obsSample<"cycle.mlp.cycles_per_image">(
+        static_cast<double>(stats.cycles));
     return stats;
 }
 

@@ -10,17 +10,13 @@ namespace cycle {
 
 namespace {
 
-/** Publish one simulated image's schedule to the observability layer. */
+/** Publish one simulated image's schedule to the observability layer;
+ *  the caller records its design's cycles_per_image sample. */
 void
-recordSchedule(const char *design, const ScheduleStats &stats)
+recordSchedule(const ScheduleStats &stats)
 {
-    if (!obsEnabled())
-        return;
-    obsCount("cycle.images_simulated");
-    obsCount("cycle.sram_word_reads", stats.sramWordReads);
-    const std::string series =
-        std::string("cycle.") + design + ".cycles_per_image";
-    obsSample(series.c_str(), static_cast<double>(stats.cycles));
+    obsCount<"cycle.images_simulated">();
+    obsCount<"cycle.sram_word_reads">(stats.sramWordReads);
 }
 
 } // namespace
@@ -54,7 +50,9 @@ simulateFoldedSnnWot(const hw::SnnTopology &topo, std::size_t ni)
     stats.cycles += 6;
     stats.maxOps += topo.neurons > 1 ? topo.neurons - 1 : 0;
     stats.activations += topo.neurons; // threshold/potential latch.
-    recordSchedule("snn_wot", stats);
+    recordSchedule(stats);
+    obsSample<"cycle.snn_wot.cycles_per_image">(
+        static_cast<double>(stats.cycles));
     return stats;
 }
 
@@ -85,7 +83,9 @@ simulateFoldedSnnWt(const hw::SnnTopology &topo, std::size_t ni,
         stats.activations += topo.neurons; // leak + threshold compare.
     }
     stats.maxOps += topo.neurons > 1 ? topo.neurons - 1 : 0;
-    recordSchedule("snn_wt", stats);
+    recordSchedule(stats);
+    obsSample<"cycle.snn_wt.cycles_per_image">(
+        static_cast<double>(stats.cycles));
     return stats;
 }
 

@@ -92,13 +92,11 @@ makeSynapticStorage(const std::string &name, std::size_t num_neurons,
     const std::size_t depth = std::max<std::size_t>(128, roundUp(words, 8));
     array.bank = makeBank(depth);
     array.readsPerImage = reads_per_image;
-    if (obsEnabled()) {
-        obsCount("hw.sram.arrays_built");
-        obsCount("hw.sram.banks_built", array.numBanks);
-        obsCount("hw.sram.reads_per_image", array.readsPerImage);
-        if (Tracer::enabled())
-            Tracer::instance().instant("hw.sram.array", "hw");
-    }
+    obsCount<"hw.sram.arrays_built">();
+    obsCount<"hw.sram.banks_built">(array.numBanks);
+    obsCount<"hw.sram.reads_per_image">(array.readsPerImage);
+    if (Tracer::enabled())
+        Tracer::instance().instant("hw.sram.array", "hw");
     return array;
 }
 

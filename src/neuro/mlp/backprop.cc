@@ -247,12 +247,9 @@ train(Mlp &net, const datasets::Dataset &data, const TrainConfig &config,
             }
         }
 
-        if (obsEnabled()) {
-            obsCount("mlp.images_trained", n);
-            obsSample("mlp.epoch_error",
-                      sq_error /
-                          static_cast<double>(n * net.outputSize()));
-        }
+        obsCount<"mlp.images_trained">(n);
+        obsGauge<"mlp.epoch_error">(
+            sq_error / static_cast<double>(n * net.outputSize()));
         if (callback) {
             EpochReport report;
             report.epoch = epoch;

@@ -92,7 +92,7 @@ ServeFrontend::ServeFrontend(const serve::ModelRegistry &registry,
         Model model;
         model.backend = std::move(backend);
         model.server = std::make_unique<serve::InferenceServer>(
-            model.backend, modelConfig, std::move(fallback));
+            model.backend, modelConfig, std::move(fallback), name);
         models_.emplace(name, std::move(model));
     }
     NEURO_ASSERT(!models_.empty(),

@@ -45,7 +45,8 @@ class ServeFrontend
     using ResponseFn = std::function<void(ResponseFrame &&)>;
 
     /**
-     * Build one InferenceServer per registry model.
+     * Build one InferenceServer per registry model, labeled with the
+     * model's name (its `serve.*{model="<name>"}` series).
      *
      * @param registry source of backends; only read during
      *        construction.

@@ -46,7 +46,7 @@ InferenceServer::SessionPool::release(
 
 InferenceServer::InferenceServer(
     std::shared_ptr<InferenceBackend> primary, ServeConfig config,
-    std::shared_ptr<InferenceBackend> fallback)
+    std::shared_ptr<InferenceBackend> fallback, const std::string &model)
     : primary_(std::move(primary)), fallback_(std::move(fallback)),
       config_(config), queue_(config.queueCapacity),
       batcher_(queue_, config.batch), primarySessions_(*primary_)
@@ -55,22 +55,24 @@ InferenceServer::InferenceServer(
     // Resolve every registry handle once; the hot path then pays one
     // relaxed atomic per update with no name lookups.
     auto &reg = telemetry::MetricRegistry::instance();
-    tm_.stageQueue = reg.histogram("serve.stage.queue");
-    tm_.stageBatch = reg.histogram("serve.stage.batch");
-    tm_.stageCompute = reg.histogram("serve.stage.compute");
-    tm_.latency = reg.histogram("serve.latency");
-    tm_.enqueued = reg.counter("serve.enqueued");
-    tm_.completed = reg.counter("serve.completed");
-    tm_.rejected = reg.counter("serve.rejected");
-    tm_.expired = reg.counter("serve.expired");
-    tm_.batches = reg.counter("serve.batches");
-    tm_.fallbacks = reg.counter("serve.fallbacks");
-    tm_.degradeEnter = reg.counter("serve.slo.degrade_enter");
-    tm_.degradeExit = reg.counter("serve.slo.degrade_exit");
-    tm_.queueDepth = reg.gauge("serve.queue_depth");
-    tm_.inflight = reg.gauge("serve.inflight");
-    tm_.batchOccupancy = reg.gauge("serve.batch_occupancy");
-    tm_.degradedGauge = reg.gauge("serve.degraded");
+    tm_.model = model;
+    tm_.stageQueue = reg.histogram("serve.stage.queue", model);
+    tm_.stageBatch = reg.histogram("serve.stage.batch", model);
+    tm_.stageCompute = reg.histogram("serve.stage.compute", model);
+    tm_.latency = reg.histogram("serve.latency", model);
+    tm_.batchSize = reg.histogram("serve.batch_size", model);
+    tm_.enqueued = reg.counter("serve.enqueued", model);
+    tm_.completed = reg.counter("serve.completed", model);
+    tm_.rejected = reg.counter("serve.rejected", model);
+    tm_.expired = reg.counter("serve.expired", model);
+    tm_.batches = reg.counter("serve.batches", model);
+    tm_.fallbacks = reg.counter("serve.fallbacks", model);
+    tm_.degradeEnter = reg.counter("serve.slo.degrade_enter", model);
+    tm_.degradeExit = reg.counter("serve.slo.degrade_exit", model);
+    tm_.queueDepth = reg.gauge("serve.queue_depth", model);
+    tm_.inflight = reg.gauge("serve.inflight", model);
+    tm_.batchOccupancy = reg.gauge("serve.batch_occupancy", model);
+    tm_.degradedGauge = reg.gauge("serve.degraded", model);
     if (fallback_ != nullptr) {
         NEURO_ASSERT(fallback_->inputSize() == primary_->inputSize(),
                      "serve: fallback input size %zu != primary %zu",
@@ -117,17 +119,13 @@ InferenceServer::submitPending(PendingRequest &&pending)
     pending.enqueueTime = ServeClock::now();
 
     if (queue_.push(std::move(pending))) {
-        enqueued_.fetch_add(1, std::memory_order_relaxed);
-        tm_.enqueued->inc();
+        count(*tm_.enqueued, "serve.enqueued");
         inflight_.fetch_add(1, std::memory_order_relaxed);
-        obsCount("serve.enqueued");
         return;
     }
     // push() leaves the request untouched on rejection, so the
     // completion path is still ours to satisfy.
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    tm_.rejected->inc();
-    obsCount("serve.rejected");
+    count(*tm_.rejected, "serve.rejected");
     InferenceResult result;
     result.id = pending.request.id;
     result.status = RequestStatus::Rejected;
@@ -147,20 +145,31 @@ InferenceServer::stop()
         dispatcher_.join();
 }
 
+void
+InferenceServer::count(telemetry::Counter &counter, const char *name,
+                       uint64_t n) const
+{
+    const uint64_t total = counter.inc(n);
+    if (Tracer::enabled())
+        Tracer::instance().counter(
+            name, static_cast<double>(total),
+            tm_.model.empty() ? "value" : tm_.model);
+}
+
 ServeCounters
 InferenceServer::counters() const
 {
     ServeCounters c;
-    c.enqueued = enqueued_.load(std::memory_order_relaxed);
-    c.completed = completed_.load(std::memory_order_relaxed);
-    c.rejected = rejected_.load(std::memory_order_relaxed);
-    c.expired = expired_.load(std::memory_order_relaxed);
-    c.batches = batches_.load(std::memory_order_relaxed);
-    c.fallbacks = fallbacks_.load(std::memory_order_relaxed);
+    c.enqueued = tm_.enqueued->value();
+    c.completed = tm_.completed->value();
+    c.rejected = tm_.rejected->value();
+    c.expired = tm_.expired->value();
+    c.batches = tm_.batches->value();
+    c.fallbacks = tm_.fallbacks->value();
     return c;
 }
 
-const LatencyHistogram &
+const telemetry::LatencyHistogram &
 InferenceServer::stageLatency(Stage stage) const
 {
     switch (stage) {
@@ -169,25 +178,6 @@ InferenceServer::stageLatency(Stage stage) const
     case Stage::Compute: return *tm_.stageCompute;
     }
     return *tm_.stageQueue; // unreachable.
-}
-
-void
-InferenceServer::resetStageMetrics()
-{
-    auto &reg = telemetry::MetricRegistry::instance();
-    reg.histogram("serve.stage.queue")->reset();
-    reg.histogram("serve.stage.batch")->reset();
-    reg.histogram("serve.stage.compute")->reset();
-    reg.histogram("serve.latency")->reset();
-    for (const char *name :
-         {"serve.enqueued", "serve.completed", "serve.rejected",
-          "serve.expired", "serve.batches", "serve.fallbacks",
-          "serve.slo.degrade_enter", "serve.slo.degrade_exit"})
-        reg.counter(name)->reset();
-    for (const char *name :
-         {"serve.queue_depth", "serve.inflight",
-          "serve.batch_occupancy", "serve.degraded"})
-        reg.gauge(name)->reset();
 }
 
 void
@@ -206,10 +196,8 @@ void
 InferenceServer::runBatch(std::vector<PendingRequest> &batch)
 {
     NEURO_PROFILE_SCOPE("serve/batch");
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    tm_.batches->inc();
-    obsCount("serve.batches");
-    obsSample("serve.batch_size", static_cast<double>(batch.size()));
+    count(*tm_.batches, "serve.batches");
+    tm_.batchSize->record(static_cast<double>(batch.size()));
 
     const auto batchStart = ServeClock::now();
     const auto batchSize = static_cast<uint32_t>(batch.size());
@@ -220,9 +208,7 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
     live.reserve(batch.size());
     for (PendingRequest &pending : batch) {
         if (pending.request.deadline < batchStart) {
-            expired_.fetch_add(1, std::memory_order_relaxed);
-            tm_.expired->inc();
-            obsCount("serve.expired");
+            count(*tm_.expired, "serve.expired");
             InferenceResult result;
             result.id = pending.request.id;
             result.status = RequestStatus::Expired;
@@ -283,11 +269,8 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
         });
 
     const auto batchEnd = ServeClock::now();
-    if (useFallback) {
-        fallbacks_.fetch_add(live.size(), std::memory_order_relaxed);
-        tm_.fallbacks->inc(live.size());
-        obsCount("serve.fallbacks", live.size());
-    }
+    if (useFallback)
+        count(*tm_.fallbacks, "serve.fallbacks", live.size());
     const bool sloArmed = config_.sloP99Micros > 0;
     const bool traceSpans = config_.traceRequests && Tracer::enabled();
     for (std::size_t i = 0; i < live.size(); ++i) {
@@ -304,7 +287,6 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
             microsBetween(pending.dequeueTime, computeStart);
         result.computeMicros = microsBetween(computeStart, batchEnd);
         result.totalMicros = microsBetween(pending.enqueueTime, batchEnd);
-        latency_.record(result.totalMicros);
         tm_.latency->record(result.totalMicros);
         tm_.stageQueue->record(result.queueMicros);
         tm_.stageBatch->record(result.batchMicros);
@@ -333,11 +315,9 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
         pending.fulfill(std::move(result));
     }
     windowCompleted_ += live.size();
-    completed_.fetch_add(live.size(), std::memory_order_relaxed);
-    tm_.completed->inc(live.size());
+    count(*tm_.completed, "serve.completed", live.size());
     inflight_.fetch_sub(static_cast<int64_t>(live.size()),
                         std::memory_order_relaxed);
-    obsCount("serve.completed", live.size());
 
     // Live gauges, refreshed once per batch (a sampled view, not an
     // exact accounting — the Sampler reads whatever is current).

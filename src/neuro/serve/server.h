@@ -16,12 +16,15 @@
  * trace at any worker count) holds whenever the backend choice is
  * load-independent, i.e. fallback disabled.
  *
- * Telemetry: the server feeds the metric registry
- * (telemetry/metrics.h) with per-stage latency histograms
- * (`serve.stage.queue|batch|compute`, plus `serve.latency` end to
- * end), live gauges (`serve.queue_depth`, `serve.inflight`,
- * `serve.batch_occupancy`, `serve.degraded`) and monotonic counters
- * mirroring ServeCounters — export them with NEURO_METRICS (see
+ * Telemetry: the server's only accounting is one set of metric
+ * registry series (telemetry/metrics.h) labeled with its model name
+ * (`serve.completed{model="m0"}`; unlabeled when constructed without
+ * one): per-stage latency histograms (`serve.stage.queue|batch|
+ * compute`, plus `serve.latency` end to end and `serve.batch_size`),
+ * live gauges (`serve.queue_depth`, `serve.inflight`,
+ * `serve.batch_occupancy`, `serve.degraded`) and the monotonic
+ * counters counters() reads. Servers constructed with the same label
+ * share its series. Export them with NEURO_METRICS (see
  * docs/observability.md). With traceRequests set, every request also
  * emits async queue/batch/compute spans into the Chrome trace sink.
  */
@@ -33,6 +36,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,11 +48,6 @@
 
 namespace neuro {
 namespace serve {
-
-/** The serving histogram now lives in the telemetry layer
- *  (telemetry/histogram.h); the alias keeps serve call sites and
- *  tests source-compatible with its pre-promotion spelling. */
-using telemetry::LatencyHistogram;
 
 /** Tuning knobs of an InferenceServer. */
 struct ServeConfig
@@ -77,7 +76,7 @@ enum class Stage
     Compute, ///< backend compute -> completion.
 };
 
-/** Point-in-time serving counters (all monotonic since start). */
+/** Point-in-time serving counters of one model label (monotonic). */
 struct ServeCounters
 {
     uint64_t enqueued = 0;  ///< admitted into the queue.
@@ -97,11 +96,14 @@ class InferenceServer
      * @param config   tuning knobs; see ServeConfig.
      * @param fallback optional cheaper backend for SLO degradation
      *                 (must agree with primary on inputSize).
+     * @param model    `model` label of this server's `serve.*` series;
+     *                 empty = the unlabeled series.
      */
     explicit InferenceServer(std::shared_ptr<InferenceBackend> primary,
                              ServeConfig config = {},
                              std::shared_ptr<InferenceBackend> fallback =
-                                 nullptr);
+                                 nullptr,
+                             const std::string &model = {});
 
     /** Stops and drains (see stop()). */
     ~InferenceServer();
@@ -137,27 +139,18 @@ class InferenceServer
      */
     void stop();
 
-    /** @return a snapshot of the serving counters. */
+    /** @return this server's label's serving counters. */
     ServeCounters counters() const;
 
-    /** @return the cumulative (since start) latency histogram. */
-    const LatencyHistogram &latency() const { return latency_; }
+    /** @return the end-to-end latency histogram (`serve.latency`). */
+    const telemetry::LatencyHistogram &latency() const
+    {
+        return *tm_.latency;
+    }
 
-    /**
-     * @return the process-wide per-stage latency histogram
-     * (`serve.stage.queue|batch|compute` in the metric registry).
-     * Registry-owned, so it accumulates across every InferenceServer
-     * in the process — call resetStageMetrics() between measurement
-     * runs for per-run numbers.
-     */
-    const LatencyHistogram &stageLatency(Stage stage) const;
-
-    /**
-     * Zero the registry-owned `serve.*` metrics (stage histograms,
-     * the global latency histogram, counters and gauges). Per-server
-     * state — counters() and latency() — is untouched.
-     */
-    static void resetStageMetrics();
+    /** @return the per-stage latency histogram
+     *  (`serve.stage.queue|batch|compute`). */
+    const telemetry::LatencyHistogram &stageLatency(Stage stage) const;
 
     /** @return true while SLO degradation has engaged the fallback. */
     bool degraded() const
@@ -194,6 +187,10 @@ class InferenceServer
     void runBatch(std::vector<PendingRequest> &batch);
     void updateSlo();
     void submitPending(PendingRequest &&pending);
+    /** Add @p n to @p counter (series @p name); while tracing, plot
+     *  its new total on the trace's @p name track. */
+    void count(telemetry::Counter &counter, const char *name,
+               uint64_t n = 1) const;
 
     std::shared_ptr<InferenceBackend> primary_;
     std::shared_ptr<InferenceBackend> fallback_;
@@ -203,19 +200,21 @@ class InferenceServer
     SessionPool primarySessions_;
     std::unique_ptr<SessionPool> fallbackSessions_;
 
-    LatencyHistogram latency_;       ///< cumulative, for summaries.
-    LatencyHistogram windowLatency_; ///< reset each SLO window.
+    /** The SLO controller's private window (reset each window). */
+    telemetry::LatencyHistogram windowLatency_;
     std::atomic<bool> degraded_{false};
     uint64_t windowCompleted_ = 0;   ///< dispatcher-only.
 
-    /** Registry-owned telemetry handles (resolved once at
-     *  construction; shared across servers, see stageLatency()). */
+    /** Registry series labeled with this server's model, resolved
+     *  once at construction. */
     struct Telemetry
     {
-        std::shared_ptr<LatencyHistogram> stageQueue;
-        std::shared_ptr<LatencyHistogram> stageBatch;
-        std::shared_ptr<LatencyHistogram> stageCompute;
-        std::shared_ptr<LatencyHistogram> latency;
+        std::string model; ///< label value; also the trace series.
+        std::shared_ptr<telemetry::LatencyHistogram> stageQueue;
+        std::shared_ptr<telemetry::LatencyHistogram> stageBatch;
+        std::shared_ptr<telemetry::LatencyHistogram> stageCompute;
+        std::shared_ptr<telemetry::LatencyHistogram> latency;
+        std::shared_ptr<telemetry::LatencyHistogram> batchSize;
         std::shared_ptr<telemetry::Counter> enqueued;
         std::shared_ptr<telemetry::Counter> completed;
         std::shared_ptr<telemetry::Counter> rejected;
@@ -231,13 +230,6 @@ class InferenceServer
     };
     Telemetry tm_;
     std::atomic<int64_t> inflight_{0}; ///< admitted, not yet fulfilled.
-
-    std::atomic<uint64_t> enqueued_{0};
-    std::atomic<uint64_t> completed_{0};
-    std::atomic<uint64_t> rejected_{0};
-    std::atomic<uint64_t> expired_{0};
-    std::atomic<uint64_t> batches_{0};
-    std::atomic<uint64_t> fallbacks_{0};
 
     std::atomic<bool> stopped_{false};
     /** Serializes stop() against itself; stop() closes the queue while

@@ -82,11 +82,11 @@ GridCache::find(const GridKey &key)
     auto it = map_.find(key);
     if (it == map_.end()) {
         ++stats_.misses;
-        obsCount("snn.grid_cache.misses");
+        obsCount<"snn.grid_cache.misses">();
         return nullptr;
     }
     ++stats_.hits;
-    obsCount("snn.grid_cache.hits");
+    obsCount<"snn.grid_cache.hits">();
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->grid;
 }
@@ -127,7 +127,7 @@ GridCache::evictToBudgetLocked()
         stats_.bytes -= victim.bytes;
         --stats_.entries;
         ++stats_.evictions;
-        obsCount("snn.grid_cache.evictions");
+        obsCount<"snn.grid_cache.evictions">();
         map_.erase(victim.key);
         lru_.pop_back();
     }

@@ -207,14 +207,12 @@ SnnNetwork::finishPresentation(bool learn, PresentationResult &result)
                              fireCounts_.data(), config_.numNeurons);
     }
 
-    if (obsEnabled()) {
-        obsCount("snn.input_spikes", result.inputSpikeCount);
-        obsCount("snn.output_spikes", result.outputSpikeCount);
-        obsCount("snn.wta_inhibitions", result.wtaInhibitions);
-        if (learn) {
-            obsCount("snn.stdp_potentiations", result.stdpPotentiated);
-            obsCount("snn.stdp_depressions", result.stdpDepressed);
-        }
+    obsCount<"snn.input_spikes">(result.inputSpikeCount);
+    obsCount<"snn.output_spikes">(result.outputSpikeCount);
+    obsCount<"snn.wta_inhibitions">(result.wtaInhibitions);
+    if (learn) {
+        obsCount<"snn.stdp_potentiations">(result.stdpPotentiated);
+        obsCount<"snn.stdp_depressions">(result.stdpDepressed);
     }
 }
 
@@ -393,12 +391,10 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
                 outSpikeBits_.data() + n * out_words, out_words));
     }
 
-    if (obsEnabled()) {
-        obsCount("snn.engine.events", result.inputSpikeCount);
-        obsCount("snn.engine.ticks_active", active.size());
-        obsCount("snn.engine.ticks_skipped",
-                 static_cast<uint64_t>(period) - active.size());
-    }
+    obsCount<"snn.engine.events">(result.inputSpikeCount);
+    obsCount<"snn.engine.ticks_active">(active.size());
+    obsCount<"snn.engine.ticks_skipped">(static_cast<uint64_t>(period) -
+                                         active.size());
     finishPresentation(learn, result);
     return result;
 }

@@ -68,11 +68,9 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
             if (r.outputSpikeCount == 0)
                 ++report.silentImages;
         }
-        if (obsEnabled()) {
-            obsCount("snn.images_presented", n);
-            obsSample("snn.epoch_output_spikes",
-                      static_cast<double>(report.outputSpikes));
-        }
+        obsCount<"snn.images_presented">(n);
+        obsSample<"snn.epoch_output_spikes">(
+            static_cast<double>(report.outputSpikes));
         if (callback)
             callback(report);
     }

@@ -1,9 +1,41 @@
 #include "neuro/telemetry/metrics.h"
 
+#include <string_view>
+
 #include "neuro/common/logging.h"
 
 namespace neuro {
 namespace telemetry {
+
+namespace {
+
+/** @return true if @p metrics holds @p name under any label. The empty
+ *  label sorts first, so the lower bound of (name, "") is the name's
+ *  first series if it has one. */
+template <typename Map>
+bool
+hasName(const Map &metrics, const std::string &name)
+{
+    const auto it = metrics.lower_bound({name, std::string()});
+    return it != metrics.end() && it->first.first == name;
+}
+
+/** Get-or-create of one series in @p metrics (caller holds the lock
+ *  and has checked the kind). */
+template <typename Metric>
+std::shared_ptr<Metric>
+findOrAdd(std::map<MetricRegistry::SeriesKey, std::shared_ptr<Metric>>
+              &metrics,
+          MetricRegistry::SeriesKey key)
+{
+    auto it = metrics.find(key);
+    if (it == metrics.end())
+        it = metrics.emplace(std::move(key), std::make_shared<Metric>())
+                 .first;
+    return it->second;
+}
+
+} // namespace
 
 MetricRegistry &
 MetricRegistry::instance()
@@ -20,9 +52,10 @@ MetricRegistry::assertKindFree(const std::string &name,
                                const char *kind) const
 {
     // mutex_ is held by the caller (enforced by NEURO_REQUIRES).
-    const bool taken = (counters_.count(name) != 0 ||
-                        gauges_.count(name) != 0 ||
-                        histograms_.count(name) != 0);
+    const std::string_view k = kind;
+    const bool taken = (k != "counter" && hasName(counters_, name)) ||
+                       (k != "gauge" && hasName(gauges_, name)) ||
+                       (k != "histogram" && hasName(histograms_, name));
     NEURO_ASSERT(!taken,
                  "metric '%s' already registered as a different kind "
                  "(requested %s)",
@@ -30,42 +63,28 @@ MetricRegistry::assertKindFree(const std::string &name,
 }
 
 std::shared_ptr<Counter>
-MetricRegistry::counter(const std::string &name)
+MetricRegistry::counter(const std::string &name, const std::string &model)
 {
     MutexGuard lock(mutex_);
-    auto it = counters_.find(name);
-    if (it != counters_.end())
-        return it->second;
     assertKindFree(name, "counter");
-    auto metric = std::make_shared<Counter>();
-    counters_.emplace(name, metric);
-    return metric;
+    return findOrAdd(counters_, {name, model});
 }
 
 std::shared_ptr<Gauge>
-MetricRegistry::gauge(const std::string &name)
+MetricRegistry::gauge(const std::string &name, const std::string &model)
 {
     MutexGuard lock(mutex_);
-    auto it = gauges_.find(name);
-    if (it != gauges_.end())
-        return it->second;
     assertKindFree(name, "gauge");
-    auto metric = std::make_shared<Gauge>();
-    gauges_.emplace(name, metric);
-    return metric;
+    return findOrAdd(gauges_, {name, model});
 }
 
 std::shared_ptr<LatencyHistogram>
-MetricRegistry::histogram(const std::string &name)
+MetricRegistry::histogram(const std::string &name,
+                          const std::string &model)
 {
     MutexGuard lock(mutex_);
-    auto it = histograms_.find(name);
-    if (it != histograms_.end())
-        return it->second;
     assertKindFree(name, "histogram");
-    auto metric = std::make_shared<LatencyHistogram>();
-    histograms_.emplace(name, metric);
-    return metric;
+    return findOrAdd(histograms_, {name, model});
 }
 
 MetricsSnapshot
@@ -74,14 +93,15 @@ MetricRegistry::snapshot() const
     MetricsSnapshot snap;
     MutexGuard lock(mutex_);
     snap.counters.reserve(counters_.size());
-    for (const auto &[name, metric] : counters_)
-        snap.counters.push_back({name, metric->value()});
+    for (const auto &[key, metric] : counters_)
+        snap.counters.push_back({key.first, key.second, metric->value()});
     snap.gauges.reserve(gauges_.size());
-    for (const auto &[name, metric] : gauges_)
-        snap.gauges.push_back({name, metric->value()});
+    for (const auto &[key, metric] : gauges_)
+        snap.gauges.push_back({key.first, key.second, metric->value()});
     snap.histograms.reserve(histograms_.size());
-    for (const auto &[name, metric] : histograms_)
-        snap.histograms.push_back({name, metric->summary()});
+    for (const auto &[key, metric] : histograms_)
+        snap.histograms.push_back(
+            {key.first, key.second, metric->summary()});
     return snap;
 }
 
@@ -89,11 +109,11 @@ void
 MetricRegistry::resetValues()
 {
     MutexGuard lock(mutex_);
-    for (auto &[name, metric] : counters_)
+    for (auto &[key, metric] : counters_)
         metric->reset();
-    for (auto &[name, metric] : gauges_)
+    for (auto &[key, metric] : gauges_)
         metric->reset();
-    for (auto &[name, metric] : histograms_)
+    for (auto &[key, metric] : histograms_)
         metric->reset();
 }
 

@@ -1,28 +1,33 @@
 /**
  * @file
- * Typed metrics registry — the unification point of the repo's
- * observability islands (docs/observability.md). Where the Profiler
- * (profile.h) aggregates *per-scope timings* and the Tracer (trace.h)
- * streams *events*, the MetricRegistry holds *named live metrics* a
- * scraper can read at any instant:
+ * Typed metrics registry — the one aggregation point of the repo's
+ * counted signals (docs/observability.md). Every counter, gauge and
+ * distribution the library records lands here, always on:
  *
- * - Counter    — monotonic uint64 (requests completed, cache hits);
- * - Gauge      — last-write-wins double (queue depth, in-flight);
- * - Histogram  — the log-bucketed LatencyHistogram (stage latencies).
+ * - Counter    — monotonic uint64 (requests completed, spikes seen);
+ * - Gauge      — last-write-wins double (queue depth, epoch error);
+ * - Histogram  — the log-bucketed LatencyHistogram (stage latencies,
+ *   `scope/<name>` timings in µs, per-image sample distributions).
+ *
+ * A series is a name plus one optional label, `model`: each
+ * InferenceServer writes `serve.*{model="<name>"}` so per-model load
+ * stays visible, and everything else is unlabeled. A name has one
+ * kind across all its labels.
  *
  * Metrics are created on first use and live for the process lifetime;
  * handles returned by counter()/gauge()/histogram() are shared_ptrs
  * that stay valid forever, so hot paths pay one relaxed atomic per
- * update and never re-lookup by name. Names are dotted
- * (`serve.stage.queue`) and must be unique across kinds.
+ * update and never re-lookup by name (the profile.h call-site macros
+ * resolve their handle once, on first execution). Names are dotted
+ * (`serve.stage.queue`) or slash-scoped (`scope/snn/train`).
  *
  * The process-wide registry (instance()) is what the Sampler snapshots
- * and the Prometheus/JSON/CSV exporters serialize (export.h); separate
- * MetricRegistry objects can be constructed for tests. When several
- * components share a metric name (e.g. two InferenceServers in one
- * process), counters accumulate across them and gauges reflect the
- * most recent writer — reset via resetValues() between measurement
- * runs when per-run numbers are wanted.
+ * and the text/Prometheus/JSON/CSV exporters serialize (export.h);
+ * separate MetricRegistry objects can be constructed for tests.
+ * Components writing the same series (two servers with one model
+ * label) share it: counters accumulate and gauges reflect the most
+ * recent writer — reset via resetValues() between measurement runs
+ * when per-run numbers are wanted, or give each run its own label.
  */
 
 #pragma once
@@ -32,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "neuro/common/mutex.h"
@@ -44,11 +50,12 @@ namespace telemetry {
 class Counter
 {
   public:
-    /** Add @p delta to the counter. */
-    void
+    /** Add @p delta to the counter. @return the new total. */
+    uint64_t
     inc(uint64_t delta = 1)
     {
-        value_.fetch_add(delta, std::memory_order_relaxed);
+        return value_.fetch_add(delta, std::memory_order_relaxed) +
+               delta;
     }
 
     /** @return the current value. */
@@ -91,24 +98,28 @@ class Gauge
 };
 
 /**
- * A point-in-time copy of every registered metric, sorted by name
- * within each kind — the deterministic input of every exporter.
+ * A point-in-time copy of every registered metric, sorted by name and
+ * then label within each kind (the unlabeled series first) — the
+ * deterministic input of every exporter.
  */
 struct MetricsSnapshot
 {
     struct CounterValue
     {
         std::string name;
+        std::string model; ///< label value; empty = unlabeled.
         uint64_t value = 0;
     };
     struct GaugeValue
     {
         std::string name;
+        std::string model;
         double value = 0.0;
     };
     struct HistogramValue
     {
         std::string name;
+        std::string model;
         LatencyHistogram::Summary summary;
     };
 
@@ -132,37 +143,44 @@ class MetricRegistry
      */
     static MetricRegistry &instance();
 
-    /** @return the named counter, created on first use. */
-    std::shared_ptr<Counter> counter(const std::string &name);
+    /** @return the counter series @p name{model=@p model}, created on
+     *  first use (empty @p model = the unlabeled series). */
+    std::shared_ptr<Counter> counter(const std::string &name,
+                                     const std::string &model = {});
 
-    /** @return the named gauge, created on first use. */
-    std::shared_ptr<Gauge> gauge(const std::string &name);
+    /** @return the gauge series, created on first use. */
+    std::shared_ptr<Gauge> gauge(const std::string &name,
+                                 const std::string &model = {});
 
-    /** @return the named histogram, created on first use. */
+    /** @return the histogram series, created on first use. */
     std::shared_ptr<LatencyHistogram>
-    histogram(const std::string &name);
+    histogram(const std::string &name, const std::string &model = {});
 
-    /** @return a consistent, name-sorted copy of every metric. */
+    /** @return a consistent, name-sorted copy of every series. */
     MetricsSnapshot snapshot() const;
 
     /** Zero every metric's value; registrations and handles remain
      *  valid (between measurement runs, and in tests). */
     void resetValues();
 
-    /** @return number of registered metrics (all kinds). */
+    /** @return number of registered series (all kinds and labels). */
     std::size_t size() const;
 
+    /** (name, model label): the key of one series. */
+    using SeriesKey = std::pair<std::string, std::string>;
+
   private:
-    /** Panics if @p name is registered under a different kind. */
+    /** Panics if @p name is registered under a different kind, under
+     *  any label. */
     void assertKindFree(const std::string &name, const char *kind) const
         NEURO_REQUIRES(mutex_);
 
     mutable Mutex mutex_;
-    std::map<std::string, std::shared_ptr<Counter>>
+    std::map<SeriesKey, std::shared_ptr<Counter>>
         counters_ NEURO_GUARDED_BY(mutex_);
-    std::map<std::string, std::shared_ptr<Gauge>>
+    std::map<SeriesKey, std::shared_ptr<Gauge>>
         gauges_ NEURO_GUARDED_BY(mutex_);
-    std::map<std::string, std::shared_ptr<LatencyHistogram>>
+    std::map<SeriesKey, std::shared_ptr<LatencyHistogram>>
         histograms_ NEURO_GUARDED_BY(mutex_);
 };
 

@@ -4,7 +4,8 @@
 // reassembly with the stream split at every byte boundary and with
 // several frames concatenated into one read, multi-model routing
 // (unknown names, pixel-count mismatches), loopback request/response
-// over a real socket, drain-first shutdown, and the acceptance
+// over a real socket, drain-first shutdown, per-model registry
+// series (`serve.completed{model=...}`), and the acceptance
 // criterion that predictions over the wire are bit-identical to
 // in-process serving for the same model and seed.
 
@@ -29,6 +30,7 @@
 #include "neuro/serve/backend.h"
 #include "neuro/serve/registry.h"
 #include "neuro/serve/server.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 namespace {
@@ -355,6 +357,51 @@ TEST(NetFrontend, PixelCountMismatchIsBadFrame)
                         promise.set_value(std::move(response));
                     });
     EXPECT_EQ(future.get().status, FrameStatus::BadFrame);
+}
+
+TEST(NetFrontend, PerModelSeriesCountEachModelsCompletions)
+{
+    // Model names unique to this test: the frontend labels each
+    // server's series with its model name, and a label's series are
+    // shared process-wide.
+    const std::string names[2] = {"series.m0", "series.m1"};
+    const uint64_t sent[2] = {7, 3};
+    serve::ModelRegistry registry;
+    registry.add(names[0], std::make_shared<StubBackend>(0));
+    registry.add(names[1], std::make_shared<StubBackend>(5));
+    net::ServeFrontend frontend(registry, serve::ServeConfig{});
+
+    std::vector<std::future<ResponseFrame>> responses[2];
+    for (int m = 0; m < 2; ++m) {
+        for (uint64_t id = 0; id < sent[m]; ++id) {
+            auto promise = std::make_shared<std::promise<ResponseFrame>>();
+            responses[m].push_back(promise->get_future());
+            frontend.submit(makeRequest(id, names[m]),
+                            [promise](ResponseFrame &&response) {
+                                promise->set_value(std::move(response));
+                            });
+        }
+    }
+    uint64_t ok[2] = {0, 0};
+    for (int m = 0; m < 2; ++m) {
+        for (auto &f : responses[m])
+            ok[m] += f.get().status == FrameStatus::Ok ? 1 : 0;
+    }
+    frontend.stop(); // joins the dispatchers: counts are final.
+
+    auto &reg = telemetry::MetricRegistry::instance();
+    for (int m = 0; m < 2; ++m) {
+        EXPECT_EQ(ok[m], sent[m]) << names[m];
+        EXPECT_EQ(reg.counter("serve.completed", names[m])->value(),
+                  ok[m])
+            << names[m];
+        const serve::ServeCounters c =
+            frontend.server(names[m])->counters();
+        EXPECT_EQ(c.completed, ok[m]) << names[m];
+        EXPECT_EQ(c.enqueued, sent[m]) << names[m];
+        EXPECT_EQ(frontend.server(names[m])->latency().count(), ok[m])
+            << names[m];
+    }
 }
 
 // --- loopback over a real socket ----------------------------------

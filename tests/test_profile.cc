@@ -1,6 +1,6 @@
-// Tests for the scoped profiler and the Distribution edge cases the
-// profiler's per-scope aggregation depends on (empty, single-sample,
-// negative-only, reset-and-reuse).
+// Tests for the instrumentation call sites: scopes, counts, samples and
+// gauges all land in the metric registry, always on, through a handle
+// each site resolves once.
 
 #include <gtest/gtest.h>
 
@@ -9,157 +9,112 @@
 #include <vector>
 
 #include "neuro/common/profile.h"
+#include "neuro/telemetry/export.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 namespace {
 
-/** Restore a clean, disabled profiler around every test in the file. */
+/** Zero every registry value, so each test reads its own signals. */
 class ProfileTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        Profiler::instance().setEnabled(false);
-        Profiler::instance().reset();
+        telemetry::MetricRegistry::instance().resetValues();
     }
 
-    void
-    TearDown() override
+    static const telemetry::LatencyHistogram &
+    histogram(const char *name)
     {
-        Profiler::instance().setEnabled(false);
-        Profiler::instance().reset();
+        return *telemetry::MetricRegistry::instance().histogram(name);
+    }
+
+    static uint64_t
+    counter(const char *name)
+    {
+        return telemetry::MetricRegistry::instance()
+            .counter(name)
+            ->value();
     }
 };
 
-TEST(DistributionEdge, SingleSampleMinEqualsMax)
+TEST_F(ProfileTest, ScopeAggregatesCountSumMax)
 {
-    Distribution d;
-    d.sample(3.5);
-    EXPECT_EQ(d.count(), 1u);
-    EXPECT_DOUBLE_EQ(d.min(), 3.5);
-    EXPECT_DOUBLE_EQ(d.max(), 3.5);
-    EXPECT_DOUBLE_EQ(d.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
-TEST(DistributionEdge, NegativeOnlySamplesKeepSign)
-{
-    // min()/max() must initialize from the first sample, not from 0:
-    // a negative-only stream has a negative max.
-    Distribution d;
-    for (double v : {-5.0, -2.0, -9.0})
-        d.sample(v);
-    EXPECT_DOUBLE_EQ(d.min(), -9.0);
-    EXPECT_DOUBLE_EQ(d.max(), -2.0);
-    EXPECT_DOUBLE_EQ(d.sum(), -16.0);
-}
-
-TEST(DistributionEdge, EmptyAfterResetBehavesLikeNew)
-{
-    Distribution d;
-    d.sample(-4.0);
-    d.sample(7.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-    EXPECT_DOUBLE_EQ(d.max(), 0.0);
-    EXPECT_DOUBLE_EQ(d.sum(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-    // Reuse after reset must re-seed min/max from the first sample.
-    d.sample(-1.0);
-    EXPECT_EQ(d.count(), 1u);
-    EXPECT_DOUBLE_EQ(d.min(), -1.0);
-    EXPECT_DOUBLE_EQ(d.max(), -1.0);
-}
-
-TEST(DistributionEdge, MixedSignStream)
-{
-    Distribution d;
-    for (double v : {-1.0, 0.0, 1.0})
-        d.sample(v);
-    EXPECT_DOUBLE_EQ(d.min(), -1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 1.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-}
-
-TEST_F(ProfileTest, DisabledScopeRecordsNothing)
-{
-    {
-        NEURO_PROFILE_SCOPE("test/disabled");
-    }
-    const StatRegistry snap = Profiler::instance().snapshot();
-    EXPECT_EQ(snap.distribution("scope/test/disabled").count(), 0u);
-    std::ostringstream os;
-    snap.dump(os);
-    EXPECT_EQ(os.str().find("test/disabled"), std::string::npos);
-}
-
-TEST_F(ProfileTest, EnabledScopeAggregatesCountTotalMinMax)
-{
-    Profiler::instance().setEnabled(true);
     for (int i = 0; i < 3; ++i) {
         NEURO_PROFILE_SCOPE("test/scope");
     }
-    const StatRegistry snap = Profiler::instance().snapshot();
-    const Distribution &d = snap.distribution("scope/test/scope");
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_GE(d.min(), 0.0);
-    EXPECT_GE(d.max(), d.min());
-    EXPECT_GE(d.sum(), d.max());
+    const telemetry::LatencyHistogram::Summary s =
+        histogram("scope/test/scope").summary();
+    EXPECT_EQ(s.count, 3u);
+    EXPECT_GE(s.p50Us, 0.0);
+    EXPECT_GE(s.maxUs, s.p50Us);
+    EXPECT_GE(s.sumUs, s.maxUs);
 }
 
 TEST_F(ProfileTest, NestedScopesRecordBothLevels)
 {
-    Profiler::instance().setEnabled(true);
     {
         NEURO_PROFILE_SCOPE("test/outer");
         NEURO_PROFILE_SCOPE("test/outer/inner");
     }
-    const StatRegistry snap = Profiler::instance().snapshot();
-    EXPECT_EQ(snap.distribution("scope/test/outer").count(), 1u);
-    EXPECT_EQ(snap.distribution("scope/test/outer/inner").count(), 1u);
+    EXPECT_EQ(histogram("scope/test/outer").count(), 1u);
+    EXPECT_EQ(histogram("scope/test/outer/inner").count(), 1u);
     // The outer scope brackets the inner one.
-    EXPECT_GE(snap.distribution("scope/test/outer").sum(),
-              snap.distribution("scope/test/outer/inner").sum());
+    EXPECT_GE(histogram("scope/test/outer").sumMicros(),
+              histogram("scope/test/outer/inner").sumMicros());
 }
 
-TEST_F(ProfileTest, ObsCountersAndSamplesGateOnEnabled)
+TEST_F(ProfileTest, ObsCountersAndSamplesAlwaysRecord)
 {
-    obsCount("test.counter", 5);
-    obsSample("test.sample", 1.0);
-    EXPECT_EQ(Profiler::instance().snapshot().counter("test.counter"),
-              0u);
+    obsCount<"test.counter">(5);
+    obsCount<"test.counter">();
+    obsSample<"test.sample">(2.5);
+    // Fractional values belong in a gauge: histogram buckets are
+    // integer-valued and would round 0.03 to 0.
+    obsGauge<"test.gauge">(0.03);
+    EXPECT_EQ(counter("test.counter"), 6u);
+    EXPECT_EQ(histogram("test.sample").count(), 1u);
+    EXPECT_GE(histogram("test.sample").maxMicros(), 2.5);
+    EXPECT_DOUBLE_EQ(
+        telemetry::MetricRegistry::instance().gauge("test.gauge")->value(),
+        0.03);
+}
 
-    Profiler::instance().setEnabled(true);
-    EXPECT_TRUE(obsEnabled());
-    obsCount("test.counter", 5);
-    obsCount("test.counter");
-    obsSample("test.sample", 2.5);
-    const StatRegistry snap = Profiler::instance().snapshot();
-    EXPECT_EQ(snap.counter("test.counter"), 6u);
-    EXPECT_EQ(snap.distribution("test.sample").count(), 1u);
-    EXPECT_DOUBLE_EQ(snap.distribution("test.sample").max(), 2.5);
+TEST_F(ProfileTest, SitesResolveTheirSeriesOnce)
+{
+    auto &reg = telemetry::MetricRegistry::instance();
+    obsCount<"test.once">();
+    const std::size_t registered = reg.size();
+    for (int i = 0; i < 10; ++i) {
+        obsCount<"test.once">();
+        NEURO_PROFILE_SCOPE("test/once");
+    }
+    // The scope registered its histogram on first entry; nothing
+    // else was added, and every call reached the same series.
+    EXPECT_EQ(reg.size(), registered + 1);
+    EXPECT_EQ(counter("test.once"), 11u);
+    EXPECT_EQ(histogram("scope/test/once").count(), 10u);
 }
 
 TEST_F(ProfileTest, DumpListsScopeTimingsWithTotals)
 {
-    Profiler::instance().setEnabled(true);
     {
         NEURO_PROFILE_SCOPE("test/dumped");
     }
     std::ostringstream os;
-    Profiler::instance().dump(os);
+    telemetry::writeText(telemetry::MetricRegistry::instance().snapshot(),
+                         os);
     const std::string out = os.str();
     EXPECT_NE(out.find("scope/test/dumped"), std::string::npos);
-    EXPECT_NE(out.find("total="), std::string::npos);
-    EXPECT_NE(out.find("min="), std::string::npos);
+    EXPECT_NE(out.find("count="), std::string::npos);
+    EXPECT_NE(out.find("sum="), std::string::npos);
     EXPECT_NE(out.find("max="), std::string::npos);
 }
 
 TEST_F(ProfileTest, ConcurrentScopesAndCountersAreLossless)
 {
-    Profiler::instance().setEnabled(true);
     constexpr int kThreads = 4;
     constexpr int kIters = 200;
     std::vector<std::thread> threads;
@@ -167,16 +122,15 @@ TEST_F(ProfileTest, ConcurrentScopesAndCountersAreLossless)
         threads.emplace_back([] {
             for (int i = 0; i < kIters; ++i) {
                 NEURO_PROFILE_SCOPE("test/mt");
-                obsCount("test.mt_counter");
+                obsCount<"test.mt_counter">();
             }
         });
     }
     for (auto &t : threads)
         t.join();
-    const StatRegistry snap = Profiler::instance().snapshot();
-    EXPECT_EQ(snap.distribution("scope/test/mt").count(),
+    EXPECT_EQ(histogram("scope/test/mt").count(),
               static_cast<uint64_t>(kThreads * kIters));
-    EXPECT_EQ(snap.counter("test.mt_counter"),
+    EXPECT_EQ(counter("test.mt_counter"),
               static_cast<uint64_t>(kThreads * kIters));
 }
 

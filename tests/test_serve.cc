@@ -28,6 +28,7 @@
 #include "neuro/serve/queue.h"
 #include "neuro/serve/registry.h"
 #include "neuro/serve/server.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 namespace {
@@ -48,6 +49,20 @@ class ThreadCountGuard
   private:
     std::size_t saved_;
 };
+
+/**
+ * @return a model label unique to the running test. A server's
+ * counters are its label's registry series, shared by every server
+ * with that label in the process; a per-test label keeps exact-count
+ * assertions independent of earlier tests in the same run.
+ */
+std::string
+testLabel()
+{
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return std::string(info->test_suite_name()) + "." + info->name();
+}
 
 /** Open/close latch shared by every session of a GatedBackend. */
 struct Gate
@@ -144,38 +159,6 @@ stubRequest(uint64_t id)
     return r;
 }
 
-// ----------------------------------------------------------- histogram
-
-TEST(LatencyHistogram, PercentilesBoundSamplesWithin12Percent)
-{
-    serve::LatencyHistogram h;
-    for (int v = 1; v <= 100; ++v)
-        h.record(static_cast<double>(v));
-    EXPECT_EQ(h.count(), 100u);
-    const double p50 = h.percentile(0.50);
-    const double p99 = h.percentile(0.99);
-    EXPECT_GE(p50, 50.0);
-    EXPECT_LE(p50, 50.0 * 1.125 + 1.0);
-    EXPECT_GE(p99, 99.0);
-    EXPECT_LE(p99, 99.0 * 1.125 + 1.0);
-    EXPECT_GE(h.maxMicros(), 100.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.percentile(0.5), 0.0);
-}
-
-TEST(LatencyHistogram, SummaryMatchesPercentiles)
-{
-    serve::LatencyHistogram h;
-    for (int v = 0; v < 1000; ++v)
-        h.record(static_cast<double>(v % 97));
-    const serve::LatencyHistogram::Summary s = h.summary();
-    EXPECT_EQ(s.count, 1000u);
-    EXPECT_DOUBLE_EQ(s.p50Us, h.percentile(0.50));
-    EXPECT_DOUBLE_EQ(s.p95Us, h.percentile(0.95));
-    EXPECT_DOUBLE_EQ(s.p99Us, h.percentile(0.99));
-}
-
 // -------------------------------------------------------- microbatcher
 
 TEST(MicroBatcher, IdleTimeoutReturnsEmptyBatch)
@@ -252,7 +235,7 @@ TEST(InferenceServer, RejectsWhenQueueFull)
     sc.queueCapacity = 2;
     sc.batch.maxBatch = 1;
     sc.batch.maxWaitMicros = 0;
-    serve::InferenceServer server(backend, sc);
+    serve::InferenceServer server(backend, sc, nullptr, testLabel());
 
     // First request is dequeued by the dispatcher and parks on the
     // gate; the next two fill the queue; the fourth must bounce.
@@ -284,7 +267,7 @@ TEST(InferenceServer, ExpiredAtDequeueIsNotClassified)
     serve::ServeConfig sc;
     sc.batch.maxBatch = 1;
     sc.batch.maxWaitMicros = 0;
-    serve::InferenceServer server(backend, sc);
+    serve::InferenceServer server(backend, sc, nullptr, testLabel());
 
     std::future<serve::InferenceResult> first =
         server.submit(stubRequest(0));
@@ -316,7 +299,7 @@ TEST(InferenceServer, StopDrainsEverythingInFlight)
     serve::ServeConfig sc;
     sc.batch.maxBatch = 2;
     sc.batch.maxWaitMicros = 50;
-    serve::InferenceServer server(backend, sc);
+    serve::InferenceServer server(backend, sc, nullptr, testLabel());
 
     std::vector<std::future<serve::InferenceResult>> futures;
     for (uint64_t id = 0; id < 7; ++id)
@@ -349,13 +332,12 @@ TEST(InferenceServer, StopDrainsEverythingInFlight)
 TEST(InferenceServer, StageLatenciesDecomposeTotal)
 {
     ThreadCountGuard guard(1);
-    serve::InferenceServer::resetStageMetrics();
     auto backend =
         std::make_shared<StubBackend>(nullptr, /*delay=*/200us);
     serve::ServeConfig sc;
     sc.batch.maxBatch = 4;
     sc.batch.maxWaitMicros = 100;
-    serve::InferenceServer server(backend, sc);
+    serve::InferenceServer server(backend, sc, nullptr, testLabel());
 
     constexpr uint64_t kRequests = 32;
     std::vector<std::future<serve::InferenceResult>> futures;
@@ -380,10 +362,18 @@ TEST(InferenceServer, StageLatenciesDecomposeTotal)
     // totalMicros, so the decomposition is tight, not approximate.
     EXPECT_NEAR(stageSum, totalSum, 1e-3 * totalSum + 1.0);
 
-    // The registry-backed stage histograms saw every completion.
+    // The labeled registry stage histograms saw every completion, and
+    // are the series the registry exports for this server's label.
+    auto &reg = telemetry::MetricRegistry::instance();
     for (serve::Stage stage : {serve::Stage::Queue, serve::Stage::Batch,
                                serve::Stage::Compute})
         EXPECT_EQ(server.stageLatency(stage).count(), kRequests);
+    EXPECT_EQ(&server.stageLatency(serve::Stage::Queue),
+              reg.histogram("serve.stage.queue", testLabel()).get());
+    EXPECT_EQ(&server.latency(),
+              reg.histogram("serve.latency", testLabel()).get());
+    EXPECT_EQ(server.latency().count(), kRequests);
+    EXPECT_EQ(server.counters().completed, kRequests);
     // Compute includes the backend's 200us delay; the p50 must too.
     EXPECT_GE(server.stageLatency(serve::Stage::Compute).percentile(0.5),
               200.0);
@@ -402,7 +392,7 @@ TEST(InferenceServer, SloDegradesToFallbackAndRecovers)
     sc.sloP99Micros = 200;
     sc.sloWindow = 8;
     sc.enableFallback = true;
-    serve::InferenceServer server(primary, sc, fallback);
+    serve::InferenceServer server(primary, sc, fallback, testLabel());
 
     uint64_t id = 0;
     auto runWave = [&](int n) {

@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "neuro/common/parallel.h"
-#include "neuro/common/profile.h"
 #include "neuro/common/rng.h"
 #include "neuro/snn/spike_bits.h"
 #include "neuro/snn/trainer.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 namespace snn {
@@ -98,22 +98,22 @@ expectHandBuiltGridAgrees(const SnnNetwork &net,
     PackedSpikeGrid packed;
     packed.fromDense(dense, net.config().numInputs);
 
-    Profiler::instance().setEnabled(true);
-    Profiler::instance().reset();
+    auto &reg = telemetry::MetricRegistry::instance();
+    const auto active = reg.counter("snn.engine.ticks_active");
+    const auto skipped = reg.counter("snn.engine.ticks_skipped");
+    const uint64_t active0 = active->value();
+    const uint64_t skipped0 = skipped->value();
     const auto r = present_net.present(packed, /*learn=*/false);
-    const StatRegistry snap = Profiler::instance().snapshot();
-    Profiler::instance().setEnabled(false);
-    Profiler::instance().reset();
+    const uint64_t activeTicks = active->value() - active0;
+    const uint64_t skippedTicks = skipped->value() - skipped0;
     const auto ref = oracle_net.presentImage(dense, /*learn=*/false);
 
     expectIdenticalResults(ref, r, 0);
     expectIdenticalState(oracle_net, present_net);
     EXPECT_EQ(r.inputSpikeCount, dense.totalSpikes());
     // Only spike-carrying ticks are visited; the rest are skipped.
-    EXPECT_EQ(snap.counter("snn.engine.ticks_active"),
-              expected_active_ticks);
-    EXPECT_EQ(snap.counter("snn.engine.ticks_skipped"),
-              dense.ticks.size() - expected_active_ticks);
+    EXPECT_EQ(activeTicks, expected_active_ticks);
+    EXPECT_EQ(skippedTicks, dense.ticks.size() - expected_active_ticks);
     return r;
 }
 

@@ -1,10 +1,6 @@
-// Tests for the statistics package.
+// Tests for the streaming Distribution.
 
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <iomanip>
-#include <sstream>
 
 #include "neuro/common/stats.h"
 
@@ -41,75 +37,58 @@ TEST(Distribution, ResetClears)
     EXPECT_EQ(d.count(), 0u);
 }
 
-TEST(StatRegistry, CountersScalarsDistributions)
-{
-    StatRegistry stats;
-    stats.inc("spikes");
-    stats.inc("spikes", 4);
-    stats.setScalar("accuracy", 0.97);
-    stats.sample("latency", 10.0);
-    stats.sample("latency", 20.0);
+// Edge cases analyses depend on: empty, single-sample, negative-only,
+// reset-and-reuse.
 
-    EXPECT_EQ(stats.counter("spikes"), 5u);
-    EXPECT_DOUBLE_EQ(stats.scalar("accuracy"), 0.97);
-    EXPECT_EQ(stats.distribution("latency").count(), 2u);
-    EXPECT_DOUBLE_EQ(stats.distribution("latency").mean(), 15.0);
-    EXPECT_EQ(stats.counter("absent"), 0u);
+TEST(DistributionEdge, SingleSampleMinEqualsMax)
+{
+    Distribution d;
+    d.sample(3.5);
+    EXPECT_EQ(d.count(), 1u);
+    EXPECT_DOUBLE_EQ(d.min(), 3.5);
+    EXPECT_DOUBLE_EQ(d.max(), 3.5);
+    EXPECT_DOUBLE_EQ(d.mean(), 3.5);
+    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
 }
 
-TEST(StatRegistry, DumpContainsNames)
+TEST(DistributionEdge, NegativeOnlySamplesKeepSign)
 {
-    StatRegistry stats;
-    stats.inc("fires", 3);
-    stats.setScalar("acc", 0.5);
-    stats.sample("dist", 1.0);
-    std::ostringstream os;
-    stats.dump(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("fires"), std::string::npos);
-    EXPECT_NE(out.find("acc"), std::string::npos);
-    EXPECT_NE(out.find("dist"), std::string::npos);
+    // min()/max() must initialize from the first sample, not from 0:
+    // a negative-only stream has a negative max.
+    Distribution d;
+    for (double v : {-5.0, -2.0, -9.0})
+        d.sample(v);
+    EXPECT_DOUBLE_EQ(d.min(), -9.0);
+    EXPECT_DOUBLE_EQ(d.max(), -2.0);
+    EXPECT_DOUBLE_EQ(d.sum(), -16.0);
 }
 
-TEST(StatRegistry, DumpIsDeterministic)
+TEST(DistributionEdge, EmptyAfterResetBehavesLikeNew)
 {
-    // The dump is a machine-diffable artifact: sorted key order, fixed
-    // %.6g floats, and immune to stream state left by earlier writers.
-    StatRegistry stats;
-    stats.inc("b.counter", 7);
-    stats.inc("a.counter", 2);
-    stats.setScalar("scalar.pi", 3.14159265358979);
-    stats.sample("dist.x", 1.0);
-    stats.sample("dist.x", 2.0);
-
-    std::ostringstream os;
-    os << std::setprecision(2) << std::fixed; // hostile stream state.
-    stats.dump(os);
-    const std::string expected =
-        "---------- stats ----------\n"
-        "a.counter                               2\n"
-        "b.counter                               7\n"
-        "scalar.pi                               3.14159\n"
-        "dist.x                                  n=2 total=3 mean=1.5 "
-        "sd=0.5 min=1 max=2\n"
-        "---------------------------\n";
-    EXPECT_EQ(os.str(), expected);
-
-    std::ostringstream again;
-    stats.dump(again);
-    EXPECT_EQ(again.str(), expected);
+    Distribution d;
+    d.sample(-4.0);
+    d.sample(7.0);
+    d.reset();
+    EXPECT_EQ(d.count(), 0u);
+    EXPECT_DOUBLE_EQ(d.min(), 0.0);
+    EXPECT_DOUBLE_EQ(d.max(), 0.0);
+    EXPECT_DOUBLE_EQ(d.sum(), 0.0);
+    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
+    // Reuse after reset must re-seed min/max from the first sample.
+    d.sample(-1.0);
+    EXPECT_EQ(d.count(), 1u);
+    EXPECT_DOUBLE_EQ(d.min(), -1.0);
+    EXPECT_DOUBLE_EQ(d.max(), -1.0);
 }
 
-TEST(StatRegistry, ResetClearsEverything)
+TEST(DistributionEdge, MixedSignStream)
 {
-    StatRegistry stats;
-    stats.inc("a");
-    stats.setScalar("b", 1);
-    stats.sample("c", 1);
-    stats.reset();
-    EXPECT_EQ(stats.counter("a"), 0u);
-    EXPECT_DOUBLE_EQ(stats.scalar("b"), 0.0);
-    EXPECT_EQ(stats.distribution("c").count(), 0u);
+    Distribution d;
+    for (double v : {-1.0, 0.0, 1.0})
+        d.sample(v);
+    EXPECT_DOUBLE_EQ(d.min(), -1.0);
+    EXPECT_DOUBLE_EQ(d.max(), 1.0);
+    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
 }
 
 } // namespace

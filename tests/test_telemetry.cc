@@ -1,10 +1,11 @@
 // Tests for the telemetry layer: histogram percentile bounds and merge
-// semantics, concurrent recording, the metric registry, the sampler
-// ring, and golden-file checks of all three exporters.
+// semantics, concurrent recording, the metric registry and its model
+// label, the sampler ring, and golden-file checks of every exporter.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iomanip>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -51,6 +52,36 @@ TEST(LatencyHistogram, PercentileUpperBoundWithinBucketError)
     const double exactSum = 1000.0 * 1001.0 / 2.0;
     EXPECT_GE(h.sumMicros(), exactSum);
     EXPECT_LE(h.sumMicros(), exactSum * 1.125);
+}
+
+TEST(LatencyHistogram, PercentilesBoundSamplesWithin12Percent)
+{
+    LatencyHistogram h;
+    for (int v = 1; v <= 100; ++v)
+        h.record(static_cast<double>(v));
+    EXPECT_EQ(h.count(), 100u);
+    const double p50 = h.percentile(0.50);
+    const double p99 = h.percentile(0.99);
+    EXPECT_GE(p50, 50.0);
+    EXPECT_LE(p50, 50.0 * 1.125 + 1.0);
+    EXPECT_GE(p99, 99.0);
+    EXPECT_LE(p99, 99.0 * 1.125 + 1.0);
+    EXPECT_GE(h.maxMicros(), 100.0);
+    h.reset();
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.percentile(0.5), 0.0);
+}
+
+TEST(LatencyHistogram, SummaryMatchesPercentiles)
+{
+    LatencyHistogram h;
+    for (int v = 0; v < 1000; ++v)
+        h.record(static_cast<double>(v % 97));
+    const LatencyHistogram::Summary s = h.summary();
+    EXPECT_EQ(s.count, 1000u);
+    EXPECT_DOUBLE_EQ(s.p50Us, h.percentile(0.50));
+    EXPECT_DOUBLE_EQ(s.p95Us, h.percentile(0.95));
+    EXPECT_DOUBLE_EQ(s.p99Us, h.percentile(0.99));
 }
 
 TEST(LatencyHistogram, MergeMatchesCombinedRecording)
@@ -164,6 +195,35 @@ TEST(MetricRegistry, ResetValuesKeepsRegistrations)
     EXPECT_EQ(h->count(), 0u);
 }
 
+TEST(MetricRegistry, ModelLabelsAreSeparateSeries)
+{
+    MetricRegistry reg;
+    auto plain = reg.counter("serve.completed");
+    auto m0 = reg.counter("serve.completed", "m0");
+    auto m1 = reg.counter("serve.completed", "m1");
+    EXPECT_NE(plain.get(), m0.get());
+    EXPECT_NE(m0.get(), m1.get());
+    EXPECT_EQ(m0.get(), reg.counter("serve.completed", "m0").get());
+    m0->inc(4);
+    m1->inc();
+    EXPECT_EQ(plain->value(), 0u);
+    const MetricsSnapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.counters.size(), 3u);
+    // Sorted by name, then label; the unlabeled series first.
+    EXPECT_EQ(snap.counters[0].model, "");
+    EXPECT_EQ(snap.counters[1].model, "m0");
+    EXPECT_EQ(snap.counters[1].value, 4u);
+    EXPECT_EQ(snap.counters[2].model, "m1");
+}
+
+TEST(MetricRegistryDeathTest, KindIsFixedAcrossLabels)
+{
+    MetricRegistry reg;
+    reg.counter("x", "m0");
+    EXPECT_DEATH(reg.gauge("x", "m1"), "different kind");
+    EXPECT_DEATH(reg.histogram("x"), "different kind");
+}
+
 TEST(MetricRegistry, GlobalInstanceIsStable)
 {
     EXPECT_EQ(&MetricRegistry::instance(), &MetricRegistry::instance());
@@ -260,6 +320,161 @@ TEST(Exporters, PrometheusGolden)
         "serve_stage_queue_sum 720\n"
         "serve_stage_queue_count 10\n";
     EXPECT_EQ(os.str(), expected);
+}
+
+/** Unlabeled and model-labeled series sharing names. */
+MetricsSnapshot
+labeledSnapshot()
+{
+    MetricRegistry reg;
+    reg.counter("serve.completed")->inc(3);
+    reg.counter("serve.completed", "m0")->inc(5);
+    reg.gauge("serve.queue_depth", "m0")->set(2.0);
+    auto h = reg.histogram("serve.latency", "m0");
+    h->record(64.0);
+    h->record(64.0);
+    return reg.snapshot();
+}
+
+TEST(Exporters, PrometheusLabeledSeriesShareOneTypeLine)
+{
+    std::ostringstream os;
+    writePrometheus(labeledSnapshot(), os);
+    const std::string expected =
+        "# TYPE serve_completed counter\n"
+        "serve_completed 3\n"
+        "serve_completed{model=\"m0\"} 5\n"
+        "# TYPE serve_queue_depth gauge\n"
+        "serve_queue_depth{model=\"m0\"} 2\n"
+        "# TYPE serve_latency summary\n"
+        "serve_latency{model=\"m0\",quantile=\"0.5\"} 72\n"
+        "serve_latency{model=\"m0\",quantile=\"0.95\"} 72\n"
+        "serve_latency{model=\"m0\",quantile=\"0.99\"} 72\n"
+        "serve_latency_sum{model=\"m0\"} 144\n"
+        "serve_latency_count{model=\"m0\"} 2\n";
+    EXPECT_EQ(os.str(), expected);
+}
+
+TEST(Exporters, PrometheusEscapesLabelValues)
+{
+    MetricRegistry reg;
+    reg.counter("c", "a\"b\\c\nd")->inc();
+    std::ostringstream os;
+    writePrometheus(reg.snapshot(), os);
+    EXPECT_EQ(os.str(), "# TYPE c counter\n"
+                        "c{model=\"a\\\"b\\\\c\\nd\"} 1\n");
+}
+
+TEST(Exporters, JsonAndCsvNameLabeledSeries)
+{
+    std::ostringstream json;
+    writeJson(labeledSnapshot(), json);
+    EXPECT_NE(json.str().find("\"serve.completed\": 3"),
+              std::string::npos);
+    EXPECT_NE(json.str().find("\"serve.completed{model=\\\"m0\\\"}\": 5"),
+              std::string::npos);
+    EXPECT_NE(json.str().find("\"serve.latency{model=\\\"m0\\\"}\": "
+                              "{\"count\": 2"),
+              std::string::npos);
+
+    MetricRegistry reg;
+    Sampler sampler(reg);
+    reg.counter("serve.completed", "m0")->inc(5);
+    reg.histogram("serve.latency", "m0")->record(64.0);
+    sampler.sampleOnce();
+    auto rows = sampler.rows();
+    rows[0].timeS = 1.0;
+    std::ostringstream csv;
+    writeTimelineCsv(rows, csv);
+    EXPECT_EQ(csv.str(),
+              "time_s,\"serve.completed{model=\"\"m0\"\"}\","
+              "\"serve.latency.count{model=\"\"m0\"\"}\","
+              "\"serve.latency.p50_us{model=\"\"m0\"\"}\","
+              "\"serve.latency.p95_us{model=\"\"m0\"\"}\","
+              "\"serve.latency.p99_us{model=\"\"m0\"\"}\"\n"
+              "1,5,1,72,72,72\n");
+}
+
+// The stats dump (NEURO_STATS_DUMP / --stats-dump) is the text exporter
+// over the metric registry; its tests keep the StatRegistry suite name.
+
+TEST(StatRegistry, DumpContainsNames)
+{
+    MetricRegistry reg;
+    reg.counter("fires")->inc(3);
+    reg.counter("fires", "m0")->inc();
+    reg.gauge("acc")->set(0.5);
+    reg.histogram("dist")->record(1.0);
+    std::ostringstream os;
+    writeText(reg.snapshot(), os);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("fires "), std::string::npos);
+    EXPECT_NE(out.find("fires{model=\"m0\"}"), std::string::npos);
+    EXPECT_NE(out.find("acc "), std::string::npos);
+    EXPECT_NE(out.find("dist "), std::string::npos);
+}
+
+TEST(StatRegistry, DumpIsDeterministic)
+{
+    // The stats dump is a machine-diffable artifact: sorted series,
+    // fixed %.6g floats, and immune to stream state left by earlier
+    // writers.
+    MetricRegistry reg;
+    reg.counter("b.counter")->inc(7);
+    reg.counter("a.counter")->inc(2);
+    reg.counter("a.counter", "m0")->inc(1);
+    reg.gauge("scalar.pi")->set(3.14159265358979);
+    reg.histogram("dist.x")->record(1.0);
+    reg.histogram("dist.x")->record(2.0);
+
+    std::ostringstream os;
+    os << std::setprecision(2) << std::fixed; // hostile stream state.
+    writeText(reg.snapshot(), os);
+    const std::string expected =
+        "---------- stats ----------\n"
+        "a.counter                               2\n"
+        "a.counter{model=\"m0\"}                   1\n"
+        "b.counter                               7\n"
+        "scalar.pi                               3.14159\n"
+        "dist.x                                  count=2 p50=2 p99=3 "
+        "max=3 sum=5\n"
+        "---------------------------\n";
+    EXPECT_EQ(os.str(), expected);
+
+    std::ostringstream again;
+    writeText(reg.snapshot(), again);
+    EXPECT_EQ(again.str(), expected);
+}
+
+TEST(StatRegistry, ResetClearsEverything)
+{
+    // resetValues() zeroes every kind, labeled series included, and
+    // the dump then shows the zeroed values under the same names.
+    MetricRegistry reg;
+    auto c = reg.counter("a");
+    auto cm = reg.counter("a", "m0");
+    auto g = reg.gauge("b");
+    auto h = reg.histogram("c", "m0");
+    c->inc();
+    cm->inc(2);
+    g->set(1.0);
+    h->record(1.0);
+    reg.resetValues();
+    EXPECT_EQ(c->value(), 0u);
+    EXPECT_EQ(cm->value(), 0u);
+    EXPECT_DOUBLE_EQ(g->value(), 0.0);
+    EXPECT_EQ(h->count(), 0u);
+
+    std::ostringstream os;
+    writeText(reg.snapshot(), os);
+    EXPECT_EQ(os.str(),
+              "---------- stats ----------\n"
+              "a                                       0\n"
+              "a{model=\"m0\"}                           0\n"
+              "b                                       0\n"
+              "c{model=\"m0\"}                           count=0 p50=0 "
+              "p99=0 max=0 sum=0\n"
+              "---------------------------\n");
 }
 
 TEST(Exporters, PrometheusNameSanitization)

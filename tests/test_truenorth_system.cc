@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include "neuro/common/profile.h"
 #include "neuro/common/rng.h"
 #include "neuro/hw/truenorth.h"
 #include "neuro/snn/trainer.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 namespace {
@@ -69,18 +69,19 @@ TEST(TrainerStats, CountsImagesAndSpikes)
     snn::SnnTrainConfig train;
     train.epochs = 2;
     std::size_t reported_output_spikes = 0;
-    Profiler::instance().setEnabled(true);
-    Profiler::instance().reset();
+    telemetry::MetricRegistry::instance().resetValues();
     trainer.train(net, data, train, [&](const snn::SnnEpochReport &r) {
         reported_output_spikes += r.outputSpikes;
     });
-    const StatRegistry snap = Profiler::instance().snapshot();
-    Profiler::instance().setEnabled(false);
-    Profiler::instance().reset();
+    auto counter = [](const char *name) {
+        return telemetry::MetricRegistry::instance()
+            .counter(name)
+            ->value();
+    };
 
-    EXPECT_EQ(snap.counter("snn.images_presented"), 24u);
-    EXPECT_GT(snap.counter("snn.input_spikes"), 0u);
-    EXPECT_EQ(snap.counter("snn.output_spikes"), reported_output_spikes);
+    EXPECT_EQ(counter("snn.images_presented"), 24u);
+    EXPECT_GT(counter("snn.input_spikes"), 0u);
+    EXPECT_EQ(counter("snn.output_spikes"), reported_output_spikes);
 }
 
 } // namespace

@@ -10,14 +10,13 @@
  *   neurocmp eval-snn   load=model.ncmp [test=N]   # load + evaluate
  *   neurocmp serve      load=model.ncmp [requests=N batch=B]  # serving
  *   neurocmp serve      load=model.ncmp --listen [--port=P]   # network
- *   neurocmp stats      [train=N test=N]           # observability demo
- *   neurocmp metrics    [format=prom|json]         # telemetry demo
+ *   neurocmp metrics    [format=text|prom|json]    # observability demo
  *
  * All subcommands accept key=value overrides and NEURO_* environment
  * variables; `neurocmp list` shows the mapping to paper experiments.
  * Every subcommand additionally understands --trace=<path> (record a
  * Chrome-trace JSON viewable in Perfetto), --stats-dump (print the
- * per-scope timing/counter registry at exit) and --metrics=<path>
+ * metric registry as text at exit) and --metrics=<path>
  * (export the metric registry at exit, Prometheus/JSON/CSV by
  * extension); NEURO_TRACE, NEURO_STATS_DUMP and NEURO_METRICS do the
  * same from the environment — there, and for every bench binary, no
@@ -79,16 +78,15 @@ cmdList()
         "             --listen [--host=A --port=P] serves every backend\n"
         "             over the binary network protocol until SIGINT/\n"
         "             SIGTERM (drains, then exits; docs/serving.md)\n"
-        "  stats      run a small instrumented train + serving + "
+        "  metrics    run a small instrumented train + serving + "
         "folded-sim\n"
-        "             demo and dump the profiler registry\n"
-        "  metrics    run a small serving burst and print the metric\n"
-        "             registry [format=prom|json]\n"
+        "             demo and print the metric registry\n"
+        "             [format=text|prom|json, default prom]\n"
         "common options: train=N test=N workload=mnist|mpeg7|sad, and\n"
         "NEURO_SCALE / NEURO_MNIST_DIR environment variables.\n"
         "observability (all subcommands): --trace=<out.json> records a\n"
-        "Chrome trace (Perfetto); --stats-dump prints scope timings and\n"
-        "counters at exit; --metrics=<path> exports the metric registry\n"
+        "Chrome trace (Perfetto); --stats-dump prints the metric\n"
+        "registry as text at exit; --metrics=<path> exports it\n"
         "at exit (.prom/.json/.csv by extension); NEURO_TRACE /\n"
         "NEURO_STATS_DUMP / NEURO_METRICS do the same for any binary,\n"
         "benches included (docs/observability.md).\n"
@@ -228,8 +226,8 @@ cmdTrainSnn(const Config &cfg)
 /**
  * Tiny closed-loop serving burst: trains a small MLP on the workload
  * and pushes @p requests through an InferenceServer so the `serve.*`
- * counters, gauges and stage histograms (and the serve/batch profiler
- * scopes) all carry data. @return requests completed Ok.
+ * counters, gauges and stage histograms (and the serve/batch scope)
+ * all carry data. @return requests completed Ok.
  */
 uint64_t
 runServeDemo(const core::Workload &w, uint64_t requests)
@@ -274,24 +272,28 @@ runServeDemo(const core::Workload &w, uint64_t requests)
 /**
  * Observability self-demo: a short instrumented SNN+STDP train/eval, an
  * MLP epoch, a serving burst, and one folded-schedule simulation of
- * each design, then a dump of everything the profiler collected. With
+ * each design, then the metric registry printed to stdout through the
+ * requested exporter (format=text|prom|json) — the quickest way to
+ * see every signal the library records and what NEURO_STATS_DUMP /
+ * NEURO_METRICS would write (docs/observability.md). With
  * --trace=<path> the same run produces a Chrome trace of all the
  * scopes it exercised.
  */
 int
-cmdStats(const Config &cfg)
+cmdMetrics(const Config &cfg)
 {
-    Profiler::instance().setEnabled(true);
-
     Config demo = cfg;
     if (!cfg.has("train"))
         demo.set("train", "300");
     if (!cfg.has("test"))
         demo.set("test", "80");
+    const std::string format = demo.getString("format", "prom");
+    if (format != "text" && format != "prom" && format != "json")
+        fatal("unknown format '%s' (text|prom|json)", format.c_str());
     const core::Workload w = loadWorkload(demo);
 
     {
-        NEURO_PROFILE_SCOPE("cli/stats/snn");
+        NEURO_PROFILE_SCOPE("cli/metrics/snn");
         const snn::SnnConfig config =
             core::defaultSnnConfig(w, w.data.train.size());
         Rng rng(7);
@@ -305,7 +307,7 @@ cmdStats(const Config &cfg)
         trainer.evaluate(net, labels, w.data.test, snn::EvalMode::Wt, 10);
     }
     {
-        NEURO_PROFILE_SCOPE("cli/stats/mlp");
+        NEURO_PROFILE_SCOPE("cli/metrics/mlp");
         mlp::MlpConfig config;
         config.layerSizes = {w.mlpTopo.inputs, w.mlpTopo.hidden,
                              w.mlpTopo.outputs};
@@ -315,50 +317,27 @@ cmdStats(const Config &cfg)
                               13);
     }
     {
-        NEURO_PROFILE_SCOPE("cli/stats/serve");
-        runServeDemo(w, 400);
+        NEURO_PROFILE_SCOPE("cli/metrics/serve");
+        const auto requests =
+            static_cast<uint64_t>(demo.getInt("requests", 400));
+        const uint64_t ok = runServeDemo(w, requests);
+        inform("metrics demo: %llu/%llu requests served",
+               (unsigned long long)ok, (unsigned long long)requests);
     }
     {
-        NEURO_PROFILE_SCOPE("cli/stats/cycle");
+        NEURO_PROFILE_SCOPE("cli/metrics/cycle");
         cycle::simulateFoldedMlp(w.mlpTopo, 16);
         cycle::simulateFoldedSnnWot(w.snnTopo, 16);
     }
 
-    Profiler::instance().dump(std::cout);
-    return 0;
-}
-
-/**
- * Telemetry self-demo: a small serving burst, then the metric registry
- * printed to stdout through the requested exporter — the quickest way
- * to see which metrics exist and what NEURO_METRICS / --metrics=<path>
- * would write (docs/observability.md).
- */
-int
-cmdMetrics(const Config &cfg)
-{
-    Config demo = cfg;
-    if (!cfg.has("train"))
-        demo.set("train", "300");
-    if (!cfg.has("test"))
-        demo.set("test", "80");
-    const core::Workload w = loadWorkload(demo);
-
-    const auto requests =
-        static_cast<uint64_t>(demo.getInt("requests", 400));
-    const uint64_t ok = runServeDemo(w, requests);
-    inform("metrics demo: %llu/%llu requests served",
-           (unsigned long long)ok, (unsigned long long)requests);
-
     const telemetry::MetricsSnapshot snap =
         telemetry::MetricRegistry::instance().snapshot();
-    const std::string format = demo.getString("format", "prom");
-    if (format == "json")
+    if (format == "text")
+        telemetry::writeText(snap, std::cout);
+    else if (format == "json")
         telemetry::writeJson(snap, std::cout);
-    else if (format == "prom" || format == "prometheus")
-        telemetry::writePrometheus(snap, std::cout);
     else
-        fatal("unknown format '%s' (prom|json)", format.c_str());
+        telemetry::writePrometheus(snap, std::cout);
     return 0;
 }
 
@@ -579,7 +558,7 @@ cmdServe(const Config &cfg)
                              .count();
 
     const serve::ServeCounters counters = server.counters();
-    const serve::LatencyHistogram::Summary lat =
+    const telemetry::LatencyHistogram::Summary lat =
         server.latency().summary();
     TextTable table("serving summary (" + backendName + " on " + w.name +
                     ")");
@@ -642,8 +621,6 @@ main(int argc, char **argv)
         return cmdEvalSnn(cfg);
     if (std::strcmp(cmd, "serve") == 0)
         return cmdServe(cfg);
-    if (std::strcmp(cmd, "stats") == 0)
-        return cmdStats(cfg);
     if (std::strcmp(cmd, "metrics") == 0)
         return cmdMetrics(cfg);
     warn("unknown subcommand '%s'", cmd);
