@@ -81,6 +81,8 @@ struct Case
     std::function<void()> run;
     /** @return the output buffer for the bit-identity check. */
     std::function<std::vector<unsigned char>()> snapshot;
+    /** Restores in-place state before each ISA's runs (optional). */
+    std::function<void()> reset = {};
 };
 
 } // namespace
@@ -185,37 +187,21 @@ main(int argc, char **argv)
                          },
                          [=] { return bytesOf(*ys); }});
 
-        // Batched outer update: the training path's whole-minibatch
-        // variant (32 samples per call, repo batch size). The weights
-        // are rebuilt from the same seed state each rep so the
-        // accumulation cannot overflow across reps; the per-rep reset
-        // is part of every ISA's timed loop alike.
-        constexpr std::size_t kBatch = 32;
-        const auto wmutB = std::make_shared<std::vector<float>>(*w);
-        struct BatchData
-        {
-            std::vector<std::vector<float>> deltas, acts;
-            std::vector<const float *> dptr, aptr;
-        };
-        const auto bd = std::make_shared<BatchData>();
-        for (std::size_t b = 0; b < kBatch; ++b) {
-            bd->deltas.push_back(randomVec(rng, s.rows));
-            bd->acts.push_back(randomVec(rng, s.cols - 1));
-        }
-        for (std::size_t b = 0; b < kBatch; ++b) {
-            bd->dptr.push_back(bd->deltas[b].data());
-            bd->aptr.push_back(bd->acts[b].data());
-        }
-        cases.push_back({"addOuterBiasBatch", tag + "xb32",
-                         s.rows * s.cols * kBatch,
+        // Outer-product update, one sample per call as training runs
+        // it. The weights restart from the same state before every
+        // ISA's timed loop, so each ISA's output is the same sequence
+        // of updates.
+        const auto wmut = std::make_shared<std::vector<float>>(*w);
+        const auto d = std::make_shared<std::vector<float>>(
+            randomVec(rng, s.rows));
+        cases.push_back({"addOuterBias", tag, s.rows * s.cols,
                          [=] {
-                             *wmutB = *w;
-                             kernels::addOuterBiasBatch(
-                                 wmutB->data(), s.rows, s.cols, 0.05f,
-                                 bd->dptr.data(), bd->aptr.data(),
-                                 kBatch);
+                             kernels::addOuterBias(
+                                 wmut->data(), s.rows, s.cols, 0.05f,
+                                 d->data(), x->data());
                          },
-                         [=] { return bytesOf(*wmutB); }});
+                         [=] { return bytesOf(*wmut); },
+                         [=] { *wmut = *w; }});
 
         // q8: same shape as the float layer, int8 weights.
         const auto wq = std::make_shared<std::vector<int8_t>>(
@@ -302,6 +288,8 @@ main(int argc, char **argv)
             for (std::size_t k = 0; k < isas.size(); ++k) {
                 const std::size_t i = (t + k) % isas.size();
                 kernels::setSimdMode(isas[i].second);
+                if (c.reset)
+                    c.reset();
                 c.run(); // warm-up (page faults, table select).
                 best[i] = std::min(best[i], secondsOf([&] {
                     for (std::size_t r = 0; r < reps; ++r)

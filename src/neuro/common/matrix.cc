@@ -82,16 +82,6 @@ Matrix::addOuter(float eta, const float *d, const float *x)
 }
 
 void
-Matrix::addScaled(const Matrix &other, float scale)
-{
-    NEURO_ASSERT(other.rows_ == rows_ && other.cols_ == cols_,
-                 "addScaled shape mismatch (%zux%zu += %zux%zu)", rows_,
-                 cols_, other.rows_, other.cols_);
-    kernels::addScaled(data_.data(), other.data_.data(), data_.size(),
-                       scale);
-}
-
-void
 Matrix::gemvBias(const float *x, float *y) const
 {
     NEURO_ASSERT(cols_ > 0, "gemvBias needs a bias column");

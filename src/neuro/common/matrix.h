@@ -65,9 +65,6 @@ class Matrix
      */
     void gemvBias(const float *x, float *y) const;
 
-    /** this += scale * other (same shape). */
-    void addScaled(const Matrix &other, float scale);
-
     /** @return underlying storage (for serialization / tests). */
     std::vector<float> &data() { return data_; }
     /** @return underlying storage, const. */

@@ -301,24 +301,9 @@ void
 addOuterBias(float *w, std::size_t rows, std::size_t cols, float eta,
              const float *d, const float *x)
 {
-    addOuterBiasBatch(w, rows, cols, eta, &d, &x, 1);
-}
-
-void
-addOuterBiasBatch(float *w, std::size_t rows, std::size_t cols,
-                  float eta, const float *const *deltas,
-                  const float *const *acts, std::size_t batch)
-{
-    NEURO_ASSERT(cols > 0, "addOuterBiasBatch needs a bias column");
+    NEURO_ASSERT(cols > 0, "addOuterBias needs a bias column");
     metrics().outer->inc();
-    active().addOuterBiasBatch(w, rows, cols, eta, deltas, acts, batch);
-}
-
-void
-addScaled(float *dst, const float *src, std::size_t n, float scale)
-{
-    metrics().outer->inc();
-    active().addScaled(dst, src, n, scale);
+    active().addOuterBias(w, rows, cols, eta, d, x);
 }
 
 void

@@ -21,12 +21,11 @@
  * floating-point additions within one result. Float reductions keep
  * the project's exact schedule (four partial accumulators merged as
  * (a0+a1)+(a2+a3), then the tail, then the bias), element-wise updates
- * have one mul-add per element per sample in sample order, and the
- * kernel translation units are built with -ffp-contract=off so no
- * variant fuses a multiply into an FMA. Results are therefore
- * bit-identical across Scalar/Avx2/Avx512 and to the pre-kernel
- * scalar paths — enforced by tests/test_kernels.cc and the
- * determinism suites.
+ * have one mul-add per element, and the kernel translation units are
+ * built with -ffp-contract=off so no variant fuses a multiply into an
+ * FMA. Results are therefore bit-identical across Scalar/Avx2/Avx512
+ * and to the pre-kernel scalar paths — enforced by
+ * tests/test_kernels.cc and the determinism suites.
  *
  * Layouts:
  *  - dense matrices are row-major float, row stride == cols (the
@@ -97,13 +96,9 @@ struct KernelTable
                        int32_t *y) = nullptr;
     void (*addOuter)(float *w, std::size_t rows, std::size_t cols,
                      float eta, const float *d, const float *x) = nullptr;
-    void (*addOuterBiasBatch)(float *w, std::size_t rows,
-                              std::size_t cols, float eta,
-                              const float *const *deltas,
-                              const float *const *acts,
-                              std::size_t batch) = nullptr;
-    void (*addScaled)(float *dst, const float *src, std::size_t n,
-                      float scale) = nullptr;
+    void (*addOuterBias)(float *w, std::size_t rows, std::size_t cols,
+                         float eta, const float *d,
+                         const float *x) = nullptr;
     void (*addRowF64)(double *acc, const float *row,
                       std::size_t n) = nullptr;
     std::size_t (*popcountWords)(const uint64_t *words,
@@ -191,28 +186,11 @@ void addOuter(float *w, std::size_t rows, std::size_t cols, float eta,
 
 /**
  * W += eta * d * [x; 1]^T (@p x has cols - 1 entries; the bias column
- * sees a constant 1), skipping rows whose eta * d[r] == 0. The
- * one-sample case of addOuterBiasBatch, and run as exactly that.
+ * sees a constant 1), skipping rows whose eta * d[r] == 0 — one
+ * sample's back-propagation weight update.
  */
 void addOuterBias(float *w, std::size_t rows, std::size_t cols,
                   float eta, const float *d, const float *x);
-
-/**
- * The whole minibatch's outer-product update in one pass:
- * W += eta * deltas[b] * [acts[b]; 1]^T applied for b = 0..batch-1 in
- * sample order. Per weight element the floating-point adds happen in
- * exactly the order @p batch sequential one-sample updates would
- * produce (and rows with eta * deltas[b][r] == 0 are skipped the same
- * way), so the result is bit-identical — but the weight matrix
- * streams through the cache once per batch instead of once per
- * sample.
- */
-void addOuterBiasBatch(float *w, std::size_t rows, std::size_t cols,
-                       float eta, const float *const *deltas,
-                       const float *const *acts, std::size_t batch);
-
-/** dst[i] += scale * src[i] for i in [0, n). */
-void addScaled(float *dst, const float *src, std::size_t n, float scale);
 
 /**
  * acc[i] += row[i] widened to double, for i in [0, n) — the event

@@ -13,9 +13,9 @@
  * lane, so each lane is one chain of that sequence.
  *
  * Every loop follows one of two shapes:
- *  - independent element chains (gemvT, addOuter*, addScaled,
- *    addRowF64): each output element owns its additions, so
- *    vectorizing across elements is order-preserving by construction;
+ *  - independent element chains (gemvT, addOuter*, addRowF64): each
+ *    output element owns its additions, so vectorizing across
+ *    elements is order-preserving by construction;
  *  - fixed-schedule reductions (gemv, gemvBias, the strips): four
  *    partial accumulators merged as (a0+a1)+(a2+a3), then the tail,
  *    then the bias — dotUnrolled's historical order, now the layer's
@@ -333,105 +333,49 @@ kGemvBiasQ8(const int8_t *__restrict w, std::size_t rows, std::size_t cols,
     }
 }
 
+/**
+ * o[k] += scale * v[k] for k in [0, n): one weight row of the
+ * outer-product updates, one mul-add per element.
+ */
+inline void
+scaleAddRow(float *__restrict o, const float *__restrict v,
+            std::size_t n, float scale)
+{
+    std::size_t c = 0;
+    for (; c + kTile <= n; c += kTile) {
+        float *ot = o + c;
+        const float *vt = v + c;
+        for (std::size_t k = 0; k < kTile; ++k)
+            ot[k] += scale * vt[k];
+    }
+    for (; c < n; ++c)
+        o[c] += scale * v[c];
+}
+
 void
-kAddOuter(float *__restrict w, std::size_t rows, std::size_t cols,
-          float eta, const float *__restrict d, const float *__restrict x)
+kAddOuter(float *w, std::size_t rows, std::size_t cols, float eta,
+          const float *d, const float *x)
 {
     for (std::size_t r = 0; r < rows; ++r) {
-        float *wr = w + r * cols;
+        const float scale = eta * d[r];
+        if (scale != 0.0f)
+            scaleAddRow(w + r * cols, x, cols, scale);
+    }
+}
+
+void
+kAddOuterBias(float *w, std::size_t rows, std::size_t cols, float eta,
+              const float *d, const float *x)
+{
+    // The bias column's input is the constant 1.
+    for (std::size_t r = 0; r < rows; ++r) {
         const float scale = eta * d[r];
         if (scale == 0.0f)
             continue;
-        std::size_t c = 0;
-        for (; c + kTile <= cols; c += kTile) {
-            float *o = wr + c;
-            const float *v = x + c;
-            for (std::size_t k = 0; k < kTile; ++k)
-                o[k] += scale * v[k];
-        }
-        for (; c < cols; ++c)
-            wr[c] += scale * x[c];
+        float *wr = w + r * cols;
+        scaleAddRow(wr, x, cols - 1, scale);
+        wr[cols - 1] += scale;
     }
-}
-
-void
-kAddOuterBiasBatch(float *w, std::size_t rows, std::size_t cols,
-                   float eta, const float *const *deltas,
-                   const float *const *acts, std::size_t batch)
-{
-    const std::size_t n = cols - 1;
-    // Register-tiled accumulation: a kBatchAccTile-float slice of the
-    // weight row is loaded into an accumulator (a handful of vector
-    // registers once vectorised), every sample's contribution is added
-    // into it in sample order, and it is stored back once — so each
-    // weight element moves through memory once per batch instead of
-    // once per sample, and the inner trip count is a compile-time
-    // constant the vectoriser unrolls without checks. The outer
-    // kBatchColGroup loop keeps the activation slices for the whole
-    // minibatch L1-resident while every row streams over them. Per
-    // weight element the adds happen in one rounded float chain in
-    // sample order (b ascending) with the same zero-scale skip —
-    // exactly the FP sequence of `batch` sequential per-sample
-    // W += eta * d * [x; 1]^T updates, so the result is bit-identical.
-    constexpr std::size_t kBatchAccTile = 64;
-    constexpr std::size_t kBatchColGroup = 256;
-    for (std::size_t c0 = 0; c0 < n; c0 += kBatchColGroup) {
-        const std::size_t c1 =
-            c0 + kBatchColGroup < n ? c0 + kBatchColGroup : n;
-        for (std::size_t r = 0; r < rows; ++r) {
-            float *__restrict wr = w + r * cols;
-            std::size_t c = c0;
-            for (; c + kBatchAccTile <= c1; c += kBatchAccTile) {
-                float acc[kBatchAccTile];
-                for (std::size_t k = 0; k < kBatchAccTile; ++k)
-                    acc[k] = wr[c + k];
-                for (std::size_t b = 0; b < batch; ++b) {
-                    const float scale = eta * deltas[b][r];
-                    if (scale == 0.0f)
-                        continue;
-                    const float *__restrict x = acts[b] + c;
-                    for (std::size_t k = 0; k < kBatchAccTile; ++k)
-                        acc[k] += scale * x[k];
-                }
-                for (std::size_t k = 0; k < kBatchAccTile; ++k)
-                    wr[c + k] = acc[k];
-            }
-            // Ragged tail of the column group (or of the matrix).
-            if (c < c1) {
-                for (std::size_t b = 0; b < batch; ++b) {
-                    const float scale = eta * deltas[b][r];
-                    if (scale == 0.0f)
-                        continue;
-                    const float *__restrict x = acts[b];
-                    for (std::size_t cc = c; cc < c1; ++cc)
-                        wr[cc] += scale * x[cc];
-                }
-            }
-        }
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-        float *__restrict wr = w + r * cols;
-        for (std::size_t b = 0; b < batch; ++b) {
-            const float scale = eta * deltas[b][r];
-            if (scale != 0.0f)
-                wr[n] += scale; // bias input is the constant 1.
-        }
-    }
-}
-
-void
-kAddScaled(float *__restrict dst, const float *__restrict src,
-           std::size_t n, float scale)
-{
-    std::size_t i = 0;
-    for (; i + kTile <= n; i += kTile) {
-        float *o = dst + i;
-        const float *v = src + i;
-        for (std::size_t k = 0; k < kTile; ++k)
-            o[k] += scale * v[k];
-    }
-    for (; i < n; ++i)
-        dst[i] += scale * src[i];
 }
 
 void
@@ -478,8 +422,7 @@ table()
         kt.gemvBiasStrip = kGemvBiasStrip;
         kt.gemvBiasQ8 = kGemvBiasQ8;
         kt.addOuter = kAddOuter;
-        kt.addOuterBiasBatch = kAddOuterBiasBatch;
-        kt.addScaled = kAddScaled;
+        kt.addOuterBias = kAddOuterBias;
         kt.addRowF64 = kAddRowF64;
         kt.popcountWords = kPopcountWords;
         return kt;

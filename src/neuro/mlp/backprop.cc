@@ -1,6 +1,5 @@
 #include "neuro/mlp/backprop.h"
 
-#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -15,7 +14,7 @@ namespace mlp {
 
 namespace {
 
-/** Per-sample scratch for one forward/backward pass. */
+/** Buffers of one forward/backward pass, reused across samples. */
 struct SampleScratch
 {
     std::vector<float> input;
@@ -26,14 +25,18 @@ struct SampleScratch
 };
 
 /**
- * Backward pass over an already-recorded activation trace: fills
- * scratch.deltas and records the squared output error for @p label.
- * Reads the network weights only, so concurrent calls on distinct
- * scratches are safe while the weights are not being updated.
+ * Forward pass over sample @p idx recording every layer's
+ * activations, then the backward pass: fills scratch.deltas and
+ * records the squared output error.
  */
 void
-backwardFromTrace(const Mlp &net, int label, SampleScratch &scratch)
+forwardBackward(const Mlp &net, const datasets::Dataset &data,
+                std::size_t idx, SampleScratch &scratch)
 {
+    scratch.input.resize(net.inputSize());
+    data.normalized(idx, scratch.input.data());
+    net.forwardTrace(scratch.input.data(), scratch.activations);
+
     const Activation &act = net.activation();
     scratch.deltas.resize(net.numLayers());
     scratch.sqError = 0.0;
@@ -41,10 +44,10 @@ backwardFromTrace(const Mlp &net, int label, SampleScratch &scratch)
     // Output layer: delta = f'(s) * (target - output).
     const std::size_t last = net.numLayers() - 1;
     const std::vector<float> &out = scratch.activations[last + 1];
+    const auto label = static_cast<std::size_t>(data[idx].label);
     scratch.deltas[last].assign(out.size(), 0.0f);
     for (std::size_t j = 0; j < out.size(); ++j) {
-        const float target =
-            j == static_cast<std::size_t>(label) ? 1.0f : 0.0f;
+        const float target = j == label ? 1.0f : 0.0f;
         const float e = target - out[j];
         scratch.sqError += static_cast<double>(e) * e;
         scratch.deltas[last][j] = act.derivativeFromOutput(out[j]) * e;
@@ -69,83 +72,6 @@ backwardFromTrace(const Mlp &net, int label, SampleScratch &scratch)
     }
 }
 
-/** Forward + backward for one sample (the scalar path, used for the
- *  paper-exact per-presentation SGD and for partial strips). */
-void
-forwardBackward(const Mlp &net, const datasets::Dataset &data,
-                std::size_t idx, SampleScratch &scratch)
-{
-    scratch.input.resize(net.inputSize());
-    data.normalized(idx, scratch.input.data());
-    net.forwardTrace(scratch.input.data(), scratch.activations);
-    backwardFromTrace(net, data[idx].label, scratch);
-}
-
-/** Shared buffers for one strip-batched forward pass. */
-struct StripScratch
-{
-    std::vector<float> in;   ///< sample-minor input strip.
-    std::vector<float> cur;  ///< current layer activations (strip).
-    std::vector<float> next; ///< next layer activations (strip).
-};
-
-/**
- * Forward + backward for a full strip of kernels::kStripWidth
- * samples. The forward pass runs through kernels::gemvBiasStrip — one
- * weight-matrix sweep feeds all 16 samples, so the weights stream
- * from memory once per strip instead of once per sample — and each
- * layer's activations are scattered back into the per-sample trace
- * buffers the backward pass expects. Every sample's float operation
- * sequence matches Mlp::forwardTrace exactly (the strip kernel keeps
- * dotUnrolled's reduction schedule per sample), so training stays
- * bit-identical to the scalar path.
- *
- * @p order points at the kStripWidth shuffled dataset indices of this
- * strip; @p scratch at its kStripWidth per-sample scratch slots.
- */
-void
-forwardBackwardStrip(const Mlp &net, const datasets::Dataset &data,
-                     const uint32_t *order, SampleScratch *scratch,
-                     StripScratch &strip)
-{
-    constexpr std::size_t kStrip = kernels::kStripWidth;
-    const std::size_t inputs = net.inputSize();
-    const Activation &act = net.activation();
-
-    for (std::size_t b = 0; b < kStrip; ++b) {
-        SampleScratch &s = scratch[b];
-        s.input.resize(inputs);
-        data.normalized(order[b], s.input.data());
-        s.activations.resize(net.numLayers() + 1);
-        s.activations[0].assign(s.input.begin(), s.input.end());
-    }
-    strip.in.resize(inputs * kStrip);
-    for (std::size_t k = 0; k < inputs; ++k)
-        for (std::size_t b = 0; b < kStrip; ++b)
-            strip.in[k * kStrip + b] = scratch[b].input[k];
-
-    strip.cur.assign(strip.in.begin(), strip.in.end());
-    for (std::size_t l = 0; l < net.numLayers(); ++l) {
-        const Matrix &w = net.weights(l);
-        const std::size_t rows = w.rows();
-        strip.next.resize(rows * kStrip);
-        kernels::gemvBiasStrip(w.data().data(), rows, w.cols(),
-                               strip.cur.data(), strip.next.data());
-        for (float &v : strip.next)
-            v = act.apply(v);
-        for (std::size_t b = 0; b < kStrip; ++b) {
-            std::vector<float> &a = scratch[b].activations[l + 1];
-            a.resize(rows);
-            for (std::size_t j = 0; j < rows; ++j)
-                a[j] = strip.next[j * kStrip + b];
-        }
-        strip.cur.swap(strip.next);
-    }
-
-    for (std::size_t b = 0; b < kStrip; ++b)
-        backwardFromTrace(net, data[order[b]].label, scratch[b]);
-}
-
 } // namespace
 
 void
@@ -165,96 +91,36 @@ train(Mlp &net, const datasets::Dataset &data, const TrainConfig &config,
     Rng rng(config.seed);
     const std::size_t n = data.size();
     std::vector<uint32_t> order(n);
+    // Rng::shuffle refills the order, so this draw only advances the
+    // stream; it stays so every seed keeps its published results.
     rng.shuffle(order.data(), n);
-
-    const std::size_t batch = std::max<std::size_t>(1, config.batchSize);
-    constexpr std::size_t kStrip = kernels::kStripWidth;
-    // One scratch per concurrent batch slot; reused across batches and
-    // epochs so the steady state allocates nothing.
-    std::vector<SampleScratch> scratch(batch);
-    std::vector<StripScratch> strips(std::max<std::size_t>(
-        1, batch / kStrip));
-    // Per-layer pointer tables for the batched outer-product update.
-    std::vector<const float *> delta_ptrs(batch);
-    std::vector<const float *> act_ptrs(batch);
+    SampleScratch scratch;
 
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
         NEURO_PROFILE_SCOPE("mlp/train/epoch");
-        if (config.shuffle)
-            rng.shuffle(order.data(), n);
+        rng.shuffle(order.data(), n);
         double sq_error = 0.0;
-
-        for (std::size_t start = 0; start < n; start += batch) {
-            const std::size_t count = std::min(batch, n - start);
-            if (count == 1) {
-                // Paper-exact per-presentation SGD.
-                forwardBackward(net, data, order[start], scratch[0]);
-            } else {
-                // Minibatch: every gradient in the batch is computed
-                // against the batch-start weights, so the samples are
-                // independent and can run across the pool. Full strips
-                // of kStrip samples share one weight-matrix sweep
-                // through kernels::gemvBiasStrip; the remainder runs
-                // the scalar path. Both produce bit-identical traces,
-                // and the per-slot scratch plus in-order update below
-                // keep training bit-identical at any thread count.
-                const std::size_t full = count / kStrip;
-                if (full > 0) {
-                    // Grain 1: one strip (kStrip whole samples through
-                    // every layer) is already far more work than a
-                    // pool dispatch, so shard at strip granularity.
-                    parallelFor(std::size_t{0}, full, std::size_t{1},
-                                [&](std::size_t s) {
-                                    forwardBackwardStrip(
-                                        net, data,
-                                        order.data() + start + s * kStrip,
-                                        scratch.data() + s * kStrip,
-                                        strips[s]);
-                                });
-                }
-                if (full * kStrip < count) {
-                    // The ragged tail is at most kStrip - 1 scalar
-                    // samples; a sample is too little work to amortize
-                    // a dispatch, so keep at least 8 per chunk.
-                    parallelFor(full * kStrip, count, std::size_t{8},
-                                [&](std::size_t b) {
-                                    forwardBackward(net, data,
-                                                    order[start + b],
-                                                    scratch[b]);
-                                });
-                }
-            }
-
-            // Weight updates: w_ji += eta * delta_j * y_i (bias sees
-            // a constant 1) — the accumulated gemm-shaped update,
-            // applied with one whole-batch kernel call per layer so
-            // each weight row streams once per batch instead of once
-            // per sample. Per element the adds still run in batch
-            // order (sample 0 first), so the result is bit-identical
-            // to the historical per-sample update loop.
-            for (std::size_t b = 0; b < count; ++b)
-                sq_error += scratch[b].sqError;
+        for (std::size_t i = 0; i < n; ++i) {
+            forwardBackward(net, data, order[i], scratch);
+            sq_error += scratch.sqError;
+            // w_ji += eta * delta_j * y_i; the bias sees a constant 1.
             for (std::size_t l = 0; l < net.numLayers(); ++l) {
-                for (std::size_t b = 0; b < count; ++b) {
-                    delta_ptrs[b] = scratch[b].deltas[l].data();
-                    act_ptrs[b] = scratch[b].activations[l].data();
-                }
                 Matrix &w = net.weights(l);
-                kernels::addOuterBiasBatch(
-                    w.data().data(), w.rows(), w.cols(),
-                    config.learningRate, delta_ptrs.data(),
-                    act_ptrs.data(), count);
+                kernels::addOuterBias(w.data().data(), w.rows(), w.cols(),
+                                      config.learningRate,
+                                      scratch.deltas[l].data(),
+                                      scratch.activations[l].data());
             }
         }
 
+        const double mse =
+            sq_error / static_cast<double>(n * net.outputSize());
         obsCount<"mlp.images_trained">(n);
-        obsGauge<"mlp.epoch_error">(
-            sq_error / static_cast<double>(n * net.outputSize()));
+        obsGauge<"mlp.epoch_error">(mse);
         if (callback) {
             EpochReport report;
             report.epoch = epoch;
-            report.trainError =
-                sq_error / static_cast<double>(n * net.outputSize());
+            report.trainError = mse;
             callback(report);
         }
     }
@@ -264,41 +130,29 @@ double
 evaluate(const Mlp &net, const datasets::Dataset &data)
 {
     NEURO_ASSERT(!data.empty(), "cannot evaluate on an empty dataset");
+    NEURO_ASSERT(data.inputSize() == net.inputSize(),
+                 "dataset input size %zu != network input size %zu",
+                 data.inputSize(), net.inputSize());
     NEURO_PROFILE_SCOPE("mlp/eval");
     const std::size_t n = data.size();
-    constexpr std::size_t kStrip = kernels::kStripWidth;
     // Per-sample hit flags: sharding the test set across workers
-    // cannot reorder anything the reduction below can observe. Strip
-    // and scalar classification agree exactly (forwardStrip is
-    // bit-identical to forward, argmaxStrip uses the same tie rule as
-    // predict), so shard boundaries cannot change the result either.
-    // The grain covers several strips per shard so each worker's
-    // scratch and the kernel dispatch amortize.
+    // cannot reorder anything the reduction below can observe, and
+    // classifyPixels answers predict() per image wherever a shard or
+    // strip boundary falls. The grain covers several strips per shard
+    // so each worker's scratch and the kernel dispatch amortize.
     std::vector<uint8_t> hit(n, 0);
-    parallelForRange(0, n, 4 * kStrip,
+    parallelForRange(0, n, 4 * kernels::kStripWidth,
                      [&](std::size_t i0, std::size_t i1) {
         NEURO_PROFILE_SCOPE("mlp/eval/shard");
-        const std::size_t inputs = net.inputSize();
-        std::vector<float> input(inputs);
-        std::vector<float> strip_in(inputs * kStrip);
-        std::vector<float> cur, next;
-        int classes[kStrip];
-        std::size_t i = i0;
-        for (; i + kStrip <= i1; i += kStrip) {
-            for (std::size_t b = 0; b < kStrip; ++b) {
-                data.normalized(i + b, input.data());
-                for (std::size_t k = 0; k < inputs; ++k)
-                    strip_in[k * kStrip + b] = input[k];
-            }
-            net.forwardStrip(strip_in.data(), cur, next);
-            argmaxStrip(cur.data(), net.outputSize(), classes);
-            for (std::size_t b = 0; b < kStrip; ++b)
-                hit[i + b] = classes[b] == data[i + b].label;
-        }
-        for (; i < i1; ++i) {
-            data.normalized(i, input.data());
-            hit[i] = net.predict(input.data()) == data[i].label;
-        }
+        std::vector<const uint8_t *> pixels(i1 - i0);
+        for (std::size_t i = i0; i < i1; ++i)
+            pixels[i - i0] = data[i].pixels.data();
+        std::vector<int> classes(i1 - i0);
+        ClassifyScratch scratch;
+        classifyPixels(net, pixels.data(), pixels.size(), classes.data(),
+                       scratch);
+        for (std::size_t i = i0; i < i1; ++i)
+            hit[i] = classes[i - i0] == data[i].label;
     });
     const std::size_t correct =
         std::accumulate(hit.begin(), hit.end(), std::size_t{0});

@@ -1,10 +1,12 @@
 /**
  * @file
  * Back-propagation training (Section 2.1): stochastic gradient descent
- * over per-sample presentations, with the paper's weight-update rule
+ * over per-sample presentations in a freshly shuffled order each
+ * epoch, with the paper's weight-update rule
  * w(t+1) = w(t) + eta * delta_j * y_i, output-layer gradient
  * delta = f'(s) * e and hidden-layer gradient back-propagated through the
- * next layer's weights.
+ * next layer's weights. Every sample updates the weights before the
+ * next one is presented (kernels::addOuterBias, one call per layer).
  */
 
 #pragma once
@@ -26,18 +28,7 @@ struct TrainConfig
 {
     float learningRate = 0.3f; ///< eta.
     std::size_t epochs = 50;   ///< passes over the training set.
-    uint64_t seed = 7;         ///< shuffling seed.
-    bool shuffle = true;       ///< reshuffle each epoch.
-    /**
-     * Samples per weight update. 1 (the default) is the paper's
-     * per-presentation SGD. Larger values switch to minibatch
-     * accumulation: gradients for the whole batch are computed
-     * against the batch-start weights (in parallel when the thread
-     * pool is active — results are batch-order deterministic and
-     * thread-count independent) and applied as one gemm-shaped
-     * accumulated update.
-     */
-    std::size_t batchSize = 1;
+    uint64_t seed = 7;         ///< seed of the per-epoch reshuffle.
 };
 
 /** Per-epoch progress report. */

@@ -164,6 +164,38 @@ argmaxStrip(const float *strip, std::size_t rows, int *classes)
     }
 }
 
+void
+classifyPixels(const Mlp &net, const uint8_t *const *pixels,
+               std::size_t count, int *classes, ClassifyScratch &scratch)
+{
+    constexpr std::size_t kStrip = kernels::kStripWidth;
+    const std::size_t inputs = net.inputSize();
+    scratch.in.resize(inputs * kStrip);
+    std::size_t s = 0;
+    for (; s + kStrip <= count; s += kStrip) {
+        // Pixel-outer transpose into the sample-minor strip: for each
+        // pixel index the destination run x[k*kStrip..] is contiguous,
+        // so the byte gather goes through a tiny staging row and the
+        // convert/scale vectorizes into one sequential write pass.
+        const uint8_t *const *strip = pixels + s;
+        float *__restrict x = scratch.in.data();
+        for (std::size_t k = 0; k < inputs; ++k) {
+            uint8_t staged[kStrip];
+            for (std::size_t b = 0; b < kStrip; ++b)
+                staged[b] = strip[b][k];
+            for (std::size_t b = 0; b < kStrip; ++b)
+                x[k * kStrip + b] = static_cast<float>(staged[b]) / 255.0f;
+        }
+        net.forwardStrip(scratch.in.data(), scratch.cur, scratch.next);
+        argmaxStrip(scratch.cur.data(), net.outputSize(), classes + s);
+    }
+    for (; s < count; ++s) {
+        for (std::size_t k = 0; k < inputs; ++k)
+            scratch.in[k] = static_cast<float>(pixels[s][k]) / 255.0f;
+        classes[s] = net.predict(scratch.in.data());
+    }
+}
+
 int
 Mlp::predict(const float *input) const
 {

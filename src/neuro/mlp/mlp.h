@@ -127,6 +127,26 @@ class Mlp
  */
 void argmaxStrip(const float *strip, std::size_t rows, int *classes);
 
+/** Caller-owned buffers of classifyPixels, reusable across calls. */
+struct ClassifyScratch
+{
+    std::vector<float> in;        ///< input strip, or one input.
+    std::vector<float> cur, next; ///< strip activations.
+};
+
+/**
+ * Classify @p count images, @p pixels[i] pointing at image i's
+ * inputSize() 8-bit pixels (normalized as px / 255, exactly as
+ * datasets::Dataset::normalized does). Full strips of
+ * kernels::kStripWidth images run through forwardStrip and
+ * argmaxStrip; the remaining count % kStripWidth run through
+ * predict(). Strip and scalar answers agree bit for bit, so every
+ * class equals predict() on that image alone.
+ */
+void classifyPixels(const Mlp &net, const uint8_t *const *pixels,
+                    std::size_t count, int *classes,
+                    ClassifyScratch &scratch);
+
 } // namespace mlp
 } // namespace neuro
 

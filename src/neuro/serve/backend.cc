@@ -43,76 +43,34 @@ constexpr std::size_t kStrip = kernels::kStripWidth;
 class MlpSession final : public BackendSession
 {
   public:
-    explicit MlpSession(const mlp::Mlp &net)
-        : net_(net), input_(net.inputSize())
-    {
-    }
+    explicit MlpSession(const mlp::Mlp &net) : net_(net) {}
 
     int
     classify(const uint8_t *pixels, std::size_t numPixels,
              uint64_t /*streamSeed*/) override
     {
-        NEURO_ASSERT(numPixels == input_.size(),
-                     "mlp backend fed %zu pixels, expects %zu",
-                     numPixels, input_.size());
-        for (std::size_t i = 0; i < numPixels; ++i)
-            input_[i] = static_cast<float>(pixels[i]) / 255.0f;
-        return net_.predict(input_.data());
+        int cls = -1;
+        classifyBatch(&pixels, nullptr, 1, numPixels, &cls);
+        return cls;
     }
 
-    /**
-     * Batch path: full strips of kStrip samples go through the shared
-     * kernel layer's strip forward (one weight-matrix sweep feeds all
-     * 16 samples, SIMD across them); the sub-strip remainder takes
-     * the scalar path. Mlp::forwardStrip is bit-identical to
-     * Mlp::forward per sample and mlp::argmaxStrip keeps
-     * std::max_element tie-breaking, so the answers always match
-     * per-sample classify().
-     */
+    /** Full strips of kStrip samples share one weight-matrix sweep
+     *  (mlp::classifyPixels); the answers match per-sample
+     *  classify() bit for bit. */
     void
     classifyBatch(const uint8_t *const *pixels,
-                  const uint64_t *streamSeeds, std::size_t count,
+                  const uint64_t * /*streamSeeds*/, std::size_t count,
                   std::size_t numPixels, int *classes) override
     {
         NEURO_ASSERT(numPixels == net_.inputSize(),
                      "mlp backend fed %zu pixels, expects %zu",
                      numPixels, net_.inputSize());
-        std::size_t s = 0;
-        for (; s + kStrip <= count; s += kStrip)
-            classifyStrip(pixels + s, classes + s);
-        for (; s < count; ++s)
-            classes[s] = classify(pixels[s], numPixels, streamSeeds[s]);
+        mlp::classifyPixels(net_, pixels, count, classes, scratch_);
     }
 
   private:
-    /** Normalize kStrip images into the sample-minor strip layout and
-     *  classify them through the shared kernels. */
-    void
-    classifyStrip(const uint8_t *const *pixels, int *classes)
-    {
-        // Pixel-outer transpose: for each pixel index the destination
-        // row x[k*kStrip..] is one contiguous cache line, so the byte
-        // gather goes through a tiny staging row and the convert/scale
-        // vectorizes into one sequential write pass over the strip.
-        const std::size_t inputs = net_.inputSize();
-        stripIn_.resize(inputs * kStrip);
-        float *__restrict x = stripIn_.data();
-        for (std::size_t k = 0; k < inputs; ++k) {
-            uint8_t staged[kStrip];
-            for (std::size_t b = 0; b < kStrip; ++b)
-                staged[b] = pixels[b][k];
-            for (std::size_t b = 0; b < kStrip; ++b)
-                x[k * kStrip + b] =
-                    static_cast<float>(staged[b]) / 255.0f;
-        }
-        net_.forwardStrip(stripIn_.data(), cur_, next_);
-        mlp::argmaxStrip(cur_.data(), net_.outputSize(), classes);
-    }
-
     const mlp::Mlp &net_;
-    std::vector<float> input_;
-    std::vector<float> stripIn_;    ///< SoA input strip.
-    std::vector<float> cur_, next_; ///< SoA strip activations.
+    mlp::ClassifyScratch scratch_;
 };
 
 class MlpBackend final : public InferenceBackend

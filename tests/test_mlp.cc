@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
 #include "neuro/datasets/synth_digits.h"
+#include "neuro/kernels/kernels.h"
 #include "neuro/mlp/backprop.h"
 #include "neuro/mlp/mlp.h"
 
@@ -118,6 +121,83 @@ TEST(Backprop, LearnsSmallDigitTask)
     const double acc =
         trainAndEvaluate(config, train, split.train, split.test, 9);
     EXPECT_GT(acc, 0.8) << "MLP failed to learn digits";
+}
+
+TEST(Mlp, ClassifyPixelsEqualsPredictPerImage)
+{
+    // Two full strips plus a ragged scalar tail.
+    datasets::SynthDigitsOptions opt;
+    opt.trainSize = 10;
+    opt.testSize = 2 * kernels::kStripWidth + 5;
+    const datasets::Split split = datasets::makeSynthDigits(opt);
+    MlpConfig config;
+    config.layerSizes = {784, 21, 10};
+    Rng rng(12);
+    const Mlp net(config, rng);
+
+    const datasets::Dataset &test = split.test;
+    std::vector<const uint8_t *> pixels;
+    for (std::size_t i = 0; i < test.size(); ++i)
+        pixels.push_back(test[i].pixels.data());
+    std::vector<int> classes(test.size(), -1);
+    ClassifyScratch scratch;
+    classifyPixels(net, pixels.data(), pixels.size(), classes.data(),
+                   scratch);
+    std::vector<float> input(net.inputSize());
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        test.normalized(i, input.data());
+        EXPECT_EQ(net.predict(input.data()), classes[i]) << "image " << i;
+    }
+}
+
+TEST(Backprop, PerSampleTrainingIsBitIdenticalAcrossIsas)
+{
+    // One epoch of per-sample SGD must leave the same weights, bit for
+    // bit, at every kernel table and thread count. 784 inputs fill
+    // whole 16-column tiles of addOuterBias; 21 hidden units leave a
+    // ragged tail.
+    datasets::SynthDigitsOptions opt;
+    opt.trainSize = 200;
+    opt.testSize = 10;
+    const datasets::Split split = datasets::makeSynthDigits(opt);
+    MlpConfig config;
+    config.layerSizes = {784, 21, 10};
+    TrainConfig train;
+    train.epochs = 1;
+    auto trainedWeights = [&] {
+        Rng rng(13);
+        Mlp net(config, rng);
+        mlp::train(net, split.train, train);
+        std::vector<float> flat;
+        for (std::size_t l = 0; l < net.numLayers(); ++l) {
+            const auto &w = net.weights(l).data();
+            flat.insert(flat.end(), w.begin(), w.end());
+        }
+        return flat;
+    };
+
+    const std::size_t saved = parallelThreadCount();
+    kernels::setSimdMode(kernels::SimdMode::Off);
+    setParallelThreadCount(1);
+    const std::vector<float> expect = trainedWeights();
+    for (kernels::SimdMode mode :
+         {kernels::SimdMode::Off, kernels::SimdMode::Avx2,
+          kernels::SimdMode::Avx512}) {
+        // Forcing a level the machine lacks falls back to a narrower
+        // one, which is simply covered twice.
+        kernels::setSimdMode(mode);
+        for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+            setParallelThreadCount(threads);
+            const std::vector<float> got = trainedWeights();
+            ASSERT_EQ(expect.size(), got.size());
+            EXPECT_EQ(0, std::memcmp(expect.data(), got.data(),
+                                     got.size() * sizeof(float)))
+                << threads << " threads at "
+                << kernels::isaName(kernels::activeIsa());
+        }
+    }
+    setParallelThreadCount(saved);
+    kernels::setSimdMode(kernels::SimdMode::Auto);
 }
 
 class HiddenSizeTest : public ::testing::TestWithParam<std::size_t>

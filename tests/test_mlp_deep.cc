@@ -93,7 +93,6 @@ TEST(DeepMlp, BackpropGradientSanityOnTinyNet)
     TrainConfig train;
     train.epochs = 1;
     train.learningRate = 0.5f;
-    train.shuffle = false;
     mlp::train(net, data, train);
     net.forward(x.data(), after.data());
     EXPECT_GT(after[0], before[0])

@@ -209,33 +209,6 @@ TEST(Determinism, MlpEvaluateIsThreadCountInvariant)
     EXPECT_EQ(accs[0], accs[2]);
 }
 
-TEST(Determinism, MlpMinibatchTrainingIsThreadCountInvariant)
-{
-    const core::Workload &w = smallWorkload();
-    mlp::MlpConfig config = core::defaultMlpConfig(w);
-    config.layerSizes[1] = 12;
-    mlp::TrainConfig train;
-    train.epochs = 1;
-    train.batchSize = 8;
-
-    std::vector<std::vector<float>> weights;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{8}}) {
-        ThreadCountGuard guard(threads);
-        Rng rng(3);
-        mlp::Mlp net(config, rng);
-        mlp::train(net, w.data.train, train);
-        std::vector<float> flat;
-        for (std::size_t l = 0; l < net.numLayers(); ++l) {
-            const auto &d = net.weights(l).data();
-            flat.insert(flat.end(), d.begin(), d.end());
-        }
-        weights.push_back(std::move(flat));
-    }
-    EXPECT_EQ(weights[0], weights[1]);
-    EXPECT_EQ(weights[0], weights[2]);
-}
-
 TEST(Determinism, SnnLabelAndEvaluateAreThreadCountInvariant)
 {
     const core::Workload &w = smallWorkload();
