@@ -7,8 +7,9 @@
  * A pixel emits at most one spike per 1 ms tick: one clock cycle models
  * one millisecond, and the hardware spike generator cannot fire twice in
  * a cycle, so sub-millisecond Poisson inter-arrivals merge into one
- * spike. This keeps the dense and bit-packed representations exactly
- * equivalent (a bit cannot hold a multiplicity).
+ * spike. The dense grid and the event-indexed `PackedSpikeGrid` hold
+ * the same spikes in the same order (the packed grid would merge a
+ * repeat too).
  *
  * Rate codes (four variants, rate proportional to luminance; maximum
  * luminance 255 maps to the minimum mean inter-spike interval U = 50 ms,
@@ -101,8 +102,8 @@ class SpikeEncoder
                     Rng &rng, SpikeTrainGrid &grid) const;
 
     /**
-     * Encode directly into a bit-packed, event-indexed grid (finalized
-     * on return). Consumes the Rng identically to encodeInto(), and the
+     * Encode directly into an event-indexed grid (finalized on
+     * return). Consumes the Rng identically to encodeInto(), and the
      * resulting grid expands (toDense) to the exact dense grid — the
      * two representations are interchangeable bit-for-bit. All six
      * coding schemes are supported.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "neuro/common/logging.h"
-#include "neuro/snn/lif.h"
 
 namespace neuro {
 namespace snn {
@@ -14,23 +13,6 @@ Homeostasis::Homeostasis(const HomeostasisConfig &config)
 {
     NEURO_ASSERT(config_.epochMs > 0, "epoch must be positive");
     NEURO_ASSERT(config_.rate >= 0.0, "negative homeostasis rate");
-}
-
-int
-Homeostasis::advance(int64_t dt_ms, LifNeuron *neurons, std::size_t count)
-{
-    if (!config_.enabled)
-        return 0;
-    NEURO_ASSERT(dt_ms >= 0, "time cannot run backwards");
-    int boundaries = 0;
-    elapsedInEpoch_ += dt_ms;
-    while (elapsedInEpoch_ >= config_.epochMs) {
-        elapsedInEpoch_ -= config_.epochMs;
-        applyEpoch(neurons, count);
-        ++boundaries;
-        ++epochs_;
-    }
-    return boundaries;
 }
 
 int
@@ -49,15 +31,6 @@ Homeostasis::advance(int64_t dt_ms, double *thresholds,
         ++epochs_;
     }
     return boundaries;
-}
-
-void
-Homeostasis::applyEpoch(LifNeuron *neurons, std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        LifNeuron &n = neurons[i];
-        applyEpoch(&n.threshold, &n.fireCount, 1);
-    }
 }
 
 void

@@ -18,8 +18,6 @@
 namespace neuro {
 namespace snn {
 
-struct LifNeuron;
-
 /** Homeostasis parameters (paper values of Table 1). */
 struct HomeostasisConfig
 {
@@ -46,15 +44,10 @@ class Homeostasis
     /**
      * Advance simulated time by @p dt_ms; if one or more epoch
      * boundaries are crossed, adjust every neuron's threshold from its
-     * fireCount and reset the counts.
+     * fire count and reset the counts. The arrays are SnnNetwork's
+     * structure-of-arrays layout, @p count entries each.
      *
      * @return number of epoch boundaries processed.
-     */
-    int advance(int64_t dt_ms, LifNeuron *neurons, std::size_t count);
-
-    /**
-     * Structure-of-arrays overload: identical update applied to
-     * separate threshold / fire-count arrays (SnnNetwork's layout).
      */
     int advance(int64_t dt_ms, double *thresholds, uint32_t *fireCounts,
                 std::size_t count);
@@ -63,7 +56,6 @@ class Homeostasis
     int64_t epochsProcessed() const { return epochs_; }
 
   private:
-    void applyEpoch(LifNeuron *neurons, std::size_t count);
     void applyEpoch(double *thresholds, uint32_t *fireCounts,
                     std::size_t count);
 

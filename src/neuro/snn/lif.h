@@ -6,12 +6,12 @@
  *   v(T2) = v(T1) * exp(-(T2-T1)/Tleak),
  * which the paper exploits to avoid per-timestep integration — we
  * implement both the event-driven closed form and the reference discrete
- * integration, and test their equivalence.
+ * integration, and test their equivalence. SnnNetwork holds the
+ * per-neuron state (potential, threshold, timing) as
+ * structure-of-arrays; this header holds only the leak.
  */
 
 #pragma once
-
-#include <cstdint>
 
 namespace neuro {
 namespace snn {
@@ -25,72 +25,6 @@ double lifDecay(double potential, double dt_ms, double tleak_ms);
  */
 double lifDecayDiscrete(double potential, double dt_ms, double tleak_ms,
                         int steps);
-
-/**
- * Per-neuron LIF state. Kept as a small aggregate so the network can
- * store neurons contiguously; all timing is in integer milliseconds
- * (1 ms = 1 hardware clock cycle, as in the paper).
- */
-struct LifNeuron
-{
-    double potential = 0.0;      ///< membrane potential v_j.
-    double threshold = 0.0;      ///< firing threshold (homeostasis-tuned).
-    int64_t lastUpdateMs = 0;    ///< time of last potential update.
-    int64_t refractoryUntil = -1;///< ignores inputs until this time.
-    int64_t inhibitedUntil = -1; ///< WTA inhibition expiry.
-    int64_t lastFireMs = -1;     ///< last output spike time.
-    uint32_t fireCount = 0;      ///< fires in current homeostasis epoch.
-
-    /** @return true if the neuron ignores input spikes at time @p t. */
-    bool
-    gated(int64_t t) const
-    {
-        return t < refractoryUntil || t < inhibitedUntil;
-    }
-
-    /** Apply the closed-form leak up to time @p t. */
-    void
-    decayTo(int64_t t, double tleak_ms)
-    {
-        if (t > lastUpdateMs) {
-            potential = lifDecay(potential,
-                                 static_cast<double>(t - lastUpdateMs),
-                                 tleak_ms);
-            lastUpdateMs = t;
-        }
-    }
-
-    /** Add synaptic drive (already decayed to the current time). */
-    void integrate(double drive) { potential += drive; }
-
-    /** @return true if the potential reached the threshold. */
-    bool shouldFire() const { return potential >= threshold; }
-
-    /**
-     * Emit a spike at time @p t: reset the potential, start the
-     * refractory period, count the fire.
-     */
-    void
-    fire(int64_t t, int refractory_ms)
-    {
-        potential = 0.0;
-        lastFireMs = t;
-        refractoryUntil = t + refractory_ms;
-        ++fireCount;
-    }
-
-    /** Reset the per-presentation dynamic state (not the threshold or
-     *  homeostasis counters). */
-    void
-    resetDynamics()
-    {
-        potential = 0.0;
-        lastUpdateMs = 0;
-        refractoryUntil = -1;
-        inhibitedUntil = -1;
-        lastFireMs = -1;
-    }
-};
 
 } // namespace snn
 } // namespace neuro

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "neuro/common/logging.h"
 #include "neuro/common/profile.h"
@@ -21,19 +20,6 @@ PresentationResult::winner(Readout readout) const
                                      : maxPotentialNeuron;
       case Readout::MaxPotential:
         return maxPotentialNeuron;
-      case Readout::MaxSpikeCount: {
-        if (outputSpikeCount == 0)
-            return maxPotentialNeuron;
-        int best = -1;
-        uint16_t best_count = 0;
-        for (std::size_t n = 0; n < spikeCountPerNeuron.size(); ++n) {
-            if (spikeCountPerNeuron[n] > best_count) {
-                best_count = spikeCountPerNeuron[n];
-                best = static_cast<int>(n);
-            }
-        }
-        return best;
-      }
     }
     panic("unreachable readout");
 }
@@ -44,8 +30,7 @@ SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
       potentials_(config.numNeurons, 0.0),
       thresholds_(config.numNeurons, 0.0),
       lastUpdateMs_(config.numNeurons, 0),
-      refractoryUntil_(config.numNeurons, -1),
-      inhibitedUntil_(config.numNeurons, -1),
+      gateUntil_(config.numNeurons, -1),
       fireCounts_(config.numNeurons, 0),
       stdp_(config.stdp),
       homeostasis_(config.homeostasis),
@@ -54,10 +39,22 @@ SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
     NEURO_ASSERT(config_.numInputs > 0 && config_.numNeurons > 0,
                  "empty network");
     NEURO_ASSERT(config_.initialThreshold > 0.0, "threshold must be > 0");
+    const int period = config_.coding.periodMs;
+    NEURO_ASSERT(period > 0, "presentation period must be > 0");
     weights_.fillUniform(rng, config_.wInitMin, config_.wInitMax);
     for (auto &threshold : thresholds_) {
         threshold = config_.initialThreshold *
             (1.0 + config_.thresholdJitter * (rng.uniform() - 0.5));
+    }
+    // present()'s leak: exp(-dt/Tleak) depends only on the integer gap
+    // dt, so one table serves every neuron, tick and presentation.
+    // [0] = 1 and 0 * f = 0 are exact, so the scan needs no branch for
+    // a neuron already at the current tick or at zero potential.
+    decayFactors_.resize(static_cast<std::size_t>(period) + 1);
+    decayFactors_[0] = 1.0;
+    for (std::size_t dt = 1; dt < decayFactors_.size(); ++dt) {
+        decayFactors_[dt] =
+            std::exp(-static_cast<double>(dt) / config_.tLeakMs);
     }
 }
 
@@ -68,10 +65,7 @@ SnnNetwork::beginPresentation(PresentationResult &result)
     result.spikeCountPerNeuron.assign(config_.numNeurons, 0);
     std::fill(potentials_.begin(), potentials_.end(), 0.0);
     std::fill(lastUpdateMs_.begin(), lastUpdateMs_.end(), 0);
-    std::fill(refractoryUntil_.begin(), refractoryUntil_.end(),
-              int64_t{-1});
-    std::fill(inhibitedUntil_.begin(), inhibitedUntil_.end(),
-              int64_t{-1});
+    std::fill(gateUntil_.begin(), gateUntil_.end(), int64_t{-1});
     std::fill(lastInputSpike_.begin(), lastInputSpike_.end(), -1);
 }
 
@@ -83,8 +77,10 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
     const std::size_t num_inputs = config_.numInputs;
     const auto fn = static_cast<std::size_t>(fire_n);
 
+    // The firing neuron was ungated at t, so its refractory period is
+    // its whole gate; each peer's gate extends to the later expiry.
     potentials_[fn] = 0.0;
-    refractoryUntil_[fn] = t + config_.tRefracMs;
+    gateUntil_[fn] = t + config_.tRefracMs;
     ++fireCounts_[fn];
     ++result.outputSpikeCount;
     if (result.firstSpikeNeuron < 0) {
@@ -94,8 +90,7 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
     for (std::size_t n = 0; n < num_neurons; ++n) {
         if (static_cast<int>(n) == fire_n)
             continue;
-        inhibitedUntil_[n] =
-            std::max(inhibitedUntil_[n], t + config_.tInhibitMs);
+        gateUntil_[n] = std::max(gateUntil_[n], t + config_.tInhibitMs);
         if (config_.wtaReset)
             potentials_[n] = 0.0;
     }
@@ -300,22 +295,13 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
     beginPresentation(result);
 
     driveScratch_.assign(num_neurons, 0.0);
-    // Shared-exponential decay table: exp(-dt/Tleak) depends only on
-    // dt, and at any tick most ungated neurons share the same dt (the
-    // gap since the previous active tick) — one exp serves them all,
-    // where the reference walk pays one exp per neuron per tick. Lazily
-    // filled, NaN marks unset.
-    decayFactors_.assign(static_cast<std::size_t>(period) + 1,
-                         std::numeric_limits<double>::quiet_NaN());
-    const std::size_t out_words =
-        (static_cast<std::size_t>(period) + 63) / 64;
-    outSpikeBits_.assign(num_neurons * out_words, 0);
 
     const auto &active = grid.activeTicks();
     double *__restrict drive = driveScratch_.data();
     double *__restrict pot = potentials_.data();
     const double *__restrict thr = thresholds_.data();
     int64_t *__restrict last = lastUpdateMs_.data();
+    const double *__restrict decay = decayFactors_.data();
 
     for (std::size_t k = 0; k < active.size(); ++k) {
         const int64_t t = active[k];
@@ -350,20 +336,8 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
         for (std::size_t n = 0; n < num_neurons; ++n) {
             if (gatedAt(n, t))
                 continue;
-            const int64_t dt = t - last[n];
-            if (dt > 0) {
-                if (pot[n] != 0.0) {
-                    const auto slot = static_cast<std::size_t>(dt);
-                    double factor = decayFactors_[slot];
-                    if (std::isnan(factor)) {
-                        factor = std::exp(-static_cast<double>(dt) /
-                                          config_.tLeakMs);
-                        decayFactors_[slot] = factor;
-                    }
-                    pot[n] *= factor;
-                }
-                last[n] = t;
-            }
+            pot[n] *= decay[static_cast<std::size_t>(t - last[n])];
+            last[n] = t;
             pot[n] += drive[n];
             if (pot[n] >= thr[n]) {
                 const double margin = pot[n] - thr[n];
@@ -377,18 +351,8 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
             lastInputSpike_[spikes[s]] = t;
         if (fire_n >= 0) {
             fireNeuron(fire_n, t, learn, result);
-            outSpikeBits_[static_cast<std::size_t>(fire_n) * out_words +
-                          static_cast<std::size_t>(t) / 64] |=
-                uint64_t{1} << (static_cast<unsigned>(t) % 64);
+            ++result.spikeCountPerNeuron[static_cast<std::size_t>(fire_n)];
         }
-    }
-
-    // Per-neuron output-spike counts by popcount reduction over the
-    // output bit plane (the MaxSpikeCount readout's accumulator).
-    for (std::size_t n = 0; n < num_neurons; ++n) {
-        result.spikeCountPerNeuron[n] =
-            static_cast<uint16_t>(kernels::popcountWords(
-                outSpikeBits_.data() + n * out_words, out_words));
     }
 
     obsCount<"snn.engine.events">(result.inputSpikeCount);

@@ -10,21 +10,21 @@
  * One production presentation path plus one reference
  * (docs/snn_engine.md):
  *
- *  - present(): an event-driven sweep over a bit-packed
- *    `PackedSpikeGrid` that touches only spike-carrying ticks, shares
- *    one exponential per distinct decay interval, and accumulates
- *    synaptic drive through a transposed weight copy so the inner loop
- *    is a contiguous vector sweep. Training, labeling, evaluation and
- *    serving all run it;
+ *  - present(): an event-driven sweep over an event-indexed
+ *    `PackedSpikeGrid` that touches only spike-carrying ticks, reads
+ *    the leak from a decay table filled once per network, and
+ *    accumulates synaptic drive through a transposed weight copy so
+ *    the inner loop is a contiguous vector sweep. Training, labeling,
+ *    evaluation and serving all run it;
  *  - presentImage(): the reference per-tick walk over a dense
  *    `SpikeTrainGrid`, kept as the test oracle and as the Figure 3
  *    trace path. The two are bit-identical: same winners, same
  *    potentials, same learned weights (tests enforce it).
  *
  * LIF state is kept as structure-of-arrays (separate potential /
- * threshold / timing arrays) so the per-tick inner loops vectorize; the
- * `LifNeuron` aggregate in lif.h remains the single-neuron unit used by
- * the LIF/homeostasis unit tests.
+ * threshold / timing arrays) so the per-tick inner loops vectorize.
+ * Refractory and WTA inhibition share one gate per neuron: the time
+ * until which it ignores input.
  */
 
 #pragma once
@@ -72,9 +72,8 @@ struct SnnConfig
 /** How the winning neuron is read out. */
 enum class Readout
 {
-    FirstSpike,   ///< first neuron to fire (paper's SNNwt readout).
-    MaxPotential, ///< highest potential (paper's SNNwot readout).
-    MaxSpikeCount ///< most output spikes over the window.
+    FirstSpike,  ///< first neuron to fire (paper's SNNwt readout).
+    MaxPotential ///< highest potential (paper's SNNwot readout).
 };
 
 /** Optional per-presentation trace for Figure 3-style plots. */
@@ -181,11 +180,7 @@ class SnnNetwork
 
   private:
     /** @return true if neuron @p n ignores inputs at time @p t. */
-    bool
-    gatedAt(std::size_t n, int64_t t) const
-    {
-        return t < refractoryUntil_[n] || t < inhibitedUntil_[n];
-    }
+    bool gatedAt(std::size_t n, int64_t t) const { return t < gateUntil_[n]; }
 
     /** Reset the per-presentation state (start of a window). */
     void beginPresentation(PresentationResult &result);
@@ -214,14 +209,18 @@ class SnnNetwork
     Matrix weightsT_;
     bool weightsTDirty_ = true;
 
-    // Per-neuron LIF state, structure-of-arrays (see lif.h for the
-    // single-neuron semantics each array column follows).
+    // Per-neuron LIF state, structure-of-arrays (lif.h holds the
+    // closed-form leak each potential follows).
     std::vector<double> potentials_;
     std::vector<double> thresholds_;
     std::vector<int64_t> lastUpdateMs_;
-    std::vector<int64_t> refractoryUntil_;
-    std::vector<int64_t> inhibitedUntil_;
+    /** Ignores input before this time: the later of the refractory
+     *  and the WTA inhibition expiry. */
+    std::vector<int64_t> gateUntil_;
     std::vector<uint32_t> fireCounts_;
+    /** exp(-dt/Tleak) for every integer dt in [0, period], [0] = 1;
+     *  filled once by the constructor for present()'s leak. */
+    std::vector<double> decayFactors_;
 
     StdpRule stdp_;
     Homeostasis homeostasis_;
@@ -230,11 +229,6 @@ class SnnNetwork
 
     // present() scratch (presentation-local, reused across calls).
     std::vector<double> driveScratch_;
-    /** Lazily filled exp(-dt/Tleak) per integer dt (NaN = unset). */
-    std::vector<double> decayFactors_;
-    /** Output-spike bit plane: one bit per (neuron, tick); the
-     *  MaxSpikeCount readout counts are popcounts over it. */
-    std::vector<uint64_t> outSpikeBits_;
 };
 
 } // namespace snn

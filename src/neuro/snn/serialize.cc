@@ -50,7 +50,7 @@ loadSnn(const Archive &archive, const std::string &prefix)
     config.numNeurons = static_cast<std::size_t>(shape[1]);
     if (archive.has(prefix + ".timing")) {
         const auto &timing = archive.ints(prefix + ".timing");
-        if (timing.size() != 5)
+        if (timing.size() != 5 || timing[0] <= 0)
             return std::nullopt;
         config.coding.periodMs = static_cast<int>(timing[0]);
         config.coding.minIntervalMs = static_cast<int>(timing[1]);

@@ -5,7 +5,6 @@
 
 #include "neuro/common/logging.h"
 #include "neuro/snn/network.h"
-#include "neuro/snn/spike_bits.h"
 
 namespace neuro {
 namespace snn {
@@ -69,21 +68,6 @@ SnnWotDatapath::forward(const uint8_t *counts,
         }
     }
     return best;
-}
-
-int
-SnnWotDatapath::forward(const PackedSpikeGrid &grid,
-                        std::vector<uint32_t> *potentials) const
-{
-    NEURO_ASSERT(grid.numInputs() == numInputs_,
-                 "grid inputs %zu != datapath inputs %zu",
-                 grid.numInputs(), numInputs_);
-    std::vector<uint8_t> counts(numInputs_);
-    for (std::size_t p = 0; p < numInputs_; ++p) {
-        counts[p] = static_cast<uint8_t>(
-            std::min<std::size_t>(grid.countFor(p), 15));
-    }
-    return forward(counts.data(), potentials);
 }
 
 uint8_t

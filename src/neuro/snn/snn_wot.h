@@ -18,7 +18,6 @@
 namespace neuro {
 namespace snn {
 
-class PackedSpikeGrid;
 class SnnNetwork;
 
 /** Bit-accurate integer model of the SNNwot accelerator datapath. */
@@ -47,17 +46,6 @@ class SnnWotDatapath
      * @param potentials  optional sink for the integer potentials.
      */
     int forward(const uint8_t *counts,
-                std::vector<uint32_t> *potentials = nullptr) const;
-
-    /**
-     * Count-only forward from a bit-packed spike train: per-pixel
-     * counts are popcounts over the grid's bit plane, saturated at 15
-     * (the datapath's 4-bit counter), then fed to the shifter/adder
-     * pipeline. Timing information in the grid is discarded — this is
-     * exactly the information loss the SNNwot accelerator trades for
-     * its simpler datapath.
-     */
-    int forward(const PackedSpikeGrid &grid,
                 std::vector<uint32_t> *potentials = nullptr) const;
 
     /** @return quantized weight of (neuron, input). */

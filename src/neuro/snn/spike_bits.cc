@@ -1,9 +1,6 @@
 #include "neuro/snn/spike_bits.h"
 
-#include <algorithm>
-
 #include "neuro/common/logging.h"
-#include "neuro/kernels/kernels.h"
 #include "neuro/snn/coding.h"
 
 namespace neuro {
@@ -20,9 +17,7 @@ PackedSpikeGrid::reset(std::size_t num_inputs, int period_ms)
     NEURO_ASSERT(period_ms > 0, "presentation period must be > 0");
     numInputs_ = num_inputs;
     periodMs_ = period_ms;
-    wordsPerInput_ = (static_cast<std::size_t>(period_ms) + 63) / 64;
     finalized_ = false;
-    bits_.assign(numInputs_ * wordsPerInput_, 0);
     rawTicks_.clear();
     rawInputs_.clear();
     activeTicks_.clear();
@@ -30,23 +25,15 @@ PackedSpikeGrid::reset(std::size_t num_inputs, int period_ms)
     events_.clear();
 }
 
-bool
+void
 PackedSpikeGrid::addSpike(int tick, uint16_t input)
 {
     NEURO_ASSERT(!finalized_, "addSpike after finalize");
     NEURO_ASSERT(tick >= 0 && tick < periodMs_, "tick %d out of window",
                  tick);
     NEURO_ASSERT(input < numInputs_, "input spike out of range");
-    const std::size_t word = static_cast<std::size_t>(input) *
-            wordsPerInput_ +
-        static_cast<std::size_t>(tick) / 64;
-    const uint64_t mask = uint64_t{1} << (static_cast<unsigned>(tick) % 64);
-    if (bits_[word] & mask)
-        return false; // merged duplicate.
-    bits_[word] |= mask;
     rawTicks_.push_back(tick);
     rawInputs_.push_back(input);
-    return true;
 }
 
 void
@@ -81,39 +68,32 @@ PackedSpikeGrid::finalize()
         const auto t = static_cast<std::size_t>(rawTicks_[i]);
         events_[cursor[t]++] = rawInputs_[i];
     }
+
+    // Merge duplicate (tick, input) pairs in one pass over the
+    // tick-sorted events: an input already stamped with this tick is a
+    // repeat, so the first emission wins and the order is kept. Every
+    // active tick keeps its first event, so no tick empties.
+    std::vector<int32_t> last_tick(numInputs_, -1);
+    uint32_t kept = 0;
+    for (std::size_t k = 0; k < activeTicks_.size(); ++k) {
+        const int32_t t = activeTicks_[k];
+        const uint32_t begin = tickOffsets_[k];
+        const uint32_t end = tickOffsets_[k + 1];
+        tickOffsets_[k] = kept;
+        for (uint32_t i = begin; i < end; ++i) {
+            const uint16_t input = events_[i];
+            if (last_tick[input] == t)
+                continue;
+            last_tick[input] = t;
+            events_[kept++] = input;
+        }
+    }
+    tickOffsets_.back() = kept;
+    events_.resize(kept);
     rawTicks_.clear();
     rawTicks_.shrink_to_fit();
     rawInputs_.clear();
     rawInputs_.shrink_to_fit();
-}
-
-bool
-PackedSpikeGrid::spikeAt(int tick, uint16_t input) const
-{
-    NEURO_ASSERT(tick >= 0 && tick < periodMs_ && input < numInputs_,
-                 "spike probe out of range");
-    const std::size_t word = static_cast<std::size_t>(input) *
-            wordsPerInput_ +
-        static_cast<std::size_t>(tick) / 64;
-    return (bits_[word] >> (static_cast<unsigned>(tick) % 64)) & 1;
-}
-
-std::size_t
-PackedSpikeGrid::countFor(std::size_t input) const
-{
-    NEURO_ASSERT(input < numInputs_, "input out of range");
-    return kernels::popcountWords(bits_.data() + input * wordsPerInput_,
-                                  wordsPerInput_);
-}
-
-void
-PackedSpikeGrid::pixelCounts(std::vector<uint8_t> &counts) const
-{
-    counts.resize(numInputs_);
-    for (std::size_t p = 0; p < numInputs_; ++p) {
-        const std::size_t c = countFor(p);
-        counts[p] = static_cast<uint8_t>(std::min<std::size_t>(c, 255));
-    }
 }
 
 const uint16_t *
@@ -155,8 +135,7 @@ PackedSpikeGrid::fromDense(const SpikeTrainGrid &grid,
 std::size_t
 PackedSpikeGrid::bytes() const
 {
-    return bits_.capacity() * sizeof(uint64_t) +
-        rawTicks_.capacity() * sizeof(int32_t) +
+    return rawTicks_.capacity() * sizeof(int32_t) +
         rawInputs_.capacity() * sizeof(uint16_t) +
         activeTicks_.capacity() * sizeof(int32_t) +
         tickOffsets_.capacity() * sizeof(uint32_t) +

@@ -1,26 +1,23 @@
 /**
  * @file
- * Bit-packed spike grids for the event-driven SNN presentation path
+ * Event-indexed spike grids for the SNN presentation path
  * (SnnNetwork::present). A dense `SpikeTrainGrid` spends one heap
  * vector per tick even though, at the paper's parameters (U = 50 ms
  * over a 500 ms window), well over 95% of the (tick, pixel) cells are
- * empty. `PackedSpikeGrid` stores the same
- * train two ways at once:
- *
- *  - a bit plane: one bit per (input, tick), 64 ticks per `uint64_t`
- *    word, row-major by input — spike *counts* fall out of `popcount`
- *    and membership tests are a single bit probe;
- *  - an event index (CSR over ticks): the sorted list of active ticks
- *    plus, per active tick, the inputs that spike there in exactly the
- *    order the encoder emitted them — the event loop walks only the
- *    ticks where anything happens and silent ticks cost nothing.
+ * empty. `PackedSpikeGrid` stores only the events, as CSR over ticks:
+ * the sorted list of active ticks plus, per active tick, the inputs
+ * that spike there in exactly the order the encoder emitted them. The
+ * presentation walks only the ticks where anything happens, and silent
+ * ticks cost nothing.
  *
  * The emission order is preserved so that `toDense()` reproduces the
  * dense encoder's grid byte-for-byte, which is what lets present() and
  * its dense presentImage() reference produce bit-identical results
- * (drive sums are ordered float reductions). At most one spike per (input, tick) is stored —
- * one clock cycle models one millisecond in the paper's hardware, and
- * a per-pixel spike generator cannot emit twice in one cycle.
+ * (drive sums are ordered float reductions). At most one spike per
+ * (input, tick) is stored: one clock cycle models one millisecond in
+ * the paper's hardware, and a per-pixel spike generator cannot emit
+ * twice in one cycle. finalize() merges duplicates, keeping the first
+ * emission.
  */
 
 #pragma once
@@ -33,7 +30,7 @@ namespace snn {
 
 struct SpikeTrainGrid;
 
-/** Bit-packed, event-indexed spike train for one presentation window. */
+/** Event-indexed spike train for one presentation window. */
 class PackedSpikeGrid
 {
   public:
@@ -48,15 +45,12 @@ class PackedSpikeGrid
      */
     void reset(std::size_t num_inputs, int period_ms);
 
-    /**
-     * Record a spike of @p input at @p tick. Duplicate (tick, input)
-     * pairs are merged (the bit plane is the authority).
-     * @return true if the spike was new.
-     */
-    bool addSpike(int tick, uint16_t input);
+    /** Record a spike of @p input at @p tick. */
+    void addSpike(int tick, uint16_t input);
 
     /**
-     * Build the event index from the recorded spikes. Must be called
+     * Build the event index from the recorded spikes, merging duplicate
+     * (tick, input) pairs (the first emission wins). Must be called
      * after the last addSpike() and before any event-side accessor;
      * addSpike() after finalize() is a usage error.
      */
@@ -66,20 +60,8 @@ class PackedSpikeGrid
     std::size_t numInputs() const { return numInputs_; }
     /** @return the presentation window length in ticks. */
     int periodMs() const { return periodMs_; }
-    /** @return total recorded spikes. */
+    /** @return total spikes, duplicates merged (finalized grids only). */
     std::size_t totalSpikes() const { return events_.size(); }
-
-    /** @return true if (tick, input) holds a spike (bit probe). */
-    bool spikeAt(int tick, uint16_t input) const;
-
-    /** @return number of spikes of @p input over the window (popcount). */
-    std::size_t countFor(std::size_t input) const;
-
-    /**
-     * Per-pixel spike counts via popcount, saturated at 255 (same
-     * contract as SpikeTrainGrid::pixelCounts).
-     */
-    void pixelCounts(std::vector<uint8_t> &counts) const;
 
     /** @return number of ticks that carry at least one spike. */
     std::size_t activeTickCount() const { return activeTicks_.size(); }
@@ -109,11 +91,7 @@ class PackedSpikeGrid
   private:
     std::size_t numInputs_ = 0;
     int periodMs_ = 0;
-    std::size_t wordsPerInput_ = 0;
     bool finalized_ = false;
-
-    /** Bit plane: bits_[input * wordsPerInput_ + t / 64] bit (t % 64). */
-    std::vector<uint64_t> bits_;
 
     /** Raw (tick, input) pairs in emission order (pre-finalize). */
     std::vector<int32_t> rawTicks_;

@@ -92,7 +92,7 @@ TEST(GridCache, EvictedGridSurvivesViaSharedPtr)
     cache.insert(makeKey(1), makeGrid(1, 5)); // evicts key 0.
     EXPECT_EQ(cache.find(makeKey(0)), nullptr);
     // The handed-out pointer still reads valid data.
-    EXPECT_EQ(held->countFor(9), 5u);
+    EXPECT_EQ(held->totalSpikes(), 5u);
 }
 
 TEST(GridCache, OversizedGridStillCaches)

@@ -5,11 +5,27 @@
 #include <vector>
 
 #include "neuro/snn/homeostasis.h"
-#include "neuro/snn/lif.h"
 
 namespace neuro {
 namespace snn {
 namespace {
+
+/** One network's worth of per-neuron homeostasis state, in the
+ *  structure-of-arrays layout SnnNetwork passes to advance(). */
+struct Neurons
+{
+    explicit Neurons(std::size_t n) : threshold(n, 0.0), fireCount(n, 0) {}
+
+    int
+    advance(Homeostasis &homeo, int64_t dt_ms)
+    {
+        return homeo.advance(dt_ms, threshold.data(), fireCount.data(),
+                             threshold.size());
+    }
+
+    std::vector<double> threshold;
+    std::vector<uint32_t> fireCount;
+};
 
 HomeostasisConfig
 makeConfig()
@@ -26,42 +42,42 @@ makeConfig()
 TEST(Homeostasis, NoAdjustmentBeforeEpochEnds)
 {
     Homeostasis homeo(makeConfig());
-    std::vector<LifNeuron> neurons(2);
-    neurons[0].threshold = 100.0;
-    neurons[0].fireCount = 50;
-    EXPECT_EQ(homeo.advance(999, neurons.data(), 2), 0);
-    EXPECT_DOUBLE_EQ(neurons[0].threshold, 100.0);
+    Neurons neurons(2);
+    neurons.threshold[0] = 100.0;
+    neurons.fireCount[0] = 50;
+    EXPECT_EQ(neurons.advance(homeo, 999), 0);
+    EXPECT_DOUBLE_EQ(neurons.threshold[0], 100.0);
 }
 
 TEST(Homeostasis, OveractiveNeuronPunished)
 {
     Homeostasis homeo(makeConfig());
-    std::vector<LifNeuron> neurons(1);
-    neurons[0].threshold = 100.0;
-    neurons[0].fireCount = 50; // above target of 5.
-    EXPECT_EQ(homeo.advance(1000, neurons.data(), 1), 1);
-    EXPECT_DOUBLE_EQ(neurons[0].threshold, 110.0);
-    EXPECT_EQ(neurons[0].fireCount, 0u) << "counter must reset";
+    Neurons neurons(1);
+    neurons.threshold[0] = 100.0;
+    neurons.fireCount[0] = 50; // above target of 5.
+    EXPECT_EQ(neurons.advance(homeo, 1000), 1);
+    EXPECT_DOUBLE_EQ(neurons.threshold[0], 110.0);
+    EXPECT_EQ(neurons.fireCount[0], 0u) << "counter must reset";
 }
 
 TEST(Homeostasis, SilentNeuronPromoted)
 {
     Homeostasis homeo(makeConfig());
-    std::vector<LifNeuron> neurons(1);
-    neurons[0].threshold = 100.0;
-    neurons[0].fireCount = 0;
-    homeo.advance(1000, neurons.data(), 1);
-    EXPECT_DOUBLE_EQ(neurons[0].threshold, 90.0);
+    Neurons neurons(1);
+    neurons.threshold[0] = 100.0;
+    neurons.fireCount[0] = 0;
+    neurons.advance(homeo, 1000);
+    EXPECT_DOUBLE_EQ(neurons.threshold[0], 90.0);
 }
 
 TEST(Homeostasis, ExactTargetUnchanged)
 {
     Homeostasis homeo(makeConfig());
-    std::vector<LifNeuron> neurons(1);
-    neurons[0].threshold = 100.0;
-    neurons[0].fireCount = 5;
-    homeo.advance(1000, neurons.data(), 1);
-    EXPECT_DOUBLE_EQ(neurons[0].threshold, 100.0);
+    Neurons neurons(1);
+    neurons.threshold[0] = 100.0;
+    neurons.fireCount[0] = 5;
+    neurons.advance(homeo, 1000);
+    EXPECT_DOUBLE_EQ(neurons.threshold[0], 100.0);
 }
 
 TEST(Homeostasis, DownFactorSlowsDecay)
@@ -69,11 +85,11 @@ TEST(Homeostasis, DownFactorSlowsDecay)
     HomeostasisConfig config = makeConfig();
     config.downFactor = 0.25;
     Homeostasis homeo(config);
-    std::vector<LifNeuron> neurons(1);
-    neurons[0].threshold = 100.0;
-    neurons[0].fireCount = 0;
-    homeo.advance(1000, neurons.data(), 1);
-    EXPECT_DOUBLE_EQ(neurons[0].threshold, 97.5);
+    Neurons neurons(1);
+    neurons.threshold[0] = 100.0;
+    neurons.fireCount[0] = 0;
+    neurons.advance(homeo, 1000);
+    EXPECT_DOUBLE_EQ(neurons.threshold[0], 97.5);
 }
 
 TEST(Homeostasis, FloorHolds)
@@ -81,25 +97,25 @@ TEST(Homeostasis, FloorHolds)
     HomeostasisConfig config = makeConfig();
     config.minThreshold = 50.0;
     Homeostasis homeo(config);
-    std::vector<LifNeuron> neurons(1);
-    neurons[0].threshold = 51.0;
-    neurons[0].fireCount = 0;
+    Neurons neurons(1);
+    neurons.threshold[0] = 51.0;
+    neurons.fireCount[0] = 0;
     for (int i = 0; i < 20; ++i)
-        homeo.advance(1000, neurons.data(), 1);
-    EXPECT_DOUBLE_EQ(neurons[0].threshold, 50.0);
+        neurons.advance(homeo, 1000);
+    EXPECT_DOUBLE_EQ(neurons.threshold[0], 50.0);
 }
 
 TEST(Homeostasis, MultipleEpochBoundariesInOneAdvance)
 {
     Homeostasis homeo(makeConfig());
-    std::vector<LifNeuron> neurons(1);
-    neurons[0].threshold = 100.0;
-    neurons[0].fireCount = 50;
+    Neurons neurons(1);
+    neurons.threshold[0] = 100.0;
+    neurons.fireCount[0] = 50;
     // 2.5 epochs: two boundaries processed (the second epoch sees the
     // reset counter, below target).
-    EXPECT_EQ(homeo.advance(2500, neurons.data(), 1), 2);
+    EXPECT_EQ(neurons.advance(homeo, 2500), 2);
     EXPECT_EQ(homeo.epochsProcessed(), 2);
-    EXPECT_NEAR(neurons[0].threshold, 110.0 * 0.9, 1e-9);
+    EXPECT_NEAR(neurons.threshold[0], 110.0 * 0.9, 1e-9);
 }
 
 TEST(Homeostasis, DisabledIsNoOp)
@@ -107,11 +123,11 @@ TEST(Homeostasis, DisabledIsNoOp)
     HomeostasisConfig config = makeConfig();
     config.enabled = false;
     Homeostasis homeo(config);
-    std::vector<LifNeuron> neurons(1);
-    neurons[0].threshold = 100.0;
-    neurons[0].fireCount = 99;
-    EXPECT_EQ(homeo.advance(10000, neurons.data(), 1), 0);
-    EXPECT_DOUBLE_EQ(neurons[0].threshold, 100.0);
+    Neurons neurons(1);
+    neurons.threshold[0] = 100.0;
+    neurons.fireCount[0] = 99;
+    EXPECT_EQ(neurons.advance(homeo, 10000), 0);
+    EXPECT_DOUBLE_EQ(neurons.threshold[0], 100.0);
 }
 
 } // namespace

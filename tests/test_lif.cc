@@ -1,6 +1,7 @@
-// Tests for the LIF neuron: the closed-form leak the hardware uses
-// (Section 2.2) against the reference discrete integration, plus the
-// per-neuron state machine.
+// Tests for the LIF neuron's leak: the closed form the hardware uses
+// (Section 2.2) against the reference discrete integration. The
+// per-neuron state machine (gating, firing, reset) lives in SnnNetwork
+// and is tested in test_network and test_snn_engine.
 
 #include <gtest/gtest.h>
 
@@ -43,56 +44,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(500.0, 500.0),
                       std::make_pair(45.0, 50.0),
                       std::make_pair(200.0, 10.0)));
-
-TEST(LifNeuron, DecayToAdvancesClock)
-{
-    LifNeuron n;
-    n.potential = 100.0;
-    n.lastUpdateMs = 0;
-    n.decayTo(500, 500.0);
-    EXPECT_NEAR(n.potential, 100.0 * std::exp(-1.0), 1e-9);
-    EXPECT_EQ(n.lastUpdateMs, 500);
-    // Decaying to the past is a no-op.
-    n.decayTo(100, 500.0);
-    EXPECT_EQ(n.lastUpdateMs, 500);
-}
-
-TEST(LifNeuron, FireResetsAndCounts)
-{
-    LifNeuron n;
-    n.threshold = 10.0;
-    n.integrate(11.0);
-    EXPECT_TRUE(n.shouldFire());
-    n.fire(100, 20);
-    EXPECT_DOUBLE_EQ(n.potential, 0.0);
-    EXPECT_EQ(n.lastFireMs, 100);
-    EXPECT_EQ(n.refractoryUntil, 120);
-    EXPECT_EQ(n.fireCount, 1u);
-    EXPECT_TRUE(n.gated(110));
-    EXPECT_FALSE(n.gated(120));
-}
-
-TEST(LifNeuron, InhibitionGates)
-{
-    LifNeuron n;
-    n.inhibitedUntil = 50;
-    EXPECT_TRUE(n.gated(49));
-    EXPECT_FALSE(n.gated(50));
-}
-
-TEST(LifNeuron, ResetDynamicsKeepsThresholdAndFireCount)
-{
-    LifNeuron n;
-    n.threshold = 123.0;
-    n.fireCount = 7;
-    n.potential = 55.0;
-    n.refractoryUntil = 99;
-    n.resetDynamics();
-    EXPECT_DOUBLE_EQ(n.potential, 0.0);
-    EXPECT_EQ(n.refractoryUntil, -1);
-    EXPECT_DOUBLE_EQ(n.threshold, 123.0);
-    EXPECT_EQ(n.fireCount, 7u);
-}
 
 } // namespace
 } // namespace snn

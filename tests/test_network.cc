@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "neuro/common/rng.h"
+#include "neuro/snn/lif.h"
 #include "neuro/snn/network.h"
 
 namespace neuro {
@@ -97,6 +98,82 @@ TEST(SnnNetwork, RefractoryNeuronIgnoresInput)
     EXPECT_EQ(result.firstSpikeTimeMs, 0);
 }
 
+// Two neurons, four inputs, no WTA reset: input 0 fires neuron 0 and
+// input 1 fires neuron 1 (weight 200 against threshold 150); inputs 2
+// and 3 are sub-threshold probes (weight 10) of neuron 0 and neuron 1
+// alone, so each neuron's end potential shows which probe it took.
+SnnNetwork
+gateProbeNetwork(int t_inhibit, int t_refrac, Rng &rng)
+{
+    SnnConfig config = tinyConfig();
+    config.numNeurons = 2;
+    config.tInhibitMs = t_inhibit;
+    config.tRefracMs = t_refrac;
+    config.wtaReset = false;
+    SnnNetwork net(config, rng);
+    net.weights().fill(0.0f);
+    net.weights()(0, 0) = 200.0f;
+    net.weights()(1, 1) = 200.0f;
+    net.weights()(0, 2) = 10.0f;
+    net.weights()(1, 3) = 10.0f;
+    return net;
+}
+
+// Presents @p spikes through present() and presentImage(). Under both,
+// neuron n fires fires[n] times and ends the window holding only the
+// probe it integrated at probe_tick[n]: the probe one tick earlier
+// fell inside its gate.
+void
+expectGateExpiry(SnnNetwork &net,
+                 const std::vector<std::pair<int, uint16_t>> &spikes,
+                 const std::vector<uint16_t> &fires,
+                 const std::vector<int> &probe_tick)
+{
+    const int period = net.config().coding.periodMs;
+    const auto dense = gridWithSpikes(period, spikes);
+    PackedSpikeGrid packed;
+    packed.fromDense(dense, net.config().numInputs);
+    for (const bool event_path : {true, false}) {
+        SCOPED_TRACE(event_path ? "present" : "presentImage");
+        const auto result = event_path ? net.present(packed, false)
+                                       : net.presentImage(dense, false);
+        EXPECT_EQ(result.spikeCountPerNeuron, fires);
+        for (std::size_t n = 0; n < fires.size(); ++n) {
+            const double expected = lifDecay(
+                10.0, static_cast<double>(period - probe_tick[n]),
+                net.config().tLeakMs);
+            EXPECT_NEAR(net.potentials()[n], expected, 1e-9)
+                << "neuron " << n;
+        }
+    }
+}
+
+TEST(SnnNetwork, InhibitionOutlastingRefractoryGatesEachNeuron)
+{
+    // Tinhibit 30 > Trefrac 10. Neuron 0 fires at t=0: it is gated
+    // until 10 by its refractory period, its peer until 30 by the
+    // inhibition. Each takes its probe at its own expiry, not before.
+    Rng rng(9);
+    SnnNetwork net = gateProbeNetwork(30, 10, rng);
+    expectGateExpiry(net,
+                     {{0, 0}, {9, 2}, {10, 2}, {29, 3}, {30, 3}},
+                     {1, 0}, {10, 30});
+}
+
+TEST(SnnNetwork, RefractoryOutlastingInhibitionGatesEachNeuron)
+{
+    // Trefrac 20 > Tinhibit 5 (the defaults' order). Neuron 0 fires at
+    // t=0 and inhibits neuron 1 until 5, so the t=4 drive is ignored
+    // and neuron 1 fires at 5. That inhibits neuron 0 until 10, but
+    // its refractory period still runs to 20: the later expiry holds.
+    // Neuron 1 is then refractory until 25.
+    Rng rng(10);
+    SnnNetwork net = gateProbeNetwork(5, 20, rng);
+    expectGateExpiry(
+        net, {{0, 0}, {4, 1}, {5, 1}, {19, 2}, {20, 2}, {24, 3}, {25, 3}},
+        {1, 1}, {20, 25});
+}
+
 TEST(SnnNetwork, LeakReducesPotentialBetweenSpikes)
 {
     Rng rng(5);
@@ -172,15 +249,6 @@ TEST(PresentationResult, WinnerFallsBackToMaxPotential)
     result.firstSpikeNeuron = 2;
     EXPECT_EQ(result.winner(Readout::FirstSpike), 2);
     EXPECT_EQ(result.winner(Readout::MaxPotential), 4);
-}
-
-TEST(PresentationResult, MaxSpikeCountReadout)
-{
-    PresentationResult result;
-    result.spikeCountPerNeuron = {1, 5, 3};
-    result.outputSpikeCount = 9;
-    result.maxPotentialNeuron = 0;
-    EXPECT_EQ(result.winner(Readout::MaxSpikeCount), 1);
 }
 
 } // namespace

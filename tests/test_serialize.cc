@@ -273,5 +273,22 @@ TEST(SnnSerialize, ShapeMismatchRejected)
     EXPECT_FALSE(snn::loadSnn(archive).has_value());
 }
 
+TEST(SnnSerialize, NonPositivePeriodRejected)
+{
+    // The network sizes its decay table from the period at
+    // construction, so a corrupt period must be refused at load.
+    snn::SnnConfig config;
+    config.numInputs = 8;
+    config.numNeurons = 4;
+    Rng rng(8);
+    snn::SnnNetwork net(config, rng);
+    Archive archive;
+    snn::saveSnn(net, {0, 1, 2, 3}, archive);
+    for (const int64_t period : {0, -5}) {
+        archive.putInts("snn.timing", {period, 50, 5, 20, 0});
+        EXPECT_FALSE(snn::loadSnn(archive).has_value()) << period;
+    }
+}
+
 } // namespace
 } // namespace neuro

@@ -1,5 +1,5 @@
-// Tests for the bit-packed spike grid: packed/dense round trips across
-// every coding scheme, popcount-based counts, and the event index.
+// Tests for the event-indexed spike grid: packed/dense round trips
+// across every coding scheme, duplicate merging, and the event index.
 
 #include <gtest/gtest.h>
 
@@ -62,28 +62,6 @@ TEST_P(PackedRoundTripTest, PackedExpandsToDenseEncoding)
     EXPECT_EQ(dense_rng.next(), packed_rng.next());
 }
 
-TEST_P(PackedRoundTripTest, PopcountMatchesDenseCounts)
-{
-    const SpikeEncoder encoder(makeConfig(GetParam()));
-    const auto pixels = rampPixels(64);
-    Rng rng(12);
-    PackedSpikeGrid packed;
-    encoder.encodePacked(pixels.data(), pixels.size(), rng, packed);
-
-    SpikeTrainGrid dense;
-    packed.toDense(dense);
-    const auto dense_counts = dense.pixelCounts(pixels.size());
-    std::vector<uint8_t> packed_counts;
-    packed.pixelCounts(packed_counts);
-    ASSERT_EQ(packed_counts.size(), dense_counts.size());
-    for (std::size_t p = 0; p < dense_counts.size(); ++p) {
-        EXPECT_EQ(packed_counts[p], dense_counts[p]) << "pixel " << p;
-        EXPECT_EQ(packed.countFor(p),
-                  static_cast<std::size_t>(dense_counts[p]));
-    }
-    EXPECT_EQ(packed_counts[0], 0u);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Schemes, PackedRoundTripTest,
     ::testing::Values(CodingScheme::RatePoisson, CodingScheme::RateGaussian,
@@ -94,18 +72,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PackedSpikeGrid, EdgeTicksRoundTrip)
 {
     // First and last tick of the window are representable and survive
-    // the round trip (off-by-one guards on the 64-bit word packing).
+    // the round trip (off-by-one guards on the tick range).
     PackedSpikeGrid grid(8, 500);
-    EXPECT_TRUE(grid.addSpike(0, 3));
-    EXPECT_TRUE(grid.addSpike(499, 3));
-    EXPECT_TRUE(grid.addSpike(499, 7));
+    grid.addSpike(0, 3);
+    grid.addSpike(499, 3);
+    grid.addSpike(499, 7);
     grid.finalize();
 
-    EXPECT_TRUE(grid.spikeAt(0, 3));
-    EXPECT_TRUE(grid.spikeAt(499, 3));
-    EXPECT_TRUE(grid.spikeAt(499, 7));
-    EXPECT_FALSE(grid.spikeAt(1, 3));
-    EXPECT_EQ(grid.countFor(3), 2u);
+    EXPECT_EQ(grid.totalSpikes(), 3u);
     EXPECT_EQ(grid.activeTickCount(), 2u);
     ASSERT_EQ(grid.activeTicks().size(), 2u);
     EXPECT_EQ(grid.activeTicks().front(), 0);
@@ -121,11 +95,49 @@ TEST(PackedSpikeGrid, EdgeTicksRoundTrip)
 TEST(PackedSpikeGrid, DuplicateSpikesMerge)
 {
     PackedSpikeGrid grid(4, 100);
-    EXPECT_TRUE(grid.addSpike(10, 2));
-    EXPECT_FALSE(grid.addSpike(10, 2)) << "duplicate must merge";
+    grid.addSpike(10, 2);
+    grid.addSpike(10, 2);
     grid.finalize();
-    EXPECT_EQ(grid.totalSpikes(), 1u);
-    EXPECT_EQ(grid.countFor(2), 1u);
+    EXPECT_EQ(grid.totalSpikes(), 1u) << "duplicate must merge";
+    ASSERT_EQ(grid.activeTickCount(), 1u);
+    std::size_t count = 0;
+    const uint16_t *inputs = grid.inputsAt(0, &count);
+    ASSERT_EQ(count, 1u);
+    EXPECT_EQ(inputs[0], 2);
+}
+
+TEST(PackedSpikeGrid, NonAdjacentDuplicatesMergeFirstEmissionWins)
+{
+    // The repeat of (5, 2) arrives after a spike at another tick; the
+    // merge still drops it, and tick 5 keeps its emission order.
+    PackedSpikeGrid grid(4, 100);
+    grid.addSpike(5, 2);
+    grid.addSpike(3, 2);
+    grid.addSpike(5, 2);
+    grid.addSpike(5, 1);
+    grid.finalize();
+
+    EXPECT_EQ(grid.totalSpikes(), 3u);
+    ASSERT_EQ(grid.activeTickCount(), 2u);
+    EXPECT_EQ(grid.activeTicks()[0], 3);
+    EXPECT_EQ(grid.activeTicks()[1], 5);
+    std::size_t count = 0;
+    const uint16_t *inputs = grid.inputsAt(1, &count);
+    EXPECT_EQ(std::vector<uint16_t>(inputs, inputs + count),
+              (std::vector<uint16_t>{2, 1}));
+    inputs = grid.inputsAt(0, &count);
+    EXPECT_EQ(std::vector<uint16_t>(inputs, inputs + count),
+              (std::vector<uint16_t>{2}));
+}
+
+TEST(PackedSpikeGrid, EmptyGridCostsNoPerCellStorage)
+{
+    // Only events are stored: an empty MNIST-sized window holds no
+    // per-(input, tick) state, before or after finalize().
+    PackedSpikeGrid grid(784, 500);
+    EXPECT_LT(grid.bytes(), 1024u);
+    grid.finalize();
+    EXPECT_LT(grid.bytes(), 1024u);
 }
 
 TEST(PackedSpikeGrid, EventIndexPreservesEmissionOrder)
