@@ -28,8 +28,9 @@ main()
     // Present one training image with a full trace.
     Rng spike_rng(42);
     const auto &sample = w.data.train[0];
-    const auto grid = encoder.encode(sample.pixels.data(),
-                                     sample.pixels.size(), spike_rng);
+    snn::PackedSpikeGrid grid;
+    encoder.encodePacked(sample.pixels.data(), sample.pixels.size(),
+                         spike_rng, grid);
     snn::PresentationTrace trace;
     trace.neuronLimit = 12; // potential lines, as in the figure.
     const auto result = net.presentImage(grid, false, &trace);

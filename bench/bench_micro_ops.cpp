@@ -58,11 +58,11 @@ BM_SpikeEncoding(benchmark::State &state)
     opt.testSize = 1;
     const auto split = datasets::makeSynthDigits(opt);
     Rng rng(1);
+    snn::PackedSpikeGrid grid;
     for (auto _ : state) {
-        const auto grid = encoder.encode(
-            split.train[0].pixels.data(), split.train[0].pixels.size(),
-            rng);
-        benchmark::DoNotOptimize(grid.ticks.data());
+        encoder.encodePacked(split.train[0].pixels.data(),
+                             split.train[0].pixels.size(), rng, grid);
+        benchmark::DoNotOptimize(grid.activeTicks().data());
     }
 }
 BENCHMARK(BM_SpikeEncoding)

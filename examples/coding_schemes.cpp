@@ -21,17 +21,20 @@ namespace {
 
 /** Print a coarse ASCII raster: time buckets x first 24 pixels. */
 void
-printRaster(const neuro::snn::SpikeTrainGrid &grid, std::size_t pixels)
+printRaster(const neuro::snn::PackedSpikeGrid &grid)
 {
     constexpr std::size_t kBuckets = 50;
-    const std::size_t period = grid.ticks.size();
-    const std::size_t shown = std::min<std::size_t>(pixels, 24);
+    const auto period = static_cast<std::size_t>(grid.periodMs());
+    const std::size_t shown = std::min<std::size_t>(grid.numInputs(), 24);
     std::vector<std::vector<char>> raster(
         shown, std::vector<char>(kBuckets, '.'));
-    for (std::size_t t = 0; t < period; ++t) {
-        for (uint16_t p : grid.ticks[t]) {
-            if (p < shown)
-                raster[p][t * kBuckets / period] = '|';
+    for (std::size_t k = 0; k < grid.activeTickCount(); ++k) {
+        const auto t = static_cast<std::size_t>(grid.activeTicks()[k]);
+        std::size_t count = 0;
+        const uint16_t *inputs = grid.inputsAt(k, &count);
+        for (std::size_t s = 0; s < count; ++s) {
+            if (inputs[s] < shown)
+                raster[inputs[s]][t * kBuckets / period] = '|';
         }
     }
     for (std::size_t p = 0; p < shown; ++p) {
@@ -71,12 +74,13 @@ main(int argc, char **argv)
     TextTable stats("one image under each coding scheme");
     stats.setHeader({"Scheme", "Total spikes", "Spikes/bright px"});
     Rng rng(3);
+    snn::PackedSpikeGrid grid;
     for (auto scheme : schemes) {
         snn::CodingConfig coding;
         coding.scheme = scheme;
         const snn::SpikeEncoder encoder(coding);
-        const auto grid = encoder.encode(image.pixels.data(),
-                                         image.pixels.size(), rng);
+        encoder.encodePacked(image.pixels.data(), image.pixels.size(), rng,
+                             grid);
         std::size_t bright = 0;
         for (uint8_t p : image.pixels)
             if (p > 128)
@@ -99,8 +103,8 @@ main(int argc, char **argv)
     // Use a patch from the image centre so some pixels carry ink.
     std::vector<uint8_t> patch(image.pixels.begin() + 14 * 28 + 2,
                                image.pixels.begin() + 14 * 28 + 26);
-    printRaster(encoder.encode(patch.data(), patch.size(), rng),
-                patch.size());
+    encoder.encodePacked(patch.data(), patch.size(), rng, grid);
+    printRaster(grid);
 
     // 3. Train one SNN per scheme family and compare accuracies.
     std::printf("\ntraining a small SNN+STDP per scheme (this is the "

@@ -8,35 +8,37 @@ namespace neuro {
 namespace snn {
 
 Distribution
-isiDistribution(const SpikeTrainGrid &grid, std::size_t num_pixels)
+isiDistribution(const PackedSpikeGrid &grid)
 {
-    std::vector<int64_t> last(num_pixels, -1);
+    std::vector<int64_t> last(grid.numInputs(), -1);
     Distribution isi;
-    for (std::size_t t = 0; t < grid.ticks.size(); ++t) {
-        for (uint16_t p : grid.ticks[t]) {
-            NEURO_ASSERT(p < num_pixels, "pixel out of range");
+    const auto &active = grid.activeTicks();
+    for (std::size_t k = 0; k < active.size(); ++k) {
+        std::size_t count = 0;
+        const uint16_t *inputs = grid.inputsAt(k, &count);
+        for (std::size_t s = 0; s < count; ++s) {
+            const uint16_t p = inputs[s];
             if (last[p] >= 0)
-                isi.sample(static_cast<double>(
-                    static_cast<int64_t>(t) - last[p]));
-            last[p] = static_cast<int64_t>(t);
+                isi.sample(static_cast<double>(active[k] - last[p]));
+            last[p] = active[k];
         }
     }
     return isi;
 }
 
 std::vector<double>
-firingRateMap(const SpikeTrainGrid &grid, std::size_t num_pixels)
+firingRateMap(const PackedSpikeGrid &grid)
 {
-    std::vector<double> rates(num_pixels, 0.0);
-    for (const auto &tick : grid.ticks)
-        for (uint16_t p : tick)
-            rates[p] += 1.0;
-    const double window_s =
-        static_cast<double>(grid.ticks.size()) / 1000.0;
-    if (window_s > 0.0) {
-        for (double &r : rates)
-            r /= window_s;
+    std::vector<double> rates(grid.numInputs(), 0.0);
+    for (std::size_t k = 0; k < grid.activeTickCount(); ++k) {
+        std::size_t count = 0;
+        const uint16_t *inputs = grid.inputsAt(k, &count);
+        for (std::size_t s = 0; s < count; ++s)
+            rates[inputs[s]] += 1.0;
     }
+    const double window_s = static_cast<double>(grid.periodMs()) / 1000.0;
+    for (double &r : rates)
+        r /= window_s;
     return rates;
 }
 

@@ -19,13 +19,13 @@
 namespace neuro {
 namespace snn {
 
-/** Inter-spike-interval distribution pooled across all inputs. */
-Distribution isiDistribution(const SpikeTrainGrid &grid,
-                             std::size_t num_pixels);
+/** Inter-spike-interval distribution pooled across all inputs of a
+ *  finalized grid. */
+Distribution isiDistribution(const PackedSpikeGrid &grid);
 
-/** Per-pixel firing rate in Hz (spikes over the window, 1 ms ticks). */
-std::vector<double> firingRateMap(const SpikeTrainGrid &grid,
-                                  std::size_t num_pixels);
+/** Per-pixel firing rate in Hz (spikes over the window, 1 ms ticks),
+ *  one entry per grid input. */
+std::vector<double> firingRateMap(const PackedSpikeGrid &grid);
 
 /** Per-neuron specialization measurements. */
 struct SelectivityReport

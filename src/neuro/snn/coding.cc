@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "neuro/common/logging.h"
 #include "neuro/common/rng.h"
@@ -30,29 +31,6 @@ codingSchemeName(CodingScheme scheme)
     panic("unreachable coding scheme");
 }
 
-std::size_t
-SpikeTrainGrid::totalSpikes() const
-{
-    std::size_t total = 0;
-    for (const auto &tick : ticks)
-        total += tick.size();
-    return total;
-}
-
-std::vector<uint8_t>
-SpikeTrainGrid::pixelCounts(std::size_t num_pixels) const
-{
-    std::vector<uint8_t> counts(num_pixels, 0);
-    for (const auto &tick : ticks) {
-        for (uint16_t pixel : tick) {
-            NEURO_ASSERT(pixel < num_pixels, "spike pixel out of range");
-            if (counts[pixel] < 255)
-                ++counts[pixel];
-        }
-    }
-    return counts;
-}
-
 SpikeEncoder::SpikeEncoder(const CodingConfig &config)
     : config_(config)
 {
@@ -63,16 +41,12 @@ SpikeEncoder::SpikeEncoder(const CodingConfig &config)
 namespace {
 
 /**
- * Spike generation shared by the dense and packed encoders: calls
- * emit(tick, pixel) for every spike, in per-pixel time order within a
- * pixel-major (or, for rank order, rank-major) sweep. Both sinks see
- * the identical emission sequence and the identical Rng consumption,
- * which is what makes the two grid representations interchangeable.
+ * Spike generation: records every spike in @p grid, in per-pixel time
+ * order within a pixel-major (or, for rank order, rank-major) sweep.
  */
-template <typename Emit>
 void
 emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
-         Rng &rng, Emit &&emit)
+         Rng &rng, PackedSpikeGrid &grid)
 {
     const double period = static_cast<double>(config.periodMs);
     const double min_interval = static_cast<double>(config.minIntervalMs);
@@ -91,7 +65,7 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
             while (t < period) {
                 const int tick = static_cast<int>(t);
                 if (tick != last_tick) {
-                    emit(tick, static_cast<uint16_t>(p));
+                    grid.addSpike(tick, static_cast<uint16_t>(p));
                     last_tick = tick;
                 }
                 t += rng.exponential(mean);
@@ -105,7 +79,7 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
             const double sigma = config.gaussianSigmaFactor * mean;
             double t = std::max(1.0, rng.gaussian(mean, sigma));
             while (t < period) {
-                emit(static_cast<int>(t), static_cast<uint16_t>(p));
+                grid.addSpike(static_cast<int>(t), static_cast<uint16_t>(p));
                 t += std::max(1.0, rng.gaussian(mean, sigma));
             }
             break;
@@ -115,7 +89,7 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
             // trains are not all aligned.
             double t = rng.uniform(0.0, mean);
             while (t < period) {
-                emit(static_cast<int>(t), static_cast<uint16_t>(p));
+                grid.addSpike(static_cast<int>(t), static_cast<uint16_t>(p));
                 t += mean;
             }
             break;
@@ -124,7 +98,7 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
             const double prob = 1.0 / mean;
             for (int t = 0; t < config.periodMs; ++t) {
                 if (rng.uniform() < prob)
-                    emit(t, static_cast<uint16_t>(p));
+                    grid.addSpike(t, static_cast<uint16_t>(p));
             }
             break;
           }
@@ -134,10 +108,9 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
     }
 }
 
-template <typename Emit>
 void
 emitTemporal(const CodingConfig &config, const uint8_t *pixels,
-             std::size_t n, Emit &&emit)
+             std::size_t n, PackedSpikeGrid &grid)
 {
     const std::size_t period = static_cast<std::size_t>(config.periodMs);
     if (config.scheme == CodingScheme::TimeToFirstSpike) {
@@ -149,7 +122,7 @@ emitTemporal(const CodingConfig &config, const uint8_t *pixels,
             const auto t = static_cast<int>(
                 std::lround(static_cast<double>(period - 1) *
                             (1.0 - static_cast<double>(pixels[p]) / 255.0)));
-            emit(t, static_cast<uint16_t>(p));
+            grid.addSpike(t, static_cast<uint16_t>(p));
         }
         return;
     }
@@ -171,64 +144,37 @@ emitTemporal(const CodingConfig &config, const uint8_t *pixels,
         return;
     for (std::size_t rank = 0; rank < active; ++rank) {
         const std::size_t t = rank * period / active;
-        emit(static_cast<int>(t),
-             static_cast<uint16_t>(order[rank]));
+        grid.addSpike(static_cast<int>(t),
+                      static_cast<uint16_t>(order[rank]));
     }
 }
 
-template <typename Emit>
 void
 emitSpikes(const CodingConfig &config, const uint8_t *pixels,
-           std::size_t n, Rng &rng, Emit &&emit)
+           std::size_t n, Rng &rng, PackedSpikeGrid &grid)
 {
     switch (config.scheme) {
       case CodingScheme::RatePoisson:
       case CodingScheme::RateGaussian:
       case CodingScheme::RateRegular:
       case CodingScheme::RateBernoulli:
-        emitRate(config, pixels, n, rng, emit);
+        emitRate(config, pixels, n, rng, grid);
         break;
       case CodingScheme::TimeToFirstSpike:
       case CodingScheme::RankOrder:
-        emitTemporal(config, pixels, n, emit);
+        emitTemporal(config, pixels, n, grid);
         break;
     }
 }
 
 } // namespace
 
-SpikeTrainGrid
-SpikeEncoder::encode(const uint8_t *pixels, std::size_t num_pixels,
-                     Rng &rng) const
-{
-    SpikeTrainGrid grid;
-    encodeInto(pixels, num_pixels, rng, grid);
-    return grid;
-}
-
-void
-SpikeEncoder::encodeInto(const uint8_t *pixels, std::size_t num_pixels,
-                         Rng &rng, SpikeTrainGrid &grid) const
-{
-    // resize() keeps existing tick vectors (and their heap buffers);
-    // clearing them only resets sizes, so a reused grid stops
-    // allocating once it has seen one densely coded image.
-    grid.ticks.resize(static_cast<std::size_t>(config_.periodMs));
-    for (auto &tick : grid.ticks)
-        tick.clear();
-    emitSpikes(config_, pixels, num_pixels, rng,
-               [&grid](int t, uint16_t p) {
-                   grid.ticks[static_cast<std::size_t>(t)].push_back(p);
-               });
-}
-
 void
 SpikeEncoder::encodePacked(const uint8_t *pixels, std::size_t num_pixels,
                            Rng &rng, PackedSpikeGrid &grid) const
 {
     grid.reset(num_pixels, config_.periodMs);
-    emitSpikes(config_, pixels, num_pixels, rng,
-               [&grid](int t, uint16_t p) { grid.addSpike(t, p); });
+    emitSpikes(config_, pixels, num_pixels, rng, grid);
     grid.finalize();
 }
 

@@ -7,9 +7,8 @@
  * A pixel emits at most one spike per 1 ms tick: one clock cycle models
  * one millisecond, and the hardware spike generator cannot fire twice in
  * a cycle, so sub-millisecond Poisson inter-arrivals merge into one
- * spike. The dense grid and the event-indexed `PackedSpikeGrid` hold
- * the same spikes in the same order (the packed grid would merge a
- * repeat too).
+ * spike. Trains land in an event-indexed `PackedSpikeGrid`, in emission
+ * order (its finalize() would merge a repeat too).
  *
  * Rate codes (four variants, rate proportional to luminance; maximum
  * luminance 255 maps to the minimum mean inter-spike interval U = 50 ms,
@@ -30,7 +29,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "neuro/snn/spike_bits.h"
 
@@ -54,21 +52,6 @@ enum class CodingScheme
 /** @return a printable name for @p scheme. */
 std::string codingSchemeName(CodingScheme scheme);
 
-/**
- * One image's worth of input spikes, bucketed per 1 ms tick: ticks[t]
- * lists the input (pixel) indices that spike at time t.
- */
-struct SpikeTrainGrid
-{
-    std::vector<std::vector<uint16_t>> ticks; ///< per-tick pixel lists.
-
-    /** @return total number of spikes across the window. */
-    std::size_t totalSpikes() const;
-
-    /** @return per-pixel spike counts (size = number of pixels). */
-    std::vector<uint8_t> pixelCounts(std::size_t num_pixels) const;
-};
-
 /** Encoder configuration (paper values of Table 1). */
 struct CodingConfig
 {
@@ -89,24 +72,10 @@ class SpikeEncoder
     /** @return the configuration. */
     const CodingConfig &config() const { return config_; }
 
-    /** Encode one image of @p num_pixels luminance values. */
-    SpikeTrainGrid encode(const uint8_t *pixels, std::size_t num_pixels,
-                          Rng &rng) const;
-
     /**
-     * Encode into a caller-owned grid, reusing its per-tick buffers.
-     * The training/evaluation loops keep one scratch grid per worker
-     * so re-encoding every image costs no allocations in steady state.
-     */
-    void encodeInto(const uint8_t *pixels, std::size_t num_pixels,
-                    Rng &rng, SpikeTrainGrid &grid) const;
-
-    /**
-     * Encode directly into an event-indexed grid (finalized on
-     * return). Consumes the Rng identically to encodeInto(), and the
-     * resulting grid expands (toDense) to the exact dense grid — the
-     * two representations are interchangeable bit-for-bit. All six
-     * coding schemes are supported.
+     * Encode one image of @p num_pixels luminance values into @p grid
+     * (reset to that width and the period, finalized on return; its
+     * buffers are reused). All six coding schemes are supported.
      */
     void encodePacked(const uint8_t *pixels, std::size_t num_pixels,
                       Rng &rng, PackedSpikeGrid &grid) const;

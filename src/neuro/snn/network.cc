@@ -24,6 +24,24 @@ PresentationResult::winner(Readout readout) const
     panic("unreachable readout");
 }
 
+namespace {
+
+/** Both walks take a grid of the network's shape. addSpike() bounds
+ *  every input by the grid width, so a matching width keeps every
+ *  weight-row read in range. */
+void
+checkGridShape(const PackedSpikeGrid &grid, const SnnConfig &config)
+{
+    NEURO_ASSERT(grid.periodMs() == config.coding.periodMs,
+                 "packed grid period %d != config period %d",
+                 grid.periodMs(), config.coding.periodMs);
+    NEURO_ASSERT(grid.numInputs() == config.numInputs,
+                 "packed grid inputs %zu != config inputs %zu",
+                 grid.numInputs(), config.numInputs);
+}
+
+} // namespace
+
 SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
     : config_(config),
       weights_(config.numNeurons, config.numInputs),
@@ -113,18 +131,18 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
 }
 
 void
-SnnNetwork::stepTick(int64_t t, const std::vector<uint16_t> &spikes,
+SnnNetwork::stepTick(int64_t t, const uint16_t *spikes, std::size_t count,
                      bool learn, PresentationResult &result,
                      PresentationTrace *trace)
 {
-    if (spikes.empty())
+    if (count == 0)
         return;
     const std::size_t num_neurons = config_.numNeurons;
 
-    result.inputSpikeCount += spikes.size();
+    result.inputSpikeCount += count;
     if (Tracer::enabled()) {
-        Tracer::instance().counter(
-            "snn.spikes_per_tick", static_cast<double>(spikes.size()));
+        Tracer::instance().counter("snn.spikes_per_tick",
+                                   static_cast<double>(count));
     }
     // Integrate the tick's synaptic drive into every ungated neuron
     // (gated = refractory or laterally inhibited).
@@ -141,12 +159,12 @@ SnnNetwork::stepTick(int64_t t, const std::vector<uint16_t> &spikes,
         const float *row = weights_.row(n);
         double drive = 0.0;
         // neurolint: ordered-sum
-        for (uint16_t p : spikes)
-            drive += row[p];
+        for (std::size_t s = 0; s < count; ++s)
+            drive += row[spikes[s]];
         potentials_[n] += drive;
     }
-    for (uint16_t p : spikes)
-        lastInputSpike_[p] = t;
+    for (std::size_t s = 0; s < count; ++s)
+        lastInputSpike_[spikes[s]] = t;
 
     // Fire at most one neuron per tick: the one whose potential
     // exceeds its threshold by the largest margin (the WTA inhibition
@@ -172,8 +190,8 @@ SnnNetwork::stepTick(int64_t t, const std::vector<uint16_t> &spikes,
         }
     }
     if (trace) {
-        for (uint16_t p : spikes)
-            trace->inputSpikes.emplace_back(static_cast<int>(t), p);
+        for (std::size_t s = 0; s < count; ++s)
+            trace->inputSpikes.emplace_back(static_cast<int>(t), spikes[s]);
     }
 }
 
@@ -212,21 +230,13 @@ SnnNetwork::finishPresentation(bool learn, PresentationResult &result)
 }
 
 PresentationResult
-SnnNetwork::presentImage(const SpikeTrainGrid &grid, bool learn,
+SnnNetwork::presentImage(const PackedSpikeGrid &grid, bool learn,
                          PresentationTrace *trace)
 {
     NEURO_PROFILE_SCOPE("snn/present");
     const std::size_t num_neurons = config_.numNeurons;
     const int period = config_.coding.periodMs;
-    NEURO_ASSERT(grid.ticks.size() == static_cast<std::size_t>(period),
-                 "spike grid length %zu != period %d", grid.ticks.size(),
-                 period);
-    // stepTick indexes weight rows with every spike before it reaches
-    // lastInputSpike_, so reject bad indices up front.
-    for (const auto &tick : grid.ticks) {
-        for (uint16_t p : tick)
-            NEURO_ASSERT(p < config_.numInputs, "input spike out of range");
-    }
+    checkGridShape(grid, config_);
 
     PresentationResult result;
     beginPresentation(result);
@@ -236,9 +246,16 @@ SnnNetwork::presentImage(const SpikeTrainGrid &grid, bool learn,
                               : num_neurons)
         : 0;
 
+    // Every tick is stepped, silent ones included; a cursor over the
+    // active ticks supplies each tick's inputs.
+    const auto &active = grid.activeTicks();
+    std::size_t k = 0;
     for (int t = 0; t < period; ++t) {
-        stepTick(t, grid.ticks[static_cast<std::size_t>(t)], learn,
-                 result, trace);
+        std::size_t count = 0;
+        const uint16_t *spikes = nullptr;
+        if (k < active.size() && active[k] == t)
+            spikes = grid.inputsAt(k++, &count);
+        stepTick(t, spikes, count, learn, result, trace);
         if (trace) {
             std::vector<float> row(trace_neurons);
             for (std::size_t n = 0; n < trace_neurons; ++n) {
@@ -280,14 +297,8 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
 {
     NEURO_PROFILE_SCOPE("snn/present_events");
     const std::size_t num_neurons = config_.numNeurons;
-    const std::size_t num_inputs = config_.numInputs;
     const int period = config_.coding.periodMs;
-    NEURO_ASSERT(grid.periodMs() == period,
-                 "packed grid period %d != config period %d",
-                 grid.periodMs(), period);
-    NEURO_ASSERT(grid.numInputs() == num_inputs,
-                 "packed grid inputs %zu != config inputs %zu",
-                 grid.numInputs(), num_inputs);
+    checkGridShape(grid, config_);
 
     refreshWeightsT();
 
@@ -316,7 +327,8 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
 
         // Phase 1: synaptic drive for every neuron via the transposed
         // weights — per neuron, the additions run in the same spike
-        // order as the dense row walk, so the sums are bit-identical.
+        // order as presentImage()'s row walk, so the sums are
+        // bit-identical.
         // kernels::addRowF64 keeps each neuron's double accumulation
         // chain independent (it carries the ordered-sum tag), so SIMD
         // only widens how many neurons move per instruction.
@@ -327,10 +339,10 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
 
         // Phase 2: decay-and-integrate the ungated neurons, tracking
         // the WTA winner in the same index-order pass (per-neuron
-        // updates are independent, so fusing the dense walk's
+        // updates are independent, so fusing the reference walk's
         // integrate loop and fire scan changes nothing). Gated
         // neurons keep their stale lastUpdate and catch up later,
-        // exactly as the dense walk leaves them.
+        // exactly as the reference walk leaves them.
         int fire_n = -1;
         double best_margin = 0.0;
         for (std::size_t n = 0; n < num_neurons; ++n) {
@@ -355,7 +367,6 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
         }
     }
 
-    obsCount<"snn.engine.events">(result.inputSpikeCount);
     obsCount<"snn.engine.ticks_active">(active.size());
     obsCount<"snn.engine.ticks_skipped">(static_cast<uint64_t>(period) -
                                          active.size());

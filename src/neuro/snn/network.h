@@ -16,10 +16,11 @@
  *    accumulates synaptic drive through a transposed weight copy so
  *    the inner loop is a contiguous vector sweep. Training, labeling,
  *    evaluation and serving all run it;
- *  - presentImage(): the reference per-tick walk over a dense
- *    `SpikeTrainGrid`, kept as the test oracle and as the Figure 3
- *    trace path. The two are bit-identical: same winners, same
- *    potentials, same learned weights (tests enforce it).
+ *  - presentImage(): the reference walk over every tick of the same
+ *    packed grid, with the closed-form leak and the row-major weights,
+ *    kept as the test oracle and as the Figure 3 trace path. The two
+ *    are bit-identical: same winners, same potentials, same learned
+ *    weights (tests enforce it).
  *
  * LIF state is kept as structure-of-arrays (separate potential /
  * threshold / timing arrays) so the per-tick inner loops vectorize.
@@ -149,15 +150,16 @@ class SnnNetwork
     PresentationResult present(const PackedSpikeGrid &grid, bool learn);
 
     /**
-     * The reference tick walk over a dense grid: bit-identical to
-     * present() on the equivalent packed grid. Kept as the test oracle
-     * and for traces, which present() does not record.
+     * The reference walk over every tick of the window, silent ones
+     * included: bit-identical to present() on the same grid. Kept as
+     * the test oracle and for traces, which present() does not record.
      *
-     * @param grid   the input spike train.
+     * @param grid   the input spike train (finalized).
      * @param learn  apply STDP on firing events and advance homeostasis.
      * @param trace  optional trace sink (slows the run; for figures).
      */
-    PresentationResult presentImage(const SpikeTrainGrid &grid, bool learn,
+    PresentationResult presentImage(const PackedSpikeGrid &grid,
+                                    bool learn,
                                     PresentationTrace *trace = nullptr);
 
     /**
@@ -185,9 +187,9 @@ class SnnNetwork
     /** Reset the per-presentation state (start of a window). */
     void beginPresentation(PresentationResult &result);
 
-    /** presentImage()'s step: integrate the spikes arriving at tick
-     *  @p t and run the WTA. */
-    void stepTick(int64_t t, const std::vector<uint16_t> &spikes,
+    /** presentImage()'s step: integrate the @p count spikes arriving
+     *  at tick @p t and run the WTA. */
+    void stepTick(int64_t t, const uint16_t *spikes, std::size_t count,
                   bool learn, PresentationResult &result,
                   PresentationTrace *trace);
 

@@ -36,18 +36,22 @@ SnnBp::spikeFeatures(const uint8_t *pixels, Rng &rng,
 {
     const std::size_t n = config_.numInputs;
     features.assign(n, 0.0f);
-    const SpikeTrainGrid grid = encoder_.encode(pixels, n, rng);
+    PackedSpikeGrid grid;
+    encoder_.encodePacked(pixels, n, rng, grid);
     const double period = config_.coding.periodMs;
     const double max_count =
         static_cast<double>(encoder_.maxSpikeCount());
-    for (std::size_t t = 0; t < grid.ticks.size(); ++t) {
-        // End-of-window leak factor for a spike arriving at tick t.
+    const auto &active = grid.activeTicks();
+    for (std::size_t k = 0; k < active.size(); ++k) {
+        // End-of-window leak factor for a spike arriving at this tick.
         const float decay = static_cast<float>(
-            std::exp(-(period - static_cast<double>(t)) /
+            std::exp(-(period - static_cast<double>(active[k])) /
                      config_.tLeakMs) /
             max_count);
-        for (uint16_t p : grid.ticks[t])
-            features[p] += decay;
+        std::size_t count = 0;
+        const uint16_t *inputs = grid.inputsAt(k, &count);
+        for (std::size_t s = 0; s < count; ++s)
+            features[inputs[s]] += decay;
     }
 }
 

@@ -1,7 +1,6 @@
 #include "neuro/snn/spike_bits.h"
 
 #include "neuro/common/logging.h"
-#include "neuro/snn/coding.h"
 
 namespace neuro {
 namespace snn {
@@ -44,7 +43,7 @@ PackedSpikeGrid::finalize()
 
     // Stable counting sort of the raw events by tick: per-tick spike
     // counts, prefix sums, then a placement pass that keeps emission
-    // order inside each tick (the dense encoder's list order).
+    // order inside each tick.
     std::vector<uint32_t> per_tick(static_cast<std::size_t>(periodMs_), 0);
     for (int32_t t : rawTicks_)
         ++per_tick[static_cast<std::size_t>(t)];
@@ -103,33 +102,6 @@ PackedSpikeGrid::inputsAt(std::size_t k, std::size_t *count) const
     NEURO_ASSERT(k < activeTicks_.size(), "active tick out of range");
     *count = tickOffsets_[k + 1] - tickOffsets_[k];
     return events_.data() + tickOffsets_[k];
-}
-
-void
-PackedSpikeGrid::toDense(SpikeTrainGrid &grid) const
-{
-    NEURO_ASSERT(finalized_, "toDense requires finalize()");
-    grid.ticks.resize(static_cast<std::size_t>(periodMs_));
-    for (auto &tick : grid.ticks)
-        tick.clear();
-    for (std::size_t k = 0; k < activeTicks_.size(); ++k) {
-        std::size_t count = 0;
-        const uint16_t *inputs = inputsAt(k, &count);
-        auto &tick = grid.ticks[static_cast<std::size_t>(activeTicks_[k])];
-        tick.assign(inputs, inputs + count);
-    }
-}
-
-void
-PackedSpikeGrid::fromDense(const SpikeTrainGrid &grid,
-                           std::size_t num_inputs)
-{
-    reset(num_inputs, static_cast<int>(grid.ticks.size()));
-    for (std::size_t t = 0; t < grid.ticks.size(); ++t) {
-        for (uint16_t p : grid.ticks[t])
-            addSpike(static_cast<int>(t), p);
-    }
-    finalize();
 }
 
 std::size_t

@@ -1,21 +1,20 @@
 /**
  * @file
- * Event-indexed spike grids for the SNN presentation path
- * (SnnNetwork::present). A dense `SpikeTrainGrid` spends one heap
- * vector per tick even though, at the paper's parameters (U = 50 ms
- * over a 500 ms window), well over 95% of the (tick, pixel) cells are
- * empty. `PackedSpikeGrid` stores only the events, as CSR over ticks:
- * the sorted list of active ticks plus, per active tick, the inputs
- * that spike there in exactly the order the encoder emitted them. The
+ * Event-indexed spike grids, the one spike-train format: the encoder
+ * writes them, and both SnnNetwork::present() and its presentImage()
+ * reference walk read them. At the paper's parameters (U = 50 ms over
+ * a 500 ms window) well over 95% of the (tick, pixel) cells are empty,
+ * so `PackedSpikeGrid` stores only the events, as CSR over ticks: the
+ * sorted list of active ticks plus, per active tick, the inputs that
+ * spike there in exactly the order the encoder emitted them. The
  * presentation walks only the ticks where anything happens, and silent
  * ticks cost nothing.
  *
- * The emission order is preserved so that `toDense()` reproduces the
- * dense encoder's grid byte-for-byte, which is what lets present() and
- * its dense presentImage() reference produce bit-identical results
- * (drive sums are ordered float reductions). At most one spike per
- * (input, tick) is stored: one clock cycle models one millisecond in
- * the paper's hardware, and a per-pixel spike generator cannot emit
+ * The emission order is preserved because drive sums are ordered float
+ * reductions: present() and presentImage() add the same weights in the
+ * same order, which is what makes them bit-identical. At most one spike
+ * per (input, tick) is stored: one clock cycle models one millisecond
+ * in the paper's hardware, and a per-pixel spike generator cannot emit
  * twice in one cycle. finalize() merges duplicates, keeping the first
  * emission.
  */
@@ -27,8 +26,6 @@
 
 namespace neuro {
 namespace snn {
-
-struct SpikeTrainGrid;
 
 /** Event-indexed spike train for one presentation window. */
 class PackedSpikeGrid
@@ -78,12 +75,6 @@ class PackedSpikeGrid
      * @return pointer to the first input index.
      */
     const uint16_t *inputsAt(std::size_t k, std::size_t *count) const;
-
-    /** Expand into a dense grid identical to the dense encoder's. */
-    void toDense(SpikeTrainGrid &grid) const;
-
-    /** Pack a dense grid (merging any same-tick duplicate spikes). */
-    void fromDense(const SpikeTrainGrid &grid, std::size_t num_inputs);
 
     /** @return approximate heap footprint in bytes (cache budgeting). */
     std::size_t bytes() const;

@@ -11,11 +11,9 @@
 namespace neuro {
 namespace snn {
 
-SnnStdpTrainer::SnnStdpTrainer(const SnnConfig &config,
-                               std::size_t cache_budget_bytes)
+SnnStdpTrainer::SnnStdpTrainer(const SnnConfig &config)
     : encoder_(config.coding),
-      codingHash_(codingConfigHash(config.coding)),
-      gridCache_(cache_budget_bytes)
+      codingHash_(codingConfigHash(config.coding))
 {
 }
 
@@ -55,8 +53,7 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
 
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
         NEURO_PROFILE_SCOPE("snn/train/epoch");
-        if (config.shuffle)
-            rng.shuffle(order.data(), n);
+        rng.shuffle(order.data(), n);
         SnnEpochReport report;
         report.epoch = epoch;
         for (std::size_t step = 0; step < n; ++step) {

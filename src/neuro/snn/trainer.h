@@ -32,9 +32,8 @@ struct SnnTrainConfig
     /** Spike-generation / shuffling seed. Each sample's encoding uses
      *  its own stream, deriveStreamSeed(seed, sampleIndex), so the
      *  encoding is frozen across epochs (and cacheable); only the
-     *  presentation order reshuffles. */
+     *  presentation order reshuffles, every epoch. */
     uint64_t seed = 11;
-    bool shuffle = true;    ///< reshuffle presentation order per epoch.
 };
 
 /** Per-epoch training progress. */
@@ -60,13 +59,9 @@ struct SnnEvalResult
 class SnnStdpTrainer
 {
   public:
-    /**
-     * The encoder is derived from the network's coding config.
-     * @param cache_budget_bytes byte budget of the encoded-grid cache.
-     */
-    explicit SnnStdpTrainer(
-        const SnnConfig &config,
-        std::size_t cache_budget_bytes = GridCache::kDefaultBudgetBytes);
+    /** The encoder is derived from the network's coding config; the
+     *  encoded-grid cache gets the default byte budget. */
+    explicit SnnStdpTrainer(const SnnConfig &config);
 
     /** Run unsupervised STDP over @p data. */
     void train(SnnNetwork &net, const datasets::Dataset &data,

@@ -9,21 +9,22 @@ namespace neuro {
 namespace snn {
 namespace {
 
-SpikeTrainGrid
-gridFrom(int period, const std::vector<std::pair<int, uint16_t>> &spikes)
+PackedSpikeGrid
+gridFrom(std::size_t num_inputs, int period,
+         const std::vector<std::pair<int, uint16_t>> &spikes)
 {
-    SpikeTrainGrid grid;
-    grid.ticks.resize(static_cast<std::size_t>(period));
+    PackedSpikeGrid grid(num_inputs, period);
     for (const auto &[t, p] : spikes)
-        grid.ticks[static_cast<std::size_t>(t)].push_back(p);
+        grid.addSpike(t, p);
+    grid.finalize();
     return grid;
 }
 
 TEST(IsiDistribution, MeasuresIntervals)
 {
     // Pixel 0 spikes at 10, 60, 160: ISIs 50 and 100.
-    const auto grid = gridFrom(200, {{10, 0}, {60, 0}, {160, 0}});
-    const Distribution isi = isiDistribution(grid, 1);
+    const auto grid = gridFrom(1, 200, {{10, 0}, {60, 0}, {160, 0}});
+    const Distribution isi = isiDistribution(grid);
     EXPECT_EQ(isi.count(), 2u);
     EXPECT_DOUBLE_EQ(isi.mean(), 75.0);
     EXPECT_DOUBLE_EQ(isi.min(), 50.0);
@@ -37,9 +38,10 @@ TEST(IsiDistribution, PoissonEncoderMatchesRate)
     Rng rng(1);
     const uint8_t pixels[1] = {255}; // mean interval 50 ms.
     Distribution pooled;
+    PackedSpikeGrid grid;
     for (int trial = 0; trial < 100; ++trial) {
-        const auto grid = encoder.encode(pixels, 1, rng);
-        const Distribution isi = isiDistribution(grid, 1);
+        encoder.encodePacked(pixels, 1, rng, grid);
+        const Distribution isi = isiDistribution(grid);
         // Distribution has no per-sample access; pool the trial means.
         if (isi.count() > 0)
             pooled.sample(isi.mean());
@@ -51,8 +53,9 @@ TEST(FiringRateMap, ConvertsToHz)
 {
     // 5 spikes on pixel 1 over a 500 ms window -> 10 Hz.
     const auto grid = gridFrom(
-        500, {{0, 1}, {100, 1}, {200, 1}, {300, 1}, {400, 1}});
-    const auto rates = firingRateMap(grid, 2);
+        2, 500, {{0, 1}, {100, 1}, {200, 1}, {300, 1}, {400, 1}});
+    const auto rates = firingRateMap(grid);
+    ASSERT_EQ(rates.size(), 2u);
     EXPECT_DOUBLE_EQ(rates[0], 0.0);
     EXPECT_DOUBLE_EQ(rates[1], 10.0);
 }

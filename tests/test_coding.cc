@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <vector>
 
 #include "neuro/common/rng.h"
 #include "neuro/snn/coding.h"
@@ -21,6 +21,28 @@ makeConfig(CodingScheme scheme)
     return config;
 }
 
+PackedSpikeGrid
+encodeGrid(const SpikeEncoder &encoder, const uint8_t *pixels,
+           std::size_t n, Rng &rng)
+{
+    PackedSpikeGrid grid;
+    encoder.encodePacked(pixels, n, rng, grid);
+    return grid;
+}
+
+/** Inputs of every spike, in tick order (emission order within one). */
+std::vector<uint16_t>
+spikeOrder(const PackedSpikeGrid &grid)
+{
+    std::vector<uint16_t> order;
+    for (std::size_t k = 0; k < grid.activeTickCount(); ++k) {
+        std::size_t count = 0;
+        const uint16_t *inputs = grid.inputsAt(k, &count);
+        order.insert(order.end(), inputs, inputs + count);
+    }
+    return order;
+}
+
 class RateCodingTest : public ::testing::TestWithParam<CodingScheme>
 {
 };
@@ -34,10 +56,8 @@ TEST_P(RateCodingTest, RateProportionalToLuminance)
     double counts[3] = {0, 0, 0};
     const int trials = 60;
     for (int t = 0; t < trials; ++t) {
-        const SpikeTrainGrid grid = encoder.encode(pixels, 3, rng);
-        const auto c = grid.pixelCounts(3);
-        for (int i = 0; i < 3; ++i)
-            counts[i] += c[static_cast<std::size_t>(i)];
+        for (uint16_t p : spikeOrder(encodeGrid(encoder, pixels, 3, rng)))
+            counts[p] += 1.0;
     }
     EXPECT_DOUBLE_EQ(counts[0], 0.0) << "zero luminance must not spike";
     EXPECT_GT(counts[2], counts[1] * 1.5);
@@ -51,9 +71,12 @@ TEST_P(RateCodingTest, SpikesWithinWindow)
     const SpikeEncoder encoder(makeConfig(GetParam()));
     Rng rng(2);
     const uint8_t pixels[2] = {255, 200};
-    const SpikeTrainGrid grid = encoder.encode(pixels, 2, rng);
-    EXPECT_EQ(grid.ticks.size(), 500u);
+    const PackedSpikeGrid grid = encodeGrid(encoder, pixels, 2, rng);
+    EXPECT_EQ(grid.periodMs(), 500);
     EXPECT_GT(grid.totalSpikes(), 0u);
+    ASSERT_GT(grid.activeTickCount(), 0u);
+    EXPECT_GE(grid.activeTicks().front(), 0);
+    EXPECT_LT(grid.activeTicks().back(), 500);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, RateCodingTest,
@@ -68,14 +91,17 @@ TEST(TemporalCoding, TimeToFirstSpikeOrdersByLuminance)
         makeConfig(CodingScheme::TimeToFirstSpike));
     Rng rng(3);
     const uint8_t pixels[4] = {255, 128, 10, 0};
-    const SpikeTrainGrid grid = encoder.encode(pixels, 4, rng);
+    const PackedSpikeGrid grid = encodeGrid(encoder, pixels, 4, rng);
     // Exactly one spike per nonzero pixel.
     EXPECT_EQ(grid.totalSpikes(), 3u);
     int first_time[4] = {-1, -1, -1, -1};
-    for (std::size_t t = 0; t < grid.ticks.size(); ++t)
-        for (uint16_t p : grid.ticks[t])
-            if (first_time[p] < 0)
-                first_time[p] = static_cast<int>(t);
+    for (std::size_t k = 0; k < grid.activeTickCount(); ++k) {
+        std::size_t count = 0;
+        const uint16_t *inputs = grid.inputsAt(k, &count);
+        for (std::size_t s = 0; s < count; ++s)
+            if (first_time[inputs[s]] < 0)
+                first_time[inputs[s]] = grid.activeTicks()[k];
+    }
     EXPECT_LT(first_time[0], first_time[1]);
     EXPECT_LT(first_time[1], first_time[2]);
     EXPECT_EQ(first_time[3], -1);
@@ -86,13 +112,9 @@ TEST(TemporalCoding, RankOrderIsOnePerRank)
     const SpikeEncoder encoder(makeConfig(CodingScheme::RankOrder));
     Rng rng(4);
     const uint8_t pixels[5] = {50, 250, 0, 150, 100};
-    const SpikeTrainGrid grid = encoder.encode(pixels, 5, rng);
+    const PackedSpikeGrid grid = encodeGrid(encoder, pixels, 5, rng);
     EXPECT_EQ(grid.totalSpikes(), 4u); // zero pixel silent.
-    // Collect spike order.
-    std::vector<uint16_t> order;
-    for (const auto &tick : grid.ticks)
-        for (uint16_t p : tick)
-            order.push_back(p);
+    const std::vector<uint16_t> order = spikeOrder(grid);
     ASSERT_EQ(order.size(), 4u);
     EXPECT_EQ(order[0], 1); // brightest first.
     EXPECT_EQ(order[1], 3);
@@ -124,8 +146,8 @@ TEST(SpikeCount, MatchesMeanOfStochasticTrain)
     double total = 0.0;
     const int trials = 200;
     for (int t = 0; t < trials; ++t) {
-        const SpikeTrainGrid grid = encoder.encode(pixels, 1, rng);
-        total += static_cast<double>(grid.totalSpikes());
+        total += static_cast<double>(
+            encodeGrid(encoder, pixels, 1, rng).totalSpikes());
     }
     EXPECT_NEAR(total / trials,
                 static_cast<double>(encoder.spikeCount(200)), 1.2);

@@ -49,9 +49,9 @@ TEST(EdgeCases, SingleNeuronSingleInputNetwork)
     config.homeostasis.enabled = false;
     Rng rng(2);
     snn::SnnNetwork net(config, rng);
-    snn::SpikeTrainGrid grid;
-    grid.ticks.resize(20);
-    grid.ticks[0].push_back(0);
+    snn::PackedSpikeGrid grid(1, 20);
+    grid.addSpike(0, 0);
+    grid.finalize();
     const auto result = net.presentImage(grid, false);
     EXPECT_EQ(result.outputSpikeCount, 1u);
     EXPECT_EQ(result.firstSpikeNeuron, 0);
@@ -74,8 +74,11 @@ TEST(EdgeCases, EncoderHandlesAllBlackAndAllWhiteImages)
     const snn::SpikeEncoder encoder(config);
     Rng rng(3);
     std::vector<uint8_t> black(64, 0), white(64, 255);
-    EXPECT_EQ(encoder.encode(black.data(), 64, rng).totalSpikes(), 0u);
-    const auto grid = encoder.encode(white.data(), 64, rng);
+    snn::PackedSpikeGrid grid;
+    encoder.encodePacked(black.data(), 64, rng, grid);
+    EXPECT_EQ(grid.totalSpikes(), 0u);
+    EXPECT_EQ(grid.activeTickCount(), 0u);
+    encoder.encodePacked(white.data(), 64, rng, grid);
     // ~10 spikes per pixel on average.
     EXPECT_GT(grid.totalSpikes(), 64u * 5);
     EXPECT_LT(grid.totalSpikes(), 64u * 20);
@@ -83,21 +86,52 @@ TEST(EdgeCases, EncoderHandlesAllBlackAndAllWhiteImages)
 
 using EdgeDeathTest = ::testing::Test;
 
-TEST(EdgeDeathTest, PresentImageRejectsOutOfRangeSpike)
+/** A 4-input, 20-tick net for the presentImage() shape guards. */
+snn::SnnNetwork
+guardNetwork()
 {
-    // Input 7 on a 4-input net: the index must be rejected before any
-    // weight row is read with it.
     snn::SnnConfig config;
     config.numInputs = 4;
     config.numNeurons = 1;
     config.coding.periodMs = 20;
     config.homeostasis.enabled = false;
     Rng rng(4);
-    snn::SnnNetwork net(config, rng);
-    snn::SpikeTrainGrid grid;
-    grid.ticks.resize(20);
-    grid.ticks[3].push_back(7);
-    EXPECT_DEATH(net.presentImage(grid, false), "input spike out of range");
+    return snn::SnnNetwork(config, rng);
+}
+
+TEST(EdgeDeathTest, PresentImageRejectsOutOfRangeSpike)
+{
+    // Input 7 on a 4-input net: a grid as wide as the net cannot hold
+    // it, and a wider grid that does is rejected before any weight row
+    // is read with it.
+    snn::PackedSpikeGrid narrow(4, 20);
+    EXPECT_DEATH(narrow.addSpike(3, 7), "input spike out of range");
+
+    snn::SnnNetwork net = guardNetwork();
+    snn::PackedSpikeGrid wide(8, 20);
+    wide.addSpike(3, 7);
+    wide.finalize();
+    EXPECT_DEATH(net.presentImage(wide, false),
+                 "packed grid inputs 8 != config inputs 4");
+}
+
+TEST(EdgeDeathTest, PresentImageRejectsPeriodMismatch)
+{
+    snn::SnnNetwork net = guardNetwork();
+    snn::PackedSpikeGrid grid(4, 30);
+    grid.addSpike(25, 1); // past the net's 20-tick window.
+    grid.finalize();
+    EXPECT_DEATH(net.presentImage(grid, false),
+                 "packed grid period 30 != config period 20");
+}
+
+TEST(EdgeDeathTest, PresentImageRejectsWidthMismatch)
+{
+    snn::SnnNetwork net = guardNetwork();
+    snn::PackedSpikeGrid grid(3, 20);
+    grid.finalize();
+    EXPECT_DEATH(net.presentImage(grid, false),
+                 "packed grid inputs 3 != config inputs 4");
 }
 
 TEST(EdgeDeathTest, DatasetRejectsWrongGeometry)

@@ -29,14 +29,15 @@ tinyConfig()
     return config;
 }
 
-SpikeTrainGrid
+/** A finalized grid as wide as tinyConfig()'s input layer. */
+PackedSpikeGrid
 gridWithSpikes(int period,
                const std::vector<std::pair<int, uint16_t>> &spikes)
 {
-    SpikeTrainGrid grid;
-    grid.ticks.resize(static_cast<std::size_t>(period));
+    PackedSpikeGrid grid(tinyConfig().numInputs, period);
     for (const auto &[t, p] : spikes)
-        grid.ticks[static_cast<std::size_t>(t)].push_back(p);
+        grid.addSpike(t, p);
+    grid.finalize();
     return grid;
 }
 
@@ -130,13 +131,11 @@ expectGateExpiry(SnnNetwork &net,
                  const std::vector<int> &probe_tick)
 {
     const int period = net.config().coding.periodMs;
-    const auto dense = gridWithSpikes(period, spikes);
-    PackedSpikeGrid packed;
-    packed.fromDense(dense, net.config().numInputs);
+    const auto grid = gridWithSpikes(period, spikes);
     for (const bool event_path : {true, false}) {
         SCOPED_TRACE(event_path ? "present" : "presentImage");
-        const auto result = event_path ? net.present(packed, false)
-                                       : net.presentImage(dense, false);
+        const auto result = event_path ? net.present(grid, false)
+                                       : net.presentImage(grid, false);
         EXPECT_EQ(result.spikeCountPerNeuron, fires);
         for (std::size_t n = 0; n < fires.size(); ++n) {
             const double expected = lifDecay(

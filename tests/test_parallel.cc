@@ -269,11 +269,12 @@ TEST(Determinism, SnnEvaluateMatchesHandRolledSerialReference)
     std::size_t ref_correct = 0;
     {
         snn::SnnNetwork copy(net);
+        snn::PackedSpikeGrid grid;
         for (std::size_t i = 0; i < w.data.test.size(); ++i) {
             Rng sample_rng(deriveStreamSeed(eval_seed, i));
-            const auto grid = trainer.encoder().encode(
-                w.data.test[i].pixels.data(),
-                w.data.test[i].pixels.size(), sample_rng);
+            trainer.encoder().encodePacked(w.data.test[i].pixels.data(),
+                                           w.data.test[i].pixels.size(),
+                                           sample_rng, grid);
             const auto r = copy.presentImage(grid, /*learn=*/false);
             const int winner = r.winner(snn::Readout::FirstSpike);
             if (winner >= 0 &&

@@ -85,35 +85,33 @@ expectIdenticalState(const SnnNetwork &a, const SnnNetwork &b)
     EXPECT_EQ(a.homeostasisEpochs(), b.homeostasisEpochs());
 }
 
-/** present() on the packed form of @p dense vs presentImage() on
- *  @p dense itself, both from copies of @p net.
- *  @return present()'s result. */
+/** present() vs presentImage() on @p grid, both from copies of
+ *  @p net. @return present()'s result. */
 PresentationResult
 expectHandBuiltGridAgrees(const SnnNetwork &net,
-                          const SpikeTrainGrid &dense,
+                          const PackedSpikeGrid &grid,
                           std::size_t expected_active_ticks)
 {
     SnnNetwork present_net(net);
     SnnNetwork oracle_net(net);
-    PackedSpikeGrid packed;
-    packed.fromDense(dense, net.config().numInputs);
 
     auto &reg = telemetry::MetricRegistry::instance();
     const auto active = reg.counter("snn.engine.ticks_active");
     const auto skipped = reg.counter("snn.engine.ticks_skipped");
     const uint64_t active0 = active->value();
     const uint64_t skipped0 = skipped->value();
-    const auto r = present_net.present(packed, /*learn=*/false);
+    const auto r = present_net.present(grid, /*learn=*/false);
     const uint64_t activeTicks = active->value() - active0;
     const uint64_t skippedTicks = skipped->value() - skipped0;
-    const auto ref = oracle_net.presentImage(dense, /*learn=*/false);
+    const auto ref = oracle_net.presentImage(grid, /*learn=*/false);
 
     expectIdenticalResults(ref, r, 0);
     expectIdenticalState(oracle_net, present_net);
-    EXPECT_EQ(r.inputSpikeCount, dense.totalSpikes());
+    EXPECT_EQ(r.inputSpikeCount, grid.totalSpikes());
     // Only spike-carrying ticks are visited; the rest are skipped.
     EXPECT_EQ(activeTicks, expected_active_ticks);
-    EXPECT_EQ(skippedTicks, dense.ticks.size() - expected_active_ticks);
+    EXPECT_EQ(skippedTicks, static_cast<uint64_t>(grid.periodMs()) -
+                                expected_active_ticks);
     return r;
 }
 
@@ -127,8 +125,7 @@ TEST(SnnPresent, PresentationsBitIdenticalToPresentImage)
     SnnNetwork present_net(config, init);
     SnnNetwork oracle_net(present_net); // identical copy.
 
-    PackedSpikeGrid packed;
-    SpikeTrainGrid dense;
+    PackedSpikeGrid grid;
     std::size_t potentiated = 0;
     // Two learning epochs (STDP + homeostasis must evolve identically),
     // then a no-learn pass over the learned network.
@@ -137,10 +134,9 @@ TEST(SnnPresent, PresentationsBitIdenticalToPresentImage)
         for (std::size_t i = 0; i < data.size(); ++i) {
             Rng rng(deriveStreamSeed(seed, i));
             encoder.encodePacked(data[i].pixels.data(),
-                                 data[i].pixels.size(), rng, packed);
-            packed.toDense(dense);
-            const auto r = present_net.present(packed, learn);
-            const auto ref = oracle_net.presentImage(dense, learn);
+                                 data[i].pixels.size(), rng, grid);
+            const auto r = present_net.present(grid, learn);
+            const auto ref = oracle_net.presentImage(grid, learn);
             expectIdenticalResults(ref, r, i);
             potentiated += r.stdpPotentiated;
         }
@@ -153,8 +149,8 @@ TEST(SnnPresent, PresentationsBitIdenticalToPresentImage)
 
 TEST(SnnPresent, PresentEqualsPresentImageWithoutLearning)
 {
-    // present() on the packed grid vs presentImage() on its expansion,
-    // from a fresh network with learning off: the public API contract.
+    // present() vs presentImage() on the same grids, from a fresh
+    // network with learning off: the public API contract.
     const datasets::Dataset data = makeHalves(16, 3);
     const SnnConfig config = smallConfig();
     const SpikeEncoder encoder(config.coding);
@@ -163,15 +159,13 @@ TEST(SnnPresent, PresentEqualsPresentImageWithoutLearning)
     SnnNetwork present_net(config, init);
     SnnNetwork oracle_net(present_net); // identical copy.
 
-    PackedSpikeGrid packed;
-    SpikeTrainGrid dense;
+    PackedSpikeGrid grid;
     for (std::size_t i = 0; i < data.size(); ++i) {
         Rng rng(deriveStreamSeed(5, i));
         encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
-                             rng, packed);
-        packed.toDense(dense);
-        const auto r = present_net.present(packed, /*learn=*/false);
-        const auto ref = oracle_net.presentImage(dense, /*learn=*/false);
+                             rng, grid);
+        const auto r = present_net.present(grid, /*learn=*/false);
+        const auto ref = oracle_net.presentImage(grid, /*learn=*/false);
         expectIdenticalResults(ref, r, i);
     }
     expectIdenticalState(oracle_net, present_net);
@@ -193,22 +187,28 @@ quietNetwork(uint64_t seed)
     return SnnNetwork(config, rng);
 }
 
+/** A finalized grid for quietNetwork() (784 inputs, 200 ticks). */
+PackedSpikeGrid
+handBuiltGrid(const std::vector<std::pair<int, uint16_t>> &spikes)
+{
+    PackedSpikeGrid grid(784, 200);
+    for (const auto &[t, p] : spikes)
+        grid.addSpike(t, p);
+    grid.finalize();
+    return grid;
+}
+
 TEST(SnnPresent, HandBuiltSparseGridMatchesPresentImage)
 {
-    SpikeTrainGrid grid;
-    grid.ticks.resize(200);
-    grid.ticks[3].push_back(1);
-    grid.ticks[3].push_back(2);
-    grid.ticks[50].push_back(0);
-    grid.ticks[150].push_back(3);
+    const PackedSpikeGrid grid =
+        handBuiltGrid({{3, 1}, {3, 2}, {50, 0}, {150, 3}});
     expectHandBuiltGridAgrees(quietNetwork(7), grid, 3); // 3 instants.
 }
 
 TEST(SnnPresent, EmptyWindowMatchesPresentImage)
 {
-    SpikeTrainGrid empty;
-    empty.ticks.resize(200);
-    const auto r = expectHandBuiltGridAgrees(quietNetwork(8), empty, 0);
+    const auto r =
+        expectHandBuiltGridAgrees(quietNetwork(8), handBuiltGrid({}), 0);
     EXPECT_EQ(r.outputSpikeCount, 0u);
     EXPECT_EQ(r.firstSpikeNeuron, -1);
 }

@@ -45,9 +45,10 @@ TEST_P(PresentationInvariantTest, HoldsForRandomImages)
     const auto split = datasets::makeSynthDigits(opt);
 
     Rng spike_rng(13);
+    PackedSpikeGrid grid;
     for (std::size_t i = 0; i < split.train.size(); ++i) {
-        const auto grid = encoder.encode(split.train[i].pixels.data(),
-                                         784, spike_rng);
+        encoder.encodePacked(split.train[i].pixels.data(), 784, spike_rng,
+                             grid);
         const auto result = net.presentImage(grid, /*learn=*/false);
 
         // 1. Every input spike is accounted for.
@@ -99,8 +100,8 @@ TEST(PresentationInvariants, LearningOnlyChangesFiringNeuronsWeights)
     opt.testSize = 1;
     const auto split = datasets::makeSynthDigits(opt);
     Rng spike_rng(19);
-    const auto grid =
-        encoder.encode(split.train[0].pixels.data(), 784, spike_rng);
+    PackedSpikeGrid grid;
+    encoder.encodePacked(split.train[0].pixels.data(), 784, spike_rng, grid);
     const auto result = net.presentImage(grid, /*learn=*/true);
 
     for (std::size_t n = 0; n < config.numNeurons; ++n) {
@@ -130,9 +131,10 @@ TEST(PresentationInvariants, NoLearningLeavesWeightsUntouched)
     opt.testSize = 1;
     const auto split = datasets::makeSynthDigits(opt);
     Rng spike_rng(29);
+    PackedSpikeGrid grid;
     for (std::size_t i = 0; i < split.train.size(); ++i) {
-        const auto grid = encoder.encode(split.train[i].pixels.data(),
-                                         784, spike_rng);
+        encoder.encodePacked(split.train[i].pixels.data(), 784, spike_rng,
+                             grid);
         net.presentImage(grid, /*learn=*/false);
     }
     EXPECT_EQ(net.weights().data(), before);
@@ -151,9 +153,10 @@ TEST(PresentationInvariants, WeightsStayInStdpBounds)
     opt.testSize = 1;
     const auto split = datasets::makeSynthDigits(opt);
     Rng spike_rng(37);
+    PackedSpikeGrid grid;
     for (std::size_t i = 0; i < split.train.size(); ++i) {
-        const auto grid = encoder.encode(split.train[i].pixels.data(),
-                                         784, spike_rng);
+        encoder.encodePacked(split.train[i].pixels.data(), 784, spike_rng,
+                             grid);
         net.presentImage(grid, /*learn=*/true);
     }
     for (float w : net.weights().data()) {

@@ -1,7 +1,10 @@
-// Tests for the event-indexed spike grid: packed/dense round trips
-// across every coding scheme, duplicate merging, and the event index.
+// Tests for the event-indexed spike grid: per-scheme encoding
+// determinism, duplicate merging, and the event index.
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "neuro/common/rng.h"
 #include "neuro/snn/coding.h"
@@ -32,38 +35,52 @@ rampPixels(std::size_t n)
     return pixels;
 }
 
-class PackedRoundTripTest : public ::testing::TestWithParam<CodingScheme>
+/** The grid as (tick, input) pairs, in event-index order. */
+std::vector<std::pair<int32_t, uint16_t>>
+eventsOf(const PackedSpikeGrid &grid)
+{
+    std::vector<std::pair<int32_t, uint16_t>> events;
+    for (std::size_t k = 0; k < grid.activeTickCount(); ++k) {
+        std::size_t count = 0;
+        const uint16_t *inputs = grid.inputsAt(k, &count);
+        for (std::size_t s = 0; s < count; ++s)
+            events.emplace_back(grid.activeTicks()[k], inputs[s]);
+    }
+    return events;
+}
+
+class PackedEncodingTest : public ::testing::TestWithParam<CodingScheme>
 {
 };
 
-TEST_P(PackedRoundTripTest, PackedExpandsToDenseEncoding)
+TEST_P(PackedEncodingTest, SameStreamSameGrid)
 {
+    // The grid cache relies on this: one Rng stream, one grid, and the
+    // Rng consumed identically, even into a reused grid.
     const SpikeEncoder encoder(makeConfig(GetParam()));
     const auto pixels = rampPixels(64);
 
-    // Same seed for both encoders: the packed encoder must consume the
-    // Rng identically and produce the identical train.
-    Rng dense_rng(11);
-    SpikeTrainGrid dense;
-    encoder.encodeInto(pixels.data(), pixels.size(), dense_rng, dense);
+    Rng first_rng(11);
+    PackedSpikeGrid first;
+    encoder.encodePacked(pixels.data(), pixels.size(), first_rng, first);
 
-    Rng packed_rng(11);
-    PackedSpikeGrid packed;
-    encoder.encodePacked(pixels.data(), pixels.size(), packed_rng, packed);
+    Rng second_rng(11);
+    PackedSpikeGrid reused(8, 20);
+    reused.addSpike(3, 5);
+    reused.finalize();
+    encoder.encodePacked(pixels.data(), pixels.size(), second_rng, reused);
 
-    SpikeTrainGrid expanded;
-    packed.toDense(expanded);
-    ASSERT_EQ(expanded.ticks.size(), dense.ticks.size());
-    for (std::size_t t = 0; t < dense.ticks.size(); ++t)
-        EXPECT_EQ(expanded.ticks[t], dense.ticks[t]) << "tick " << t;
-    EXPECT_EQ(packed.totalSpikes(), dense.totalSpikes());
-
-    // And both Rngs ended in the same state.
-    EXPECT_EQ(dense_rng.next(), packed_rng.next());
+    EXPECT_EQ(reused.numInputs(), pixels.size());
+    EXPECT_EQ(reused.periodMs(), 500);
+    EXPECT_GT(first.totalSpikes(), 0u);
+    EXPECT_EQ(eventsOf(reused), eventsOf(first));
+    EXPECT_EQ(first_rng.next(), second_rng.next());
+    for (const auto &[t, p] : eventsOf(first))
+        EXPECT_NE(p, 0) << "zero-luminance pixel spiked at tick " << t;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Schemes, PackedRoundTripTest,
+    Schemes, PackedEncodingTest,
     ::testing::Values(CodingScheme::RatePoisson, CodingScheme::RateGaussian,
                       CodingScheme::RateRegular, CodingScheme::RateBernoulli,
                       CodingScheme::TimeToFirstSpike,
@@ -84,12 +101,9 @@ TEST(PackedSpikeGrid, EdgeTicksRoundTrip)
     ASSERT_EQ(grid.activeTicks().size(), 2u);
     EXPECT_EQ(grid.activeTicks().front(), 0);
     EXPECT_EQ(grid.activeTicks().back(), 499);
-
-    SpikeTrainGrid dense;
-    grid.toDense(dense);
-    ASSERT_EQ(dense.ticks.size(), 500u);
-    EXPECT_EQ(dense.ticks[0], (std::vector<uint16_t>{3}));
-    EXPECT_EQ(dense.ticks[499], (std::vector<uint16_t>{3, 7}));
+    EXPECT_EQ(eventsOf(grid),
+              (std::vector<std::pair<int32_t, uint16_t>>{
+                  {0, 3}, {499, 3}, {499, 7}}));
 }
 
 TEST(PackedSpikeGrid, DuplicateSpikesMerge)
@@ -162,32 +176,13 @@ TEST(PackedSpikeGrid, EventIndexPreservesEmissionOrder)
     EXPECT_EQ(inputs[2], 4);
 }
 
-TEST(PackedSpikeGrid, FromDenseRoundTrip)
-{
-    SpikeTrainGrid dense;
-    dense.ticks.resize(50);
-    dense.ticks[0] = {2, 0};
-    dense.ticks[49] = {1};
-    PackedSpikeGrid packed;
-    packed.fromDense(dense, 4);
-    SpikeTrainGrid back;
-    packed.toDense(back);
-    ASSERT_EQ(back.ticks.size(), dense.ticks.size());
-    for (std::size_t t = 0; t < dense.ticks.size(); ++t)
-        EXPECT_EQ(back.ticks[t], dense.ticks[t]);
-}
-
 TEST(PackedSpikeGrid, EmptyGridHasNoActiveTicks)
 {
     PackedSpikeGrid grid(16, 500);
     grid.finalize();
     EXPECT_EQ(grid.totalSpikes(), 0u);
     EXPECT_EQ(grid.activeTickCount(), 0u);
-    SpikeTrainGrid dense;
-    grid.toDense(dense);
-    EXPECT_EQ(dense.ticks.size(), 500u);
-    for (const auto &tick : dense.ticks)
-        EXPECT_TRUE(tick.empty());
+    EXPECT_EQ(grid.periodMs(), 500);
 }
 
 } // namespace

@@ -300,9 +300,10 @@ rulePragmaOnce(const std::vector<Token> &code, const std::string &path,
 
 /** R5: `// neurolint: ordered-sum` tagged loops accumulate in double
  *  only. The SNN's present() and its presentImage() reference promise
- *  bit-identical sums because both add the same float inputs into a
- *  double accumulator in emission order; a float accumulator or a
- *  float cast mid-sum silently re-rounds one side. */
+ *  bit-identical sums because both read the same packed grid and add
+ *  the same float weights into a double accumulator in emission order;
+ *  a float accumulator or a float cast mid-sum silently re-rounds one
+ *  side. */
 void
 ruleOrderedSum(const std::vector<Token> &code, const std::string &path,
                const Directives &d, std::vector<Finding> &out)

@@ -21,7 +21,7 @@
  *  - R5 `ordered-sum`: loops tagged `// neurolint: ordered-sum` must
  *                      accumulate in double only — no float accumulators
  *                      or float casts mid-sum, which would break the
- *                      dense/event bit-identical contract.
+ *                      present()/presentImage() bit-identical contract.
  *  - R6 `raw-mutex`:   no raw std::mutex / std::shared_mutex /
  *                      std::condition_variable in library code — use
  *                      the annotated neuro::Mutex/CondVar wrappers
