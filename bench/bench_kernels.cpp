@@ -4,10 +4,11 @@
  * every kernel runs at every reachable ISA level (scalar, then AVX2 /
  * AVX512 when the CPU and toolchain provide them) over the shapes the
  * repo actually uses — the MNIST MLP layers for the float kernels, the
- * quantized MLP for q8, 1024 random words for popcount (which has no
- * caller in src/ and is kept for the repository benchmark's metric) —
- * and reports wall time, element throughput and speedup vs the scalar
- * table as CSV (bench_kernels.csv).
+ * quantized MLP for q8, the paper SNN's 300-neuron layer for the
+ * event engine's drive and LIF step, 1024 random words for popcount
+ * (which has no caller in src/ and is kept for the repository
+ * benchmark's metric) — and reports wall time, element throughput
+ * and speedup vs the scalar table as CSV (bench_kernels.csv).
  *
  * Bit-identity cross-check: each vector run's output is compared
  * against the scalar run's word for word and the bench aborts on any
@@ -118,8 +119,8 @@ main(int argc, char **argv)
     // --- cases: the repo's hot shapes ------------------------------
     // MNIST MLP hidden layer (100 x 784+1), output layer (10 x 100+1),
     // the served 784-2048-10 model's hidden layer (single-sample
-    // kernels only), event-engine drive (the paper SNN's 300 neurons
-    // per spike row), and popcount over random words.
+    // kernels only), the event engine's drive row and LIF step (the
+    // paper SNN's 300 neurons), and popcount over random words.
     Rng rng(42);
     constexpr std::size_t kStrip = kernels::kStripWidth;
 
@@ -228,8 +229,8 @@ main(int argc, char **argv)
              }});
     }
 
-    // Event-engine drive row, and popcount (no src/ caller; kept for
-    // the repository benchmark's metric).
+    // Event-engine drive row and LIF step, and popcount (no src/
+    // caller; kept for the repository benchmark's metric).
     {
         const std::size_t neurons = 300;
         const auto row = std::make_shared<std::vector<float>>(
@@ -248,6 +249,40 @@ main(int argc, char **argv)
                                               sizeof(double));
                  std::memcpy(b.data(), acc->data(), b.size());
                  return b;
+             }});
+
+        // Uniform-tick LIF step over the same layer, 64 ticks per run
+        // as in a stretch of open ticks. The potentials restart before
+        // each ISA's loop; the crossing flags are part of the output.
+        const auto drive = std::make_shared<std::vector<double>>(neurons);
+        const auto thr = std::make_shared<std::vector<double>>(neurons);
+        for (std::size_t i = 0; i < neurons; ++i) {
+            (*drive)[i] = 40.0 * (1.0 + (*row)[i]);
+            (*thr)[i] = rng.uniform(1000.0, 8000.0);
+        }
+        const auto pot = std::make_shared<std::vector<double>>(neurons);
+        const auto crossings = std::make_shared<std::size_t>(0);
+        cases.push_back(
+            {"lifStep", "300", neurons,
+             [=] {
+                 for (int s = 0; s < 64; ++s) {
+                     *crossings += kernels::lifStep(
+                         pot->data(), drive->data(), thr->data(),
+                         0.998, neurons);
+                 }
+             },
+             [=] {
+                 std::vector<unsigned char> b(
+                     pot->size() * sizeof(double) + sizeof(std::size_t));
+                 std::memcpy(b.data(), pot->data(),
+                             pot->size() * sizeof(double));
+                 std::memcpy(b.data() + pot->size() * sizeof(double),
+                             crossings.get(), sizeof(std::size_t));
+                 return b;
+             },
+             [=] {
+                 std::fill(pot->begin(), pot->end(), 0.0);
+                 *crossings = 0;
              }});
 
         const std::size_t words = 1024;

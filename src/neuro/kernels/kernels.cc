@@ -309,8 +309,16 @@ addOuterBias(float *w, std::size_t rows, std::size_t cols, float eta,
 void
 addRowF64(double *acc, const float *row, std::size_t n)
 {
-    metrics().gemvT->inc();
+    // Uncounted: it runs once per input spike, which snn.input_spikes
+    // already counts.
     active().addRowF64(acc, row, n);
+}
+
+bool
+lifStep(double *pot, const double *drive, const double *thr, double factor,
+        std::size_t n)
+{
+    return active().lifStep(pot, drive, thr, factor, n);
 }
 
 std::size_t

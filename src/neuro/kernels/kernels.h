@@ -101,6 +101,8 @@ struct KernelTable
                          const float *x) = nullptr;
     void (*addRowF64)(double *acc, const float *row,
                       std::size_t n) = nullptr;
+    bool (*lifStep)(double *pot, const double *drive, const double *thr,
+                    double factor, std::size_t n) = nullptr;
     std::size_t (*popcountWords)(const uint64_t *words,
                                  std::size_t n) = nullptr;
 };
@@ -198,6 +200,16 @@ void addOuterBias(float *w, std::size_t rows, std::size_t cols,
  * independent, so vector width never reorders a neuron's sum.
  */
 void addRowF64(double *acc, const float *row, std::size_t n);
+
+/**
+ * pot[i] = pot[i] * factor + drive[i] for i in [0, n) — the event
+ * engine's leak-and-integrate step on a tick where every neuron is
+ * open and shares one decay @p factor. One multiply then one add per
+ * element, each rounded, like the engine's per-neuron walk.
+ * @return true if any updated pot[i] >= thr[i].
+ */
+bool lifStep(double *pot, const double *drive, const double *thr,
+             double factor, std::size_t n);
 
 /** @return total set bits over @p n 64-bit words. */
 std::size_t popcountWords(const uint64_t *words, std::size_t n);

@@ -13,9 +13,10 @@
  * lane, so each lane is one chain of that sequence.
  *
  * Every loop follows one of two shapes:
- *  - independent element chains (gemvT, addOuter*, addRowF64): each
- *    output element owns its additions, so vectorizing across
- *    elements is order-preserving by construction;
+ *  - independent element chains (gemvT, addOuter*, addRowF64,
+ *    lifStep): each output element owns its additions, so
+ *    vectorizing across elements is order-preserving by
+ *    construction;
  *  - fixed-schedule reductions (gemv, gemvBias, the strips): four
  *    partial accumulators merged as (a0+a1)+(a2+a3), then the tail,
  *    then the bias — dotUnrolled's historical order, now the layer's
@@ -398,6 +399,41 @@ kAddRowF64(double *__restrict acc, const float *__restrict row,
         acc[i] += static_cast<double>(row[i]);
 }
 
+bool
+kLifStep(double *__restrict pot, const double *__restrict drive,
+         const double *__restrict thr, double factor, std::size_t n)
+{
+    // Independent per-neuron updates plus a crossing flag per tile
+    // lane, each a double select: at -O2 GCC 12 vectorizes the select
+    // in every table, where an int/bool OR of the double compare stays
+    // scalar in the baseline one, and one shared flag would chain
+    // every select through one register. The rolled tile keeps -O3
+    // from unrolling it and vectorizing across tiles with strided
+    // loads, which ran 2-3x slower (docs/kernels.md).
+    double lanes[kTile] = {};
+    std::size_t i = 0;
+    for (; i + kTile <= n; i += kTile) {
+        double *p = pot + i;
+        const double *d = drive + i;
+        const double *th = thr + i;
+#pragma GCC unroll 1
+        for (std::size_t k = 0; k < kTile; ++k) {
+            const double np = p[k] * factor + d[k];
+            p[k] = np;
+            lanes[k] = np >= th[k] ? 1.0 : lanes[k];
+        }
+    }
+    double any = 0.0;
+    for (std::size_t k = 0; k < kTile; ++k)
+        any = lanes[k] != 0.0 ? 1.0 : any;
+    for (; i < n; ++i) {
+        const double np = pot[i] * factor + drive[i];
+        pot[i] = np;
+        any = np >= thr[i] ? 1.0 : any;
+    }
+    return any != 0.0;
+}
+
 std::size_t
 kPopcountWords(const uint64_t *words, std::size_t n)
 {
@@ -424,6 +460,7 @@ table()
         kt.addOuter = kAddOuter;
         kt.addOuterBias = kAddOuterBias;
         kt.addRowF64 = kAddRowF64;
+        kt.lifStep = kLifStep;
         kt.popcountWords = kPopcountWords;
         return kt;
     }();

@@ -40,6 +40,25 @@ checkGridShape(const PackedSpikeGrid &grid, const SnnConfig &config)
                  grid.numInputs(), config.numInputs);
 }
 
+/** present()'s WTA pick when every neuron is open: the first neuron
+ *  with the largest margin pot - thr >= 0, or -1 if none crossed. */
+int
+firstMaxMargin(const double *pot, const double *thr, std::size_t n)
+{
+    int fire_n = -1;
+    double best_margin = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (pot[i] >= thr[i]) {
+            const double margin = pot[i] - thr[i];
+            if (fire_n < 0 || margin > best_margin) {
+                fire_n = static_cast<int>(i);
+                best_margin = margin;
+            }
+        }
+    }
+    return fire_n;
+}
+
 } // namespace
 
 SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
@@ -87,7 +106,7 @@ SnnNetwork::beginPresentation(PresentationResult &result)
     std::fill(lastInputSpike_.begin(), lastInputSpike_.end(), -1);
 }
 
-void
+int64_t
 SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
                        PresentationResult &result)
 {
@@ -99,6 +118,7 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
     // its whole gate; each peer's gate extends to the later expiry.
     potentials_[fn] = 0.0;
     gateUntil_[fn] = t + config_.tRefracMs;
+    int64_t latest_gate = gateUntil_[fn];
     ++fireCounts_[fn];
     ++result.outputSpikeCount;
     if (result.firstSpikeNeuron < 0) {
@@ -109,6 +129,7 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
         if (static_cast<int>(n) == fire_n)
             continue;
         gateUntil_[n] = std::max(gateUntil_[n], t + config_.tInhibitMs);
+        latest_gate = std::max(latest_gate, gateUntil_[n]);
         if (config_.wtaReset)
             potentials_[n] = 0.0;
     }
@@ -128,6 +149,7 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
     }
     if (Tracer::enabled())
         Tracer::instance().instant("snn.fire", "spike");
+    return latest_gate;
 }
 
 void
@@ -314,6 +336,13 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
     int64_t *__restrict last = lastUpdateMs_.data();
     const double *__restrict decay = decayFactors_.data();
 
+    // Every neuron is open (ungated) at t >= open_from: the latest
+    // gate any firing set. uniform_at is the tick every neuron was
+    // last updated at, or -1 when they differ. While it is >= 0,
+    // lastUpdateMs_ is stale and is written only before it is read.
+    int64_t open_from = -1;
+    int64_t uniform_at = 0;
+    std::size_t uniform_ticks = 0;
     for (std::size_t k = 0; k < active.size(); ++k) {
         const int64_t t = active[k];
         std::size_t spike_count = 0;
@@ -337,37 +366,58 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
             kernels::addRowF64(drive, weightsT_.row(spikes[s]),
                                num_neurons);
 
-        // Phase 2: decay-and-integrate the ungated neurons, tracking
-        // the WTA winner in the same index-order pass (per-neuron
-        // updates are independent, so fusing the reference walk's
-        // integrate loop and fire scan changes nothing). Gated
-        // neurons keep their stale lastUpdate and catch up later,
-        // exactly as the reference walk leaves them.
+        // Phase 2: decay-and-integrate the ungated neurons, then pick
+        // the WTA winner in index order.
         int fire_n = -1;
-        double best_margin = 0.0;
-        for (std::size_t n = 0; n < num_neurons; ++n) {
-            if (gatedAt(n, t))
-                continue;
-            pot[n] *= decay[static_cast<std::size_t>(t - last[n])];
-            last[n] = t;
-            pot[n] += drive[n];
-            if (pot[n] >= thr[n]) {
-                const double margin = pot[n] - thr[n];
-                if (fire_n < 0 || margin > best_margin) {
-                    fire_n = static_cast<int>(n);
-                    best_margin = margin;
+        if (t >= open_from && uniform_at >= 0) {
+            // Fast path: every neuron is open and decays by one shared
+            // factor, which is each neuron's own table entry, so
+            // lifStep's multiply-then-add is the slow path's exactly.
+            ++uniform_ticks;
+            const double factor =
+                decay[static_cast<std::size_t>(t - uniform_at)];
+            if (kernels::lifStep(pot, drive, thr, factor, num_neurons))
+                fire_n = firstMaxMargin(pot, thr, num_neurons);
+            uniform_at = t;
+        } else {
+            // Slow path: per-neuron gates and gaps, tracking the
+            // winner in the same index-order pass (per-neuron updates
+            // are independent, so fusing the reference walk's
+            // integrate loop and fire scan changes nothing). Gated
+            // neurons keep their stale lastUpdate and catch up later,
+            // exactly as the reference walk leaves them.
+            if (uniform_at >= 0)
+                std::fill(last, last + num_neurons, uniform_at);
+            double best_margin = 0.0;
+            for (std::size_t n = 0; n < num_neurons; ++n) {
+                if (gatedAt(n, t))
+                    continue;
+                pot[n] *= decay[static_cast<std::size_t>(t - last[n])];
+                last[n] = t;
+                pot[n] += drive[n];
+                if (pot[n] >= thr[n]) {
+                    const double margin = pot[n] - thr[n];
+                    if (fire_n < 0 || margin > best_margin) {
+                        fire_n = static_cast<int>(n);
+                        best_margin = margin;
+                    }
                 }
             }
+            uniform_at = t >= open_from ? t : -1;
         }
         for (std::size_t s = 0; s < spike_count; ++s)
             lastInputSpike_[spikes[s]] = t;
         if (fire_n >= 0) {
-            fireNeuron(fire_n, t, learn, result);
+            open_from = std::max(open_from,
+                                 fireNeuron(fire_n, t, learn, result));
             ++result.spikeCountPerNeuron[static_cast<std::size_t>(fire_n)];
         }
     }
+    if (uniform_at >= 0)
+        std::fill(last, last + num_neurons, uniform_at);
 
     obsCount<"snn.engine.ticks_active">(active.size());
+    obsCount<"snn.engine.ticks_uniform">(uniform_ticks);
     obsCount<"snn.engine.ticks_skipped">(static_cast<uint64_t>(period) -
                                          active.size());
     finishPresentation(learn, result);

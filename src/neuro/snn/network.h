@@ -14,8 +14,14 @@
  *    `PackedSpikeGrid` that touches only spike-carrying ticks, reads
  *    the leak from a decay table filled once per network, and
  *    accumulates synaptic drive through a transposed weight copy so
- *    the inner loop is a contiguous vector sweep. Training, labeling,
- *    evaluation and serving all run it;
+ *    the inner loop is a contiguous vector sweep. On a tick where
+ *    every neuron is open and was last updated at the same tick (most
+ *    ticks), one dispatched `kernels::lifStep` call decays and
+ *    integrates the whole layer by one shared factor; only the ticks
+ *    after a firing take the per-neuron gated loop, and the
+ *    per-neuron update times are written only before that loop or
+ *    the window end reads them. Training, labeling, evaluation and
+ *    serving all run it;
  *  - presentImage(): the reference walk over every tick of the same
  *    packed grid, with the closed-form leak and the row-major weights,
  *    kept as the test oracle and as the Figure 3 trace path. The two
@@ -193,9 +199,11 @@ class SnnNetwork
                   bool learn, PresentationResult &result,
                   PresentationTrace *trace);
 
-    /** Shared fire-and-inhibit path of both walks (tick @p t). */
-    void fireNeuron(int fire_n, int64_t t, bool learn,
-                    PresentationResult &result);
+    /** Shared fire-and-inhibit path of both walks (tick @p t).
+     *  @return the latest gate it set: every neuron is open from
+     *  then on, until the next firing. */
+    int64_t fireNeuron(int fire_n, int64_t t, bool learn,
+                       PresentationResult &result);
 
     /** Decay to the window end, resolve the max-potential readout and
      *  (when learning) advance homeostasis. */

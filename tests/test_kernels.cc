@@ -373,6 +373,54 @@ TEST_F(KernelsTest, AddRowF64MatchesReference)
     }
 }
 
+TEST_F(KernelsTest, LifStepMatchesReferenceAndFlagsAnyCrossing)
+{
+    // Every kShapes column count plus the tile edges and the SNN's
+    // 300-neuron layer.
+    std::vector<std::size_t> lengths{1, 15, 16, 17, 300};
+    for (const auto &shape : kShapes)
+        lengths.push_back(shape[1]);
+
+    Rng rng(113);
+    const double factor = 0.9875;
+    for (std::size_t n : lengths) {
+        std::vector<double> pot0(n), drive(n), none(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            pot0[i] = rng.uniform(0.0, 1000.0);
+            drive[i] = rng.uniform(0.0, 50.0);
+        }
+        std::vector<double> expect(pot0);
+        for (std::size_t i = 0; i < n; ++i) {
+            expect[i] = pot0[i] * factor + drive[i];
+            none[i] = expect[i] + 1.0;
+        }
+
+        // Threshold sets: nothing crosses; the only crossing is the
+        // last element (in the ragged tail when n % 16 != 0); the
+        // only crossing is exactly pot == thr, at the first element.
+        std::vector<double> last_only(none);
+        last_only[n - 1] = expect[n - 1] - 1.0;
+        std::vector<double> equal_first(none);
+        equal_first[0] = expect[0];
+        const std::pair<const std::vector<double> *, bool> cases[] = {
+            {&none, false}, {&last_only, true}, {&equal_first, true}};
+
+        for (SimdMode mode : reachableModes()) {
+            setSimdMode(mode);
+            for (const auto &[thr, crossed] : cases) {
+                auto pot = pot0;
+                EXPECT_EQ(crossed, lifStep(pot.data(), drive.data(),
+                                           thr->data(), factor, n))
+                    << "lifStep n=" << n << " at " << isaName(activeIsa());
+                ASSERT_EQ(0, std::memcmp(expect.data(), pot.data(),
+                                         n * sizeof(double)))
+                    << "lifStep n=" << n << " differs at "
+                    << isaName(activeIsa());
+            }
+        }
+    }
+}
+
 // -------------------------------------------------- integer kernels
 
 TEST_F(KernelsTest, Q8MatchesReferenceIncludingSaturationEdges)
@@ -492,6 +540,7 @@ TEST_F(KernelsTest, CallCountersAndIsaGaugeAreRegistered)
 {
     auto &reg = telemetry::MetricRegistry::instance();
     const auto gemv_calls = reg.counter("kernels.gemv.calls");
+    const auto gemvt_calls = reg.counter("kernels.gemvT.calls");
     const auto outer_calls = reg.counter("kernels.outer.calls");
     const auto pop_calls = reg.counter("kernels.popcount.calls");
     const auto isa_gauge = reg.gauge("kernels.dispatch.isa");
@@ -502,6 +551,16 @@ TEST_F(KernelsTest, CallCountersAndIsaGaugeAreRegistered)
     const uint64_t before_gemv = gemv_calls->value();
     gemvBias(w, 1, 2, x, y);
     EXPECT_EQ(before_gemv + 1, gemv_calls->value());
+
+    // gemvT counts its calls; the SNN drive row add is not gemvT work
+    // and counts nothing (snn.input_spikes carries its call count).
+    float yt[2] = {};
+    const uint64_t before_gemvt = gemvt_calls->value();
+    gemvT(w, 1, 2, x, yt);
+    EXPECT_EQ(before_gemvt + 1, gemvt_calls->value());
+    double acc[2] = {};
+    addRowF64(acc, w, 2);
+    EXPECT_EQ(before_gemvt + 1, gemvt_calls->value());
 
     float wo[2] = {0.0f, 0.0f};
     const float d[1] = {1.0f};

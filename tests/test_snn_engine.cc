@@ -1,8 +1,9 @@
 // present() against its oracle: the event-driven production path must
 // be bit-identical to the reference tick walk presentImage() — same
-// winners, same potentials, same learned weights — and the full
-// pipeline must agree at any thread count. Also covers the trainer's
-// grid-cache routing.
+// winners, same potentials, same learned weights — on both of its
+// phase 2 paths (uniform ticks through kernels::lifStep and gated
+// ticks), and the full pipeline must agree at any thread count. Also
+// covers the trainer's grid-cache routing.
 
 #include <gtest/gtest.h>
 
@@ -115,20 +116,37 @@ expectHandBuiltGridAgrees(const SnnNetwork &net,
     return r;
 }
 
-TEST(SnnPresent, PresentationsBitIdenticalToPresentImage)
+/** Tick counts of a present() sequence. */
+struct TickCounts
+{
+    uint64_t active = 0;  ///< snn.engine.ticks_active.
+    uint64_t uniform = 0; ///< snn.engine.ticks_uniform (fast path).
+};
+
+/**
+ * Two learning epochs (STDP + homeostasis must evolve identically),
+ * then a no-learn pass over the learned network, present() against
+ * presentImage() from identical copies of a @p config network.
+ * @return the tick counters present() moved.
+ */
+TickCounts
+expectLearningSequenceAgrees(const SnnConfig &config)
 {
     const datasets::Dataset data = makeHalves(64, 7);
-    const SnnConfig config = smallConfig();
     const SpikeEncoder encoder(config.coding);
 
     Rng init(9);
     SnnNetwork present_net(config, init);
     SnnNetwork oracle_net(present_net); // identical copy.
 
+    auto &reg = telemetry::MetricRegistry::instance();
+    const auto active = reg.counter("snn.engine.ticks_active");
+    const auto uniform = reg.counter("snn.engine.ticks_uniform");
+    const uint64_t active0 = active->value();
+    const uint64_t uniform0 = uniform->value();
+
     PackedSpikeGrid grid;
     std::size_t potentiated = 0;
-    // Two learning epochs (STDP + homeostasis must evolve identically),
-    // then a no-learn pass over the learned network.
     for (const uint64_t seed : {21u, 22u, 23u}) {
         const bool learn = seed != 23u;
         for (std::size_t i = 0; i < data.size(); ++i) {
@@ -145,6 +163,48 @@ TEST(SnnPresent, PresentationsBitIdenticalToPresentImage)
     // The sequence must actually exercise learning and homeostasis.
     EXPECT_GT(potentiated, 0u);
     EXPECT_GT(present_net.homeostasisEpochs(), 0);
+    return {active->value() - active0, uniform->value() - uniform0};
+}
+
+/** Both phase 2 paths must run: uniform ticks, where every neuron is
+ *  open and takes lifStep, and gated ticks after each firing. */
+void
+expectBothTickPaths(const TickCounts &ticks)
+{
+    EXPECT_GT(ticks.uniform, 0u);
+    EXPECT_LT(ticks.uniform, ticks.active);
+}
+
+TEST(SnnPresent, PresentationsBitIdenticalToPresentImage)
+{
+    expectBothTickPaths(expectLearningSequenceAgrees(smallConfig()));
+}
+
+/** smallConfig() at 37 neurons: two 16-neuron lifStep tiles plus a
+ *  5-neuron tail. */
+SnnConfig
+tiledConfig()
+{
+    SnnConfig config = smallConfig();
+    config.numNeurons = 37;
+    return config;
+}
+
+TEST(SnnPresent, TiledLayerBitIdenticalToPresentImage)
+{
+    expectBothTickPaths(expectLearningSequenceAgrees(tiledConfig()));
+}
+
+TEST(SnnPresent, TiledLayerWithoutResetBitIdenticalToPresentImage)
+{
+    // Peers keep their potentials, and their inhibition outlasts the
+    // winner's refractory period, so the winner reopens first and the
+    // fast path must wait for the latest gate.
+    SnnConfig config = tiledConfig();
+    config.wtaReset = false;
+    config.tRefracMs = 5;
+    config.tInhibitMs = 15;
+    expectBothTickPaths(expectLearningSequenceAgrees(config));
 }
 
 TEST(SnnPresent, PresentEqualsPresentImageWithoutLearning)
