@@ -19,6 +19,7 @@
 #include "neuro/common/pgm.h"
 #include "neuro/common/rng.h"
 #include "neuro/common/serialize.h"
+#include "neuro/common/stats.h"
 #include "neuro/common/table.h"
 #include "neuro/core/experiment.h"
 #include "neuro/snn/analysis.h"

@@ -44,15 +44,6 @@ renderAscii(const float *data, std::size_t width, std::size_t height)
 }
 
 std::string
-renderAscii(const uint8_t *data, std::size_t width, std::size_t height)
-{
-    std::vector<float> values(width * height);
-    for (std::size_t i = 0; i < values.size(); ++i)
-        values[i] = static_cast<float>(data[i]);
-    return renderAscii(values.data(), width, height);
-}
-
-std::string
 renderAsciiRow(const float *const *images, std::size_t count,
                std::size_t width, std::size_t height, std::size_t gap)
 {

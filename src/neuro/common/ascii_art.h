@@ -2,12 +2,12 @@
  * @file
  * Terminal rendering of images and receptive fields: a luminance ramp
  * over a fixed character palette. Used by the inspection tools to show
- * learned STDP receptive fields and dataset samples.
+ * learned STDP receptive fields.
  */
 
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 
 namespace neuro {
@@ -17,10 +17,6 @@ namespace neuro {
  * normalized over the image before mapping to the ramp " .:-=+*#%@".
  */
 std::string renderAscii(const float *data, std::size_t width,
-                        std::size_t height);
-
-/** Render a row-major 8-bit image (0..255) as ASCII. */
-std::string renderAscii(const uint8_t *data, std::size_t width,
                         std::size_t height);
 
 /**

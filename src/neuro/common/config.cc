@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string_view>
 
 #include "neuro/common/logging.h"
 
@@ -15,26 +17,21 @@ namespace neuro {
 namespace {
 
 /**
- * Flags every binary linking neuro_common understands via the shared
- * init paths (initParallel / initObservability) or the bench
- * convention. Extra per-binary flags join through registerKnownFlag().
+ * The dashed flags every binary linking neuro_common understands via
+ * the shared init paths (initParallel / initObservability) or the
+ * bench convention. The table is constant, so any thread may read it.
  */
-std::vector<std::string> &
-knownFlags()
-{
-    static std::vector<std::string> flags = {
-        "threads", "simd", "trace", "stats_dump", "metrics",
-        "metrics_period_ms", "trace_requests", "quick", "help",
-        // Network serving / load-harness flags (neurocmp serve
-        // --listen, bench_serving_openloop; docs/serving.md).
-        "listen", "port", "host", "rate", "duration_s", "deadline_us",
-    };
-    return flags;
-}
+constexpr std::string_view kKnownFlags[] = {
+    "threads", "simd", "trace", "stats_dump", "metrics",
+    "metrics_period_ms", "trace_requests", "quick", "help",
+    // Network serving / load-harness flags (neurocmp serve
+    // --listen, bench_serving_openloop; docs/serving.md).
+    "listen", "port", "host", "rate", "duration_s", "deadline_us",
+};
 
 /** Edit distance for the did-you-mean suggestion (small strings). */
 std::size_t
-editDistance(const std::string &a, const std::string &b)
+editDistance(std::string_view a, std::string_view b)
 {
     std::vector<std::size_t> row(b.size() + 1);
     for (std::size_t j = 0; j <= b.size(); ++j)
@@ -58,7 +55,7 @@ closestKnownFlag(const std::string &key)
 {
     std::string best;
     std::size_t bestDist = 3;
-    for (const std::string &flag : knownFlags()) {
+    for (const std::string_view flag : kKnownFlags) {
         const std::size_t d = editDistance(key, flag);
         if (d < bestDist) {
             bestDist = d;
@@ -69,16 +66,6 @@ closestKnownFlag(const std::string &key)
 }
 
 } // namespace
-
-void
-Config::registerKnownFlag(const std::string &name)
-{
-    std::string key = name;
-    std::replace(key.begin(), key.end(), '-', '_');
-    auto &flags = knownFlags();
-    if (std::find(flags.begin(), flags.end(), key) == flags.end())
-        flags.push_back(key);
-}
 
 void
 Config::set(const std::string &key, const std::string &value)
@@ -169,9 +156,8 @@ Config::parseArgs(int argc, char **argv)
             continue;
         std::replace(key.begin(), key.end(), '-', '_');
         if (dashed) {
-            const auto &flags = knownFlags();
-            if (std::find(flags.begin(), flags.end(), key) ==
-                flags.end()) {
+            if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags),
+                          key) == std::end(kKnownFlags)) {
                 unknownFlags_.push_back(key);
                 const std::string hint = closestKnownFlag(key);
                 if (hint.empty()) {

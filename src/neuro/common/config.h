@@ -43,22 +43,13 @@ class Config
      * to underscores. Non-matching tokens are ignored so benches can
      * coexist with other flags.
      *
-     * Dashed flags are checked against the known-flag registry: a
+     * Dashed flags are checked against a constant known-flag table: a
      * typo like `--theads=4` no longer vanishes silently but warns
      * (with a did-you-mean suggestion) and is listed in
      * unknownFlags(). The value is still stored, so plain `key=value`
      * passthrough and forward compatibility are unchanged.
      */
     void parseArgs(int argc, char **argv);
-
-    /**
-     * Register an accepted `--flag` name (normalized form, dashes as
-     * underscores) so parseArgs does not warn about it. The built-in
-     * set covers the flags every binary understands (threads, trace,
-     * stats_dump, quick, ...); binaries with extra dashed flags
-     * register them before parseArgs.
-     */
-    static void registerKnownFlag(const std::string &name);
 
     /** @return the dashed flags the last parseArgs did not recognize
      *  (normalized, without the leading dashes). */

@@ -1,13 +1,11 @@
 #include "neuro/common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace neuro {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::Normal};
 
 /**
  * Each message is emitted under a single stream lock so that
@@ -26,22 +24,8 @@ vprint(const char *tag, const char *fmt, va_list ap)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
-void
 inform(const char *fmt, ...)
 {
-    if (g_level.load(std::memory_order_relaxed) < LogLevel::Normal)
-        return;
     va_list ap;
     va_start(ap, fmt);
     vprint("info: ", fmt, ap);
@@ -49,21 +33,8 @@ inform(const char *fmt, ...)
 }
 
 void
-verbose(const char *fmt, ...)
-{
-    if (g_level.load(std::memory_order_relaxed) < LogLevel::Verbose)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vprint("verbose: ", fmt, ap);
-    va_end(ap);
-}
-
-void
 warn(const char *fmt, ...)
 {
-    if (g_level.load(std::memory_order_relaxed) < LogLevel::Normal)
-        return;
     va_list ap;
     va_start(ap, fmt);
     vprint("warn: ", fmt, ap);

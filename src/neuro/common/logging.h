@@ -8,6 +8,8 @@
  *             configuration, missing file); exits with status 1.
  * - warn():   something is questionable but the run can continue.
  * - inform(): plain status output.
+ *
+ * Every message goes to stderr; there is no verbosity level to set.
  */
 
 #pragma once
@@ -17,20 +19,8 @@
 
 namespace neuro {
 
-/** Verbosity levels for status messages. */
-enum class LogLevel { Quiet = 0, Normal = 1, Verbose = 2 };
-
-/** Set the global verbosity; messages above the level are suppressed. */
-void setLogLevel(LogLevel level);
-
-/** @return the current global verbosity. */
-LogLevel logLevel();
-
 /** Print an informational message (printf-style). */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a verbose-only message (printf-style). */
-void verbose(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Print a warning; execution continues. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

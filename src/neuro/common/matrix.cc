@@ -51,13 +51,6 @@ Matrix::fillUniform(Rng &rng, float lo, float hi)
         x = static_cast<float>(rng.uniform(lo, hi));
 }
 
-void
-Matrix::fillGaussian(Rng &rng, float mean, float stddev)
-{
-    for (auto &x : data_)
-        x = static_cast<float>(rng.gaussian(mean, stddev));
-}
-
 // The linear-algebra entry points delegate to the unified SIMD kernel
 // layer (neuro/kernels/): one runtime-dispatched implementation shared
 // with the strip, q8 and event-engine paths, bit-identical to the

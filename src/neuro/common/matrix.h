@@ -46,9 +46,6 @@ class Matrix
     /** Fill with uniform deviates in [lo, hi). */
     void fillUniform(Rng &rng, float lo, float hi);
 
-    /** Fill with normal deviates. */
-    void fillGaussian(Rng &rng, float mean, float stddev);
-
     /** y = this * x (rows x cols times cols-vector). */
     void gemv(const float *x, float *y) const;
 

@@ -113,28 +113,6 @@ Rng::gaussian(double mean, double stddev)
     return mean + stddev * gaussian();
 }
 
-int
-Rng::poisson(double mean)
-{
-    NEURO_ASSERT(mean >= 0.0, "Poisson mean must be non-negative");
-    if (mean == 0.0)
-        return 0;
-    if (mean < 64.0) {
-        // Knuth: multiply uniforms until the product drops below e^-mean.
-        const double limit = std::exp(-mean);
-        double product = 1.0;
-        int count = -1;
-        do {
-            ++count;
-            product *= uniform();
-        } while (product > limit);
-        return count;
-    }
-    // Normal approximation with continuity correction for large means.
-    const double v = gaussian(mean, std::sqrt(mean));
-    return v < 0.0 ? 0 : static_cast<int>(v + 0.5);
-}
-
 double
 Rng::exponential(double mean)
 {
@@ -157,59 +135,6 @@ Rng::shuffle(std::uint32_t *order, std::size_t n)
         order[i - 1] = order[j];
         order[j] = tmp;
     }
-}
-
-Lfsr31::Lfsr31(uint32_t seed)
-    : state_(seed & 0x7fffffffu)
-{
-    if (state_ == 0)
-        state_ = 1;
-}
-
-uint32_t
-Lfsr31::stepBit()
-{
-    // Fibonacci form of x^31 + x^3 + 1: feedback is bit30 XOR bit2
-    // (exponents 31 and 3, zero-indexed taps 30 and 2).
-    const uint32_t bit = ((state_ >> 30) ^ (state_ >> 2)) & 1u;
-    state_ = ((state_ << 1) | bit) & 0x7fffffffu;
-    return bit;
-}
-
-uint32_t
-Lfsr31::stepWord()
-{
-    for (int i = 0; i < 31; ++i)
-        stepBit();
-    return state_;
-}
-
-double
-Lfsr31::uniform()
-{
-    return static_cast<double>(stepWord()) / 2147483648.0; // 2^31
-}
-
-GaussianClt::GaussianClt(uint32_t seed)
-    : lfsrs_{Lfsr31(seed), Lfsr31(seed * 2654435761u + 1),
-             Lfsr31(seed * 40503u + 7), Lfsr31(seed ^ 0x5a5a5a5au)}
-{
-}
-
-double
-GaussianClt::sample()
-{
-    // Sum of 4 U(0,1): mean 2, variance 4/12 = 1/3.
-    double sum = 0.0;
-    for (auto &lfsr : lfsrs_)
-        sum += lfsr.uniform();
-    return (sum - 2.0) / std::sqrt(1.0 / 3.0);
-}
-
-double
-GaussianClt::sample(double mean, double stddev)
-{
-    return mean + stddev * sample();
 }
 
 } // namespace neuro

@@ -1,19 +1,12 @@
 /**
  * @file
- * Random-number generation suite.
- *
- * Two tiers are provided:
- *
- *  - Rng: a fast, deterministic software generator (xoshiro256**) with the
- *    distributions the simulators need (uniform, Gaussian, Poisson,
- *    exponential). Used for training, data synthesis and software models.
- *
- *  - Lfsr31 / GaussianClt: bit-accurate models of the paper's *hardware*
- *    random sources (Section 4.2.2): a 31-bit Linear Feedback Shift
- *    Register with primitive polynomial x^31 + x^3 + 1, and a Gaussian
- *    generator built from the central-limit sum of four such LFSRs. These
- *    are the generators the SNNwt accelerator instantiates per input pixel
- *    to produce spike inter-arrival times.
+ * Random-number generation: Rng, a fast, deterministic software generator
+ * (xoshiro256**) with the distributions the simulators need (uniform,
+ * Gaussian, exponential, shuffle), and deriveStreamSeed for per-sample
+ * streams. Training, data synthesis, spike encoding and software models
+ * all draw from it. The SNNwt accelerator's hardware generators (LFSRs
+ * feeding a central-limit Gaussian, Section 4.2.2) are costed as
+ * operators in hw::TechLibrary, not simulated bit by bit.
  */
 
 #pragma once
@@ -61,12 +54,6 @@ class Rng
     /** @return a normal deviate with the given mean and stddev. */
     double gaussian(double mean, double stddev);
 
-    /**
-     * @return a Poisson deviate with the given mean. Uses Knuth's method
-     * for small means and a normal approximation above 64.
-     */
-    int poisson(double mean);
-
     /** @return an exponential deviate with the given mean. */
     double exponential(double mean);
 
@@ -77,57 +64,6 @@ class Rng
     std::array<uint64_t, 4> state_;
     double cachedGaussian_ = 0.0;
     bool hasCachedGaussian_ = false;
-};
-
-/**
- * Bit-accurate 31-bit Fibonacci LFSR with primitive polynomial
- * x^31 + x^3 + 1, the hardware uniform source of the paper's SNNwt
- * accelerator. The polynomial is primitive, so the sequence period is
- * 2^31 - 1 for any nonzero seed.
- */
-class Lfsr31
-{
-  public:
-    /** Construct from a seed; a zero seed is remapped to 1 (the all-zero
-     *  state is a fixed point of any LFSR). */
-    explicit Lfsr31(uint32_t seed = 1);
-
-    /** Advance one bit; @return the emitted bit (0/1). */
-    uint32_t stepBit();
-
-    /** Advance 31 bits; @return the resulting 31-bit word. */
-    uint32_t stepWord();
-
-    /** @return the current 31-bit state without advancing. */
-    uint32_t state() const { return state_; }
-
-    /** @return a uniform double in [0,1) from the next word. */
-    double uniform();
-
-  private:
-    uint32_t state_;
-};
-
-/**
- * Hardware Gaussian generator using the central limit theorem: the sum of
- * four independent LFSR uniforms, recentred and rescaled to zero mean and
- * unit variance (Malik et al., the construction the paper adopts because a
- * true Poisson generator is too costly in silicon).
- */
-class GaussianClt
-{
-  public:
-    /** Construct the four constituent LFSRs from one seed. */
-    explicit GaussianClt(uint32_t seed = 1);
-
-    /** @return an approximately standard-normal deviate. */
-    double sample();
-
-    /** @return a deviate with the given mean and stddev. */
-    double sample(double mean, double stddev);
-
-  private:
-    std::array<Lfsr31, 4> lfsrs_;
 };
 
 } // namespace neuro

@@ -1,7 +1,5 @@
 #include "neuro/common/stats.h"
 
-#include <cmath>
-
 namespace neuro {
 
 void
@@ -18,29 +16,12 @@ Distribution::sample(double v)
     }
     ++count_;
     sum_ += v;
-    sumSq_ += v * v;
 }
 
 double
 Distribution::mean() const
 {
     return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-Distribution::stddev() const
-{
-    if (count_ < 2)
-        return 0.0;
-    const double m = mean();
-    const double var = sumSq_ / static_cast<double>(count_) - m * m;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-Distribution::reset()
-{
-    *this = Distribution();
 }
 
 } // namespace neuro

@@ -1,8 +1,8 @@
 /**
  * @file
- * A streaming distribution (count, sum, min/max, mean, stddev) for
+ * A streaming distribution (count, sum, min/max, mean) for
  * analyses that need exact moments of real-valued samples
- * (snn/analysis.h, examples/inspect_network.cpp). Run-time signals go
+ * (examples/inspect_network.cpp). Run-time signals go
  * to the metric registry instead (telemetry/metrics.h).
  */
 
@@ -12,7 +12,7 @@
 
 namespace neuro {
 
-/** A streaming distribution: count, sum, min/max, mean, stddev. */
+/** A streaming distribution: count, sum, min/max, mean. */
 class Distribution
 {
   public:
@@ -29,16 +29,10 @@ class Distribution
     double max() const { return count_ ? max_ : 0.0; }
     /** @return arithmetic mean (0 if empty). */
     double mean() const;
-    /** @return population standard deviation (0 if < 2 samples). */
-    double stddev() const;
-
-    /** Forget all samples. */
-    void reset();
 
   private:
     uint64_t count_ = 0;
     double sum_ = 0.0;
-    double sumSq_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "neuro/common/logging.h"
-#include "neuro/common/rng.h"
 
 namespace neuro {
 namespace datasets {
@@ -46,13 +45,6 @@ Dataset::slice(std::size_t begin, std::size_t end) const
     for (std::size_t i = begin; i < end; ++i)
         out.samples_.push_back(samples_[i]);
     return out;
-}
-
-void
-Dataset::shuffle(Rng &rng)
-{
-    for (std::size_t i = samples_.size(); i > 1; --i)
-        std::swap(samples_[i - 1], samples_[rng.uniformInt(i)]);
 }
 
 std::vector<std::size_t>

@@ -13,9 +13,6 @@
 #include <vector>
 
 namespace neuro {
-
-class Rng;
-
 namespace datasets {
 
 /** One labeled image: row-major 8-bit luminance plus class label. */
@@ -64,9 +61,6 @@ class Dataset
 
     /** @return a new dataset containing samples [begin, end). */
     Dataset slice(std::size_t begin, std::size_t end) const;
-
-    /** Shuffle sample order in place. */
-    void shuffle(Rng &rng);
 
     /** @return per-class sample counts. */
     std::vector<std::size_t> classHistogram() const;

@@ -3,7 +3,6 @@
 #include <array>
 #include <cmath>
 
-#include "neuro/common/logging.h"
 #include "neuro/common/rng.h"
 #include "neuro/datasets/glyphs.h"
 
@@ -126,11 +125,6 @@ const std::array<Sdf, kNumShapeClasses> kShapeSdfs = {
     sdfCross, sdfEllipse, sdfCrescent, sdfH,        sdfDiamond,
 };
 
-const std::array<const char *, kNumShapeClasses> kShapeNames = {
-    "disc",  "ring",    "square",   "triangle", "star",
-    "cross", "ellipse", "crescent", "hbar",     "diamond",
-};
-
 void
 generate(Dataset &out, std::size_t count, const ShapesOptions &opt, Rng &rng)
 {
@@ -151,13 +145,6 @@ generate(Dataset &out, std::size_t count, const ShapesOptions &opt, Rng &rng)
 }
 
 } // namespace
-
-std::string
-shapeClassName(int label)
-{
-    NEURO_ASSERT(label >= 0 && label < kNumShapeClasses, "bad shape label");
-    return kShapeNames[static_cast<std::size_t>(label)];
-}
 
 Split
 makeShapes(const ShapesOptions &options)

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "neuro/datasets/dataset.h"
 
@@ -30,9 +29,6 @@ struct ShapesOptions
 
 /** Number of shape classes. */
 constexpr int kNumShapeClasses = 10;
-
-/** @return human-readable name of shape class @p label. */
-std::string shapeClassName(int label);
 
 /** Generate a train/test split of silhouettes. */
 Split makeShapes(const ShapesOptions &options);

@@ -60,15 +60,5 @@ defaultScaleLadder()
     return ladder;
 }
 
-int
-expandedCrossoverIndex(const std::vector<ScaleComparison> &results)
-{
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].snnWinsExpandedArea())
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
 } // namespace hw
 } // namespace neuro

@@ -70,12 +70,6 @@ scalingStudy(const std::vector<ScalePoint> &scales,
 /** The default scale ladder: MNIST-sized up to 64x larger. */
 std::vector<ScalePoint> defaultScaleLadder();
 
-/**
- * Crossover summary: the smallest evaluated scale (by expanded MLP
- * area) at which the expanded SNN wins area, or nullptr-like index -1.
- */
-int expandedCrossoverIndex(const std::vector<ScaleComparison> &results);
-
 } // namespace hw
 } // namespace neuro
 

@@ -268,15 +268,6 @@ TrueNorthFunctional::typeWeight(std::size_t neuron, int type) const
                         static_cast<std::size_t>(type)];
 }
 
-bool
-TrueNorthFunctional::connected(std::size_t neuron,
-                               std::size_t input) const
-{
-    NEURO_ASSERT(neuron < numNeurons_ && input < numInputs_,
-                 "index out of range");
-    return crossbar_[neuron * numInputs_ + input] != 0;
-}
-
 int
 TrueNorthFunctional::forward(const uint8_t *counts,
                              std::vector<int64_t> *potentials) const

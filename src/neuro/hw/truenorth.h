@@ -83,9 +83,6 @@ class TrueNorthFunctional
     /** @return the type weight s(neuron, type). */
     int typeWeight(std::size_t neuron, int type) const;
 
-    /** @return true if crossbar bit (neuron, input) is connected. */
-    bool connected(std::size_t neuron, std::size_t input) const;
-
     /** Winner (max potential) for per-input spike counts. */
     int forward(const uint8_t *counts,
                 std::vector<int64_t> *potentials = nullptr) const;

@@ -355,13 +355,11 @@ NetServer::processFrames(const std::shared_ptr<Connection> &conn)
         }
         tm_.framesRx->inc();
         RequestFrame frame;
-        std::string error;
         if (!parseRequest(payload.data(), payload.size(), &frame,
-                          &error)) {
+                          nullptr)) {
             // The length prefix was sane, so the frame boundary is
             // intact: answer BadFrame and keep the connection.
             tm_.badFrames->inc();
-            verbose("net: bad request frame: %s", error.c_str());
             ResponseFrame response;
             response.id = frame.id;
             response.status = FrameStatus::BadFrame;

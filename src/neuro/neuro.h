@@ -68,7 +68,6 @@
 // Cycle-level simulation.
 #include "neuro/cycle/folded_mlp_sim.h"
 #include "neuro/cycle/folded_snn_sim.h"
-#include "neuro/cycle/pipeline.h"
 #include "neuro/cycle/rtl_mlp.h"
 #include "neuro/cycle/rtl_snn.h"
 

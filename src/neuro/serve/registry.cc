@@ -25,13 +25,6 @@ ModelRegistry::find(const std::string &name) const
     return it == backends_.end() ? nullptr : it->second;
 }
 
-bool
-ModelRegistry::remove(const std::string &name)
-{
-    MutexGuard lock(mutex_);
-    return backends_.erase(name) != 0;
-}
-
 std::vector<std::string>
 ModelRegistry::names() const
 {

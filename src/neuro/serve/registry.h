@@ -38,9 +38,6 @@ class ModelRegistry
     std::shared_ptr<InferenceBackend>
     find(const std::string &name) const;
 
-    /** Remove a backend. @return true if it existed. */
-    bool remove(const std::string &name);
-
     /** @return all registered names, sorted. */
     std::vector<std::string> names() const;
 

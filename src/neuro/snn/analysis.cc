@@ -7,41 +7,6 @@
 namespace neuro {
 namespace snn {
 
-Distribution
-isiDistribution(const PackedSpikeGrid &grid)
-{
-    std::vector<int64_t> last(grid.numInputs(), -1);
-    Distribution isi;
-    const auto &active = grid.activeTicks();
-    for (std::size_t k = 0; k < active.size(); ++k) {
-        std::size_t count = 0;
-        const uint16_t *inputs = grid.inputsAt(k, &count);
-        for (std::size_t s = 0; s < count; ++s) {
-            const uint16_t p = inputs[s];
-            if (last[p] >= 0)
-                isi.sample(static_cast<double>(active[k] - last[p]));
-            last[p] = active[k];
-        }
-    }
-    return isi;
-}
-
-std::vector<double>
-firingRateMap(const PackedSpikeGrid &grid)
-{
-    std::vector<double> rates(grid.numInputs(), 0.0);
-    for (std::size_t k = 0; k < grid.activeTickCount(); ++k) {
-        std::size_t count = 0;
-        const uint16_t *inputs = grid.inputsAt(k, &count);
-        for (std::size_t s = 0; s < count; ++s)
-            rates[inputs[s]] += 1.0;
-    }
-    const double window_s = static_cast<double>(grid.periodMs()) / 1000.0;
-    for (double &r : rates)
-        r /= window_s;
-    return rates;
-}
-
 SelectivityReport
 neuronSelectivity(const SnnNetwork &net, const datasets::Dataset &data,
                   const SpikeEncoder &encoder, std::size_t max_samples)

@@ -1,31 +1,20 @@
 /**
  * @file
- * Analysis utilities for spike trains and trained networks: inter-spike
- * interval statistics (to verify the encoders' rate behaviour),
- * firing-rate maps, and per-neuron class selectivity (to quantify the
- * specialization STDP + homeostasis produce — the Figure 3 "different
- * thresholds / one specialist fires" story).
+ * Analysis of trained networks: per-neuron class selectivity, which
+ * quantifies the specialization STDP + homeostasis produce (the Figure 3
+ * "different thresholds / one specialist fires" story).
  */
 
 #pragma once
 
 #include <vector>
 
-#include "neuro/common/stats.h"
 #include "neuro/datasets/dataset.h"
 #include "neuro/snn/coding.h"
 #include "neuro/snn/network.h"
 
 namespace neuro {
 namespace snn {
-
-/** Inter-spike-interval distribution pooled across all inputs of a
- *  finalized grid. */
-Distribution isiDistribution(const PackedSpikeGrid &grid);
-
-/** Per-pixel firing rate in Hz (spikes over the window, 1 ms ticks),
- *  one entry per grid input. */
-std::vector<double> firingRateMap(const PackedSpikeGrid &grid);
 
 /** Per-neuron specialization measurements. */
 struct SelectivityReport

@@ -73,9 +73,10 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
             break;
           }
           case CodingScheme::RateGaussian: {
-            // Gaussian inter-arrival: the SNNwt hardware's CLT
-            // generator (sigma configurable, truncated at 1 ms, so
-            // ticks are always distinct).
+            // Gaussian inter-arrival, standing in for the SNNwt
+            // hardware's CLT generator with Box-Muller deviates (sigma
+            // configurable, truncated at 1 ms, so ticks are always
+            // distinct).
             const double sigma = config.gaussianSigmaFactor * mean;
             double t = std::max(1.0, rng.gaussian(mean, sigma));
             while (t < period) {

@@ -50,15 +50,6 @@ codingConfigHash(const CodingConfig &config)
     return fnvMix(h, sigma_bits);
 }
 
-double
-GridCacheStats::hitRate() const
-{
-    const uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) /
-            static_cast<double>(total);
-}
-
 std::size_t
 GridCache::KeyHash::operator()(const GridKey &k) const
 {

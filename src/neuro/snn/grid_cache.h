@@ -62,9 +62,6 @@ struct GridCacheStats
     uint64_t insertions = 0;
     std::size_t bytes = 0;   ///< current resident grid bytes.
     std::size_t entries = 0; ///< current resident grid count.
-
-    /** @return hits / (hits + misses), 0 when empty. */
-    double hitRate() const;
 };
 
 /** Thread-safe LRU cache of encoded spike grids with a byte budget. */

@@ -222,16 +222,15 @@ SnnNetwork::finishPresentation(bool learn, PresentationResult &result)
 {
     const int period = config_.coding.periodMs;
     // End-of-window potentials (decayed to the window end) for the
-    // max-potential readout.
+    // max-potential readout. Every tick lies below the period, so each
+    // gap is in [1, period] and its table entry is lifDecay's factor.
     double best_pot = -1.0;
     for (std::size_t n = 0; n < config_.numNeurons; ++n) {
-        if (period > lastUpdateMs_[n]) {
-            potentials_[n] = lifDecay(
-                potentials_[n],
-                static_cast<double>(period - lastUpdateMs_[n]),
-                config_.tLeakMs);
-            lastUpdateMs_[n] = period;
-        }
+        const int64_t gap = period - lastUpdateMs_[n];
+        NEURO_ASSERT(gap >= 1 && gap <= period, "decay gap %lld out of range",
+                     static_cast<long long>(gap));
+        potentials_[n] *= decayFactors_[static_cast<std::size_t>(gap)];
+        lastUpdateMs_[n] = period;
         if (potentials_[n] > best_pot) {
             best_pot = potentials_[n];
             result.maxPotentialNeuron = static_cast<int>(n);

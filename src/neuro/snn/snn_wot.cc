@@ -78,15 +78,6 @@ SnnWotDatapath::weight(std::size_t neuron, std::size_t input) const
     return weights_[neuron * numInputs_ + input];
 }
 
-void
-SnnWotDatapath::setWeight(std::size_t neuron, std::size_t input,
-                          uint8_t value)
-{
-    NEURO_ASSERT(neuron < numNeurons_ && input < numInputs_,
-                 "weight index out of range");
-    weights_[neuron * numInputs_ + input] = value;
-}
-
 uint8_t
 SnnWotDatapath::weightAt(std::size_t idx) const
 {

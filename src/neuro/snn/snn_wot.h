@@ -51,9 +51,6 @@ class SnnWotDatapath
     /** @return quantized weight of (neuron, input). */
     uint8_t weight(std::size_t neuron, std::size_t input) const;
 
-    /** Overwrite one quantized weight (fault injection / tests). */
-    void setWeight(std::size_t neuron, std::size_t input, uint8_t value);
-
     /** @return total weight count (fault-injection address space). */
     std::size_t totalWeights() const { return weights_.size(); }
 

@@ -97,21 +97,6 @@ LatencyHistogram::sumMicros() const
 }
 
 void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    for (int i = 0; i < kBuckets; ++i) {
-        const uint64_t n =
-            other.buckets_[static_cast<std::size_t>(i)].load(
-                std::memory_order_relaxed);
-        if (n != 0)
-            buckets_[static_cast<std::size_t>(i)].fetch_add(
-                n, std::memory_order_relaxed);
-    }
-    count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-}
-
-void
 LatencyHistogram::reset()
 {
     for (auto &bucket : buckets_)

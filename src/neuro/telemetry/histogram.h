@@ -56,15 +56,6 @@ class LatencyHistogram
      */
     double sumMicros() const;
 
-    /**
-     * Fold @p other into this histogram, bucket by bucket. Merging is
-     * exact at the bucket level: the merged histogram answers every
-     * percentile/count/sum query as if all samples of both histograms
-     * had been recorded here. Not linearizable against concurrent
-     * record() on either side.
-     */
-    void merge(const LatencyHistogram &other);
-
     /** Forget all samples (not linearizable vs concurrent record()). */
     void reset();
 

@@ -144,13 +144,5 @@ flushGlobalTelemetry()
     }
 }
 
-bool
-globalTelemetryActive()
-{
-    GlobalTelemetry &g = state();
-    MutexGuard lock(g.mutex);
-    return g.active;
-}
-
 } // namespace telemetry
 } // namespace neuro

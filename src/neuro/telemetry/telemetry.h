@@ -47,8 +47,5 @@ bool startGlobalTelemetry(const TelemetryConfig &config);
  */
 void flushGlobalTelemetry();
 
-/** @return true between a successful start and the final flush. */
-bool globalTelemetryActive();
-
 } // namespace telemetry
 } // namespace neuro

@@ -1,4 +1,4 @@
-// Tests for the spike-train and selectivity analysis utilities.
+// Tests for the per-neuron selectivity analysis.
 
 #include <gtest/gtest.h>
 
@@ -8,57 +8,6 @@
 namespace neuro {
 namespace snn {
 namespace {
-
-PackedSpikeGrid
-gridFrom(std::size_t num_inputs, int period,
-         const std::vector<std::pair<int, uint16_t>> &spikes)
-{
-    PackedSpikeGrid grid(num_inputs, period);
-    for (const auto &[t, p] : spikes)
-        grid.addSpike(t, p);
-    grid.finalize();
-    return grid;
-}
-
-TEST(IsiDistribution, MeasuresIntervals)
-{
-    // Pixel 0 spikes at 10, 60, 160: ISIs 50 and 100.
-    const auto grid = gridFrom(1, 200, {{10, 0}, {60, 0}, {160, 0}});
-    const Distribution isi = isiDistribution(grid);
-    EXPECT_EQ(isi.count(), 2u);
-    EXPECT_DOUBLE_EQ(isi.mean(), 75.0);
-    EXPECT_DOUBLE_EQ(isi.min(), 50.0);
-    EXPECT_DOUBLE_EQ(isi.max(), 100.0);
-}
-
-TEST(IsiDistribution, PoissonEncoderMatchesRate)
-{
-    CodingConfig config;
-    const SpikeEncoder encoder(config);
-    Rng rng(1);
-    const uint8_t pixels[1] = {255}; // mean interval 50 ms.
-    Distribution pooled;
-    PackedSpikeGrid grid;
-    for (int trial = 0; trial < 100; ++trial) {
-        encoder.encodePacked(pixels, 1, rng, grid);
-        const Distribution isi = isiDistribution(grid);
-        // Distribution has no per-sample access; pool the trial means.
-        if (isi.count() > 0)
-            pooled.sample(isi.mean());
-    }
-    EXPECT_NEAR(pooled.mean(), 50.0, 8.0);
-}
-
-TEST(FiringRateMap, ConvertsToHz)
-{
-    // 5 spikes on pixel 1 over a 500 ms window -> 10 Hz.
-    const auto grid = gridFrom(
-        2, 500, {{0, 1}, {100, 1}, {200, 1}, {300, 1}, {400, 1}});
-    const auto rates = firingRateMap(grid);
-    ASSERT_EQ(rates.size(), 2u);
-    EXPECT_DOUBLE_EQ(rates[0], 0.0);
-    EXPECT_DOUBLE_EQ(rates[1], 10.0);
-}
 
 TEST(NeuronSelectivity, DetectsPerfectSpecialists)
 {

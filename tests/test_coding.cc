@@ -54,16 +54,35 @@ TEST_P(RateCodingTest, RateProportionalToLuminance)
     // Pixel 0 dark, pixel 1 mid, pixel 2 bright; average over trials.
     const uint8_t pixels[3] = {0, 128, 255};
     double counts[3] = {0, 0, 0};
+    double brightGapSum = 0.0;
+    int brightGaps = 0;
     const int trials = 60;
     for (int t = 0; t < trials; ++t) {
-        for (uint16_t p : spikeOrder(encodeGrid(encoder, pixels, 3, rng)))
-            counts[p] += 1.0;
+        const PackedSpikeGrid grid = encodeGrid(encoder, pixels, 3, rng);
+        int lastBright = -1;
+        for (std::size_t k = 0; k < grid.activeTickCount(); ++k) {
+            std::size_t count = 0;
+            const uint16_t *inputs = grid.inputsAt(k, &count);
+            for (std::size_t s = 0; s < count; ++s) {
+                counts[inputs[s]] += 1.0;
+                if (inputs[s] != 2)
+                    continue;
+                const int tick = grid.activeTicks()[k];
+                if (lastBright >= 0) {
+                    brightGapSum += tick - lastBright;
+                    ++brightGaps;
+                }
+                lastBright = tick;
+            }
+        }
     }
     EXPECT_DOUBLE_EQ(counts[0], 0.0) << "zero luminance must not spike";
     EXPECT_GT(counts[2], counts[1] * 1.5);
-    // Bright pixel: ~10 spikes per 500 ms window.
+    // Bright pixel: ~10 spikes per 500 ms window, ~50 ms apart.
     EXPECT_NEAR(counts[2] / trials, 10.0, 2.5);
     EXPECT_NEAR(counts[1] / trials, 5.0, 2.0);
+    ASSERT_GT(brightGaps, 0);
+    EXPECT_NEAR(brightGapSum / brightGaps, 50.0, 8.0);
 }
 
 TEST_P(RateCodingTest, SpikesWithinWindow)

@@ -92,16 +92,6 @@ TEST(Config, KnownFlagsDoNotWarn)
     EXPECT_TRUE(cfg.getBool("quick", false));
 }
 
-TEST(Config, RegisteredFlagSuppressesWarning)
-{
-    Config::registerKnownFlag("my-bench-flag");
-    Config cfg;
-    const char *argv[] = {"prog", "--my-bench-flag=7"};
-    cfg.parseArgs(2, const_cast<char **>(argv));
-    EXPECT_TRUE(cfg.unknownFlags().empty());
-    EXPECT_EQ(cfg.getInt("my_bench_flag", 0), 7);
-}
-
 TEST(Config, UnknownFlagListResetsPerParse)
 {
     Config cfg;

@@ -1,6 +1,5 @@
-// Tests for the cycle-level machinery: the staggered pipeline and the
-// folded schedule simulators (validated against the analytic cycle
-// formulas of hw/folded.h).
+// Tests for the cycle-level machinery: the folded schedule simulators
+// (validated against the analytic cycle formulas of hw/folded.h).
 
 #include <gtest/gtest.h>
 
@@ -8,24 +7,11 @@
 
 #include "neuro/cycle/folded_mlp_sim.h"
 #include "neuro/cycle/folded_snn_sim.h"
-#include "neuro/cycle/pipeline.h"
 #include "neuro/hw/folded.h"
 
 namespace neuro {
 namespace cycle {
 namespace {
-
-TEST(Pipeline, LatencyAndInitiationInterval)
-{
-    StaggeredPipeline pipe;
-    pipe.addStage("hidden", 50);
-    pipe.addStage("output", 8);
-    EXPECT_EQ(pipe.latency(), 58u);
-    EXPECT_EQ(pipe.initiationInterval(), 50u);
-    EXPECT_EQ(pipe.totalCycles(1), 58u);
-    EXPECT_EQ(pipe.totalCycles(10), 58u + 9 * 50u);
-    EXPECT_EQ(pipe.totalCycles(0), 0u);
-}
 
 class FoldedMlpSimTest : public ::testing::TestWithParam<std::size_t>
 {

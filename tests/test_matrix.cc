@@ -85,16 +85,5 @@ TEST(Matrix, RandomFillsCoverRange)
     EXPECT_NEAR(sum / 400.0f, 0.0f, 0.1f);
 }
 
-TEST(Matrix, GaussianFillMoments)
-{
-    Rng rng(5);
-    Matrix m(50, 50);
-    m.fillGaussian(rng, 2.0f, 0.5f);
-    double sum = 0.0;
-    for (float v : m.data())
-        sum += v;
-    EXPECT_NEAR(sum / 2500.0, 2.0, 0.05);
-}
-
 } // namespace
 } // namespace neuro

@@ -4,7 +4,9 @@
 // reassembly with the stream split at every byte boundary and with
 // several frames concatenated into one read, multi-model routing
 // (unknown names, pixel-count mismatches), loopback request/response
-// over a real socket, drain-first shutdown, per-model registry
+// over a real socket, a well-framed but unparsable payload answered
+// with BadFrame on a connection that stays open, drain-first
+// shutdown, per-model registry
 // series (`serve.completed{model=...}`), and the acceptance
 // criterion that predictions over the wire are bit-identical to
 // in-process serving for the same model and seed.
@@ -428,6 +430,43 @@ struct Loopback
     }
 };
 
+/** A plain TCP connection to @p port, for byte streams NetClient
+ *  will not produce. @return the socket, or -1. */
+int
+rawConnect(uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+        ::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Read from @p fd until @p decoder yields one response frame.
+ *  @return false on EOF, a socket error or an unparsable response. */
+bool
+readRawResponse(int fd, FrameDecoder &decoder, ResponseFrame *response)
+{
+    std::vector<uint8_t> payload;
+    while (decoder.next(&payload) != FrameDecoder::Result::Frame) {
+        uint8_t buf[1024];
+        const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
+        if (r <= 0)
+            return false;
+        decoder.feed(buf, static_cast<std::size_t>(r));
+    }
+    return net::parseResponse(payload.data(), payload.size(), response,
+                              nullptr);
+}
+
 TEST(NetLoopback, RoundTrip)
 {
     Loopback loop;
@@ -509,16 +548,8 @@ TEST(NetLoopback, MalformedLengthPrefixGetsBadFrameThenClose)
     // the server answers one BadFrame and closes the connection. The
     // raw bytes go out on a hand-made socket because NetClient only
     // speaks well-formed frames.
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = rawConnect(loop.server->port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(loop.server->port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(
-                  fd, reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof addr),
-              0);
     const uint8_t junk[8] = {0xFF, 0xFF, 0xFF, 0xFF,
                              0,    0,    0,    0};
     ASSERT_EQ(::send(fd, junk, sizeof junk, 0),
@@ -547,6 +578,40 @@ TEST(NetLoopback, MalformedLengthPrefixGetsBadFrameThenClose)
     EXPECT_EQ(response.status, FrameStatus::BadFrame);
     EXPECT_EQ(decoder.next(&payload), FrameDecoder::Result::NeedMore);
     EXPECT_EQ(decoder.buffered(), 0U);
+}
+
+TEST(NetLoopback, UnparsablePayloadGetsBadFrameAndKeepsConnection)
+{
+    Loopback loop;
+    // A sane length prefix around a payload parseRequest rejects (bad
+    // magic): the frame boundary holds, so the server answers BadFrame,
+    // counts it once, and keeps serving the connection.
+    const int fd = rawConnect(loop.server->port());
+    ASSERT_GE(fd, 0);
+    std::vector<uint8_t> bad;
+    net::encodeRequest(makeRequest(1), &bad);
+    bad[4] ^= 0xFF; // first magic byte, after the 4-byte length prefix.
+    std::vector<uint8_t> good;
+    net::encodeRequest(makeRequest(2), &good);
+    const std::shared_ptr<telemetry::Counter> badFrames =
+        telemetry::MetricRegistry::instance().counter("net.bad_frames");
+    const uint64_t before = badFrames->value();
+
+    FrameDecoder decoder;
+    ResponseFrame response;
+    ASSERT_EQ(::send(fd, bad.data(), bad.size(), 0),
+              static_cast<ssize_t>(bad.size()));
+    ASSERT_TRUE(readRawResponse(fd, decoder, &response));
+    EXPECT_EQ(response.status, FrameStatus::BadFrame);
+    EXPECT_EQ(badFrames->value(), before + 1);
+
+    ASSERT_EQ(::send(fd, good.data(), good.size(), 0),
+              static_cast<ssize_t>(good.size()));
+    ASSERT_TRUE(readRawResponse(fd, decoder, &response));
+    EXPECT_EQ(response.status, FrameStatus::Ok);
+    EXPECT_EQ(response.id, 2U);
+    EXPECT_EQ(badFrames->value(), before + 1);
+    ::close(fd);
 }
 
 TEST(NetLoopback, ShutdownDrainsInFlightRequests)

@@ -42,14 +42,6 @@ TEST(ScalingStudy, PaperConclusionsHoldAcrossScales)
     EXPECT_LT(last_ratio, first_ratio);
 }
 
-TEST(ScalingStudy, CrossoverIndexFindsFirstSnnWin)
-{
-    const auto results = hw::scalingStudy(hw::defaultScaleLadder());
-    const int idx = hw::expandedCrossoverIndex(results);
-    // SNN wins expanded area from the very first scale here.
-    EXPECT_EQ(idx, 0);
-}
-
 TEST(ConfusionMatrix, AccuracyAndCells)
 {
     core::ConfusionMatrix m(3);

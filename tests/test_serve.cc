@@ -576,9 +576,6 @@ TEST(ModelRegistry, MlpRoundTripRegistersFloatAndQuantized)
     EXPECT_GE(cls, 0);
     EXPECT_LT(cls, 4);
 
-    EXPECT_TRUE(registry.remove("digits.q8"));
-    EXPECT_FALSE(registry.remove("digits.q8"));
-    EXPECT_EQ(registry.find("digits.q8"), nullptr);
     std::remove(path.c_str());
 }
 

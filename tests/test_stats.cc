@@ -12,7 +12,6 @@ TEST(Distribution, EmptyIsZero)
     Distribution d;
     EXPECT_EQ(d.count(), 0u);
     EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
     EXPECT_DOUBLE_EQ(d.min(), 0.0);
     EXPECT_DOUBLE_EQ(d.max(), 0.0);
 }
@@ -24,21 +23,11 @@ TEST(Distribution, MomentsOfKnownSamples)
         d.sample(v);
     EXPECT_EQ(d.count(), 8u);
     EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_NEAR(d.stddev(), 2.0, 1e-9); // classic population-sd example.
     EXPECT_DOUBLE_EQ(d.min(), 2.0);
     EXPECT_DOUBLE_EQ(d.max(), 9.0);
 }
 
-TEST(Distribution, ResetClears)
-{
-    Distribution d;
-    d.sample(1.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-}
-
-// Edge cases analyses depend on: empty, single-sample, negative-only,
-// reset-and-reuse.
+// Edge cases analyses depend on: empty, single-sample, negative-only.
 
 TEST(DistributionEdge, SingleSampleMinEqualsMax)
 {
@@ -48,7 +37,6 @@ TEST(DistributionEdge, SingleSampleMinEqualsMax)
     EXPECT_DOUBLE_EQ(d.min(), 3.5);
     EXPECT_DOUBLE_EQ(d.max(), 3.5);
     EXPECT_DOUBLE_EQ(d.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
 }
 
 TEST(DistributionEdge, NegativeOnlySamplesKeepSign)
@@ -61,24 +49,6 @@ TEST(DistributionEdge, NegativeOnlySamplesKeepSign)
     EXPECT_DOUBLE_EQ(d.min(), -9.0);
     EXPECT_DOUBLE_EQ(d.max(), -2.0);
     EXPECT_DOUBLE_EQ(d.sum(), -16.0);
-}
-
-TEST(DistributionEdge, EmptyAfterResetBehavesLikeNew)
-{
-    Distribution d;
-    d.sample(-4.0);
-    d.sample(7.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-    EXPECT_DOUBLE_EQ(d.max(), 0.0);
-    EXPECT_DOUBLE_EQ(d.sum(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-    // Reuse after reset must re-seed min/max from the first sample.
-    d.sample(-1.0);
-    EXPECT_EQ(d.count(), 1u);
-    EXPECT_DOUBLE_EQ(d.min(), -1.0);
-    EXPECT_DOUBLE_EQ(d.max(), -1.0);
 }
 
 TEST(DistributionEdge, MixedSignStream)

@@ -84,36 +84,6 @@ TEST(LatencyHistogram, SummaryMatchesPercentiles)
     EXPECT_DOUBLE_EQ(s.p99Us, h.percentile(0.99));
 }
 
-TEST(LatencyHistogram, MergeMatchesCombinedRecording)
-{
-    LatencyHistogram a, b, combined;
-    for (int i = 0; i < 500; ++i) {
-        const double va = 10.0 + i;
-        const double vb = 5000.0 + 3 * i;
-        a.record(va);
-        b.record(vb);
-        combined.record(va);
-        combined.record(vb);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(a.percentile(q), combined.percentile(q))
-            << "q=" << q;
-    EXPECT_DOUBLE_EQ(a.sumMicros(), combined.sumMicros());
-    EXPECT_DOUBLE_EQ(a.maxMicros(), combined.maxMicros());
-}
-
-TEST(LatencyHistogram, MergeIntoEmptyCopies)
-{
-    LatencyHistogram a, b;
-    b.record(42.0);
-    b.record(64.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.percentile(1.0), b.percentile(1.0));
-}
-
 TEST(LatencyHistogram, ConcurrentRecordingLosesNothing)
 {
     // record() is two relaxed atomic increments; four writers hammering

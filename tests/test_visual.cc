@@ -29,13 +29,6 @@ TEST(AsciiArt, ConstantImageDoesNotDivideByZero)
     EXPECT_EQ(out[0], ' ');
 }
 
-TEST(AsciiArt, ByteOverloadMatchesFloat)
-{
-    const uint8_t bytes[4] = {0, 85, 170, 255};
-    const float floats[4] = {0, 85, 170, 255};
-    EXPECT_EQ(renderAscii(bytes, 2, 2), renderAscii(floats, 2, 2));
-}
-
 TEST(AsciiArt, RowLaysImagesSideBySide)
 {
     const float a[4] = {0, 0, 0, 0};
