@@ -25,8 +25,7 @@
  * that lags only at -O2 shows in the file.
  *
  * Knobs: reps=N (per-kernel timing loop), quick=1 (or --quick, the CI
- * smoke setting: minimal reps and one round, same checks),
- * simd=off|avx2|avx512 restricts the ISA sweep (also NEURO_SIMD).
+ * smoke setting: minimal reps and one round, same checks).
  */
 
 #include <algorithm>
@@ -95,7 +94,6 @@ main(int argc, char **argv)
     Config cfg;
     cfg.parseEnv();
     cfg.parseArgs(argc, argv);
-    kernels::initKernels(cfg);
     const bool quick = cfg.getBool("quick", false);
     const auto reps = static_cast<std::size_t>(
         cfg.getInt("reps", quick ? 3 : 200));

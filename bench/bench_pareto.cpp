@@ -12,7 +12,6 @@
 
 #include "neuro/common/config.h"
 #include "neuro/common/csv.h"
-#include "neuro/common/parallel.h"
 #include "neuro/common/table.h"
 #include "neuro/hw/pareto.h"
 
@@ -23,7 +22,6 @@ main(int argc, char **argv)
     Config cfg;
     cfg.parseEnv();
     cfg.parseArgs(argc, argv);
-    initParallel(cfg);
     const hw::MlpTopology mlp{784, 100, 10};
     const hw::SnnTopology snn{784, 300};
     hw::EnumerateOptions options;

@@ -25,7 +25,6 @@ main(int argc, char **argv)
     Config cfg;
     cfg.parseEnv();
     cfg.parseArgs(argc, argv);
-    initParallel(cfg);
     const auto train =
         static_cast<std::size_t>(cfg.getInt("train", 4000));
     const auto test = static_cast<std::size_t>(cfg.getInt("test", 1000));

@@ -10,7 +10,6 @@
 
 #include "neuro/common/config.h"
 #include "neuro/common/csv.h"
-#include "neuro/common/parallel.h"
 #include "neuro/common/table.h"
 #include "neuro/hw/scaling.h"
 
@@ -21,7 +20,6 @@ main(int argc, char **argv)
     Config cfg;
     cfg.parseEnv();
     cfg.parseArgs(argc, argv);
-    initParallel(cfg);
     const auto ladder = hw::defaultScaleLadder();
     const auto results = hw::scalingStudy(ladder);
 

@@ -157,7 +157,7 @@ main(int argc, char **argv)
         static_cast<std::size_t>(cfg.getInt("batch", 256));
     const auto inflight = static_cast<std::size_t>(
         cfg.getInt("inflight", static_cast<long>(4 * maxBatch)));
-    // Per-request async spans in the Chrome trace (needs --trace=).
+    // Per-request async spans in the Chrome trace (needs NEURO_TRACE).
     const bool traceRequests = cfg.getInt("trace_requests", 0) != 0;
 
     const core::Workload w = core::makeMnistWorkload(train, test, 1);

@@ -13,7 +13,6 @@
 #include "neuro/common/config.h"
 #include "neuro/common/csv.h"
 #include "neuro/common/logging.h"
-#include "neuro/common/parallel.h"
 #include "neuro/common/table.h"
 #include "neuro/core/experiment.h"
 #include "neuro/core/reports.h"
@@ -25,7 +24,6 @@ main(int argc, char **argv)
     Config cfg;
     cfg.parseEnv();
     cfg.parseArgs(argc, argv);
-    initParallel(cfg);
     const auto train =
         static_cast<std::size_t>(cfg.getInt("train", 6000));
     const auto test = static_cast<std::size_t>(cfg.getInt("test", 1500));

@@ -17,13 +17,13 @@ namespace neuro {
 namespace {
 
 /**
- * The dashed flags every binary linking neuro_common understands via
- * the shared init paths (initParallel / initObservability) or the
- * bench convention. The table is constant, so any thread may read it.
+ * The dashed flags the binaries understand by the bench convention.
+ * Process settings (threads, SIMD, trace, stats, metrics) are NEURO_*
+ * environment variables only, so they are not here. The table is
+ * constant, so any thread may read it.
  */
 constexpr std::string_view kKnownFlags[] = {
-    "threads", "simd", "trace", "stats_dump", "metrics",
-    "metrics_period_ms", "trace_requests", "quick", "help",
+    "trace_requests", "quick", "help",
     // Network serving / load-harness flags (neurocmp serve
     // --listen, bench_serving_openloop; docs/serving.md).
     "listen", "port", "host", "rate", "duration_s", "deadline_us",
@@ -144,7 +144,7 @@ Config::parseArgs(int argc, char **argv)
         const char *token = argv[i];
         // `--key=value` and bare `--flag` (stored as "1") are accepted
         // alongside plain `key=value`; dashes inside the key map to
-        // underscores so `--stats-dump` and NEURO_STATS_DUMP agree.
+        // underscores so `--trace-requests` reads as `trace_requests`.
         const bool dashed = token[0] == '-' && token[1] == '-';
         if (dashed)
             token += 2;

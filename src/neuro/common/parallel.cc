@@ -9,7 +9,6 @@
 #include <string>
 #include <thread>
 
-#include "neuro/common/config.h"
 #include "neuro/common/logging.h"
 #include "neuro/common/mutex.h"
 #include "neuro/common/profile.h"
@@ -317,19 +316,6 @@ void
 setParallelThreadCount(std::size_t n)
 {
     ThreadPool::instance().setThreadCount(n);
-}
-
-void
-initParallel(const Config &cfg)
-{
-    if (!cfg.has("threads"))
-        return;
-    const long n = cfg.getInt("threads", 0);
-    if (n < 1) {
-        warn("ignoring invalid threads=%ld (need >= 1)", n);
-        return;
-    }
-    setParallelThreadCount(static_cast<std::size_t>(n));
 }
 
 void

@@ -13,8 +13,8 @@
  *  - parallelMap(n, fn): collects fn(i) into a vector, in index order;
  *  - parallelInvoke(tasks): runs a small set of heterogeneous tasks.
  *
- * Thread count: NEURO_THREADS environment variable or the CLI's
- * --threads=N flag (see initParallel()); default hardware_concurrency.
+ * Thread count: the NEURO_THREADS environment variable; default
+ * hardware_concurrency.
  * A count of 1 is the fully serial fallback — every primitive then runs
  * inline on the caller with no pool, no atomics and no locking.
  *
@@ -42,8 +42,6 @@
 
 namespace neuro {
 
-class Config;
-
 /** Range task: processes indices [begin, end). */
 using RangeFn = std::function<void(std::size_t, std::size_t)>;
 
@@ -66,7 +64,7 @@ class ThreadPool
     std::size_t threadCount();
 
     /**
-     * Reconfigure the parallelism width (tests, --threads=N). Joins
+     * Reconfigure the parallelism width (tests, thread sweeps). Joins
      * and restarts the workers; must not be called concurrently with
      * running parallel work. @p n == 0 selects hardware_concurrency.
      */
@@ -107,14 +105,6 @@ std::size_t parallelThreadCount();
 
 /** Set the parallelism width (0 = hardware_concurrency). */
 void setParallelThreadCount(std::size_t n);
-
-/**
- * Wire the pool up from a parsed Config: `threads=N` (the CLI's
- * --threads=N flag or the NEURO_THREADS environment variable via
- * parseEnv). Call after Config::parseArgs; a missing key leaves the
- * default resolution untouched.
- */
-void initParallel(const Config &cfg);
 
 /** fn(i0, i1) per chunk; see ThreadPool::forRange. */
 inline void

@@ -22,13 +22,12 @@
  * and gauges plot their value as a Chrome counter series (a counter
  * plots its new cumulative total).
  *
- * initObservability() / the NEURO_TRACE, NEURO_STATS_DUMP and
- * NEURO_METRICS environment variables choose the exit-time outputs of
- * any binary linking neuro_common, with no code changes: the trace
- * file, the text stats dump on stderr, and the Prometheus/JSON/CSV
- * export. All observability shutdown work runs through one
- * prioritized atexit sequence (addObservabilityExitHook): metrics
- * flush (10), stats dump (20), trace finalizer (30).
+ * The NEURO_TRACE, NEURO_STATS_DUMP and NEURO_METRICS environment
+ * variables choose the exit-time outputs of any binary linking
+ * neuro_common, with no code changes: the trace file, the text stats
+ * dump on stderr, and the Prometheus/JSON/CSV export. One atexit
+ * routine, registered by profile.cc's environment initializer, runs
+ * them in a fixed order: metrics flush, stats dump, trace finalizer.
  */
 
 #pragma once
@@ -37,15 +36,12 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "neuro/common/trace.h"
 #include "neuro/telemetry/metrics.h"
 
 namespace neuro {
-
-class Config;
 
 /** A string literal as a template argument: the name of one
  *  instrumentation site (`obsCount<"snn.input_spikes">`). */
@@ -161,28 +157,5 @@ obsGauge(double v)
     if (Tracer::enabled())
         Tracer::instance().counter(Name.value, v);
 }
-
-/**
- * Wire observability up from a parsed Config: `trace=<path>` starts
- * the Chrome-trace sink, `stats_dump=1` (or any truthy value) prints
- * the metric registry as text to stderr at process exit, and
- * `metrics=<path>` starts the global telemetry sampler
- * (telemetry/telemetry.h) with period `metrics_period_ms`. The CLI
- * exposes these as --trace=<path> / --stats-dump / --metrics=<path>,
- * and parseEnv() maps NEURO_TRACE / NEURO_STATS_DUMP / NEURO_METRICS
- * onto the same keys.
- */
-void initObservability(const Config &cfg);
-
-/**
- * Register @p hook to run once when the process exits, ordered by
- * ascending @p priority (ties run in registration order). The
- * built-in sequence is: telemetry flush (priority 10), stats dump
- * (20), trace finalizer (30) — a single std::atexit handler drives
- * all of them, so the relative order is fixed no matter which sink
- * was enabled first.
- */
-void addObservabilityExitHook(int priority,
-                              std::function<void()> hook);
 
 } // namespace neuro

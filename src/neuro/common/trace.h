@@ -16,10 +16,9 @@
  *   where the stage boundary actually happened.
  *
  * Tracing is off by default and costs one relaxed atomic load per
- * call site. Start it explicitly with Tracer::instance().start(path),
- * via the `trace=<path>` config key (CLI `--trace=out.json`), or by
- * exporting `NEURO_TRACE=<path>` — the environment form needs no code
- * changes in the binary (see initObservability in profile.h).
+ * call site. Start it by exporting `NEURO_TRACE=<path>`, which needs
+ * no code changes in the binary (see profile.h), or explicitly with
+ * Tracer::instance().start(path) (tests).
  *
  * Events are written one per line inside a JSON array; the writer is
  * thread-safe and timestamps (microseconds since start()) are taken

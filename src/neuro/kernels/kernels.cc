@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "neuro/common/config.h"
 #include "neuro/common/logging.h"
 #include "neuro/telemetry/metrics.h"
 
@@ -149,9 +148,8 @@ selectTable(SimdMode mode)
 }
 
 /**
- * The active table, resolved on first use: NEURO_SIMD if set (read
- * here, so binaries that never call initKernels still honor it), else
- * the widest supported ISA.
+ * The active table, resolved on first use: NEURO_SIMD if set (the only
+ * place it is read), else the widest supported ISA.
  */
 const KernelTable &
 active()
@@ -224,22 +222,6 @@ parseSimdMode(const char *text, SimdMode *mode)
         return true;
     }
     return false;
-}
-
-void
-initKernels(const Config &cfg)
-{
-    if (!cfg.has("simd"))
-        return;
-    const std::string value = cfg.getString("simd", "auto");
-    SimdMode mode = SimdMode::Auto;
-    if (!parseSimdMode(value.c_str(), &mode)) {
-        warn("ignoring invalid simd=%s (want auto|off|avx2|avx512)",
-             value.c_str());
-        return;
-    }
-    const SimdIsa isa = setSimdMode(mode);
-    inform("kernels: simd=%s -> %s table", value.c_str(), isaName(isa));
 }
 
 void

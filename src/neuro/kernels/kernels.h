@@ -14,7 +14,7 @@
  * selection is an explicit function-pointer table, which (a) needs no
  * ifunc resolver, so sanitizer builds keep the vector paths, and
  * (b) can be overridden for debugging with `NEURO_SIMD=off|avx2|avx512`
- * or the CLI's `--simd=` flag (see initKernels()).
+ * (or setSimdMode()).
  *
  * Summation-order contract: a wider variant may change how many
  * independent results move per instruction, but NEVER the order of
@@ -42,9 +42,6 @@
 #include <cstdint>
 
 namespace neuro {
-
-class Config;
-
 namespace kernels {
 
 /** Instruction-set level a kernel table was compiled for. */
@@ -55,7 +52,7 @@ enum class SimdIsa
     Avx512 = 2, ///< 512-bit vectors.
 };
 
-/** Requested dispatch policy (NEURO_SIMD / --simd= / setSimdMode). */
+/** Requested dispatch policy (NEURO_SIMD / setSimdMode). */
 enum class SimdMode
 {
     Auto,   ///< widest ISA the CPU supports (the default).
@@ -127,16 +124,6 @@ SimdIsa setSimdMode(SimdMode mode);
  * @return true and set @p mode on success; false on unknown text.
  */
 bool parseSimdMode(const char *text, SimdMode *mode);
-
-/**
- * Wire the dispatcher up from a parsed Config: `simd=off|avx2|avx512`
- * (the CLI's --simd= flag or the NEURO_SIMD environment variable via
- * parseEnv). A missing key keeps the automatic selection; an unknown
- * value warns and keeps it too. Kernels used before any init call
- * resolve NEURO_SIMD themselves, so benches and tests that never call
- * this still honor the environment override.
- */
-void initKernels(const Config &cfg);
 
 // ------------------------------------------------------------------
 // Dispatched kernels. Shapes follow the Matrix convention: w is

@@ -16,7 +16,6 @@
 #include "neuro/common/ascii_art.h"
 #include "neuro/common/config.h"
 #include "neuro/common/csv.h"
-#include "neuro/common/fixed_point.h"
 #include "neuro/common/logging.h"
 #include "neuro/common/matrix.h"
 #include "neuro/common/pgm.h"

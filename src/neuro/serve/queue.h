@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -59,9 +58,9 @@ struct InferenceRequest
 };
 
 /**
- * What the server hands back through the request's future. The three
- * stage timings decompose totalMicros along the pipeline the request
- * travelled: queue (enqueue -> dequeued by the batcher), batch
+ * What the server hands back through the request's completion path.
+ * The three stage timings decompose totalMicros along the pipeline the
+ * request travelled: queue (enqueue -> dequeued by the batcher), batch
  * (dequeue -> the formed batch starts computing) and compute (backend
  * start -> completion); the same decomposition feeds the
  * `serve.stage.*` telemetry histograms (docs/observability.md).
@@ -83,12 +82,10 @@ struct InferenceResult
 struct PendingRequest
 {
     InferenceRequest request;
-    std::promise<InferenceResult> promise;
-    /** Callback completion path (the network front end): when set,
-     *  fulfill() invokes it instead of the promise. Runs on whatever
-     *  thread fulfils the request — the dispatcher for executed or
-     *  expired requests, the submitter for rejections — so it must be
-     *  cheap and must not call back into the server. */
+    /** Completion path. Runs on whatever thread fulfils the request —
+     *  the dispatcher for executed or expired requests, the submitter
+     *  for rejections — so it must be cheap and must not call back
+     *  into the server. */
     std::function<void(InferenceResult &&)> onComplete;
     ServeClock::time_point enqueueTime;
     /** When the batcher pulled the request off the queue (set by
@@ -99,10 +96,7 @@ struct PendingRequest
     void
     fulfill(InferenceResult &&result)
     {
-        if (onComplete)
-            onComplete(std::move(result));
-        else
-            promise.set_value(std::move(result));
+        onComplete(std::move(result));
     }
 };
 
@@ -113,7 +107,7 @@ class RequestQueue
     explicit RequestQueue(std::size_t capacity);
 
     /**
-     * Enqueue a request. @return false (without touching the promise)
+     * Enqueue a request. @return false (without touching the callback)
      * when the queue is full or closed — the caller owns the
      * rejection path.
      */

@@ -93,10 +93,12 @@ InferenceServer::~InferenceServer() { stop(); }
 std::future<InferenceResult>
 InferenceServer::submit(InferenceRequest request)
 {
-    PendingRequest pending;
-    pending.request = std::move(request);
-    std::future<InferenceResult> future = pending.promise.get_future();
-    submitPending(std::move(pending));
+    // Shared: std::function needs a copyable capture.
+    auto promise = std::make_shared<std::promise<InferenceResult>>();
+    std::future<InferenceResult> future = promise->get_future();
+    submit(std::move(request), [promise](InferenceResult &&result) {
+        promise->set_value(std::move(result));
+    });
     return future;
 }
 
@@ -106,12 +108,6 @@ InferenceServer::submit(InferenceRequest request, CompletionFn onComplete)
     PendingRequest pending;
     pending.request = std::move(request);
     pending.onComplete = std::move(onComplete);
-    submitPending(std::move(pending));
-}
-
-void
-InferenceServer::submitPending(PendingRequest &&pending)
-{
     NEURO_ASSERT(pending.request.pixels.size() == primary_->inputSize(),
                  "serve: request %llu has %zu pixels, backend wants %zu",
                  (unsigned long long)pending.request.id,

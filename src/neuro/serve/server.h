@@ -186,7 +186,6 @@ class InferenceServer
     void dispatchLoop();
     void runBatch(std::vector<PendingRequest> &batch);
     void updateSlo();
-    void submitPending(PendingRequest &&pending);
     /** Add @p n to @p counter (series @p name); while tracing, plot
      *  its new total on the trace's @p name track. */
     void count(telemetry::Counter &counter, const char *name,

@@ -78,7 +78,14 @@ modelLabel(const std::string &model)
 std::string
 labelSet(const std::string &model)
 {
-    return model.empty() ? std::string() : "{" + modelLabel(model) + "}";
+    if (model.empty())
+        return {};
+    // Appended, not `"{" + ... + "}"`: GCC 12 at -O3 reports a false
+    // -Wrestrict on that concatenation.
+    std::string out = "{";
+    out += modelLabel(model);
+    out += '}';
+    return out;
 }
 
 /** CSV cell: quoted, with quotes doubled, when it holds a quote or a

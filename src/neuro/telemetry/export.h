@@ -4,9 +4,9 @@
  * ring) into the formats the telemetry layer speaks
  * (docs/observability.md):
  *
- * - Text: the human-readable stats dump (NEURO_STATS_DUMP /
- *   --stats-dump): one line per series, counters and gauges with
- *   their value, histograms as `count= p50= p99= max= sum=`.
+ * - Text: the human-readable stats dump (NEURO_STATS_DUMP): one line
+ *   per series, counters and gauges with their value, histograms as
+ *   `count= p50= p99= max= sum=`.
  * - Prometheus text exposition: counters and gauges as plain series,
  *   histograms as summaries (`{quantile="0.5|0.95|0.99"}` plus `_sum`
  *   and `_count`); dotted metric names are sanitized to underscores,

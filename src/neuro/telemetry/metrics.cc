@@ -40,7 +40,7 @@ findOrAdd(std::map<MetricRegistry::SeriesKey, std::shared_ptr<Metric>>
 MetricRegistry &
 MetricRegistry::instance()
 {
-    // Leaked on purpose: the registry must outlive every exit hook and
+    // Leaked on purpose: the registry must outlive the exit routine and
     // any worker thread still publishing during shutdown. A static
     // pointer keeps it reachable, so LeakSanitizer stays quiet.
     static MetricRegistry *registry = new MetricRegistry();

@@ -138,7 +138,7 @@ class MetricRegistry
 
     /**
      * @return the process-wide registry. Deliberately never destroyed
-     * (leaked on exit) so exit hooks and late-running worker threads
+     * (leaked on exit) so the exit routine and late-running worker threads
      * can always read it, whatever the static-destruction order.
      */
     static MetricRegistry &instance();

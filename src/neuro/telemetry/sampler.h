@@ -11,8 +11,8 @@
  *
  * The sampler never blocks writers: a snapshot reads each metric with
  * relaxed atomics under the registry's registration lock only.
- * sampleOnce() is public so tests and exit hooks can capture a row
- * deterministically without the thread.
+ * sampleOnce() is public so tests and the exit routine can capture a
+ * row deterministically without the thread.
  */
 
 #pragma once

@@ -1,10 +1,11 @@
 #include "neuro/telemetry/telemetry.h"
 
 #include <fstream>
+#include <memory>
+#include <utility>
 
 #include "neuro/common/logging.h"
 #include "neuro/common/mutex.h"
-#include "neuro/common/profile.h"
 #include "neuro/telemetry/export.h"
 #include "neuro/telemetry/metrics.h"
 #include "neuro/telemetry/sampler.h"
@@ -22,16 +23,14 @@ namespace {
  * (TelemetryConfig holds a std::string) would race the initialization
  * order and could be re-initialized *after* being assigned. The
  * object is leaked on purpose, like MetricRegistry::instance(): it
- * must also stay valid through the exit-hook sequence regardless of
- * static destruction order.
+ * must also stay valid through the exit routine regardless of static
+ * destruction order.
  */
 struct GlobalTelemetry
 {
     Mutex mutex;
-    Sampler *sampler NEURO_GUARDED_BY(mutex) = nullptr;
+    std::unique_ptr<Sampler> sampler NEURO_GUARDED_BY(mutex);
     TelemetryConfig config NEURO_GUARDED_BY(mutex);
-    bool started NEURO_GUARDED_BY(mutex) = false;
-    bool active NEURO_GUARDED_BY(mutex) = false;
 };
 
 GlobalTelemetry &
@@ -76,46 +75,32 @@ writeFile(const std::string &path, WriteFn &&fn)
 
 } // namespace
 
-bool
+void
 startGlobalTelemetry(const TelemetryConfig &config)
 {
     GlobalTelemetry &g = state();
     MutexGuard lock(g.mutex);
-    if (g.started)
-        return g.active;
-    if (config.path.empty())
-        return false;
-    g.started = true;
     g.config = config;
     SamplerConfig samplerConfig;
-    samplerConfig.periodMillis =
-        config.periodMillis >= 1 ? config.periodMillis : 1;
-    samplerConfig.capacity =
-        config.capacity >= 1 ? config.capacity : 1;
-    g.sampler = new Sampler(MetricRegistry::instance(), samplerConfig);
+    samplerConfig.periodMillis = config.periodMillis;
+    g.sampler =
+        std::make_unique<Sampler>(MetricRegistry::instance(), samplerConfig);
     g.sampler->start();
-    g.active = true;
-    // Priority 10: flush metrics before the stats dump (20) and the
-    // trace finalizer (30) so the artifact exists even if a later hook
-    // misbehaves.
-    addObservabilityExitHook(10, flushGlobalTelemetry);
-    return true;
 }
 
 void
 flushGlobalTelemetry()
 {
     GlobalTelemetry &g = state();
-    Sampler *sampler = nullptr;
+    std::unique_ptr<Sampler> sampler;
     TelemetryConfig config;
     {
         MutexGuard lock(g.mutex);
-        if (!g.active)
-            return;
-        g.active = false;
-        sampler = g.sampler;
+        sampler = std::move(g.sampler);
         config = g.config;
     }
+    if (sampler == nullptr)
+        return;
     sampler->stop();
     sampler->sampleOnce(); // capture the final state as the last row
     const MetricsSnapshot snap = MetricRegistry::instance().snapshot();

@@ -1,11 +1,10 @@
 /**
  * @file
  * Process-wide telemetry lifecycle: one global Sampler over
- * MetricRegistry::instance(), started by `NEURO_METRICS=<path>` /
- * `--metrics=<path>` (see initObservability in profile.h) and flushed
- * to disk by an observability exit hook that runs *before* the stats
- * dump and the trace finalizer, so crashing-adjacent exits still leave
- * a readable artifact.
+ * MetricRegistry::instance(), started by `NEURO_METRICS=<path>` (see
+ * profile.h) and flushed to disk by the observability exit routine
+ * *before* the stats dump and the trace finalizer, so
+ * crashing-adjacent exits still leave a readable artifact.
  *
  * The output format is selected by the path's extension:
  *
@@ -14,7 +13,7 @@
  *   .csv          sampler timeline (one row per sampling period)
  *   (other)       all three, at `<path>.prom/.json/.csv`
  *
- * See docs/observability.md for the full env/flag matrix.
+ * See docs/observability.md for the full environment matrix.
  */
 
 #pragma once
@@ -25,25 +24,21 @@
 namespace neuro {
 namespace telemetry {
 
-/** Global telemetry knobs (from env or CLI flags). */
+/** Global telemetry knobs (from the NEURO_METRICS* environment). */
 struct TelemetryConfig
 {
     std::string path;           ///< output path; extension = format.
     int64_t periodMillis = 100; ///< sampler period (ms).
-    std::size_t capacity = 2048; ///< timeline rows kept.
 };
 
-/**
- * Start the global sampler and register the flush exit hook
- * (idempotent: the first call wins, later calls are ignored).
- * @return true if telemetry is active after the call.
- */
-bool startGlobalTelemetry(const TelemetryConfig &config);
+/** Start the global sampler. Called once, by the environment
+ *  initializer in profile.cc. */
+void startGlobalTelemetry(const TelemetryConfig &config);
 
 /**
  * Stop the sampler, take one final snapshot row, and write the
- * configured output file(s). Idempotent; called automatically at
- * process exit when telemetry is active.
+ * configured output file(s). Called by the exit routine; a no-op when
+ * telemetry was never started or was already flushed.
  */
 void flushGlobalTelemetry();
 

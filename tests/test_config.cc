@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "neuro/common/config.h"
 
@@ -71,8 +73,9 @@ TEST(Config, ParseArgsDashedFlags)
 TEST(Config, WarnsOnUnknownDashedFlag)
 {
     Config cfg;
-    // --theads is a typo of --threads: flagged, but the value still
-    // lands (passthrough preserved for forward compatibility).
+    // --theads matches no known flag (thread count is NEURO_THREADS):
+    // flagged, but the value still lands (passthrough preserved for
+    // forward compatibility).
     const char *argv[] = {"prog", "--theads=4", "train=100"};
     cfg.parseArgs(3, const_cast<char **>(argv));
     ASSERT_EQ(cfg.unknownFlags().size(), 1u);
@@ -84,12 +87,28 @@ TEST(Config, WarnsOnUnknownDashedFlag)
 TEST(Config, KnownFlagsDoNotWarn)
 {
     Config cfg;
-    const char *argv[] = {"prog", "--threads=2", "--stats-dump",
-                          "--trace=out.json", "--quick"};
+    const char *argv[] = {"prog", "--port=2", "--listen",
+                          "--trace-requests", "--quick"};
     cfg.parseArgs(5, const_cast<char **>(argv));
     EXPECT_TRUE(cfg.unknownFlags().empty());
-    EXPECT_EQ(cfg.getInt("threads", 0), 2);
+    EXPECT_EQ(cfg.getInt("port", 0), 2);
     EXPECT_TRUE(cfg.getBool("quick", false));
+}
+
+TEST(Config, ProcessSettingFlagsAreUnknown)
+{
+    // Threads, SIMD, trace, stats dump and metrics are set through the
+    // NEURO_* environment only; their dashed spellings are not flags.
+    Config cfg;
+    const char *argv[] = {"prog",          "--threads=2",
+                          "--simd=avx2",   "--trace=out.json",
+                          "--stats-dump",  "--metrics=m.prom",
+                          "--metrics-period-ms=50"};
+    cfg.parseArgs(7, const_cast<char **>(argv));
+    const std::vector<std::string> expected = {
+        "threads", "simd", "trace", "stats_dump", "metrics",
+        "metrics_period_ms"};
+    EXPECT_EQ(cfg.unknownFlags(), expected);
 }
 
 TEST(Config, UnknownFlagListResetsPerParse)

@@ -365,7 +365,7 @@ TEST(Exporters, JsonAndCsvNameLabeledSeries)
               "1,5,1,72,72,72\n");
 }
 
-// The stats dump (NEURO_STATS_DUMP / --stats-dump) is the text exporter
+// The stats dump (NEURO_STATS_DUMP) is the text exporter
 // over the metric registry; its tests keep the StatRegistry suite name.
 
 TEST(StatRegistry, DumpContainsNames)

@@ -12,15 +12,14 @@
  *   neurocmp serve      load=model.ncmp --listen [--port=P]   # network
  *   neurocmp metrics    [format=text|prom|json]    # observability demo
  *
- * All subcommands accept key=value overrides and NEURO_* environment
- * variables; `neurocmp list` shows the mapping to paper experiments.
- * Every subcommand additionally understands --trace=<path> (record a
- * Chrome-trace JSON viewable in Perfetto), --stats-dump (print the
- * metric registry as text at exit) and --metrics=<path>
+ * All subcommands accept key=value overrides; `neurocmp list` shows
+ * the mapping to paper experiments. Process settings come from the
+ * environment only, as in every bench binary: NEURO_TRACE=<path>
+ * (record a Chrome-trace JSON viewable in Perfetto), NEURO_STATS_DUMP=1
+ * (print the metric registry as text at exit), NEURO_METRICS=<path>
  * (export the metric registry at exit, Prometheus/JSON/CSV by
- * extension); NEURO_TRACE, NEURO_STATS_DUMP and NEURO_METRICS do the
- * same from the environment — there, and for every bench binary, no
- * flags are needed (see docs/observability.md).
+ * extension), NEURO_THREADS and NEURO_SIMD (see
+ * docs/observability.md, docs/parallelism.md and docs/kernels.md).
  */
 
 #include <atomic>
@@ -35,7 +34,6 @@
 
 #include "neuro/common/config.h"
 #include "neuro/common/logging.h"
-#include "neuro/common/parallel.h"
 #include "neuro/common/profile.h"
 #include "neuro/common/rng.h"
 #include "neuro/common/serialize.h"
@@ -46,7 +44,6 @@
 #include "neuro/core/reports.h"
 #include "neuro/cycle/folded_mlp_sim.h"
 #include "neuro/cycle/folded_snn_sim.h"
-#include "neuro/kernels/kernels.h"
 #include "neuro/mlp/backprop.h"
 #include "neuro/net/frontend.h"
 #include "neuro/net/server.h"
@@ -84,18 +81,20 @@ cmdList()
         "             [format=text|prom|json, default prom]\n"
         "common options: train=N test=N workload=mnist|mpeg7|sad, and\n"
         "NEURO_SCALE / NEURO_MNIST_DIR environment variables.\n"
-        "observability (all subcommands): --trace=<out.json> records a\n"
-        "Chrome trace (Perfetto); --stats-dump prints the metric\n"
-        "registry as text at exit; --metrics=<path> exports it\n"
-        "at exit (.prom/.json/.csv by extension); NEURO_TRACE /\n"
-        "NEURO_STATS_DUMP / NEURO_METRICS do the same for any binary,\n"
-        "benches included (docs/observability.md).\n"
-        "parallelism: --threads=N (or NEURO_THREADS) sets the worker\n"
-        "pool width; 1 = fully serial, default = all hardware threads.\n"
-        "results are identical at any setting (docs/parallelism.md).\n"
-        "simd: --simd=auto|off|avx2|avx512 (or NEURO_SIMD) picks the\n"
-        "vector kernel table; results are bit-identical at every level\n"
-        "(docs/kernels.md).\n"
+        "process settings (environment only, any binary, benches\n"
+        "included):\n"
+        "  NEURO_TRACE=<out.json>  record a Chrome trace (Perfetto)\n"
+        "  NEURO_STATS_DUMP=1      print the metric registry as text at\n"
+        "                          exit\n"
+        "  NEURO_METRICS=<path>    export it at exit (.prom/.json/.csv\n"
+        "                          by extension; docs/observability.md)\n"
+        "  NEURO_THREADS=N         worker pool width; 1 = fully serial,\n"
+        "                          default = all hardware threads;\n"
+        "                          results are identical at any setting\n"
+        "                          (docs/parallelism.md)\n"
+        "  NEURO_SIMD=auto|off|avx2|avx512  vector kernel table;\n"
+        "                          results are bit-identical at every\n"
+        "                          level (docs/kernels.md)\n"
         "for the full per-table reproduction, run the bench/ binaries.\n");
     return 0;
 }
@@ -276,7 +275,7 @@ runServeDemo(const core::Workload &w, uint64_t requests)
  * requested exporter (format=text|prom|json) — the quickest way to
  * see every signal the library records and what NEURO_STATS_DUMP /
  * NEURO_METRICS would write (docs/observability.md). With
- * --trace=<path> the same run produces a Chrome trace of all the
+ * NEURO_TRACE=<path> the same run produces a Chrome trace of all the
  * scopes it exercised.
  */
 int
@@ -378,8 +377,8 @@ volatile std::sig_atomic_t gStopSignal = 0;
  * (an atomic store plus an eventfd write). The main thread observes
  * stopRequested(), runs the full drain — stop accepting, drain every
  * model queue, flush outboxes — and then *returns from main*, so the
- * registered observability exit hooks (metrics export, stats dump,
- * trace finalize) run exactly as on a normal exit.
+ * observability exit routine (metrics export, stats dump, trace
+ * finalize) runs exactly as on a normal exit.
  */
 extern "C" void
 handleStopSignal(int sig)
@@ -444,7 +443,7 @@ cmdServeListen(const Config &cfg, serve::ModelRegistry &registry,
                           static_cast<long long>(c.expired))});
     }
     table.print(std::cout);
-    // Normal return: the observability exit hooks flush metrics,
+    // Normal return: the observability exit routine flushes metrics,
     // stats and traces (common/profile.h).
     return 0;
 }
@@ -602,9 +601,6 @@ main(int argc, char **argv)
     Config cfg;
     cfg.parseEnv();
     cfg.parseArgs(argc, argv);
-    initObservability(cfg);
-    initParallel(cfg);
-    kernels::initKernels(cfg);
     const char *cmd = argc > 1 ? argv[1] : "list";
 
     if (std::strcmp(cmd, "list") == 0 || std::strcmp(cmd, "help") == 0)
