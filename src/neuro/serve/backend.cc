@@ -169,13 +169,13 @@ class SnnSession final : public BackendSession
                      "snn backend fed %zu pixels, expects %zu",
                      numPixels, net_.config().numInputs);
         // The whole presentation is a function of (pixels, streamSeed):
-        // the encoder consumes a request-local Rng and present() resets
+        // the encoder consumes a request-local Rng and the walk resets
         // every neuron's potential/refractory/inhibition state first.
+        // The SNNwt answer is fixed at the first output spike, so the
+        // walk ends there.
         Rng rng(streamSeed);
         encoder_.encodePacked(pixels, numPixels, rng, grid_);
-        const snn::PresentationResult r =
-            net_.present(grid_, /*learn=*/false);
-        return labelOf(labels_, r.winner(snn::Readout::FirstSpike));
+        return labelOf(labels_, net_.firstSpikeWinner(grid_));
     }
 
   private:

@@ -59,6 +59,19 @@ firstMaxMargin(const double *pot, const double *thr, std::size_t n)
     return fire_n;
 }
 
+/** Add one presentation's events to the registry counters. */
+void
+countEvents(const PresentationResult &result, bool learn)
+{
+    obsCount<"snn.input_spikes">(result.inputSpikeCount);
+    obsCount<"snn.output_spikes">(result.outputSpikeCount);
+    obsCount<"snn.wta_inhibitions">(result.wtaInhibitions);
+    if (learn) {
+        obsCount<"snn.stdp_potentiations">(result.stdpPotentiated);
+        obsCount<"snn.stdp_depressions">(result.stdpDepressed);
+    }
+}
+
 } // namespace
 
 SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
@@ -119,7 +132,6 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
     potentials_[fn] = 0.0;
     gateUntil_[fn] = t + config_.tRefracMs;
     int64_t latest_gate = gateUntil_[fn];
-    ++fireCounts_[fn];
     ++result.outputSpikeCount;
     if (result.firstSpikeNeuron < 0) {
         result.firstSpikeNeuron = fire_n;
@@ -135,6 +147,10 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
     }
     result.wtaInhibitions += num_neurons - 1;
     if (learn) {
+        // Homeostasis counts only the firings of the presentations it
+        // advances on; an inference between two learning ones must not
+        // move the next epoch's thresholds.
+        ++fireCounts_[fn];
         const std::size_t potentiated = stdp_.onPostSpike(
             weights_.row(fn), lastInputSpike_.data(), t, num_inputs);
         result.stdpPotentiated += potentiated;
@@ -240,14 +256,7 @@ SnnNetwork::finishPresentation(bool learn, PresentationResult &result)
         homeostasis_.advance(period, thresholds_.data(),
                              fireCounts_.data(), config_.numNeurons);
     }
-
-    obsCount<"snn.input_spikes">(result.inputSpikeCount);
-    obsCount<"snn.output_spikes">(result.outputSpikeCount);
-    obsCount<"snn.wta_inhibitions">(result.wtaInhibitions);
-    if (learn) {
-        obsCount<"snn.stdp_potentiations">(result.stdpPotentiated);
-        obsCount<"snn.stdp_depressions">(result.stdpDepressed);
-    }
+    countEvents(result, learn);
 }
 
 PresentationResult
@@ -316,6 +325,23 @@ SnnNetwork::refreshWeightsT()
 PresentationResult
 SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
 {
+    return walkEvents(grid, learn, /*untilFirstSpike=*/false);
+}
+
+int
+SnnNetwork::firstSpikeWinner(const PackedSpikeGrid &grid, bool *fired)
+{
+    const PresentationResult result =
+        walkEvents(grid, /*learn=*/false, /*untilFirstSpike=*/true);
+    if (fired)
+        *fired = result.firstSpikeNeuron >= 0;
+    return result.winner(Readout::FirstSpike);
+}
+
+PresentationResult
+SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
+                       bool untilFirstSpike)
+{
     NEURO_PROFILE_SCOPE("snn/present_events");
     const std::size_t num_neurons = config_.numNeurons;
     const int period = config_.coding.periodMs;
@@ -342,7 +368,11 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
     int64_t open_from = -1;
     int64_t uniform_at = 0;
     std::size_t uniform_ticks = 0;
-    for (std::size_t k = 0; k < active.size(); ++k) {
+    // k ends as the number of ticks stepped: all of them, or those up
+    // to and including the first firing when that decides the walk.
+    bool decided = false;
+    std::size_t k = 0;
+    for (; k < active.size() && !decided; ++k) {
         const int64_t t = active[k];
         std::size_t spike_count = 0;
         const uint16_t *spikes = grid.inputsAt(k, &spike_count);
@@ -410,16 +440,21 @@ SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
             open_from = std::max(open_from,
                                  fireNeuron(fire_n, t, learn, result));
             ++result.spikeCountPerNeuron[static_cast<std::size_t>(fire_n)];
+            decided = untilFirstSpike;
         }
     }
     if (uniform_at >= 0)
         std::fill(last, last + num_neurons, uniform_at);
 
-    obsCount<"snn.engine.ticks_active">(active.size());
+    obsCount<"snn.engine.ticks_active">(k);
     obsCount<"snn.engine.ticks_uniform">(uniform_ticks);
-    obsCount<"snn.engine.ticks_skipped">(static_cast<uint64_t>(period) -
-                                         active.size());
-    finishPresentation(learn, result);
+    obsCount<"snn.engine.ticks_skipped">(static_cast<uint64_t>(period) - k);
+    // Once the first spike fixed the answer, the window-end decay and
+    // the max-potential readout would go unread.
+    if (decided)
+        countEvents(result, learn);
+    else
+        finishPresentation(learn, result);
     return result;
 }
 

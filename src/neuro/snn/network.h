@@ -20,8 +20,9 @@
  *    integrates the whole layer by one shared factor; only the ticks
  *    after a firing take the per-neuron gated loop, and the
  *    per-neuron update times are written only before that loop or
- *    the window end reads them. Training, labeling, evaluation and
- *    serving all run it;
+ *    the window end reads them. Training runs it, and so does
+ *    firstSpikeWinner(), the same loop ended at the first output
+ *    spike, which labeling, evaluation and serving run;
  *  - presentImage(): the reference walk over every tick of the same
  *    packed grid, with the closed-form leak and the row-major weights,
  *    kept as the test oracle and as the Figure 3 trace path. The two
@@ -148,12 +149,28 @@ class SnnNetwork
 
     /**
      * Present one encoded image for a full window: walk only the
-     * spike-carrying ticks of the packed grid. The production path.
+     * spike-carrying ticks of the packed grid. The production path;
+     * every field of the result covers the whole window.
      *
      * @param grid   the input spike train (finalized).
      * @param learn  apply STDP on firing events and advance homeostasis.
      */
     PresentationResult present(const PackedSpikeGrid &grid, bool learn);
+
+    /**
+     * The SNNwt answer alone, without learning: exactly
+     * `present(grid, false).winner(Readout::FirstSpike)`, but the walk
+     * ends at the first output spike, which fixes that answer. A grid
+     * that fires no neuron still runs to the window end for the
+     * max-potential fallback. The potentials are left at the tick the
+     * walk ended on; the next presentation resets them.
+     *
+     * @param grid   the input spike train (finalized).
+     * @param fired  optional sink: true when a neuron fired, false when
+     *               the answer is the max-potential fallback.
+     * @return the winning neuron index.
+     */
+    int firstSpikeWinner(const PackedSpikeGrid &grid, bool *fired = nullptr);
 
     /**
      * The reference walk over every tick of the window, silent ones
@@ -199,6 +216,13 @@ class SnnNetwork
                   bool learn, PresentationResult &result,
                   PresentationTrace *trace);
 
+    /** present()'s and firstSpikeWinner()'s event loop. With
+     *  @p untilFirstSpike it returns right after the first firing;
+     *  that result has no max-potential readout and counts only the
+     *  ticks stepped. */
+    PresentationResult walkEvents(const PackedSpikeGrid &grid, bool learn,
+                                  bool untilFirstSpike);
+
     /** Shared fire-and-inhibit path of both walks (tick @p t).
      *  @return the latest gate it set: every neuron is open from
      *  then on, until the next firing. */
@@ -227,6 +251,8 @@ class SnnNetwork
     /** Ignores input before this time: the later of the refractory
      *  and the WTA inhibition expiry. */
     std::vector<int64_t> gateUntil_;
+    /** Firings per neuron in the current homeostasis epoch, counted
+     *  only by learning presentations. */
     std::vector<uint32_t> fireCounts_;
     /** exp(-dt/Tleak) for every integer dt in [0, period], [0] = 1;
      *  filled once by the constructor for present()'s leak. */

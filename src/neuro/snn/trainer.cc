@@ -122,11 +122,10 @@ SnnStdpTrainer::winnersFor(SnnNetwork &net, const datasets::Dataset &data,
                 continue;
             }
             const auto grid = gridFor(data, i, seed);
-            const PresentationResult r =
-                local.present(*grid, /*learn=*/false);
-            winners[i] = r.winner(Readout::FirstSpike);
+            bool spiked = false;
+            winners[i] = local.firstSpikeWinner(*grid, &spiked);
             if (fired)
-                (*fired)[i] = r.firstSpikeNeuron >= 0;
+                (*fired)[i] = spiked;
         }
     });
     return winners;

@@ -28,6 +28,9 @@
 #include "neuro/serve/queue.h"
 #include "neuro/serve/registry.h"
 #include "neuro/serve/server.h"
+#include "neuro/snn/coding.h"
+#include "neuro/snn/network.h"
+#include "neuro/snn/spike_bits.h"
 #include "neuro/telemetry/metrics.h"
 
 namespace neuro {
@@ -530,6 +533,73 @@ TEST(ServeDeterminism, BitIdenticalAcrossWorkersAndBatching)
         EXPECT_EQ(serveTrace(backend, trace, 1), reference)
             << "diverged unbatched at " << workers << " workers";
     }
+}
+
+/**
+ * The SNNwt backend answers with the label of the reference walk's
+ * first-spike winner, on grids this test encodes itself from each
+ * request's seed: over random images that fire and an all-zero image
+ * that cannot (the max-potential fallback), and alike in two sessions
+ * that see the requests in opposite orders.
+ */
+TEST(SnnBackend, ClassifyIsTheReferenceFirstSpikeLabel)
+{
+    snn::SnnConfig config;
+    config.numInputs = 64;
+    config.numNeurons = 8;
+    config.coding.periodMs = 200;
+    config.coding.minIntervalMs = 20;
+    config.tLeakMs = 200.0;
+    config.initialThreshold = 0.5 * 32.0 * 8.0 * 127.0;
+    Rng rng(3);
+    const snn::SnnNetwork net(config, rng);
+    const std::vector<int> labels = {0, 1, 2, -1, 1, 0, 2, 1};
+    const std::shared_ptr<serve::InferenceBackend> backend =
+        serve::makeSnnBackend(snn::TrainedSnn{net, labels});
+
+    std::vector<serve::InferenceRequest> trace =
+        randomTrace(24, config.numInputs, 29);
+    trace.push_back(trace.back());
+    std::fill(trace.back().pixels.begin(), trace.back().pixels.end(), 0);
+
+    const snn::SpikeEncoder encoder(config.coding);
+    std::vector<int> expected;
+    std::size_t fired = 0;
+    for (const serve::InferenceRequest &r : trace) {
+        Rng stream(r.streamSeed);
+        snn::PackedSpikeGrid grid;
+        encoder.encodePacked(r.pixels.data(), r.pixels.size(), stream,
+                             grid);
+        snn::SnnNetwork oracle(net);
+        const snn::PresentationResult ref =
+            oracle.presentImage(grid, /*learn=*/false);
+        const int w = ref.winner(snn::Readout::FirstSpike);
+        expected.push_back(w >= 0 && static_cast<std::size_t>(w) <
+                                         labels.size()
+                               ? labels[static_cast<std::size_t>(w)]
+                               : -1);
+        fired += ref.firstSpikeNeuron >= 0;
+    }
+    EXPECT_GT(fired, 0u);
+    EXPECT_LT(fired, trace.size()); // the all-zero image stays silent.
+
+    const std::unique_ptr<serve::BackendSession> first =
+        backend->newSession();
+    const std::unique_ptr<serve::BackendSession> second =
+        backend->newSession();
+    std::vector<int> forward(trace.size(), -2);
+    std::vector<int> backward(trace.size(), -2);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const serve::InferenceRequest &r = trace[i];
+        forward[i] =
+            first->classify(r.pixels.data(), r.pixels.size(), r.streamSeed);
+        const std::size_t j = trace.size() - 1 - i;
+        backward[j] = second->classify(trace[j].pixels.data(),
+                                       trace[j].pixels.size(),
+                                       trace[j].streamSeed);
+    }
+    EXPECT_EQ(forward, expected);
+    EXPECT_EQ(backward, expected);
 }
 
 // ----------------------------------------------------------- registry

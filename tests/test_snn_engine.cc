@@ -2,8 +2,11 @@
 // be bit-identical to the reference tick walk presentImage() — same
 // winners, same potentials, same learned weights — on both of its
 // phase 2 paths (uniform ticks through kernels::lifStep and gated
-// ticks), and the full pipeline must agree at any thread count. Also
-// covers the trainer's grid-cache routing.
+// ticks), and the full pipeline must agree at any thread count.
+// firstSpikeWinner(), the same walk ended at the first output spike,
+// must give the reference's first-spike answer and count only the
+// ticks it stepped. Also covers the trainer's grid-cache routing and
+// that inference leaves homeostasis alone.
 
 #include <gtest/gtest.h>
 
@@ -116,6 +119,22 @@ expectHandBuiltGridAgrees(const SnnNetwork &net,
     return r;
 }
 
+/** firstSpikeWinner() on a copy of @p net against the reference
+ *  presentImage(grid, false) on a copy of @p oracle. */
+void
+expectFirstSpikeWinnerAgrees(const SnnNetwork &net,
+                             const SnnNetwork &oracle,
+                             const PackedSpikeGrid &grid, std::size_t i)
+{
+    SnnNetwork probe(net);
+    SnnNetwork oracle_copy(oracle);
+    bool fired = false;
+    const int winner = probe.firstSpikeWinner(grid, &fired);
+    const auto ref = oracle_copy.presentImage(grid, /*learn=*/false);
+    EXPECT_EQ(winner, ref.winner(Readout::FirstSpike)) << "sample " << i;
+    EXPECT_EQ(fired, ref.firstSpikeNeuron >= 0) << "sample " << i;
+}
+
 /** Tick counts of a present() sequence. */
 struct TickCounts
 {
@@ -153,6 +172,7 @@ expectLearningSequenceAgrees(const SnnConfig &config)
             Rng rng(deriveStreamSeed(seed, i));
             encoder.encodePacked(data[i].pixels.data(),
                                  data[i].pixels.size(), rng, grid);
+            expectFirstSpikeWinnerAgrees(present_net, oracle_net, grid, i);
             const auto r = present_net.present(grid, learn);
             const auto ref = oracle_net.presentImage(grid, learn);
             expectIdenticalResults(ref, r, i);
@@ -224,6 +244,7 @@ TEST(SnnPresent, PresentEqualsPresentImageWithoutLearning)
         Rng rng(deriveStreamSeed(5, i));
         encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
                              rng, grid);
+        expectFirstSpikeWinnerAgrees(present_net, oracle_net, grid, i);
         const auto r = present_net.present(grid, /*learn=*/false);
         const auto ref = oracle_net.presentImage(grid, /*learn=*/false);
         expectIdenticalResults(ref, r, i);
@@ -231,9 +252,10 @@ TEST(SnnPresent, PresentEqualsPresentImageWithoutLearning)
     expectIdenticalState(oracle_net, present_net);
 }
 
-/** A 784-input net whose threshold no hand-built grid reaches. */
+/** A 784-input, 20-neuron net for hand-built grids. Weights lie in
+ *  [76.5, 178.5] and thresholds within 2.5% of @p threshold. */
 SnnNetwork
-quietNetwork(uint64_t seed)
+handBuiltNetwork(uint64_t seed, double threshold)
 {
     SnnConfig config;
     config.numInputs = 784;
@@ -241,10 +263,25 @@ quietNetwork(uint64_t seed)
     config.coding.periodMs = 200;
     config.coding.minIntervalMs = 20;
     config.tLeakMs = 200.0;
-    config.initialThreshold = 30000.0;
+    config.initialThreshold = threshold;
     config.homeostasis.enabled = false;
     Rng rng(seed);
     return SnnNetwork(config, rng);
+}
+
+/** A net whose threshold no hand-built grid reaches. */
+SnnNetwork
+quietNetwork(uint64_t seed)
+{
+    return handBuiltNetwork(seed, 30000.0);
+}
+
+/** A net where 20 spikes in one tick fire a neuron (>= 1530 drive
+ *  against thresholds <= 1025) and 3 in a window never do. */
+SnnNetwork
+firingNetwork(uint64_t seed)
+{
+    return handBuiltNetwork(seed, 1000.0);
 }
 
 /** A finalized grid for quietNetwork() (784 inputs, 200 ticks). */
@@ -271,6 +308,188 @@ TEST(SnnPresent, EmptyWindowMatchesPresentImage)
         expectHandBuiltGridAgrees(quietNetwork(8), handBuiltGrid({}), 0);
     EXPECT_EQ(r.outputSpikeCount, 0u);
     EXPECT_EQ(r.firstSpikeNeuron, -1);
+}
+
+/** Spikes (tick, pixel) from inputs [first, first + count) at @p t. */
+std::vector<std::pair<int, uint16_t>>
+burst(int t, uint16_t first, uint16_t count)
+{
+    std::vector<std::pair<int, uint16_t>> spikes;
+    for (uint16_t p = first; p < first + count; ++p)
+        spikes.emplace_back(t, p);
+    return spikes;
+}
+
+std::vector<std::pair<int, uint16_t>>
+concat(std::initializer_list<std::vector<std::pair<int, uint16_t>>> parts)
+{
+    std::vector<std::pair<int, uint16_t>> all;
+    for (const auto &part : parts)
+        all.insert(all.end(), part.begin(), part.end());
+    return all;
+}
+
+/**
+ * firstSpikeWinner() on a copy of @p net against presentImage() on
+ * another: the same answer, and counters that cover only the ticks it
+ * stepped. @p stepped_ticks and @p stepped_spikes are those of the
+ * ticks up to and including the decision (all of them when silent).
+ */
+void
+expectFirstSpikeCut(const SnnNetwork &net, const PackedSpikeGrid &grid,
+                    bool expect_fired, uint64_t stepped_ticks,
+                    uint64_t stepped_spikes)
+{
+    auto &reg = telemetry::MetricRegistry::instance();
+    const auto active = reg.counter("snn.engine.ticks_active");
+    const auto skipped = reg.counter("snn.engine.ticks_skipped");
+    const auto inputs = reg.counter("snn.input_spikes");
+    const auto outputs = reg.counter("snn.output_spikes");
+    const auto inhibitions = reg.counter("snn.wta_inhibitions");
+    const uint64_t active0 = active->value();
+    const uint64_t skipped0 = skipped->value();
+    const uint64_t inputs0 = inputs->value();
+    const uint64_t outputs0 = outputs->value();
+    const uint64_t inhibitions0 = inhibitions->value();
+
+    SnnNetwork probe(net);
+    bool fired = !expect_fired;
+    const int winner = probe.firstSpikeWinner(grid, &fired);
+
+    EXPECT_EQ(active->value() - active0, stepped_ticks);
+    EXPECT_EQ(skipped->value() - skipped0,
+              static_cast<uint64_t>(grid.periodMs()) - stepped_ticks);
+    EXPECT_EQ(inputs->value() - inputs0, stepped_spikes);
+    EXPECT_EQ(outputs->value() - outputs0, expect_fired ? 1u : 0u);
+    EXPECT_EQ(inhibitions->value() - inhibitions0,
+              expect_fired ? net.config().numNeurons - 1 : 0u);
+
+    SnnNetwork oracle(net);
+    const auto ref = oracle.presentImage(grid, /*learn=*/false);
+    EXPECT_EQ(fired, expect_fired);
+    EXPECT_EQ(ref.firstSpikeNeuron >= 0, expect_fired);
+    EXPECT_EQ(winner, ref.winner(Readout::FirstSpike));
+    if (expect_fired) {
+        // The walk ended on the reference's first-spike tick.
+        ASSERT_GE(stepped_ticks, 1u);
+        EXPECT_EQ(grid.activeTicks()[stepped_ticks - 1],
+                  ref.firstSpikeTimeMs);
+    }
+}
+
+TEST(SnnFirstSpike, FiringOnTickZeroStopsThere)
+{
+    // A present() would go on to step ticks 10, 50 and 150.
+    const PackedSpikeGrid grid = handBuiltGrid(
+        concat({burst(0, 0, 20), burst(10, 20, 20), burst(50, 40, 20),
+                burst(150, 60, 20)}));
+    expectFirstSpikeCut(firingNetwork(7), grid, true, 1, 20);
+}
+
+TEST(SnnFirstSpike, FiringOnLastActiveTick)
+{
+    const PackedSpikeGrid grid = handBuiltGrid(
+        concat({burst(3, 1, 2), burst(50, 0, 1), burst(150, 100, 20)}));
+    expectFirstSpikeCut(firingNetwork(8), grid, true, 3, 23);
+}
+
+TEST(SnnFirstSpike, SilentGridFallsBackToMaxPotential)
+{
+    const PackedSpikeGrid grid =
+        handBuiltGrid({{3, 1}, {3, 2}, {50, 0}, {150, 3}});
+    expectFirstSpikeCut(quietNetwork(7), grid, false, 3, 4);
+    expectFirstSpikeCut(quietNetwork(8), handBuiltGrid({}), false, 0, 0);
+}
+
+TEST(SnnFirstSpike, LeavesNextPresentationUntouched)
+{
+    // A learning presentation after an early-ended walk must match
+    // one on a fresh copy, with a homeostasis epoch closing on it
+    // that would count any firing the walk left behind.
+    SnnConfig config = smallConfig();
+    config.homeostasis.epochMs = config.coding.periodMs;
+    config.homeostasis.activityTarget = 0.0;
+    const datasets::Dataset data = makeHalves(16, 5);
+    const SpikeEncoder encoder(config.coding);
+
+    Rng init(6);
+    SnnNetwork net(config, init);
+    PackedSpikeGrid grid;
+    PackedSpikeGrid next;
+    std::size_t fired_count = 0;
+    for (std::size_t i = 0; i + 1 < data.size(); i += 2) {
+        Rng rng(deriveStreamSeed(31, i));
+        encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
+                             rng, grid);
+        Rng next_rng(deriveStreamSeed(31, i + 1));
+        encoder.encodePacked(data[i + 1].pixels.data(),
+                             data[i + 1].pixels.size(), next_rng, next);
+        for (const bool learn : {false, true}) {
+            SnnNetwork probed(net);
+            SnnNetwork fresh(net);
+            bool fired = false;
+            probed.firstSpikeWinner(grid, &fired);
+            fired_count += fired;
+            const auto r = probed.present(next, learn);
+            const auto ref = fresh.present(next, learn);
+            expectIdenticalResults(ref, r, i);
+            expectIdenticalState(fresh, probed);
+        }
+        net.present(grid, /*learn=*/true);
+    }
+    EXPECT_GT(fired_count, 0u);
+}
+
+/** Thresholds after learning on grids[0] and grids[1], with the
+ *  rest presented without learning in between, through present()
+ *  or (@p reference) presentImage(). */
+std::vector<double>
+thresholdsAfter(const SnnConfig &config,
+                const std::vector<PackedSpikeGrid> &grids, bool reference,
+                std::size_t *inferred_spikes)
+{
+    Rng init(9);
+    SnnNetwork net(config, init);
+    auto step = [&](const PackedSpikeGrid &grid, bool learn) {
+        return reference ? net.presentImage(grid, learn)
+                         : net.present(grid, learn);
+    };
+    step(grids[0], /*learn=*/true);
+    for (std::size_t i = 2; i < grids.size(); ++i)
+        *inferred_spikes += step(grids[i], /*learn=*/false).outputSpikeCount;
+    step(grids[1], /*learn=*/true);
+    EXPECT_EQ(net.homeostasisEpochs(), 1);
+    return net.thresholds();
+}
+
+TEST(SnnPresent, InferenceLeavesHomeostasisAlone)
+{
+    // The epoch spans the two learning presentations and closes after
+    // the inferences, so any inference firing it counted would push
+    // that neuron's threshold up instead of leaving it as it is.
+    SnnConfig config = smallConfig();
+    config.homeostasis.epochMs = 2 * config.coding.periodMs;
+    config.homeostasis.activityTarget = 0.0;
+    const datasets::Dataset data = makeHalves(18, 8);
+    const SpikeEncoder encoder(config.coding);
+    std::vector<PackedSpikeGrid> grids(data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        Rng rng(deriveStreamSeed(41, i));
+        encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
+                             rng, grids[i]);
+    }
+    const std::vector<PackedSpikeGrid> learn_only(grids.begin(),
+                                                  grids.begin() + 2);
+    for (const bool reference : {false, true}) {
+        std::size_t inferred = 0;
+        const auto plain =
+            thresholdsAfter(config, learn_only, reference, &inferred);
+        const auto interleaved =
+            thresholdsAfter(config, grids, reference, &inferred);
+        EXPECT_GT(inferred, 0u);
+        EXPECT_EQ(interleaved, plain)
+            << (reference ? "presentImage()" : "present()");
+    }
 }
 
 /** Winners of a full train+label+evaluate pass. */
