@@ -21,7 +21,6 @@ main(int argc, char **argv)
 {
     using namespace neuro;
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const auto train =
         static_cast<std::size_t>(cfg.getInt("train", 2000));

@@ -92,7 +92,6 @@ int
 main(int argc, char **argv)
 {
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const bool quick = cfg.getBool("quick", false);
     const auto reps = static_cast<std::size_t>(

@@ -20,7 +20,6 @@ main(int argc, char **argv)
 {
     using namespace neuro;
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const hw::MlpTopology mlp{784, 100, 10};
     const hw::SnnTopology snn{784, 300};

@@ -18,7 +18,6 @@ main(int argc, char **argv)
 {
     using namespace neuro;
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const auto ladder = hw::defaultScaleLadder();
     const auto results = hw::scalingStudy(ladder);

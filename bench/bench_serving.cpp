@@ -82,13 +82,12 @@ RunResult
 runTrace(const std::shared_ptr<serve::InferenceBackend> &backend,
          const std::string &model, const datasets::Dataset &test,
          uint64_t requests, std::size_t maxBatch, std::size_t inflight,
-         uint64_t seed, bool traceRequests = false)
+         uint64_t seed)
 {
     serve::ServeConfig sc;
     sc.queueCapacity = inflight + maxBatch; // closed loop never rejects.
     sc.batch.maxBatch = maxBatch;
     sc.batch.maxWaitMicros = 200;
-    sc.traceRequests = traceRequests;
     serve::InferenceServer server(backend, sc, nullptr, model);
 
     RunResult out;
@@ -145,7 +144,6 @@ int
 main(int argc, char **argv)
 {
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const bool quick = cfg.getInt("quick", 0) != 0;
     const auto requests = static_cast<uint64_t>(
@@ -157,8 +155,6 @@ main(int argc, char **argv)
         static_cast<std::size_t>(cfg.getInt("batch", 256));
     const auto inflight = static_cast<std::size_t>(
         cfg.getInt("inflight", static_cast<long>(4 * maxBatch)));
-    // Per-request async spans in the Chrome trace (needs NEURO_TRACE).
-    const bool traceRequests = cfg.getInt("trace_requests", 0) != 0;
 
     const core::Workload w = core::makeMnistWorkload(train, test, 1);
 
@@ -235,10 +231,10 @@ main(int argc, char **argv)
                  seed);
         const RunResult single =
             runTrace(backend, "single" + suffix, w.data.test, requests, 1,
-                     1, seed, traceRequests);
+                     1, seed);
         const RunResult batched =
             runTrace(backend, "batched" + suffix, w.data.test, requests,
-                     maxBatch, inflight, seed, traceRequests);
+                     maxBatch, inflight, seed);
 
         if (reference.empty())
             reference = single.classes;

@@ -343,7 +343,6 @@ int
 main(int argc, char **argv)
 {
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const bool quick = cfg.getInt("quick", 0) != 0;
     const double durationS =
@@ -638,7 +637,6 @@ main(int argc, char **argv)
         serve::ServeConfig sloConfig = sc;
         sloConfig.sloP99Micros = 2000;
         sloConfig.sloWindow = 64;
-        sloConfig.enableFallback = true;
         net::ServeFrontend frontend(registry, sloConfig,
                                     {"m0", "m0.q8"});
         net::NetServer server(frontend);

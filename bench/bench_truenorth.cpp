@@ -24,7 +24,6 @@ main(int argc, char **argv)
     using namespace neuro;
     namespace paper = core::paper;
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const auto train =
         static_cast<std::size_t>(cfg.getInt("train", 3000));

@@ -84,7 +84,6 @@ main(int argc, char **argv)
 {
     using namespace neuro;
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
 
     const core::Workload mpeg7 = core::makeMpeg7Workload(

@@ -38,7 +38,6 @@ main(int argc, char **argv)
 {
     using namespace neuro;
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const double budget = cfg.getDouble("budget_mm2", 8.0);
     const double latency_target = cfg.getDouble("latency_us", 1.0);

@@ -25,7 +25,6 @@ main(int argc, char **argv)
 {
     using namespace neuro;
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const auto train_size =
         static_cast<std::size_t>(cfg.getInt("train", 4000));

@@ -23,7 +23,6 @@ main(int argc, char **argv)
 {
     using namespace neuro;
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const auto trials =
         static_cast<std::size_t>(cfg.getInt("trials", 8));

@@ -25,7 +25,6 @@ main(int argc, char **argv)
 {
     using namespace neuro;
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const auto stream_len =
         static_cast<std::size_t>(cfg.getInt("stream", 6000));

@@ -10,8 +10,6 @@
 
 #include "neuro/common/logging.h"
 
-extern char **environ;
-
 namespace neuro {
 
 namespace {
@@ -23,7 +21,7 @@ namespace {
  * constant, so any thread may read it.
  */
 constexpr std::string_view kKnownFlags[] = {
-    "trace_requests", "quick", "help",
+    "quick", "help",
     // Network serving / load-harness flags (neurocmp serve
     // --listen, bench_serving_openloop; docs/serving.md).
     "listen", "port", "host", "rate", "duration_s", "deadline_us",
@@ -144,7 +142,7 @@ Config::parseArgs(int argc, char **argv)
         const char *token = argv[i];
         // `--key=value` and bare `--flag` (stored as "1") are accepted
         // alongside plain `key=value`; dashes inside the key map to
-        // underscores so `--trace-requests` reads as `trace_requests`.
+        // underscores so `--deadline-us` reads as `deadline_us`.
         const bool dashed = token[0] == '-' && token[1] == '-';
         if (dashed)
             token += 2;
@@ -172,24 +170,6 @@ Config::parseArgs(int argc, char **argv)
             }
         }
         set(key, eq ? std::string(eq + 1) : std::string("1"));
-    }
-}
-
-void
-Config::parseEnv()
-{
-    static const char prefix[] = "NEURO_";
-    for (char **env = environ; env && *env; ++env) {
-        const char *entry = *env;
-        if (std::strncmp(entry, prefix, sizeof(prefix) - 1) != 0)
-            continue;
-        const char *eq = std::strchr(entry, '=');
-        if (!eq)
-            continue;
-        std::string key(entry + sizeof(prefix) - 1, eq);
-        std::transform(key.begin(), key.end(), key.begin(),
-                       [](unsigned char c) { return std::tolower(c); });
-        set(key, eq + 1);
     }
 }
 

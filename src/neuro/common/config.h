@@ -3,8 +3,9 @@
  * Lightweight key/value configuration registry. Benches and examples use
  * it to expose every knob of the reproduced experiments (topologies,
  * training budgets, hardware parameters) with paper defaults, overridable
- * from the command line (`key=value` arguments) and the environment
- * (`NEURO_<KEY>` variables).
+ * from the command line (`key=value` arguments). Process settings
+ * (NEURO_THREADS, NEURO_SIMD, NEURO_TRACE, ...) are environment
+ * variables read each at its own site, never config keys.
  */
 
 #pragma once
@@ -57,12 +58,6 @@ class Config
     {
         return unknownFlags_;
     }
-
-    /**
-     * Import every `NEURO_<KEY>=value` environment variable as key
-     * `<key>` (lower-cased).
-     */
-    void parseEnv();
 
     /** @return all key/value pairs (for dumping Table 1-style output). */
     const std::map<std::string, std::string> &entries() const

@@ -46,15 +46,6 @@ toFrameStatus(serve::RequestStatus status)
     return FrameStatus::BadFrame;
 }
 
-/** @return true iff @p name ends with @p suffix. */
-bool
-endsWith(const std::string &name, const char *suffix)
-{
-    const std::string s(suffix);
-    return name.size() >= s.size() &&
-           name.compare(name.size() - s.size(), s.size(), s) == 0;
-}
-
 } // namespace
 
 ServeFrontend::ServeFrontend(const serve::ModelRegistry &registry,
@@ -72,27 +63,13 @@ ServeFrontend::ServeFrontend(const serve::ModelRegistry &registry,
                  name.c_str());
             continue;
         }
-        // SLO fallback: a base model degrades to its cheaper sibling
-        // variant; the variants themselves (and models without one)
-        // serve with fallback scrubbed so the ServeConfig invariants
-        // (fallback backend + SLO armed) hold per server.
-        serve::ServeConfig modelConfig = config;
-        std::shared_ptr<serve::InferenceBackend> fallback;
-        const bool isVariant =
-            endsWith(name, ".q8") || endsWith(name, ".wot");
-        if (config.enableFallback && !isVariant) {
-            for (const char *suffix : {".q8", ".wot"}) {
-                fallback = registry.find(name + suffix);
-                if (fallback != nullptr)
-                    break;
-            }
-        }
-        if (fallback == nullptr)
-            modelConfig.enableFallback = false;
         Model model;
         model.backend = std::move(backend);
         model.server = std::make_unique<serve::InferenceServer>(
-            model.backend, modelConfig, std::move(fallback), name);
+            model.backend, config,
+            config.sloP99Micros > 0 ? registry.fallbackFor(name)
+                                    : nullptr,
+            name);
         models_.emplace(name, std::move(model));
     }
     NEURO_ASSERT(!models_.empty(),

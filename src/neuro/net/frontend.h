@@ -51,10 +51,9 @@ class ServeFrontend
      * @param registry source of backends; only read during
      *        construction.
      * @param config   per-model serving knobs. When
-     *        config.enableFallback is set, each base model gets its
-     *        cheaper sibling variant ("<name>.q8" / "<name>.wot") as
-     *        the SLO fallback backend; models without a sibling (and
-     *        the variants themselves) serve with fallback disabled.
+     *        config.sloP99Micros is set, each model serves with
+     *        registry.fallbackFor(name) as its SLO fallback backend
+     *        (if it has one).
      * @param models   names to serve; empty = every registry entry.
      */
     ServeFrontend(const serve::ModelRegistry &registry,

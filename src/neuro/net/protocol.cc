@@ -216,11 +216,6 @@ parseResponse(const uint8_t *payload, std::size_t size,
     return true;
 }
 
-FrameDecoder::FrameDecoder(std::size_t maxFrameBytes)
-    : maxFrameBytes_(maxFrameBytes)
-{
-}
-
 void
 FrameDecoder::feed(const uint8_t *data, std::size_t n)
 {
@@ -231,7 +226,7 @@ FrameDecoder::feed(const uint8_t *data, std::size_t n)
     if (readPos_ > 0 && readPos_ == buffer_.size()) {
         buffer_.clear();
         readPos_ = 0;
-    } else if (readPos_ > maxFrameBytes_) {
+    } else if (readPos_ > kDefaultMaxFrameBytes) {
         buffer_.erase(buffer_.begin(),
                       buffer_.begin() +
                           static_cast<std::ptrdiff_t>(readPos_));
@@ -253,12 +248,12 @@ FrameDecoder::next(std::vector<uint8_t> *payload)
     // name and no pixels (32 bytes); a shorter (or absurdly long)
     // length prefix means the stream is corrupt or hostile, and a
     // byte stream cannot resynchronize past it.
-    if (len < kRequestHeaderBytes || len > maxFrameBytes_) {
+    if (len < kRequestHeaderBytes || len > kDefaultMaxFrameBytes) {
         failed_ = true;
         char buf[96];
         std::snprintf(buf, sizeof buf,
                       "frame length %u outside [%zu, %zu]", len,
-                      kRequestHeaderBytes, maxFrameBytes_);
+                      kRequestHeaderBytes, kDefaultMaxFrameBytes);
         error_ = buf;
         return Result::Error;
     }

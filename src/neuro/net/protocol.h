@@ -57,7 +57,7 @@ constexpr std::size_t kMaxNameBytes = 256;
 /** Most pixels a request may carry (1M f32 = 4 MiB payload). */
 constexpr std::size_t kMaxPixels = 1U << 20;
 
-/** Default decoder bound on one frame's payload length. */
+/** FrameDecoder's bound on one frame's payload length. */
 constexpr std::size_t kDefaultMaxFrameBytes =
     kRequestHeaderBytes + kMaxNameBytes + 4 * kMaxPixels;
 
@@ -123,7 +123,7 @@ bool parseResponse(const uint8_t *payload, std::size_t size,
  * Incremental frame reassembler over a byte stream. Not thread-safe;
  * each connection owns one. feed() appends whatever the transport
  * produced; next() yields complete payloads one at a time. A length
- * prefix exceeding maxFrameBytes (or shorter than the smallest
+ * prefix exceeding kDefaultMaxFrameBytes (or shorter than the smallest
  * well-formed payload) is a protocol error: the decoder latches
  * Error and the connection must be torn down — byte streams cannot
  * resynchronize after a corrupt length.
@@ -131,9 +131,6 @@ bool parseResponse(const uint8_t *payload, std::size_t size,
 class FrameDecoder
 {
   public:
-    explicit FrameDecoder(std::size_t maxFrameBytes =
-                              kDefaultMaxFrameBytes);
-
     /** Outcome of one next() call. */
     enum class Result
     {
@@ -155,7 +152,6 @@ class FrameDecoder
     std::size_t buffered() const { return buffer_.size() - readPos_; }
 
   private:
-    std::size_t maxFrameBytes_;
     std::vector<uint8_t> buffer_;
     std::size_t readPos_ = 0;
     std::string error_;

@@ -20,6 +20,17 @@ namespace net {
 
 namespace {
 
+/** listen(2) backlog. */
+constexpr int kBacklog = 128;
+/** Accept cap; connections past it are refused (net.refused). */
+constexpr std::size_t kMaxConnections = 256;
+/** Per-connection bound on buffered response bytes: a client that
+ *  stops reading while still sending gets disconnected instead of
+ *  growing the outbox without bound. */
+constexpr std::size_t kMaxOutboxBytes = 16U << 20;
+/** stop() bound on flushing responses to slow peers. */
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
+
 /** @return "<syscall>: <strerror>" for error strings. */
 std::string
 sysError(const char *what)
@@ -82,7 +93,7 @@ NetServer::start(std::string *error)
     if (::bind(listenFd_, reinterpret_cast<const sockaddr *>(&addr),
                sizeof addr) != 0)
         return fail(sysError("bind"));
-    if (::listen(listenFd_, config_.backlog) != 0)
+    if (::listen(listenFd_, kBacklog) != 0)
         return fail(sysError("listen"));
 
     sockaddr_in bound{};
@@ -134,9 +145,7 @@ NetServer::stop()
     frontend_.stop();
     // 3. Flush the tail to peers that are still reading, bounded so a
     //    wedged client cannot hold shutdown hostage, then tear down.
-    flushDeadline_ = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(
-                         config_.drainTimeoutMillis);
+    flushDeadline_ = std::chrono::steady_clock::now() + kDrainTimeout;
     finishFlush_.store(true, std::memory_order_release);
     wake();
     if (loop_.joinable())
@@ -271,7 +280,7 @@ NetServer::acceptReady()
                 warn("net: %s", sysError("accept4").c_str());
             return;
         }
-        if (connectionCount() >= config_.maxConnections) {
+        if (connectionCount() >= kMaxConnections) {
             ::close(fd);
             tm_.refused->inc();
             continue;
@@ -279,7 +288,7 @@ NetServer::acceptReady()
         const int one = 1;
         (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
                            sizeof one);
-        auto conn = std::make_shared<Connection>(config_.maxFrameBytes);
+        auto conn = std::make_shared<Connection>();
         conn->fd = fd;
         {
             MutexGuard lock(connMutex_);
@@ -390,8 +399,7 @@ NetServer::queueResponse(const std::shared_ptr<Connection> &conn,
             dropped = true;
         } else {
             encodeResponse(response, &conn->outbox);
-            if (conn->outbox.size() - conn->outboxPos >
-                config_.maxOutboxBytes)
+            if (conn->outbox.size() - conn->outboxPos > kMaxOutboxBytes)
                 conn->overflowed.store(true,
                                        std::memory_order_relaxed);
         }

@@ -46,20 +46,12 @@
 namespace neuro {
 namespace net {
 
-/** Listener and transport knobs of a NetServer. */
+/** Listen address of a NetServer. The transport caps (connections,
+ *  frame and outbox bytes, drain time) are constants of server.cc. */
 struct NetServerConfig
 {
     std::string host = "127.0.0.1"; ///< bind address (IPv4 dotted).
     uint16_t port = 0;              ///< 0 = ephemeral; see port().
-    int backlog = 128;              ///< listen(2) backlog.
-    std::size_t maxFrameBytes = kDefaultMaxFrameBytes;
-    std::size_t maxConnections = 256; ///< accept cap; extras refused.
-    /** Per-connection bound on buffered response bytes: a client
-     *  that stops reading while still sending gets disconnected
-     *  instead of growing the outbox without bound. */
-    std::size_t maxOutboxBytes = 16U << 20;
-    /** stop() bound on flushing responses to slow peers (ms). */
-    int64_t drainTimeoutMillis = 5000;
 };
 
 /** Epoll event loop serving the binary protocol over TCP. */
@@ -91,7 +83,7 @@ class NetServer
     /**
      * Drain-first shutdown: stop accepting, drain the front end's
      * queues (every in-flight request fulfilled), flush pending
-     * responses for at most drainTimeoutMillis, close every
+     * responses for a bounded time, close every
      * connection and join the loop. Idempotent.
      */
     void stop();
@@ -119,16 +111,11 @@ class NetServer
      *  append, the loop flushes) under the connection mutex. */
     struct Connection
     {
-        explicit Connection(std::size_t maxFrameBytes)
-            : decoder(maxFrameBytes)
-        {
-        }
-
         int fd = -1;
         FrameDecoder decoder;
         /** Requests routed but not yet answered into the outbox. */
         std::atomic<int64_t> inflight{0};
-        /** Outbox exceeded maxOutboxBytes; the loop disconnects. */
+        /** Outbox exceeded its byte cap; the loop disconnects. */
         std::atomic<bool> overflowed{false};
         /** Peer half-closed (read EOF); flush, then close. */
         bool peerClosed = false;          // event-loop thread only.

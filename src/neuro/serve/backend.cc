@@ -1,6 +1,5 @@
 #include "neuro/serve/backend.h"
 
-#include <algorithm>
 #include <array>
 #include <utility>
 #include <vector>
@@ -22,16 +21,6 @@ labelOf(const std::vector<int> &labels, int winner)
     if (winner < 0 || static_cast<std::size_t>(winner) >= labels.size())
         return -1;
     return labels[static_cast<std::size_t>(winner)];
-}
-
-/** @return max(labels) + 1, the class count of a labeled SNN. */
-int
-classCountOf(const std::vector<int> &labels)
-{
-    int top = -1;
-    for (int label : labels)
-        top = std::max(top, label);
-    return top + 1;
 }
 
 // ---------------------------------------------------------------- MLP
@@ -80,11 +69,6 @@ class MlpBackend final : public InferenceBackend
 
     BackendKind kind() const override { return BackendKind::Mlp; }
     std::size_t inputSize() const override { return net_.inputSize(); }
-    int
-    numClasses() const override
-    {
-        return static_cast<int>(net_.outputSize());
-    }
     std::unique_ptr<BackendSession>
     newSession() const override
     {
@@ -134,11 +118,6 @@ class QuantizedMlpBackend final : public InferenceBackend
         return BackendKind::QuantizedMlp;
     }
     std::size_t inputSize() const override { return net_.inputSize(); }
-    int
-    numClasses() const override
-    {
-        return static_cast<int>(net_.outputSize());
-    }
     std::unique_ptr<BackendSession>
     newSession() const override
     {
@@ -190,8 +169,7 @@ class SnnBackend final : public InferenceBackend
   public:
     explicit SnnBackend(snn::TrainedSnn model)
         : model_(std::move(model)),
-          encoder_(model_.network.config().coding),
-          numClasses_(classCountOf(model_.labels))
+          encoder_(model_.network.config().coding)
     {
     }
 
@@ -201,7 +179,6 @@ class SnnBackend final : public InferenceBackend
     {
         return model_.network.config().numInputs;
     }
-    int numClasses() const override { return numClasses_; }
     std::unique_ptr<BackendSession>
     newSession() const override
     {
@@ -212,7 +189,6 @@ class SnnBackend final : public InferenceBackend
   private:
     snn::TrainedSnn model_;
     snn::SpikeEncoder encoder_;
-    int numClasses_;
 };
 
 // -------------------------------------------------------------- SNNwot
@@ -254,8 +230,7 @@ class SnnWotBackend final : public InferenceBackend
   public:
     explicit SnnWotBackend(const snn::TrainedSnn &model)
         : datapath_(model.network), labels_(model.labels),
-          encoder_(model.network.config().coding),
-          numClasses_(classCountOf(labels_))
+          encoder_(model.network.config().coding)
     {
     }
 
@@ -265,7 +240,6 @@ class SnnWotBackend final : public InferenceBackend
     {
         return datapath_.numInputs();
     }
-    int numClasses() const override { return numClasses_; }
     std::unique_ptr<BackendSession>
     newSession() const override
     {
@@ -277,7 +251,6 @@ class SnnWotBackend final : public InferenceBackend
     snn::SnnWotDatapath datapath_;
     std::vector<int> labels_;
     snn::SpikeEncoder encoder_;
-    int numClasses_;
 };
 
 } // namespace

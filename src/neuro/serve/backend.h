@@ -92,9 +92,6 @@ class InferenceBackend
     /** @return expected pixel count per request. */
     virtual std::size_t inputSize() const = 0;
 
-    /** @return number of output classes. */
-    virtual int numClasses() const = 0;
-
     /** @return a fresh per-worker session over this model. */
     virtual std::unique_ptr<BackendSession> newSession() const = 0;
 

@@ -67,29 +67,18 @@ MicroBatcher::MicroBatcher(RequestQueue &queue, BatchPolicy policy)
 }
 
 std::vector<PendingRequest>
-MicroBatcher::nextBatch(int64_t idleTimeoutMicros)
+MicroBatcher::nextBatch()
 {
     std::vector<PendingRequest> batch;
     MutexGuard lock(queue_.mutex_);
 
-    // Phase 1: wait for the first request (or close / idle timeout).
-    // Explicit wait loops, not predicate lambdas: the thread-safety
-    // analysis cannot see guarded members through a lambda.
-    if (idleTimeoutMicros < 0) {
-        while (queue_.items_.empty() && !queue_.closed_)
-            queue_.nonEmpty_.wait(queue_.mutex_);
-    } else {
-        const auto idleUntil =
-            ServeClock::now() +
-            std::chrono::microseconds(idleTimeoutMicros);
-        while (queue_.items_.empty() && !queue_.closed_) {
-            if (queue_.nonEmpty_.waitUntil(queue_.mutex_, idleUntil) ==
-                std::cv_status::timeout)
-                break;
-        }
-    }
+    // Phase 1: wait for the first request (or close). Explicit wait
+    // loops, not predicate lambdas: the thread-safety analysis cannot
+    // see guarded members through a lambda.
+    while (queue_.items_.empty() && !queue_.closed_)
+        queue_.nonEmpty_.wait(queue_.mutex_);
     if (queue_.items_.empty())
-        return batch; // idle-timer flush, or closed and drained.
+        return batch; // closed and drained.
 
     // Phase 2: the first request opens the batch; wait for it to fill
     // up to maxBatch, but no longer than maxWaitMicros past the open,

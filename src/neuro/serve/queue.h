@@ -150,15 +150,13 @@ class MicroBatcher
     MicroBatcher(RequestQueue &queue, BatchPolicy policy);
 
     /**
-     * Block for the next batch.
+     * Block for the next batch: wait for the first request (or
+     * close()), then fill as BatchPolicy allows.
      *
-     * @param idleTimeoutMicros how long to wait for the *first*
-     *        request; < 0 waits indefinitely (until close()).
-     * @return up to maxBatch requests; empty when the idle timer
-     *         fired with nothing queued, or when the queue is closed
+     * @return up to maxBatch requests; empty once the queue is closed
      *         and fully drained.
      */
-    std::vector<PendingRequest> nextBatch(int64_t idleTimeoutMicros = -1);
+    std::vector<PendingRequest> nextBatch();
 
   private:
     RequestQueue &queue_;

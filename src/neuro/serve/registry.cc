@@ -25,6 +25,13 @@ ModelRegistry::find(const std::string &name) const
     return it == backends_.end() ? nullptr : it->second;
 }
 
+std::shared_ptr<InferenceBackend>
+ModelRegistry::fallbackFor(const std::string &name) const
+{
+    std::shared_ptr<InferenceBackend> fallback = find(name + ".q8");
+    return fallback != nullptr ? fallback : find(name + ".wot");
+}
+
 std::vector<std::string>
 ModelRegistry::names() const
 {

@@ -38,6 +38,14 @@ class ModelRegistry
     std::shared_ptr<InferenceBackend>
     find(const std::string &name) const;
 
+    /**
+     * @return the SLO fallback of the model @p name: its cheaper
+     * sibling "<name>.q8", else "<name>.wot" (see loadFile), else
+     * nullptr. The siblings themselves have none.
+     */
+    std::shared_ptr<InferenceBackend>
+    fallbackFor(const std::string &name) const;
+
     /** @return all registered names, sorted. */
     std::vector<std::string> names() const;
 

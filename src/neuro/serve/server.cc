@@ -74,16 +74,12 @@ InferenceServer::InferenceServer(
     tm_.batchOccupancy = reg.gauge("serve.batch_occupancy", model);
     tm_.degradedGauge = reg.gauge("serve.degraded", model);
     if (fallback_ != nullptr) {
+        NEURO_ASSERT(config_.sloP99Micros > 0,
+                     "serve: a fallback backend requires sloP99Micros > 0");
         NEURO_ASSERT(fallback_->inputSize() == primary_->inputSize(),
                      "serve: fallback input size %zu != primary %zu",
                      fallback_->inputSize(), primary_->inputSize());
         fallbackSessions_ = std::make_unique<SessionPool>(*fallback_);
-    }
-    if (config_.enableFallback) {
-        NEURO_ASSERT(fallback_ != nullptr,
-                     "serve: enableFallback requires a fallback backend");
-        NEURO_ASSERT(config_.sloP99Micros > 0,
-                     "serve: enableFallback requires sloP99Micros > 0");
     }
     dispatcher_ = std::thread([this] { dispatchLoop(); });
 }
@@ -224,8 +220,7 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
     if (live.empty())
         return;
 
-    const bool useFallback =
-        degraded_.load(std::memory_order_relaxed) && fallback_ != nullptr;
+    const bool useFallback = degraded_.load(std::memory_order_relaxed);
     SessionPool &pool =
         useFallback ? *fallbackSessions_ : primarySessions_;
 
@@ -267,8 +262,8 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
     const auto batchEnd = ServeClock::now();
     if (useFallback)
         count(*tm_.fallbacks, "serve.fallbacks", live.size());
-    const bool sloArmed = config_.sloP99Micros > 0;
-    const bool traceSpans = config_.traceRequests && Tracer::enabled();
+    const bool fallbackArmed = fallback_ != nullptr;
+    const bool traceSpans = Tracer::enabled();
     for (std::size_t i = 0; i < live.size(); ++i) {
         PendingRequest &pending = *live[i];
         InferenceResult result;
@@ -287,7 +282,7 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
         tm_.stageQueue->record(result.queueMicros);
         tm_.stageBatch->record(result.batchMicros);
         tm_.stageCompute->record(result.computeMicros);
-        if (sloArmed)
+        if (fallbackArmed)
             windowLatency_.record(result.totalMicros);
         if (traceSpans) {
             // One async lane per stage, correlated by request id; the
@@ -328,28 +323,25 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
 void
 InferenceServer::updateSlo()
 {
-    if (config_.sloP99Micros <= 0 ||
-        windowCompleted_ < config_.sloWindow)
+    if (fallback_ == nullptr || windowCompleted_ < config_.sloWindow)
         return;
     const double p99 = windowLatency_.percentile(0.99);
     const auto slo = static_cast<double>(config_.sloP99Micros);
-    if (config_.enableFallback && fallback_ != nullptr) {
-        const bool degraded = degraded_.load(std::memory_order_relaxed);
-        if (!degraded && p99 > slo) {
-            degraded_.store(true, std::memory_order_relaxed);
-            tm_.degradeEnter->inc();
-            tm_.degradedGauge->set(1.0);
-            warn("serve: window p99 %.0fus exceeds SLO %.0fus — "
-                 "degrading to %s fallback",
-                 p99, slo, backendKindName(fallback_->kind()));
-        } else if (degraded && p99 < 0.8 * slo) {
-            degraded_.store(false, std::memory_order_relaxed);
-            tm_.degradeExit->inc();
-            tm_.degradedGauge->set(0.0);
-            inform("serve: window p99 %.0fus back under SLO %.0fus — "
-                   "restoring primary backend",
-                   p99, slo);
-        }
+    const bool degraded = degraded_.load(std::memory_order_relaxed);
+    if (!degraded && p99 > slo) {
+        degraded_.store(true, std::memory_order_relaxed);
+        tm_.degradeEnter->inc();
+        tm_.degradedGauge->set(1.0);
+        warn("serve: window p99 %.0fus exceeds SLO %.0fus — "
+             "degrading to %s fallback",
+             p99, slo, backendKindName(fallback_->kind()));
+    } else if (degraded && p99 < 0.8 * slo) {
+        degraded_.store(false, std::memory_order_relaxed);
+        tm_.degradeExit->inc();
+        tm_.degradedGauge->set(0.0);
+        inform("serve: window p99 %.0fus back under SLO %.0fus — "
+               "restoring primary backend",
+               p99, slo);
     }
     windowLatency_.reset();
     windowCompleted_ = 0;

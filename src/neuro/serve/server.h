@@ -6,15 +6,16 @@
  * (common/parallel.h, NEURO_THREADS workers), fulfilling per-request
  * futures with the classification and its latency breakdown.
  *
- * SLO & graceful degradation: when sloP99Micros is set and fallback is
- * enabled, the server watches a sliding-window p99; while it exceeds
- * the SLO, batches are routed to the (cheaper) fallback backend — e.g.
- * the count-based SNNwot datapath standing in for the timed SNNwt
- * presentation — and routed back once p99 recovers below 80% of the
- * SLO. Fallback is off by default because switching backends changes
- * answers; the determinism contract (bit-identical results for a fixed
- * trace at any worker count) holds whenever the backend choice is
- * load-independent, i.e. fallback disabled.
+ * SLO & graceful degradation: a server constructed with a fallback
+ * backend (which requires sloP99Micros > 0) watches a sliding-window
+ * p99; while it exceeds the SLO, batches are routed to the (cheaper)
+ * fallback — e.g. the count-based SNNwot datapath standing in for the
+ * timed SNNwt presentation — and routed back once p99 recovers below
+ * 80% of the SLO. Without a fallback there is nothing to degrade to
+ * and the SLO is not tracked. Switching backends changes answers, so
+ * the determinism contract (bit-identical results for a fixed trace at
+ * any worker count) holds whenever the backend choice is
+ * load-independent, i.e. no fallback.
  *
  * Telemetry: the server's only accounting is one set of metric
  * registry series (telemetry/metrics.h) labeled with its model name
@@ -25,8 +26,8 @@
  * `serve.batch_occupancy`, `serve.degraded`) and the monotonic
  * counters counters() reads. Servers constructed with the same label
  * share its series. Export them with NEURO_METRICS (see
- * docs/observability.md). With traceRequests set, every request also
- * emits async queue/batch/compute spans into the Chrome trace sink.
+ * docs/observability.md). While a Chrome trace is recording, every
+ * request also emits async queue/batch/compute spans into it.
  */
 
 #pragma once
@@ -54,18 +55,11 @@ struct ServeConfig
 {
     std::size_t queueCapacity = 1024; ///< admission-control bound.
     BatchPolicy batch;                ///< micro-batching policy.
-    /** p99 latency SLO in microseconds; 0 disables SLO tracking. */
+    /** p99 latency SLO in microseconds; 0 = none. A server with a
+     *  fallback backend needs one (see InferenceServer). */
     int64_t sloP99Micros = 0;
     /** Completions per SLO evaluation window. */
     uint64_t sloWindow = 256;
-    /** Route to the fallback backend while p99 exceeds the SLO.
-     *  Requires a fallback backend; breaks trace-determinism (the
-     *  backend choice becomes load-dependent), hence off by default. */
-    bool enableFallback = false;
-    /** Emit per-request async trace spans (queue/batch/compute lanes)
-     *  into the Chrome trace sink when tracing is active. Off by
-     *  default: a span costs six trace events per request. */
-    bool traceRequests = false;
 };
 
 /** Pipeline stages a request travels (see InferenceResult timings). */
@@ -95,7 +89,10 @@ class InferenceServer
      * @param primary  backend serving normal traffic.
      * @param config   tuning knobs; see ServeConfig.
      * @param fallback optional cheaper backend for SLO degradation
-     *                 (must agree with primary on inputSize).
+     *                 (must agree with primary on inputSize, and
+     *                 needs config.sloP99Micros > 0). Breaks trace
+     *                 determinism: the backend choice becomes
+     *                 load-dependent.
      * @param model    `model` label of this server's `serve.*` series;
      *                 empty = the unlabeled series.
      */
@@ -161,8 +158,6 @@ class InferenceServer
     /** @return current queue depth (for load generators / tests). */
     std::size_t queueDepth() const { return queue_.size(); }
 
-    const ServeConfig &config() const { return config_; }
-
   private:
     /** Mutex-protected stack of per-worker sessions for one backend. */
     class SessionPool
@@ -197,9 +192,11 @@ class InferenceServer
     RequestQueue queue_;
     MicroBatcher batcher_;
     SessionPool primarySessions_;
+    /** Set iff a fallback is armed. */
     std::unique_ptr<SessionPool> fallbackSessions_;
 
-    /** The SLO controller's private window (reset each window). */
+    /** The SLO controller's private window (reset each window;
+     *  recorded only while a fallback is armed). */
     telemetry::LatencyHistogram windowLatency_;
     std::atomic<bool> degraded_{false};
     uint64_t windowCompleted_ = 0;   ///< dispatcher-only.

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -88,7 +87,7 @@ TEST(Config, KnownFlagsDoNotWarn)
 {
     Config cfg;
     const char *argv[] = {"prog", "--port=2", "--listen",
-                          "--trace-requests", "--quick"};
+                          "--deadline-us=50", "--quick"};
     cfg.parseArgs(5, const_cast<char **>(argv));
     EXPECT_TRUE(cfg.unknownFlags().empty());
     EXPECT_EQ(cfg.getInt("port", 0), 2);
@@ -131,15 +130,6 @@ TEST(Config, PlainKeyValueNeverWarns)
     cfg.parseArgs(3, const_cast<char **>(argv));
     EXPECT_TRUE(cfg.unknownFlags().empty());
     EXPECT_EQ(cfg.getInt("theads", 0), 4);
-}
-
-TEST(Config, ParseEnvPicksUpPrefixedVars)
-{
-    ::setenv("NEURO_TESTKEY", "77", 1);
-    Config cfg;
-    cfg.parseEnv();
-    EXPECT_EQ(cfg.getInt("testkey", 0), 77);
-    ::unsetenv("NEURO_TESTKEY");
 }
 
 TEST(Config, ScaledRespectsMinimum)

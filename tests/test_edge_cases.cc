@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "neuro/common/config.h"
 #include "neuro/common/rng.h"
 #include "neuro/datasets/synth_digits.h"
 #include "neuro/mlp/quantized.h"
@@ -55,17 +54,6 @@ TEST(EdgeCases, SingleNeuronSingleInputNetwork)
     const auto result = net.presentImage(grid, false);
     EXPECT_EQ(result.outputSpikeCount, 1u);
     EXPECT_EQ(result.firstSpikeNeuron, 0);
-}
-
-TEST(EdgeCases, ConfigArgsOverrideEnv)
-{
-    ::setenv("NEURO_PRIORITYKEY", "env", 1);
-    Config cfg;
-    cfg.parseEnv();
-    const char *argv[] = {"prog", "prioritykey=args"};
-    cfg.parseArgs(2, const_cast<char **>(argv));
-    EXPECT_EQ(cfg.getString("prioritykey", ""), "args");
-    ::unsetenv("NEURO_PRIORITYKEY");
 }
 
 TEST(EdgeCases, EncoderHandlesAllBlackAndAllWhiteImages)

@@ -44,7 +44,7 @@ using net::ResponseFrame;
 
 /**
  * Deterministic test backend: classify() = (pixels[0] + streamSeed)
- * mod numClasses, the same stub shape test_serve uses — predictions
+ * mod 16, the same stub shape test_serve uses — predictions
  * are a pure function of the request, so wire-vs-in-process
  * comparisons are exact.
  */
@@ -59,7 +59,6 @@ class StubBackend final : public serve::InferenceBackend
         return serve::BackendKind::Mlp;
     }
     std::size_t inputSize() const override { return 4; }
-    int numClasses() const override { return 16; }
     std::unique_ptr<serve::BackendSession>
     newSession() const override
     {

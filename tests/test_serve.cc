@@ -30,6 +30,7 @@
 #include "neuro/serve/server.h"
 #include "neuro/snn/coding.h"
 #include "neuro/snn/network.h"
+#include "neuro/snn/serialize.h"
 #include "neuro/snn/spike_bits.h"
 #include "neuro/telemetry/metrics.h"
 
@@ -94,7 +95,7 @@ struct Gate
 
 /**
  * Deterministic test backend: classify() = (pixels[0] + streamSeed)
- * mod numClasses. Optionally blocks each classification on a Gate
+ * mod 16. Optionally blocks each classification on a Gate
  * (to hold the dispatcher mid-batch) or sleeps (to inflate latency
  * for SLO tests).
  */
@@ -113,7 +114,6 @@ class StubBackend final : public serve::InferenceBackend
         return serve::BackendKind::Mlp;
     }
     std::size_t inputSize() const override { return 4; }
-    int numClasses() const override { return 16; }
     std::unique_ptr<serve::BackendSession>
     newSession() const override
     {
@@ -140,7 +140,7 @@ class StubBackend final : public serve::InferenceBackend
             return static_cast<int>(
                        (pixels[0] + streamSeed +
                         static_cast<uint64_t>(owner_.bias_)) %
-                       static_cast<uint64_t>(owner_.numClasses()));
+                       uint64_t{16});
         }
 
       private:
@@ -164,19 +164,6 @@ stubRequest(uint64_t id)
 
 // -------------------------------------------------------- microbatcher
 
-TEST(MicroBatcher, IdleTimeoutReturnsEmptyBatch)
-{
-    serve::RequestQueue queue(8);
-    serve::MicroBatcher batcher(queue, {4, 200});
-    const auto t0 = serve::ServeClock::now();
-    const std::vector<serve::PendingRequest> batch =
-        batcher.nextBatch(/*idleTimeoutMicros=*/2000);
-    const auto elapsed = serve::ServeClock::now() - t0;
-    EXPECT_TRUE(batch.empty());
-    EXPECT_GE(elapsed, 1ms); // waited for the idle timer...
-    EXPECT_LT(elapsed, 2s);  // ...but not forever.
-}
-
 TEST(MicroBatcher, CoalescesBacklogUpToMaxBatch)
 {
     serve::RequestQueue queue(16);
@@ -186,8 +173,8 @@ TEST(MicroBatcher, CoalescesBacklogUpToMaxBatch)
         pending.request = stubRequest(id);
         ASSERT_TRUE(queue.push(std::move(pending)));
     }
-    std::vector<serve::PendingRequest> first = batcher.nextBatch(0);
-    std::vector<serve::PendingRequest> second = batcher.nextBatch(0);
+    std::vector<serve::PendingRequest> first = batcher.nextBatch();
+    std::vector<serve::PendingRequest> second = batcher.nextBatch();
     ASSERT_EQ(first.size(), 3u);
     ASSERT_EQ(second.size(), 2u);
     // FIFO order is what makes closed-loop traces reproducible.
@@ -207,7 +194,7 @@ TEST(MicroBatcher, EarliestDeadlineCapsTheFillWait)
     ASSERT_TRUE(queue.push(std::move(pending)));
     const auto t0 = serve::ServeClock::now();
     const std::vector<serve::PendingRequest> batch =
-        batcher.nextBatch(-1);
+        batcher.nextBatch();
     const auto elapsed = serve::ServeClock::now() - t0;
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_LT(elapsed, 2s); // returned at the deadline, not maxWait.
@@ -394,7 +381,6 @@ TEST(InferenceServer, SloDegradesToFallbackAndRecovers)
     sc.batch.maxBatch = 4;
     sc.sloP99Micros = 200;
     sc.sloWindow = 8;
-    sc.enableFallback = true;
     serve::InferenceServer server(primary, sc, fallback, testLabel());
 
     uint64_t id = 0;
@@ -554,8 +540,31 @@ TEST(SnnBackend, ClassifyIsTheReferenceFirstSpikeLabel)
     Rng rng(3);
     const snn::SnnNetwork net(config, rng);
     const std::vector<int> labels = {0, 1, 2, -1, 1, 0, 2, 1};
+
+    // Served the production way: through a checkpoint and the
+    // registry, which pairs the model with its SNNwot sibling as the
+    // SLO fallback.
+    const std::string path = testing::TempDir() + "serve_snn_backend.neuro";
+    {
+        Archive archive;
+        snn::saveSnn(net, labels, archive);
+        ASSERT_TRUE(archive.save(path));
+    }
+    serve::ModelRegistry registry;
+    std::string error;
+    ASSERT_EQ(registry.loadFile("spikes", path, &error).size(), 2u)
+        << error;
+    std::remove(path.c_str());
     const std::shared_ptr<serve::InferenceBackend> backend =
-        serve::makeSnnBackend(snn::TrainedSnn{net, labels});
+        registry.find("spikes");
+    ASSERT_NE(backend, nullptr);
+    EXPECT_EQ(backend->kind(), serve::BackendKind::Snn);
+    const std::shared_ptr<serve::InferenceBackend> wot =
+        registry.find("spikes.wot");
+    ASSERT_NE(wot, nullptr);
+    EXPECT_EQ(wot->kind(), serve::BackendKind::SnnWot);
+    EXPECT_EQ(registry.fallbackFor("spikes"), wot);
+    EXPECT_EQ(registry.fallbackFor("spikes.wot"), nullptr);
 
     std::vector<serve::InferenceRequest> trace =
         randomTrace(24, config.numInputs, 29);
@@ -637,7 +646,13 @@ TEST(ModelRegistry, MlpRoundTripRegistersFloatAndQuantized)
     EXPECT_EQ(q->kind(), serve::BackendKind::QuantizedMlp);
     EXPECT_EQ(f->inputSize(), 16u);
     EXPECT_EQ(q->inputSize(), 16u);
-    EXPECT_EQ(f->numClasses(), 4);
+
+    // The float model falls back to its 8-bit sibling; the sibling,
+    // and a model with no sibling, have no fallback.
+    EXPECT_EQ(registry.fallbackFor("digits"), q);
+    EXPECT_EQ(registry.fallbackFor("digits.q8"), nullptr);
+    registry.add("loner", f);
+    EXPECT_EQ(registry.fallbackFor("loner"), nullptr);
 
     // The loaded backend actually serves.
     std::vector<uint8_t> pixels(16, 100);

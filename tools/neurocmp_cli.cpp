@@ -71,7 +71,9 @@ cmdList()
         "  serve      batched inference serving of a saved model:\n"
         "             load=<path> [backend=model|model.q8|model.wot]\n"
         "             [requests=N seed=S batch=B wait_us=U capacity=C\n"
-        "             deadline_us=D slo_us=P fallback=0|1 inflight=K]\n"
+        "             deadline_us=D slo_us=P inflight=K]; while p99\n"
+        "             exceeds slo_us, serves from the cheaper sibling\n"
+        "             (model.q8 / model.wot) of the chosen backend\n"
         "             --listen [--host=A --port=P] serves every backend\n"
         "             over the binary network protocol until SIGINT/\n"
         "             SIGTERM (drains, then exits; docs/serving.md)\n"
@@ -475,7 +477,6 @@ cmdServe(const Config &cfg)
         static_cast<std::size_t>(cfg.getInt("batch", 8));
     listenConfig.batch.maxWaitMicros = cfg.getInt("wait_us", 200);
     listenConfig.sloP99Micros = cfg.getInt("slo_us", 0);
-    listenConfig.enableFallback = cfg.getInt("fallback", 0) != 0;
     if (cfg.getInt("listen", 0) != 0)
         return cmdServeListen(cfg, registry, listenConfig);
 
@@ -498,22 +499,12 @@ cmdServe(const Config &cfg)
 
     const serve::ServeConfig sc = listenConfig;
 
-    // The fallback is the checkpoint's cheaper sibling backend: the
-    // first registered name that isn't the primary (model.wot for an
-    // SNN primary, model.q8 for an MLP one, "model" otherwise).
-    std::shared_ptr<serve::InferenceBackend> fallback;
-    if (sc.enableFallback) {
-        for (const std::string &n : registry.names()) {
-            if (n != backendName) {
-                fallback = registry.find(n);
-                inform("serve: SLO fallback backend is '%s'", n.c_str());
-                break;
-            }
-        }
-        if (fallback == nullptr)
-            fatal("fallback=1 but the checkpoint provides no second "
-                  "backend");
-    }
+    // An SLO arms the fallback: the primary's cheaper sibling backend.
+    std::shared_ptr<serve::InferenceBackend> fallback =
+        sc.sloP99Micros > 0 ? registry.fallbackFor(backendName) : nullptr;
+    if (fallback != nullptr)
+        inform("serve: SLO fallback backend is the %s sibling",
+               serve::backendKindName(fallback->kind()));
 
     const auto requests =
         static_cast<uint64_t>(cfg.getInt("requests", 2000));
@@ -599,7 +590,6 @@ int
 main(int argc, char **argv)
 {
     Config cfg;
-    cfg.parseEnv();
     cfg.parseArgs(argc, argv);
     const char *cmd = argc > 1 ? argv[1] : "list";
 
