@@ -23,9 +23,7 @@ main(int argc, char **argv)
     cfg.parseArgs(argc, argv);
     const hw::MlpTopology mlp{784, 100, 10};
     const hw::SnnTopology snn{784, 300};
-    hw::EnumerateOptions options;
-    options.mlpPools = {25, 50};
-    const auto points = hw::enumerateDesigns(mlp, snn, options);
+    const auto points = hw::enumerateDesigns(mlp, snn);
     const auto frontier = hw::paretoFrontier(points);
 
     TextTable table("design space with Pareto frontier (area / energy "

@@ -19,8 +19,7 @@ main(int argc, char **argv)
     using namespace neuro;
     Config cfg;
     cfg.parseArgs(argc, argv);
-    const auto ladder = hw::defaultScaleLadder();
-    const auto results = hw::scalingStudy(ladder);
+    const auto results = hw::scalingStudy();
 
     TextTable table("scaling study (expanded & folded, ni = 16)");
     table.setHeader({"Inputs", "MLP hid", "SNN n", "MLP exp (mm2)",

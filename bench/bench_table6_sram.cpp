@@ -26,11 +26,11 @@ main()
                      "MLP area (mm2)"});
     for (const auto &row : paper::kTable6) {
         const hw::SramArray snn =
-            hw::makeSynapticStorage("snn", 300, 784, row.ni, 8, 0);
+            hw::makeSynapticStorage("snn", 300, 784, row.ni);
         const hw::SramArray mlp_h =
-            hw::makeSynapticStorage("mlp-h", 100, 784, row.ni, 8, 0);
+            hw::makeSynapticStorage("mlp-h", 100, 784, row.ni);
         const hw::SramArray mlp_o =
-            hw::makeSynapticStorage("mlp-o", 10, 100, row.ni, 8, 0);
+            hw::makeSynapticStorage("mlp-o", 10, 100, row.ni);
         table.addRow(
             {TextTable::num(static_cast<long long>(row.ni)),
              core::vsPaper(static_cast<double>(snn.bank.depth),

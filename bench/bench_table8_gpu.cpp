@@ -60,16 +60,13 @@ main()
 
     const hw::MlpTopology mlp{784, 100, 10};
     const hw::SnnTopology snn{784, 300};
-    const gpu::GpuParams params;
 
-    const gpu::GpuCost gpu_wot =
-        gpu::evaluate(params, gpu::snnWotWorkload(784, 300));
+    const gpu::GpuCost gpu_wot = gpu::evaluate(gpu::snnWotWorkload(784, 300));
     const gpu::GpuCost gpu_wt =
-        gpu::evaluate(params, gpu::snnWtWorkload(784, 300, 500));
-    const gpu::GpuCost gpu_mlp =
-        gpu::evaluate(params, gpu::mlpWorkload(784, 100, 10));
+        gpu::evaluate(gpu::snnWtWorkload(784, 300, 500));
+    const gpu::GpuCost gpu_mlp = gpu::evaluate(gpu::mlpWorkload(784, 100, 10));
 
-    std::cout << "GPU (" << params.name << ") per-image model: SNNwot "
+    std::cout << "GPU (" << gpu::kDeviceName << ") per-image model: SNNwot "
               << TextTable::fmt(gpu_wot.timeUs, 1) << " us, SNNwt "
               << TextTable::fmt(gpu_wt.timeUs, 1) << " us, MLP "
               << TextTable::fmt(gpu_mlp.timeUs, 1) << " us\n\n";

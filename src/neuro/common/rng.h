@@ -6,7 +6,7 @@
  * streams. Training, data synthesis, spike encoding and software models
  * all draw from it. The SNNwt accelerator's hardware generators (LFSRs
  * feeding a central-limit Gaussian, Section 4.2.2) are costed as
- * operators in hw::TechLibrary, not simulated bit by bit.
+ * operators against hw::kTech (hw/tech.h), not simulated bit by bit.
  */
 
 #pragma once

@@ -28,7 +28,7 @@ rowFromDesign(const std::string &type, const std::string &ni,
 
 std::vector<DesignRow>
 makeTable7Rows(const hw::MlpTopology &mlp_topo,
-               const hw::SnnTopology &snn_topo, int period_cycles)
+               const hw::SnnTopology &snn_topo)
 {
     const std::vector<std::size_t> folds = {1, 4, 8, 16};
     std::vector<DesignRow> rows;
@@ -42,13 +42,11 @@ makeTable7Rows(const hw::MlpTopology &mlp_topo,
                                  hw::buildExpandedSnnWot(snn_topo)));
 
     for (std::size_t ni : folds) {
-        rows.push_back(rowFromDesign(
-            "SNNwt", std::to_string(ni),
-            hw::buildFoldedSnnWt(snn_topo, ni, period_cycles)));
+        rows.push_back(rowFromDesign("SNNwt", std::to_string(ni),
+                                     hw::buildFoldedSnnWt(snn_topo, ni)));
     }
-    rows.push_back(rowFromDesign(
-        "SNNwt", "expanded",
-        hw::buildExpandedSnnWt(snn_topo, period_cycles)));
+    rows.push_back(rowFromDesign("SNNwt", "expanded",
+                                 hw::buildExpandedSnnWt(snn_topo)));
 
     for (std::size_t ni : folds) {
         rows.push_back(rowFromDesign("MLP", std::to_string(ni),

@@ -29,10 +29,10 @@ struct DesignRow
     uint64_t cycles;        ///< cycles per image.
 };
 
-/** Generate the Table 7 rows for a workload's topologies. */
+/** Generate the Table 7 rows for a workload's topologies (SNNwt over
+ *  the 500-step presentation window). */
 std::vector<DesignRow> makeTable7Rows(const hw::MlpTopology &mlp_topo,
-                                      const hw::SnnTopology &snn_topo,
-                                      int period_cycles = 500);
+                                      const hw::SnnTopology &snn_topo);
 
 /** Iso-accuracy sizing result (Section 4.2.3). */
 struct IsoAccuracyResult

@@ -2,6 +2,7 @@
 
 #include "neuro/common/logging.h"
 #include "neuro/common/profile.h"
+#include "neuro/hw/sram.h"
 
 namespace neuro {
 namespace cycle {
@@ -40,15 +41,10 @@ simulateFoldedMlp(const hw::MlpTopology &topo, std::size_t ni)
     NEURO_PROFILE_SCOPE("cycle/folded_mlp");
     ScheduleStats stats;
 
-    // Bank counts mirror hw::makeSynapticStorage's geometry.
-    const std::size_t per_bank = std::max<std::size_t>(1, 128 / (ni * 8));
-    const std::size_t hidden_banks =
-        (topo.hidden + per_bank - 1) / per_bank;
-    const std::size_t output_banks =
-        (topo.outputs + per_bank - 1) / per_bank;
-
-    walkLayer(stats, topo.hidden, topo.inputs, ni, hidden_banks);
-    walkLayer(stats, topo.outputs, topo.hidden, ni, output_banks);
+    walkLayer(stats, topo.hidden, topo.inputs, ni,
+              hw::synapticBanks(topo.hidden, ni));
+    walkLayer(stats, topo.outputs, topo.hidden, ni,
+              hw::synapticBanks(topo.outputs, ni));
     obsCount<"cycle.images_simulated">();
     obsCount<"cycle.sram_word_reads">(stats.sramWordReads);
     obsSample<"cycle.mlp.cycles_per_image">(

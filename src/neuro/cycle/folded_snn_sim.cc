@@ -4,6 +4,7 @@
 
 #include "neuro/common/logging.h"
 #include "neuro/common/profile.h"
+#include "neuro/hw/sram.h"
 
 namespace neuro {
 namespace cycle {
@@ -28,8 +29,7 @@ simulateFoldedSnnWot(const hw::SnnTopology &topo, std::size_t ni)
     NEURO_PROFILE_SCOPE("cycle/folded_snn_wot");
     ScheduleStats stats;
 
-    const std::size_t per_bank = std::max<std::size_t>(1, 128 / (ni * 8));
-    const std::size_t banks = (topo.neurons + per_bank - 1) / per_bank;
+    const std::size_t banks = hw::synapticBanks(topo.neurons, ni);
 
     // 1 cycle: pixel-to-count conversion kicks off (thereafter the
     // converter works ahead of the accumulators).
@@ -65,8 +65,7 @@ simulateFoldedSnnWt(const hw::SnnTopology &topo, std::size_t ni,
     NEURO_PROFILE_SCOPE("cycle/folded_snn_wt");
     ScheduleStats stats;
 
-    const std::size_t per_bank = std::max<std::size_t>(1, 128 / (ni * 8));
-    const std::size_t banks = (topo.neurons + per_bank - 1) / per_bank;
+    const std::size_t banks = hw::synapticBanks(topo.neurons, ni);
     const std::size_t chunks = (topo.inputs + ni - 1) / ni + 7;
 
     for (uint32_t spikes : spikes_per_step) {

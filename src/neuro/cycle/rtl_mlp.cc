@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "neuro/common/logging.h"
+#include "neuro/hw/sram.h"
 
 namespace neuro {
 namespace cycle {
@@ -43,9 +44,7 @@ RtlFoldedMlp::run(const uint8_t *pixels, uint8_t *output)
     for (std::size_t l = 0; l < ref_.numLayers(); ++l) {
         const std::size_t fan_in = ref_.layerFanIn(l);
         const std::size_t fan_out = ref_.layerFanOut(l);
-        const std::size_t per_bank =
-            std::max<std::size_t>(1, 128 / (ni_ * 8));
-        const std::size_t banks = (fan_out + per_bank - 1) / per_bank;
+        const std::size_t banks = hw::synapticBanks(fan_out, ni_);
 
         // Reset accumulators to the bias term (bias input is the
         // constant code 255, as in the functional model).

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "neuro/common/logging.h"
+#include "neuro/hw/sram.h"
 
 namespace neuro {
 namespace cycle {
@@ -24,8 +25,7 @@ RtlFoldedSnnWot::run(const uint8_t *pixels,
     RtlRunStats stats;
     const std::size_t num_inputs = ref_.numInputs();
     const std::size_t num_neurons = ref_.numNeurons();
-    const std::size_t per_bank = std::max<std::size_t>(1, 128 / (ni_ * 8));
-    const std::size_t banks = (num_neurons + per_bank - 1) / per_bank;
+    const std::size_t banks = hw::synapticBanks(num_neurons, ni_);
 
     // Cycle 0: the convertor channels start producing 4-bit counts
     // (thereafter they stay one chunk ahead of the accumulators).

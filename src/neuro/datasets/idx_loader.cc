@@ -23,6 +23,17 @@ readU32(std::istream &in, uint32_t &v)
     return true;
 }
 
+/** @return bytes between the read position of @p in and its end. */
+uint64_t
+bytesLeft(std::istream &in)
+{
+    const std::istream::pos_type here = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::istream::pos_type end = in.tellg();
+    in.seekg(here);
+    return end > here ? static_cast<uint64_t>(end - here) : 0;
+}
+
 /** Load an idx3-ubyte image file. */
 bool
 loadImages(const std::string &path, std::size_t limit,
@@ -39,6 +50,15 @@ loadImages(const std::string &path, std::size_t limit,
     }
     if (magic != 0x00000803) {
         warn("%s: bad idx3 magic 0x%08x", path.c_str(), magic);
+        return false;
+    }
+    // Nothing is allocated from the header until the file is known to
+    // hold every image it claims: a lying count or size is rejected.
+    const uint64_t image_bytes = uint64_t{rows} * cols;
+    if (image_bytes == 0 || count > bytesLeft(in) / image_bytes) {
+        warn("%s: header claims %u images of %ux%u, more than the file "
+             "holds",
+             path.c_str(), count, rows, cols);
         return false;
     }
     const std::size_t n =
@@ -69,6 +89,11 @@ loadLabels(const std::string &path, std::size_t limit,
         return false;
     if (magic != 0x00000801) {
         warn("%s: bad idx1 magic 0x%08x", path.c_str(), magic);
+        return false;
+    }
+    if (count > bytesLeft(in)) {
+        warn("%s: header claims %u labels, more than the file holds",
+             path.c_str(), count);
         return false;
     }
     const std::size_t n =

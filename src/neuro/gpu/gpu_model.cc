@@ -6,32 +6,26 @@ namespace neuro {
 namespace gpu {
 
 GpuCost
-evaluate(const GpuParams &params, const GpuWorkload &workload)
+evaluate(const GpuWorkload &workload)
 {
-    NEURO_ASSERT(params.peakGflops > 0 && params.memBandwidthGBs > 0 &&
-                     params.pcieBandwidthGBs > 0,
-                 "degenerate GPU parameters");
-
     // Roofline terms (us): arithmetic and device-memory streaming.
     const double compute_us =
-        static_cast<double>(workload.flops) / (params.peakGflops * 1e3);
+        static_cast<double>(workload.flops) / (kPeakGflops * 1e3);
     const double device_us = static_cast<double>(workload.deviceBytes) /
-        (params.memBandwidthGBs * 1e3);
+        (kMemBandwidthGBs * 1e3);
     const double kernel_body_us =
         compute_us > device_us ? compute_us : device_us;
 
     // Fixed per-call overheads dominate at these sizes.
     const double launch_us =
-        params.kernelLaunchUs * static_cast<double>(workload.kernels);
+        kKernelLaunchUs * static_cast<double>(workload.kernels);
     const double transfer_us =
-        params.transferLatencyUs *
-            static_cast<double>(workload.transfers) +
-        static_cast<double>(workload.hostBytes) /
-            (params.pcieBandwidthGBs * 1e3);
+        kTransferLatencyUs * static_cast<double>(workload.transfers) +
+        static_cast<double>(workload.hostBytes) / (kPcieBandwidthGBs * 1e3);
 
     GpuCost cost;
-    cost.timeUs = launch_us + transfer_us + kernel_body_us + params.syncUs;
-    cost.energyUj = cost.timeUs * params.activePowerW;
+    cost.timeUs = launch_us + transfer_us + kernel_body_us + kSyncUs;
+    cost.energyUj = cost.timeUs * kActivePowerW;
     return cost;
 }
 

@@ -19,18 +19,15 @@
 namespace neuro {
 namespace gpu {
 
-/** GPU device parameters (defaults: NVIDIA K20M, CUDA 5.5 era). */
-struct GpuParams
-{
-    std::string name = "NVIDIA K20M";
-    double peakGflops = 3520.0;     ///< single-precision peak.
-    double memBandwidthGBs = 208.0; ///< device DRAM bandwidth.
-    double pcieBandwidthGBs = 6.0;  ///< effective host transfer rate.
-    double kernelLaunchUs = 12.0;   ///< launch + driver overhead.
-    double transferLatencyUs = 8.0; ///< per-cudaMemcpy fixed latency.
-    double syncUs = 10.0;           ///< per-image device synchronize.
-    double activePowerW = 60.0;     ///< average power while busy.
-};
+/** The modeled device: NVIDIA K20M, CUDA 5.5 era. */
+inline constexpr const char *kDeviceName = "NVIDIA K20M";
+inline constexpr double kPeakGflops = 3520.0;     ///< single-precision peak.
+inline constexpr double kMemBandwidthGBs = 208.0; ///< device DRAM bandwidth.
+inline constexpr double kPcieBandwidthGBs = 6.0;  ///< effective host rate.
+inline constexpr double kKernelLaunchUs = 12.0;   ///< launch + driver.
+inline constexpr double kTransferLatencyUs = 8.0; ///< per-cudaMemcpy fixed.
+inline constexpr double kSyncUs = 10.0;           ///< per-image synchronize.
+inline constexpr double kActivePowerW = 60.0;     ///< average power, busy.
 
 /** One network's per-image GPU workload. */
 struct GpuWorkload
@@ -50,8 +47,8 @@ struct GpuCost
     double energyUj = 0; ///< energy per image.
 };
 
-/** Evaluate @p workload on @p params. */
-GpuCost evaluate(const GpuParams &params, const GpuWorkload &workload);
+/** Evaluate @p workload on the modeled device. */
+GpuCost evaluate(const GpuWorkload &workload);
 
 /** Workload of the 2-layer MLP via two sgemv calls + activation. */
 GpuWorkload mlpWorkload(std::size_t inputs, std::size_t hidden,

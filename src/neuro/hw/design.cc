@@ -7,8 +7,8 @@
 namespace neuro {
 namespace hw {
 
-Design::Design(std::string name, const TechParams &tech)
-    : name_(std::move(name)), tech_(tech)
+Design::Design(std::string name, double leakage_w_per_mm2)
+    : name_(std::move(name)), leakageWPerMm2_(leakage_w_per_mm2)
 {
 }
 
@@ -48,7 +48,7 @@ double
 Design::areaNoSramMm2() const
 {
     // Clocked state not covered by an operator group.
-    double um2 = registerBits_ * tech_.regAreaPerBitUm2;
+    double um2 = registerBits_ * kTech.regAreaPerBitUm2;
     for (const auto &g : groups_)
         um2 += g.totalAreaUm2();
     return um2 / 1e6;
@@ -78,7 +78,7 @@ Design::energyPerImageUj() const
     for (const auto &s : srams_)
         pj += s.energyPerImagePj();
     // Register/clock energy: all clocked bits toggle every cycle.
-    pj += registerBits_ * tech_.regEnergyPerBitPj *
+    pj += registerBits_ * kTech.regEnergyPerBitPj *
           static_cast<double>(cyclesPerImage_);
     return pj / 1e6;
 }
@@ -86,7 +86,7 @@ Design::energyPerImageUj() const
 double
 Design::staticEnergyPerImageUj() const
 {
-    const double leakage_w = totalAreaMm2() * tech_.leakagePowerWPerMm2;
+    const double leakage_w = totalAreaMm2() * leakageWPerMm2_;
     const double seconds = timePerImageNs() * 1e-9;
     return leakage_w * seconds * 1e6;
 }
@@ -108,8 +108,8 @@ Design::powerW() const
 {
     const double dynamic_w =
         energyPerImageUj() * 1e-6 / (timePerImageNs() * 1e-9);
-    const double clock_w = registerKbits() * tech_.clockPowerWPerKbit;
-    const double leakage_w = totalAreaMm2() * tech_.leakagePowerWPerMm2;
+    const double clock_w = registerKbits() * kTech.clockPowerWPerKbit;
+    const double leakage_w = totalAreaMm2() * leakageWPerMm2_;
     return dynamic_w + clock_w + leakage_w;
 }
 

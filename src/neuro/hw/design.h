@@ -24,12 +24,10 @@ namespace hw {
 class Design
 {
   public:
-    /** Construct an empty design against @p tech (copied). */
+    /** Construct an empty design costed against kTech, leaking
+     *  @p leakage_w_per_mm2 (the high-VT figure unless power-gated). */
     explicit Design(std::string name,
-                    const TechParams &tech = defaultTech());
-
-    /** @return the technology parameters the design was built with. */
-    const TechParams &tech() const { return tech_; }
+                    double leakage_w_per_mm2 = kTech.leakagePowerWPerMm2);
 
     /** @return the design name. */
     const std::string &name() const { return name_; }
@@ -86,7 +84,7 @@ class Design
 
   private:
     std::string name_;
-    TechParams tech_;
+    double leakageWPerMm2_;
     std::vector<OperatorGroup> groups_;
     std::vector<SramArray> srams_;
     double clockNs_ = 1.0;

@@ -12,7 +12,7 @@ namespace {
 /** Expanded-design synaptic storage: wide flat access, one "bank". */
 SramArray
 makeExpandedStorage(const std::string &name, uint64_t weight_bits_total,
-                    uint64_t reads_per_image, const TechParams &tech)
+                    uint64_t reads_per_image)
 {
     SramArray array;
     array.name = name;
@@ -21,10 +21,10 @@ makeExpandedStorage(const std::string &name, uint64_t weight_bits_total,
     array.bank.depth = static_cast<std::size_t>(
         (weight_bits_total + 127) / 128);
     array.bank.areaUm2 = static_cast<double>(weight_bits_total) *
-                         tech.expandedSramAreaPerBitUm2;
+                         kTech.expandedSramAreaPerBitUm2;
     // A "read" here is a full-width fetch of every weight.
     array.bank.readEnergyPj = static_cast<double>(weight_bits_total) *
-                              tech.expandedSramEnergyPerBitPj;
+                              kTech.expandedSramEnergyPerBitPj;
     array.readsPerImage = reads_per_image;
     return array;
 }
@@ -32,8 +32,7 @@ makeExpandedStorage(const std::string &name, uint64_t weight_bits_total,
 } // namespace
 
 void
-addReadoutMaxTree(Design &design, const TechParams &tech,
-                  std::size_t neurons, int bits)
+addReadoutMaxTree(Design &design, std::size_t neurons, int bits)
 {
     // First level: groups of up to 20 inputs; second level: one max over
     // the group winners (the paper's 15x20 + 1x15 structure for 300).
@@ -41,35 +40,35 @@ addReadoutMaxTree(Design &design, const TechParams &tech,
     const std::size_t full_groups = neurons / group;
     const std::size_t rem = neurons % group;
     if (full_groups > 0) {
-        design.addOperators(makeMaxTree(tech, group, bits), full_groups,
+        design.addOperators(makeMaxTree(group, bits), full_groups,
                             full_groups);
     }
     if (rem > 1)
-        design.addOperators(makeMaxTree(tech, rem, bits), 1, 1);
+        design.addOperators(makeMaxTree(rem, bits), 1, 1);
     const std::size_t winners = full_groups + (rem > 0 ? 1 : 0);
     if (winners > 1)
-        design.addOperators(makeMaxTree(tech, winners, bits), 1, 1);
+        design.addOperators(makeMaxTree(winners, bits), 1, 1);
 }
 
 Design
-buildExpandedMlp(const MlpTopology &topo, const TechParams &tech)
+buildExpandedMlp(const MlpTopology &topo)
 {
     NEURO_ASSERT(topo.inputs > 0 && topo.hidden > 0 && topo.outputs > 0,
                  "empty topology");
-    Design design("expanded MLP", tech);
+    Design design("expanded MLP");
 
     // One multiplier per synapse (biases included), Table 4's dominant
     // cost.
     const uint64_t mults = topo.weightCount();
-    design.addOperators(makeMultiplier(tech, 8),
+    design.addOperators(makeMultiplier(8),
                         static_cast<std::size_t>(mults), mults);
     // One adder tree per neuron.
-    design.addOperators(makeAdderTree(tech, topo.inputs, 8), topo.hidden,
+    design.addOperators(makeAdderTree(topo.inputs, 8), topo.hidden,
                         topo.hidden);
-    design.addOperators(makeAdderTree(tech, topo.hidden, 8), topo.outputs,
+    design.addOperators(makeAdderTree(topo.hidden, 8), topo.outputs,
                         topo.outputs);
     // Sigmoid coefficient tables per neuron.
-    design.addOperators(makeSigmoidUnit(tech), topo.hidden + topo.outputs,
+    design.addOperators(makeSigmoidUnit(), topo.hidden + topo.outputs,
                         topo.hidden + topo.outputs);
     // Pipeline registers: layer activations.
     design.addRegisterBits(
@@ -77,46 +76,46 @@ buildExpandedMlp(const MlpTopology &topo, const TechParams &tech)
                                   topo.outputs));
 
     design.addSram(makeExpandedStorage("weights (flat)",
-                                       mults * 8, 1, tech));
+                                       mults * 8, 1));
 
     // Whole-layer combinational stage: multiplier + adder tree +
     // sigmoid (paper: 3.79 ns).
-    const double clock = tech.multDelayNs +
-        tech.treeDelayPerLevelNs *
+    const double clock = kTech.multDelayNs +
+        kTech.treeDelayPerLevelNs *
             static_cast<double>(log2Ceil(topo.inputs)) +
-        tech.sigmoidDelayNs;
+        kTech.sigmoidDelayNs;
     design.setClockNs(clock);
     design.setCyclesPerImage(4); // latch-in, hidden, output, latch-out.
     return design;
 }
 
 Design
-buildExpandedSnnWot(const SnnTopology &topo, const TechParams &tech)
+buildExpandedSnnWot(const SnnTopology &topo)
 {
     NEURO_ASSERT(topo.inputs > 0 && topo.neurons > 0, "empty topology");
-    Design design("expanded SNNwot", tech);
+    Design design("expanded SNNwot");
 
     // Pixel-to-spike-count converters, one per input (Figure 7).
-    design.addOperators(makeConvertor(tech), topo.inputs, topo.inputs);
+    design.addOperators(makeConvertor(), topo.inputs, topo.inputs);
     // Per-neuron weighted-spike adder tree: 12-bit products (8-bit
     // weight x 4-bit count) plus per-input shift-decode cells.
-    design.addOperators(makeAdderTree(tech, topo.inputs, 12), topo.neurons,
+    design.addOperators(makeAdderTree(topo.inputs, 12), topo.neurons,
                         topo.neurons);
-    design.addOperators(makeSpikeDecode(tech), topo.inputs * topo.neurons,
+    design.addOperators(makeSpikeDecode(), topo.inputs * topo.neurons,
                         topo.inputs * topo.neurons);
     // Readout max tree over the 24-bit potentials.
-    addReadoutMaxTree(design, tech, topo.neurons, 24);
+    addReadoutMaxTree(design, topo.neurons, 24);
     design.addRegisterBits(
         4.0 * static_cast<double>(topo.inputs) + // spike counts
         24.0 * static_cast<double>(topo.neurons)); // potentials
 
     design.addSram(makeExpandedStorage("weights (flat)",
-                                       topo.weightCount() * 8, 1, tech));
+                                       topo.weightCount() * 8, 1));
 
     // Convertor stage + decode + the wide tree over the 4 partial
     // products per input (paper: 3.17 ns).
-    const double clock = 0.35 + tech.spikeDecodeDelayNs +
-        tech.treeDelayPerLevelNs *
+    const double clock = 0.35 + kTech.spikeDecodeDelayNs +
+        kTech.treeDelayPerLevelNs *
             static_cast<double>(log2Ceil(topo.inputs * 4));
     design.setClockNs(clock);
     design.setCyclesPerImage(3); // convert, accumulate, max (3-stage).
@@ -124,22 +123,19 @@ buildExpandedSnnWot(const SnnTopology &topo, const TechParams &tech)
 }
 
 Design
-buildExpandedSnnWt(const SnnTopology &topo, int period_cycles,
-                   const TechParams &tech)
+buildExpandedSnnWt(const SnnTopology &topo)
 {
     NEURO_ASSERT(topo.inputs > 0 && topo.neurons > 0, "empty topology");
-    NEURO_ASSERT(period_cycles > 0, "period must be positive");
-    Design design("expanded SNNwt", tech);
-    const auto cycles = static_cast<uint64_t>(period_cycles);
+    Design design("expanded SNNwt");
+    const uint64_t cycles = 500; // 1 ms steps per presentation.
 
     // One Gaussian inter-spike-interval generator per input pixel.
-    design.addOperators(makeGaussianRng(tech), topo.inputs,
-                        topo.inputs * cycles);
+    design.addOperators(makeGaussianRng(), topo.inputs, topo.inputs * cycles);
     // Per-neuron 8-bit adder tree, active every 1 ms step.
-    design.addOperators(makeAdderTree(tech, topo.inputs, 8), topo.neurons,
+    design.addOperators(makeAdderTree(topo.inputs, 8), topo.neurons,
                         topo.neurons * cycles);
     // Per-neuron LIF machinery (leak, threshold compare, gating).
-    design.addOperators(makeLifExtras(tech, topo.inputs), topo.neurons,
+    design.addOperators(makeLifExtras(topo.inputs), topo.neurons,
                         topo.neurons * cycles);
     design.addRegisterBits(
         24.0 * static_cast<double>(topo.neurons) + // potentials
@@ -147,12 +143,11 @@ buildExpandedSnnWt(const SnnTopology &topo, int period_cycles,
 
     // Weights fetched every step.
     design.addSram(makeExpandedStorage("weights (flat)",
-                                       topo.weightCount() * 8, cycles,
-                                       tech));
+                                       topo.weightCount() * 8, cycles));
 
-    const double clock = tech.treeDelayPerLevelNs *
+    const double clock = kTech.treeDelayPerLevelNs *
             static_cast<double>(log2Ceil(topo.inputs)) +
-        tech.cmpDelayNs + tech.regDelayNs;
+        kTech.cmpDelayNs + kTech.regDelayNs;
     design.setClockNs(clock);
     design.setCyclesPerImage(cycles); // one cycle per simulated ms.
     return design;

@@ -52,24 +52,20 @@ struct SnnTopology
  * potentials feed first-level max operators whose winners feed a final
  * max (15 x 20-input + 1 x 15-input for 300 neurons).
  */
-void addReadoutMaxTree(Design &design, const TechParams &tech,
-                       std::size_t neurons, int bits);
+void addReadoutMaxTree(Design &design, std::size_t neurons, int bits);
 
 /** Spatially expanded MLP (Figure 2 / Table 4). */
-Design buildExpandedMlp(const MlpTopology &topo,
-                        const TechParams &tech = defaultTech());
+Design buildExpandedMlp(const MlpTopology &topo);
 
 /** Spatially expanded SNN without timing (Figure 7 / Table 4). */
-Design buildExpandedSnnWot(const SnnTopology &topo,
-                           const TechParams &tech = defaultTech());
+Design buildExpandedSnnWot(const SnnTopology &topo);
 
 /**
  * Spatially expanded SNN with timing: per-pixel Gaussian spike-interval
- * generators, per-neuron integration with leak, @p period_cycles 1 ms
- * steps per image (Table 4 / Table 7 "expanded").
+ * generators, per-neuron integration with leak, one cycle per 1 ms step
+ * of the 500 ms presentation window (Table 4 / Table 7 "expanded").
  */
-Design buildExpandedSnnWt(const SnnTopology &topo, int period_cycles = 500,
-                          const TechParams &tech = defaultTech());
+Design buildExpandedSnnWt(const SnnTopology &topo);
 
 } // namespace hw
 } // namespace neuro

@@ -42,24 +42,22 @@ foldedSnnWtCycles(const SnnTopology &topo, std::size_t ni,
 }
 
 Design
-buildFoldedMlp(const MlpTopology &topo, std::size_t ni,
-               const TechParams &tech)
+buildFoldedMlp(const MlpTopology &topo, std::size_t ni)
 {
     NEURO_ASSERT(ni > 0, "fold factor must be positive");
-    Design design("folded MLP", tech);
+    Design design("folded MLP");
     const std::size_t neurons = topo.hidden + topo.outputs;
     const uint64_t macs = topo.weightCount();
 
     // Per-neuron datapath (Figure 11): ni multipliers, a small adder
     // tree over the products plus the accumulator, the sigmoid table.
-    design.addOperators(makeMultiplier(tech, 8), neurons * ni, macs);
+    design.addOperators(makeMultiplier(8), neurons * ni, macs);
     const uint64_t tree_ops =
         topo.hidden * (ceilDiv(topo.inputs, ni) + 1) +
         topo.outputs * (ceilDiv(topo.hidden, ni) + 1);
-    design.addOperators(makeAdderTree(tech, ni + 1, 16), neurons,
-                        tree_ops);
-    design.addOperators(makeSigmoidUnit(tech), neurons, neurons);
-    design.addOperators(makeNeuronControl(tech), neurons, neurons);
+    design.addOperators(makeAdderTree(ni + 1, 16), neurons, tree_ops);
+    design.addOperators(makeSigmoidUnit(), neurons, neurons);
+    design.addOperators(makeNeuronControl(), neurons, neurons);
     // Buffers: ni inputs + ni weights (8b each), 24b accumulator, 8b
     // output register per neuron.
     design.addRegisterBits(static_cast<double>(neurons) *
@@ -70,19 +68,19 @@ buildFoldedMlp(const MlpTopology &topo, std::size_t ni,
     // input chunk, output banks once per hidden chunk.
     const uint64_t hidden_chunks = ceilDiv(topo.inputs, ni);
     const uint64_t output_chunks = ceilDiv(topo.hidden, ni);
-    SramArray hidden_sram = makeSynapticStorage(
-        "hidden weights", topo.hidden, topo.inputs, ni, 8, 0);
+    SramArray hidden_sram =
+        makeSynapticStorage("hidden weights", topo.hidden, topo.inputs, ni);
     hidden_sram.readsPerImage = hidden_sram.numBanks * hidden_chunks;
     design.addSram(std::move(hidden_sram));
-    SramArray output_sram = makeSynapticStorage(
-        "output weights", topo.outputs, topo.hidden, ni, 8, 0);
+    SramArray output_sram =
+        makeSynapticStorage("output weights", topo.outputs, topo.hidden, ni);
     output_sram.readsPerImage = output_sram.numBanks * output_chunks;
     design.addSram(std::move(output_sram));
 
     // Cycle: SRAM word fetch + multiplier (the products enter the
     // accumulator in carry-save form, so the small tree adds little).
-    design.setClockNs(tech.sramAccessNs + tech.multDelayNs +
-                      tech.regDelayNs +
+    design.setClockNs(kTech.sramAccessNs + kTech.multDelayNs +
+                      kTech.regDelayNs +
                       0.05 * static_cast<double>(log2Ceil(ni)));
     design.setCyclesPerImage(foldedMlpCycles(topo, ni));
     return design;
@@ -104,24 +102,23 @@ foldedMlpPooledCycles(const MlpTopology &topo, std::size_t ni,
 
 Design
 buildFoldedMlpPooled(const MlpTopology &topo, std::size_t ni,
-                     std::size_t hw_neurons, const TechParams &tech)
+                     std::size_t hw_neurons)
 {
     NEURO_ASSERT(ni > 0 && hw_neurons > 0, "degenerate fold");
-    Design design("folded MLP (pooled)", tech);
+    Design design("folded MLP (pooled)");
     const std::size_t pool =
         std::min(hw_neurons, std::max(topo.hidden, topo.outputs));
     const uint64_t macs = topo.weightCount();
 
-    design.addOperators(makeMultiplier(tech, 8), pool * ni, macs);
+    design.addOperators(makeMultiplier(8), pool * ni, macs);
     const uint64_t tree_ops =
         ceilDiv(topo.hidden, pool) * pool *
             (ceilDiv(topo.inputs, ni) + 1) +
         ceilDiv(topo.outputs, pool) * pool *
             (ceilDiv(topo.hidden, ni) + 1);
-    design.addOperators(makeAdderTree(tech, ni + 1, 16), pool, tree_ops);
-    design.addOperators(makeSigmoidUnit(tech), pool,
-                        topo.hidden + topo.outputs);
-    design.addOperators(makeNeuronControl(tech), pool, pool);
+    design.addOperators(makeAdderTree(ni + 1, 16), pool, tree_ops);
+    design.addOperators(makeSigmoidUnit(), pool, topo.hidden + topo.outputs);
+    design.addOperators(makeNeuronControl(), pool, pool);
     // Logical-neuron state (partial sums of the pass in flight plus
     // layer activations) lives in registers next to the pool.
     design.addRegisterBits(
@@ -134,8 +131,7 @@ buildFoldedMlpPooled(const MlpTopology &topo, std::size_t ni,
     const uint64_t hidden_reads =
         ceilDiv(topo.hidden, pool) * ceilDiv(topo.inputs, ni);
     SramArray hidden_sram = makeSynapticStorage(
-        "hidden weights", std::min(pool, topo.hidden), topo.inputs, ni,
-        8, 0);
+        "hidden weights", std::min(pool, topo.hidden), topo.inputs, ni);
     // Bank count must cover the *storage*, not just the pool's ports:
     // scale depth-equivalent banks by the pass count.
     hidden_sram.numBanks *= ceilDiv(topo.hidden, pool);
@@ -143,15 +139,14 @@ buildFoldedMlpPooled(const MlpTopology &topo, std::size_t ni,
         ceilDiv(topo.hidden, pool);
     design.addSram(std::move(hidden_sram));
     SramArray output_sram = makeSynapticStorage(
-        "output weights", std::min(pool, topo.outputs), topo.hidden, ni,
-        8, 0);
+        "output weights", std::min(pool, topo.outputs), topo.hidden, ni);
     output_sram.numBanks *= ceilDiv(topo.outputs, pool);
     output_sram.readsPerImage = output_sram.numBanks *
         ceilDiv(topo.hidden, ni) / ceilDiv(topo.outputs, pool);
     design.addSram(std::move(output_sram));
 
-    design.setClockNs(tech.sramAccessNs + tech.multDelayNs +
-                      tech.regDelayNs +
+    design.setClockNs(kTech.sramAccessNs + kTech.multDelayNs +
+                      kTech.regDelayNs +
                       0.05 * static_cast<double>(log2Ceil(ni)));
     design.setCyclesPerImage(
         foldedMlpPooledCycles(topo, ni, pool));
@@ -159,79 +154,77 @@ buildFoldedMlpPooled(const MlpTopology &topo, std::size_t ni,
 }
 
 Design
-buildFoldedSnnWot(const SnnTopology &topo, std::size_t ni,
-                  const TechParams &tech)
+buildFoldedSnnWot(const SnnTopology &topo, std::size_t ni)
 {
     NEURO_ASSERT(ni > 0, "fold factor must be positive");
-    Design design("folded SNNwot", tech);
+    Design design("folded SNNwot");
     const uint64_t chunks = ceilDiv(topo.inputs, ni);
 
     // ni pixel-to-count converter channels shared by all neurons.
-    design.addOperators(makeConvertor(tech), ni, topo.inputs);
+    design.addOperators(makeConvertor(), ni, topo.inputs);
     // Per-neuron: ni spike-decode cells and a 12-bit adder tree over
     // ni weighted inputs plus the 24-bit accumulator.
-    design.addOperators(makeSpikeDecode(tech), topo.neurons * ni,
+    design.addOperators(makeSpikeDecode(), topo.neurons * ni,
                         static_cast<uint64_t>(topo.neurons) * topo.inputs);
-    design.addOperators(makeAdderTree(tech, ni + 1, 12), topo.neurons,
+    design.addOperators(makeAdderTree(ni + 1, 12), topo.neurons,
                         topo.neurons * chunks);
-    design.addOperators(makeWotLaneBuffers(tech, ni), topo.neurons,
+    design.addOperators(makeWotLaneBuffers(ni), topo.neurons,
                         topo.neurons * chunks);
-    design.addOperators(makeNeuronControl(tech), topo.neurons,
-                        topo.neurons);
-    addReadoutMaxTree(design, tech, topo.neurons, 24);
+    design.addOperators(makeNeuronControl(), topo.neurons, topo.neurons);
+    addReadoutMaxTree(design, topo.neurons, 24);
     design.addRegisterBits(static_cast<double>(topo.neurons) *
                                (8.0 * static_cast<double>(ni) +
                                 4.0 * static_cast<double>(ni) + 24.0) +
                            4.0 * static_cast<double>(topo.inputs));
 
-    SramArray sram = makeSynapticStorage("weights", topo.neurons,
-                                         topo.inputs, ni, 8, 0);
+    SramArray sram =
+        makeSynapticStorage("weights", topo.neurons, topo.inputs, ni);
     sram.readsPerImage = sram.numBanks * chunks;
     design.addSram(std::move(sram));
 
-    design.setClockNs(tech.sramAccessNs + tech.spikeDecodeDelayNs +
-                      tech.foldedTreeDelayPerLevelNs *
+    design.setClockNs(kTech.sramAccessNs + kTech.spikeDecodeDelayNs +
+                      kTech.foldedTreeDelayPerLevelNs *
                           static_cast<double>(log2Ceil(ni * 4)) +
-                      tech.regDelayNs);
+                      kTech.regDelayNs);
     design.setCyclesPerImage(foldedSnnWotCycles(topo, ni));
     return design;
 }
 
 Design
 buildFoldedSnnWt(const SnnTopology &topo, std::size_t ni,
-                 int period_cycles, const TechParams &tech)
+                 int period_cycles)
 {
     NEURO_ASSERT(ni > 0, "fold factor must be positive");
     NEURO_ASSERT(period_cycles > 0, "period must be positive");
-    Design design("folded SNNwt", tech);
+    Design design("folded SNNwt");
     const auto period = static_cast<uint64_t>(period_cycles);
     const uint64_t chunks = ceilDiv(topo.inputs, ni);
     const uint64_t steps = chunks * period;
 
     // ni shared spike generators (Gaussian interval RNG + counter);
     // per-pixel counters live in registers.
-    design.addOperators(makeGaussianRng(tech), ni, topo.inputs * period);
+    design.addOperators(makeGaussianRng(), ni, topo.inputs * period);
     // Per-neuron: ni-input 8-bit adder tree + accumulator + threshold
     // compare + leak/gating extras (scaled to ni streamed inputs).
-    design.addOperators(makeAdderTree(tech, ni + 1, 8), topo.neurons,
+    design.addOperators(makeAdderTree(ni + 1, 8), topo.neurons,
                         topo.neurons * steps);
-    design.addOperators(makeWtFoldedExtras(tech, ni), topo.neurons,
+    design.addOperators(makeWtFoldedExtras(ni), topo.neurons,
                         topo.neurons * period);
     design.addRegisterBits(static_cast<double>(topo.neurons) *
                                (8.0 * static_cast<double>(ni) + 24.0) +
                            8.0 * static_cast<double>(topo.inputs));
 
-    SramArray sram = makeSynapticStorage("weights", topo.neurons,
-                                         topo.inputs, ni, 8, 0);
+    SramArray sram =
+        makeSynapticStorage("weights", topo.neurons, topo.inputs, ni);
     sram.readsPerImage = sram.numBanks * steps;
     design.addSram(std::move(sram));
 
     // The narrow 8-bit adds largely overlap the SRAM access; only a
     // shallow residual tree term remains on the path (the published
     // SNNwt delays are nearly flat: 1.15/1.11/1.18 ns for ni=1/4/8).
-    design.setClockNs(tech.sramAccessNs +
+    design.setClockNs(kTech.sramAccessNs +
                       0.10 * static_cast<double>(log2Ceil(ni + 1)) +
-                      tech.cmpDelayNs + tech.regDelayNs);
+                      kTech.cmpDelayNs + kTech.regDelayNs);
     design.setCyclesPerImage(
         foldedSnnWtCycles(topo, ni, period_cycles));
     return design;

@@ -33,8 +33,7 @@ uint64_t foldedSnnWtCycles(const SnnTopology &topo, std::size_t ni,
                            int period_cycles);
 
 /** Folded MLP accelerator (Figures 10 and 11). */
-Design buildFoldedMlp(const MlpTopology &topo, std::size_t ni,
-                      const TechParams &tech = defaultTech());
+Design buildFoldedMlp(const MlpTopology &topo, std::size_t ni);
 
 /**
  * Folded MLP with a bounded pool of hardware neurons: the fuller form
@@ -46,22 +45,19 @@ Design buildFoldedMlp(const MlpTopology &topo, std::size_t ni,
  * @param hw_neurons hardware neuron pool size (>= 1).
  */
 Design buildFoldedMlpPooled(const MlpTopology &topo, std::size_t ni,
-                            std::size_t hw_neurons,
-                            const TechParams &tech = defaultTech());
+                            std::size_t hw_neurons);
 
 /** Cycles per image of the pooled folded MLP. */
 uint64_t foldedMlpPooledCycles(const MlpTopology &topo, std::size_t ni,
                                std::size_t hw_neurons);
 
 /** Folded SNNwot accelerator (Section 4.3.2). */
-Design buildFoldedSnnWot(const SnnTopology &topo, std::size_t ni,
-                         const TechParams &tech = defaultTech());
+Design buildFoldedSnnWot(const SnnTopology &topo, std::size_t ni);
 
 /** Folded SNNwt accelerator (Section 4.3.2): emulates the whole
  *  presentation sequence in @p period_cycles 1 ms steps. */
 Design buildFoldedSnnWt(const SnnTopology &topo, std::size_t ni,
-                        int period_cycles = 500,
-                        const TechParams &tech = defaultTech());
+                        int period_cycles = 500);
 
 } // namespace hw
 } // namespace neuro

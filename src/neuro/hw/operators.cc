@@ -20,22 +20,22 @@ fmtName(const char *fmt, std::size_t a, int b)
 } // namespace
 
 OperatorSpec
-makeAdderTree(const TechParams &tech, std::size_t num_inputs, int bits)
+makeAdderTree(std::size_t num_inputs, int bits)
 {
     NEURO_ASSERT(num_inputs >= 1, "tree needs inputs");
     OperatorSpec spec;
     spec.name = fmtName("adder tree (%zux%db)", num_inputs, bits);
     const uint64_t fa = adderTreeFaCount(num_inputs, bits);
-    spec.areaUm2 = tech.faAreaUm2 * static_cast<double>(fa) +
-                   tech.treeFixedUm2;
-    spec.energyPj = tech.faEnergyPj * static_cast<double>(fa);
-    spec.delayNs = tech.treeDelayPerLevelNs *
+    spec.areaUm2 = kTech.faAreaUm2 * static_cast<double>(fa) +
+                   kTech.treeFixedUm2;
+    spec.energyPj = kTech.faEnergyPj * static_cast<double>(fa);
+    spec.delayNs = kTech.treeDelayPerLevelNs *
                    static_cast<double>(log2Ceil(num_inputs));
     return spec;
 }
 
 OperatorSpec
-makeMultiplier(const TechParams &tech, int bits)
+makeMultiplier(int bits)
 {
     NEURO_ASSERT(bits > 0, "multiplier width must be positive");
     OperatorSpec spec;
@@ -45,14 +45,14 @@ makeMultiplier(const TechParams &tech, int bits)
     // calibrated 8x8 point.
     const double scale = static_cast<double>(bits) *
                          static_cast<double>(bits) / 64.0;
-    spec.areaUm2 = tech.mult8AreaUm2 * scale;
-    spec.energyPj = tech.mult8EnergyPj * scale;
-    spec.delayNs = tech.multDelayNs * static_cast<double>(bits) / 8.0;
+    spec.areaUm2 = kTech.mult8AreaUm2 * scale;
+    spec.energyPj = kTech.mult8EnergyPj * scale;
+    spec.delayNs = kTech.multDelayNs * static_cast<double>(bits) / 8.0;
     return spec;
 }
 
 OperatorSpec
-makeMaxTree(const TechParams &tech, std::size_t num_inputs, int bits)
+makeMaxTree(std::size_t num_inputs, int bits)
 {
     NEURO_ASSERT(num_inputs >= 1, "max tree needs inputs");
     OperatorSpec spec;
@@ -60,112 +60,112 @@ makeMaxTree(const TechParams &tech, std::size_t num_inputs, int bits)
     const double comparators =
         num_inputs > 0 ? static_cast<double>(num_inputs - 1) : 0.0;
     spec.areaUm2 =
-        comparators * tech.cmpAreaPerBitUm2 * static_cast<double>(bits);
+        comparators * kTech.cmpAreaPerBitUm2 * static_cast<double>(bits);
     spec.energyPj =
-        comparators * tech.cmpEnergyPerBitPj * static_cast<double>(bits);
+        comparators * kTech.cmpEnergyPerBitPj * static_cast<double>(bits);
     spec.delayNs =
-        tech.cmpDelayNs * static_cast<double>(log2Ceil(num_inputs));
+        kTech.cmpDelayNs * static_cast<double>(log2Ceil(num_inputs));
     return spec;
 }
 
 OperatorSpec
-makeGaussianRng(const TechParams &tech)
+makeGaussianRng()
 {
-    return {"rand (gaussian, 4xLFSR31)", tech.gaussRngAreaUm2,
-            tech.gaussRngEnergyPj, 0.6};
+    return {"rand (gaussian, 4xLFSR31)", kTech.gaussRngAreaUm2,
+            kTech.gaussRngEnergyPj, 0.6};
 }
 
 OperatorSpec
-makeRegister(const TechParams &tech, int bits)
+makeRegister(int bits)
 {
     OperatorSpec spec;
     spec.name = fmtName("register (%zub)", static_cast<std::size_t>(bits),
                         bits);
-    spec.areaUm2 = tech.regAreaPerBitUm2 * static_cast<double>(bits);
-    spec.energyPj = tech.regEnergyPerBitPj * static_cast<double>(bits);
-    spec.delayNs = tech.regDelayNs;
+    spec.areaUm2 = kTech.regAreaPerBitUm2 * static_cast<double>(bits);
+    spec.energyPj = kTech.regEnergyPerBitPj * static_cast<double>(bits);
+    spec.delayNs = kTech.regDelayNs;
     return spec;
 }
 
 OperatorSpec
-makeConvertor(const TechParams &tech)
+makeConvertor()
 {
-    return {"convertor (pixel->spikes)", tech.convertorAreaUm2,
-            tech.convertorEnergyPj, 0.35};
+    return {"convertor (pixel->spikes)", kTech.convertorAreaUm2,
+            kTech.convertorEnergyPj, 0.35};
 }
 
 OperatorSpec
-makeSpikeDecode(const TechParams &tech)
+makeSpikeDecode()
 {
-    return {"spike decode (4-shift)", tech.spikeDecodeAreaUm2,
-            tech.spikeDecodeEnergyPj, tech.spikeDecodeDelayNs};
+    return {"spike decode (4-shift)", kTech.spikeDecodeAreaUm2,
+            kTech.spikeDecodeEnergyPj, kTech.spikeDecodeDelayNs};
 }
 
 OperatorSpec
-makeSigmoidUnit(const TechParams &tech)
+makeSigmoidUnit()
 {
-    return {"sigmoid (16-pt PLI)", tech.sigmoidUnitAreaUm2,
-            tech.sigmoidUnitEnergyPj, tech.sigmoidDelayNs};
+    return {"sigmoid (16-pt PLI)", kTech.sigmoidUnitAreaUm2,
+            kTech.sigmoidUnitEnergyPj, kTech.sigmoidDelayNs};
 }
 
 OperatorSpec
-makeLifExtras(const TechParams &tech, std::size_t inputs)
+makeLifExtras(std::size_t inputs)
 {
     OperatorSpec spec;
     spec.name = fmtName("LIF extras (%zu inputs, %db)", inputs, 24);
-    spec.areaUm2 = tech.lifFixedAreaUm2 +
-        tech.lifPerInputAreaUm2 * static_cast<double>(inputs);
-    spec.energyPj = tech.lifExtrasEnergyPj;
-    spec.delayNs = tech.cmpDelayNs;
+    spec.areaUm2 = kTech.lifFixedAreaUm2 +
+        kTech.lifPerInputAreaUm2 * static_cast<double>(inputs);
+    spec.energyPj = kTech.lifExtrasEnergyPj;
+    spec.delayNs = kTech.cmpDelayNs;
     return spec;
 }
 
 OperatorSpec
-makeNeuronControl(const TechParams &tech)
+makeNeuronControl()
 {
-    return {"neuron control FSM", tech.neuronControlAreaUm2, 0.08, 0.2};
+    return {"neuron control FSM", kTech.neuronControlAreaUm2, 0.08, 0.2};
 }
 
 OperatorSpec
-makeWotLaneBuffers(const TechParams &tech, std::size_t ni)
+makeWotLaneBuffers(std::size_t ni)
 {
     OperatorSpec spec;
     spec.name = fmtName("wot lane buffers (x%zu, %db)", ni, 12);
-    spec.areaUm2 = tech.wotLaneFixedUm2 +
-        tech.wotLanePerNiUm2 * static_cast<double>(ni);
+    spec.areaUm2 = kTech.wotLaneFixedUm2 +
+        kTech.wotLanePerNiUm2 * static_cast<double>(ni);
     spec.energyPj = 0.04 * static_cast<double>(ni);
     spec.delayNs = 0.1;
     return spec;
 }
 
 OperatorSpec
-makeWtFoldedExtras(const TechParams &tech, std::size_t ni)
+makeWtFoldedExtras(std::size_t ni)
 {
     OperatorSpec spec;
     spec.name = fmtName("wt extras (cmp+leak, x%zu, %db)", ni, 24);
-    spec.areaUm2 = tech.wtExtrasFixedUm2 +
-        tech.wtExtrasPerNiUm2 * static_cast<double>(ni);
-    spec.energyPj = tech.lifExtrasEnergyPj;
-    spec.delayNs = tech.cmpDelayNs;
+    spec.areaUm2 = kTech.wtExtrasFixedUm2 +
+        kTech.wtExtrasPerNiUm2 * static_cast<double>(ni);
+    spec.energyPj = kTech.lifExtrasEnergyPj;
+    spec.delayNs = kTech.cmpDelayNs;
     return spec;
 }
 
 OperatorSpec
-makeStdpFixed(const TechParams &tech)
+makeStdpFixed()
 {
-    return {"STDP fixed (FSM+counters+homeo)", tech.stdpFixedAreaUm2,
-            tech.stdpUpdateEnergyPj * 4.0, 0.3};
+    return {"STDP fixed (FSM+counters+homeo)", kTech.stdpFixedAreaUm2,
+            kTech.stdpUpdateEnergyPj * 4.0, 0.3};
 }
 
 OperatorSpec
-makeStdpPerInput(const TechParams &tech, std::size_t inputs)
+makeStdpPerInput(std::size_t inputs)
 {
     OperatorSpec spec;
     spec.name = fmtName("STDP per-input (x%zu, %db)", inputs, 8);
     spec.areaUm2 =
-        tech.stdpPerInputAreaUm2 * static_cast<double>(inputs);
+        kTech.stdpPerInputAreaUm2 * static_cast<double>(inputs);
     spec.energyPj =
-        tech.stdpUpdateEnergyPj * static_cast<double>(inputs);
+        kTech.stdpUpdateEnergyPj * static_cast<double>(inputs);
     spec.delayNs = 0.35;
     return spec;
 }

@@ -2,10 +2,10 @@
  * @file
  * Operator-level building blocks of the accelerator designs: each
  * factory returns an OperatorSpec with area/energy/delay derived from
- * the technology library, mirroring the operator inventory of Table 4
- * (adder trees, multipliers, max trees, Gaussian random generators) plus
- * the support logic of the folded designs (registers, converters,
- * sigmoid units, LIF extras, STDP logic).
+ * the technology library (kTech), mirroring the operator inventory of
+ * Table 4 (adder trees, multipliers, max trees, Gaussian random
+ * generators) plus the support logic of the folded designs (registers,
+ * converters, sigmoid units, LIF extras, STDP logic).
  */
 
 #pragma once
@@ -48,50 +48,48 @@ struct OperatorGroup
 };
 
 /** Balanced adder tree over @p num_inputs operands of @p bits bits. */
-OperatorSpec makeAdderTree(const TechParams &tech, std::size_t num_inputs,
-                           int bits);
+OperatorSpec makeAdderTree(std::size_t num_inputs, int bits);
 
 /** @p bits x @p bits multiplier (area scales quadratically from 8x8). */
-OperatorSpec makeMultiplier(const TechParams &tech, int bits);
+OperatorSpec makeMultiplier(int bits);
 
 /** Max (comparator) tree over @p num_inputs values of @p bits bits. */
-OperatorSpec makeMaxTree(const TechParams &tech, std::size_t num_inputs,
-                         int bits);
+OperatorSpec makeMaxTree(std::size_t num_inputs, int bits);
 
 /** Gaussian pseudo-random generator (4 x 31-bit LFSR, CLT). */
-OperatorSpec makeGaussianRng(const TechParams &tech);
+OperatorSpec makeGaussianRng();
 
 /** Register bank of @p bits bits. */
-OperatorSpec makeRegister(const TechParams &tech, int bits);
+OperatorSpec makeRegister(int bits);
 
 /** Pixel-to-spike-count convertor channel (Figure 7). */
-OperatorSpec makeConvertor(const TechParams &tech);
+OperatorSpec makeConvertor();
 
 /** Spike-decode cell: shifters + partial products for one input. */
-OperatorSpec makeSpikeDecode(const TechParams &tech);
+OperatorSpec makeSpikeDecode();
 
 /** Piecewise-linear sigmoid unit (multiplier + adder + table). */
-OperatorSpec makeSigmoidUnit(const TechParams &tech);
+OperatorSpec makeSigmoidUnit();
 
 /** Per-neuron LIF extras: leak unit, threshold compare, gating; the
  *  per-input bookkeeping scales with @p inputs. */
-OperatorSpec makeLifExtras(const TechParams &tech, std::size_t inputs);
+OperatorSpec makeLifExtras(std::size_t inputs);
 
 /** Per-neuron folded-datapath control FSM. */
-OperatorSpec makeNeuronControl(const TechParams &tech);
+OperatorSpec makeNeuronControl();
 
 /** Folded SNNwot per-neuron lane buffering/readout (Table 7 fit). */
-OperatorSpec makeWotLaneBuffers(const TechParams &tech, std::size_t ni);
+OperatorSpec makeWotLaneBuffers(std::size_t ni);
 
 /** Folded SNNwt per-neuron extras: compare + leak slice + gating
  *  (Table 7 fit). */
-OperatorSpec makeWtFoldedExtras(const TechParams &tech, std::size_t ni);
+OperatorSpec makeWtFoldedExtras(std::size_t ni);
 
 /** STDP per-neuron fixed circuit (Section 4.4 / Figure 13). */
-OperatorSpec makeStdpFixed(const TechParams &tech);
+OperatorSpec makeStdpFixed();
 
 /** STDP per-input circuit (spike-time register, LTP compare, +/-1). */
-OperatorSpec makeStdpPerInput(const TechParams &tech, std::size_t inputs);
+OperatorSpec makeStdpPerInput(std::size_t inputs);
 
 } // namespace hw
 } // namespace neuro

@@ -21,6 +21,10 @@ DesignPoint::dominates(const DesignPoint &other) const
 
 namespace {
 
+/** The fold factors and MLP neuron pools the design space spans. */
+constexpr std::size_t kFoldFactors[] = {1, 2, 4, 8, 16, 32};
+constexpr std::size_t kMlpPools[] = {25, 50};
+
 DesignPoint
 pointFrom(const std::string &label, const Design &design)
 {
@@ -35,48 +39,36 @@ pointFrom(const std::string &label, const Design &design)
 } // namespace
 
 std::vector<DesignPoint>
-enumerateDesigns(const MlpTopology &mlp, const SnnTopology &snn,
-                 const EnumerateOptions &options, const TechParams &tech)
+enumerateDesigns(const MlpTopology &mlp, const SnnTopology &snn)
 {
     // Collect one (label, builder) task per candidate design, then
-    // build them across the pool; the enumeration order of the old
-    // sequential loops is preserved by parallelMap.
+    // build them across the pool; parallelMap keeps this order.
     struct Candidate
     {
         std::string label;
         std::function<Design()> build;
     };
     std::vector<Candidate> candidates;
-    for (std::size_t ni : options.foldFactors) {
-        candidates.push_back({"MLP folded ni=" + std::to_string(ni),
-                              [=] { return buildFoldedMlp(mlp, ni, tech); }});
-        candidates.push_back(
-            {"SNNwot folded ni=" + std::to_string(ni),
-             [=] { return buildFoldedSnnWot(snn, ni, tech); }});
-        if (options.includeSnnWt) {
+    for (std::size_t ni : kFoldFactors) {
+        const std::string fold = " ni=" + std::to_string(ni);
+        candidates.push_back({"MLP folded" + fold,
+                              [=] { return buildFoldedMlp(mlp, ni); }});
+        candidates.push_back({"SNNwot folded" + fold,
+                              [=] { return buildFoldedSnnWot(snn, ni); }});
+        candidates.push_back({"SNNwt folded" + fold,
+                              [=] { return buildFoldedSnnWt(snn, ni); }});
+        for (std::size_t pool : kMlpPools) {
             candidates.push_back(
-                {"SNNwt folded ni=" + std::to_string(ni),
-                 [=] { return buildFoldedSnnWt(snn, ni, 500, tech); }});
-        }
-        for (std::size_t pool : options.mlpPools) {
-            candidates.push_back(
-                {"MLP pooled ni=" + std::to_string(ni) + " hw=" +
-                     std::to_string(pool),
-                 [=] { return buildFoldedMlpPooled(mlp, ni, pool, tech); }});
+                {"MLP pooled" + fold + " hw=" + std::to_string(pool),
+                 [=] { return buildFoldedMlpPooled(mlp, ni, pool); }});
         }
     }
-    if (options.includeExpanded) {
-        candidates.push_back(
-            {"MLP expanded", [=] { return buildExpandedMlp(mlp, tech); }});
-        candidates.push_back(
-            {"SNNwot expanded",
-             [=] { return buildExpandedSnnWot(snn, tech); }});
-        if (options.includeSnnWt) {
-            candidates.push_back(
-                {"SNNwt expanded",
-                 [=] { return buildExpandedSnnWt(snn, 500, tech); }});
-        }
-    }
+    candidates.push_back(
+        {"MLP expanded", [=] { return buildExpandedMlp(mlp); }});
+    candidates.push_back(
+        {"SNNwot expanded", [=] { return buildExpandedSnnWot(snn); }});
+    candidates.push_back(
+        {"SNNwt expanded", [=] { return buildExpandedSnnWt(snn); }});
     return parallelMap<DesignPoint>(
         candidates.size(), [&](std::size_t i) {
             return pointFrom(candidates[i].label, candidates[i].build());

@@ -31,20 +31,14 @@ struct DesignPoint
     bool dominates(const DesignPoint &other) const;
 };
 
-/** Enumeration knobs. */
-struct EnumerateOptions
-{
-    std::vector<std::size_t> foldFactors = {1, 2, 4, 8, 16, 32};
-    std::vector<std::size_t> mlpPools = {}; ///< extra pooled variants.
-    bool includeExpanded = true;            ///< expanded designs too.
-    bool includeSnnWt = true;               ///< timed SNN designs.
-};
-
-/** Build every candidate design for the topologies. */
-std::vector<DesignPoint>
-enumerateDesigns(const MlpTopology &mlp, const SnnTopology &snn,
-                 const EnumerateOptions &options = {},
-                 const TechParams &tech = defaultTech());
+/**
+ * Build every candidate design for the topologies: for each fold
+ * factor ni in {1, 2, 4, 8, 16, 32}, the folded MLP, SNNwot and SNNwt
+ * (500-step window) and the MLP with 25- and 50-neuron pools; then the
+ * three expanded designs. Points come back in that order.
+ */
+std::vector<DesignPoint> enumerateDesigns(const MlpTopology &mlp,
+                                          const SnnTopology &snn);
 
 /**
  * @return indices of the non-dominated points, sorted by area.

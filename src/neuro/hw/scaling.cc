@@ -1,47 +1,14 @@
 #include "neuro/hw/scaling.h"
 
-#include "neuro/common/logging.h"
 #include "neuro/common/parallel.h"
 
 namespace neuro {
 namespace hw {
 
-std::vector<ScaleComparison>
-scalingStudy(const std::vector<ScalePoint> &scales,
-             const TechParams &tech)
-{
-    // Each ladder rung builds four analytic designs independently of
-    // the others; parallelMap keeps the output in ladder order.
-    return parallelMap<ScaleComparison>(
-        scales.size(), [&](std::size_t i) {
-            const ScalePoint &scale = scales[i];
-            NEURO_ASSERT(scale.inputs > 0 && scale.mlpHidden > 0 &&
-                             scale.snnNeurons > 0,
-                         "degenerate scale point");
-            const MlpTopology mlp{scale.inputs, scale.mlpHidden,
-                                  scale.mlpOutputs};
-            const SnnTopology snn{scale.inputs, scale.snnNeurons};
-
-            ScaleComparison cmp;
-            cmp.scale = scale;
-            const Design mlp_exp = buildExpandedMlp(mlp, tech);
-            const Design snn_exp = buildExpandedSnnWot(snn, tech);
-            cmp.mlpExpandedMm2 = mlp_exp.totalAreaMm2();
-            cmp.snnExpandedMm2 = snn_exp.totalAreaMm2();
-            cmp.mlpExpandedNsPerImage = mlp_exp.timePerImageNs();
-            cmp.snnExpandedNsPerImage = snn_exp.timePerImageNs();
-            cmp.mlpExpandedUj = mlp_exp.totalEnergyPerImageUj();
-            cmp.snnExpandedUj = snn_exp.totalEnergyPerImageUj();
-            cmp.mlpFoldedMm2 =
-                buildFoldedMlp(mlp, 16, tech).totalAreaMm2();
-            cmp.snnFoldedMm2 =
-                buildFoldedSnnWot(snn, 16, tech).totalAreaMm2();
-            return cmp;
-        });
-}
+namespace {
 
 std::vector<ScalePoint>
-defaultScaleLadder()
+scaleLadder()
 {
     // Grow from MNIST scale (784 inputs, 100/300 neurons) by doubling
     // the input plane and layer widths; the SNN keeps its 3x neuron
@@ -58,6 +25,37 @@ defaultScaleLadder()
             outputs *= 2;
     }
     return ladder;
+}
+
+} // namespace
+
+std::vector<ScaleComparison>
+scalingStudy()
+{
+    const std::vector<ScalePoint> scales = scaleLadder();
+    // Each ladder rung builds four analytic designs independently of
+    // the others; parallelMap keeps the output in ladder order.
+    return parallelMap<ScaleComparison>(
+        scales.size(), [&](std::size_t i) {
+            const ScalePoint &scale = scales[i];
+            const MlpTopology mlp{scale.inputs, scale.mlpHidden,
+                                  scale.mlpOutputs};
+            const SnnTopology snn{scale.inputs, scale.snnNeurons};
+
+            ScaleComparison cmp;
+            cmp.scale = scale;
+            const Design mlp_exp = buildExpandedMlp(mlp);
+            const Design snn_exp = buildExpandedSnnWot(snn);
+            cmp.mlpExpandedMm2 = mlp_exp.totalAreaMm2();
+            cmp.snnExpandedMm2 = snn_exp.totalAreaMm2();
+            cmp.mlpExpandedNsPerImage = mlp_exp.timePerImageNs();
+            cmp.snnExpandedNsPerImage = snn_exp.timePerImageNs();
+            cmp.mlpExpandedUj = mlp_exp.totalEnergyPerImageUj();
+            cmp.snnExpandedUj = snn_exp.totalEnergyPerImageUj();
+            cmp.mlpFoldedMm2 = buildFoldedMlp(mlp, 16).totalAreaMm2();
+            cmp.snnFoldedMm2 = buildFoldedSnnWot(snn, 16).totalAreaMm2();
+            return cmp;
+        });
 }
 
 } // namespace hw

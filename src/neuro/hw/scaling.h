@@ -59,16 +59,12 @@ struct ScaleComparison
 };
 
 /**
- * Evaluate both designs at every scale.
+ * Evaluate both designs at every rung of the scale ladder: from MNIST
+ * scale (784 inputs, 100/300 neurons) up to 64x larger, in ladder order.
  * Scales keep the paper's shape (SNN needs ~3x the MLP's hidden
  * neurons for its best accuracy) while growing the problem size.
  */
-std::vector<ScaleComparison>
-scalingStudy(const std::vector<ScalePoint> &scales,
-             const TechParams &tech = defaultTech());
-
-/** The default scale ladder: MNIST-sized up to 64x larger. */
-std::vector<ScalePoint> defaultScaleLadder();
+std::vector<ScaleComparison> scalingStudy();
 
 } // namespace hw
 } // namespace neuro

@@ -67,34 +67,32 @@ makeBank(std::size_t depth)
     return bank;
 }
 
+std::size_t
+synapticBanks(std::size_t num_neurons, std::size_t ni)
+{
+    NEURO_ASSERT(num_neurons > 0 && ni > 0, "empty storage request");
+    // Each cycle a neuron fetches ni 8-bit weights; a 128-bit word
+    // therefore serves this many neurons:
+    const std::size_t neurons_per_bank =
+        std::max<std::size_t>(1, 128 / (ni * 8));
+    return (num_neurons + neurons_per_bank - 1) / neurons_per_bank;
+}
+
 SramArray
 makeSynapticStorage(const std::string &name, std::size_t num_neurons,
-                    std::size_t num_inputs, std::size_t ni,
-                    int weight_bits, uint64_t reads_per_image)
+                    std::size_t num_inputs, std::size_t ni)
 {
-    NEURO_ASSERT(num_neurons > 0 && num_inputs > 0 && ni > 0,
-                 "empty storage request");
-    NEURO_ASSERT(weight_bits > 0 && weight_bits <= 128,
-                 "unsupported weight width");
-
+    NEURO_ASSERT(num_inputs > 0, "empty storage request");
     SramArray array;
     array.name = name;
-    // Each cycle a neuron fetches ni weights (ni * weight_bits bits);
-    // a 128-bit word therefore serves this many neurons:
-    const std::size_t port_bits = ni * static_cast<std::size_t>(weight_bits);
-    const std::size_t neurons_per_bank =
-        std::max<std::size_t>(1, 128 / port_bits);
-    array.numBanks =
-        (num_neurons + neurons_per_bank - 1) / neurons_per_bank;
+    array.numBanks = synapticBanks(num_neurons, ni);
     // One word per chunk of ni inputs; depth floors at 128 rows (the
     // smallest efficient macro) and rounds to 8-row increments.
     const std::size_t words = (num_inputs + ni - 1) / ni;
     const std::size_t depth = std::max<std::size_t>(128, roundUp(words, 8));
     array.bank = makeBank(depth);
-    array.readsPerImage = reads_per_image;
     obsCount<"hw.sram.arrays_built">();
     obsCount<"hw.sram.banks_built">(array.numBanks);
-    obsCount<"hw.sram.reads_per_image">(array.readsPerImage);
     if (Tracer::enabled())
         Tracer::instance().instant("hw.sram.array", "hw");
     return array;

@@ -3,9 +3,9 @@
  * SRAM model for synaptic storage (Table 6). Folded designs stream
  * weights from single-port banks of fixed 128-bit word width; bank
  * count and depth are derived from the network topology and the fold
- * factor ni (a bank serves floor(128 / (ni*8)) neurons; its depth covers
- * ceil(num_inputs/ni) words, floored at 128 rows). Per-bank area and
- * read energy are interpolated from the paper's published bank
+ * factor ni (a bank serves max(1, 128 / (ni*8)) neurons; its depth
+ * covers ceil(num_inputs/ni) words, floored at 128 rows). Per-bank area
+ * and read energy are interpolated from the paper's published bank
  * characterizations.
  */
 
@@ -68,19 +68,26 @@ struct SramArray
 SramBank makeBank(std::size_t depth);
 
 /**
- * Synaptic storage for one fully-connected layer in a folded design.
+ * Banks of 128-bit words that serve @p num_neurons neurons when each
+ * neuron fetches @p ni 8-bit weights per cycle: a word serves
+ * max(1, 128 / (ni * 8)) neurons. Every folded design and cycle model
+ * reads its bank count here.
+ */
+std::size_t synapticBanks(std::size_t num_neurons, std::size_t ni);
+
+/**
+ * Synaptic storage for one fully-connected layer in a folded design:
+ * 8-bit weights (MLP, SNNwot and SNNwt alike) in synapticBanks() banks.
+ * The caller sets readsPerImage from its schedule.
  *
  * @param name        array label.
  * @param num_neurons neurons sharing the storage.
  * @param num_inputs  synapses per neuron.
  * @param ni          inputs processed per cycle per neuron.
- * @param weight_bits weight precision (8 for MLP/SNNwt, 12 for SNNwot).
- * @param reads_per_image bank reads per processed image (all banks).
  */
 SramArray makeSynapticStorage(const std::string &name,
                               std::size_t num_neurons,
-                              std::size_t num_inputs, std::size_t ni,
-                              int weight_bits, uint64_t reads_per_image);
+                              std::size_t num_inputs, std::size_t ni);
 
 } // namespace hw
 } // namespace neuro

@@ -27,8 +27,7 @@ namespace hw {
  */
 Design buildFoldedSnnStdp(const SnnTopology &topo, std::size_t ni,
                           int period_cycles = 500,
-                          uint64_t updates_per_image = 784,
-                          const TechParams &tech = defaultTech());
+                          uint64_t updates_per_image = 784);
 
 /** Overhead summary of STDP vs the inference-only design. */
 struct StdpOverhead
@@ -40,8 +39,7 @@ struct StdpOverhead
 
 /** Compute the Table 9 overhead ratios for a given configuration. */
 StdpOverhead stdpOverhead(const SnnTopology &topo, std::size_t ni,
-                          int period_cycles = 500,
-                          const TechParams &tech = defaultTech());
+                          int period_cycles = 500);
 
 } // namespace hw
 } // namespace neuro

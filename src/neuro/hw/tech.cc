@@ -5,13 +5,6 @@
 namespace neuro {
 namespace hw {
 
-const TechParams &
-defaultTech()
-{
-    static const TechParams params;
-    return params;
-}
-
 uint64_t
 adderTreeFaCount(std::size_t num_inputs, int bits)
 {

@@ -13,6 +13,11 @@
  * constant is documented with the measurement it comes from; design
  * *structure* (operator counts, SRAM geometry, cycle counts) is always
  * derived from first principles, never hardcoded.
+ *
+ * The constants are compile-time: every design, the paper's MLP and SNN
+ * alike, is costed against the one calibrated library, kTech. The only
+ * per-design figure is the leakage density Design takes at construction
+ * (power-gated TrueNorth uses a lower one).
  */
 
 #pragma once
@@ -23,7 +28,7 @@
 namespace neuro {
 namespace hw {
 
-/** Technology and calibration parameters (TSMC 65nm GPlus high VT). */
+/** Technology and calibration constants (TSMC 65nm GPlus high VT). */
 struct TechParams
 {
     // ---- area (um^2) ----
@@ -135,8 +140,8 @@ struct TechParams
     double clockPowerWPerKbit = 0.010;
 };
 
-/** @return the default calibrated 65nm parameters. */
-const TechParams &defaultTech();
+/** The calibrated 65nm library every design is costed against. */
+inline constexpr TechParams kTech{};
 
 /**
  * Number of full adders in a balanced adder tree summing @p num_inputs

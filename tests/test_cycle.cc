@@ -1,8 +1,10 @@
 // Tests for the cycle-level machinery: the folded schedule simulators
-// (validated against the analytic cycle formulas of hw/folded.h).
+// (validated against the analytic cycle formulas of hw/folded.h and
+// the SRAM reads the hw/ cost model charges).
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "neuro/cycle/folded_mlp_sim.h"
@@ -76,6 +78,54 @@ TEST(FoldedSnnWtSim, SramTrafficIndependentOfActivity)
     EXPECT_EQ(a.sramWordReads, b.sramWordReads);
     EXPECT_LT(a.adds, b.adds);
 }
+
+/** @return the SRAM reads per image the cost model charges @p design. */
+uint64_t
+costedSramReads(const hw::Design &design)
+{
+    return std::accumulate(design.srams().begin(), design.srams().end(),
+                           uint64_t{0},
+                           [](uint64_t sum, const hw::SramArray &array) {
+                               return sum + array.readsPerImage;
+                           });
+}
+
+/** Simulated SRAM word reads equal the reads the cost model charges:
+ *  both sides take their bank count from hw::synapticBanks. */
+class SramReadsMatchCostModel
+    : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(SramReadsMatchCostModel, FoldedMlp)
+{
+    const hw::MlpTopology topo{784, 100, 10};
+    const std::size_t ni = GetParam();
+    EXPECT_EQ(simulateFoldedMlp(topo, ni).sramWordReads,
+              costedSramReads(hw::buildFoldedMlp(topo, ni)));
+}
+
+TEST_P(SramReadsMatchCostModel, FoldedSnnWot)
+{
+    const hw::SnnTopology topo{784, 300};
+    const std::size_t ni = GetParam();
+    EXPECT_EQ(simulateFoldedSnnWot(topo, ni).sramWordReads,
+              costedSramReads(hw::buildFoldedSnnWot(topo, ni)));
+}
+
+TEST_P(SramReadsMatchCostModel, FoldedSnnWt)
+{
+    const hw::SnnTopology topo{784, 300};
+    const std::size_t ni = GetParam();
+    // One schedule step per 1 ms of the 500-step window the design
+    // is costed over.
+    const std::vector<uint32_t> spikes(500, 30);
+    EXPECT_EQ(simulateFoldedSnnWt(topo, ni, spikes).sramWordReads,
+              costedSramReads(hw::buildFoldedSnnWt(topo, ni)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Folds, SramReadsMatchCostModel,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u));
 
 } // namespace
 } // namespace cycle

@@ -10,12 +10,11 @@ namespace {
 
 TEST(GpuModel, LaunchOverheadDominatesSmallLayers)
 {
-    const GpuParams params;
     const GpuWorkload mlp = mlpWorkload(784, 100, 10);
-    const GpuCost cost = evaluate(params, mlp);
+    const GpuCost cost = evaluate(mlp);
     // 3 launches + 2 transfers + sync: fixed costs are most of it.
-    const double fixed = params.kernelLaunchUs * mlp.kernels +
-        params.transferLatencyUs * mlp.transfers + params.syncUs;
+    const double fixed = kKernelLaunchUs * mlp.kernels +
+        kTransferLatencyUs * mlp.transfers + kSyncUs;
     EXPECT_GT(fixed / cost.timeUs, 0.8);
 }
 
@@ -23,9 +22,8 @@ TEST(GpuModel, CalibratedTimesInPaperRange)
 {
     // Back-derived from Table 8: GPU per-image times for the three
     // networks all land in ~50-90 us.
-    const GpuParams params;
-    const double mlp_us = evaluate(params, mlpWorkload(784, 100, 10)).timeUs;
-    const double wot_us = evaluate(params, snnWotWorkload(784, 300)).timeUs;
+    const double mlp_us = evaluate(mlpWorkload(784, 100, 10)).timeUs;
+    const double wot_us = evaluate(snnWotWorkload(784, 300)).timeUs;
     EXPECT_GT(mlp_us, 40.0);
     EXPECT_LT(mlp_us, 120.0);
     EXPECT_GT(wot_us, 40.0);
@@ -34,27 +32,21 @@ TEST(GpuModel, CalibratedTimesInPaperRange)
 
 TEST(GpuModel, EnergyIsTimeTimesPower)
 {
-    const GpuParams params;
-    const GpuCost cost = evaluate(params, mlpWorkload(784, 100, 10));
-    EXPECT_DOUBLE_EQ(cost.energyUj, cost.timeUs * params.activePowerW);
+    const GpuCost cost = evaluate(mlpWorkload(784, 100, 10));
+    EXPECT_DOUBLE_EQ(cost.energyUj, cost.timeUs * kActivePowerW);
 }
 
 TEST(GpuModel, SnnWtMuchSlowerThanSnnWot)
 {
-    const GpuParams params;
-    const double wot = evaluate(params, snnWotWorkload(784, 300)).timeUs;
-    const double wt =
-        evaluate(params, snnWtWorkload(784, 300, 500)).timeUs;
+    const double wot = evaluate(snnWotWorkload(784, 300)).timeUs;
+    const double wt = evaluate(snnWtWorkload(784, 300, 500)).timeUs;
     EXPECT_GT(wt, 1.5 * wot);
 }
 
 TEST(GpuModel, ScalesWithNetworkSize)
 {
-    const GpuParams params;
-    const double small =
-        evaluate(params, mlpWorkload(784, 100, 10)).timeUs;
-    const double large =
-        evaluate(params, mlpWorkload(784, 8000, 1000)).timeUs;
+    const double small = evaluate(mlpWorkload(784, 100, 10)).timeUs;
+    const double large = evaluate(mlpWorkload(784, 8000, 1000)).timeUs;
     EXPECT_GT(large, small); // big layers leave the launch-bound regime.
 }
 

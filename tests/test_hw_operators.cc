@@ -47,46 +47,39 @@ TEST(Log2Ceil, Values)
 
 TEST(Operators, AdderTreesMatchTable4)
 {
-    const TechParams &tech = defaultTech();
-    expectNear(makeAdderTree(tech, 784, 8).areaUm2,
+    expectNear(makeAdderTree(784, 8).areaUm2,
                core::paper::kAdderTree784x8Um2, kTol, "MLP hidden tree");
-    expectNear(makeAdderTree(tech, 100, 8).areaUm2, 5657.0, kTol,
-               "MLP output tree");
-    expectNear(makeAdderTree(tech, 15, 8).areaUm2,
+    expectNear(makeAdderTree(100, 8).areaUm2, 5657.0, kTol, "MLP output tree");
+    expectNear(makeAdderTree(15, 8).areaUm2,
                core::paper::kAdderTree15x8Um2, kTol, "15-input tree");
 }
 
 TEST(Operators, SnnNeuronOperatorsMatchTable4)
 {
-    const TechParams &tech = defaultTech();
     // SNNwot neuron = 12-bit tree + per-input spike decode.
-    const double wot = makeAdderTree(tech, 784, 12).areaUm2 +
-        784.0 * tech.spikeDecodeAreaUm2;
+    const double wot = makeAdderTree(784, 12).areaUm2 +
+        784.0 * kTech.spikeDecodeAreaUm2;
     expectNear(wot, core::paper::kAdderTreeSnnWotUm2, kTol,
                "SNNwot neuron");
     // SNNwt neuron = 8-bit tree + LIF extras.
-    const double wt = makeAdderTree(tech, 784, 8).areaUm2 +
-        makeLifExtras(tech, 784).areaUm2;
+    const double wt = makeAdderTree(784, 8).areaUm2 +
+        makeLifExtras(784).areaUm2;
     expectNear(wt, core::paper::kAdderTreeSnnWtUm2, kTol,
                "SNNwt neuron");
 }
 
 TEST(Operators, MaxAndRngMatchTable4)
 {
-    const TechParams &tech = defaultTech();
-    expectNear(makeMaxTree(tech, 20, 24).areaUm2,
+    expectNear(makeMaxTree(20, 24).areaUm2,
                core::paper::kMaxOpUm2, kTol, "20-input max");
-    EXPECT_DOUBLE_EQ(makeGaussianRng(tech).areaUm2,
-                     core::paper::kGaussRngUm2);
-    EXPECT_DOUBLE_EQ(makeMultiplier(tech, 8).areaUm2,
-                     core::paper::kMultiplier8Um2);
+    EXPECT_DOUBLE_EQ(makeGaussianRng().areaUm2, core::paper::kGaussRngUm2);
+    EXPECT_DOUBLE_EQ(makeMultiplier(8).areaUm2, core::paper::kMultiplier8Um2);
 }
 
 TEST(Operators, MultiplierScalesQuadratically)
 {
-    const TechParams &tech = defaultTech();
-    const double a8 = makeMultiplier(tech, 8).areaUm2;
-    const double a16 = makeMultiplier(tech, 16).areaUm2;
+    const double a8 = makeMultiplier(8).areaUm2;
+    const double a16 = makeMultiplier(16).areaUm2;
     EXPECT_NEAR(a16 / a8, 4.0, 1e-9);
 }
 
@@ -96,10 +89,9 @@ class TreeMonotoneTest : public ::testing::TestWithParam<std::size_t>
 
 TEST_P(TreeMonotoneTest, AreaEnergyDelayPositiveAndGrow)
 {
-    const TechParams &tech = defaultTech();
     const std::size_t n = GetParam();
-    const OperatorSpec small = makeAdderTree(tech, n, 8);
-    const OperatorSpec larger = makeAdderTree(tech, n * 2, 8);
+    const OperatorSpec small = makeAdderTree(n, 8);
+    const OperatorSpec larger = makeAdderTree(n * 2, 8);
     EXPECT_GT(small.areaUm2, 0.0);
     EXPECT_GT(small.energyPj, 0.0);
     EXPECT_GE(small.delayNs, 0.0);
@@ -112,13 +104,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TreeMonotoneTest,
 
 TEST(Operators, FoldedExtrasScaleWithNi)
 {
-    const TechParams &tech = defaultTech();
-    EXPECT_GT(makeWotLaneBuffers(tech, 16).areaUm2,
-              makeWotLaneBuffers(tech, 1).areaUm2);
-    EXPECT_GT(makeWtFoldedExtras(tech, 16).areaUm2,
-              makeWtFoldedExtras(tech, 1).areaUm2);
-    EXPECT_GT(makeStdpPerInput(tech, 16).areaUm2,
-              makeStdpPerInput(tech, 1).areaUm2);
+    EXPECT_GT(makeWotLaneBuffers(16).areaUm2, makeWotLaneBuffers(1).areaUm2);
+    EXPECT_GT(makeWtFoldedExtras(16).areaUm2, makeWtFoldedExtras(1).areaUm2);
+    EXPECT_GT(makeStdpPerInput(16).areaUm2, makeStdpPerInput(1).areaUm2);
 }
 
 } // namespace

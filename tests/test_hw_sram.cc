@@ -44,8 +44,7 @@ TEST_P(Table6Test, GeometryMatchesPaper)
 {
     const auto &row = core::paper::kTable6[GetParam()];
     // SNN: 300 neurons x 784 inputs.
-    const SramArray snn =
-        makeSynapticStorage("snn", 300, 784, row.ni, 8, 0);
+    const SramArray snn = makeSynapticStorage("snn", 300, 784, row.ni);
     EXPECT_EQ(snn.numBanks, row.snnBanks) << "SNN banks at ni=" << row.ni;
     EXPECT_EQ(snn.bank.depth, row.depth) << "depth at ni=" << row.ni;
     EXPECT_NEAR(snn.bank.readEnergyPj, row.readEnergyPj, 0.5);
@@ -56,9 +55,9 @@ TEST_P(Table6Test, GeometryMatchesPaper)
 
     // MLP: hidden 100 x 784 plus output 10 x 100.
     const SramArray hidden =
-        makeSynapticStorage("mlp-h", 100, 784, row.ni, 8, 0);
+        makeSynapticStorage("mlp-h", 100, 784, row.ni);
     const SramArray output =
-        makeSynapticStorage("mlp-o", 10, 100, row.ni, 8, 0);
+        makeSynapticStorage("mlp-o", 10, 100, row.ni);
     EXPECT_EQ(hidden.numBanks + output.numBanks, row.mlpBanks)
         << "MLP banks at ni=" << row.ni;
     EXPECT_NEAR((hidden.totalAreaUm2() + output.totalAreaUm2()) / 1e6,
@@ -67,22 +66,16 @@ TEST_P(Table6Test, GeometryMatchesPaper)
 
 INSTANTIATE_TEST_SUITE_P(Rows, Table6Test, ::testing::Values(0, 1, 2, 3));
 
-TEST(SynapticStorage, WideWeightsGetFewerNeuronsPerBank)
-{
-    const SramArray w8 = makeSynapticStorage("a", 64, 256, 1, 8, 0);
-    const SramArray w16 = makeSynapticStorage("b", 64, 256, 1, 16, 0);
-    EXPECT_GT(w16.numBanks, w8.numBanks);
-}
-
 TEST(SynapticStorage, DepthFloorsAt128)
 {
-    const SramArray array = makeSynapticStorage("a", 10, 64, 16, 8, 0);
+    const SramArray array = makeSynapticStorage("a", 10, 64, 16);
     EXPECT_EQ(array.bank.depth, 128u);
 }
 
 TEST(SramArray, EnergyAccounting)
 {
-    SramArray array = makeSynapticStorage("a", 16, 784, 1, 8, 1000);
+    SramArray array = makeSynapticStorage("a", 16, 784, 1);
+    array.readsPerImage = 1000;
     EXPECT_DOUBLE_EQ(array.energyPerImagePj(),
                      array.bank.readEnergyPj * 1000.0);
     EXPECT_DOUBLE_EQ(array.energyPerCyclePj(),

@@ -1,5 +1,6 @@
-// Tests for the MNIST IDX loader's success path, using tiny valid IDX
-// files generated on the fly.
+// Tests for the MNIST IDX loader, using tiny IDX files generated on the
+// fly: the success path, and corrupt or lying headers that must be
+// rejected without allocating what they claim.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +39,21 @@ writeImages(const std::string &path, uint32_t count, uint32_t rows,
     writeU32(out, cols);
     for (uint32_t i = 0; i < count * rows * cols; ++i)
         out.put(static_cast<char>(fill + i % 7));
+}
+
+/** Write an idx3 header claiming @p count images of @p rows x @p cols
+ *  pixels, followed by only @p bytes pixel bytes. */
+void
+writeImageHeader(const std::string &path, uint32_t count, uint32_t rows,
+                 uint32_t cols, uint32_t bytes)
+{
+    std::ofstream out(path, std::ios::binary);
+    writeU32(out, 0x00000803);
+    writeU32(out, count);
+    writeU32(out, rows);
+    writeU32(out, cols);
+    for (uint32_t i = 0; i < bytes; ++i)
+        out.put(static_cast<char>(i % 7));
 }
 
 void
@@ -111,6 +127,38 @@ TEST_F(IdxFixture, RejectsCorruptMagic)
 TEST_F(IdxFixture, RejectsOutOfRangeLabels)
 {
     writeLabels(dir_ + "/train-labels-idx1-ubyte", 12, 100); // >9.
+    Split split;
+    EXPECT_FALSE(loadMnistIdx(dir_, 0, 0, split));
+}
+
+TEST_F(IdxFixture, RejectsImageCountBeyondFile)
+{
+    // 2^32 - 1 images of 4x4 claimed, 12 present.
+    writeImageHeader(dir_ + "/train-images-idx3-ubyte", 0xFFFFFFFFu, 4, 4,
+                     12 * 16);
+    Split split;
+    EXPECT_FALSE(loadMnistIdx(dir_, 0, 0, split));
+}
+
+TEST_F(IdxFixture, RejectsImageSizeBeyondFile)
+{
+    // 12 images of 65535x65535 pixels claimed, 12 x 4x4 present.
+    writeImageHeader(dir_ + "/train-images-idx3-ubyte", 12, 0xFFFFu,
+                     0xFFFFu, 12 * 16);
+    Split split;
+    EXPECT_FALSE(loadMnistIdx(dir_, 0, 0, split));
+}
+
+TEST_F(IdxFixture, RejectsLabelFileShorterThanItsCount)
+{
+    // 2^32 - 1 labels claimed, 12 present.
+    {
+        std::ofstream out(dir_ + "/train-labels-idx1-ubyte", std::ios::binary);
+        writeU32(out, 0x00000801);
+        writeU32(out, 0xFFFFFFFFu);
+        for (int i = 0; i < 12; ++i)
+            out.put(static_cast<char>(i % 10));
+    }
     Split split;
     EXPECT_FALSE(loadMnistIdx(dir_, 0, 0, split));
 }

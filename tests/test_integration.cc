@@ -108,13 +108,10 @@ TEST(Integration, QuantizedMlpDeployableAfterTraining)
 TEST(Integration, Table8ShapeAcceleratorsBeatGpuExceptSnnWtNi1)
 {
     const core::Workload w = smallMnist();
-    const gpu::GpuParams params;
     const double gpu_mlp_ns =
-        gpu::evaluate(params, gpu::mlpWorkload(784, 100, 10)).timeUs *
-        1000.0;
+        gpu::evaluate(gpu::mlpWorkload(784, 100, 10)).timeUs * 1000.0;
     const double gpu_wt_ns =
-        gpu::evaluate(params, gpu::snnWtWorkload(784, 300, 500)).timeUs *
-        1000.0;
+        gpu::evaluate(gpu::snnWtWorkload(784, 300, 500)).timeUs * 1000.0;
 
     const hw::Design mlp1 = hw::buildFoldedMlp(w.mlpTopo, 1);
     const hw::Design mlp16 = hw::buildFoldedMlp(w.mlpTopo, 16);

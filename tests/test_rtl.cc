@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "neuro/common/rng.h"
 #include "neuro/cycle/rtl_mlp.h"
 #include "neuro/cycle/rtl_snn.h"
@@ -15,6 +17,17 @@
 namespace neuro {
 namespace cycle {
 namespace {
+
+/** @return the SRAM reads per image the cost model charges @p design. */
+uint64_t
+costedSramReads(const hw::Design &design)
+{
+    return std::accumulate(design.srams().begin(), design.srams().end(),
+                           uint64_t{0},
+                           [](uint64_t sum, const hw::SramArray &array) {
+                               return sum + array.readsPerImage;
+                           });
+}
 
 class RtlMlpTest : public ::testing::TestWithParam<std::size_t>
 {
@@ -145,6 +158,47 @@ TEST(RtlSnn, CycleCountMatchesScheduleFormula)
         (void)winner;
     }
 }
+
+/** The RTL datapaths fetch as many weight words as the cost model
+ *  charges the matching folded design. */
+class RtlSramReadsMatchCostModel
+    : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(RtlSramReadsMatchCostModel, FoldedMlp)
+{
+    const std::size_t ni = GetParam();
+    mlp::MlpConfig config;
+    config.layerSizes = {784, 100, 10};
+    Rng rng(8);
+    const mlp::Mlp net(config, rng);
+    const mlp::QuantizedMlp quant(net);
+    RtlFoldedMlp rtl(quant, ni);
+    std::vector<uint8_t> pixels(784, 100);
+    std::vector<uint8_t> out(10);
+    EXPECT_EQ(rtl.run(pixels.data(), out.data()).sramReads,
+              costedSramReads(hw::buildFoldedMlp({784, 100, 10}, ni)));
+}
+
+TEST_P(RtlSramReadsMatchCostModel, FoldedSnnWot)
+{
+    const std::size_t ni = GetParam();
+    snn::SnnConfig config;
+    config.numInputs = 784;
+    config.numNeurons = 300;
+    Rng rng(9);
+    snn::SnnNetwork net(config, rng);
+    const snn::SnnWotDatapath datapath(net);
+    const snn::SpikeEncoder encoder(config.coding);
+    RtlFoldedSnnWot rtl(datapath, encoder, ni);
+    std::vector<uint8_t> pixels(784, 128);
+    EXPECT_EQ(rtl.run(pixels.data()).second.sramReads,
+              costedSramReads(hw::buildFoldedSnnWot({784, 300}, ni)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Folds, RtlSramReadsMatchCostModel,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u));
 
 } // namespace
 } // namespace cycle

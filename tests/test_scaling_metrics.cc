@@ -12,18 +12,20 @@ namespace {
 
 TEST(ScalingStudy, LadderGrowsMonotonically)
 {
-    const auto ladder = hw::defaultScaleLadder();
-    ASSERT_GE(ladder.size(), 4u);
-    for (std::size_t i = 1; i < ladder.size(); ++i) {
-        EXPECT_GT(ladder[i].inputs, ladder[i - 1].inputs);
-        EXPECT_GT(ladder[i].mlpHidden, ladder[i - 1].mlpHidden);
-        EXPECT_EQ(ladder[i].snnNeurons, ladder[i].mlpHidden * 3);
+    const auto results = hw::scalingStudy();
+    ASSERT_GE(results.size(), 4u);
+    for (std::size_t i = 1; i < results.size(); ++i) {
+        const hw::ScalePoint &rung = results[i].scale;
+        const hw::ScalePoint &prev = results[i - 1].scale;
+        EXPECT_GT(rung.inputs, prev.inputs);
+        EXPECT_GT(rung.mlpHidden, prev.mlpHidden);
+        EXPECT_EQ(rung.snnNeurons, rung.mlpHidden * 3);
     }
 }
 
 TEST(ScalingStudy, PaperConclusionsHoldAcrossScales)
 {
-    const auto results = hw::scalingStudy(hw::defaultScaleLadder());
+    const auto results = hw::scalingStudy();
     for (const auto &r : results) {
         // Expanded: the multiplier-free SNN always wins area.
         EXPECT_TRUE(r.snnWinsExpandedArea())
