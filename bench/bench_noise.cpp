@@ -19,7 +19,7 @@
 #include "neuro/common/table.h"
 #include "neuro/core/experiment.h"
 #include "neuro/mlp/quantized.h"
-#include "neuro/snn/snn_wot.h"
+#include "neuro/snn/trainer.h"
 
 namespace {
 
@@ -76,23 +76,6 @@ main(int argc, char **argv)
     const auto labels = trainer.labelNeurons(
         snn_net, w.data.train, snn::EvalMode::Wot, 8);
     const snn::SnnWotDatapath datapath(snn_net);
-    const snn::SpikeEncoder &encoder = trainer.encoder();
-
-    auto snn_accuracy = [&](const datasets::Dataset &data) {
-        std::size_t correct = 0;
-        std::vector<uint8_t> counts(data.inputSize());
-        for (std::size_t i = 0; i < data.size(); ++i) {
-            for (std::size_t p = 0; p < counts.size(); ++p)
-                counts[p] = encoder.spikeCount(data[i].pixels[p]);
-            const int winner = datapath.forward(counts.data());
-            if (labels[static_cast<std::size_t>(winner)] ==
-                data[i].label) {
-                ++correct;
-            }
-        }
-        return static_cast<double>(correct) /
-            static_cast<double>(data.size());
-    };
 
     TextTable table("input-noise robustness (test-time luminance "
                     "noise)");
@@ -105,7 +88,8 @@ main(int argc, char **argv)
             noisyCopy(w.data.test, sigma, 1000 +
                                               static_cast<uint64_t>(sigma));
         const double mlp_acc = quant.evaluate(noisy);
-        const double snn_acc = snn_accuracy(noisy);
+        const double snn_acc =
+            snn::evaluateWot(datapath, labels, noisy).accuracy;
         table.addRow({TextTable::fmt(sigma, 0),
                       TextTable::pct(mlp_acc),
                       TextTable::pct(snn_acc)});

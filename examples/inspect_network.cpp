@@ -103,9 +103,7 @@ main(int argc, char **argv)
     std::printf("wrote receptive_field_00..%02zu.pgm\n", show - 1);
 
     // Selectivity report.
-    const snn::SpikeEncoder encoder(net.config().coding);
-    const auto report =
-        snn::neuronSelectivity(net, w.data.train, encoder, 800);
+    const auto report = snn::neuronSelectivity(net, w.data.train, 800);
     Distribution selectivity;
     for (double s : report.selectivity)
         selectivity.sample(s);

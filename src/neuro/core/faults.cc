@@ -2,7 +2,7 @@
 
 #include "neuro/common/logging.h"
 #include "neuro/common/rng.h"
-#include "neuro/snn/coding.h"
+#include "neuro/snn/trainer.h"
 
 namespace neuro {
 namespace core {
@@ -70,9 +70,6 @@ snnFaultSweep(const snn::SnnNetwork &net, const std::vector<int> &labels,
               const std::vector<double> &rates, FaultModel model,
               uint64_t seed)
 {
-    NEURO_ASSERT(labels.size() == net.config().numNeurons,
-                 "labels size mismatch");
-    const snn::SpikeEncoder encoder(net.config().coding);
     std::vector<FaultSweepPoint> points;
     for (double rate : rates) {
         NEURO_ASSERT(rate >= 0.0 && rate <= 1.0, "bad fault rate");
@@ -86,20 +83,8 @@ snnFaultSweep(const snn::SnnNetwork &net, const std::vector<int> &labels,
             datapath.setWeightAt(
                 idx, faultWord(datapath.weightAt(idx), model, rng));
         }
-        std::size_t correct = 0;
-        std::vector<uint8_t> counts(data.inputSize());
-        for (std::size_t i = 0; i < data.size(); ++i) {
-            for (std::size_t p = 0; p < counts.size(); ++p)
-                counts[p] = encoder.spikeCount(data[i].pixels[p]);
-            const int winner = datapath.forward(counts.data());
-            if (winner >= 0 &&
-                labels[static_cast<std::size_t>(winner)] ==
-                    data[i].label) {
-                ++correct;
-            }
-        }
-        points.push_back({rate, static_cast<double>(correct) /
-                                    static_cast<double>(data.size())});
+        points.push_back(
+            {rate, snn::evaluateWot(datapath, labels, data).accuracy});
     }
     return points;
 }

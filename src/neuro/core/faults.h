@@ -15,7 +15,6 @@
 #include "neuro/datasets/dataset.h"
 #include "neuro/mlp/quantized.h"
 #include "neuro/snn/network.h"
-#include "neuro/snn/snn_wot.h"
 
 namespace neuro {
 
@@ -52,7 +51,8 @@ mlpFaultSweep(const mlp::Mlp &net, const datasets::Dataset &data,
 
 /**
  * Inject faults into a fresh SNNwot datapath built from @p net,
- * evaluating with the given neuron labels.
+ * evaluating with the given neuron labels through snn::evaluateWot()
+ * (the EvalMode::Wot readout).
  */
 std::vector<FaultSweepPoint>
 snnFaultSweep(const snn::SnnNetwork &net, const std::vector<int> &labels,

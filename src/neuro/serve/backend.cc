@@ -197,10 +197,8 @@ class SnnWotSession final : public BackendSession
 {
   public:
     SnnWotSession(const snn::SnnWotDatapath &datapath,
-                  const std::vector<int> &labels,
-                  const snn::SpikeEncoder &encoder)
-        : datapath_(datapath), labels_(labels), encoder_(encoder),
-          counts_(datapath.numInputs())
+                  const std::vector<int> &labels)
+        : datapath_(datapath), labels_(labels)
     {
     }
 
@@ -208,29 +206,24 @@ class SnnWotSession final : public BackendSession
     classify(const uint8_t *pixels, std::size_t numPixels,
              uint64_t /*streamSeed*/) override
     {
-        NEURO_ASSERT(numPixels == counts_.size(),
+        NEURO_ASSERT(numPixels == datapath_.numInputs(),
                      "snnwot backend fed %zu pixels, expects %zu",
-                     numPixels, counts_.size());
+                     numPixels, datapath_.numInputs());
         // Deterministic count conversion (Section 4.2.2): no RNG at
         // all, which is what makes this the cheap SLO-fallback path.
-        for (std::size_t p = 0; p < numPixels; ++p)
-            counts_[p] = encoder_.spikeCount(pixels[p]);
-        return labelOf(labels_, datapath_.forward(counts_.data()));
+        return labelOf(labels_, datapath_.forwardPixels(pixels));
     }
 
   private:
     const snn::SnnWotDatapath &datapath_;
     const std::vector<int> &labels_;
-    const snn::SpikeEncoder &encoder_;
-    std::vector<uint8_t> counts_;
 };
 
 class SnnWotBackend final : public InferenceBackend
 {
   public:
     explicit SnnWotBackend(const snn::TrainedSnn &model)
-        : datapath_(model.network), labels_(model.labels),
-          encoder_(model.network.config().coding)
+        : datapath_(model.network), labels_(model.labels)
     {
     }
 
@@ -243,14 +236,12 @@ class SnnWotBackend final : public InferenceBackend
     std::unique_ptr<BackendSession>
     newSession() const override
     {
-        return std::make_unique<SnnWotSession>(datapath_, labels_,
-                                               encoder_);
+        return std::make_unique<SnnWotSession>(datapath_, labels_);
     }
 
   private:
     snn::SnnWotDatapath datapath_;
     std::vector<int> labels_;
-    snn::SpikeEncoder encoder_;
 };
 
 } // namespace

@@ -3,13 +3,14 @@
 #include <algorithm>
 
 #include "neuro/common/logging.h"
+#include "neuro/snn/snn_wot.h"
 
 namespace neuro {
 namespace snn {
 
 SelectivityReport
 neuronSelectivity(const SnnNetwork &net, const datasets::Dataset &data,
-                  const SpikeEncoder &encoder, std::size_t max_samples)
+                  std::size_t max_samples)
 {
     NEURO_ASSERT(!data.empty(), "empty dataset");
     const std::size_t num_neurons = net.config().numNeurons;
@@ -23,18 +24,16 @@ neuronSelectivity(const SnnNetwork &net, const datasets::Dataset &data,
         static_cast<std::size_t>(num_classes), 0);
 
     const std::size_t samples = std::min(max_samples, data.size());
-    std::vector<uint8_t> counts(data.inputSize());
-    std::vector<double> potentials;
+    const SnnWotDatapath datapath(net);
+    std::vector<uint32_t> potentials;
     for (std::size_t i = 0; i < samples; ++i) {
         const auto &sample = data[i];
-        for (std::size_t p = 0; p < counts.size(); ++p)
-            counts[p] = encoder.spikeCount(sample.pixels[p]);
-        net.forwardCounts(counts.data(), &potentials);
+        datapath.forwardPixels(sample.pixels.data(), &potentials);
         const auto c = static_cast<std::size_t>(sample.label);
         ++class_counts[c];
         for (std::size_t n = 0; n < num_neurons; ++n) {
             report.response[n * static_cast<std::size_t>(num_classes) +
-                            c] += potentials[n];
+                            c] += static_cast<double>(potentials[n]);
         }
     }
     for (std::size_t n = 0; n < num_neurons; ++n) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "neuro/datasets/dataset.h"
-#include "neuro/snn/coding.h"
 #include "neuro/snn/network.h"
 
 namespace neuro {
@@ -19,7 +18,7 @@ namespace snn {
 /** Per-neuron specialization measurements. */
 struct SelectivityReport
 {
-    /** Mean count-forward potential per (neuron, class):
+    /** Mean SNNwot datapath potential per (neuron, class):
      *  response[n * numClasses + c]. */
     std::vector<double> response;
     /** Class each neuron responds most to. */
@@ -30,12 +29,12 @@ struct SelectivityReport
 };
 
 /**
- * Probe @p net with (up to @p max_samples of) @p data through the
- * count-based forward path and measure each neuron's class tuning.
+ * Probe @p net with (up to @p max_samples of) @p data through its
+ * SNNwot datapath and measure each neuron's class tuning from the
+ * integer potentials.
  */
 SelectivityReport neuronSelectivity(const SnnNetwork &net,
                                     const datasets::Dataset &data,
-                                    const SpikeEncoder &encoder,
                                     std::size_t max_samples = 2000);
 
 } // namespace snn

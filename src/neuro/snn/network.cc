@@ -178,10 +178,6 @@ SnnNetwork::stepTick(int64_t t, const uint16_t *spikes, std::size_t count,
     const std::size_t num_neurons = config_.numNeurons;
 
     result.inputSpikeCount += count;
-    if (Tracer::enabled()) {
-        Tracer::instance().counter("snn.spikes_per_tick",
-                                   static_cast<double>(count));
-    }
     // Integrate the tick's synaptic drive into every ungated neuron
     // (gated = refractory or laterally inhibited).
     for (std::size_t n = 0; n < num_neurons; ++n) {
@@ -377,11 +373,6 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
         std::size_t spike_count = 0;
         const uint16_t *spikes = grid.inputsAt(k, &spike_count);
         result.inputSpikeCount += spike_count;
-        if (Tracer::enabled()) {
-            Tracer::instance().counter(
-                "snn.spikes_per_tick",
-                static_cast<double>(spike_count));
-        }
 
         // Phase 1: synaptic drive for every neuron via the transposed
         // weights — per neuron, the additions run in the same spike
@@ -456,32 +447,6 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
     else
         finishPresentation(learn, result);
     return result;
-}
-
-int
-SnnNetwork::forwardCounts(const uint8_t *counts,
-                          std::vector<double> *potentials) const
-{
-    const std::size_t num_neurons = config_.numNeurons;
-    const std::size_t num_inputs = config_.numInputs;
-    if (potentials)
-        potentials->assign(num_neurons, 0.0);
-    int best = 0;
-    double best_pot = -1.0;
-    for (std::size_t n = 0; n < num_neurons; ++n) {
-        const float *row = weights_.row(n);
-        double pot = 0.0;
-        // neurolint: ordered-sum
-        for (std::size_t p = 0; p < num_inputs; ++p)
-            pot += static_cast<double>(counts[p]) * row[p];
-        if (potentials)
-            (*potentials)[n] = pot;
-        if (pot > best_pot) {
-            best_pot = pot;
-            best = static_cast<int>(n);
-        }
-    }
-    return best;
 }
 
 } // namespace snn

@@ -4,8 +4,8 @@
  * each excited by every input pixel and inhibiting all its peers when it
  * fires (winner-takes-all dynamics emulated by an inhibition period, as
  * in the hardware). Readout is spike-based: the first neuron to fire
- * wins; the hardware SNNwot variant reads out the highest potential
- * instead.
+ * wins. The count-based SNNwot readout is SnnWotDatapath (snn_wot.h),
+ * the 8-bit model built from this network's weights.
  *
  * One production presentation path plus one reference
  * (docs/snn_engine.md):
@@ -81,7 +81,7 @@ struct SnnConfig
 enum class Readout
 {
     FirstSpike,  ///< first neuron to fire (paper's SNNwt readout).
-    MaxPotential ///< highest potential (paper's SNNwot readout).
+    MaxPotential ///< highest end-of-window potential.
 };
 
 /** Optional per-presentation trace for Figure 3-style plots. */
@@ -184,18 +184,6 @@ class SnnNetwork
     PresentationResult presentImage(const PackedSpikeGrid &grid,
                                     bool learn,
                                     PresentationTrace *trace = nullptr);
-
-    /**
-     * The SNNwot forward path (Section 4.2.2): potentials from spike
-     * *counts* only, no timing, no leak; the winner is the neuron with
-     * the highest potential.
-     *
-     * @param counts per-pixel spike counts (numInputs entries).
-     * @param potentials optional sink for all neuron potentials.
-     * @return the winning neuron index.
-     */
-    int forwardCounts(const uint8_t *counts,
-                      std::vector<double> *potentials = nullptr) const;
 
     /** Total homeostasis epochs processed during learning. */
     int64_t homeostasisEpochs() const

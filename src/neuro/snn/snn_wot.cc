@@ -14,6 +14,10 @@ SnnWotDatapath::SnnWotDatapath(const SnnNetwork &net)
       numNeurons_(net.config().numNeurons),
       weights_(numInputs_ * numNeurons_)
 {
+    const SpikeEncoder encoder(net.config().coding);
+    for (std::size_t v = 0; v < countOf_.size(); ++v)
+        countOf_[v] = encoder.spikeCount(static_cast<uint8_t>(v));
+    NEURO_ASSERT(countOf_[255] < 16, "spike counts must fit in 4 bits");
     const Matrix &w = net.weights();
     for (std::size_t n = 0; n < numNeurons_; ++n) {
         const float *row = w.row(n);
@@ -51,23 +55,33 @@ SnnWotDatapath::forward(const uint8_t *counts,
         potentials->assign(numNeurons_, 0);
     int best = 0;
     uint32_t best_pot = 0;
-    bool first = true;
     for (std::size_t n = 0; n < numNeurons_; ++n) {
         const uint8_t *row = weights_.data() + n * numInputs_;
-        uint32_t pot = 0; // Wallace-tree accumulation.
+        // Wallace-tree accumulation; a plain multiply-accumulate equals
+        // the shift-add lanes on 4-bit counts and vectorizes.
+        uint32_t pot = 0;
         for (std::size_t p = 0; p < numInputs_; ++p)
-            pot += shiftMultiply(counts[p], row[p]);
+            pot += static_cast<uint32_t>(counts[p]) * row[p];
         if (potentials)
             (*potentials)[n] = pot;
         // Max tree: ties resolve to the lower index, as a comparator
-        // tree with stable select would.
-        if (first || pot > best_pot) {
+        // tree with stable select would (all-zero potentials pick 0).
+        if (pot > best_pot) {
             best_pot = pot;
             best = static_cast<int>(n);
-            first = false;
         }
     }
     return best;
+}
+
+int
+SnnWotDatapath::forwardPixels(const uint8_t *pixels,
+                              std::vector<uint32_t> *potentials) const
+{
+    std::vector<uint8_t> counts(numInputs_);
+    for (std::size_t p = 0; p < numInputs_; ++p)
+        counts[p] = countOf_[pixels[p]];
+    return forward(counts.data(), potentials);
 }
 
 uint8_t

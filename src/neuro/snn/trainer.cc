@@ -1,5 +1,6 @@
 #include "neuro/snn/trainer.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "neuro/common/logging.h"
@@ -75,9 +76,9 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
 
 namespace {
 
-/** Shard the evaluation range so each worker amortizes one network
- *  copy over a decent run of samples, while leaving the pool enough
- *  chunks to balance the (sample-dependent) presentation cost. */
+/** Shard the evaluation range into runs that amortize a worker's setup,
+ *  while leaving the pool enough chunks to balance the
+ *  (sample-dependent) presentation cost. */
 std::size_t
 evalGrain(std::size_t n)
 {
@@ -85,11 +86,48 @@ evalGrain(std::size_t n)
     return std::max<std::size_t>(8, n / (threads * 4));
 }
 
+/** The SNNwot winner of every sample: one shared const datapath,
+ *  integer arithmetic, so any sharding gives the same winners. */
+std::vector<int>
+wotWinners(const SnnWotDatapath &datapath, const datasets::Dataset &data)
+{
+    NEURO_ASSERT(data.inputSize() == datapath.numInputs(),
+                 "dataset input size != SNNwot inputs");
+    const std::size_t n = data.size();
+    std::vector<int> winners(n);
+    parallelForRange(0, n, evalGrain(n), [&](std::size_t i0,
+                                             std::size_t i1) {
+        NEURO_PROFILE_SCOPE("snn/eval/shard");
+        for (std::size_t i = i0; i < i1; ++i)
+            winners[i] = datapath.forwardPixels(data[i].pixels.data());
+    });
+    return winners;
+}
+
+/** Accuracy of @p winners under @p labels (none silent). */
+SnnEvalResult
+scoreWinners(const std::vector<int> &winners,
+             const std::vector<int> &labels, const datasets::Dataset &data)
+{
+    SnnEvalResult result;
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        if (winners[i] >= 0 &&
+            labels[static_cast<std::size_t>(winners[i])] ==
+                data[i].label) {
+            ++correct;
+        }
+    }
+    result.accuracy =
+        static_cast<double>(correct) / static_cast<double>(data.size());
+    return result;
+}
+
 } // namespace
 
 std::vector<int>
-SnnStdpTrainer::winnersFor(SnnNetwork &net, const datasets::Dataset &data,
-                           EvalMode mode, uint64_t seed,
+SnnStdpTrainer::winnersFor(const SnnNetwork &net,
+                           const datasets::Dataset &data, uint64_t seed,
                            std::vector<uint8_t> *fired) const
 {
     const std::size_t n = data.size();
@@ -108,19 +146,7 @@ SnnStdpTrainer::winnersFor(SnnNetwork &net, const datasets::Dataset &data,
                                              std::size_t i1) {
         NEURO_PROFILE_SCOPE("snn/eval/shard");
         SnnNetwork local(net);
-        std::vector<uint8_t> counts;
         for (std::size_t i = i0; i < i1; ++i) {
-            const auto &sample = data[i];
-            if (mode == EvalMode::Wot) {
-                // Deterministic count-based conversion; no RNG.
-                counts.resize(sample.pixels.size());
-                for (std::size_t p = 0; p < counts.size(); ++p)
-                    counts[p] = encoder_.spikeCount(sample.pixels[p]);
-                winners[i] = local.forwardCounts(counts.data());
-                if (fired)
-                    (*fired)[i] = 1;
-                continue;
-            }
             const auto grid = gridFor(data, i, seed);
             bool spiked = false;
             winners[i] = local.firstSpikeWinner(*grid, &spiked);
@@ -137,8 +163,9 @@ SnnStdpTrainer::labelNeurons(SnnNetwork &net, const datasets::Dataset &data,
 {
     NEURO_ASSERT(!data.empty(), "cannot label on an empty dataset");
     NEURO_PROFILE_SCOPE("snn/label");
-    const std::vector<int> winners =
-        winnersFor(net, data, mode, seed, nullptr);
+    const std::vector<int> winners = mode == EvalMode::Wot
+        ? wotWinners(SnnWotDatapath(net), data)
+        : winnersFor(net, data, seed, nullptr);
     // Reduce in index order; integer win counters make the labeling
     // independent of how the shards were scheduled anyway.
     SelfLabeling labeling(net.config().numNeurons, data.numClasses());
@@ -159,23 +186,24 @@ SnnStdpTrainer::evaluate(SnnNetwork &net, const std::vector<int> &labels,
                  "labels size mismatch");
     NEURO_ASSERT(!data.empty(), "cannot evaluate on an empty dataset");
     NEURO_PROFILE_SCOPE("snn/eval");
+    if (mode == EvalMode::Wot)
+        return evaluateWot(SnnWotDatapath(net), labels, data);
     std::vector<uint8_t> fired;
-    const std::vector<int> winners =
-        winnersFor(net, data, mode, seed, &fired);
-    SnnEvalResult result;
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        if (!fired[i])
-            ++result.silent;
-        if (winners[i] >= 0 &&
-            labels[static_cast<std::size_t>(winners[i])] ==
-                data[i].label) {
-            ++correct;
-        }
-    }
-    result.accuracy =
-        static_cast<double>(correct) / static_cast<double>(data.size());
+    SnnEvalResult result =
+        scoreWinners(winnersFor(net, data, seed, &fired), labels, data);
+    result.silent = static_cast<std::size_t>(
+        std::count(fired.begin(), fired.end(), uint8_t{0}));
     return result;
+}
+
+SnnEvalResult
+evaluateWot(const SnnWotDatapath &datapath, const std::vector<int> &labels,
+            const datasets::Dataset &data)
+{
+    NEURO_ASSERT(labels.size() == datapath.numNeurons(),
+                 "labels size mismatch");
+    NEURO_ASSERT(!data.empty(), "cannot evaluate on an empty dataset");
+    return scoreWinners(wotWinners(datapath, data), labels, data);
 }
 
 double

@@ -14,6 +14,7 @@
 #include "neuro/datasets/dataset.h"
 #include "neuro/snn/grid_cache.h"
 #include "neuro/snn/network.h"
+#include "neuro/snn/snn_wot.h"
 
 namespace neuro {
 namespace snn {
@@ -22,7 +23,7 @@ namespace snn {
 enum class EvalMode
 {
     Wt, ///< timed LIF simulation, first-spike readout (SNNwt).
-    Wot ///< deterministic spike counts, max-potential readout (SNNwot).
+    Wot ///< 8-bit SnnWotDatapath over spike counts (SNNwot).
 };
 
 /** Training-run parameters. */
@@ -72,10 +73,12 @@ class SnnStdpTrainer
      * Self-labeling pass (weights frozen): tag each neuron with the
      * label it wins most often, normalized by class frequency.
      *
-     * Samples are sharded across the thread pool, each presented to a
-     * worker-local copy of the network with an Rng seeded from
-     * (seed, sampleIndex), so the result is bit-identical at any
-     * thread count (docs/parallelism.md). @p net itself is left
+     * Samples are sharded across the thread pool. Under EvalMode::Wt
+     * each is presented to a worker-local copy of the network with an
+     * Rng seeded from (seed, sampleIndex); under EvalMode::Wot every
+     * shard reads one SnnWotDatapath built from @p net (integer
+     * arithmetic, no Rng). Either way the result is bit-identical at
+     * any thread count (docs/parallelism.md). @p net itself is left
      * untouched.
      */
     std::vector<int> labelNeurons(SnnNetwork &net,
@@ -84,7 +87,8 @@ class SnnStdpTrainer
 
     /**
      * Classification accuracy with the given neuron labels. Sharded
-     * like labelNeurons(), with the same determinism contract.
+     * like labelNeurons(), with the same determinism contract; under
+     * EvalMode::Wot it is evaluateWot() of the network's datapath.
      */
     SnnEvalResult evaluate(SnnNetwork &net, const std::vector<int> &labels,
                            const datasets::Dataset &data, EvalMode mode,
@@ -106,16 +110,25 @@ class SnnStdpTrainer
             uint64_t seed) const;
 
   private:
-    /** Winners (and fired flags) for every sample of @p data. */
-    std::vector<int> winnersFor(SnnNetwork &net,
+    /** SNNwt winners (and fired flags) for every sample of @p data. */
+    std::vector<int> winnersFor(const SnnNetwork &net,
                                 const datasets::Dataset &data,
-                                EvalMode mode, uint64_t seed,
+                                uint64_t seed,
                                 std::vector<uint8_t> *fired) const;
 
     SpikeEncoder encoder_;
     uint64_t codingHash_ = 0;
     mutable GridCache gridCache_;
 };
+
+/**
+ * SNNwot accuracy of @p datapath under @p labels on @p data: what
+ * SnnStdpTrainer::evaluate() runs under EvalMode::Wot, also for faulted
+ * weights or perturbed data. Sharded; identical at any thread count.
+ */
+SnnEvalResult evaluateWot(const SnnWotDatapath &datapath,
+                          const std::vector<int> &labels,
+                          const datasets::Dataset &data);
 
 /**
  * End-to-end convenience used by the accuracy benches: build, train,

@@ -34,8 +34,7 @@ TEST(NeuronSelectivity, DetectsPerfectSpecialists)
         data.add(std::move(s));
     }
 
-    const SpikeEncoder encoder(config.coding);
-    const auto report = neuronSelectivity(net, data, encoder);
+    const auto report = neuronSelectivity(net, data);
     EXPECT_EQ(report.preferredClass[0], 0);
     EXPECT_EQ(report.preferredClass[1], 1);
     EXPECT_GT(report.selectivity[0], 0.95);
@@ -60,8 +59,7 @@ TEST(NeuronSelectivity, UntunedNeuronScoresLow)
             : std::vector<uint8_t>{0, 0, 200, 200};
         data.add(std::move(s));
     }
-    const SpikeEncoder encoder(config.coding);
-    const auto report = neuronSelectivity(net, data, encoder);
+    const auto report = neuronSelectivity(net, data);
     EXPECT_LT(report.selectivity[0], 0.1);
 }
 

@@ -10,6 +10,7 @@
 #include "neuro/gpu/gpu_model.h"
 #include "neuro/hw/folded.h"
 #include "neuro/mlp/quantized.h"
+#include "neuro/snn/labeling.h"
 #include "neuro/snn/snn_wot.h"
 
 namespace neuro {
@@ -73,21 +74,34 @@ TEST(Integration, StdpLearnsAboveChanceAndWotTracksWt)
     // accuracies track within a few points (paper: 1.03% apart).
     EXPECT_NEAR(wt, wot, 0.2);
 
-    // The integer SNNwot datapath agrees with the float count path.
+    // EvalMode::Wot is the integer SNNwot datapath: a hand-rolled
+    // self-labeling and accuracy over SnnWotDatapath::forward() on the
+    // encoder's counts give exactly the trainer's labels and accuracy.
     const snn::SnnWotDatapath datapath(net);
     const snn::SpikeEncoder &encoder = trainer.encoder();
-    std::size_t agree = 0;
-    const std::size_t n = std::min<std::size_t>(60, w.data.test.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<uint8_t> counts(w.data.test[i].pixels.size());
+    auto winner = [&](const datasets::Sample &sample) {
+        std::vector<uint8_t> counts(sample.pixels.size());
         for (std::size_t p = 0; p < counts.size(); ++p)
-            counts[p] = encoder.spikeCount(w.data.test[i].pixels[p]);
-        const int a = net.forwardCounts(counts.data());
-        const int b = datapath.forward(counts.data());
-        if (a == b)
-            ++agree;
+            counts[p] = encoder.spikeCount(sample.pixels[p]);
+        return datapath.forward(counts.data());
+    };
+    snn::SelfLabeling labeling(config.numNeurons,
+                               w.data.train.numClasses());
+    for (std::size_t i = 0; i < w.data.train.size(); ++i) {
+        labeling.record(static_cast<std::size_t>(winner(w.data.train[i])),
+                        w.data.train[i].label);
     }
-    EXPECT_GT(agree, n * 9 / 10);
+    EXPECT_EQ(labeling.finalize(w.data.train.classHistogram()),
+              labels_wot);
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < w.data.test.size(); ++i) {
+        if (labels_wot[static_cast<std::size_t>(winner(w.data.test[i]))] ==
+            w.data.test[i].label) {
+            ++correct;
+        }
+    }
+    EXPECT_EQ(wot, static_cast<double>(correct) /
+                       static_cast<double>(w.data.test.size()));
 }
 
 TEST(Integration, QuantizedMlpDeployableAfterTraining)

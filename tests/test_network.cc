@@ -195,20 +195,6 @@ TEST(SnnNetwork, LeakReducesPotentialBetweenSpikes)
     EXPECT_GT(far_pot, near_pot);
 }
 
-TEST(SnnNetwork, ForwardCountsPicksLargestDotProduct)
-{
-    Rng rng(6);
-    SnnConfig config = tinyConfig();
-    SnnNetwork net(config, rng);
-    net.weights().fill(0.0f);
-    net.weights()(1, 2) = 50.0f; // neuron 1 keyed to input 2.
-    const std::vector<uint8_t> counts = {0, 0, 7, 0};
-    std::vector<double> potentials;
-    EXPECT_EQ(net.forwardCounts(counts.data(), &potentials), 1);
-    EXPECT_DOUBLE_EQ(potentials[1], 350.0);
-    EXPECT_DOUBLE_EQ(potentials[0], 0.0);
-}
-
 TEST(SnnNetwork, TraceRecordsRasterAndPotentials)
 {
     Rng rng(7);

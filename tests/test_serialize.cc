@@ -10,6 +10,7 @@
 #include "neuro/datasets/synth_digits.h"
 #include "neuro/mlp/backprop.h"
 #include "neuro/snn/serialize.h"
+#include "neuro/snn/snn_wot.h"
 
 namespace neuro {
 namespace {
@@ -243,13 +244,15 @@ TEST(SnnSerialize, RoundTripPreservesForwardCounts)
     EXPECT_EQ(restored->labels, labels);
     EXPECT_EQ(restored->network.config().numNeurons, 6u);
 
+    const snn::SnnWotDatapath original(net);
+    const snn::SnnWotDatapath reloaded(restored->network);
     Rng probe(6);
     for (int trial = 0; trial < 20; ++trial) {
         std::vector<uint8_t> counts(16);
         for (auto &c : counts)
             c = static_cast<uint8_t>(probe.uniformInt(11));
-        EXPECT_EQ(net.forwardCounts(counts.data()),
-                  restored->network.forwardCounts(counts.data()));
+        EXPECT_EQ(original.forward(counts.data()),
+                  reloaded.forward(counts.data()));
     }
     // Thresholds restored too.
     for (std::size_t n = 0; n < 6; ++n) {

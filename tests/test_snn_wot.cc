@@ -55,8 +55,8 @@ TEST(SnnWotDatapath, ForwardMatchesFloatReference)
 {
     Rng rng(2);
     SnnNetwork net(smallConfig(), rng);
-    // Integer-valued weights: the byte datapath must agree exactly with
-    // the float reference.
+    // Integer-valued float weights: the byte datapath must agree
+    // exactly with an ordered sum over the network's own weights.
     for (std::size_t n = 0; n < 4; ++n)
         for (std::size_t i = 0; i < 6; ++i)
             net.weights()(n, i) =
@@ -67,15 +67,58 @@ TEST(SnnWotDatapath, ForwardMatchesFloatReference)
         std::vector<uint8_t> counts(6);
         for (auto &c : counts)
             c = static_cast<uint8_t>(rng.uniformInt(11));
-        std::vector<double> float_pot;
         std::vector<uint32_t> int_pot;
-        const int float_winner = net.forwardCounts(counts.data(),
-                                                   &float_pot);
         const int int_winner = dp.forward(counts.data(), &int_pot);
-        EXPECT_EQ(float_winner, int_winner);
-        for (std::size_t n = 0; n < 4; ++n)
-            EXPECT_DOUBLE_EQ(float_pot[n],
-                             static_cast<double>(int_pot[n]));
+        int ref_winner = 0;
+        uint64_t ref_best = 0;
+        for (std::size_t n = 0; n < 4; ++n) {
+            uint64_t ref_pot = 0;
+            for (std::size_t i = 0; i < 6; ++i)
+                ref_pot += counts[i] *
+                    static_cast<uint64_t>(net.weights()(n, i));
+            EXPECT_EQ(ref_pot, int_pot[n]) << "neuron " << n;
+            if (n == 0 || ref_pot > ref_best) {
+                ref_best = ref_pot;
+                ref_winner = static_cast<int>(n);
+            }
+        }
+        EXPECT_EQ(ref_winner, int_winner);
+    }
+}
+
+TEST(SnnWotDatapath, ForwardPicksLargestDotProduct)
+{
+    SnnConfig config = smallConfig();
+    config.numInputs = 4;
+    config.numNeurons = 3;
+    Rng rng(6);
+    SnnNetwork net(config, rng);
+    net.weights().fill(0.0f);
+    net.weights()(1, 2) = 50.0f; // neuron 1 keyed to input 2.
+    const SnnWotDatapath dp(net);
+    const std::vector<uint8_t> counts = {0, 0, 7, 0};
+    std::vector<uint32_t> potentials;
+    EXPECT_EQ(dp.forward(counts.data(), &potentials), 1);
+    EXPECT_EQ(potentials[1], 350u);
+    EXPECT_EQ(potentials[0], 0u);
+}
+
+TEST(SnnWotDatapath, ForwardPixelsCountsUnderTheNetworkCoding)
+{
+    Rng rng(4);
+    SnnNetwork net(smallConfig(), rng);
+    const SnnWotDatapath dp(net);
+    const SpikeEncoder encoder(net.config().coding);
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<uint8_t> pixels(6), counts(6);
+        for (std::size_t p = 0; p < 6; ++p) {
+            pixels[p] = static_cast<uint8_t>(rng.uniformInt(256));
+            counts[p] = encoder.spikeCount(pixels[p]);
+        }
+        std::vector<uint32_t> from_pixels, from_counts;
+        EXPECT_EQ(dp.forwardPixels(pixels.data(), &from_pixels),
+                  dp.forward(counts.data(), &from_counts));
+        EXPECT_EQ(from_pixels, from_counts);
     }
 }
 

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "neuro/common/rng.h"
+#include "neuro/common/serialize.h"
+#include "neuro/serve/registry.h"
+#include "neuro/snn/serialize.h"
 #include "neuro/snn/trainer.h"
 
 namespace neuro {
@@ -122,6 +128,60 @@ TEST(SnnStdpTrainer, HomeostasisAblationChangesOutcome)
         EvalMode::Wt, 15);
     EXPECT_GE(acc, 0.0);
     EXPECT_LE(acc, 1.0);
+}
+
+/**
+ * The served SNNwot sibling is the in-process EvalMode::Wot readout: a
+ * trained, Wot-labeled model loaded into a ModelRegistry answers every
+ * image with labels[winner] of the network's datapath, so its accuracy
+ * is evaluate(..., EvalMode::Wot)'s under the same labels.
+ */
+TEST(SnnWotBackend, ServedSiblingIsTheInProcessWotReadout)
+{
+    const SnnConfig config = halvesConfig();
+    const datasets::Dataset train_set = makeHalves(120, 16);
+    const datasets::Dataset test_set = makeHalves(40, 17);
+    Rng rng(18);
+    SnnNetwork net(config, rng);
+    SnnStdpTrainer trainer(config);
+    SnnTrainConfig train;
+    train.epochs = 2;
+    trainer.train(net, train_set, train);
+    const auto labels =
+        trainer.labelNeurons(net, train_set, EvalMode::Wot, 19);
+
+    const std::string path =
+        testing::TempDir() + "trainer_served_wot.neuro";
+    {
+        Archive archive;
+        saveSnn(net, labels, archive);
+        ASSERT_TRUE(archive.save(path));
+    }
+    serve::ModelRegistry registry;
+    std::string error;
+    ASSERT_EQ(registry.loadFile("halves", path, &error).size(), 2u)
+        << error;
+    std::remove(path.c_str());
+    const auto wot = registry.find("halves.wot");
+    ASSERT_NE(wot, nullptr);
+    const auto session = wot->newSession();
+
+    const SnnWotDatapath datapath(net);
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < test_set.size(); ++i) {
+        const auto &pixels = test_set[i].pixels;
+        const int served =
+            session->classify(pixels.data(), pixels.size(), i);
+        EXPECT_EQ(served, labels[static_cast<std::size_t>(
+                              datapath.forwardPixels(pixels.data()))])
+            << "image " << i;
+        correct += served == test_set[i].label;
+    }
+    const double served_accuracy = static_cast<double>(correct) /
+        static_cast<double>(test_set.size());
+    EXPECT_EQ(served_accuracy,
+              trainer.evaluate(net, labels, test_set, EvalMode::Wot, 20)
+                  .accuracy);
 }
 
 } // namespace
