@@ -5,7 +5,7 @@
  * AVX512 when the CPU and toolchain provide them) over the shapes the
  * repo actually uses — the MNIST MLP layers for the float kernels, the
  * quantized MLP for q8, the paper SNN's 300-neuron layer for the
- * event engine's drive and LIF step, 1024 random words for popcount
+ * event engine's per-spike row add, per-tick drive and LIF step, 1024 random words for popcount
  * (which has no caller in src/ and is kept for the repository
  * benchmark's metric) — and reports wall time, element throughput
  * and speedup vs the scalar table as CSV (bench_kernels.csv).
@@ -226,8 +226,8 @@ main(int argc, char **argv)
              }});
     }
 
-    // Event-engine drive row and LIF step, and popcount (no src/
-    // caller; kept for the repository benchmark's metric).
+    // Event-engine drive and LIF step, and popcount (no src/ caller;
+    // kept, like addRowF64, for the repository benchmark's metric).
     {
         const std::size_t neurons = 300;
         const auto row = std::make_shared<std::vector<float>>(
@@ -245,6 +245,36 @@ main(int argc, char **argv)
                  std::vector<unsigned char> b(acc->size() *
                                               sizeof(double));
                  std::memcpy(b.data(), acc->data(), b.size());
+                 return b;
+             }});
+
+        // The engine's per-tick drive through the transposed 784x300
+        // weights: 64 ticks of 3 spikes each per run (a learning
+        // presentation averages ~2.9 spikes per active tick). The
+        // last tick's drive is the output.
+        const std::size_t inputs = 784, per_tick = 3, ticks = 64;
+        const auto wt = std::make_shared<std::vector<float>>(
+            randomVec(rng, inputs * neurons));
+        const auto spikes =
+            std::make_shared<std::vector<uint16_t>>(per_tick * ticks);
+        for (auto &p : *spikes)
+            p = static_cast<uint16_t>(rng.uniformInt(inputs));
+        const auto tick_drive =
+            std::make_shared<std::vector<double>>(neurons);
+        cases.push_back(
+            {"driveTiles", "300x3", neurons * per_tick,
+             [=] {
+                 for (std::size_t k = 0; k < ticks; ++k) {
+                     kernels::driveTiles(tick_drive->data(), wt->data(),
+                                         neurons,
+                                         spikes->data() + k * per_tick,
+                                         per_tick, neurons);
+                 }
+             },
+             [=] {
+                 std::vector<unsigned char> b(tick_drive->size() *
+                                              sizeof(double));
+                 std::memcpy(b.data(), tick_drive->data(), b.size());
                  return b;
              }});
 

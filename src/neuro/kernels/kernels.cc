@@ -296,6 +296,14 @@ addRowF64(double *acc, const float *row, std::size_t n)
     active().addRowF64(acc, row, n);
 }
 
+void
+driveTiles(double *drive, const float *wT, std::size_t stride,
+           const uint16_t *spikes, std::size_t count, std::size_t n)
+{
+    // Uncounted, like addRowF64: it runs once per active tick.
+    active().driveTiles(drive, wT, stride, spikes, count, n);
+}
+
 bool
 lifStep(double *pot, const double *drive, const double *thr, double factor,
         std::size_t n)

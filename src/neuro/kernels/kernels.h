@@ -98,6 +98,9 @@ struct KernelTable
                          const float *x) = nullptr;
     void (*addRowF64)(double *acc, const float *row,
                       std::size_t n) = nullptr;
+    void (*driveTiles)(double *drive, const float *wT, std::size_t stride,
+                       const uint16_t *spikes, std::size_t count,
+                       std::size_t n) = nullptr;
     bool (*lifStep)(double *pot, const double *drive, const double *thr,
                     double factor, std::size_t n) = nullptr;
     std::size_t (*popcountWords)(const uint64_t *words,
@@ -187,6 +190,18 @@ void addOuterBias(float *w, std::size_t rows, std::size_t cols,
  * independent, so vector width never reorders a neuron's sum.
  */
 void addRowF64(double *acc, const float *row, std::size_t n);
+
+/**
+ * drive[i] = the sum over s of wT[spikes[s] * stride + i], widened to
+ * double and added in spike order starting from 0, for i in [0, n) —
+ * the event engine's drive for one tick's @p count input spikes
+ * through the transposed weights (row p of @p wT is input p's
+ * weights). Bit-identical to zero-filling @p drive and calling
+ * addRowF64 once per spike; the per-neuron sums stay in registers
+ * across the spikes. Every read lies in [0, n) of a listed row.
+ */
+void driveTiles(double *drive, const float *wT, std::size_t stride,
+                const uint16_t *spikes, std::size_t count, std::size_t n);
 
 /**
  * pot[i] = pot[i] * factor + drive[i] for i in [0, n) — the event

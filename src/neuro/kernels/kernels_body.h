@@ -14,7 +14,7 @@
  *
  * Every loop follows one of two shapes:
  *  - independent element chains (gemvT, addOuter*, addRowF64,
- *    lifStep): each output element owns its additions, so
+ *    driveTiles, lifStep): each output element owns its additions, so
  *    vectorizing across elements is order-preserving by
  *    construction;
  *  - fixed-schedule reductions (gemv, gemvBias, the strips): four
@@ -399,6 +399,57 @@ kAddRowF64(double *__restrict acc, const float *__restrict row,
         acc[i] += static_cast<double>(row[i]);
 }
 
+/**
+ * drive[k] = the sum of row spikes[s] of @p wT over s, widened to
+ * double and added in spike order, for the kTile neurons at @p wT. The
+ * tile's sums stay in registers across the spikes and are stored once.
+ */
+inline void
+driveTile(double *__restrict drive, const float *__restrict wT,
+          std::size_t stride, const uint16_t *__restrict spikes,
+          std::size_t count)
+{
+    double acc[kTile] = {};
+    // neurolint: ordered-sum
+    for (std::size_t s = 0; s < count; ++s) {
+        const float *v = wT + spikes[s] * stride;
+#pragma GCC unroll 16
+        for (std::size_t k = 0; k < kTile; ++k)
+            acc[k] += static_cast<double>(v[k]);
+    }
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < kTile; ++k)
+        drive[k] = acc[k];
+}
+
+void
+kDriveTiles(double *__restrict drive, const float *__restrict wT,
+            std::size_t stride, const uint16_t *__restrict spikes,
+            std::size_t count, std::size_t n)
+{
+    // Independent per-neuron chains, each starting from 0 and adding
+    // the tick's rows in emission order: zero-fill plus one addRowF64
+    // per spike, with the tile's sums kept in registers. A ragged end
+    // recomputes the last whole tile over [n - kTile, n); its
+    // overlapping neurons get the same sums again.
+    std::size_t i = 0;
+    for (; i + kTile <= n; i += kTile)
+        driveTile(drive + i, wT + i, stride, spikes, count);
+    if (i == n)
+        return;
+    if (n >= kTile) {
+        driveTile(drive + n - kTile, wT + n - kTile, stride, spikes, count);
+        return;
+    }
+    for (; i < n; ++i) {
+        double acc = 0.0;
+        // neurolint: ordered-sum
+        for (std::size_t s = 0; s < count; ++s)
+            acc += static_cast<double>(wT[spikes[s] * stride + i]);
+        drive[i] = acc;
+    }
+}
+
 bool
 kLifStep(double *__restrict pot, const double *__restrict drive,
          const double *__restrict thr, double factor, std::size_t n)
@@ -460,6 +511,7 @@ table()
         kt.addOuter = kAddOuter;
         kt.addOuterBias = kAddOuterBias;
         kt.addRowF64 = kAddRowF64;
+        kt.driveTiles = kDriveTiles;
         kt.lifStep = kLifStep;
         kt.popcountWords = kPopcountWords;
         return kt;

@@ -1,7 +1,9 @@
 #include "neuro/snn/network.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 
 #include "neuro/common/logging.h"
 #include "neuro/common/profile.h"
@@ -58,6 +60,20 @@ firstMaxMargin(const double *pot, const double *thr, std::size_t n)
     }
     return fire_n;
 }
+
+/** A neuron present()'s fast path updates on its own: gated at some
+ *  tick, or last updated at a tick other than its peers'. */
+struct HeldNeuron
+{
+    std::size_t n;  ///< neuron index.
+    int64_t last;   ///< its last update tick.
+    double pot;     ///< its potential before the current tick.
+};
+
+/** Held neurons the fast path tracks; a firing adds one and a
+ *  reopening drops one, so a few suffice at any gate lengths the
+ *  firing rate allows. Beyond it the slow path runs. */
+constexpr std::size_t kMaxHeld = 8;
 
 /** Add one presentation's events to the registry counters. */
 void
@@ -119,7 +135,7 @@ SnnNetwork::beginPresentation(PresentationResult &result)
     std::fill(lastInputSpike_.begin(), lastInputSpike_.end(), -1);
 }
 
-int64_t
+SnnNetwork::FireGates
 SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
                        PresentationResult &result)
 {
@@ -129,9 +145,11 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
 
     // The firing neuron was ungated at t, so its refractory period is
     // its whole gate; each peer's gate extends to the later expiry.
+    FireGates gates;
+    gates.peers = t + config_.tInhibitMs;
     potentials_[fn] = 0.0;
     gateUntil_[fn] = t + config_.tRefracMs;
-    int64_t latest_gate = gateUntil_[fn];
+    gates.earliest = gateUntil_[fn];
     ++result.outputSpikeCount;
     if (result.firstSpikeNeuron < 0) {
         result.firstSpikeNeuron = fire_n;
@@ -140,8 +158,8 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
     for (std::size_t n = 0; n < num_neurons; ++n) {
         if (static_cast<int>(n) == fire_n)
             continue;
-        gateUntil_[n] = std::max(gateUntil_[n], t + config_.tInhibitMs);
-        latest_gate = std::max(latest_gate, gateUntil_[n]);
+        gateUntil_[n] = std::max(gateUntil_[n], gates.peers);
+        gates.earliest = std::min(gates.earliest, gateUntil_[n]);
         if (config_.wtaReset)
             potentials_[n] = 0.0;
     }
@@ -165,7 +183,7 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
     }
     if (Tracer::enabled())
         Tracer::instance().instant("snn.fire", "spike");
-    return latest_gate;
+    return gates;
 }
 
 void
@@ -348,7 +366,7 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
     PresentationResult result;
     beginPresentation(result);
 
-    driveScratch_.assign(num_neurons, 0.0);
+    driveScratch_.resize(num_neurons);
 
     const auto &active = grid.activeTicks();
     double *__restrict drive = driveScratch_.data();
@@ -356,14 +374,27 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
     const double *__restrict thr = thresholds_.data();
     int64_t *__restrict last = lastUpdateMs_.data();
     const double *__restrict decay = decayFactors_.data();
+    const float *weights_t = weightsT_.data().data();
 
-    // Every neuron is open (ungated) at t >= open_from: the latest
-    // gate any firing set. uniform_at is the tick every neuron was
-    // last updated at, or -1 when they differ. While it is >= 0,
-    // lastUpdateMs_ is stale and is written only before it is read.
-    int64_t open_from = -1;
+    // The tick classes (docs/snn_engine.md). Every neuron is gated
+    // before gated_until, the earliest gate the last firing left.
+    // uniform_at is the tick every neuron outside `held` was last
+    // updated at, or -1 when the update times differ; while it is
+    // >= 0, lastUpdateMs_ is stale and is written only before it is
+    // read. Every neuron outside `held` is open from peers_open on.
+    int64_t gated_until = -1;
+    int64_t peers_open = -1;
     int64_t uniform_at = 0;
+    std::array<HeldNeuron, kMaxHeld> held;
+    std::size_t num_held = 0;
+    auto writeLastUpdates = [&] {
+        std::fill(last, last + num_neurons, uniform_at);
+        for (std::size_t h = 0; h < num_held; ++h)
+            last[held[h].n] = held[h].last;
+    };
+    std::size_t all_gated_ticks = 0;
     std::size_t uniform_ticks = 0;
+    std::size_t near_uniform_ticks = 0;
     // k ends as the number of ticks stepped: all of them, or those up
     // to and including the first firing when that decides the walk.
     bool decided = false;
@@ -373,31 +404,64 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
         std::size_t spike_count = 0;
         const uint16_t *spikes = grid.inputsAt(k, &spike_count);
         result.inputSpikeCount += spike_count;
+        if (t < gated_until) {
+            // All-gated tick: the reference walk updates no neuron and
+            // fires none, so only the input times (STDP reads them)
+            // change.
+            ++all_gated_ticks;
+            for (std::size_t s = 0; s < spike_count; ++s)
+                lastInputSpike_[spikes[s]] = t;
+            continue;
+        }
 
         // Phase 1: synaptic drive for every neuron via the transposed
         // weights — per neuron, the additions run in the same spike
-        // order as presentImage()'s row walk, so the sums are
-        // bit-identical.
-        // kernels::addRowF64 keeps each neuron's double accumulation
-        // chain independent (it carries the ordered-sum tag), so SIMD
-        // only widens how many neurons move per instruction.
-        std::fill(driveScratch_.begin(), driveScratch_.end(), 0.0);
-        for (std::size_t s = 0; s < spike_count; ++s)
-            kernels::addRowF64(drive, weightsT_.row(spikes[s]),
-                               num_neurons);
+        // order as presentImage()'s row walk, from 0, so the sums are
+        // bit-identical. driveTiles keeps each neuron's double chain
+        // independent (it carries the ordered-sum tag), so SIMD only
+        // widens how many neurons move per instruction.
+        kernels::driveTiles(drive, weights_t, num_neurons, spikes,
+                            spike_count, num_neurons);
 
         // Phase 2: decay-and-integrate the ungated neurons, then pick
         // the WTA winner in index order.
         int fire_n = -1;
-        if (t >= open_from && uniform_at >= 0) {
-            // Fast path: every neuron is open and decays by one shared
-            // factor, which is each neuron's own table entry, so
-            // lifStep's multiply-then-add is the slow path's exactly.
-            ++uniform_ticks;
+        if (uniform_at >= 0 && t >= peers_open) {
+            // Uniform or near-uniform tick: every neuron outside
+            // `held` is open and decays by one shared factor, which is
+            // each neuron's own table entry, so lifStep's
+            // multiply-then-add is the slow path's exactly. A gated
+            // held neuron sits at -inf through lifStep (-inf * f + d
+            // stays -inf), so it neither crosses nor wins, and gets
+            // its potential back after the pick. A held neuron that
+            // reopens redoes its update with its own gap's factor.
+            ++(num_held == 0 ? uniform_ticks : near_uniform_ticks);
+            for (std::size_t h = 0; h < num_held; ++h) {
+                held[h].pot = pot[held[h].n];
+                if (gatedAt(held[h].n, t))
+                    pot[held[h].n] = -std::numeric_limits<double>::infinity();
+            }
             const double factor =
                 decay[static_cast<std::size_t>(t - uniform_at)];
-            if (kernels::lifStep(pot, drive, thr, factor, num_neurons))
+            bool crossed =
+                kernels::lifStep(pot, drive, thr, factor, num_neurons);
+            std::size_t still_held = 0;
+            for (std::size_t h = 0; h < num_held; ++h) {
+                const std::size_t n = held[h].n;
+                if (gatedAt(n, t)) {
+                    held[still_held++] = held[h];
+                    continue;
+                }
+                pot[n] = held[h].pot;
+                pot[n] *= decay[static_cast<std::size_t>(t - held[h].last)];
+                pot[n] += drive[n];
+                crossed = crossed || pot[n] >= thr[n];
+            }
+            if (crossed)
                 fire_n = firstMaxMargin(pot, thr, num_neurons);
+            num_held = still_held;
+            for (std::size_t h = 0; h < num_held; ++h)
+                pot[held[h].n] = held[h].pot;
             uniform_at = t;
         } else {
             // Slow path: per-neuron gates and gaps, tracking the
@@ -405,13 +469,22 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
             // are independent, so fusing the reference walk's
             // integrate loop and fire scan changes nothing). Gated
             // neurons keep their stale lastUpdate and catch up later,
-            // exactly as the reference walk leaves them.
+            // exactly as the reference walk leaves them; when at most
+            // kMaxHeld are gated, they become the held list and the
+            // next ticks take the fast path.
             if (uniform_at >= 0)
-                std::fill(last, last + num_neurons, uniform_at);
+                writeLastUpdates();
+            num_held = 0;
+            bool overflow = false;
             double best_margin = 0.0;
             for (std::size_t n = 0; n < num_neurons; ++n) {
-                if (gatedAt(n, t))
+                if (gatedAt(n, t)) {
+                    if (num_held < kMaxHeld)
+                        held[num_held++] = {n, last[n], 0.0};
+                    else
+                        overflow = true;
                     continue;
+                }
                 pot[n] *= decay[static_cast<std::size_t>(t - last[n])];
                 last[n] = t;
                 pot[n] += drive[n];
@@ -423,22 +496,36 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
                     }
                 }
             }
-            uniform_at = t >= open_from ? t : -1;
+            uniform_at = overflow ? -1 : t;
+            peers_open = t;
         }
         for (std::size_t s = 0; s < spike_count; ++s)
             lastInputSpike_[spikes[s]] = t;
         if (fire_n >= 0) {
-            open_from = std::max(open_from,
-                                 fireNeuron(fire_n, t, learn, result));
+            // Every neuron outside `held` was open at t, so the firing
+            // gates it to exactly gates.peers; the winner joins `held`
+            // with its own gate.
+            const FireGates gates = fireNeuron(fire_n, t, learn, result);
+            gated_until = gates.earliest;
+            peers_open = gates.peers;
+            if (uniform_at >= 0 && num_held < kMaxHeld) {
+                held[num_held++] = {static_cast<std::size_t>(fire_n), t,
+                                    0.0};
+            } else if (uniform_at >= 0) {
+                writeLastUpdates();
+                uniform_at = -1;
+            }
             ++result.spikeCountPerNeuron[static_cast<std::size_t>(fire_n)];
             decided = untilFirstSpike;
         }
     }
     if (uniform_at >= 0)
-        std::fill(last, last + num_neurons, uniform_at);
+        writeLastUpdates();
 
     obsCount<"snn.engine.ticks_active">(k);
     obsCount<"snn.engine.ticks_uniform">(uniform_ticks);
+    obsCount<"snn.engine.ticks_near_uniform">(near_uniform_ticks);
+    obsCount<"snn.engine.ticks_all_gated">(all_gated_ticks);
     obsCount<"snn.engine.ticks_skipped">(static_cast<uint64_t>(period) - k);
     // Once the first spike fixed the answer, the window-end decay and
     // the max-potential readout would go unread.

@@ -12,13 +12,15 @@
  *
  *  - present(): an event-driven sweep over an event-indexed
  *    `PackedSpikeGrid` that touches only spike-carrying ticks, reads
- *    the leak from a decay table filled once per network, and
- *    accumulates synaptic drive through a transposed weight copy so
- *    the inner loop is a contiguous vector sweep. On a tick where
- *    every neuron is open and was last updated at the same tick (most
- *    ticks), one dispatched `kernels::lifStep` call decays and
- *    integrates the whole layer by one shared factor; only the ticks
- *    after a firing take the per-neuron gated loop, and the
+ *    the leak from a decay table filled once per network, and sums
+ *    each tick's synaptic drive through a transposed weight copy in
+ *    one dispatched `kernels::driveTiles` call. A tick on which every
+ *    neuron is gated only records its input times. Otherwise, when
+ *    every open neuron was last updated at the same tick, apart from
+ *    a few held ones (the refractory winners), one dispatched
+ *    `kernels::lifStep` call decays and integrates the whole layer by
+ *    one shared factor and the held neurons are fixed up one by one;
+ *    the remaining ticks take the per-neuron gated loop, and the
  *    per-neuron update times are written only before that loop or
  *    the window end reads them. Training runs it, and so does
  *    firstSpikeWinner(), the same loop ended at the first output
@@ -211,11 +213,19 @@ class SnnNetwork
     PresentationResult walkEvents(const PackedSpikeGrid &grid, bool learn,
                                   bool untilFirstSpike);
 
+    /** The gates one firing leaves, until the next firing. */
+    struct FireGates
+    {
+        /** Every neuron is gated before this tick. */
+        int64_t earliest = 0;
+        /** Every peer that was open at the firing opens here. */
+        int64_t peers = 0;
+    };
+
     /** Shared fire-and-inhibit path of both walks (tick @p t).
-     *  @return the latest gate it set: every neuron is open from
-     *  then on, until the next firing. */
-    int64_t fireNeuron(int fire_n, int64_t t, bool learn,
-                       PresentationResult &result);
+     *  @return the gates it left. */
+    FireGates fireNeuron(int fire_n, int64_t t, bool learn,
+                         PresentationResult &result);
 
     /** Decay to the window end, resolve the max-potential readout and
      *  (when learning) advance homeostasis. */

@@ -1,9 +1,11 @@
 #include "neuro/snn/trainer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "neuro/common/logging.h"
+#include "neuro/common/mutex.h"
 #include "neuro/common/parallel.h"
 #include "neuro/common/profile.h"
 #include "neuro/common/rng.h"
@@ -36,6 +38,83 @@ SnnStdpTrainer::gridFor(const datasets::Dataset &data, std::size_t index,
     return gridCache_.insert(key, std::move(grid));
 }
 
+namespace {
+
+/** Steps the grid prefetcher may run ahead of the presentation loop:
+ *  it bounds the cache entries an epoch of any size inserts before
+ *  their use. */
+constexpr std::size_t kPrefetchAhead = 32;
+
+/**
+ * One epoch's hand-off between the presentation loop and the grid
+ * prefetcher on a pool worker. The loop publishes each step it
+ * begins; the prefetcher encodes at most kPrefetchAhead steps ahead
+ * of it and sleeps on a CondVar, not a spin, until the loop has
+ * caught up half of that. The loop never waits: a grid the prefetcher
+ * has not reached is encoded inline, as without it.
+ */
+class EpochPrefetch
+{
+  public:
+    /** The loop begins step @p step; the prefetcher skips it. */
+    void
+    begin(std::size_t step)
+    {
+        bool wake = false;
+        {
+            MutexGuard lock(mutex_);
+            begun_ = step + 1;
+            wake = waiting_ && begun_ >= resumeAt_;
+            if (wake)
+                waiting_ = false;
+        }
+        if (wake)
+            wake_.notifyOne();
+    }
+
+    /** The loop has ended (or is unwinding): release the prefetcher. */
+    void
+    finish()
+    {
+        {
+            MutexGuard lock(mutex_);
+            finished_ = true;
+        }
+        wake_.notifyOne();
+    }
+
+    /** Prefetcher side: block until a step at or after @p step may be
+     *  encoded. @return that step, or SIZE_MAX once the loop has
+     *  finished. It is never one the loop has begun, nor the loop's
+     *  next one: a prefetcher that has fallen that far behind would
+     *  only race the loop's own encode of it. */
+    std::size_t
+    next(std::size_t step)
+    {
+        MutexGuard lock(mutex_);
+        for (;;) {
+            if (finished_)
+                return SIZE_MAX;
+            step = std::max(step, begun_ + 1);
+            if (step < begun_ + kPrefetchAhead)
+                return step;
+            resumeAt_ = step - kPrefetchAhead / 2;
+            waiting_ = true;
+            wake_.wait(mutex_);
+        }
+    }
+
+  private:
+    Mutex mutex_;
+    CondVar wake_;
+    std::size_t begun_ NEURO_GUARDED_BY(mutex_) = 0;
+    std::size_t resumeAt_ NEURO_GUARDED_BY(mutex_) = 0;
+    bool waiting_ NEURO_GUARDED_BY(mutex_) = false;
+    bool finished_ NEURO_GUARDED_BY(mutex_) = false;
+};
+
+} // namespace
+
 void
 SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
                       const SnnTrainConfig &config,
@@ -52,19 +131,51 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
     std::vector<uint32_t> order(n);
     rng.shuffle(order.data(), n);
 
+    // A pool worker encodes the epoch's grids ahead of the
+    // presentation loop. Grids are keyed by (seed, index), so whoever
+    // encodes one makes the same grid. At one thread, or inside a pool
+    // task, where a nested primitive would run the two in turn, the
+    // loop encodes inline.
+    const bool prefetch =
+        parallelThreadCount() > 1 && !ThreadPool::inParallelRegion();
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
         NEURO_PROFILE_SCOPE("snn/train/epoch");
         rng.shuffle(order.data(), n);
         SnnEpochReport report;
         report.epoch = epoch;
-        for (std::size_t step = 0; step < n; ++step) {
-            const std::size_t idx = order[step];
-            const auto grid = gridFor(data, idx, config.seed);
-            const PresentationResult r =
-                net.present(*grid, /*learn=*/true);
-            report.outputSpikes += r.outputSpikeCount;
-            if (r.outputSpikeCount == 0)
-                ++report.silentImages;
+        auto presentEpoch = [&](EpochPrefetch *ahead) {
+            for (std::size_t step = 0; step < n; ++step) {
+                if (ahead)
+                    ahead->begin(step);
+                const auto grid = gridFor(data, order[step], config.seed);
+                const PresentationResult r =
+                    net.present(*grid, /*learn=*/true);
+                report.outputSpikes += r.outputSpikeCount;
+                if (r.outputSpikeCount == 0)
+                    ++report.silentImages;
+            }
+        };
+        if (prefetch) {
+            EpochPrefetch ahead;
+            parallelInvoke({
+                [&] {
+                    // Release the prefetcher however the loop exits.
+                    struct Finish
+                    {
+                        EpochPrefetch &ahead;
+                        ~Finish() { ahead.finish(); }
+                    } finish{ahead};
+                    presentEpoch(&ahead);
+                },
+                [&] {
+                    for (std::size_t step = ahead.next(0); step < n;
+                         step = ahead.next(step + 1)) {
+                        gridFor(data, order[step], config.seed);
+                    }
+                },
+            });
+        } else {
+            presentEpoch(nullptr);
         }
         obsCount<"snn.images_presented">(n);
         obsSample<"snn.epoch_output_spikes">(

@@ -373,6 +373,54 @@ TEST_F(KernelsTest, AddRowF64MatchesReference)
     }
 }
 
+TEST_F(KernelsTest, DriveTilesMatchesZeroFillPlusAddRowF64)
+{
+    // kShapes as (input rows, neurons) of a transposed weight matrix,
+    // misaligned by kWeightOffsets; 0, 1, 2 and 17 spikes, the last of
+    // 2 and 17 repeating the first input. The drive starts as NaN and
+    // has a guard element past n, so an unwritten or overrun element
+    // shows.
+    Rng rng(131);
+    for (const auto &shape : kShapes) {
+        const std::size_t rows = shape[0], n = shape[1];
+        for (std::size_t off : kWeightOffsets) {
+            const auto buf = randomVec(rng, rows * n + off);
+            const float *wt = buf.data() + off;
+            for (std::size_t count : {0, 1, 2, 17}) {
+                std::vector<uint16_t> spikes(count);
+                for (auto &p : spikes)
+                    p = static_cast<uint16_t>(rng.uniformInt(rows));
+                if (count >= 2)
+                    spikes.back() = spikes.front();
+
+                std::vector<double> expect(n, 0.0);
+                for (uint16_t p : spikes) {
+                    for (std::size_t i = 0; i < n; ++i)
+                        expect[i] += static_cast<double>(wt[p * n + i]);
+                }
+                for (SimdMode mode : reachableModes()) {
+                    setSimdMode(mode);
+                    std::vector<double> pair(n, 0.0);
+                    for (uint16_t p : spikes)
+                        addRowF64(pair.data(), wt + p * n, n);
+                    std::vector<double> drive(n + 1, std::nan(""));
+                    driveTiles(drive.data(), wt, n, spikes.data(), count, n);
+                    ASSERT_EQ(0, std::memcmp(expect.data(), pair.data(),
+                                             n * sizeof(double)))
+                        << "addRowF64 pair " << rows << "x" << n;
+                    ASSERT_EQ(0, std::memcmp(expect.data(), drive.data(),
+                                             n * sizeof(double)))
+                        << "driveTiles " << rows << "x" << n << " count "
+                        << count << " offset " << off << " differs at "
+                        << isaName(activeIsa());
+                    ASSERT_TRUE(std::isnan(drive[n]))
+                        << "driveTiles wrote past n=" << n;
+                }
+            }
+        }
+    }
+}
+
 TEST_F(KernelsTest, LifStepMatchesReferenceAndFlagsAnyCrossing)
 {
     // Every kShapes column count plus the tile edges and the SNN's

@@ -135,11 +135,49 @@ expectFirstSpikeWinnerAgrees(const SnnNetwork &net,
     EXPECT_EQ(fired, ref.firstSpikeNeuron >= 0) << "sample " << i;
 }
 
-/** Tick counts of a present() sequence. */
+/** Tick counts of a present() sequence, by tick class. */
 struct TickCounts
 {
-    uint64_t active = 0;  ///< snn.engine.ticks_active.
-    uint64_t uniform = 0; ///< snn.engine.ticks_uniform (fast path).
+    uint64_t active = 0;      ///< snn.engine.ticks_active.
+    uint64_t uniform = 0;     ///< snn.engine.ticks_uniform.
+    uint64_t nearUniform = 0; ///< snn.engine.ticks_near_uniform.
+    uint64_t allGated = 0;    ///< snn.engine.ticks_all_gated.
+
+    /** Ticks on the per-neuron slow path. */
+    uint64_t
+    slow() const
+    {
+        return active - uniform - nearUniform - allGated;
+    }
+};
+
+/** Reads the tick-class counters' movement since construction. */
+class TickCounter
+{
+  public:
+    TickCounter() : start_(read()) {}
+
+    TickCounts
+    delta() const
+    {
+        const TickCounts now = read();
+        return {now.active - start_.active, now.uniform - start_.uniform,
+                now.nearUniform - start_.nearUniform,
+                now.allGated - start_.allGated};
+    }
+
+  private:
+    static TickCounts
+    read()
+    {
+        auto &reg = telemetry::MetricRegistry::instance();
+        return {reg.counter("snn.engine.ticks_active")->value(),
+                reg.counter("snn.engine.ticks_uniform")->value(),
+                reg.counter("snn.engine.ticks_near_uniform")->value(),
+                reg.counter("snn.engine.ticks_all_gated")->value()};
+    }
+
+    TickCounts start_;
 };
 
 /**
@@ -158,12 +196,7 @@ expectLearningSequenceAgrees(const SnnConfig &config)
     SnnNetwork present_net(config, init);
     SnnNetwork oracle_net(present_net); // identical copy.
 
-    auto &reg = telemetry::MetricRegistry::instance();
-    const auto active = reg.counter("snn.engine.ticks_active");
-    const auto uniform = reg.counter("snn.engine.ticks_uniform");
-    const uint64_t active0 = active->value();
-    const uint64_t uniform0 = uniform->value();
-
+    const TickCounter ticks;
     PackedSpikeGrid grid;
     std::size_t potentiated = 0;
     for (const uint64_t seed : {21u, 22u, 23u}) {
@@ -183,7 +216,7 @@ expectLearningSequenceAgrees(const SnnConfig &config)
     // The sequence must actually exercise learning and homeostasis.
     EXPECT_GT(potentiated, 0u);
     EXPECT_GT(present_net.homeostasisEpochs(), 0);
-    return {active->value() - active0, uniform->value() - uniform0};
+    return ticks.delta();
 }
 
 /** Both phase 2 paths must run: uniform ticks, where every neuron is
@@ -197,7 +230,43 @@ expectBothTickPaths(const TickCounts &ticks)
 
 TEST(SnnPresent, PresentationsBitIdenticalToPresentImage)
 {
-    expectBothTickPaths(expectLearningSequenceAgrees(smallConfig()));
+    // The defaults: the winner reopens after its peers. Ticks before
+    // the peers reopen are all-gated; after them the layer steps
+    // near-uniformly around the refractory winner.
+    const TickCounts ticks = expectLearningSequenceAgrees(smallConfig());
+    expectBothTickPaths(ticks);
+    EXPECT_GT(ticks.allGated, 0u);
+    EXPECT_GT(ticks.nearUniform, 0u);
+}
+
+TEST(SnnPresent, WinnerReopeningBeforePeersBitIdenticalToPresentImage)
+{
+    // tRefracMs < tInhibitMs: the winner reopens alone while its peers
+    // are still inhibited, which the fast path must not step. The
+    // slow tick then holds the inhibited peers; without the reset
+    // they reopen with potentials to decay over their own gaps.
+    for (const bool reset : {true, false}) {
+        SnnConfig config = smallConfig();
+        config.tRefracMs = 3;
+        config.tInhibitMs = 12;
+        config.wtaReset = reset;
+        const TickCounts ticks = expectLearningSequenceAgrees(config);
+        expectBothTickPaths(ticks);
+        EXPECT_GT(ticks.allGated, 0u);
+        EXPECT_GT(ticks.nearUniform, 0u);
+        EXPECT_GT(ticks.slow(), 0u);
+    }
+}
+
+TEST(SnnPresent, NoResetBitIdenticalToPresentImage)
+{
+    // Without the WTA reset, an inhibited peer can sit above its
+    // threshold; the near-uniform tick must not let it fire.
+    SnnConfig config = smallConfig();
+    config.wtaReset = false;
+    const TickCounts ticks = expectLearningSequenceAgrees(config);
+    expectBothTickPaths(ticks);
+    EXPECT_GT(ticks.nearUniform, 0u);
 }
 
 /** smallConfig() at 37 neurons: two 16-neuron lifStep tiles plus a
@@ -252,10 +321,10 @@ TEST(SnnPresent, PresentEqualsPresentImageWithoutLearning)
     expectIdenticalState(oracle_net, present_net);
 }
 
-/** A 784-input, 20-neuron net for hand-built grids. Weights lie in
- *  [76.5, 178.5] and thresholds within 2.5% of @p threshold. */
-SnnNetwork
-handBuiltNetwork(uint64_t seed, double threshold)
+/** A 784-input, 20-neuron config for hand-built grids. Weights lie
+ *  in [76.5, 178.5] and thresholds within 2.5% of @p threshold. */
+SnnConfig
+handBuiltConfig(double threshold)
 {
     SnnConfig config;
     config.numInputs = 784;
@@ -265,8 +334,15 @@ handBuiltNetwork(uint64_t seed, double threshold)
     config.tLeakMs = 200.0;
     config.initialThreshold = threshold;
     config.homeostasis.enabled = false;
+    return config;
+}
+
+/** A handBuiltConfig() net. */
+SnnNetwork
+handBuiltNetwork(uint64_t seed, double threshold)
+{
     Rng rng(seed);
-    return SnnNetwork(config, rng);
+    return SnnNetwork(handBuiltConfig(threshold), rng);
 }
 
 /** A net whose threshold no hand-built grid reaches. */
@@ -327,6 +403,90 @@ concat(std::initializer_list<std::vector<std::pair<int, uint16_t>>> parts)
     for (const auto &part : parts)
         all.insert(all.end(), part.begin(), part.end());
     return all;
+}
+
+/** A learning present() against a learning presentImage() of
+ *  @p grid, from copies of @p net. @return present()'s result and
+ *  the ticks it moved. */
+std::pair<PresentationResult, TickCounts>
+expectLearningGridAgrees(const SnnNetwork &net, const PackedSpikeGrid &grid)
+{
+    SnnNetwork present_net(net);
+    SnnNetwork oracle_net(net);
+    const TickCounter ticks;
+    const auto r = present_net.present(grid, /*learn=*/true);
+    const TickCounts moved = ticks.delta();
+    const auto ref = oracle_net.presentImage(grid, /*learn=*/true);
+    expectIdenticalResults(ref, r, 0);
+    expectIdenticalState(oracle_net, present_net);
+    return {r, moved};
+}
+
+/** A handBuiltConfig(1000) net (20 spikes in one tick fire a neuron,
+ *  3 never do) with @p neurons neurons and the given gates. */
+SnnNetwork
+gatedFiringNetwork(std::size_t neurons, int refrac_ms, int inhibit_ms)
+{
+    SnnConfig config = handBuiltConfig(1000.0);
+    config.numNeurons = neurons;
+    config.tRefracMs = refrac_ms;
+    config.tInhibitMs = inhibit_ms;
+    Rng rng(12);
+    return SnnNetwork(config, rng);
+}
+
+TEST(SnnPresent, SpikesOnAllGatedTicksFeedStdp)
+{
+    // The firing at tick 10 gates every neuron until 15. The inputs
+    // at tick 12 land on an all-gated tick, and the peer that fires at
+    // 20 must potentiate them: their spike times are within its LTP
+    // window, so 20 + 3 + 20 inputs potentiate, against 20 at tick 10.
+    const PackedSpikeGrid grid = handBuiltGrid(concat(
+        {burst(10, 0, 20), burst(12, 100, 3), burst(20, 20, 20),
+         burst(120, 200, 2)}));
+    const auto [r, ticks] =
+        expectLearningGridAgrees(gatedFiringNetwork(20, 20, 5), grid);
+    EXPECT_EQ(r.outputSpikeCount, 2u);
+    EXPECT_EQ(r.stdpPotentiated, 20u + 43u);
+    EXPECT_EQ(ticks.allGated, 1u);
+}
+
+TEST(SnnPresent, RepeatedFiringsBitIdenticalToPresentImage)
+{
+    // Bursts every 3 ticks against a 2-tick inhibition and a 50-tick
+    // refractory period: each fires a new peer, so the refractory
+    // winners pile up, past the near-uniform path's held list at 20
+    // neurons and within it at 6. Then the reverse gates: the winner
+    // reopens at 12 and fires again inside its peers' inhibition.
+    std::vector<std::vector<std::pair<int, uint16_t>>> parts;
+    for (int i = 0; i < 12; ++i)
+        parts.push_back(burst(10 + 3 * i, static_cast<uint16_t>(20 * i), 20));
+    parts.push_back(burst(70, 300, 2));
+    parts.push_back(burst(130, 400, 3));
+    std::vector<std::pair<int, uint16_t>> piled;
+    for (const auto &part : parts)
+        piled.insert(piled.end(), part.begin(), part.end());
+    const PackedSpikeGrid pile = handBuiltGrid(piled);
+    for (const std::size_t neurons : {20u, 6u}) {
+        const auto [r, ticks] = expectLearningGridAgrees(
+            gatedFiringNetwork(neurons, 50, 2), pile);
+        EXPECT_GE(r.outputSpikeCount, 6u) << neurons << " neurons";
+        EXPECT_GT(ticks.nearUniform, 0u) << neurons << " neurons";
+    }
+
+    const PackedSpikeGrid twice = handBuiltGrid(concat(
+        {burst(10, 0, 20), burst(13, 20, 20), burst(16, 40, 2),
+         burst(40, 60, 3), burst(90, 80, 2)}));
+    for (const std::size_t neurons : {20u, 6u}) {
+        const auto [r, ticks] = expectLearningGridAgrees(
+            gatedFiringNetwork(neurons, 2, 15), twice);
+        EXPECT_EQ(r.outputSpikeCount, 2u) << neurons << " neurons";
+        EXPECT_EQ(r.spikeCountPerNeuron[static_cast<std::size_t>(
+                      r.firstSpikeNeuron)],
+                  2u)
+            << neurons << " neurons";
+        EXPECT_GT(ticks.slow(), 0u) << neurons << " neurons";
+    }
 }
 
 /**
@@ -539,9 +699,14 @@ TEST(SnnPresent, TrainerServesSecondPassFromGridCache)
     SnnNetwork net(config, rng);
     SnnStdpTrainer trainer(config);
 
+    // At one thread training encodes inline, so every lookup is the
+    // presentation loop's (test_trainer covers the prefetching run).
+    const std::size_t saved = parallelThreadCount();
+    setParallelThreadCount(1);
     SnnTrainConfig train;
     train.epochs = 2;
     trainer.train(net, data, train);
+    setParallelThreadCount(saved);
 
     // Epoch 1 misses (and fills) the cache; epoch 2 must be served
     // from it entirely: hit rate >= 50% over the two epochs.

@@ -198,14 +198,16 @@ TEST_F(TraceTest, SnnTrainingEmitsValidPairedChromeTrace)
     ASSERT_FALSE(events.empty());
 
     // Timestamps are monotonic in file order and begin/end events nest
-    // properly per thread (single-threaded here: one global stack).
+    // properly per thread (above one pool thread, training encodes on
+    // a worker, so its scopes interleave with the training thread's).
     double last_ts = 0.0;
-    std::vector<std::string> stack;
+    std::map<int, std::vector<std::string>> stacks;
     std::map<std::string, int64_t> balance;
     std::size_t counters = 0;
     for (const TraceEvent &ev : events) {
         EXPECT_GE(ev.ts, last_ts) << "timestamps must be monotonic";
         last_ts = ev.ts;
+        std::vector<std::string> &stack = stacks[ev.tid];
         switch (ev.phase) {
           case 'B':
             stack.push_back(ev.name);
@@ -229,7 +231,8 @@ TEST_F(TraceTest, SnnTrainingEmitsValidPairedChromeTrace)
             ADD_FAILURE() << "unknown phase '" << ev.phase << "'";
         }
     }
-    EXPECT_TRUE(stack.empty()) << "unclosed scopes remain";
+    for (const auto &[tid, stack] : stacks)
+        EXPECT_TRUE(stack.empty()) << "unclosed scopes remain on " << tid;
     for (const auto &[name, b] : balance)
         EXPECT_EQ(b, 0) << "unbalanced begin/end for " << name;
 

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
 #include "neuro/common/serialize.h"
 #include "neuro/serve/registry.h"
@@ -128,6 +131,105 @@ TEST(SnnStdpTrainer, HomeostasisAblationChangesOutcome)
         EvalMode::Wt, 15);
     EXPECT_GE(acc, 0.0);
     EXPECT_LE(acc, 1.0);
+}
+
+/** Weights, thresholds and epoch reports of one training run. */
+struct TrainedState
+{
+    std::vector<float> weights;
+    std::vector<double> thresholds;
+    std::vector<std::size_t> outputSpikes;
+    std::vector<std::size_t> silentImages;
+    GridCacheStats cache;
+};
+
+/** Two epochs over @p data with a fresh network and trainer. A wider
+ *  layer than halvesConfig() presents slower than it encodes, so the
+ *  prefetcher runs its full look-ahead and waits. */
+TrainedState
+trainHalves(const datasets::Dataset &data)
+{
+    SnnConfig config = halvesConfig();
+    config.numNeurons = 64;
+    Rng rng(21);
+    SnnNetwork net(config, rng);
+    SnnStdpTrainer trainer(config);
+    SnnTrainConfig train;
+    train.epochs = 2;
+    TrainedState state;
+    trainer.train(net, data, train, [&](const SnnEpochReport &r) {
+        state.outputSpikes.push_back(r.outputSpikes);
+        state.silentImages.push_back(r.silentImages);
+    });
+    state.weights = net.weights().data();
+    state.thresholds = net.thresholds();
+    state.cache = trainer.gridCache().stats();
+    return state;
+}
+
+TEST(SnnStdpTrainer, PrefetchedTrainingIsThreadCountInvariant)
+{
+    // Above one thread a pool worker encodes each epoch's grids ahead
+    // of the presentation loop; inside a pool task the loop encodes
+    // inline. The learned state must not depend on either.
+    const datasets::Dataset data = makeHalves(150, 22);
+    const std::size_t saved = parallelThreadCount();
+    setParallelThreadCount(1);
+    const TrainedState serial = trainHalves(data);
+    EXPECT_EQ(serial.cache.misses, data.size());
+    for (const std::size_t threads : {2u, 4u}) {
+        setParallelThreadCount(threads);
+        const TrainedState run = trainHalves(data);
+        EXPECT_EQ(run.weights, serial.weights) << threads << " threads";
+        EXPECT_EQ(run.thresholds, serial.thresholds);
+        EXPECT_EQ(run.outputSpikes, serial.outputSpikes);
+        EXPECT_EQ(run.silentImages, serial.silentImages);
+        // Each grid is resident once, however many threads raced to
+        // encode it.
+        EXPECT_EQ(run.cache.entries, data.size());
+        EXPECT_GE(run.cache.misses, data.size());
+    }
+    TrainedState nested;
+    bool in_task = false;
+    parallelInvoke({[&] {
+                        in_task = ThreadPool::inParallelRegion();
+                        nested = trainHalves(data);
+                    },
+                    [] {}});
+    EXPECT_TRUE(in_task);
+    EXPECT_EQ(nested.weights, serial.weights);
+    EXPECT_EQ(nested.thresholds, serial.thresholds);
+    EXPECT_EQ(nested.cache.misses, data.size());
+    setParallelThreadCount(saved);
+}
+
+TEST(SnnStdpTrainer, ThrowingEpochCallbackStopsThePrefetcher)
+{
+    // The exception reaches the caller, and the pool is free again:
+    // a second training run on it completes with the serial result.
+    const datasets::Dataset data = makeHalves(100, 23);
+    const std::size_t saved = parallelThreadCount();
+    setParallelThreadCount(4);
+    const SnnConfig config = halvesConfig();
+    Rng rng(24);
+    SnnNetwork net(config, rng);
+    SnnStdpTrainer trainer(config);
+    SnnTrainConfig train;
+    train.epochs = 3;
+    std::size_t epochs_seen = 0;
+    EXPECT_THROW(trainer.train(net, data, train,
+                               [&](const SnnEpochReport &) {
+                                   ++epochs_seen;
+                                   throw std::runtime_error("stop");
+                               }),
+                 std::runtime_error);
+    EXPECT_EQ(epochs_seen, 1u);
+
+    const TrainedState after = trainHalves(data);
+    setParallelThreadCount(1);
+    const TrainedState serial = trainHalves(data);
+    EXPECT_EQ(after.weights, serial.weights);
+    setParallelThreadCount(saved);
 }
 
 /**
