@@ -10,13 +10,75 @@
  * Run:  ./hyperparameter_search [trials=8] [train=1500] [test=400]
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "neuro/common/config.h"
+#include "neuro/common/parallel.h"
+#include "neuro/common/rng.h"
 #include "neuro/common/table.h"
 #include "neuro/core/experiment.h"
-#include "neuro/core/explorer.h"
+#include "neuro/snn/trainer.h"
+
+namespace {
+
+/** A random-search trial over SNN hyper-parameters. */
+struct SnnTrial
+{
+    neuro::snn::SnnConfig config; ///< the sampled configuration.
+    double accuracy = 0;          ///< resulting test accuracy (wt path).
+};
+
+/**
+ * Random search over Tleak / TLTP / threshold / Tinhibit / Trefrac
+ * within the ranges of Table 1. @return trials sorted by decreasing
+ * accuracy.
+ */
+std::vector<SnnTrial>
+exploreSnnHyperparameters(const neuro::core::Workload &workload,
+                          std::size_t trials, uint64_t seed)
+{
+    // Draw every trial's hyperparameters up front: the Rng stream is
+    // sequential, so sampling stays in trial order. Training and
+    // evaluating each candidate is then parallel.
+    neuro::Rng rng(seed);
+    std::vector<SnnTrial> results(trials);
+    for (std::size_t t = 0; t < trials; ++t) {
+        SnnTrial &trial = results[t];
+        trial.config = neuro::core::defaultSnnConfig(
+            workload, workload.data.train.size());
+        // Table 1 exploration ranges.
+        trial.config.tLeakMs = rng.uniform(10.0, 800.0);
+        trial.config.stdp.ltpWindowMs =
+            static_cast<int>(rng.uniform(1.0, 50.0));
+        trial.config.initialThreshold =
+            rng.uniform(0.3, 2.0) * 17850.0;
+        trial.config.tInhibitMs = static_cast<int>(rng.uniform(1.0, 20.0));
+        trial.config.tRefracMs = static_cast<int>(rng.uniform(5.0, 50.0));
+    }
+
+    neuro::parallelFor(std::size_t{0}, trials, std::size_t{1},
+                       [&](std::size_t t) {
+                           neuro::snn::SnnTrainConfig train;
+                           train.epochs = 1;
+                           train.seed = seed + t;
+                           results[t].accuracy =
+                               neuro::snn::trainAndEvaluateStdp(
+                                   results[t].config, train,
+                                   workload.data.train, workload.data.test,
+                                   neuro::snn::EvalMode::Wt, seed * 53 + t);
+                       });
+    std::stable_sort(results.begin(), results.end(),
+                     [](const SnnTrial &a, const SnnTrial &b) {
+                         return a.accuracy > b.accuracy;
+                     });
+    return results;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -36,8 +98,7 @@ main(int argc, char **argv)
                 "0.3x-2x, Tinhibit 1-20 ms, Trefrac 5-50 ms)...\n\n",
                 trials);
 
-    const auto results =
-        core::exploreSnnHyperparameters(w, trials, 25);
+    const auto results = exploreSnnHyperparameters(w, trials, 25);
 
     TextTable table("explored settings (sorted by accuracy)");
     table.setHeader({"Rank", "Accuracy (%)", "Tleak (ms)", "TLTP (ms)",

@@ -1,11 +1,7 @@
 #include "neuro/core/explorer.h"
 
-#include <algorithm>
-
 #include "neuro/common/config.h"
-#include "neuro/common/logging.h"
 #include "neuro/common/parallel.h"
-#include "neuro/common/rng.h"
 
 namespace neuro {
 namespace core {
@@ -134,47 +130,6 @@ sweepCodingSchemes(const Workload &workload,
                 seed * 47 + neurons + static_cast<uint64_t>(scheme));
             return CodingSweepPoint{scheme, neurons, acc};
         });
-}
-
-std::vector<SnnTrial>
-exploreSnnHyperparameters(const Workload &workload, std::size_t trials,
-                          uint64_t seed)
-{
-    // Draw every trial's hyperparameters up front: the Rng stream is
-    // sequential, so sampling must stay in trial order for the trials
-    // to match the historical sequential run. The expensive part —
-    // training and evaluating each candidate — is then parallel.
-    Rng rng(seed);
-    std::vector<SnnTrial> results(trials);
-    for (std::size_t t = 0; t < trials; ++t) {
-        SnnTrial &trial = results[t];
-        trial.config = defaultSnnConfig(workload,
-                                        workload.data.train.size());
-        // Table 1 exploration ranges.
-        trial.config.tLeakMs = rng.uniform(10.0, 800.0);
-        trial.config.stdp.ltpWindowMs =
-            static_cast<int>(rng.uniform(1.0, 50.0));
-        trial.config.initialThreshold =
-            rng.uniform(0.3, 2.0) * 17850.0;
-        trial.config.tInhibitMs = static_cast<int>(rng.uniform(1.0, 20.0));
-        trial.config.tRefracMs = static_cast<int>(rng.uniform(5.0, 50.0));
-    }
-
-    parallelFor(std::size_t{0}, trials, std::size_t{1},
-                [&](std::size_t t) {
-                    snn::SnnTrainConfig train;
-                    train.epochs = 1;
-                    train.seed = seed + t;
-                    results[t].accuracy = snn::trainAndEvaluateStdp(
-                        results[t].config, train, workload.data.train,
-                        workload.data.test, snn::EvalMode::Wt,
-                        seed * 53 + t);
-                });
-    std::stable_sort(results.begin(), results.end(),
-                     [](const SnnTrial &a, const SnnTrial &b) {
-                         return a.accuracy > b.accuracy;
-                     });
-    return results;
 }
 
 } // namespace core

@@ -2,8 +2,7 @@
  * @file
  * Design-space exploration (the paper's "1000 evaluated settings" of
  * Section 3.1): topology sweeps for Figure 8, sigmoid-slope sweeps for
- * Figure 6, coding-scheme sweeps for Figure 14, plus a generic random
- * hyper-parameter search over SNN settings.
+ * Figure 6 and coding-scheme sweeps for Figure 14.
  */
 
 #pragma once
@@ -56,22 +55,6 @@ sweepCodingSchemes(const Workload &workload,
                    const std::vector<snn::CodingScheme> &schemes,
                    const std::vector<std::size_t> &neuron_counts,
                    uint64_t seed = 24);
-
-/** A random-search trial over SNN hyper-parameters. */
-struct SnnTrial
-{
-    snn::SnnConfig config; ///< the sampled configuration.
-    double accuracy = 0;   ///< resulting test accuracy (wt path).
-};
-
-/**
- * Random search over Tleak / TLTP / threshold / homeostasis settings
- * within the ranges of Table 1, mimicking the paper's hyper-parameter
- * exploration. @return trials sorted by decreasing accuracy.
- */
-std::vector<SnnTrial> exploreSnnHyperparameters(const Workload &workload,
-                                                std::size_t trials,
-                                                uint64_t seed = 25);
 
 } // namespace core
 } // namespace neuro

@@ -13,16 +13,13 @@
 #define NEURO_VERSION_PATCH 0
 
 // Common substrate.
-#include "neuro/common/ascii_art.h"
 #include "neuro/common/config.h"
 #include "neuro/common/csv.h"
 #include "neuro/common/logging.h"
 #include "neuro/common/matrix.h"
-#include "neuro/common/pgm.h"
 #include "neuro/common/profile.h"
 #include "neuro/common/rng.h"
 #include "neuro/common/serialize.h"
-#include "neuro/common/stats.h"
 #include "neuro/common/trace.h"
 #include "neuro/common/table.h"
 
@@ -41,7 +38,6 @@
 #include "neuro/mlp/quantized.h"
 
 // Neuroscience side.
-#include "neuro/snn/analysis.h"
 #include "neuro/snn/coding.h"
 #include "neuro/snn/homeostasis.h"
 #include "neuro/snn/labeling.h"
@@ -78,6 +74,5 @@
 #include "neuro/core/experiment.h"
 #include "neuro/core/explorer.h"
 #include "neuro/core/faults.h"
-#include "neuro/core/metrics.h"
 #include "neuro/core/reports.h"
 

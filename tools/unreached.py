@@ -11,14 +11,17 @@ docs/static_analysis.md, "Unreached library code").
 
 The script collects the global text (T) symbols of libneuro_*.a and
 subtracts every symbol defined in a shipped binary: the executables in
-the tree's bench/, examples/ and tools/ directories plus
-perfbench_driver. What is left is library code that only tests reach.
-It exits non-zero when such a function is missing from the allowlist,
-and when an allowlist entry is stale: reached, or no longer defined.
+the tree's bench/ and tools/ directories plus perfbench_driver. What is
+left is library code that only tests or examples reach; what an
+examples/ executable reaches is reported as "reached only by
+examples". It exits non-zero when such a function is missing from the
+allowlist, and when an allowlist entry is stale: reached, no longer
+defined, or in the other category.
 
 Allowlist lines hold one demangled signature and a reason that names
-its keep case: "<signature>  # (a|b|c) <why>". Blank lines and lines
-starting with '#' are comments.
+its keep case: "<signature>  # (a|b|c) <why>" for a function only tests
+reach, "<signature>  # (d) examples/<name> <why>" for one only examples
+reach. Blank lines and lines starting with '#' are comments.
 """
 
 import argparse
@@ -29,9 +32,10 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SHIPPED_DIRS = ("bench", "examples", "tools")
+SHIPPED_DIRS = ("bench", "tools")
+EXAMPLES_DIR = "examples"
 REQUIRED = ("neurocmp", "perfbench_driver")
-REASON = re.compile(r"\((a|b|c)\) \S")
+REASON = re.compile(r"\((a|b|c)\) \S|\(d\) examples/\w")
 
 
 def nm_symbols(path, text_only):
@@ -49,6 +53,14 @@ def nm_symbols(path, text_only):
     return names
 
 
+def defined_in(binaries):
+    """Mangled names any of @p binaries defines."""
+    names = set()
+    for binary in binaries:
+        names |= nm_symbols(binary, text_only=False)
+    return names
+
+
 def demangle(names):
     out = subprocess.run(["c++filt"], input="\n".join(names), check=True,
                          capture_output=True, text=True).stdout
@@ -62,17 +74,20 @@ def is_elf_executable(path):
         return f.read(4) == b"\x7fELF"
 
 
+def binaries_in(build, dirs):
+    return [p for p in build.rglob("*")
+            if p.parent.name in dirs and is_elf_executable(p)]
+
+
 def shipped_binaries(build):
     found = [p for p in build.rglob("perfbench_driver")
              if is_elf_executable(p)]
-    for p in build.rglob("*"):
-        if p.parent.name in SHIPPED_DIRS and is_elf_executable(p):
-            found.append(p)
-    return found
+    return found + binaries_in(build, SHIPPED_DIRS)
 
 
 def load_allowlist(path):
-    """@return {signature: line number}; exits on a malformed line."""
+    """@return {signature: (line number, keep case)}; exits on a
+    malformed line."""
     entries = {}
     for number, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip() or line.startswith("#"):
@@ -81,10 +96,11 @@ def load_allowlist(path):
         signature = signature.strip()
         if not sep or not REASON.match(reason.strip()):
             sys.exit(f"{path}:{number}: expected '<signature>  # (a|b|c) "
+                     f"<reason>' or '<signature>  # (d) examples/<name> "
                      f"<reason>', got: {line}")
         if signature in entries:
             sys.exit(f"{path}:{number}: duplicate entry: {signature}")
-        entries[signature] = number
+        entries[signature] = (number, reason.strip()[1])
     return entries
 
 
@@ -97,6 +113,7 @@ def main():
 
     archives = sorted(args.build.rglob("libneuro_*.a"))
     binaries = shipped_binaries(args.build)
+    examples = binaries_in(args.build, (EXAMPLES_DIR,))
     names = {p.name for p in binaries}
     missing = [r for r in REQUIRED if r not in names]
     if not archives or missing:
@@ -106,9 +123,8 @@ def main():
     library = set()
     for archive in archives:
         library |= nm_symbols(archive, text_only=True)
-    shipped = set()
-    for binary in binaries:
-        shipped |= nm_symbols(binary, text_only=False)
+    shipped = defined_in(binaries)
+    in_examples = defined_in(examples)
 
     # A constructor or destructor has several mangled variants with one
     # demangled name; the function is reached if any variant is.
@@ -116,23 +132,41 @@ def main():
     reached = {signatures[n] for n in library if n in shipped}
     defined = set(signatures.values())
     unreached = defined - reached
+    example_only = unreached & {signatures[n] for n in library
+                                if n in in_examples}
+    test_only = unreached - example_only
 
     allowlist = load_allowlist(args.allowlist)
-    new = sorted(unreached - allowlist.keys())
-    stale = sorted((allowlist[s], s) for s in allowlist.keys() - unreached)
+    new = sorted(test_only - allowlist.keys())
+    new_example_only = sorted(example_only - allowlist.keys())
+    stale = []
+    for signature, (number, case) in allowlist.items():
+        if signature not in defined:
+            why = "not defined"
+        elif signature in reached:
+            why = "reached"
+        elif case == "d" and signature in test_only:
+            why = "no example reaches it"
+        elif case != "d" and signature in example_only:
+            why = "reached only by examples, needs case (d)"
+        else:
+            continue
+        stale.append((number, signature, why))
 
     print(f"{len(defined)} library functions, {len(binaries)} shipped "
-          f"binaries, {len(unreached)} unreached, "
+          f"binaries, {len(examples)} examples, {len(unreached)} "
+          f"unreached ({len(example_only)} reached only by examples), "
           f"{len(allowlist)} allowlisted")
     for signature in new:
         print(f"unreached, not allowlisted: {signature}")
-    for number, signature in stale:
-        why = "reached" if signature in reached else "not defined"
+    for signature in new_example_only:
+        print(f"reached only by examples, not allowlisted: {signature}")
+    for number, signature, why in sorted(stale):
         print(f"{args.allowlist.name}:{number}: stale ({why}): {signature}")
-    if new:
+    if new or new_example_only:
         print("Call these from a shipped binary, delete them, or allowlist "
               "them with the keep case (docs/static_analysis.md).")
-    return 1 if new or stale else 0
+    return 1 if new or new_example_only or stale else 0
 
 
 if __name__ == "__main__":
