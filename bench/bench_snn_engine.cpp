@@ -13,13 +13,15 @@
  *
  * The grid-cache effect is reported alongside: training runs 2 epochs
  * and prints the epoch-2 hit rate (expected ~100%: encodings are
- * frozen per sample, so epoch 2 re-presents without re-encoding);
- * labeling and evaluation are timed on a warm cache.
+ * frozen per sample, so epoch 2 re-presents without re-encoding).
+ * Labeling and evaluation encode each image themselves, only up to
+ * its first output spike, and never touch the cache; each is timed
+ * as one pass, as the pipeline runs it.
  *
  * The default workload (20,000 train / 20,000 test images) makes a
- * 1-thread label or evaluate pass take about 0.5 s, long enough for
- * the 4-thread rows to show the scaling; both sets still fit the grid
- * cache's default budget, so the timed passes stay warm.
+ * 1-thread label or evaluate pass take about a second, long enough
+ * for the 4-thread rows to show the scaling, and its 20,000 training
+ * grids fit the grid cache's default budget.
  *
  * Knobs: train=N test=N threads=a,b --quick (96 / 48 images, for the
  * sanitizer jobs). Writes bench_snn_engine.csv.
@@ -69,7 +71,7 @@ struct PhaseRow
     std::size_t threads = 0;
     std::size_t items = 0;
     double wall_s = 0.0;
-    double cacheHitRate = 0.0; ///< of the timed pass.
+    std::string cacheHitRate = "-"; ///< epoch 2's (training only).
 };
 
 } // namespace
@@ -138,34 +140,24 @@ main(int argc, char **argv)
         const double e2_total = e2_hits +
             static_cast<double>(after.misses - epoch1.misses);
         rows.push_back({"train_2ep", threads, 2 * w.data.train.size(),
-                        train_s, e2_total > 0 ? e2_hits / e2_total : 0.0});
+                        train_s,
+                        TextTable::fmt(e2_total > 0 ? e2_hits / e2_total
+                                                    : 0.0,
+                                       2)});
 
-        // --- label: warm-up pass fills the cache for this seed, the
-        // timed pass presents from it.
-        trainer.labelNeurons(net, w.data.train, snn::EvalMode::Wt, 31);
-        const auto before_label = trainer.gridCache().stats();
+        // --- label and evaluate: one pass each.
         std::vector<int> labels;
         const double label_s = secondsOf([&] {
             labels = trainer.labelNeurons(net, w.data.train,
                                           snn::EvalMode::Wt, 31);
         });
-        const auto after_label = trainer.gridCache().stats();
-        const double label_hits =
-            static_cast<double>(after_label.hits - before_label.hits);
-        const double label_total = label_hits +
-            static_cast<double>(after_label.misses - before_label.misses);
-        rows.push_back({"label", threads, w.data.train.size(), label_s,
-                        label_total > 0 ? label_hits / label_total : 0.0});
-
-        // --- evaluate: same warm-cache protocol.
-        trainer.evaluate(net, labels, w.data.test, snn::EvalMode::Wt, 32);
+        rows.push_back({"label", threads, w.data.train.size(), label_s});
         snn::SnnEvalResult eval;
         const double eval_s = secondsOf([&] {
             eval = trainer.evaluate(net, labels, w.data.test,
                                     snn::EvalMode::Wt, 32);
         });
-        rows.push_back({"evaluate", threads, w.data.test.size(), eval_s,
-                        1.0});
+        rows.push_back({"evaluate", threads, w.data.test.size(), eval_s});
 
         // --- cross-check against the first run.
         if (!have_reference) {
@@ -196,15 +188,16 @@ main(int argc, char **argv)
                       TextTable::fmt(r.wall_s, 3),
                       TextTable::fmt(
                           static_cast<double>(r.items) / r.wall_s, 1),
-                      TextTable::fmt(r.cacheHitRate, 2)});
+                      r.cacheHitRate});
         csv.writeRow(std::vector<std::string>{
             r.phase, std::to_string(r.threads),
             TextTable::fmt(r.wall_s, 4),
             TextTable::fmt(static_cast<double>(r.items) / r.wall_s, 1),
-            TextTable::fmt(r.cacheHitRate, 2)});
+            r.cacheHitRate});
     }
     table.addNote("train runs 2 epochs on a cold cache; its hit rate "
-                  "is the epoch-2 rate. label/evaluate are timed warm.");
+                  "is the epoch-2 rate. label/evaluate encode past the "
+                  "cache.");
     table.print(std::cout);
     std::cout << "RESULT: labels and accuracy matched bit-for-bit "
                  "across all thread counts\n";

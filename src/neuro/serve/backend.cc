@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "neuro/common/logging.h"
-#include "neuro/common/rng.h"
 #include "neuro/kernels/kernels.h"
 #include "neuro/snn/coding.h"
 
@@ -136,7 +135,8 @@ class SnnSession final : public BackendSession
     SnnSession(const snn::SnnNetwork &net,
                const std::vector<int> &labels,
                const snn::SpikeEncoder &encoder)
-        : net_(net), labels_(labels), encoder_(encoder)
+        : reader_(net, encoder), labels_(labels),
+          numInputs_(net.config().numInputs)
     {
     }
 
@@ -144,24 +144,22 @@ class SnnSession final : public BackendSession
     classify(const uint8_t *pixels, std::size_t numPixels,
              uint64_t streamSeed) override
     {
-        NEURO_ASSERT(numPixels == net_.config().numInputs,
+        NEURO_ASSERT(numPixels == numInputs_,
                      "snn backend fed %zu pixels, expects %zu",
-                     numPixels, net_.config().numInputs);
+                     numPixels, numInputs_);
         // The whole presentation is a function of (pixels, streamSeed):
         // the encoder consumes a request-local Rng and the walk resets
         // every neuron's potential/refractory/inhibition state first.
         // The SNNwt answer is fixed at the first output spike, so the
-        // walk ends there.
-        Rng rng(streamSeed);
-        encoder_.encodePacked(pixels, numPixels, rng, grid_);
-        return labelOf(labels_, net_.firstSpikeWinner(grid_));
+        // reader encodes and walks only up to it.
+        return labelOf(labels_,
+                       reader_.winner(pixels, numPixels, streamSeed));
     }
 
   private:
-    snn::SnnNetwork net_; ///< worker-local copy; presentations scribble.
+    snn::FirstSpikeReader reader_; ///< session-local network copy.
     const std::vector<int> &labels_;
-    const snn::SpikeEncoder &encoder_;
-    snn::PackedSpikeGrid grid_;
+    std::size_t numInputs_;
 };
 
 class SnnBackend final : public InferenceBackend

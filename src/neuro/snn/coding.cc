@@ -31,14 +31,63 @@ codingSchemeName(CodingScheme scheme)
     panic("unreachable coding scheme");
 }
 
+namespace {
+
+/** Largest period / minInterval ratio whose Poisson thresholds, and the
+ *  uniform products compared with them, stay normal doubles (the
+ *  smallest threshold is exp(-ratio); a product can fall 2^-53 below
+ *  it). */
+constexpr double kMaxSkipRatio = 600.0;
+
+/** The mean inter-spike interval of a pixel (rate codes). */
+double
+meanInterval(const CodingConfig &config, uint8_t pixel)
+{
+    return static_cast<double>(config.minIntervalMs) * 255.0 /
+        static_cast<double>(pixel);
+}
+
+} // namespace
+
 SpikeEncoder::SpikeEncoder(const CodingConfig &config)
     : config_(config)
 {
     NEURO_ASSERT(config_.periodMs > 0, "presentation period must be > 0");
     NEURO_ASSERT(config_.minIntervalMs > 0, "min interval must be > 0");
+    horizonSkip_ = config_.scheme == CodingScheme::RatePoisson &&
+        static_cast<double>(config_.periodMs) /
+                static_cast<double>(config_.minIntervalMs) <=
+            kMaxSkipRatio;
+    if (!horizonSkip_)
+        return;
+    horizonThresholds_.assign((kHorizonShifts + 1) * 256, 0.0);
+    for (int k = 0; k <= kHorizonShifts; ++k) {
+        const double h = static_cast<double>(config_.periodMs >> k);
+        for (int px = 1; px < 256; ++px) {
+            const double mean =
+                meanInterval(config_, static_cast<uint8_t>(px));
+            horizonThresholds_[static_cast<std::size_t>(k * 256 + px)] =
+                std::exp(-h / mean);
+        }
+    }
 }
 
 namespace {
+
+/** Spikes a rate code should emit below tick @p ticks, with headroom:
+ *  what the raw buffers reserve (a temporal code emits fewer). */
+std::size_t
+expectedSpikes(const CodingConfig &config, const uint8_t *pixels,
+               std::size_t n, int ticks)
+{
+    uint64_t luminance = 0;
+    for (std::size_t p = 0; p < n; ++p)
+        luminance += pixels[p];
+    const double expected = static_cast<double>(luminance) *
+        static_cast<double>(ticks) /
+        (255.0 * static_cast<double>(config.minIntervalMs));
+    return static_cast<std::size_t>(expected * 1.125) + 16;
+}
 
 /**
  * Spike generation: records every spike in @p grid, in per-pixel time
@@ -49,13 +98,11 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
          Rng &rng, PackedSpikeGrid &grid)
 {
     const double period = static_cast<double>(config.periodMs);
-    const double min_interval = static_cast<double>(config.minIntervalMs);
     for (std::size_t p = 0; p < n; ++p) {
         if (pixels[p] == 0)
             continue; // zero luminance, zero rate.
         // Rate proportional to luminance: mean inter-spike interval.
-        const double mean =
-            min_interval * 255.0 / static_cast<double>(pixels[p]);
+        const double mean = meanInterval(config, pixels[p]);
         switch (config.scheme) {
           case CodingScheme::RatePoisson: {
             // Sub-millisecond inter-arrivals can land two draws on the
@@ -105,6 +152,90 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
           }
           default:
             panic("emitRate called with a temporal scheme");
+        }
+    }
+}
+
+/** Rng::exponential's uniform: redrawn while zero. */
+double
+positiveUniform(Rng &rng)
+{
+    double u;
+    do {
+        u = rng.uniform();
+    } while (u <= 0.0);
+    return u;
+}
+
+/** Rng::exponential's deviate for its uniform @p u. */
+double
+exponentialOf(double u, double mean)
+{
+    return -mean * std::log(u);
+}
+
+/**
+ * RatePoisson below tick @p horizon (< period), drawing every pixel's
+ * full train from @p rng. Below the horizon a pixel runs emitRate's
+ * recurrence exactly. Its time after k draws is -mean * log(P_k), P_k
+ * the product of its uniforms, to about 1e-13 relative at <= 50
+ * draws; so a product below exp(-horizon/mean) by more than @p band
+ * (relative) lies past the horizon, and needs no logarithm. Past the
+ * horizon the product alone decides when the train ends: below
+ * exp(-period/mean) by more than the band it has ended, above it by
+ * more than the band it draws again. Inside the band the pixel's
+ * draws are replayed from its first through emitRate's exact
+ * recurrence. The draws, and so the Rng state, are emitRate's.
+ *
+ * @param horizon_thr  exp(-horizon/mean) per luminance, or nullptr to
+ *                     compute it per pixel.
+ * @param period_thr   exp(-period/mean) per luminance.
+ */
+void
+emitPoissonHorizon(const CodingConfig &config, const uint8_t *pixels,
+                   std::size_t n, Rng &rng, int horizon,
+                   const double *horizon_thr, const double *period_thr,
+                   double band, PackedSpikeGrid &grid)
+{
+    const double period = static_cast<double>(config.periodMs);
+    const double h = static_cast<double>(horizon);
+    for (std::size_t p = 0; p < n; ++p) {
+        const uint8_t px = pixels[p];
+        if (px == 0)
+            continue;
+        const double mean = meanInterval(config, px);
+        const double past_h =
+            (horizon_thr ? horizon_thr[px] : std::exp(-h / mean)) *
+            (1.0 - band);
+        const double end_lo = period_thr[px] * (1.0 - band);
+        const double end_hi = period_thr[px] * (1.0 + band);
+        const Rng first_draw = rng;
+        double t = 0.0;
+        double prod = 1.0;
+        int last_tick = -1;
+        for (;;) {
+            const double u = positiveUniform(rng);
+            prod *= u;
+            if (prod < past_h)
+                break;
+            t += exponentialOf(u, mean);
+            if (t >= h)
+                break;
+            const int tick = static_cast<int>(t);
+            if (tick != last_tick) {
+                grid.addSpike(tick, static_cast<uint16_t>(p));
+                last_tick = tick;
+            }
+        }
+        while (prod >= end_lo) {
+            if (prod <= end_hi) {
+                rng = first_draw;
+                t = rng.exponential(mean);
+                while (t < period)
+                    t += rng.exponential(mean);
+                break;
+            }
+            prod *= positiveUniform(rng);
         }
     }
 }
@@ -175,7 +306,35 @@ SpikeEncoder::encodePacked(const uint8_t *pixels, std::size_t num_pixels,
                            Rng &rng, PackedSpikeGrid &grid) const
 {
     grid.reset(num_pixels, config_.periodMs);
+    grid.reserve(
+        expectedSpikes(config_, pixels, num_pixels, config_.periodMs));
     emitSpikes(config_, pixels, num_pixels, rng, grid);
+    grid.finalize();
+}
+
+void
+SpikeEncoder::encodeHorizon(const uint8_t *pixels, std::size_t num_pixels,
+                            Rng &rng, int horizon,
+                            PackedSpikeGrid &grid) const
+{
+    NEURO_ASSERT(horizon > 0, "horizon must be > 0");
+    const int period = config_.periodMs;
+    if (!horizonSkip_ || horizon >= period) {
+        encodePacked(pixels, num_pixels, rng, grid);
+        return;
+    }
+    const double *horizon_thr = nullptr;
+    for (int k = 1; k <= kHorizonShifts; ++k) {
+        if ((period >> k) == horizon) {
+            horizon_thr =
+                &horizonThresholds_[static_cast<std::size_t>(k) * 256];
+        }
+    }
+    grid.reset(num_pixels, period, horizon);
+    grid.reserve(expectedSpikes(config_, pixels, num_pixels, horizon));
+    emitPoissonHorizon(config_, pixels, num_pixels, rng, horizon,
+                       horizon_thr, horizonThresholds_.data(),
+                       horizonBand_, grid);
     grid.finalize();
 }
 

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "neuro/snn/spike_bits.h"
 
@@ -63,6 +64,11 @@ struct CodingConfig
     double gaussianSigmaFactor = 0.5;
 };
 
+/** First-spike inference starts at the horizon period >> kHorizonShifts
+ *  and doubles it (FirstSpikeReader, network.h); the encoder tabulates
+ *  the thresholds of those horizons. */
+constexpr int kHorizonShifts = 2;
+
 /** Converts 8-bit pixels into spike trains. */
 class SpikeEncoder
 {
@@ -81,6 +87,20 @@ class SpikeEncoder
                       Rng &rng, PackedSpikeGrid &grid) const;
 
     /**
+     * Encode only the spikes below tick @p horizon: exactly the events
+     * encodePacked() puts there, into a grid complete below
+     * min(@p horizon, period), leaving @p rng where encodePacked()
+     * leaves it. For RatePoisson past the horizon each pixel draws
+     * the same uniforms but takes no logarithm: their running product
+     * P, against exp(-period/mean), decides when the pixel's train
+     * ends, and a P within a relative 1e-9 of it replays the pixel's
+     * draws through the exact recurrence (docs/snn_engine.md,
+     * "Horizon encoding"). The other schemes encode the whole window.
+     */
+    void encodeHorizon(const uint8_t *pixels, std::size_t num_pixels,
+                       Rng &rng, int horizon, PackedSpikeGrid &grid) const;
+
+    /**
      * The SNNwot deterministic conversion (Section 4.2.2): the number of
      * spikes a pixel would emit, as the 4-bit value the hardware
      * generates directly (0..periodMs/minIntervalMs).
@@ -91,7 +111,18 @@ class SpikeEncoder
     uint8_t maxSpikeCount() const;
 
   private:
+    friend class SpikeEncoderTestPeer;
+
     CodingConfig config_;
+    /** Whether encodeHorizon() may skip the Poisson logarithms: a
+     *  RatePoisson config whose thresholds stay normal doubles. */
+    bool horizonSkip_ = false;
+    /** Relative band around a threshold inside which encodeHorizon()
+     *  replays a pixel exactly. */
+    double horizonBand_ = 1e-9;
+    /** exp(-H/mean) per luminance (index 0 unused), one 256-entry row
+     *  per H = period >> k, k = 0..kHorizonShifts. */
+    std::vector<double> horizonThresholds_;
 };
 
 } // namespace snn

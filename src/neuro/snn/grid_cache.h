@@ -1,19 +1,20 @@
 /**
  * @file
- * Encoded-grid cache for the SNN training/evaluation pipeline. Spike
- * encoding is deterministic given (sample, per-sample stream seed,
- * coding configuration) — docs/parallelism.md — so re-encoding the same
- * image on every epoch of STDP training, and again for the labeling and
- * evaluation passes, is pure waste. The cache memoizes finalized
+ * Encoded-grid cache for SNN training. Spike encoding is deterministic
+ * given (sample, per-sample stream seed, coding configuration) —
+ * docs/parallelism.md — so re-encoding the same image on every epoch
+ * of STDP training is pure waste. The cache memoizes finalized
  * `PackedSpikeGrid`s under that key, bounded by a byte budget with LRU
- * eviction.
+ * eviction. Labeling and evaluation read each grid once, and only up
+ * to its first spike, so they encode past the cache
+ * (FirstSpikeReader, network.h).
  *
  * Entries are handed out as `shared_ptr<const PackedSpikeGrid>` so an
  * eviction can never invalidate a grid a worker is still presenting;
- * all operations are thread-safe (the sharded evaluation paths hit the
- * cache concurrently). Two workers racing on the same missing key both
- * encode — the grids are identical by construction, and only one copy
- * is retained.
+ * all operations are thread-safe (the training loop and its grid
+ * prefetcher hit the cache concurrently). Two callers racing on the
+ * same missing key both encode — the grids are identical by
+ * construction, and only one copy is retained.
  */
 
 #pragma once

@@ -42,6 +42,16 @@ checkGridShape(const PackedSpikeGrid &grid, const SnnConfig &config)
                  grid.numInputs(), config.numInputs);
 }
 
+/** A full-window presentation takes a complete grid: a truncated one
+ *  would miss the spikes past its horizon. */
+void
+checkGridComplete(const PackedSpikeGrid &grid)
+{
+    NEURO_ASSERT(grid.complete(),
+                 "full-window presentation of a grid truncated at %d ms",
+                 grid.horizonMs());
+}
+
 /** present()'s WTA pick when every neuron is open: the first neuron
  *  with the largest margin pot - thr >= 0, or -1 if none crossed. */
 int
@@ -281,6 +291,7 @@ SnnNetwork::presentImage(const PackedSpikeGrid &grid, bool learn,
     const std::size_t num_neurons = config_.numNeurons;
     const int period = config_.coding.periodMs;
     checkGridShape(grid, config_);
+    checkGridComplete(grid);
 
     PresentationResult result;
     beginPresentation(result);
@@ -339,6 +350,7 @@ SnnNetwork::refreshWeightsT()
 PresentationResult
 SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
 {
+    checkGridComplete(grid);
     return walkEvents(grid, learn, /*untilFirstSpike=*/false);
 }
 
@@ -349,6 +361,8 @@ SnnNetwork::firstSpikeWinner(const PackedSpikeGrid &grid, bool *fired)
         walkEvents(grid, /*learn=*/false, /*untilFirstSpike=*/true);
     if (fired)
         *fired = result.firstSpikeNeuron >= 0;
+    if (result.firstSpikeNeuron < 0 && !grid.complete())
+        return kUndecided;
     return result.winner(Readout::FirstSpike);
 }
 
@@ -528,12 +542,42 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
     obsCount<"snn.engine.ticks_all_gated">(all_gated_ticks);
     obsCount<"snn.engine.ticks_skipped">(static_cast<uint64_t>(period) - k);
     // Once the first spike fixed the answer, the window-end decay and
-    // the max-potential readout would go unread.
-    if (decided)
+    // the max-potential readout would go unread; a truncated grid has
+    // no window end to read.
+    if (decided || !grid.complete())
         countEvents(result, learn);
     else
         finishPresentation(learn, result);
     return result;
+}
+
+FirstSpikeReader::FirstSpikeReader(const SnnNetwork &net,
+                                   const SpikeEncoder &encoder)
+    : net_(net),
+      encoder_(encoder),
+      horizon_(std::max(encoder.config().periodMs >> kHorizonShifts, 1))
+{
+    NEURO_ASSERT(encoder.config().periodMs == net.config().coding.periodMs,
+                 "reader encoder period %d != network period %d",
+                 encoder.config().periodMs, net.config().coding.periodMs);
+}
+
+int
+FirstSpikeReader::winner(const uint8_t *pixels, std::size_t numPixels,
+                         uint64_t streamSeed, bool *fired)
+{
+    Rng rng(streamSeed);
+    encoder_.encodeHorizon(pixels, numPixels, rng, horizon_, grid_);
+    const int winner = net_.firstSpikeWinner(grid_, fired);
+    if (winner != SnnNetwork::kUndecided)
+        return winner;
+    // Nothing fired below the horizon: the answer needs the whole
+    // window, and the next images get twice the horizon.
+    obsCount<"snn.encode.horizon_restarts">();
+    horizon_ = std::min(2 * horizon_, encoder_.config().periodMs);
+    Rng full(streamSeed);
+    encoder_.encodePacked(pixels, numPixels, full, grid_);
+    return net_.firstSpikeWinner(grid_, fired);
 }
 
 } // namespace snn

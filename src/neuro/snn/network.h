@@ -149,12 +149,16 @@ class SnnNetwork
     /** @return mutable thresholds (serialization, tests). */
     std::vector<double> &thresholds() { return thresholds_; }
 
+    /** firstSpikeWinner()'s answer for a truncated grid that fires no
+     *  neuron below its horizon. */
+    static constexpr int kUndecided = -2;
+
     /**
      * Present one encoded image for a full window: walk only the
      * spike-carrying ticks of the packed grid. The production path;
      * every field of the result covers the whole window.
      *
-     * @param grid   the input spike train (finalized).
+     * @param grid   the input spike train (finalized and complete).
      * @param learn  apply STDP on firing events and advance homeostasis.
      */
     PresentationResult present(const PackedSpikeGrid &grid, bool learn);
@@ -167,10 +171,15 @@ class SnnNetwork
      * max-potential fallback. The potentials are left at the tick the
      * walk ended on; the next presentation resets them.
      *
+     * A truncated grid (spike_bits.h) holds the full grid's events
+     * below its horizon, so a firing there is the full grid's answer;
+     * a walk that reaches the horizon without one is undecided.
+     *
      * @param grid   the input spike train (finalized).
      * @param fired  optional sink: true when a neuron fired, false when
-     *               the answer is the max-potential fallback.
-     * @return the winning neuron index.
+     *               the answer is the max-potential fallback or
+     *               undecided.
+     * @return the winning neuron index, or kUndecided.
      */
     int firstSpikeWinner(const PackedSpikeGrid &grid, bool *fired = nullptr);
 
@@ -179,7 +188,7 @@ class SnnNetwork
      * included: bit-identical to present() on the same grid. Kept as
      * the test oracle and for traces, which present() does not record.
      *
-     * @param grid   the input spike train (finalized).
+     * @param grid   the input spike train (finalized and complete).
      * @param learn  apply STDP on firing events and advance homeostasis.
      * @param trace  optional trace sink (slows the run; for figures).
      */
@@ -207,9 +216,9 @@ class SnnNetwork
                   PresentationTrace *trace);
 
     /** present()'s and firstSpikeWinner()'s event loop. With
-     *  @p untilFirstSpike it returns right after the first firing;
-     *  that result has no max-potential readout and counts only the
-     *  ticks stepped. */
+     *  @p untilFirstSpike it returns right after the first firing, or
+     *  at the horizon of a truncated grid; that result has no
+     *  max-potential readout and counts only the ticks stepped. */
     PresentationResult walkEvents(const PackedSpikeGrid &grid, bool learn,
                                   bool untilFirstSpike);
 
@@ -263,6 +272,43 @@ class SnnNetwork
 
     // present() scratch (presentation-local, reused across calls).
     std::vector<double> driveScratch_;
+};
+
+/**
+ * SNNwt inference over images, the one path labeling, evaluation and
+ * the serving backend run: a network copy (walks scribble on it), a
+ * reused grid, and a horizon. Each image is encoded only below the
+ * horizon (SpikeEncoder::encodeHorizon) and walked to its first output
+ * spike. An image that fires nothing there is re-encoded in full and
+ * walked again, and the horizon doubles, from period >> kHorizonShifts
+ * up to the period. Every answer is the full grid's: the horizon only
+ * sets how much of each window is encoded.
+ */
+class FirstSpikeReader
+{
+  public:
+    /** Copies @p net; @p encoder (the network's coding) must outlive
+     *  the reader. */
+    FirstSpikeReader(const SnnNetwork &net, const SpikeEncoder &encoder);
+
+    /**
+     * Exactly `present(grid, false).winner(Readout::FirstSpike)` of
+     * the grid encodePacked() makes of @p pixels from an Rng seeded
+     * with @p streamSeed.
+     *
+     * @param fired  optional sink: true when a neuron fired.
+     */
+    int winner(const uint8_t *pixels, std::size_t numPixels,
+               uint64_t streamSeed, bool *fired = nullptr);
+
+    /** @return the current horizon in ticks. */
+    int horizonMs() const { return horizon_; }
+
+  private:
+    SnnNetwork net_;
+    const SpikeEncoder &encoder_;
+    PackedSpikeGrid grid_;
+    int horizon_;
 };
 
 } // namespace snn

@@ -1,7 +1,5 @@
 #include "neuro/snn/spike_bits.h"
 
-#include "neuro/common/logging.h"
-
 namespace neuro {
 namespace snn {
 
@@ -13,9 +11,19 @@ PackedSpikeGrid::PackedSpikeGrid(std::size_t num_inputs, int period_ms)
 void
 PackedSpikeGrid::reset(std::size_t num_inputs, int period_ms)
 {
+    reset(num_inputs, period_ms, period_ms);
+}
+
+void
+PackedSpikeGrid::reset(std::size_t num_inputs, int period_ms,
+                       int horizon_ms)
+{
     NEURO_ASSERT(period_ms > 0, "presentation period must be > 0");
+    NEURO_ASSERT(horizon_ms > 0 && horizon_ms <= period_ms,
+                 "horizon %d outside (0, %d]", horizon_ms, period_ms);
     numInputs_ = num_inputs;
     periodMs_ = period_ms;
+    horizonMs_ = horizon_ms;
     finalized_ = false;
     rawTicks_.clear();
     rawInputs_.clear();
@@ -25,14 +33,10 @@ PackedSpikeGrid::reset(std::size_t num_inputs, int period_ms)
 }
 
 void
-PackedSpikeGrid::addSpike(int tick, uint16_t input)
+PackedSpikeGrid::reserve(std::size_t spikes)
 {
-    NEURO_ASSERT(!finalized_, "addSpike after finalize");
-    NEURO_ASSERT(tick >= 0 && tick < periodMs_, "tick %d out of window",
-                 tick);
-    NEURO_ASSERT(input < numInputs_, "input spike out of range");
-    rawTicks_.push_back(tick);
-    rawInputs_.push_back(input);
+    rawTicks_.reserve(spikes);
+    rawInputs_.reserve(spikes);
 }
 
 void
@@ -43,22 +47,28 @@ PackedSpikeGrid::finalize()
 
     // Stable counting sort of the raw events by tick: per-tick spike
     // counts, prefix sums, then a placement pass that keeps emission
-    // order inside each tick.
-    std::vector<uint32_t> per_tick(static_cast<std::size_t>(periodMs_), 0);
+    // order inside each tick. Only ticks below the horizon can carry
+    // a spike. The scratch is per thread, so finalizing allocates
+    // nothing once the thread has seen a grid this size.
+    thread_local std::vector<uint32_t> tick_scratch;
+    thread_local std::vector<int32_t> last_tick_scratch;
+    const auto ticks = static_cast<std::size_t>(horizonMs_);
+    tick_scratch.assign(ticks, 0);
+    uint32_t *cursor = tick_scratch.data();
     for (int32_t t : rawTicks_)
-        ++per_tick[static_cast<std::size_t>(t)];
+        ++cursor[static_cast<std::size_t>(t)];
 
     activeTicks_.clear();
     tickOffsets_.clear();
     uint32_t offset = 0;
-    std::vector<uint32_t> cursor(per_tick.size(), 0);
-    for (std::size_t t = 0; t < per_tick.size(); ++t) {
-        if (per_tick[t] == 0)
+    for (std::size_t t = 0; t < ticks; ++t) {
+        const uint32_t count = cursor[t];
+        if (count == 0)
             continue;
         activeTicks_.push_back(static_cast<int32_t>(t));
         tickOffsets_.push_back(offset);
         cursor[t] = offset;
-        offset += per_tick[t];
+        offset += count;
     }
     tickOffsets_.push_back(offset);
 
@@ -72,7 +82,8 @@ PackedSpikeGrid::finalize()
     // tick-sorted events: an input already stamped with this tick is a
     // repeat, so the first emission wins and the order is kept. Every
     // active tick keeps its first event, so no tick empties.
-    std::vector<int32_t> last_tick(numInputs_, -1);
+    last_tick_scratch.assign(numInputs_, -1);
+    int32_t *last_tick = last_tick_scratch.data();
     uint32_t kept = 0;
     for (std::size_t k = 0; k < activeTicks_.size(); ++k) {
         const int32_t t = activeTicks_[k];
@@ -90,9 +101,22 @@ PackedSpikeGrid::finalize()
     tickOffsets_.back() = kept;
     events_.resize(kept);
     rawTicks_.clear();
-    rawTicks_.shrink_to_fit();
     rawInputs_.clear();
-    rawInputs_.shrink_to_fit();
+}
+
+PackedSpikeGrid
+PackedSpikeGrid::compactCopy() const
+{
+    NEURO_ASSERT(finalized_, "compactCopy requires finalize()");
+    PackedSpikeGrid copy;
+    copy.numInputs_ = numInputs_;
+    copy.periodMs_ = periodMs_;
+    copy.horizonMs_ = horizonMs_;
+    copy.finalized_ = true;
+    copy.activeTicks_ = activeTicks_;
+    copy.tickOffsets_ = tickOffsets_;
+    copy.events_ = events_;
+    return copy;
 }
 
 const uint16_t *

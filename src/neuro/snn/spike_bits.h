@@ -17,12 +17,19 @@
  * in the paper's hardware, and a per-pixel spike generator cannot emit
  * twice in one cycle. finalize() merges duplicates, keeping the first
  * emission.
+ *
+ * A grid may be truncated: complete only below its horizon tick, with
+ * no spike recorded at or past it. First-spike inference encodes such
+ * grids (SpikeEncoder::encodeHorizon); only a complete grid, whose
+ * horizon is the period, may be presented for the whole window.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
+
+#include "neuro/common/logging.h"
 
 namespace neuro {
 namespace snn {
@@ -37,26 +44,53 @@ class PackedSpikeGrid
     PackedSpikeGrid(std::size_t num_inputs, int period_ms);
 
     /**
-     * Reset to an empty grid of the given shape, reusing the existing
-     * buffers (the encoder's scratch-grid idiom).
+     * Reset to an empty, complete grid of the given shape, reusing the
+     * existing buffers and their capacity (the encoder's scratch-grid
+     * idiom).
      */
     void reset(std::size_t num_inputs, int period_ms);
 
-    /** Record a spike of @p input at @p tick. */
-    void addSpike(int tick, uint16_t input);
+    /** Reset to an empty grid that is complete only below
+     *  @p horizon_ms, in (0, period_ms]. */
+    void reset(std::size_t num_inputs, int period_ms, int horizon_ms);
+
+    /** Reserve the raw buffers for about @p spikes addSpike() calls. */
+    void reserve(std::size_t spikes);
+
+    /** Record a spike of @p input at @p tick (below the horizon). */
+    void
+    addSpike(int tick, uint16_t input)
+    {
+        NEURO_ASSERT(!finalized_, "addSpike after finalize");
+        NEURO_ASSERT(tick >= 0 && tick < horizonMs_,
+                     "tick %d out of window", tick);
+        NEURO_ASSERT(input < numInputs_, "input spike out of range");
+        rawTicks_.push_back(tick);
+        rawInputs_.push_back(input);
+    }
 
     /**
      * Build the event index from the recorded spikes, merging duplicate
      * (tick, input) pairs (the first emission wins). Must be called
      * after the last addSpike() and before any event-side accessor;
-     * addSpike() after finalize() is a usage error.
+     * addSpike() after finalize() is a usage error. The raw buffers
+     * keep their capacity for the next reset(), and the sort scratch
+     * is per thread, so a reused grid finalizes without allocating.
      */
     void finalize();
+
+    /** @return a copy of the finalized event index alone, every buffer
+     *  at its exact size (what a cache keeps). */
+    PackedSpikeGrid compactCopy() const;
 
     /** @return the number of inputs (pixels). */
     std::size_t numInputs() const { return numInputs_; }
     /** @return the presentation window length in ticks. */
     int periodMs() const { return periodMs_; }
+    /** @return the tick below which the grid holds every spike. */
+    int horizonMs() const { return horizonMs_; }
+    /** @return true when the grid covers the whole window. */
+    bool complete() const { return horizonMs_ == periodMs_; }
     /** @return total spikes, duplicates merged (finalized grids only). */
     std::size_t totalSpikes() const { return events_.size(); }
 
@@ -82,6 +116,7 @@ class PackedSpikeGrid
   private:
     std::size_t numInputs_ = 0;
     int periodMs_ = 0;
+    int horizonMs_ = 0;
     bool finalized_ = false;
 
     /** Raw (tick, input) pairs in emission order (pre-finalize). */

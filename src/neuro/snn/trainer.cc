@@ -32,10 +32,12 @@ SnnStdpTrainer::gridFor(const datasets::Dataset &data, std::size_t index,
     key.codingHash = codingHash_;
     if (auto grid = gridCache_.find(key))
         return grid;
+    // Encode into this thread's reused grid; the cache keeps a copy
+    // sized to its events.
+    thread_local PackedSpikeGrid scratch;
     Rng rng(key.streamSeed);
-    PackedSpikeGrid grid;
-    encoder_.encodePacked(pixels.data(), pixels.size(), rng, grid);
-    return gridCache_.insert(key, std::move(grid));
+    encoder_.encodePacked(pixels.data(), pixels.size(), rng, scratch);
+    return gridCache_.insert(key, scratch.compactCopy());
 }
 
 namespace {
@@ -47,16 +49,19 @@ constexpr std::size_t kPrefetchAhead = 32;
 
 /**
  * One epoch's hand-off between the presentation loop and the grid
- * prefetcher on a pool worker. The loop publishes each step it
- * begins; the prefetcher encodes at most kPrefetchAhead steps ahead
- * of it and sleeps on a CondVar, not a spin, until the loop has
- * caught up half of that. The loop never waits: a grid the prefetcher
- * has not reached is encoded inline, as without it.
+ * prefetcher on a pool worker. Each step is claimed once: the loop
+ * claims each step it begins, and the prefetcher claims the next step
+ * neither has, at most kPrefetchAhead ahead of the loop, sleeping on a
+ * CondVar, not a spin, until the loop has caught up half of that. A
+ * step the loop begins while the prefetcher encodes it waits for that
+ * encode; any other step the loop finds cached or encodes itself. So
+ * every grid is encoded once.
  */
 class EpochPrefetch
 {
   public:
-    /** The loop begins step @p step; the prefetcher skips it. */
+    /** The loop begins step @p step; returns once the prefetcher is
+     *  not encoding it. */
     void
     begin(std::size_t step)
     {
@@ -64,6 +69,8 @@ class EpochPrefetch
         {
             MutexGuard lock(mutex_);
             begun_ = step + 1;
+            while (inFlight_ == step)
+                landed_.wait(mutex_);
             wake = waiting_ && begun_ >= resumeAt_;
             if (wake)
                 waiting_ = false;
@@ -83,11 +90,21 @@ class EpochPrefetch
         wake_.notifyOne();
     }
 
+    /** Prefetcher side: the previous claim has landed (or the
+     *  prefetcher is unwinding); wake a loop waiting on it. */
+    void
+    landed()
+    {
+        {
+            MutexGuard lock(mutex_);
+            inFlight_ = SIZE_MAX;
+        }
+        landed_.notifyOne();
+    }
+
     /** Prefetcher side: block until a step at or after @p step may be
-     *  encoded. @return that step, or SIZE_MAX once the loop has
-     *  finished. It is never one the loop has begun, nor the loop's
-     *  next one: a prefetcher that has fallen that far behind would
-     *  only race the loop's own encode of it. */
+     *  claimed. @return that step, claimed, or SIZE_MAX once the loop
+     *  has finished. It is never one the loop has begun. */
     std::size_t
     next(std::size_t step)
     {
@@ -95,9 +112,11 @@ class EpochPrefetch
         for (;;) {
             if (finished_)
                 return SIZE_MAX;
-            step = std::max(step, begun_ + 1);
-            if (step < begun_ + kPrefetchAhead)
+            step = std::max(step, begun_);
+            if (step < begun_ + kPrefetchAhead) {
+                inFlight_ = step;
                 return step;
+            }
             resumeAt_ = step - kPrefetchAhead / 2;
             waiting_ = true;
             wake_.wait(mutex_);
@@ -106,8 +125,10 @@ class EpochPrefetch
 
   private:
     Mutex mutex_;
-    CondVar wake_;
+    CondVar wake_;   ///< the prefetcher waits here.
+    CondVar landed_; ///< the loop waits here.
     std::size_t begun_ NEURO_GUARDED_BY(mutex_) = 0;
+    std::size_t inFlight_ NEURO_GUARDED_BY(mutex_) = SIZE_MAX;
     std::size_t resumeAt_ NEURO_GUARDED_BY(mutex_) = 0;
     bool waiting_ NEURO_GUARDED_BY(mutex_) = false;
     bool finished_ NEURO_GUARDED_BY(mutex_) = false;
@@ -168,9 +189,16 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
                     presentEpoch(&ahead);
                 },
                 [&] {
+                    // Release a waiting loop however this exits.
+                    struct Landed
+                    {
+                        EpochPrefetch &ahead;
+                        ~Landed() { ahead.landed(); }
+                    } landed{ahead};
                     for (std::size_t step = ahead.next(0); step < n;
                          step = ahead.next(step + 1)) {
                         gridFor(data, order[step], config.seed);
+                        ahead.landed();
                     }
                 },
             });
@@ -246,21 +274,22 @@ SnnStdpTrainer::winnersFor(const SnnNetwork &net,
     if (fired)
         fired->assign(n, 0);
 
-    // One task per shard: a worker-local copy of the frozen network
+    // One reader per shard: a worker-local copy of the frozen network
     // (presentations scribble on neuron dynamics), and one encoding
     // per sample keyed by (seed, i) via SplitMix64 — spike encodings
     // do not depend on iteration order, so any thread count produces
-    // the same winners. Encodings are served from the grid cache
-    // (thread-safe), so a second pass over the same data re-presents
-    // without re-encoding.
+    // the same winners. The reader encodes only the ticks up to the
+    // first spike, and nothing goes through the grid cache: a pass
+    // reads each grid once.
     parallelForRange(0, n, evalGrain(n), [&](std::size_t i0,
                                              std::size_t i1) {
         NEURO_PROFILE_SCOPE("snn/eval/shard");
-        SnnNetwork local(net);
+        FirstSpikeReader reader(net, encoder_);
         for (std::size_t i = i0; i < i1; ++i) {
-            const auto grid = gridFor(data, i, seed);
+            const auto &pixels = data[i].pixels;
             bool spiked = false;
-            winners[i] = local.firstSpikeWinner(*grid, &spiked);
+            winners[i] = reader.winner(pixels.data(), pixels.size(),
+                                       deriveStreamSeed(seed, i), &spiked);
             if (fired)
                 (*fired)[i] = spiked;
         }

@@ -74,8 +74,8 @@ class SnnStdpTrainer
      * label it wins most often, normalized by class frequency.
      *
      * Samples are sharded across the thread pool. Under EvalMode::Wt
-     * each is presented to a worker-local copy of the network with an
-     * Rng seeded from (seed, sampleIndex); under EvalMode::Wot every
+     * each shard's FirstSpikeReader encodes each sample from an Rng
+     * seeded from (seed, sampleIndex); under EvalMode::Wot every
      * shard reads one SnnWotDatapath built from @p net (integer
      * arithmetic, no Rng). Either way the result is bit-identical at
      * any thread count (docs/parallelism.md). @p net itself is left
@@ -103,7 +103,8 @@ class SnnStdpTrainer
     /**
      * The cached encoding of sample @p index of @p data under @p seed:
      * served from the grid cache when resident, encoded (and inserted)
-     * otherwise. Thread-safe; all presentation paths go through here.
+     * otherwise. Thread-safe; training and its prefetcher go through
+     * here, inference does not (FirstSpikeReader).
      */
     std::shared_ptr<const PackedSpikeGrid>
     gridFor(const datasets::Dataset &data, std::size_t index,

@@ -122,6 +122,23 @@ TEST(EdgeDeathTest, PresentImageRejectsWidthMismatch)
                  "packed grid inputs 3 != config inputs 4");
 }
 
+TEST(EdgeDeathTest, FullWindowWalksRejectTruncatedGrid)
+{
+    // A grid encoded only below its horizon may end a first-spike walk,
+    // but never a full-window presentation, learning or not.
+    snn::SnnNetwork net = guardNetwork();
+    snn::PackedSpikeGrid grid;
+    grid.reset(4, 20, 10);
+    grid.addSpike(3, 1);
+    grid.finalize();
+    for (const bool learn : {false, true}) {
+        EXPECT_DEATH(net.present(grid, learn),
+                     "grid truncated at 10 ms");
+        EXPECT_DEATH(net.presentImage(grid, learn),
+                     "grid truncated at 10 ms");
+    }
+}
+
 TEST(EdgeDeathTest, DatasetRejectsWrongGeometry)
 {
     datasets::Dataset data("toy", 4, 4, 2);

@@ -5,13 +5,19 @@
 // ticks), and the full pipeline must agree at any thread count.
 // firstSpikeWinner(), the same walk ended at the first output spike,
 // must give the reference's first-spike answer and count only the
-// ticks it stepped. Also covers the trainer's grid-cache routing and
-// that inference leaves homeostasis alone.
+// ticks it stepped. FirstSpikeReader, which encodes only up to a
+// horizon, must give the full grid's answers at any thread count and
+// kernel ISA. Also covers the trainer's grid-cache routing and that
+// inference leaves homeostasis alone.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
+#include "neuro/datasets/synth_digits.h"
+#include "neuro/kernels/kernels.h"
 #include "neuro/snn/spike_bits.h"
 #include "neuro/snn/trainer.h"
 #include "neuro/telemetry/metrics.h"
@@ -600,6 +606,126 @@ TEST(SnnFirstSpike, LeavesNextPresentationUntouched)
     EXPECT_GT(fired_count, 0u);
 }
 
+/** SNNwt answers for every sample of a dataset. */
+struct Answers
+{
+    std::vector<int> winners;
+    std::vector<uint8_t> fired;
+
+    bool
+    operator==(const Answers &o) const
+    {
+        return winners == o.winners && fired == o.fired;
+    }
+};
+
+/** The reference answers: `present(full, false).winner(FirstSpike)`
+ *  of each sample's full grid under stream seed (@p seed, i). */
+Answers
+fullGridAnswers(const SnnNetwork &net, const datasets::Dataset &data,
+                uint64_t seed)
+{
+    const SpikeEncoder encoder(net.config().coding);
+    SnnNetwork probe(net);
+    PackedSpikeGrid grid;
+    Answers answers;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        Rng rng(deriveStreamSeed(seed, i));
+        encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
+                             rng, grid);
+        const PresentationResult r = probe.present(grid, /*learn=*/false);
+        answers.winners.push_back(r.winner(Readout::FirstSpike));
+        answers.fired.push_back(r.firstSpikeNeuron >= 0);
+    }
+    return answers;
+}
+
+/** The answers of one FirstSpikeReader per shard, as the trainer's
+ *  inference runs them; @p horizon gets the largest horizon a reader
+ *  ended on. */
+Answers
+readerAnswers(const SnnNetwork &net, const datasets::Dataset &data,
+              uint64_t seed, int *horizon)
+{
+    const SpikeEncoder encoder(net.config().coding);
+    Answers answers;
+    answers.winners.assign(data.size(), -1);
+    answers.fired.assign(data.size(), 0);
+    std::vector<int> horizons(data.size(), 0);
+    parallelForRange(0, data.size(), 16, [&](std::size_t i0,
+                                             std::size_t i1) {
+        FirstSpikeReader reader(net, encoder);
+        for (std::size_t i = i0; i < i1; ++i) {
+            bool fired = false;
+            answers.winners[i] = reader.winner(
+                data[i].pixels.data(), data[i].pixels.size(),
+                deriveStreamSeed(seed, i), &fired);
+            answers.fired[i] = fired;
+        }
+        horizons[i0] = reader.horizonMs();
+    });
+    *horizon = *std::max_element(horizons.begin(), horizons.end());
+    return answers;
+}
+
+TEST(FirstSpikeReader, AnswersEqualFullGridAcrossThreadsAndIsas)
+{
+    // Paper timing (784 inputs, 500 ms window, U = 50 ms) on MNIST-like
+    // digits. The 300-neuron layer fires early, well inside the first
+    // horizon (125 ms); the 10-neuron layers with raised thresholds
+    // fire later or never, so readers restart and double the horizon.
+    const datasets::Dataset data = datasets::mnistLike(240, 0, 3).train;
+    struct Case
+    {
+        std::size_t neurons;
+        double thresholdScale;
+    };
+    auto &reg = telemetry::MetricRegistry::instance();
+    const auto restarts = reg.counter("snn.encode.horizon_restarts");
+    const std::size_t saved = parallelThreadCount();
+    for (const Case c : {Case{300, 1.0}, Case{10, 1.0}, Case{10, 2.5},
+                         Case{10, 1000.0}}) {
+        SnnConfig config;
+        config.numNeurons = c.neurons;
+        config.initialThreshold *= c.thresholdScale;
+        Rng init(c.neurons);
+        const SnnNetwork net(config, init);
+        const Answers expected = fullGridAnswers(net, data, 17);
+        const auto fired = static_cast<std::size_t>(
+            std::count(expected.fired.begin(), expected.fired.end(), 1));
+        for (const kernels::SimdMode mode :
+             {kernels::SimdMode::Off, kernels::SimdMode::Avx2,
+              kernels::SimdMode::Auto}) {
+            kernels::setSimdMode(mode);
+            for (const std::size_t threads : {1u, 4u}) {
+                setParallelThreadCount(threads);
+                const uint64_t restarts0 = restarts->value();
+                int horizon = 0;
+                const Answers got = readerAnswers(net, data, 17, &horizon);
+                const uint64_t restarted = restarts->value() - restarts0;
+                EXPECT_TRUE(got == expected)
+                    << c.neurons << " neurons, threshold x"
+                    << c.thresholdScale << ", " << threads << " threads";
+                if (c.thresholdScale == 1.0 && c.neurons == 300) {
+                    EXPECT_EQ(horizon, 125);
+                    EXPECT_EQ(fired, data.size());
+                } else if (fired == 0) {
+                    // Silent layer: every reader ends at a full encode.
+                    EXPECT_EQ(horizon, 500);
+                    EXPECT_GT(restarted, 0u);
+                }
+                if (c.thresholdScale == 2.5) {
+                    EXPECT_GT(fired, 0u);
+                    EXPECT_GT(restarted, 0u);
+                    EXPECT_GT(horizon, 125);
+                }
+            }
+        }
+    }
+    kernels::setSimdMode(kernels::SimdMode::Auto);
+    setParallelThreadCount(saved);
+}
+
 /** Thresholds after learning on grids[0] and grids[1], with the
  *  rest presented without learning in between, through present()
  *  or (@p reference) presentImage(). */
@@ -715,17 +841,15 @@ TEST(SnnPresent, TrainerServesSecondPassFromGridCache)
     EXPECT_EQ(after_train.hits, data.size());
     EXPECT_EQ(after_train.entries, data.size());
 
-    // Labeling uses a different seed: new keys, all misses...
+    // Inference encodes through its FirstSpikeReader, past the cache:
+    // labeling and evaluation leave it untouched, even on the training
+    // seed's keys.
     const auto labels = trainer.labelNeurons(net, data, EvalMode::Wt, 77);
-    const GridCacheStats after_label = trainer.gridCache().stats();
-    EXPECT_EQ(after_label.misses, 2 * data.size());
-
-    // ...and evaluating the same data under the same seed hits 100%.
-    trainer.evaluate(net, labels, data, EvalMode::Wt, 77);
+    trainer.evaluate(net, labels, data, EvalMode::Wt, train.seed);
     const GridCacheStats after_eval = trainer.gridCache().stats();
-    EXPECT_EQ(after_eval.misses, after_label.misses)
-        << "second pass must not re-encode";
-    EXPECT_EQ(after_eval.hits, after_label.hits + data.size());
+    EXPECT_EQ(after_eval.hits, after_train.hits);
+    EXPECT_EQ(after_eval.misses, after_train.misses);
+    EXPECT_EQ(after_eval.entries, after_train.entries);
 }
 
 } // namespace

@@ -1,17 +1,33 @@
 // Tests for the event-indexed spike grid: per-scheme encoding
-// determinism, duplicate merging, and the event index.
+// determinism, horizon encoding against the full window, duplicate
+// merging, and the event index.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "neuro/common/rng.h"
+#include "neuro/datasets/synth_digits.h"
 #include "neuro/snn/coding.h"
 #include "neuro/snn/spike_bits.h"
 
 namespace neuro {
 namespace snn {
+
+/** Reaches into SpikeEncoder's horizon band. */
+class SpikeEncoderTestPeer
+{
+  public:
+    static void
+    setBand(SpikeEncoder &encoder, double band)
+    {
+        encoder.horizonBand_ = band;
+    }
+};
+
 namespace {
 
 CodingConfig
@@ -85,6 +101,147 @@ INSTANTIATE_TEST_SUITE_P(
                       CodingScheme::RateRegular, CodingScheme::RateBernoulli,
                       CodingScheme::TimeToFirstSpike,
                       CodingScheme::RankOrder));
+
+/** Images for the horizon tests: MNIST-like digits plus a ramp
+ *  through every luminance. */
+std::vector<std::vector<uint8_t>>
+horizonImages(std::size_t digits)
+{
+    std::vector<std::vector<uint8_t>> images;
+    const datasets::Dataset data = datasets::mnistLike(digits, 0, 9).train;
+    for (std::size_t i = 0; i < data.size(); ++i)
+        images.push_back(data[i].pixels);
+    images.push_back(rampPixels(784));
+    return images;
+}
+
+/**
+ * encodeHorizon() into a reused grid against encodePacked() on the
+ * same streams: the events below the horizon, and the Rng end state.
+ * @return the number of truncated grids.
+ */
+std::size_t
+expectHorizonGridsMatch(const SpikeEncoder &encoder,
+                        const std::vector<std::vector<uint8_t>> &images,
+                        const std::vector<int> &horizons)
+{
+    const int period = encoder.config().periodMs;
+    PackedSpikeGrid full;
+    PackedSpikeGrid cut;
+    std::size_t truncated = 0;
+    for (const int horizon : horizons) {
+        for (std::size_t i = 0; i < images.size(); ++i) {
+            const auto &px = images[i];
+            Rng full_rng(deriveStreamSeed(5, i));
+            encoder.encodePacked(px.data(), px.size(), full_rng, full);
+            Rng cut_rng(deriveStreamSeed(5, i));
+            encoder.encodeHorizon(px.data(), px.size(), cut_rng, horizon,
+                                  cut);
+            auto expected = eventsOf(full);
+            const int covered = cut.horizonMs();
+            EXPECT_TRUE(covered == period ||
+                        (covered == horizon && horizon < period));
+            truncated += covered < period;
+            expected.erase(std::remove_if(expected.begin(), expected.end(),
+                                          [&](const auto &e) {
+                                              return e.first >= covered;
+                                          }),
+                           expected.end());
+            EXPECT_EQ(eventsOf(cut), expected)
+                << "image " << i << ", horizon " << horizon;
+            EXPECT_EQ(cut_rng.next(), full_rng.next())
+                << "image " << i << ", horizon " << horizon;
+        }
+    }
+    return truncated;
+}
+
+class HorizonEncodingTest : public ::testing::TestWithParam<CodingScheme>
+{
+};
+
+TEST_P(HorizonEncodingTest, EventsBelowHorizonAndRngEndStateMatch)
+{
+    // Poisson grids stop at the horizon; every other scheme encodes
+    // its whole window. Horizons 125 and 250 read the encoder's
+    // tables, the others compute their thresholds per pixel.
+    const SpikeEncoder encoder(makeConfig(GetParam()));
+    const std::size_t truncated = expectHorizonGridsMatch(
+        encoder, horizonImages(200), {1, 37, 125, 250, 499, 500, 800});
+    if (GetParam() == CodingScheme::RatePoisson)
+        EXPECT_EQ(truncated, 5u * 201u);
+    else
+        EXPECT_EQ(truncated, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, HorizonEncodingTest,
+    ::testing::Values(CodingScheme::RatePoisson, CodingScheme::RateGaussian,
+                      CodingScheme::RateRegular, CodingScheme::RateBernoulli,
+                      CodingScheme::TimeToFirstSpike,
+                      CodingScheme::RankOrder));
+
+TEST(HorizonEncoding, ExactReplayOfEveryPixelMatches)
+{
+    // An infinite band puts every product inside it, so every pixel
+    // that reaches the horizon replays its draws through the exact
+    // recurrence: the replay alone must reproduce the full encode's
+    // stream. A 5 ms minimum interval gives bright pixels ~100 draws.
+    for (const int min_interval : {50, 5}) {
+        CodingConfig config = makeConfig(CodingScheme::RatePoisson);
+        config.minIntervalMs = min_interval;
+        SpikeEncoder encoder(config);
+        SpikeEncoderTestPeer::setBand(
+            encoder, std::numeric_limits<double>::infinity());
+        EXPECT_EQ(expectHorizonGridsMatch(encoder, horizonImages(40),
+                                          {1, 125, 250, 499}),
+                  4u * 41u);
+        SpikeEncoderTestPeer::setBand(encoder, 1e-9);
+        EXPECT_EQ(expectHorizonGridsMatch(encoder, horizonImages(40),
+                                          {125, 250}),
+                  2u * 41u);
+    }
+}
+
+TEST(HorizonEncoding, ExtremeRateEncodesTheWholeWindow)
+{
+    // 700 expected spikes per bright pixel: its thresholds would leave
+    // the normal doubles, so the horizon path encodes the full window.
+    CodingConfig config = makeConfig(CodingScheme::RatePoisson);
+    config.periodMs = 700;
+    config.minIntervalMs = 1;
+    const SpikeEncoder encoder(config);
+    EXPECT_EQ(expectHorizonGridsMatch(encoder, {rampPixels(64)}, {175}),
+              0u);
+}
+
+TEST(PackedSpikeGrid, TruncatedGridRejectsSpikesPastItsHorizon)
+{
+    PackedSpikeGrid grid;
+    grid.reset(8, 500, 100);
+    EXPECT_FALSE(grid.complete());
+    EXPECT_EQ(grid.horizonMs(), 100);
+    grid.addSpike(99, 1);
+    EXPECT_DEATH(grid.addSpike(100, 1), "tick 100 out of window");
+    grid.finalize();
+    EXPECT_EQ(grid.totalSpikes(), 1u);
+    grid.reset(8, 500);
+    EXPECT_TRUE(grid.complete());
+}
+
+TEST(PackedSpikeGrid, CompactCopyKeepsTheEventIndex)
+{
+    const SpikeEncoder encoder(makeConfig(CodingScheme::RatePoisson));
+    const auto pixels = rampPixels(784);
+    Rng rng(3);
+    PackedSpikeGrid grid;
+    encoder.encodePacked(pixels.data(), pixels.size(), rng, grid);
+    const PackedSpikeGrid copy = grid.compactCopy();
+    EXPECT_EQ(eventsOf(copy), eventsOf(grid));
+    EXPECT_EQ(copy.periodMs(), grid.periodMs());
+    EXPECT_TRUE(copy.complete());
+    EXPECT_LT(copy.bytes(), grid.bytes());
+}
 
 TEST(PackedSpikeGrid, EdgeTicksRoundTrip)
 {
