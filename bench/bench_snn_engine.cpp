@@ -11,17 +11,17 @@
  * the first run's (1 thread by default) and the bench aborts on any
  * mismatch — the rates can't come from divergent dynamics.
  *
- * The grid-cache effect is reported alongside: training runs 2 epochs
+ * The grid-store effect is reported alongside: training runs 2 epochs
  * and prints the epoch-2 hit rate (expected ~100%: encodings are
  * frozen per sample, so epoch 2 re-presents without re-encoding).
  * Labeling and evaluation encode each image themselves, only up to
- * its first output spike, and never touch the cache; each is timed
+ * its first output spike, and never touch the grid store; each is timed
  * as one pass, as the pipeline runs it.
  *
  * The default workload (20,000 train / 20,000 test images) makes a
  * 1-thread label or evaluate pass take about a second, long enough
  * for the 4-thread rows to show the scaling, and its 20,000 training
- * grids fit the grid cache's default budget.
+ * grids (~130 MB) fit the trainer's 256 MB grid store.
  *
  * Knobs: train=N test=N threads=a,b --quick (96 / 48 images, for the
  * sanitizer jobs). Writes bench_snn_engine.csv.
@@ -125,7 +125,7 @@ main(int argc, char **argv)
         tc.epochs = 2;
         tc.seed = 11;
 
-        // --- train: cold cache, 2 epochs; epoch-2 hit rate from the
+        // --- train: fresh store, 2 epochs; epoch-2 hit rate from the
         // stats delta at the epoch boundary.
         snn::GridCacheStats epoch1;
         const double train_s = secondsOf([&] {

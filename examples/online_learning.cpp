@@ -61,7 +61,7 @@ main(int argc, char **argv)
         // ...while the same presentation also learns (STDP is online:
         // no separate training phase).
         const auto result = net.present(grid, /*learn=*/true);
-        const int winner = result.winner(snn::Readout::FirstSpike);
+        const int winner = result.winner();
         if (winner >= 0 &&
             labels[static_cast<std::size_t>(winner)] == sample.label) {
             ++correct_in_window;

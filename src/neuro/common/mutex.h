@@ -2,7 +2,7 @@
  * @file
  * Annotated mutex wrapper: the lock vocabulary of every concurrent
  * subsystem (thread pool, serve queue/server/registry, telemetry,
- * grid cache, trace/profile sinks).
+ * SNN grid store, trace/profile sinks).
  *
  * neuro::Mutex is a std::mutex carrying the Clang TSA "capability"
  * attribute; MutexGuard is the RAII scoped capability that acquires

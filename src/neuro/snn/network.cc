@@ -13,19 +13,6 @@
 namespace neuro {
 namespace snn {
 
-int
-PresentationResult::winner(Readout readout) const
-{
-    switch (readout) {
-      case Readout::FirstSpike:
-        return firstSpikeNeuron >= 0 ? firstSpikeNeuron
-                                     : maxPotentialNeuron;
-      case Readout::MaxPotential:
-        return maxPotentialNeuron;
-    }
-    panic("unreachable readout");
-}
-
 namespace {
 
 /** Both walks take a grid of the network's shape. addSpike() bounds
@@ -363,7 +350,7 @@ SnnNetwork::firstSpikeWinner(const PackedSpikeGrid &grid, bool *fired)
         *fired = result.firstSpikeNeuron >= 0;
     if (result.firstSpikeNeuron < 0 && !grid.complete())
         return kUndecided;
-    return result.winner(Readout::FirstSpike);
+    return result.winner();
 }
 
 PresentationResult

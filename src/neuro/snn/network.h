@@ -79,13 +79,6 @@ struct SnnConfig
     float wInitMax = 0.7f * 255.0f; ///< initial weight range, high.
 };
 
-/** How the winning neuron is read out. */
-enum class Readout
-{
-    FirstSpike,  ///< first neuron to fire (paper's SNNwt readout).
-    MaxPotential ///< highest end-of-window potential.
-};
-
 /** Optional per-presentation trace for Figure 3-style plots. */
 struct PresentationTrace
 {
@@ -112,9 +105,14 @@ struct PresentationResult
     std::size_t stdpDepressed = 0;    ///< synapses depressed (learn).
     std::vector<uint16_t> spikeCountPerNeuron; ///< output spikes/neuron.
 
-    /** Winner under the requested readout (falls back to max potential
-     *  when no neuron fired). */
-    int winner(Readout readout) const;
+    /** The SNNwt winner: the first neuron to fire, or the max-potential
+     *  neuron when none fired. */
+    int
+    winner() const
+    {
+        return firstSpikeNeuron >= 0 ? firstSpikeNeuron
+                                     : maxPotentialNeuron;
+    }
 };
 
 /**
@@ -165,10 +163,10 @@ class SnnNetwork
 
     /**
      * The SNNwt answer alone, without learning: exactly
-     * `present(grid, false).winner(Readout::FirstSpike)`, but the walk
-     * ends at the first output spike, which fixes that answer. A grid
-     * that fires no neuron still runs to the window end for the
-     * max-potential fallback. The potentials are left at the tick the
+     * `present(grid, false).winner()`, but the walk ends at the first
+     * output spike, which fixes that answer. A grid that fires no
+     * neuron still runs to the window end for the max-potential
+     * fallback. The potentials are left at the tick the
      * walk ended on; the next presentation resets them.
      *
      * A truncated grid (spike_bits.h) holds the full grid's events
@@ -292,9 +290,9 @@ class FirstSpikeReader
     FirstSpikeReader(const SnnNetwork &net, const SpikeEncoder &encoder);
 
     /**
-     * Exactly `present(grid, false).winner(Readout::FirstSpike)` of
-     * the grid encodePacked() makes of @p pixels from an Rng seeded
-     * with @p streamSeed.
+     * Exactly `present(grid, false).winner()` of the grid
+     * encodePacked() makes of @p pixels from an Rng seeded with
+     * @p streamSeed.
      *
      * @param fired  optional sink: true when a neuron fired.
      */

@@ -14,48 +14,80 @@
 namespace neuro {
 namespace snn {
 
+GridCacheStats
+GridStore::stats() const
+{
+    MutexGuard lock(mutex_);
+    return stats_;
+}
+
+void
+GridStore::reset(std::size_t n)
+{
+    slots_.clear();
+    slots_.resize(n);
+    MutexGuard lock(mutex_);
+    bytes_ = 0;
+    stats_ = {};
+}
+
+bool
+GridStore::admit(std::size_t index,
+                 std::unique_ptr<const PackedSpikeGrid> &grid)
+{
+    const std::size_t bytes = grid->bytes();
+    {
+        MutexGuard lock(mutex_);
+        if (bytes_ + bytes > budgetBytes_) {
+            ++stats_.evictions;
+            obsCount<"snn.grid_cache.evictions">();
+            return false;
+        }
+        bytes_ += bytes;
+        ++stats_.misses;
+        ++stats_.entries;
+    }
+    obsCount<"snn.grid_cache.misses">();
+    slots_[index] = std::move(grid);
+    return true;
+}
+
+void
+GridStore::countEpochHits()
+{
+    MutexGuard lock(mutex_);
+    stats_.hits += stats_.entries;
+    obsCount<"snn.grid_cache.hits">(stats_.entries);
+}
+
 SnnStdpTrainer::SnnStdpTrainer(const SnnConfig &config)
-    : encoder_(config.coding),
-      codingHash_(codingConfigHash(config.coding))
+    : encoder_(config.coding)
 {
 }
 
-std::shared_ptr<const PackedSpikeGrid>
+std::unique_ptr<const PackedSpikeGrid>
 SnnStdpTrainer::gridFor(const datasets::Dataset &data, std::size_t index,
                         uint64_t seed) const
 {
-    const auto &pixels = data[index].pixels;
-    GridKey key;
-    key.sampleIndex = index;
-    key.streamSeed = deriveStreamSeed(seed, index);
-    key.pixelHash = gridPixelHash(pixels.data(), pixels.size());
-    key.codingHash = codingHash_;
-    if (auto grid = gridCache_.find(key))
-        return grid;
-    // Encode into this thread's reused grid; the cache keeps a copy
-    // sized to its events.
+    // Encode into this thread's reused grid, then copy it out sized to
+    // its events.
     thread_local PackedSpikeGrid scratch;
-    Rng rng(key.streamSeed);
+    const auto &pixels = data[index].pixels;
+    Rng rng(deriveStreamSeed(seed, index));
     encoder_.encodePacked(pixels.data(), pixels.size(), rng, scratch);
-    return gridCache_.insert(key, scratch.compactCopy());
+    return std::make_unique<const PackedSpikeGrid>(scratch.compactCopy());
 }
 
 namespace {
 
-/** Steps the grid prefetcher may run ahead of the presentation loop:
- *  it bounds the cache entries an epoch of any size inserts before
- *  their use. */
-constexpr std::size_t kPrefetchAhead = 32;
-
 /**
- * One epoch's hand-off between the presentation loop and the grid
+ * Epoch 1's hand-off between the presentation loop and the grid
  * prefetcher on a pool worker. Each step is claimed once: the loop
  * claims each step it begins, and the prefetcher claims the next step
- * neither has, at most kPrefetchAhead ahead of the loop, sleeping on a
- * CondVar, not a spin, until the loop has caught up half of that. A
- * step the loop begins while the prefetcher encodes it waits for that
- * encode; any other step the loop finds cached or encodes itself. So
- * every grid is encoded once.
+ * neither has. A step the loop begins while the prefetcher encodes it
+ * waits for that encode; any other step the loop finds stored or
+ * encodes itself. So every grid is encoded once. The prefetcher runs
+ * unpaced: every grid it encodes stays in the store.
  */
 class EpochPrefetch
 {
@@ -65,29 +97,18 @@ class EpochPrefetch
     void
     begin(std::size_t step)
     {
-        bool wake = false;
-        {
-            MutexGuard lock(mutex_);
-            begun_ = step + 1;
-            while (inFlight_ == step)
-                landed_.wait(mutex_);
-            wake = waiting_ && begun_ >= resumeAt_;
-            if (wake)
-                waiting_ = false;
-        }
-        if (wake)
-            wake_.notifyOne();
+        MutexGuard lock(mutex_);
+        begun_ = step + 1;
+        while (inFlight_ == step)
+            landed_.wait(mutex_);
     }
 
-    /** The loop has ended (or is unwinding): release the prefetcher. */
+    /** The loop has ended (or is unwinding): stop the prefetcher. */
     void
     finish()
     {
-        {
-            MutexGuard lock(mutex_);
-            finished_ = true;
-        }
-        wake_.notifyOne();
+        MutexGuard lock(mutex_);
+        finished_ = true;
     }
 
     /** Prefetcher side: the previous claim has landed (or the
@@ -102,35 +123,22 @@ class EpochPrefetch
         landed_.notifyOne();
     }
 
-    /** Prefetcher side: block until a step at or after @p step may be
-     *  claimed. @return that step, claimed, or SIZE_MAX once the loop
-     *  has finished. It is never one the loop has begun. */
+    /** Prefetcher side: claim the first step at or after @p step that
+     *  the loop has not begun. @return that step, or SIZE_MAX once the
+     *  loop has finished. */
     std::size_t
     next(std::size_t step)
     {
         MutexGuard lock(mutex_);
-        for (;;) {
-            if (finished_)
-                return SIZE_MAX;
-            step = std::max(step, begun_);
-            if (step < begun_ + kPrefetchAhead) {
-                inFlight_ = step;
-                return step;
-            }
-            resumeAt_ = step - kPrefetchAhead / 2;
-            waiting_ = true;
-            wake_.wait(mutex_);
-        }
+        inFlight_ = finished_ ? SIZE_MAX : std::max(step, begun_);
+        return inFlight_;
     }
 
   private:
     Mutex mutex_;
-    CondVar wake_;   ///< the prefetcher waits here.
     CondVar landed_; ///< the loop waits here.
     std::size_t begun_ NEURO_GUARDED_BY(mutex_) = 0;
     std::size_t inFlight_ NEURO_GUARDED_BY(mutex_) = SIZE_MAX;
-    std::size_t resumeAt_ NEURO_GUARDED_BY(mutex_) = 0;
-    bool waiting_ NEURO_GUARDED_BY(mutex_) = false;
     bool finished_ NEURO_GUARDED_BY(mutex_) = false;
 };
 
@@ -151,12 +159,13 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
     const std::size_t n = data.size();
     std::vector<uint32_t> order(n);
     rng.shuffle(order.data(), n);
+    store_.reset(n);
 
-    // A pool worker encodes the epoch's grids ahead of the
-    // presentation loop. Grids are keyed by (seed, index), so whoever
-    // encodes one makes the same grid. At one thread, or inside a pool
-    // task, where a nested primitive would run the two in turn, the
-    // loop encodes inline.
+    // In epoch 1 a pool worker encodes grids into the store ahead of
+    // the presentation loop. Grids are a function of (seed, index), so
+    // whoever encodes one makes the same grid. At one thread, or
+    // inside a pool task, where a nested primitive would run the two
+    // in turn, the loop encodes inline.
     const bool prefetch =
         parallelThreadCount() > 1 && !ThreadPool::inParallelRegion();
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -168,7 +177,17 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
             for (std::size_t step = 0; step < n; ++step) {
                 if (ahead)
                     ahead->begin(step);
-                const auto grid = gridFor(data, order[step], config.seed);
+                const std::size_t index = order[step];
+                const PackedSpikeGrid *grid = store_.held(index);
+                std::unique_ptr<const PackedSpikeGrid> encoded;
+                if (!grid) {
+                    // Not stored yet (epoch 1) or refused by the full
+                    // store (any epoch).
+                    encoded = gridFor(data, index, config.seed);
+                    grid = encoded.get();
+                    if (epoch == 0)
+                        store_.admit(index, encoded);
+                }
                 const PresentationResult r =
                     net.present(*grid, /*learn=*/true);
                 report.outputSpikes += r.outputSpikeCount;
@@ -176,11 +195,11 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
                     ++report.silentImages;
             }
         };
-        if (prefetch) {
+        if (epoch == 0 && prefetch) {
             EpochPrefetch ahead;
             parallelInvoke({
                 [&] {
-                    // Release the prefetcher however the loop exits.
+                    // Stop the prefetcher however the loop exits.
                     struct Finish
                     {
                         EpochPrefetch &ahead;
@@ -197,13 +216,19 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
                     } landed{ahead};
                     for (std::size_t step = ahead.next(0); step < n;
                          step = ahead.next(step + 1)) {
-                        gridFor(data, order[step], config.seed);
+                        auto encoded = gridFor(data, order[step],
+                                               config.seed);
+                        // The store is full: the loop encodes the rest.
+                        if (!store_.admit(order[step], encoded))
+                            break;
                         ahead.landed();
                     }
                 },
             });
         } else {
             presentEpoch(nullptr);
+            if (epoch > 0)
+                store_.countEpochHits();
         }
         obsCount<"snn.images_presented">(n);
         obsSample<"snn.epoch_output_spikes">(
@@ -279,7 +304,7 @@ SnnStdpTrainer::winnersFor(const SnnNetwork &net,
     // per sample keyed by (seed, i) via SplitMix64 — spike encodings
     // do not depend on iteration order, so any thread count produces
     // the same winners. The reader encodes only the ticks up to the
-    // first spike, and nothing goes through the grid cache: a pass
+    // first spike, and nothing goes through the grid store: a pass
     // reads each grid once.
     parallelForRange(0, n, evalGrain(n), [&](std::size_t i0,
                                              std::size_t i1) {

@@ -9,10 +9,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "neuro/common/mutex.h"
 #include "neuro/datasets/dataset.h"
-#include "neuro/snn/grid_cache.h"
 #include "neuro/snn/network.h"
 #include "neuro/snn/snn_wot.h"
 
@@ -32,7 +33,7 @@ struct SnnTrainConfig
     std::size_t epochs = 1; ///< passes over the training set.
     /** Spike-generation / shuffling seed. Each sample's encoding uses
      *  its own stream, deriveStreamSeed(seed, sampleIndex), so the
-     *  encoding is frozen across epochs (and cacheable); only the
+     *  encoding is frozen across epochs (and stored); only the
      *  presentation order reshuffles, every epoch. */
     uint64_t seed = 11;
 };
@@ -56,15 +57,72 @@ struct SnnEvalResult
                                   ///< max-potential fallback.
 };
 
+/** Counters of the grid store over the last train(). */
+struct GridCacheStats
+{
+    uint64_t hits = 0;       ///< presentations served from the store.
+    uint64_t misses = 0;     ///< grids encoded into the store.
+    uint64_t evictions = 0;  ///< grids the full store refused.
+    std::size_t entries = 0; ///< grids the store holds.
+};
+
+/**
+ * The training grids of one train(): one slot per sample, filled in
+ * epoch 1 and read by every later epoch. A sample's grid is a function
+ * of (seed, index), so a slot never goes stale within a train(). Grids
+ * are admitted while they fit the byte budget; the sample of a refused
+ * grid is encoded inline in every epoch.
+ */
+class GridStore
+{
+  public:
+    /** Byte budget: ~40k MNIST-sized grids of ~6.5 KB. */
+    static constexpr std::size_t kBudgetBytes = 256u << 20;
+
+    /** @return the counters (not while a train() runs). */
+    GridCacheStats stats() const;
+
+  private:
+    friend class SnnStdpTrainer;
+    friend class GridStoreTestPeer;
+
+    /** Empty the store into @p n slots and zero its counters. */
+    void reset(std::size_t n);
+
+    /** @return the grid in slot @p index, or nullptr. */
+    const PackedSpikeGrid *
+    held(std::size_t index) const
+    {
+        return slots_[index].get();
+    }
+
+    /** Move @p grid into slot @p index if it fits the budget (leave it
+     *  with the caller otherwise). Concurrent calls take distinct
+     *  slots. @return whether it fit. */
+    bool admit(std::size_t index,
+               std::unique_ptr<const PackedSpikeGrid> &grid);
+
+    /** A later epoch presented every held grid once. */
+    void countEpochHits();
+
+    std::size_t budgetBytes_ = kBudgetBytes;
+    std::vector<std::unique_ptr<const PackedSpikeGrid>> slots_;
+    mutable Mutex mutex_;
+    std::size_t bytes_ NEURO_GUARDED_BY(mutex_) = 0;
+    GridCacheStats stats_ NEURO_GUARDED_BY(mutex_);
+};
+
 /** Drives STDP training, labeling and evaluation of an SnnNetwork. */
 class SnnStdpTrainer
 {
   public:
-    /** The encoder is derived from the network's coding config; the
-     *  encoded-grid cache gets the default byte budget. */
+    /** The encoder is derived from the network's coding config. */
     explicit SnnStdpTrainer(const SnnConfig &config);
 
-    /** Run unsupervised STDP over @p data. */
+    /** Run unsupervised STDP over @p data. Resets the grid store:
+     *  epoch 1 encodes every sample into it (a pool worker encodes
+     *  ahead of the presentation loop above one thread), later epochs
+     *  present from it. */
     void train(SnnNetwork &net, const datasets::Dataset &data,
                const SnnTrainConfig &config,
                const SnnEpochCallback &callback = {});
@@ -97,16 +155,14 @@ class SnnStdpTrainer
     /** @return the encoder (for tests and traces). */
     const SpikeEncoder &encoder() const { return encoder_; }
 
-    /** @return the encoded-grid cache (stats, tests). */
-    const GridCache &gridCache() const { return gridCache_; }
+    /** @return the grid store of the last train() (stats). */
+    const GridStore &gridCache() const { return store_; }
 
     /**
-     * The cached encoding of sample @p index of @p data under @p seed:
-     * served from the grid cache when resident, encoded (and inserted)
-     * otherwise. Thread-safe; training and its prefetcher go through
-     * here, inference does not (FirstSpikeReader).
+     * A fresh encoding of sample @p index of @p data under @p seed,
+     * sized to its events; the grid store is not touched. Thread-safe.
      */
-    std::shared_ptr<const PackedSpikeGrid>
+    std::unique_ptr<const PackedSpikeGrid>
     gridFor(const datasets::Dataset &data, std::size_t index,
             uint64_t seed) const;
 
@@ -117,9 +173,10 @@ class SnnStdpTrainer
                                 uint64_t seed,
                                 std::vector<uint8_t> *fired) const;
 
+    friend class GridStoreTestPeer;
+
     SpikeEncoder encoder_;
-    uint64_t codingHash_ = 0;
-    mutable GridCache gridCache_;
+    GridStore store_;
 };
 
 /**

@@ -230,10 +230,10 @@ TEST(PresentationResult, WinnerFallsBackToMaxPotential)
     PresentationResult result;
     result.firstSpikeNeuron = -1;
     result.maxPotentialNeuron = 4;
-    EXPECT_EQ(result.winner(Readout::FirstSpike), 4);
+    EXPECT_EQ(result.winner(), 4);
     result.firstSpikeNeuron = 2;
-    EXPECT_EQ(result.winner(Readout::FirstSpike), 2);
-    EXPECT_EQ(result.winner(Readout::MaxPotential), 4);
+    EXPECT_EQ(result.winner(), 2);
+    EXPECT_EQ(result.maxPotentialNeuron, 4);
 }
 
 } // namespace

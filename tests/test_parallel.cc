@@ -276,7 +276,7 @@ TEST(Determinism, SnnEvaluateMatchesHandRolledSerialReference)
                                            w.data.test[i].pixels.size(),
                                            sample_rng, grid);
             const auto r = copy.presentImage(grid, /*learn=*/false);
-            const int winner = r.winner(snn::Readout::FirstSpike);
+            const int winner = r.winner();
             if (winner >= 0 &&
                 labels[static_cast<std::size_t>(winner)] ==
                     w.data.test[i].label)

@@ -582,7 +582,7 @@ TEST(SnnBackend, ClassifyIsTheReferenceFirstSpikeLabel)
         snn::SnnNetwork oracle(net);
         const snn::PresentationResult ref =
             oracle.presentImage(grid, /*learn=*/false);
-        const int w = ref.winner(snn::Readout::FirstSpike);
+        const int w = ref.winner();
         expected.push_back(w >= 0 && static_cast<std::size_t>(w) <
                                          labels.size()
                                ? labels[static_cast<std::size_t>(w)]

@@ -137,7 +137,7 @@ expectFirstSpikeWinnerAgrees(const SnnNetwork &net,
     bool fired = false;
     const int winner = probe.firstSpikeWinner(grid, &fired);
     const auto ref = oracle_copy.presentImage(grid, /*learn=*/false);
-    EXPECT_EQ(winner, ref.winner(Readout::FirstSpike)) << "sample " << i;
+    EXPECT_EQ(winner, ref.winner()) << "sample " << i;
     EXPECT_EQ(fired, ref.firstSpikeNeuron >= 0) << "sample " << i;
 }
 
@@ -534,7 +534,7 @@ expectFirstSpikeCut(const SnnNetwork &net, const PackedSpikeGrid &grid,
     const auto ref = oracle.presentImage(grid, /*learn=*/false);
     EXPECT_EQ(fired, expect_fired);
     EXPECT_EQ(ref.firstSpikeNeuron >= 0, expect_fired);
-    EXPECT_EQ(winner, ref.winner(Readout::FirstSpike));
+    EXPECT_EQ(winner, ref.winner());
     if (expect_fired) {
         // The walk ended on the reference's first-spike tick.
         ASSERT_GE(stepped_ticks, 1u);
@@ -619,7 +619,7 @@ struct Answers
     }
 };
 
-/** The reference answers: `present(full, false).winner(FirstSpike)`
+/** The reference answers: `present(full, false).winner()`
  *  of each sample's full grid under stream seed (@p seed, i). */
 Answers
 fullGridAnswers(const SnnNetwork &net, const datasets::Dataset &data,
@@ -634,7 +634,7 @@ fullGridAnswers(const SnnNetwork &net, const datasets::Dataset &data,
         encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
                              rng, grid);
         const PresentationResult r = probe.present(grid, /*learn=*/false);
-        answers.winners.push_back(r.winner(Readout::FirstSpike));
+        answers.winners.push_back(r.winner());
         answers.fired.push_back(r.firstSpikeNeuron >= 0);
     }
     return answers;
@@ -834,16 +834,16 @@ TEST(SnnPresent, TrainerServesSecondPassFromGridCache)
     trainer.train(net, data, train);
     setParallelThreadCount(saved);
 
-    // Epoch 1 misses (and fills) the cache; epoch 2 must be served
-    // from it entirely: hit rate >= 50% over the two epochs.
+    // Epoch 1 encodes every grid into the store; epoch 2 must be
+    // served from it entirely.
     const GridCacheStats after_train = trainer.gridCache().stats();
     EXPECT_EQ(after_train.misses, data.size());
     EXPECT_EQ(after_train.hits, data.size());
     EXPECT_EQ(after_train.entries, data.size());
 
-    // Inference encodes through its FirstSpikeReader, past the cache:
-    // labeling and evaluation leave it untouched, even on the training
-    // seed's keys.
+    // Inference encodes through its FirstSpikeReader, past the store:
+    // labeling and evaluation leave it untouched, even under the
+    // training seed.
     const auto labels = trainer.labelNeurons(net, data, EvalMode::Wt, 77);
     trainer.evaluate(net, labels, data, EvalMode::Wt, train.seed);
     const GridCacheStats after_eval = trainer.gridCache().stats();

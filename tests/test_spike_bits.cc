@@ -71,7 +71,7 @@ class PackedEncodingTest : public ::testing::TestWithParam<CodingScheme>
 
 TEST_P(PackedEncodingTest, SameStreamSameGrid)
 {
-    // The grid cache relies on this: one Rng stream, one grid, and the
+    // The grid store relies on this: one Rng stream, one grid, and the
     // Rng consumed identically, even into a reused grid.
     const SpikeEncoder encoder(makeConfig(GetParam()));
     const auto pixels = rampPixels(64);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "neuro/common/mutex.h"
 #include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
 #include "neuro/common/serialize.h"
@@ -18,6 +19,25 @@
 
 namespace neuro {
 namespace snn {
+
+/** Reaches into a trainer's grid store. */
+class GridStoreTestPeer
+{
+  public:
+    static void
+    setBudget(SnnStdpTrainer &trainer, std::size_t bytes)
+    {
+        trainer.store_.budgetBytes_ = bytes;
+    }
+
+    static std::size_t
+    bytes(const SnnStdpTrainer &trainer)
+    {
+        MutexGuard lock(trainer.store_.mutex_);
+        return trainer.store_.bytes_;
+    }
+};
+
 namespace {
 
 /** Two-class task: top-half-bright vs bottom-half-bright 8x8 images. */
@@ -141,19 +161,22 @@ struct TrainedState
     std::vector<std::size_t> outputSpikes;
     std::vector<std::size_t> silentImages;
     GridCacheStats cache;
+    std::size_t storeBytes = 0; ///< grid bytes the store holds.
 };
 
-/** Two epochs over @p data with a fresh network and trainer. A wider
- *  layer than halvesConfig() presents slower than it encodes, so the
- *  prefetcher runs its full look-ahead and waits. */
+/** Two epochs over @p data with a fresh network and a trainer whose
+ *  grid store holds @p budget bytes. A wider layer than halvesConfig()
+ *  presents slower than it encodes, so the prefetcher runs ahead. */
 TrainedState
-trainHalves(const datasets::Dataset &data)
+trainHalves(const datasets::Dataset &data,
+            std::size_t budget = GridStore::kBudgetBytes)
 {
     SnnConfig config = halvesConfig();
     config.numNeurons = 64;
     Rng rng(21);
     SnnNetwork net(config, rng);
     SnnStdpTrainer trainer(config);
+    GridStoreTestPeer::setBudget(trainer, budget);
     SnnTrainConfig train;
     train.epochs = 2;
     TrainedState state;
@@ -164,6 +187,7 @@ trainHalves(const datasets::Dataset &data)
     state.weights = net.weights().data();
     state.thresholds = net.thresholds();
     state.cache = trainer.gridCache().stats();
+    state.storeBytes = GridStoreTestPeer::bytes(trainer);
     return state;
 }
 
@@ -200,6 +224,51 @@ TEST(SnnStdpTrainer, PrefetchedTrainingIsThreadCountInvariant)
     EXPECT_EQ(nested.weights, serial.weights);
     EXPECT_EQ(nested.thresholds, serial.thresholds);
     EXPECT_EQ(nested.cache.misses, data.size());
+    setParallelThreadCount(saved);
+}
+
+TEST(SnnStdpTrainer, FullGridStoreEncodesTheRestInline)
+{
+    // A store with room for a few grids refuses the rest, and the loop
+    // encodes their samples inline in both epochs from the same
+    // (seed, index) streams: training learns what it does with every
+    // grid stored.
+    const datasets::Dataset data = makeHalves(150, 25);
+    const std::size_t budget =
+        4 * SnnStdpTrainer(halvesConfig())
+                .gridFor(data, 0, SnnTrainConfig{}.seed)
+                ->bytes();
+    const std::size_t saved = parallelThreadCount();
+    setParallelThreadCount(1);
+    const TrainedState unbounded = trainHalves(data);
+    ASSERT_EQ(unbounded.cache.entries, data.size());
+    ASSERT_GT(unbounded.storeBytes, budget);
+    auto expectUnboundedResult = [&](const TrainedState &run,
+                                     const std::string &where) {
+        EXPECT_EQ(run.weights, unbounded.weights) << where;
+        EXPECT_EQ(run.thresholds, unbounded.thresholds) << where;
+        EXPECT_EQ(run.outputSpikes, unbounded.outputSpikes) << where;
+        EXPECT_EQ(run.silentImages, unbounded.silentImages) << where;
+        // The store stops at its budget; each refusal is counted, and
+        // the prefetcher stops at its first.
+        EXPECT_GT(run.cache.entries, 0u) << where;
+        EXPECT_LT(run.cache.entries, data.size()) << where;
+        EXPECT_LE(run.storeBytes, budget) << where;
+        EXPECT_GE(run.cache.evictions, data.size() - run.cache.entries)
+            << where;
+        EXPECT_LE(run.cache.evictions,
+                  data.size() - run.cache.entries + 1)
+            << where;
+        EXPECT_EQ(run.cache.misses, run.cache.entries) << where;
+        // Epoch 2 presents every stored grid once.
+        EXPECT_EQ(run.cache.hits, run.cache.entries) << where;
+    };
+    expectUnboundedResult(trainHalves(data, budget), "1 thread");
+    setParallelThreadCount(4);
+    expectUnboundedResult(trainHalves(data, budget), "4 threads");
+    TrainedState nested;
+    parallelInvoke({[&] { nested = trainHalves(data, budget); }, [] {}});
+    expectUnboundedResult(nested, "inside a pool task");
     setParallelThreadCount(saved);
 }
 
