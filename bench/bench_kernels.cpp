@@ -224,6 +224,32 @@ main(int argc, char **argv)
                  std::memcpy(b.data(), yq->data(), b.size());
                  return b;
              }});
+
+        // The same layer over kQ8Batch samples per call, as evaluate()
+        // and the q8 serve backend run it: one weight sweep feeds
+        // every sample. Each sample has its own codes.
+        constexpr std::size_t kBatch = kernels::kQ8Batch;
+        const auto xqb = std::make_shared<std::vector<uint8_t>>(
+            (s.cols - 1) * kBatch);
+        for (auto &v : *xqb)
+            v = static_cast<uint8_t>(rng.uniform(0.0, 256.0));
+        const auto yqb =
+            std::make_shared<std::vector<int32_t>>(s.rows * kBatch);
+        cases.push_back(
+            {"gemvBiasQ8x4", tag, s.rows * s.cols * kBatch,
+             [=] {
+                 const uint8_t *xs[kBatch];
+                 for (std::size_t b = 0; b < kBatch; ++b)
+                     xs[b] = xqb->data() + b * (s.cols - 1);
+                 kernels::gemvBiasQ8(wq->data(), s.rows, s.cols, xs,
+                                     kBatch, yqb->data());
+             },
+             [=] {
+                 std::vector<unsigned char> b(yqb->size() *
+                                              sizeof(int32_t));
+                 std::memcpy(b.data(), yqb->data(), b.size());
+                 return b;
+             }});
     }
 
     // Event-engine drive and LIF step, and popcount (no src/ caller;

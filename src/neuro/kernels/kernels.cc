@@ -262,13 +262,22 @@ void
 gemvBiasQ8(const int8_t *w, std::size_t rows, std::size_t cols,
            const uint8_t *x, int32_t *y)
 {
+    gemvBiasQ8(w, rows, cols, &x, 1, y);
+}
+
+void
+gemvBiasQ8(const int8_t *w, std::size_t rows, std::size_t cols,
+           const uint8_t *const *xs, std::size_t batch, int32_t *y)
+{
     NEURO_ASSERT(cols > 0, "gemvBiasQ8 needs a bias column");
+    NEURO_ASSERT(batch >= 1 && batch <= kQ8Batch,
+                 "gemvBiasQ8 batch %zu outside 1..%zu", batch, kQ8Batch);
     // |acc| <= cols * 128 * 255; cap the fan-in so the exact int32
     // accumulator cannot overflow whatever the weights.
     NEURO_ASSERT(cols <= 65536,
                  "gemvBiasQ8 fan-in %zu would overflow int32", cols);
     metrics().gemv->inc();
-    active().gemvBiasQ8(w, rows, cols, x, y);
+    active().gemvBiasQ8(w, rows, cols, xs, batch, y);
 }
 
 void

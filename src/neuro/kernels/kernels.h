@@ -67,6 +67,9 @@ constexpr std::size_t kStripWidth = 16;
 /** Output rows computed together per pass of the strip kernels. */
 constexpr std::size_t kRowBlock = 4;
 
+/** Most samples one gemvBiasQ8 call takes (one weight sweep). */
+constexpr std::size_t kQ8Batch = 4;
+
 /**
  * One ISA level's kernel entry points. Filled in by the per-ISA
  * translation units (kernels_scalar.cc / kernels_avx2.cc /
@@ -89,8 +92,8 @@ struct KernelTable
                           std::size_t cols, const float *in,
                           float *out) = nullptr;
     void (*gemvBiasQ8)(const int8_t *w, std::size_t rows,
-                       std::size_t cols, const uint8_t *x,
-                       int32_t *y) = nullptr;
+                       std::size_t cols, const uint8_t *const *xs,
+                       std::size_t batch, int32_t *y) = nullptr;
     void (*addOuter)(float *w, std::size_t rows, std::size_t cols,
                      float eta, const float *d, const float *x) = nullptr;
     void (*addOuterBias)(float *w, std::size_t rows, std::size_t cols,
@@ -171,6 +174,14 @@ void gemvBiasStrip(const float *w, std::size_t rows, std::size_t cols,
  */
 void gemvBiasQ8(const int8_t *w, std::size_t rows, std::size_t cols,
                 const uint8_t *x, int32_t *y);
+
+/**
+ * gemvBiasQ8 over @p batch (1..kQ8Batch) samples in one sweep of the
+ * weights: sample b reads @p xs[b] and writes y[b * rows + r]. Each
+ * sample's accumulators equal a single-sample call's bit for bit.
+ */
+void gemvBiasQ8(const int8_t *w, std::size_t rows, std::size_t cols,
+                const uint8_t *const *xs, std::size_t batch, int32_t *y);
 
 /** W += eta * d * x^T, skipping rows whose eta * d[r] == 0. */
 void addOuter(float *w, std::size_t rows, std::size_t cols, float eta,

@@ -29,13 +29,14 @@
  *
  * Loops whose length is only known at run time are written so the
  * compiler can prove their trip count is a multiple of the vector
- * width: a fixed-trip tile for the element-wise kernels, a trip count
- * rounded down to a whole number of blocks for the q8 reduction, and
- * a scalar tail after either. At -O2, GCC's very-cheap vectorizer
- * cost model only vectorizes a loop when no scalar epilogue or
- * runtime alias check remains, so a plain runtime-length loop stays
- * scalar in every table there; the __restrict parameters rule out
- * the alias check (docs/kernels.md, "How to add a kernel").
+ * width: a fixed-trip tile, then a scalar tail, for the element-wise
+ * kernels and the q8 widening copies, and a length rounded up to a
+ * whole number of zero-padded blocks for the q8 reduction. At -O2,
+ * GCC's very-cheap vectorizer cost model only vectorizes a loop when
+ * no scalar epilogue or runtime alias check remains, so a plain
+ * runtime-length loop stays scalar in every table there; the
+ * __restrict parameters rule out the alias check (docs/kernels.md,
+ * "How to add a kernel").
  */
 
 #pragma once
@@ -70,12 +71,15 @@ constexpr std::size_t kGemvRows = 8;
 constexpr std::size_t kTile = 16;
 
 /**
- * gemvBiasQ8 block: its MAC loop runs over fan_in rounded down to a
- * multiple of 64, which the compiler can prove divides by every
- * vector width up to 64 int8 lanes (AVX-512), so the reduction
- * vectorizes at -O2 with no scalar epilogue.
+ * gemvBiasQ8 block: its widening loops run over a length rounded down
+ * and its MAC loops over one rounded up to a multiple of 64, which
+ * the compiler can prove divides by every vector width up to 64 int8
+ * lanes (AVX-512), so they vectorize at -O2 with no scalar epilogue.
  */
 constexpr std::size_t kQ8Block = 64;
+
+/** Fan-in columns gemvBiasQ8 widens per pass: 2 KB of int16 each. */
+constexpr std::size_t kQ8Chunk = 16 * kQ8Block;
 
 inline Lane4
 load4(const float *p)
@@ -269,6 +273,7 @@ stripRowBlock(const float *__restrict in, const float *const *wrs,
     std::size_t c = 0;
     for (; c + 4 <= inputs; c += 4) {
         const float *xc = in + c * kStripWidth;
+#pragma GCC unroll 4
         for (std::size_t j = 0; j < kRowBlock; ++j) {
             const float *wr = wrs[j];
             const float w0 = wr[c], w1 = wr[c + 1];
@@ -313,24 +318,83 @@ kGemvBiasStrip(const float *w, std::size_t rows, std::size_t cols,
         stripRow(in, w + r * cols, inputs, out + r * kStripWidth);
 }
 
+/** dst[k] = src[k] widened to int16 for k in [0, N). */
+template <std::size_t N, typename Code>
+inline void
+widenTile(const Code *__restrict src, int16_t *__restrict dst)
+{
+    for (std::size_t k = 0; k < N; ++k)
+        dst[k] = src[k];
+}
+
+/**
+ * dst[i] = src[i] widened to int16 for i in [0, n): whole kQ8Blocks,
+ * then whole kTiles, through fixed-trip tiles that vectorize at -O2,
+ * then at most kTile - 1 scalar elements.
+ */
+template <typename Code>
+inline void
+widenQ8(const Code *__restrict src, std::size_t n, int16_t *__restrict dst)
+{
+    std::size_t i = 0;
+    for (; i + kQ8Block <= n; i += kQ8Block)
+        widenTile<kQ8Block>(src + i, dst + i);
+    for (; i + kTile <= n; i += kTile)
+        widenTile<kTile>(src + i, dst + i);
+    for (; i < n; ++i)
+        dst[i] = src[i];
+}
+
+/** @return the int32 sum of a[i] * b[i] over @p len, a multiple of
+ *  kQ8Block. */
+inline int32_t
+dotQ8(const int16_t *__restrict a, const int16_t *__restrict b,
+      std::size_t len)
+{
+    int32_t acc = 0;
+    for (std::size_t i = 0; i < len; ++i)
+        acc += static_cast<int32_t>(a[i]) * b[i];
+    return acc;
+}
+
 void
 kGemvBiasQ8(const int8_t *__restrict w, std::size_t rows, std::size_t cols,
-            const uint8_t *__restrict x, int32_t *__restrict y)
+            const uint8_t *const *__restrict xs, std::size_t batch,
+            int32_t *__restrict y)
 {
+    // Each sample's codes and each weight are widened to int16 once
+    // per call, kQ8Chunk columns at a time, and each widened row meets
+    // every sample in 16-bit multiply-adds (pmaddwd): a product is at
+    // most 128 * 255 in magnitude, so the pair sums and the int32
+    // total (fan-in capped by the wrapper) are exact, whatever the
+    // width or batch. The bias weight is fed by the constant-1 input
+    // (code 255).
     const std::size_t fan_in = cols - 1;
-    const std::size_t body = fan_in & ~(kQ8Block - 1);
-    for (std::size_t r = 0; r < rows; ++r) {
-        const int8_t *wr = w + r * cols;
-        // Widening int8 x uint8 MACs over whole kQ8Block blocks, then
-        // the ragged tail, then the bias weight fed by the constant-1
-        // input (code 255). Exact integer arithmetic, so the
-        // vectorizer's partial sums cannot change the result.
-        int32_t acc = 0;
-        for (std::size_t i = 0; i < body; ++i)
-            acc += static_cast<int32_t>(wr[i]) * x[i];
-        for (std::size_t i = body; i < fan_in; ++i)
-            acc += static_cast<int32_t>(wr[i]) * x[i];
-        y[r] = acc + static_cast<int32_t>(wr[fan_in]) * 255;
+    alignas(64) int16_t xw[kQ8Batch][kQ8Chunk];
+    alignas(64) int16_t ww[kQ8Chunk];
+    for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t r = 0; r < rows; ++r)
+            y[b * rows + r] = static_cast<int32_t>(w[r * cols + fan_in]) * 255;
+    }
+    for (std::size_t c0 = 0; c0 < fan_in; c0 += kQ8Chunk) {
+        const std::size_t n =
+            fan_in - c0 < kQ8Chunk ? fan_in - c0 : kQ8Chunk;
+        // The MAC loops run to len, a whole number of blocks. Zeroing
+        // each buffer's last block before widening into it leaves
+        // [n, len) zero, so those columns add 0; the fixed-size
+        // memset compiles to vector stores, not a call.
+        const std::size_t len = (n + kQ8Block - 1) & ~(kQ8Block - 1);
+        const std::size_t last = len - kQ8Block;
+        for (std::size_t b = 0; b < batch; ++b) {
+            std::memset(xw[b] + last, 0, kQ8Block * sizeof(int16_t));
+            widenQ8(xs[b] + c0, n, xw[b]);
+        }
+        std::memset(ww + last, 0, kQ8Block * sizeof(int16_t));
+        for (std::size_t r = 0; r < rows; ++r) {
+            widenQ8(w + r * cols + c0, n, ww);
+            for (std::size_t b = 0; b < batch; ++b)
+                y[b * rows + r] += dotQ8(ww, xw[b], len);
+        }
     }
 }
 

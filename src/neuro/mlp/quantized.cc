@@ -11,6 +11,20 @@
 namespace neuro {
 namespace mlp {
 
+long
+roundHalfAway(float v)
+{
+    // Below 2^23 the truncated integer part converts exactly, and v
+    // minus it is exact too (the fractional part), so comparing that
+    // with +-0.5 rounds ties away from zero as lround does. From 2^23
+    // up every float is an integer already.
+    if (!(std::fabs(v) < 0x1p23f))
+        return std::lround(v);
+    const long q = static_cast<long>(v);
+    const float frac = v - static_cast<float>(q);
+    return q + (frac >= 0.5f ? 1 : 0) - (frac <= -0.5f ? 1 : 0);
+}
+
 QuantizedMlp::QuantizedMlp(const Mlp &net, int weight_bits)
     : weightBits_(weight_bits), inputSize_(net.inputSize()),
       outputSize_(net.outputSize()),
@@ -47,7 +61,7 @@ QuantizedMlp::QuantizedMlp(const Mlp &net, int weight_bits)
         layer.weights.resize(w.size());
         const float scale = static_cast<float>(1 << frac);
         for (std::size_t i = 0; i < w.size(); ++i) {
-            const long q = std::lround(w.data()[i] * scale);
+            const long q = roundHalfAway(w.data()[i] * scale);
             layer.weights[i] =
                 static_cast<int8_t>(std::clamp(q, wmin, wmax));
         }
@@ -56,54 +70,69 @@ QuantizedMlp::QuantizedMlp(const Mlp &net, int weight_bits)
 }
 
 const uint8_t *
-QuantizedMlp::forward(const uint8_t *pixels, Scratch &scratch) const
+QuantizedMlp::forwardGroup(const uint8_t *const *pixels, std::size_t count,
+                           Scratch &scratch) const
 {
-    // Activations travel as 8-bit unsigned codes for [0,1].
-    const uint8_t *in = pixels;
+    // Activations travel as 8-bit unsigned codes for [0,1], each
+    // image's layer output contiguous.
+    const uint8_t *in[kernels::kQ8Batch];
+    std::copy_n(pixels, count, in);
     for (const Layer &layer : layers_) {
-        scratch.next.resize(layer.fanOut);
-        scratch.acc.resize(layer.fanOut);
+        const std::size_t outs = count * layer.fanOut;
+        scratch.next.resize(outs);
+        scratch.acc.resize(outs);
         // 32-bit MAC over int8 weights and uint8 activations, plus
         // the bias weight fed by the constant-1 input (code 255) —
         // integer arithmetic, so the SIMD kernel is exact whatever
-        // the dispatch width.
+        // the dispatch width or batch.
         kernels::gemvBiasQ8(layer.weights.data(), layer.fanOut,
-                            layer.fanIn + 1, in, scratch.acc.data());
+                            layer.fanIn + 1, in, count, scratch.acc.data());
         const float inv_scale =
             1.0f / (static_cast<float>(1 << layer.fracBits) * 255.0f);
-        for (std::size_t j = 0; j < layer.fanOut; ++j) {
+        for (std::size_t k = 0; k < outs; ++k) {
             // Dequantize the pre-activation and apply the hardware
             // piecewise-linear sigmoid, then requantize to 8 bits.
-            const float s = static_cast<float>(scratch.acc[j]) * inv_scale;
+            const float s = static_cast<float>(scratch.acc[k]) * inv_scale;
             const float y = sigmoid_.apply(s);
-            scratch.next[j] = static_cast<uint8_t>(
-                std::clamp(std::lround(y * 255.0f), 0L, 255L));
+            scratch.next[k] = static_cast<uint8_t>(
+                std::clamp(roundHalfAway(y * 255.0f), 0L, 255L));
         }
         scratch.cur.swap(scratch.next);
-        in = scratch.cur.data();
+        for (std::size_t b = 0; b < count; ++b)
+            in[b] = scratch.cur.data() + b * layer.fanOut;
     }
-    return in;
+    return scratch.cur.data();
 }
 
 void
 QuantizedMlp::forward(const uint8_t *pixels, uint8_t *output) const
 {
     Scratch scratch;
-    std::copy_n(forward(pixels, scratch), outputSize_, output);
+    std::copy_n(forwardGroup(&pixels, 1, scratch), outputSize_, output);
 }
 
-int
-QuantizedMlp::predict(const uint8_t *pixels, Scratch &scratch) const
+void
+QuantizedMlp::classify(const uint8_t *const *pixels, std::size_t count,
+                       int *classes, Scratch &scratch) const
 {
-    const uint8_t *out = forward(pixels, scratch);
-    return static_cast<int>(std::max_element(out, out + outputSize_) - out);
+    for (std::size_t s = 0; s < count; s += kernels::kQ8Batch) {
+        const std::size_t group = std::min(kernels::kQ8Batch, count - s);
+        const uint8_t *out = forwardGroup(pixels + s, group, scratch);
+        for (std::size_t b = 0; b < group; ++b) {
+            const uint8_t *o = out + b * outputSize_;
+            classes[s + b] = static_cast<int>(
+                std::max_element(o, o + outputSize_) - o);
+        }
+    }
 }
 
 int
 QuantizedMlp::predict(const uint8_t *pixels) const
 {
     Scratch scratch;
-    return predict(pixels, scratch);
+    int cls = -1;
+    classify(&pixels, 1, &cls, scratch);
+    return cls;
 }
 
 std::size_t
@@ -151,9 +180,14 @@ QuantizedMlp::evaluate(const datasets::Dataset &data) const
     // the shard boundaries or the thread count.
     std::vector<uint8_t> hit(n, 0);
     parallelForRange(0, n, 64, [&](std::size_t i0, std::size_t i1) {
-        Scratch scratch;
+        std::vector<const uint8_t *> pixels(i1 - i0);
         for (std::size_t i = i0; i < i1; ++i)
-            hit[i] = predict(data[i].pixels.data(), scratch) == data[i].label;
+            pixels[i - i0] = data[i].pixels.data();
+        std::vector<int> classes(i1 - i0);
+        Scratch scratch;
+        classify(pixels.data(), pixels.size(), classes.data(), scratch);
+        for (std::size_t i = i0; i < i1; ++i)
+            hit[i] = classes[i - i0] == data[i].label;
     });
     const std::size_t correct =
         std::accumulate(hit.begin(), hit.end(), std::size_t{0});

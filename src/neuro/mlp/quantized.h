@@ -21,6 +21,13 @@ namespace neuro {
 namespace mlp {
 
 /**
+ * @return std::lround(@p v): the nearest integer, ties away from zero.
+ * Finite |v| < 2^23 round exactly in integer arithmetic, without a
+ * libm call; NaN, infinities and |v| >= 2^23 go to std::lround.
+ */
+long roundHalfAway(float v);
+
+/**
  * An 8-bit quantization of a trained float MLP.
  *
  * Each layer stores int8 weights with a per-layer power-of-two scale
@@ -86,6 +93,24 @@ class QuantizedMlp
     /** @return argmax class for @p pixels. */
     int predict(const uint8_t *pixels) const;
 
+    /** Caller-owned activation and accumulator buffers: reused across
+     *  calls, so a warm scratch makes classify() allocation-free. */
+    struct Scratch
+    {
+        std::vector<uint8_t> cur, next; ///< codes, sample-major.
+        std::vector<int32_t> acc;       ///< pre-activations, likewise.
+    };
+
+    /**
+     * Classify @p count images, kernels::kQ8Batch at a time through
+     * one sweep of each layer's weights. Each answer equals predict()
+     * on that image alone.
+     * @param pixels  count pointers, each to inputSize() values.
+     * @param classes count argmax classes (written).
+     */
+    void classify(const uint8_t *const *pixels, std::size_t count,
+                  int *classes, Scratch &scratch) const;
+
     /** @return accuracy on @p data in [0,1]. */
     double evaluate(const datasets::Dataset &data) const;
 
@@ -101,20 +126,12 @@ class QuantizedMlp
     void setWeightAt(std::size_t idx, int8_t value);
 
   private:
-    /** Caller-owned activation and accumulator buffers: reused across
-     *  images, so a warm scratch makes forward() allocation-free. */
-    struct Scratch
-    {
-        std::vector<uint8_t> cur, next;
-        std::vector<int32_t> acc;
-    };
-
-    /** Feed-forward through @p scratch. @return the outputSize()
-     *  output codes, valid until @p scratch is next used. */
-    const uint8_t *forward(const uint8_t *pixels, Scratch &scratch) const;
-
-    /** @return argmax class for @p pixels, computed in @p scratch. */
-    int predict(const uint8_t *pixels, Scratch &scratch) const;
+    /** Feed-forward of @p count (1..kernels::kQ8Batch) images through
+     *  @p scratch. @return their output codes, image b's outputSize()
+     *  codes at b * outputSize(), valid until @p scratch is next
+     *  used. */
+    const uint8_t *forwardGroup(const uint8_t *const *pixels,
+                                std::size_t count, Scratch &scratch) const;
 
     struct Layer
     {

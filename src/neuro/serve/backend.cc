@@ -93,14 +93,28 @@ class QuantizedMlpSession final : public BackendSession
     classify(const uint8_t *pixels, std::size_t numPixels,
              uint64_t /*streamSeed*/) override
     {
+        int cls = -1;
+        classifyBatch(&pixels, nullptr, 1, numPixels, &cls);
+        return cls;
+    }
+
+    /** Groups of kernels::kQ8Batch samples share one sweep of each
+     *  layer's int8 weights (QuantizedMlp::classify); the answers
+     *  match per-sample classify() bit for bit. */
+    void
+    classifyBatch(const uint8_t *const *pixels,
+                  const uint64_t * /*streamSeeds*/, std::size_t count,
+                  std::size_t numPixels, int *classes) override
+    {
         NEURO_ASSERT(numPixels == net_.inputSize(),
                      "quantized backend fed %zu pixels, expects %zu",
                      numPixels, net_.inputSize());
-        return net_.predict(pixels);
+        net_.classify(pixels, count, classes, scratch_);
     }
 
   private:
     const mlp::QuantizedMlp &net_;
+    mlp::QuantizedMlp::Scratch scratch_;
 };
 
 class QuantizedMlpBackend final : public InferenceBackend
@@ -121,6 +135,11 @@ class QuantizedMlpBackend final : public InferenceBackend
     newSession() const override
     {
         return std::make_unique<QuantizedMlpSession>(net_);
+    }
+    std::size_t
+    batchGranularity() const override
+    {
+        return kernels::kQ8Batch;
     }
 
   private:

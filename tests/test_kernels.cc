@@ -9,6 +9,7 @@
  * forcing (NEURO_SIMD=off and friends) and the kernel call counters.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -517,6 +518,91 @@ TEST_F(KernelsTest, Q8MatchesReferenceIncludingSaturationEdges)
             gemvBiasQ8(wr.data(), 1, fi + 1, xr.data(), &got);
             EXPECT_EQ(want, got) << "q8 fan-in " << fi << " at "
                                  << isaName(activeIsa());
+        }
+    }
+}
+
+TEST_F(KernelsTest, BatchedQ8MatchesPerSampleReferenceAtEveryIsa)
+{
+    // Every batch size over every shape, each sample with its own
+    // codes (so a mixed-up sample fails), against refDotQ8 per sample.
+    Rng rng(110);
+    for (const auto &shape : kShapes) {
+        const std::size_t rows = shape[0], cols = shape[1];
+        const std::size_t fan_in = cols - 1;
+        std::vector<int8_t> w(rows * cols);
+        for (auto &v : w)
+            v = static_cast<int8_t>(rng.uniform(-128.0, 128.0));
+        std::vector<std::vector<uint8_t>> xs(kQ8Batch,
+                                             std::vector<uint8_t>(fan_in));
+        for (auto &x : xs) {
+            for (auto &v : x)
+                v = static_cast<uint8_t>(rng.uniform(0.0, 256.0));
+        }
+        const uint8_t *ptrs[kQ8Batch];
+        for (std::size_t b = 0; b < kQ8Batch; ++b)
+            ptrs[b] = xs[b].data();
+        for (std::size_t batch = 1; batch <= kQ8Batch; ++batch) {
+            std::vector<int32_t> expect(batch * rows);
+            for (std::size_t b = 0; b < batch; ++b) {
+                for (std::size_t r = 0; r < rows; ++r)
+                    expect[b * rows + r] =
+                        refDotQ8(w.data() + r * cols, ptrs[b], fan_in);
+            }
+            for (SimdMode mode : reachableModes()) {
+                setSimdMode(mode);
+                std::vector<int32_t> y(batch * rows, -1);
+                gemvBiasQ8(w.data(), rows, cols, ptrs, batch, y.data());
+                ASSERT_EQ(expect, y)
+                    << "q8 batch " << batch << " " << rows << "x" << cols
+                    << " differs at " << isaName(activeIsa());
+            }
+        }
+    }
+}
+
+TEST_F(KernelsTest, BatchedQ8SaturationEdgesAtTheFanInCap)
+{
+    // Rails against rails at the largest fan-in the wrapper admits
+    // (cols == 65536): |acc| reaches 65536 * 128 * 255, just below
+    // 2^31. Sample 0 is all 255, sample 1 all 0, sample 2 alternates
+    // 255 and 0, sample 3 is random, so each row sums differently
+    // per sample.
+    const std::size_t cols = 65536, fan_in = cols - 1, rows = 3;
+    std::vector<int8_t> w(rows * cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+        w[c] = -128;
+        w[cols + c] = 127;
+        w[2 * cols + c] = static_cast<int8_t>(c % 2 == 0 ? -128 : 127);
+    }
+    std::vector<std::vector<uint8_t>> xs(kQ8Batch,
+                                         std::vector<uint8_t>(fan_in));
+    Rng rng(111);
+    for (std::size_t i = 0; i < fan_in; ++i) {
+        xs[0][i] = 255;
+        xs[1][i] = 0;
+        xs[2][i] = static_cast<uint8_t>(i % 2 == 0 ? 255 : 0);
+        xs[3][i] = static_cast<uint8_t>(rng.uniform(0.0, 256.0));
+    }
+    const uint8_t *ptrs[kQ8Batch];
+    for (std::size_t b = 0; b < kQ8Batch; ++b)
+        ptrs[b] = xs[b].data();
+    std::vector<int32_t> expect(kQ8Batch * rows);
+    for (std::size_t b = 0; b < kQ8Batch; ++b) {
+        for (std::size_t r = 0; r < rows; ++r)
+            expect[b * rows + r] =
+                refDotQ8(w.data() + r * cols, ptrs[b], fan_in);
+    }
+    EXPECT_EQ(expect[0], -128 * 255 * 65536);
+    EXPECT_EQ(expect[1], 127 * 255 * 65536);
+    for (SimdMode mode : reachableModes()) {
+        setSimdMode(mode);
+        for (std::size_t batch = 1; batch <= kQ8Batch; ++batch) {
+            std::vector<int32_t> y(batch * rows, 0);
+            gemvBiasQ8(w.data(), rows, cols, ptrs, batch, y.data());
+            EXPECT_TRUE(std::equal(y.begin(), y.end(), expect.begin()))
+                << "q8 batch " << batch << " at the fan-in cap differs at "
+                << isaName(activeIsa());
         }
     }
 }

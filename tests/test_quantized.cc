@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
 #include "neuro/datasets/synth_digits.h"
@@ -12,6 +18,31 @@
 namespace neuro {
 namespace mlp {
 namespace {
+
+/** A 784-24-10 MLP trained briefly on synthetic digits, plus a test
+ *  set of @p testSize images. */
+struct TrainedQ8
+{
+    datasets::Split split;
+    Mlp net;
+};
+
+TrainedQ8
+trainSmallMlp(std::size_t testSize)
+{
+    datasets::SynthDigitsOptions opt;
+    opt.trainSize = 300;
+    opt.testSize = testSize;
+    datasets::Split split = datasets::makeSynthDigits(opt);
+    MlpConfig config;
+    config.layerSizes = {784, 24, 10};
+    TrainConfig train;
+    train.epochs = 2;
+    Rng rng(11);
+    Mlp net(config, rng);
+    mlp::train(net, split.train, train);
+    return {std::move(split), std::move(net)};
+}
 
 TEST(QuantizedMlp, PreservesGeometry)
 {
@@ -88,47 +119,156 @@ TEST(QuantizedMlp, SmallAccuracyLossOnTrainedNet)
 
 TEST(QuantizedMlp, EvaluateEqualsSerialPredictAtAnyThreadCountAndIsa)
 {
-    // evaluate() shards the test set; its count must equal one serial
+    // evaluate() shards the test set and classifies each shard in
+    // groups of kernels::kQ8Batch; its count must equal one serial
     // predict() per sample, whatever the thread count or kernel table.
-    // 203 samples leave a ragged last shard.
-    datasets::SynthDigitsOptions opt;
-    opt.trainSize = 300;
-    opt.testSize = 203;
-    const datasets::Split split = datasets::makeSynthDigits(opt);
-    MlpConfig config;
-    config.layerSizes = {784, 24, 10};
-    TrainConfig train;
-    train.epochs = 2;
-    Rng rng(11);
-    Mlp net(config, rng);
-    mlp::train(net, split.train, train);
-    const QuantizedMlp quant(net);
+    // 203 samples leave a ragged last shard and group; 2,000 is the
+    // benchmark's test-set size.
+    for (const std::size_t testSize : {std::size_t{203}, std::size_t{2000}}) {
+        const TrainedQ8 t = trainSmallMlp(testSize);
+        const datasets::Split &split = t.split;
+        const QuantizedMlp quant(t.net);
 
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < split.test.size(); ++i) {
-        if (quant.predict(split.test[i].pixels.data()) ==
-            split.test[i].label)
-            ++hits;
+        std::size_t hits = 0;
+        for (std::size_t i = 0; i < split.test.size(); ++i) {
+            if (quant.predict(split.test[i].pixels.data()) ==
+                split.test[i].label)
+                ++hits;
+        }
+        const double expect = static_cast<double>(hits) /
+            static_cast<double>(split.test.size());
+
+        const std::size_t saved = parallelThreadCount();
+        for (kernels::SimdMode mode :
+             {kernels::SimdMode::Off, kernels::SimdMode::Avx2,
+              kernels::SimdMode::Avx512}) {
+            // Forcing a level the machine lacks falls back to a
+            // narrower one, which is simply covered twice.
+            kernels::setSimdMode(mode);
+            for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+                setParallelThreadCount(threads);
+                EXPECT_EQ(expect, quant.evaluate(split.test))
+                    << testSize << " images, " << threads << " threads at "
+                    << kernels::isaName(kernels::activeIsa());
+            }
+        }
+        setParallelThreadCount(saved);
+        kernels::setSimdMode(kernels::SimdMode::Auto);
     }
-    const double expect = static_cast<double>(hits) /
-        static_cast<double>(split.test.size());
+}
 
-    const std::size_t saved = parallelThreadCount();
-    for (kernels::SimdMode mode :
-         {kernels::SimdMode::Off, kernels::SimdMode::Avx2,
-          kernels::SimdMode::Avx512}) {
-        // Forcing a level the machine lacks falls back to a narrower
-        // one, which is simply covered twice.
-        kernels::setSimdMode(mode);
-        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            setParallelThreadCount(threads);
-            EXPECT_EQ(expect, quant.evaluate(split.test))
-                << threads << " threads at "
-                << kernels::isaName(kernels::activeIsa());
+/** @return the float with bit pattern @p bits. */
+float
+floatOf(uint32_t bits)
+{
+    float f;
+    std::memcpy(&f, &bits, sizeof f);
+    return f;
+}
+
+TEST(QuantizedMlp, RoundHalfAwayMatchesLround)
+{
+    // Ties (+-k.5) and their float neighbours, zero of both signs,
+    // subnormals, the 2^23 boundary where the integer method hands
+    // over to std::lround, and the float extremes.
+    std::vector<float> values = {
+        0.0f,
+        -0.0f,
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        floatOf(0x007fffffu), // largest subnormal.
+        -floatOf(0x007fffffu),
+        std::numeric_limits<float>::min(),
+        -std::numeric_limits<float>::min(),
+        std::numeric_limits<float>::epsilon(),
+        0x1p22f + 0.5f, // largest-magnitude float with a .5 part.
+        -(0x1p22f + 0.5f),
+        0x1p23f - 1.0f,
+        0x1p23f - 0.5f,
+        0x1p23f,
+        0x1p23f + 1.0f,
+        -(0x1p23f - 1.0f),
+        -(0x1p23f - 0.5f),
+        -0x1p23f,
+        -(0x1p23f + 1.0f),
+        0x1p24f,
+        -0x1p24f,
+        std::numeric_limits<float>::max(),
+        std::numeric_limits<float>::lowest(),
+    };
+    for (int k = 0; k <= 300; ++k) {
+        for (const float sign : {1.0f, -1.0f}) {
+            const float tie = sign * (static_cast<float>(k) + 0.5f);
+            values.push_back(tie);
+            values.push_back(std::nextafter(tie, 0.0f));
+            values.push_back(
+                std::nextafter(tie, sign * std::numeric_limits<float>::max()));
+            values.push_back(sign * static_cast<float>(k));
         }
     }
+    for (const float v : values)
+        EXPECT_EQ(std::lround(v), roundHalfAway(v)) << "at " << v;
+    EXPECT_EQ(roundHalfAway(0.5f), 1);
+    EXPECT_EQ(roundHalfAway(-0.5f), -1);
+    EXPECT_EQ(roundHalfAway(2.5f), 3);
+    EXPECT_EQ(roundHalfAway(std::nextafter(0.5f, 0.0f)), 0);
+}
+
+/** Batched classify of every count 1..9 from every start in [0, 4)
+ *  equals per-sample predict(), from several pool workers at once. */
+void
+expectClassifyMatchesPredict(const QuantizedMlp &quant,
+                             const datasets::Dataset &data)
+{
+    std::vector<int> expect(data.size());
+    std::vector<const uint8_t *> pixels(data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        expect[i] = quant.predict(data[i].pixels.data());
+        pixels[i] = data[i].pixels.data();
+    }
+    std::vector<uint8_t> ok(4 * 9, 0);
+    parallelForRange(0, ok.size(), 1, [&](std::size_t k0, std::size_t k1) {
+        QuantizedMlp::Scratch scratch;
+        for (std::size_t k = k0; k < k1; ++k) {
+            const std::size_t start = k / 9, count = k % 9 + 1;
+            std::vector<int> classes(count, -2);
+            quant.classify(pixels.data() + start, count, classes.data(),
+                           scratch);
+            ok[k] = std::equal(classes.begin(), classes.end(),
+                               expect.begin() +
+                                   static_cast<std::ptrdiff_t>(start));
+        }
+    });
+    for (std::size_t k = 0; k < ok.size(); ++k) {
+        EXPECT_TRUE(ok[k]) << "start " << k / 9 << " count " << k % 9 + 1
+                           << " at " << parallelThreadCount()
+                           << " threads";
+    }
+}
+
+TEST(QuantizedMlp, BatchedClassifyEqualsPredictIncludingFaultedWeights)
+{
+    TrainedQ8 t = trainSmallMlp(13);
+    QuantizedMlp quant(t.net);
+    const std::size_t saved = parallelThreadCount();
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        setParallelThreadCount(threads);
+        expectClassifyMatchesPredict(quant, t.split.test);
+    }
+    // Stuck-at faults at the int8 rails, in both layers and in bias
+    // columns: the batched sweep must read the faulted weights too.
+    Rng rng(12);
+    for (int f = 0; f < 64; ++f) {
+        const std::size_t idx = rng.uniformInt(quant.totalWeights());
+        quant.setWeightAt(idx, f % 2 == 0 ? int8_t{127} : int8_t{-128});
+    }
+    quant.setWeightAt(784, int8_t{127}); // neuron 0's bias weight.
+    quant.setWeightAt(quant.totalWeights() - 1, int8_t{-128});
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        setParallelThreadCount(threads);
+        expectClassifyMatchesPredict(quant, t.split.test);
+    }
     setParallelThreadCount(saved);
-    kernels::setSimdMode(kernels::SimdMode::Auto);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -16,6 +17,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
 #include "neuro/common/serialize.h"
+#include "neuro/kernels/kernels.h"
 #include "neuro/mlp/mlp.h"
 #include "neuro/serve/backend.h"
 #include "neuro/serve/queue.h"
@@ -512,6 +515,73 @@ TEST(ServeDeterminism, BitIdenticalAcrossWorkersAndBatching)
     }
 
     // Full server, every worker count and an awkward batch size.
+    for (const std::size_t workers : {1u, 4u}) {
+        ThreadCountGuard guard(workers);
+        EXPECT_EQ(serveTrace(backend, trace, 24), reference)
+            << "diverged at " << workers << " workers";
+        EXPECT_EQ(serveTrace(backend, trace, 1), reference)
+            << "diverged unbatched at " << workers << " workers";
+    }
+}
+
+/**
+ * The quantized MLP backend batches kQ8Batch samples per weight sweep:
+ * its classifyBatch, over every count from 1 to 9 and over the whole
+ * trace, answers exactly what per-request classify() does, and so does
+ * the full server at 1 and 4 workers (the wire == in-process contract
+ * rests on this).
+ */
+TEST(ServeDeterminism, QuantizedBatchEqualsPerRequestClassify)
+{
+    mlp::MlpConfig config;
+    config.layerSizes = {37, 13, 7};
+    Rng rng(12);
+    const mlp::Mlp net(config, rng);
+    const std::shared_ptr<serve::InferenceBackend> backend =
+        serve::makeQuantizedMlpBackend(net);
+    EXPECT_EQ(backend->batchGranularity(), kernels::kQ8Batch);
+
+    const std::vector<serve::InferenceRequest> trace =
+        randomTrace(203, backend->inputSize(), 43);
+    std::vector<const uint8_t *> pixels;
+    std::vector<uint64_t> seeds;
+    for (const serve::InferenceRequest &r : trace) {
+        pixels.push_back(r.pixels.data());
+        seeds.push_back(r.streamSeed);
+    }
+
+    std::vector<int> reference;
+    {
+        std::unique_ptr<serve::BackendSession> session =
+            backend->newSession();
+        for (const serve::InferenceRequest &r : trace)
+            reference.push_back(session->classify(
+                r.pixels.data(), r.pixels.size(), r.streamSeed));
+    }
+    // An untrained net still spreads the trace over several classes,
+    // so a sample mix-up inside a batch would show.
+    EXPECT_GT(std::set<int>(reference.begin(), reference.end()).size(),
+              1u);
+
+    // One session reused across calls of every count 1..9 (its
+    // scratch carries over), then the whole trace in one call.
+    {
+        std::unique_ptr<serve::BackendSession> session =
+            backend->newSession();
+        std::vector<int> batched(trace.size(), -1);
+        for (std::size_t i = 0, count = 1; i < trace.size();
+             i += count, count = count % 9 + 1) {
+            const std::size_t m = std::min(count, trace.size() - i);
+            session->classifyBatch(pixels.data() + i, seeds.data() + i, m,
+                                   backend->inputSize(), batched.data() + i);
+        }
+        EXPECT_EQ(batched, reference);
+        std::vector<int> whole(trace.size(), -1);
+        session->classifyBatch(pixels.data(), seeds.data(), trace.size(),
+                               backend->inputSize(), whole.data());
+        EXPECT_EQ(whole, reference);
+    }
+
     for (const std::size_t workers : {1u, 4u}) {
         ThreadCountGuard guard(workers);
         EXPECT_EQ(serveTrace(backend, trace, 24), reference)
