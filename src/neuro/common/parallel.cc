@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
-#include <memory>
 #include <string>
 #include <thread>
 
@@ -50,8 +49,13 @@ envThreadCount()
  * Shared state of one forRange() call. Chunks are claimed with a
  * single fetch_add, so a fast worker simply claims more chunks; the
  * caller participates too and then waits for the last chunk to retire.
- * Held by shared_ptr so a worker that grabbed the job just as it
- * finished can still touch it safely.
+ * The job lives on the caller's stack. A worker counts itself in
+ * `holders` while the job is queued, and the caller returns only once
+ * the job has left the queue and no worker holds it, so a worker that
+ * grabbed the job just as it finished can still touch it safely. No
+ * worker allocates or frees anything for a job: a thread's freed
+ * chunks go to its own malloc cache, and a worker that freed the
+ * caller's allocations would reuse them for its own.
  */
 struct RangeJob
 {
@@ -64,6 +68,10 @@ struct RangeJob
     std::atomic<std::size_t> nextChunk{0};
     std::atomic<std::size_t> chunksDone{0};
     std::atomic<bool> failed{false};
+    /** Workers that took the job from the queue and have not let go.
+     *  Counted in under the queue lock, so the caller's retiring of
+     *  the job sees every holder; counted out under `mutex`. */
+    std::atomic<std::size_t> holders{0};
 
     Mutex mutex;
     CondVar allDone;
@@ -130,14 +138,14 @@ struct ThreadPool::Impl
 
     std::vector<std::thread> workers NEURO_GUARDED_BY(configMutex);
     std::size_t threadCount NEURO_GUARDED_BY(configMutex) = 0;
-    std::deque<std::shared_ptr<RangeJob>> queue NEURO_GUARDED_BY(mutex);
+    std::deque<RangeJob *> queue NEURO_GUARDED_BY(mutex);
     bool shutdown NEURO_GUARDED_BY(mutex) = false;
 
     void
     workerLoop()
     {
         for (;;) {
-            std::shared_ptr<RangeJob> job;
+            RangeJob *job = nullptr;
             {
                 MutexGuard lock(mutex);
                 while (!shutdown && queue.empty())
@@ -150,10 +158,19 @@ struct ThreadPool::Impl
                     queue.pop_front();
                     continue;
                 }
+                job->holders.fetch_add(1, std::memory_order_relaxed);
             }
             ++t_parallelDepth;
             job->work();
             --t_parallelDepth;
+            {
+                // The caller may destroy the job once this lock is
+                // released with no holders left: touch nothing after.
+                MutexGuard lock(job->mutex);
+                if (job->holders.fetch_sub(1, std::memory_order_relaxed) ==
+                    1)
+                    job->allDone.notifyAll();
+            }
         }
     }
 
@@ -263,44 +280,47 @@ ThreadPool::forRange(std::size_t begin, std::size_t end,
 
     NEURO_PROFILE_SCOPE("parallel/for");
 
-    auto job = std::make_shared<RangeJob>();
-    job->begin = begin;
-    job->end = end;
-    job->grain = grain;
-    job->numChunks = (n + grain - 1) / grain;
-    job->fn = &fn;
+    RangeJob job;
+    job.begin = begin;
+    job.end = end;
+    job.grain = grain;
+    job.numChunks = (n + grain - 1) / grain;
+    job.fn = &fn;
 
     // One top-level job at a time: concurrent callers queue up here
     // rather than interleaving chunks in the worker queue.
     MutexGuard run(impl_->runMutex);
     {
         MutexGuard lock(impl_->mutex);
-        impl_->queue.push_back(job);
+        impl_->queue.push_back(&job);
     }
     impl_->wake.notifyAll();
 
     // The caller claims chunks alongside the workers.
     ++t_parallelDepth;
-    job->work();
+    job.work();
     --t_parallelDepth;
 
     {
-        MutexGuard lock(job->mutex);
-        while (!job->complete())
-            job->allDone.wait(job->mutex);
+        MutexGuard lock(job.mutex);
+        while (!job.complete())
+            job.allDone.wait(job.mutex);
     }
     {
         // Retire the job from the queue if no worker got to it first.
         MutexGuard lock(impl_->mutex);
         auto &q = impl_->queue;
-        q.erase(std::remove(q.begin(), q.end(), job), q.end());
+        q.erase(std::remove(q.begin(), q.end(), &job), q.end());
     }
 
-    obsCount<"parallel.chunks">(job->numChunks);
+    obsCount<"parallel.chunks">(job.numChunks);
     std::exception_ptr error;
     {
-        MutexGuard lock(job->mutex);
-        error = job->error;
+        // No worker can take the job now; wait for those that did.
+        MutexGuard lock(job.mutex);
+        while (job.holders.load(std::memory_order_relaxed) != 0)
+            job.allDone.wait(job.mutex);
+        error = job.error;
     }
     if (error)
         std::rethrow_exception(error);

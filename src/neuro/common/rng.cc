@@ -19,12 +19,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 uint64_t
@@ -47,26 +41,6 @@ Rng::Rng(uint64_t seed)
     // seed cannot produce it, but guard anyway.
     if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0)
         state_[0] = 1;
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -105,6 +79,32 @@ Rng::gaussian()
     cachedGaussian_ = r * std::sin(theta);
     hasCachedGaussian_ = true;
     return r * std::cos(theta);
+}
+
+void
+Rng::discardGaussians(std::size_t n)
+{
+    double u1 = 0.0, u2 = 0.0;
+    bool drew = false;
+    for (; n > 0; --n) {
+        if (hasCachedGaussian_) {
+            hasCachedGaussian_ = false;
+            continue;
+        }
+        do {
+            u1 = uniform();
+        } while (u1 <= 0.0);
+        u2 = uniform();
+        hasCachedGaussian_ = true;
+        drew = true;
+    }
+    // Only a pair drawn here and half consumed leaves a deviate that a
+    // later gaussian() returns; compute it as gaussian() does.
+    if (drew && hasCachedGaussian_) {
+        const double r = std::sqrt(-2.0 * std::log(u1));
+        const double theta = 2.0 * M_PI * u2;
+        cachedGaussian_ = r * std::sin(theta);
+    }
 }
 
 double

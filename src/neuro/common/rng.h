@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace neuro {
@@ -37,10 +38,26 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** @return the next raw 64-bit value. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /** @return a uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** @return a uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -54,6 +71,15 @@ class Rng
     /** @return a normal deviate with the given mean and stddev. */
     double gaussian(double mean, double stddev);
 
+    /**
+     * Advance the generator exactly as @p n gaussian() calls would,
+     * Box-Muller cache included, without computing the deviates: it
+     * draws the same uniforms (u1 <= 0 rejections too) and evaluates
+     * the transform only for a pair whose second deviate is left in
+     * the cache. A copy taken before the call replays the n deviates.
+     */
+    void discardGaussians(std::size_t n);
+
     /** @return an exponential deviate with the given mean. */
     double exponential(double mean);
 
@@ -61,6 +87,12 @@ class Rng
     void shuffle(std::uint32_t *order, std::size_t n);
 
   private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<uint64_t, 4> state_;
     double cachedGaussian_ = 0.0;
     bool hasCachedGaussian_ = false;

@@ -1,89 +1,42 @@
 #include "neuro/datasets/glyphs.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "neuro/common/logging.h"
-#include "neuro/common/rng.h"
+#include "neuro/common/parallel.h"
 
 namespace neuro {
 namespace datasets {
 
-GlyphBitmap
-GlyphBitmap::fromRows(const std::vector<std::string> &rows)
-{
-    NEURO_ASSERT(!rows.empty(), "glyph needs at least one row");
-    GlyphBitmap g;
-    g.height = rows.size();
-    g.width = rows[0].size();
-    g.cells.reserve(g.width * g.height);
-    for (const auto &row : rows) {
-        NEURO_ASSERT(row.size() == g.width, "ragged glyph rows");
-        for (char c : row)
-            g.cells.push_back(c == '#' ? 1 : 0);
-    }
-    return g;
-}
-
-bool
-GlyphBitmap::at(long x, long y) const
-{
-    if (x < 0 || y < 0 || x >= static_cast<long>(width) ||
-        y >= static_cast<long>(height)) {
-        return false;
-    }
-    return cells[static_cast<std::size_t>(y) * width +
-                 static_cast<std::size_t>(x)] != 0;
-}
-
-float
-GlyphBitmap::sample(float x, float y) const
-{
-    const float fx = x - 0.5f;
-    const float fy = y - 0.5f;
-    const long x0 = static_cast<long>(std::floor(fx));
-    const long y0 = static_cast<long>(std::floor(fy));
-    const float ax = fx - static_cast<float>(x0);
-    const float ay = fy - static_cast<float>(y0);
-    const float v00 = at(x0, y0) ? 1.0f : 0.0f;
-    const float v10 = at(x0 + 1, y0) ? 1.0f : 0.0f;
-    const float v01 = at(x0, y0 + 1) ? 1.0f : 0.0f;
-    const float v11 = at(x0 + 1, y0 + 1) ? 1.0f : 0.0f;
-    return (1 - ax) * (1 - ay) * v00 + ax * (1 - ay) * v10 +
-           (1 - ax) * ay * v01 + ax * ay * v11;
-}
-
-AffineJitter
-randomJitter(Rng &rng, float max_rotation, float min_scale, float max_scale,
-             float max_shear, float max_translate, float max_thickness,
-             float noise_stddev)
-{
-    AffineJitter j;
-    j.rotation = static_cast<float>(rng.uniform(-max_rotation, max_rotation));
-    j.scale = static_cast<float>(rng.uniform(min_scale, max_scale));
-    j.shear = static_cast<float>(rng.uniform(-max_shear, max_shear));
-    j.translateX =
-        static_cast<float>(rng.uniform(-max_translate, max_translate));
-    j.translateY =
-        static_cast<float>(rng.uniform(-max_translate, max_translate));
-    j.thickness = static_cast<float>(rng.uniform(0.0, max_thickness));
-    j.noiseStddev = noise_stddev;
-    return j;
-}
-
 namespace {
+
+/** std::floor for a float whose floor fits a long, without libm. */
+inline long
+floorToLong(float v)
+{
+    const long t = static_cast<long>(v); // truncates toward zero
+    return t - (static_cast<float>(t) > v ? 1 : 0);
+}
+
+/** gaussian() draws rasterize() makes for one image. */
+std::size_t
+noiseDraws(std::size_t pixels, const AffineJitter &jitter)
+{
+    return jitter.noiseStddev > 0.0f ? pixels : 0;
+}
 
 /**
  * Common rasterization core: for each output pixel, map its centre back
  * into source space via the inverse affine transform and evaluate the
- * coverage function there; then apply noise and quantize.
+ * coverage function there; then apply noise and quantize into @p out.
  */
-std::vector<uint8_t>
-rasterize(const std::function<float(float, float)> &coverage,
-          std::size_t width, std::size_t height, const AffineJitter &jitter,
-          Rng &rng)
+template <typename Coverage>
+void
+rasterize(const Coverage &coverage, std::size_t width, std::size_t height,
+          const AffineJitter &jitter, Rng &rng, uint8_t *out)
 {
-    std::vector<uint8_t> out(width * height, 0);
     const float cx = static_cast<float>(width) * 0.5f;
     const float cy = static_cast<float>(height) * 0.5f;
     const float cosr = std::cos(jitter.rotation);
@@ -113,14 +66,89 @@ rasterize(const std::function<float(float, float)> &coverage,
                 std::clamp(lum, 0.0f, 255.0f));
         }
     }
-    return out;
 }
+
+/** One image's draw-pass results. */
+struct ImageDraws
+{
+    int label = 0;
+    AffineJitter jitter;
+    Rng noise;                 ///< rng as the first noise draw finds it.
+    uint8_t *pixels = nullptr; ///< the stored sample's pixel buffer.
+};
+
+/** Images per draw-then-render round of generateImages(); a round's
+ *  draws (about 22 KB) fit on any thread's stack. */
+constexpr std::size_t kRenderBlock = 256;
 
 } // namespace
 
-std::vector<uint8_t>
+GlyphBitmap
+GlyphBitmap::fromRows(const std::vector<std::string> &rows)
+{
+    NEURO_ASSERT(!rows.empty(), "glyph needs at least one row");
+    GlyphBitmap g;
+    g.height = rows.size();
+    g.width = rows[0].size();
+    const std::size_t stride = g.width + 2;
+    g.ink.assign(stride * (g.height + 2), 0.0f);
+    for (std::size_t y = 0; y < g.height; ++y) {
+        NEURO_ASSERT(rows[y].size() == g.width, "ragged glyph rows");
+        for (std::size_t x = 0; x < g.width; ++x)
+            g.ink[(y + 1) * stride + x + 1] = rows[y][x] == '#' ? 1.0f : 0.0f;
+    }
+    return g;
+}
+
+float
+GlyphBitmap::sample(float x, float y) const
+{
+    const float fx = x - 0.5f;
+    const float fy = y - 0.5f;
+    const long x0 = floorToLong(fx);
+    const long y0 = floorToLong(fy);
+    // No corner on the bitmap: every term below is a non-negative
+    // weight times 0, so the sum is +0.
+    if (x0 < -1 || y0 < -1 || x0 >= static_cast<long>(width) ||
+        y0 >= static_cast<long>(height)) {
+        return 0.0f;
+    }
+    const float ax = fx - static_cast<float>(x0);
+    const float ay = fy - static_cast<float>(y0);
+    // x0, y0 >= -1, so the border keeps all four corners in the array.
+    const std::size_t stride = width + 2;
+    const float *c = ink.data() + static_cast<std::size_t>(y0 + 1) * stride +
+        static_cast<std::size_t>(x0 + 1);
+    const float v00 = c[0];
+    const float v10 = c[1];
+    const float v01 = c[stride];
+    const float v11 = c[stride + 1];
+    return (1 - ax) * (1 - ay) * v00 + ax * (1 - ay) * v10 +
+           (1 - ax) * ay * v01 + ax * ay * v11;
+}
+
+AffineJitter
+randomJitter(Rng &rng, const JitterLimits &limits)
+{
+    AffineJitter j;
+    j.rotation = static_cast<float>(
+        rng.uniform(-limits.maxRotation, limits.maxRotation));
+    j.scale =
+        static_cast<float>(rng.uniform(limits.minScale, limits.maxScale));
+    j.shear =
+        static_cast<float>(rng.uniform(-limits.maxShear, limits.maxShear));
+    j.translateX = static_cast<float>(
+        rng.uniform(-limits.maxTranslate, limits.maxTranslate));
+    j.translateY = static_cast<float>(
+        rng.uniform(-limits.maxTranslate, limits.maxTranslate));
+    j.thickness = static_cast<float>(rng.uniform(0.0, limits.maxThickness));
+    j.noiseStddev = limits.noiseStddev;
+    return j;
+}
+
+void
 renderGlyph(const GlyphBitmap &glyph, std::size_t width, std::size_t height,
-            const AffineJitter &jitter, Rng &rng)
+            const AffineJitter &jitter, Rng &rng, uint8_t *out)
 {
     // The glyph occupies ~70% of the output tile, as MNIST digits do.
     const float gw = static_cast<float>(glyph.width);
@@ -145,12 +173,12 @@ renderGlyph(const GlyphBitmap &glyph, std::size_t width, std::size_t height,
         }
         return v;
     };
-    return rasterize(coverage, width, height, jitter, rng);
+    rasterize(coverage, width, height, jitter, rng, out);
 }
 
-std::vector<uint8_t>
-renderSdf(const std::function<float(float, float)> &sdf, std::size_t width,
-          std::size_t height, const AffineJitter &jitter, Rng &rng)
+void
+renderSdf(float (*sdf)(float, float), std::size_t width, std::size_t height,
+          const AffineJitter &jitter, Rng &rng, uint8_t *out)
 {
     // The unit SDF domain spans ~80% of the tile; smooth the boundary by
     // about one pixel for anti-aliased edges.
@@ -162,7 +190,37 @@ renderSdf(const std::function<float(float, float)> &sdf, std::size_t width,
         const float t = std::clamp((edge - d) / (2.0f * edge), 0.0f, 1.0f);
         return t * t * (3.0f - 2.0f * t);
     };
-    return rasterize(coverage, width, height, jitter, rng);
+    rasterize(coverage, width, height, jitter, rng, out);
+}
+
+void
+generateImages(Dataset &out, std::size_t count, const JitterLimits &limits,
+               Rng &rng, const RenderFn &render)
+{
+    const std::size_t pixels = out.inputSize();
+    const auto classes = static_cast<uint64_t>(out.numClasses());
+    // Round scratch lives on the stack, so the heap sees what a serial
+    // loop makes: one pixel buffer per image, appended in image order.
+    std::array<ImageDraws, kRenderBlock> draws;
+    for (std::size_t first = 0; first < count; first += kRenderBlock) {
+        const std::size_t n = std::min(kRenderBlock, count - first);
+        for (std::size_t i = 0; i < n; ++i) {
+            ImageDraws &d = draws[i];
+            Sample s;
+            s.label = d.label = static_cast<int>(rng.uniformInt(classes));
+            d.jitter = randomJitter(rng, limits);
+            d.noise = rng;
+            rng.discardGaussians(noiseDraws(pixels, d.jitter));
+            s.pixels.resize(pixels);
+            // Moving the sample into the dataset keeps its buffer.
+            d.pixels = s.pixels.data();
+            out.add(std::move(s));
+        }
+        parallelFor(0, n, [&](std::size_t i) {
+            ImageDraws &d = draws[i];
+            render(d.label, d.jitter, d.noise, d.pixels);
+        });
+    }
 }
 
 } // namespace datasets

@@ -4,6 +4,11 @@
  * A glyph is a small binary bitmap (or a signed-distance function) that is
  * rendered into an 8-bit luminance image under a random affine transform
  * with stroke-thickness and noise jitter, producing MNIST-like variation.
+ *
+ * Both generators build their datasets through generateImages(): a serial
+ * pass makes every draw from the shared generator except the per-pixel
+ * noise, recording where each image's noise starts, and the images then
+ * rasterize on the pool (docs/parallelism.md, "Dataset synthesis").
  */
 
 #pragma once
@@ -13,28 +18,29 @@
 #include <string>
 #include <vector>
 
+#include "neuro/common/rng.h"
+#include "neuro/datasets/dataset.h"
+
 namespace neuro {
-
-class Rng;
-
 namespace datasets {
 
 /** A small binary bitmap glyph described by '#'/'.' rows. */
 struct GlyphBitmap
 {
-    std::size_t width = 0;           ///< columns.
-    std::size_t height = 0;          ///< rows.
-    std::vector<uint8_t> cells;      ///< row-major 0/1 occupancy.
+    std::size_t width = 0;  ///< columns.
+    std::size_t height = 0; ///< rows.
+    /** Row-major occupancy, 1.0f for ink and 0.0f for empty, with a
+     *  one-cell empty border: (width + 2) x (height + 2) cells, so
+     *  sample() reads its four corners without bounds checks. */
+    std::vector<float> ink;
 
     /** Parse from equal-length strings; '#' marks ink. */
     static GlyphBitmap fromRows(const std::vector<std::string> &rows);
 
-    /** @return occupancy at (x,y); out-of-range coordinates are empty. */
-    bool at(long x, long y) const;
-
     /**
      * Bilinear ink coverage at continuous glyph coordinates in
-     * [0,width) x [0,height); returns a value in [0,1].
+     * [0,width) x [0,height); returns a value in [0,1] (exactly +0
+     * where no corner touches the bitmap).
      */
     float sample(float x, float y) const;
 };
@@ -51,29 +57,63 @@ struct AffineJitter
     float noiseStddev = 0.0f; ///< additive luminance noise (0..255 scale).
 };
 
-/** Draw a random jitter within the given extremes. */
-AffineJitter randomJitter(Rng &rng, float max_rotation, float min_scale,
-                          float max_scale, float max_shear,
-                          float max_translate, float max_thickness,
-                          float noise_stddev);
+/** The extremes randomJitter() draws within. */
+struct JitterLimits
+{
+    float maxRotation = 0.0f;  ///< radians, symmetric.
+    float minScale = 1.0f;     ///< smallest isotropic scale.
+    float maxScale = 1.0f;     ///< largest isotropic scale.
+    float maxShear = 0.0f;     ///< shear range, symmetric.
+    float maxTranslate = 0.0f; ///< pixels, symmetric, per axis.
+    float maxThickness = 0.0f; ///< stroke dilation, glyph cells.
+    float noiseStddev = 0.0f;  ///< copied into every jitter.
+};
+
+/** Draw a random jitter within @p limits (six uniforms). */
+AffineJitter randomJitter(Rng &rng, const JitterLimits &limits);
 
 /**
- * Rasterize @p glyph into a width x height 8-bit luminance image under
- * @p jitter. Ink is bright (towards 255) on a dark background, matching
- * MNIST's polarity.
+ * Rasterize @p glyph into a width x height 8-bit luminance image at
+ * @p out under @p jitter. Ink is bright (towards 255) on a dark
+ * background, matching MNIST's polarity. With noise on, it draws one
+ * gaussian() from @p rng per pixel, in row-major order.
  */
-std::vector<uint8_t> renderGlyph(const GlyphBitmap &glyph, std::size_t width,
-                                 std::size_t height,
-                                 const AffineJitter &jitter, Rng &rng);
+void renderGlyph(const GlyphBitmap &glyph, std::size_t width,
+                 std::size_t height, const AffineJitter &jitter, Rng &rng,
+                 uint8_t *out);
 
 /**
- * Rasterize a signed-distance function (negative inside) under @p jitter;
- * the SDF is expressed in a unit domain [-1,1]^2.
+ * Rasterize a signed-distance function (negative inside) under @p jitter
+ * into @p out, drawing noise as renderGlyph() does; the SDF is expressed
+ * in a unit domain [-1,1]^2.
  */
-std::vector<uint8_t>
-renderSdf(const std::function<float(float, float)> &sdf, std::size_t width,
-          std::size_t height, const AffineJitter &jitter, Rng &rng);
+void renderSdf(float (*sdf)(float, float), std::size_t width,
+               std::size_t height, const AffineJitter &jitter, Rng &rng,
+               uint8_t *out);
+
+/**
+ * Rasterizes one image of class @p label into @p pixels (the dataset's
+ * geometry) through renderGlyph() or renderSdf(), drawing its noise
+ * from @p noise. Called on pool workers: it may only read shared state.
+ */
+using RenderFn = std::function<void(int label, const AffineJitter &jitter,
+                                    Rng &noise, uint8_t *pixels)>;
+
+/**
+ * Append @p count images to @p out. Each image's draws are those of a
+ * serial loop over the images: a label uniform over out.numClasses(),
+ * then randomJitter(rng, limits), then the render's per-pixel noise.
+ * A serial pass makes the first two, copies @p rng as the image's
+ * noise stream and moves @p rng past the noise with discardGaussians();
+ * the images then render in parallel from their copies. Images go in
+ * rounds of a few hundred, each a draw pass then a render; pixel
+ * buffers are allocated on the calling thread. The bytes equal the
+ * serial loop's at any thread count, and @p rng ends where the loop
+ * leaves it.
+ */
+void generateImages(Dataset &out, std::size_t count,
+                    const JitterLimits &limits, Rng &rng,
+                    const RenderFn &render);
 
 } // namespace datasets
 } // namespace neuro
-

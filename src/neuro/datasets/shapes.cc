@@ -125,38 +125,32 @@ const std::array<Sdf, kNumShapeClasses> kShapeSdfs = {
     sdfCross, sdfEllipse, sdfCrescent, sdfH,        sdfDiamond,
 };
 
-void
-generate(Dataset &out, std::size_t count, const ShapesOptions &opt, Rng &rng)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        const int label =
-            static_cast<int>(rng.uniformInt(kNumShapeClasses));
-        AffineJitter jitter = randomJitter(
-            rng, /*max_rotation=*/0.6f, /*min_scale=*/0.75f,
-            /*max_scale=*/1.1f, /*max_shear=*/0.12f, /*max_translate=*/1.5f,
-            /*max_thickness=*/0.0f, opt.noiseStddev);
-        Sample s;
-        s.label = label;
-        const Sdf sdf = kShapeSdfs[static_cast<std::size_t>(label)];
-        s.pixels = renderSdf([sdf](float x, float y) { return sdf(x, y); },
-                             opt.width, opt.height, jitter, rng);
-        out.add(std::move(s));
-    }
-}
-
 } // namespace
 
 Split
 makeShapes(const ShapesOptions &options)
 {
+    JitterLimits limits;
+    limits.maxRotation = 0.6f;
+    limits.minScale = 0.75f;
+    limits.maxScale = 1.1f;
+    limits.maxShear = 0.12f;
+    limits.maxTranslate = 1.5f;
+    limits.noiseStddev = options.noiseStddev;
+    const RenderFn render = [&](int label, const AffineJitter &jitter,
+                                Rng &noise, uint8_t *pixels) {
+        renderSdf(kShapeSdfs[static_cast<std::size_t>(label)], options.width,
+                  options.height, jitter, noise, pixels);
+    };
+
     Rng rng(options.seed * 0xd1342543de82ef95ULL + 29);
     Split split;
     split.train = Dataset("shapes-train", options.width, options.height,
                           kNumShapeClasses);
     split.test = Dataset("shapes-test", options.width, options.height,
                          kNumShapeClasses);
-    generate(split.train, options.trainSize, options, rng);
-    generate(split.test, options.testSize, options, rng);
+    generateImages(split.train, options.trainSize, limits, rng, render);
+    generateImages(split.test, options.testSize, limits, rng, render);
     return split;
 }
 

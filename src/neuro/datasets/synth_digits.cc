@@ -67,24 +67,6 @@ const std::array<std::vector<std::string>, 10> kDigitRows = {{
     },
 }};
 
-/** Generate @p count samples into @p out using glyph jitter. */
-void
-generate(Dataset &out, std::size_t count, const SynthDigitsOptions &opt,
-         const std::array<GlyphBitmap, 10> &glyphs, Rng &rng)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        const int label = static_cast<int>(rng.uniformInt(10));
-        const AffineJitter jitter = randomJitter(
-            rng, opt.maxRotation, opt.minScale, opt.maxScale, opt.maxShear,
-            opt.maxTranslate, opt.maxThickness, opt.noiseStddev);
-        Sample s;
-        s.label = label;
-        s.pixels = renderGlyph(glyphs[static_cast<std::size_t>(label)],
-                               opt.width, opt.height, jitter, rng);
-        out.add(std::move(s));
-    }
-}
-
 } // namespace
 
 Split
@@ -94,14 +76,28 @@ makeSynthDigits(const SynthDigitsOptions &options)
     for (std::size_t d = 0; d < 10; ++d)
         glyphs[d] = GlyphBitmap::fromRows(kDigitRows[d]);
 
+    JitterLimits limits;
+    limits.maxRotation = options.maxRotation;
+    limits.minScale = options.minScale;
+    limits.maxScale = options.maxScale;
+    limits.maxShear = options.maxShear;
+    limits.maxTranslate = options.maxTranslate;
+    limits.maxThickness = options.maxThickness;
+    limits.noiseStddev = options.noiseStddev;
+    const RenderFn render = [&](int label, const AffineJitter &jitter,
+                                Rng &noise, uint8_t *pixels) {
+        renderGlyph(glyphs[static_cast<std::size_t>(label)], options.width,
+                    options.height, jitter, noise, pixels);
+    };
+
     Rng rng(options.seed * 0x9e3779b97f4a7c15ULL + 17);
     Split split;
     split.train = Dataset("synth-digits-train", options.width,
                           options.height, 10);
     split.test = Dataset("synth-digits-test", options.width, options.height,
                          10);
-    generate(split.train, options.trainSize, options, glyphs, rng);
-    generate(split.test, options.testSize, options, glyphs, rng);
+    generateImages(split.train, options.trainSize, limits, rng, render);
+    generateImages(split.test, options.testSize, limits, rng, render);
     return split;
 }
 

@@ -9,6 +9,11 @@
  * model comparison in the paper can be rerun without the original files.
  * If a real MNIST directory is available (NEURO_MNIST_DIR), callers can
  * prefer it via mnistLike().
+ *
+ * All draws come from one generator seeded by the options' seed, in the
+ * order of a serial image-by-image loop; the images render on the pool
+ * (generateImages() in glyphs.h), and every byte is the same at any
+ * thread count.
  */
 
 #pragma once

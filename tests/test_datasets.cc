@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
+#include "neuro/common/parallel.h"
 #include "neuro/datasets/glyphs.h"
 #include "neuro/datasets/idx_loader.h"
 #include "neuro/datasets/shapes.h"
@@ -47,17 +49,68 @@ TEST(Dataset, SliceAndHistogram)
     EXPECT_EQ(hist[1], 5u);
 }
 
+/** Occupancy at (x,y) read through the bitmap's border; out-of-range
+ *  coordinates are empty. */
+bool
+inkAt(const GlyphBitmap &g, long x, long y)
+{
+    if (x < 0 || y < 0 || x >= static_cast<long>(g.width) ||
+        y >= static_cast<long>(g.height)) {
+        return false;
+    }
+    return g.ink[static_cast<std::size_t>(y + 1) * (g.width + 2) +
+                 static_cast<std::size_t>(x + 1)] != 0.0f;
+}
+
 TEST(GlyphBitmap, ParseAndSample)
 {
     const GlyphBitmap g = GlyphBitmap::fromRows({"#.", ".#"});
     EXPECT_EQ(g.width, 2u);
     EXPECT_EQ(g.height, 2u);
-    EXPECT_TRUE(g.at(0, 0));
-    EXPECT_FALSE(g.at(1, 0));
-    EXPECT_FALSE(g.at(-1, 0));
+    EXPECT_TRUE(inkAt(g, 0, 0));
+    EXPECT_FALSE(inkAt(g, 1, 0));
+    EXPECT_FALSE(inkAt(g, -1, 0));
+    // The one-cell border around the 2x2 cells is empty.
+    ASSERT_EQ(g.ink.size(), 16u);
+    for (std::size_t i : {0u, 1u, 2u, 3u, 4u, 7u, 8u, 11u, 12u, 13u, 14u, 15u})
+        EXPECT_EQ(g.ink[i], 0.0f) << i;
     // Centre of the ink cell has full coverage.
     EXPECT_NEAR(g.sample(0.5f, 0.5f), 1.0f, 1e-5);
     EXPECT_NEAR(g.sample(1.5f, 0.5f), 0.0f, 1e-5);
+}
+
+TEST(GlyphBitmap, SampleEqualsBoundsCheckedBilinear)
+{
+    const GlyphBitmap g = GlyphBitmap::fromRows({"##.", ".#.", "#.#"});
+    // Reference: std::floor and bounds-checked reads, as sample() read
+    // the bitmap before its border and corner early-out.
+    auto reference = [&g](float x, float y) {
+        const float fx = x - 0.5f;
+        const float fy = y - 0.5f;
+        const long x0 = static_cast<long>(std::floor(fx));
+        const long y0 = static_cast<long>(std::floor(fy));
+        const float ax = fx - static_cast<float>(x0);
+        const float ay = fy - static_cast<float>(y0);
+        const float v00 = inkAt(g, x0, y0) ? 1.0f : 0.0f;
+        const float v10 = inkAt(g, x0 + 1, y0) ? 1.0f : 0.0f;
+        const float v01 = inkAt(g, x0, y0 + 1) ? 1.0f : 0.0f;
+        const float v11 = inkAt(g, x0 + 1, y0 + 1) ? 1.0f : 0.0f;
+        return (1 - ax) * (1 - ay) * v00 + ax * (1 - ay) * v10 +
+               (1 - ax) * ay * v01 + ax * ay * v11;
+    };
+    // Steps of 1/8 land on cell edges and centres; the odd offset
+    // lands between them, on both sides of zero.
+    for (float step : {0.125f, 0.37f}) {
+        for (float y = -3.0f; y <= 6.0f; y += step) {
+            for (float x = -3.0f; x <= 6.0f; x += step) {
+                const float want = reference(x, y);
+                const float got = g.sample(x, y);
+                ASSERT_EQ(std::signbit(got), std::signbit(want))
+                    << x << "," << y;
+                ASSERT_EQ(got, want) << x << "," << y;
+            }
+        }
+    }
 }
 
 class DigitGeneratorTest : public ::testing::TestWithParam<uint64_t>
@@ -116,6 +169,105 @@ TEST(DigitGenerator, DifferentSeedsDiffer)
     b.seed = 2;
     EXPECT_NE(makeSynthDigits(a).train[0].pixels,
               makeSynthDigits(b).train[0].pixels);
+}
+
+// Golden FNV-1a hashes over every label and pixel, computed with the
+// serial draw-and-render loop the generators used before they rendered
+// on the pool. Like CI's byte comparison of the paper CSVs, they
+// assume GCC 12.2's float results (libm sin/cos/log/sqrt included).
+
+uint64_t
+splitHash(const Split &split)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](uint8_t byte) {
+        h ^= byte;
+        h *= 0x100000001b3ULL;
+    };
+    for (const Dataset *d : {&split.train, &split.test}) {
+        for (std::size_t i = 0; i < d->size(); ++i) {
+            mix(static_cast<uint8_t>((*d)[i].label));
+            for (uint8_t p : (*d)[i].pixels)
+                mix(p);
+        }
+    }
+    return h;
+}
+
+struct GoldenCase
+{
+    const char *name;
+    std::function<Split()> make;
+    uint64_t hash;
+};
+
+Split
+digits(std::size_t train, std::size_t test, uint64_t seed,
+       std::size_t side = 28)
+{
+    SynthDigitsOptions opt;
+    opt.trainSize = train;
+    opt.testSize = test;
+    opt.seed = seed;
+    opt.width = opt.height = side;
+    return makeSynthDigits(opt);
+}
+
+std::vector<GoldenCase>
+goldenCases()
+{
+    return {
+        {"digits seed 1", [] { return digits(1000, 500, 1); },
+         0x6cc3a3fc6a623fecULL},
+        {"digits seed 2", [] { return digits(1000, 500, 2); },
+         0x07adbe3f882ed1a6ULL},
+        // 729 pixels per image: an odd number of noise draws, so the
+        // Box-Muller cache carries from each image into the next.
+        {"digits 27x27", [] { return digits(301, 99, 3, 27); },
+         0x6768c2d7a14bb18bULL},
+        {"shapes",
+         [] {
+             ShapesOptions opt;
+             opt.trainSize = 400;
+             opt.testSize = 100;
+             opt.seed = 5;
+             return makeShapes(opt);
+         },
+         0x1096e8f24fcc2387ULL},
+    };
+}
+
+TEST(GeneratorGolden, SameBytesAtAnyThreadCount)
+{
+    const std::size_t saved = parallelThreadCount();
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        setParallelThreadCount(threads);
+        for (const GoldenCase &c : goldenCases())
+            EXPECT_EQ(splitHash(c.make()), c.hash)
+                << c.name << " at " << threads << " threads";
+    }
+    setParallelThreadCount(saved);
+}
+
+TEST(GeneratorGolden, SameBytesInsideAPoolTask)
+{
+    const std::size_t saved = parallelThreadCount();
+    setParallelThreadCount(4);
+    const std::vector<GoldenCase> cases = goldenCases();
+    // Each generator runs inline on the thread that took its task.
+    const std::vector<uint64_t> hashes =
+        parallelMap<uint64_t>(cases.size(), [&](std::size_t i) {
+            return splitHash(cases[i].make());
+        });
+    setParallelThreadCount(saved);
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        EXPECT_EQ(hashes[i], cases[i].hash) << cases[i].name;
+}
+
+TEST(GeneratorGolden, MlpBenchmarkSplit)
+{
+    // The 4,000/2,000 split the MLP pipeline benchmark trains on.
+    EXPECT_EQ(splitHash(digits(4000, 2000, 1)), 0xe220a1efc0327a64ULL);
 }
 
 TEST(Shapes, GeometryAndClassNames)

@@ -47,6 +47,30 @@ TEST(Rng, UniformIntUnbiasedRange)
         EXPECT_NEAR(bucket, 3000, 300);
 }
 
+TEST(Rng, DiscardGaussiansMatchesGaussianCalls)
+{
+    for (bool cached : {false, true}) {
+        for (std::size_t n = 0; n <= 9; ++n) {
+            Rng a(29), b(29);
+            if (cached) {
+                // One gaussian() leaves its pair's second deviate cached.
+                (void)a.gaussian();
+                (void)b.gaussian();
+            }
+            for (std::size_t k = 0; k < n; ++k)
+                (void)a.gaussian();
+            b.discardGaussians(n);
+            // The cache goes first: three deviates reach past it.
+            for (int k = 0; k < 3; ++k)
+                ASSERT_EQ(a.gaussian(), b.gaussian())
+                    << "n=" << n << " cached=" << cached << " k=" << k;
+            for (int k = 0; k < 16; ++k)
+                ASSERT_EQ(a.next(), b.next())
+                    << "n=" << n << " cached=" << cached << " k=" << k;
+        }
+    }
+}
+
 TEST(Rng, GaussianMoments)
 {
     Rng rng(13);
