@@ -89,6 +89,31 @@ struct RangeJob
         return chunksDone.load(std::memory_order_acquire) == numChunks;
     }
 
+    /** Run claimed chunk @p chunk and count it done. */
+    void
+    run(std::size_t chunk)
+    {
+        if (!failed.load(std::memory_order_relaxed)) {
+            const std::size_t i0 = begin + chunk * grain;
+            const std::size_t i1 = std::min(end, i0 + grain);
+            try {
+                NEURO_PROFILE_SCOPE("parallel/chunk");
+                (*fn)(i0, i1);
+            } catch (...) {
+                MutexGuard lock(mutex);
+                if (!error)
+                    error = std::current_exception();
+                failed.store(true, std::memory_order_relaxed);
+            }
+        }
+        const std::size_t done =
+            chunksDone.fetch_add(1, std::memory_order_acq_rel) + 1;
+        if (done == numChunks) {
+            MutexGuard lock(mutex);
+            allDone.notifyAll();
+        }
+    }
+
     /** Claim and run chunks until the range is exhausted. The caller
      *  of forRange() is blocked for the whole claiming phase, so *fn
      *  outlives every chunk execution. */
@@ -100,25 +125,7 @@ struct RangeJob
                 nextChunk.fetch_add(1, std::memory_order_relaxed);
             if (chunk >= numChunks)
                 return;
-            if (!failed.load(std::memory_order_relaxed)) {
-                const std::size_t i0 = begin + chunk * grain;
-                const std::size_t i1 = std::min(end, i0 + grain);
-                try {
-                    NEURO_PROFILE_SCOPE("parallel/chunk");
-                    (*fn)(i0, i1);
-                } catch (...) {
-                    MutexGuard lock(mutex);
-                    if (!error)
-                        error = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            }
-            const std::size_t done =
-                chunksDone.fetch_add(1, std::memory_order_acq_rel) + 1;
-            if (done == numChunks) {
-                MutexGuard lock(mutex);
-                allDone.notifyAll();
-            }
+            run(chunk);
         }
     }
 };
@@ -286,6 +293,11 @@ ThreadPool::forRange(std::size_t begin, std::size_t end,
     job.grain = grain;
     job.numChunks = (n + grain - 1) / grain;
     job.fn = &fn;
+    // Chunk 0 is the caller's, so a task list's first task always runs
+    // on the calling thread. SNN training relies on it to keep its grid
+    // prefetcher (task 1) and so the grid store off the caller's malloc
+    // arena (docs/parallelism.md).
+    job.nextChunk.store(1, std::memory_order_relaxed);
 
     // One top-level job at a time: concurrent callers queue up here
     // rather than interleaving chunks in the worker queue.
@@ -298,6 +310,7 @@ ThreadPool::forRange(std::size_t begin, std::size_t end,
 
     // The caller claims chunks alongside the workers.
     ++t_parallelDepth;
+    job.run(0);
     job.work();
     --t_parallelDepth;
 

@@ -76,9 +76,9 @@ class ThreadPool
     /**
      * Shard [begin, end) into chunks of at least @p grain indices and
      * run @p fn once per chunk across the workers plus the calling
-     * thread. Blocks until the range completes; rethrows the first
-     * exception. @p grain == 0 picks a chunk size that yields ~4
-     * chunks per thread.
+     * thread. The calling thread runs the first chunk. Blocks until
+     * the range completes; rethrows the first exception. @p grain == 0
+     * picks a chunk size that yields ~4 chunks per thread.
      */
     void forRange(std::size_t begin, std::size_t end, std::size_t grain,
                   const RangeFn &fn);
@@ -152,7 +152,8 @@ parallelMap(std::size_t n, const Fn &fn)
 
 /**
  * Run a handful of independent heterogeneous tasks (e.g. the three
- * model trainings of the Table 3 comparison) across the pool.
+ * model trainings of the Table 3 comparison) across the pool. The
+ * first task runs on the calling thread.
  */
 void parallelInvoke(std::vector<std::function<void()>> tasks);
 

@@ -68,6 +68,26 @@ rasterize(const Coverage &coverage, std::size_t width, std::size_t height,
     }
 }
 
+/** Draw a random jitter within @p limits (six uniforms). */
+AffineJitter
+randomJitter(Rng &rng, const JitterLimits &limits)
+{
+    AffineJitter j;
+    j.rotation = static_cast<float>(
+        rng.uniform(-limits.maxRotation, limits.maxRotation));
+    j.scale =
+        static_cast<float>(rng.uniform(limits.minScale, limits.maxScale));
+    j.shear =
+        static_cast<float>(rng.uniform(-limits.maxShear, limits.maxShear));
+    j.translateX = static_cast<float>(
+        rng.uniform(-limits.maxTranslate, limits.maxTranslate));
+    j.translateY = static_cast<float>(
+        rng.uniform(-limits.maxTranslate, limits.maxTranslate));
+    j.thickness = static_cast<float>(rng.uniform(0.0, limits.maxThickness));
+    j.noiseStddev = limits.noiseStddev;
+    return j;
+}
+
 /** One image's draw-pass results. */
 struct ImageDraws
 {
@@ -125,25 +145,6 @@ GlyphBitmap::sample(float x, float y) const
     const float v11 = c[stride + 1];
     return (1 - ax) * (1 - ay) * v00 + ax * (1 - ay) * v10 +
            (1 - ax) * ay * v01 + ax * ay * v11;
-}
-
-AffineJitter
-randomJitter(Rng &rng, const JitterLimits &limits)
-{
-    AffineJitter j;
-    j.rotation = static_cast<float>(
-        rng.uniform(-limits.maxRotation, limits.maxRotation));
-    j.scale =
-        static_cast<float>(rng.uniform(limits.minScale, limits.maxScale));
-    j.shear =
-        static_cast<float>(rng.uniform(-limits.maxShear, limits.maxShear));
-    j.translateX = static_cast<float>(
-        rng.uniform(-limits.maxTranslate, limits.maxTranslate));
-    j.translateY = static_cast<float>(
-        rng.uniform(-limits.maxTranslate, limits.maxTranslate));
-    j.thickness = static_cast<float>(rng.uniform(0.0, limits.maxThickness));
-    j.noiseStddev = limits.noiseStddev;
-    return j;
 }
 
 void

@@ -57,7 +57,7 @@ struct AffineJitter
     float noiseStddev = 0.0f; ///< additive luminance noise (0..255 scale).
 };
 
-/** The extremes randomJitter() draws within. */
+/** The extremes generateImages() draws each image's jitter within. */
 struct JitterLimits
 {
     float maxRotation = 0.0f;  ///< radians, symmetric.
@@ -68,9 +68,6 @@ struct JitterLimits
     float maxThickness = 0.0f; ///< stroke dilation, glyph cells.
     float noiseStddev = 0.0f;  ///< copied into every jitter.
 };
-
-/** Draw a random jitter within @p limits (six uniforms). */
-AffineJitter randomJitter(Rng &rng, const JitterLimits &limits);
 
 /**
  * Rasterize @p glyph into a width x height 8-bit luminance image at
@@ -102,7 +99,8 @@ using RenderFn = std::function<void(int label, const AffineJitter &jitter,
 /**
  * Append @p count images to @p out. Each image's draws are those of a
  * serial loop over the images: a label uniform over out.numClasses(),
- * then randomJitter(rng, limits), then the render's per-pixel noise.
+ * then a jitter within @p limits (six uniforms: rotation, scale, shear,
+ * x and y translation, thickness), then the render's per-pixel noise.
  * A serial pass makes the first two, copies @p rng as the image's
  * noise stream and moves @p rng past the noise with discardGaussians();
  * the images then render in parallel from their copies. Images go in

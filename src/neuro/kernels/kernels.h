@@ -64,6 +64,9 @@ enum class SimdMode
 /** Samples per strip of the batched kernels (fixed SoA width). */
 constexpr std::size_t kStripWidth = 16;
 
+/** Output rows computed together per pass of the strip kernels. */
+constexpr std::size_t kRowBlock = 4;
+
 /** Most samples one gemvBiasQ8 call takes (one weight sweep). */
 constexpr std::size_t kQ8Batch = 4;
 

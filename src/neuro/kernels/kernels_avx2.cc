@@ -1,12 +1,10 @@
 // AVX2 kernel table: the same bodies as kernels_scalar.cc, compiled
 // with -mavx2 -mpopcnt (see src/CMakeLists.txt) so the vectorizer uses
 // 256-bit registers and hardware popcount. Only ever called after a
-// runtime __builtin_cpu_supports("avx2") check in kernels.cc. Its 16
-// ymm registers hold the strip accumulators of 2 rows, not 4.
+// runtime __builtin_cpu_supports("avx2") check in kernels.cc.
 
 #define NEURO_KERNELS_ISA_NS avx2
 #define NEURO_KERNELS_ISA_NAME "avx2"
 #define NEURO_KERNELS_ISA_ENUM ::neuro::kernels::SimdIsa::Avx2
-#define NEURO_KERNELS_ROW_BLOCK 2
 
 #include "neuro/kernels/kernels_body.h"

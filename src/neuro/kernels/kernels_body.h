@@ -56,12 +56,6 @@
 #define NEURO_KERNELS_ISA_ENUM ::neuro::kernels::SimdIsa::Scalar
 #endif
 
-#ifndef NEURO_KERNELS_ROW_BLOCK
-// Strip rows per register block; a table whose ISA has too few
-// vector registers for 4 rows of accumulators defines a smaller one.
-#define NEURO_KERNELS_ROW_BLOCK 4
-#endif
-
 namespace neuro {
 namespace kernels {
 namespace NEURO_KERNELS_ISA_NS {
@@ -72,14 +66,6 @@ typedef float Lane4 __attribute__((vector_size(16)));
 
 /** Rows one gemv column pass carries: 8 independent add chains. */
 constexpr std::size_t kGemvRows = 8;
-
-/**
- * Output rows computed together per pass of the strip kernels. Their
- * accumulators, kRowBlock x 4 partials x kStripWidth floats, must fit
- * the vector registers or -O2 keeps them in memory: 16 zmm at 4 rows
- * for AVX-512, 16 ymm at 2 rows for AVX2.
- */
-constexpr std::size_t kRowBlock = NEURO_KERNELS_ROW_BLOCK;
 
 /** Elements per fixed-trip tile of the independent-chain kernels. */
 constexpr std::size_t kTile = 16;
@@ -295,7 +281,7 @@ stripRowBlock(const float *__restrict in, const float *const *wrs,
             const float w2 = wr[c + 2], w3 = wr[c + 3];
             // Unrolls the vectorized sample loop (2 ymm or 4 xmm
             // iterations) so each accumulator has a fixed address and
-            // stays in a register; 16 would unroll the scalar loop
+            // can stay in a register; 16 would unroll the scalar loop
             // before the vectorizer sees it.
 #pragma GCC unroll 4
             for (std::size_t b = 0; b < kStripWidth; ++b) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "neuro/common/parallel.h"
@@ -161,6 +162,30 @@ TEST(ThreadPool, ParallelInvokeRunsEveryTask)
     parallelInvoke(std::move(tasks));
     for (int d : done)
         EXPECT_EQ(d, 1);
+}
+
+TEST(ThreadPool, CallerRunsTheFirstChunk)
+{
+    // The trainer's epoch-1 loop relies on this: task 0 runs on the
+    // caller, so its allocations stay in the caller's malloc arena.
+    ThreadCountGuard guard(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int round = 0; round < 200; ++round) {
+        std::thread::id first;
+        std::vector<std::function<void()>> tasks;
+        tasks.push_back([&] { first = std::this_thread::get_id(); });
+        for (int t = 0; t < 3; ++t)
+            tasks.push_back([] {});
+        parallelInvoke(std::move(tasks));
+        ASSERT_EQ(first, caller) << "round " << round;
+
+        std::thread::id firstChunk;
+        parallelForRange(0, 64, 4, [&](std::size_t i0, std::size_t) {
+            if (i0 == 0)
+                firstChunk = std::this_thread::get_id();
+        });
+        ASSERT_EQ(firstChunk, caller) << "round " << round;
+    }
 }
 
 TEST(Rng, DeriveStreamSeedSeparatesStreams)
