@@ -176,7 +176,7 @@ class SnnSession final : public BackendSession
     }
 
   private:
-    snn::FirstSpikeReader reader_; ///< session-local network copy.
+    snn::FirstSpikeReader reader_; ///< shares the backend's network.
     const std::vector<int> &labels_;
     std::size_t numInputs_;
 };
@@ -188,6 +188,8 @@ class SnnBackend final : public InferenceBackend
         : model_(std::move(model)),
           encoder_(model_.network.config().coding)
     {
+        // Every session's reader walks this network, shared and const.
+        model_.network.refreshWeightsT();
     }
 
     BackendKind kind() const override { return BackendKind::Snn; }

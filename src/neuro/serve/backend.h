@@ -2,9 +2,9 @@
  * @file
  * Uniform inference interface over every trained model family in the
  * study, for the serving runtime (docs/serving.md). A backend wraps an
- * immutable trained model; per-worker mutable scratch (network copies,
- * spike-grid buffers) lives in sessions so one backend can serve many
- * threads concurrently.
+ * immutable trained model; per-worker mutable scratch (SNN neuron
+ * state, spike-grid buffers) lives in sessions so one backend can serve
+ * many threads concurrently.
  *
  * Determinism contract: classify() depends only on (pixels,
  * streamSeed) — spiking backends reset all presentation state per

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "neuro/common/logging.h"
+#include "neuro/common/profile.h"
 #include "neuro/common/rng.h"
 
 namespace neuro {
@@ -156,88 +157,189 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
     }
 }
 
-/** Rng::exponential's uniform: redrawn while zero. */
-double
-positiveUniform(Rng &rng)
+/** One lit pixel of a horizon encode, as pass A reads it: its train
+ *  has ended once the product of its uniforms falls below endLo, and a
+ *  product in [endLo, endHi] is too close to the end to call. */
+struct LitPixel
 {
-    double u;
-    do {
-        u = rng.uniform();
-    } while (u <= 0.0);
-    return u;
-}
+    double endLo;
+    double endHi;
+};
 
-/** Rng::exponential's deviate for its uniform @p u. */
-double
-exponentialOf(double u, double mean)
+/** A lit pixel pass B visits: its draws and its horizon threshold. */
+struct Visit
 {
-    return -mean * std::log(u);
+    double pastH;   ///< exp(-horizon/mean) * (1 - band).
+    uint32_t begin; ///< its first draw.
+    uint32_t end;   ///< one past its last draw.
+    uint16_t pixel; ///< its pixel index.
+};
+
+/** Per-thread scratch of emitPoissonHorizon(), grown, never shrunk. */
+struct HorizonScratch
+{
+    /** The lit pixels, then a sentinel (pass A reads one ahead). */
+    std::vector<LitPixel> lit;
+    std::vector<uint16_t> litIndex;  ///< pixel index of each lit pixel.
+    std::vector<uint32_t> ends;      ///< one past each one's last draw.
+    std::vector<double> draws;       ///< the image's uniforms, in order.
+    /** After each draw, the product of its pixel's draws so far. */
+    std::vector<double> prods;
+    std::vector<Visit> visits;       ///< the pixels pass B visits.
+};
+
+/** Pass A's running state, {product, end threshold}, as a GNU vector. */
+using ProdAndEnd = double __attribute__((vector_size(16)));
+
+/** Grow @p v to at least @p n elements. */
+template <typename T>
+T *
+atLeast(std::vector<T> &v, std::size_t n)
+{
+    if (v.size() < n)
+        v.resize(n);
+    return v.data();
 }
 
 /**
  * RatePoisson below tick @p horizon (< period), drawing every pixel's
- * full train from @p rng. Below the horizon a pixel runs emitRate's
- * recurrence exactly. Its time after k draws is -mean * log(P_k), P_k
- * the product of its uniforms, to about 1e-13 relative at <= 50
- * draws; so a product below exp(-horizon/mean) by more than @p band
- * (relative) lies past the horizon, and needs no logarithm. Past the
- * horizon the product alone decides when the train ends: below
- * exp(-period/mean) by more than the band it has ended, above it by
- * more than the band it draws again. Inside the band the pixel's
- * draws are replayed from its first through emitRate's exact
- * recurrence. The draws, and so the Rng state, are emitRate's.
+ * full train from @p rng, in two passes.
+ *
+ * Pass A draws the image's whole uniform stream with one branch-free
+ * loop, storing each uniform and its pixel's running product P. Once P
+ * falls below exp(-period/mean) the train has ended, and the next draw
+ * opens the next lit pixel. A pixel's time after k draws is
+ * -mean * log(P_k) to about 1e-13 relative at <= 50 draws, so P
+ * decides the end exactly unless it lies within a relative @p band of
+ * the threshold. The products fall with every draw, so only the last
+ * one above the threshold can lie in that band.
+ *
+ * Pass B runs emitRate's recurrence over the stored uniforms below the
+ * horizon. A product below exp(-horizon/mean) by more than the band
+ * lies past the horizon, so pixels whose first uniform does are
+ * skipped, and the others stop there without a logarithm.
  *
  * @param horizon_thr  exp(-horizon/mean) per luminance, or nullptr to
  *                     compute it per pixel.
- * @param period_thr   exp(-period/mean) per luminance.
+ * @param period_thr   exp(-period/mean) per luminance, [0] = 0.
+ * @return false, with @p rng and @p grid untouched, when a product fell
+ *         inside the band, a uniform was zero (Rng::exponential would
+ *         redraw it) or the draws outran their buffer: the caller then
+ *         encodes the whole window exactly.
  */
-void
+bool
 emitPoissonHorizon(const CodingConfig &config, const uint8_t *pixels,
                    std::size_t n, Rng &rng, int horizon,
                    const double *horizon_thr, const double *period_thr,
                    double band, PackedSpikeGrid &grid)
 {
-    const double period = static_cast<double>(config.periodMs);
-    const double h = static_cast<double>(horizon);
+    thread_local HorizonScratch scratch;
+    LitPixel *lit = atLeast(scratch.lit, n + 1);
+    uint16_t *lit_index = atLeast(scratch.litIndex, n);
+    // Compact the lit pixels without a branch: every pixel writes the
+    // next slot, and only a lit one keeps it.
+    std::size_t num_lit = 0;
+    uint64_t luminance = 0;
     for (std::size_t p = 0; p < n; ++p) {
         const uint8_t px = pixels[p];
-        if (px == 0)
-            continue;
-        const double mean = meanInterval(config, px);
-        const double past_h =
-            (horizon_thr ? horizon_thr[px] : std::exp(-h / mean)) *
+        lit[num_lit] = {period_thr[px] * (1.0 - band),
+                        period_thr[px] * (1.0 + band)};
+        lit_index[num_lit] = static_cast<uint16_t>(p);
+        num_lit += px != 0;
+        luminance += px;
+    }
+    if (num_lit == 0)
+        return true; // a dark image draws nothing.
+    lit[num_lit] = {0.0, 0.0};
+    // Each lit pixel draws one more uniform than it spikes.
+    const double expected_draws = static_cast<double>(num_lit) +
+        static_cast<double>(luminance) *
+            static_cast<double>(config.periodMs) /
+            (255.0 * static_cast<double>(config.minIntervalMs));
+    const auto capacity =
+        static_cast<std::size_t>(expected_draws * 1.25) + 64;
+    uint32_t *__restrict ends = atLeast(scratch.ends, num_lit);
+    double *__restrict draws = atLeast(scratch.draws, capacity);
+    double *__restrict prods = atLeast(scratch.prods, capacity);
+
+    // Pass A. The state holds the last draw's product and its pixel's
+    // end threshold. The next product is either that product times the
+    // new uniform or, when the last draw ended its pixel, the uniform
+    // alone under the next pixel's threshold (loaded ahead). Both are
+    // formed while the comparison runs, and a vector select picks one,
+    // where a scalar select would become a branch on the draws.
+    Rng stream = rng;
+    std::size_t cursor = 0;
+    std::size_t drawn = 1;
+    draws[0] = prods[0] = stream.uniform();
+    ends[0] = 1;
+    ProdAndEnd state = {prods[0], lit[0].endLo};
+    for (; drawn < capacity; ++drawn) {
+        const double prod = state[0];
+        const double end_lo = state[1];
+        const double next_lo = lit[cursor + 1].endLo;
+        cursor += prod < end_lo;
+        if (cursor == num_lit)
+            break;
+        const double u = stream.uniform();
+        draws[drawn] = u;
+        const ProdAndEnd kept = {prod * u, end_lo};
+        const ProdAndEnd opened = {u, next_lo};
+        state = ProdAndEnd{prod, prod} < ProdAndEnd{end_lo, end_lo} ? opened
+                                                                     : kept;
+        prods[drawn] = state[0];
+        ends[cursor] = static_cast<uint32_t>(drawn + 1);
+    }
+    if (cursor < num_lit)
+        return false;
+    // The band check, and the list of pixels whose first uniform lies
+    // above the horizon threshold, without a branch: a one-draw pixel
+    // reads its own product and raises it to 1, above every threshold,
+    // and every pixel writes the next visit slot, which only a visited
+    // one keeps. A zero uniform zeroes its pixel's last product (no
+    // product of a normal threshold's train underflows).
+    const double h = static_cast<double>(horizon);
+    Visit *visits = atLeast(scratch.visits, num_lit);
+    std::size_t num_visits = 0;
+    bool suspect = false;
+    for (std::size_t j = 0, begin = 0; j < num_lit; begin = ends[j++]) {
+        const std::size_t end = ends[j];
+        const bool one_draw = end - begin == 1;
+        const double before_last = std::max(
+            prods[end - 2 + one_draw], static_cast<double>(one_draw));
+        suspect |= (before_last <= lit[j].endHi) | !(prods[end - 1] > 0.0);
+        const uint16_t p = lit_index[j];
+        const uint8_t px = pixels[p];
+        const double past_h = (horizon_thr
+                                   ? horizon_thr[px]
+                                   : std::exp(-h / meanInterval(config, px))) *
             (1.0 - band);
-        const double end_lo = period_thr[px] * (1.0 - band);
-        const double end_hi = period_thr[px] * (1.0 + band);
-        const Rng first_draw = rng;
+        visits[num_visits] = {past_h, static_cast<uint32_t>(begin),
+                              static_cast<uint32_t>(end), p};
+        num_visits += prods[begin] >= past_h;
+    }
+    if (suspect)
+        return false;
+    rng = stream;
+
+    // Pass B: the recurrence's products are pass A's.
+    for (std::size_t k = 0; k < num_visits; ++k) {
+        const Visit &v = visits[k];
+        const double mean = meanInterval(config, pixels[v.pixel]);
         double t = 0.0;
-        double prod = 1.0;
         int last_tick = -1;
-        for (;;) {
-            const double u = positiveUniform(rng);
-            prod *= u;
-            if (prod < past_h)
-                break;
-            t += exponentialOf(u, mean);
+        for (std::size_t i = v.begin; i < v.end && prods[i] >= v.pastH; ++i) {
+            t += -mean * std::log(draws[i]);
             if (t >= h)
                 break;
             const int tick = static_cast<int>(t);
             if (tick != last_tick) {
-                grid.addSpike(tick, static_cast<uint16_t>(p));
+                grid.addSpike(tick, v.pixel);
                 last_tick = tick;
             }
         }
-        while (prod >= end_lo) {
-            if (prod <= end_hi) {
-                rng = first_draw;
-                t = rng.exponential(mean);
-                while (t < period)
-                    t += rng.exponential(mean);
-                break;
-            }
-            prod *= positiveUniform(rng);
-        }
     }
+    return true;
 }
 
 void
@@ -332,9 +434,14 @@ SpikeEncoder::encodeHorizon(const uint8_t *pixels, std::size_t num_pixels,
     }
     grid.reset(num_pixels, period, horizon);
     grid.reserve(expectedSpikes(config_, pixels, num_pixels, horizon));
-    emitPoissonHorizon(config_, pixels, num_pixels, rng, horizon,
-                       horizon_thr, horizonThresholds_.data(),
-                       horizonBand_, grid);
+    if (!emitPoissonHorizon(config_, pixels, num_pixels, rng, horizon,
+                            horizon_thr, horizonThresholds_.data(),
+                            horizonBand_, grid)) {
+        // A complete grid holds every spike below any horizon.
+        obsCount<"snn.encode.horizon_fallbacks">();
+        encodePacked(pixels, num_pixels, rng, grid);
+        return;
+    }
     grid.finalize();
 }
 

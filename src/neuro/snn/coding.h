@@ -64,9 +64,9 @@ struct CodingConfig
     double gaussianSigmaFactor = 0.5;
 };
 
-/** First-spike inference starts at the horizon period >> kHorizonShifts
- *  and doubles it (FirstSpikeReader, network.h); the encoder tabulates
- *  the thresholds of those horizons. */
+/** First-spike inference encodes each image below one of the horizons
+ *  period >> k, k = 0..kHorizonShifts (FirstSpikeReader, network.h);
+ *  the encoder tabulates the thresholds of those horizons. */
 constexpr int kHorizonShifts = 2;
 
 /** Converts 8-bit pixels into spike trains. */
@@ -90,12 +90,14 @@ class SpikeEncoder
      * Encode only the spikes below tick @p horizon: exactly the events
      * encodePacked() puts there, into a grid complete below
      * min(@p horizon, period), leaving @p rng where encodePacked()
-     * leaves it. For RatePoisson past the horizon each pixel draws
-     * the same uniforms but takes no logarithm: their running product
-     * P, against exp(-period/mean), decides when the pixel's train
-     * ends, and a P within a relative 1e-9 of it replays the pixel's
-     * draws through the exact recurrence (docs/snn_engine.md,
-     * "Horizon encoding"). The other schemes encode the whole window.
+     * leaves it. RatePoisson draws the image's whole uniform stream
+     * first, taking no logarithm: per pixel the running product P of
+     * its uniforms, against exp(-period/mean), decides when its train
+     * ends. A second pass takes the logarithms below the horizon. A P
+     * within a relative 1e-9 of a threshold, or a zero uniform, sends
+     * the image to encodePacked(), whose complete grid holds every
+     * spike below any horizon (docs/snn_engine.md, "Horizon
+     * encoding"). The other schemes encode the whole window.
      */
     void encodeHorizon(const uint8_t *pixels, std::size_t num_pixels,
                        Rng &rng, int horizon, PackedSpikeGrid &grid) const;
@@ -118,7 +120,7 @@ class SpikeEncoder
      *  RatePoisson config whose thresholds stay normal doubles. */
     bool horizonSkip_ = false;
     /** Relative band around a threshold inside which encodeHorizon()
-     *  replays a pixel exactly. */
+     *  falls back to encodePacked(). */
     double horizonBand_ = 1e-9;
     /** exp(-H/mean) per luminance (index 0 unused), one 256-entry row
      *  per H = period >> k, k = 0..kHorizonShifts. */

@@ -90,14 +90,10 @@ countEvents(const PresentationResult &result, bool learn)
 SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
     : config_(config),
       weights_(config.numNeurons, config.numInputs),
-      potentials_(config.numNeurons, 0.0),
       thresholds_(config.numNeurons, 0.0),
-      lastUpdateMs_(config.numNeurons, 0),
-      gateUntil_(config.numNeurons, -1),
       fireCounts_(config.numNeurons, 0),
       stdp_(config.stdp),
-      homeostasis_(config.homeostasis),
-      lastInputSpike_(config.numInputs, -1)
+      homeostasis_(config.homeostasis)
 {
     NEURO_ASSERT(config_.numInputs > 0 && config_.numNeurons > 0,
                  "empty network");
@@ -105,6 +101,7 @@ SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
     const int period = config_.coding.periodMs;
     NEURO_ASSERT(period > 0, "presentation period must be > 0");
     weights_.fillUniform(rng, config_.wInitMin, config_.wInitMax);
+    refreshWeightsT();
     for (auto &threshold : thresholds_) {
         threshold = config_.initialThreshold *
             (1.0 + config_.thresholdJitter * (rng.uniform() - 0.5));
@@ -119,101 +116,115 @@ SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
         decayFactors_[dt] =
             std::exp(-static_cast<double>(dt) / config_.tLeakMs);
     }
+    beginPresentation(state_);
 }
 
 void
-SnnNetwork::beginPresentation(PresentationResult &result)
+SnnNetwork::beginPresentation(PresentationState &state) const
 {
-    result = PresentationResult();
-    result.spikeCountPerNeuron.assign(config_.numNeurons, 0);
-    std::fill(potentials_.begin(), potentials_.end(), 0.0);
-    std::fill(lastUpdateMs_.begin(), lastUpdateMs_.end(), 0);
-    std::fill(gateUntil_.begin(), gateUntil_.end(), int64_t{-1});
-    std::fill(lastInputSpike_.begin(), lastInputSpike_.end(), -1);
+    const std::size_t num_neurons = config_.numNeurons;
+    // The result starts afresh, keeping its per-neuron buffer.
+    std::vector<uint16_t> counts = std::move(state.result.spikeCountPerNeuron);
+    state.result = PresentationResult();
+    counts.assign(num_neurons, 0);
+    state.result.spikeCountPerNeuron = std::move(counts);
+    state.potentials.assign(num_neurons, 0.0);
+    state.lastUpdateMs.assign(num_neurons, 0);
+    state.gateUntil.assign(num_neurons, int64_t{-1});
+    state.lastInputSpike.assign(config_.numInputs, int64_t{-1});
+    state.drive.resize(num_neurons);
 }
 
 SnnNetwork::FireGates
-SnnNetwork::fireNeuron(int fire_n, int64_t t, bool learn,
-                       PresentationResult &result)
+SnnNetwork::fireNeuron(int fire_n, int64_t t, PresentationState &state) const
 {
     const std::size_t num_neurons = config_.numNeurons;
-    const std::size_t num_inputs = config_.numInputs;
     const auto fn = static_cast<std::size_t>(fire_n);
+    PresentationResult &result = state.result;
+    double *pot = state.potentials.data();
+    int64_t *gate = state.gateUntil.data();
 
     // The firing neuron was ungated at t, so its refractory period is
     // its whole gate; each peer's gate extends to the later expiry.
     FireGates gates;
     gates.peers = t + config_.tInhibitMs;
-    potentials_[fn] = 0.0;
-    gateUntil_[fn] = t + config_.tRefracMs;
-    gates.earliest = gateUntil_[fn];
+    pot[fn] = 0.0;
+    gate[fn] = t + config_.tRefracMs;
+    gates.earliest = gate[fn];
     ++result.outputSpikeCount;
     if (result.firstSpikeNeuron < 0) {
         result.firstSpikeNeuron = fire_n;
         result.firstSpikeTimeMs = t;
     }
     for (std::size_t n = 0; n < num_neurons; ++n) {
-        if (static_cast<int>(n) == fire_n)
+        if (n == fn)
             continue;
-        gateUntil_[n] = std::max(gateUntil_[n], gates.peers);
-        gates.earliest = std::min(gates.earliest, gateUntil_[n]);
+        gate[n] = std::max(gate[n], gates.peers);
+        gates.earliest = std::min(gates.earliest, gate[n]);
         if (config_.wtaReset)
-            potentials_[n] = 0.0;
+            pot[n] = 0.0;
     }
     result.wtaInhibitions += num_neurons - 1;
-    if (learn) {
-        // Homeostasis counts only the firings of the presentations it
-        // advances on; an inference between two learning ones must not
-        // move the next epoch's thresholds.
-        ++fireCounts_[fn];
-        const std::size_t potentiated = stdp_.onPostSpike(
-            weights_.row(fn), lastInputSpike_.data(), t, num_inputs);
-        result.stdpPotentiated += potentiated;
-        result.stdpDepressed += num_inputs - potentiated;
-        if (!weightsTDirty_) {
-            // Keep present()'s transposed copy coherent: the
-            // STDP update rewrote one weight row = one column of it.
-            const float *row = weights_.row(fn);
-            for (std::size_t p = 0; p < num_inputs; ++p)
-                weightsT_(p, fn) = row[p];
-        }
-    }
+    ++result.spikeCountPerNeuron[fn];
     if (Tracer::enabled())
         Tracer::instance().instant("snn.fire", "spike");
     return gates;
 }
 
 void
+SnnNetwork::learnFrom(std::size_t fire_n, int64_t t, PresentationState &state)
+{
+    const std::size_t num_inputs = config_.numInputs;
+    const std::size_t num_neurons = config_.numNeurons;
+    // Homeostasis counts only the firings of the presentations it
+    // advances on; an inference between two learning ones must not
+    // move the next epoch's thresholds.
+    ++fireCounts_[fire_n];
+    float *row = weights_.row(fire_n);
+    const std::size_t potentiated = stdp_.onPostSpike(
+        row, state.lastInputSpike.data(), t, num_inputs);
+    state.result.stdpPotentiated += potentiated;
+    state.result.stdpDepressed += num_inputs - potentiated;
+    if (!weightsTDirty_) {
+        // Keep the transposed copy coherent: the STDP update rewrote
+        // one weight row = one column of it.
+        float *column = weightsT_.data().data() + fire_n;
+        for (std::size_t p = 0; p < num_inputs; ++p)
+            column[p * num_neurons] = row[p];
+    }
+}
+
+void
 SnnNetwork::stepTick(int64_t t, const uint16_t *spikes, std::size_t count,
-                     bool learn, PresentationResult &result,
-                     PresentationTrace *trace)
+                     bool learn, PresentationTrace *trace)
 {
     if (count == 0)
         return;
     const std::size_t num_neurons = config_.numNeurons;
+    std::vector<double> &pot = state_.potentials;
+    std::vector<int64_t> &last = state_.lastUpdateMs;
+    const std::vector<int64_t> &gate = state_.gateUntil;
 
-    result.inputSpikeCount += count;
+    state_.result.inputSpikeCount += count;
     // Integrate the tick's synaptic drive into every ungated neuron
     // (gated = refractory or laterally inhibited).
     for (std::size_t n = 0; n < num_neurons; ++n) {
-        if (gatedAt(n, t))
+        if (t < gate[n])
             continue;
-        if (t > lastUpdateMs_[n]) {
-            potentials_[n] = lifDecay(
-                potentials_[n],
-                static_cast<double>(t - lastUpdateMs_[n]),
-                config_.tLeakMs);
-            lastUpdateMs_[n] = t;
+        if (t > last[n]) {
+            pot[n] = lifDecay(pot[n], static_cast<double>(t - last[n]),
+                              config_.tLeakMs);
+            last[n] = t;
         }
         const float *row = weights_.row(n);
         double drive = 0.0;
         // neurolint: ordered-sum
         for (std::size_t s = 0; s < count; ++s)
             drive += row[spikes[s]];
-        potentials_[n] += drive;
+        pot[n] += drive;
     }
     for (std::size_t s = 0; s < count; ++s)
-        lastInputSpike_[spikes[s]] = t;
+        state_.lastInputSpike[spikes[s]] = t;
 
     // Fire at most one neuron per tick: the one whose potential
     // exceeds its threshold by the largest margin (the WTA inhibition
@@ -222,17 +233,18 @@ SnnNetwork::stepTick(int64_t t, const uint16_t *spikes, std::size_t count,
     int fire_n = -1;
     double best_margin = 0.0;
     for (std::size_t n = 0; n < num_neurons; ++n) {
-        if (gatedAt(n, t) || potentials_[n] < thresholds_[n])
+        if (t < gate[n] || pot[n] < thresholds_[n])
             continue;
-        const double margin = potentials_[n] - thresholds_[n];
+        const double margin = pot[n] - thresholds_[n];
         if (fire_n < 0 || margin > best_margin) {
             fire_n = static_cast<int>(n);
             best_margin = margin;
         }
     }
     if (fire_n >= 0) {
-        fireNeuron(fire_n, t, learn, result);
-        ++result.spikeCountPerNeuron[static_cast<std::size_t>(fire_n)];
+        fireNeuron(fire_n, t, state_);
+        if (learn)
+            learnFrom(static_cast<std::size_t>(fire_n), t, state_);
         if (trace) {
             trace->outputSpikes.emplace_back(
                 static_cast<int>(t), static_cast<uint16_t>(fire_n));
@@ -245,29 +257,27 @@ SnnNetwork::stepTick(int64_t t, const uint16_t *spikes, std::size_t count,
 }
 
 void
-SnnNetwork::finishPresentation(bool learn, PresentationResult &result)
+SnnNetwork::finishPresentation(PresentationState &state, bool learn) const
 {
     const int period = config_.coding.periodMs;
+    double *pot = state.potentials.data();
+    int64_t *last = state.lastUpdateMs.data();
     // End-of-window potentials (decayed to the window end) for the
     // max-potential readout. Every tick lies below the period, so each
     // gap is in [1, period] and its table entry is lifDecay's factor.
     double best_pot = -1.0;
     for (std::size_t n = 0; n < config_.numNeurons; ++n) {
-        const int64_t gap = period - lastUpdateMs_[n];
+        const int64_t gap = period - last[n];
         NEURO_ASSERT(gap >= 1 && gap <= period, "decay gap %lld out of range",
                      static_cast<long long>(gap));
-        potentials_[n] *= decayFactors_[static_cast<std::size_t>(gap)];
-        lastUpdateMs_[n] = period;
-        if (potentials_[n] > best_pot) {
-            best_pot = potentials_[n];
-            result.maxPotentialNeuron = static_cast<int>(n);
+        pot[n] *= decayFactors_[static_cast<std::size_t>(gap)];
+        last[n] = period;
+        if (pot[n] > best_pot) {
+            best_pot = pot[n];
+            state.result.maxPotentialNeuron = static_cast<int>(n);
         }
     }
-    if (learn) {
-        homeostasis_.advance(period, thresholds_.data(),
-                             fireCounts_.data(), config_.numNeurons);
-    }
-    countEvents(result, learn);
+    countEvents(state.result, learn);
 }
 
 PresentationResult
@@ -280,8 +290,7 @@ SnnNetwork::presentImage(const PackedSpikeGrid &grid, bool learn,
     checkGridShape(grid, config_);
     checkGridComplete(grid);
 
-    PresentationResult result;
-    beginPresentation(result);
+    beginPresentation(state_);
 
     const std::size_t trace_neurons = trace
         ? (trace->neuronLimit ? std::min(trace->neuronLimit, num_neurons)
@@ -297,24 +306,26 @@ SnnNetwork::presentImage(const PackedSpikeGrid &grid, bool learn,
         const uint16_t *spikes = nullptr;
         if (k < active.size() && active[k] == t)
             spikes = grid.inputsAt(k++, &count);
-        stepTick(t, spikes, count, learn, result, trace);
+        stepTick(t, spikes, count, learn, trace);
         if (trace) {
             std::vector<float> row(trace_neurons);
             for (std::size_t n = 0; n < trace_neurons; ++n) {
                 // Sample the decayed value without mutating state.
+                const int64_t gap = t - state_.lastUpdateMs[n];
                 row[n] = static_cast<float>(
-                    lifDecay(potentials_[n],
-                             static_cast<double>(
-                                 t - lastUpdateMs_[n] < 0
-                                     ? 0
-                                     : t - lastUpdateMs_[n]),
+                    lifDecay(state_.potentials[n],
+                             static_cast<double>(gap < 0 ? 0 : gap),
                              config_.tLeakMs));
             }
             trace->potentials.push_back(std::move(row));
         }
     }
-    finishPresentation(learn, result);
-    return result;
+    finishPresentation(state_, learn);
+    if (learn) {
+        homeostasis_.advance(period, thresholds_.data(),
+                             fireCounts_.data(), num_neurons);
+    }
+    return std::move(state_.result);
 }
 
 void
@@ -326,10 +337,12 @@ SnnNetwork::refreshWeightsT()
         weightsT_.cols() != config_.numNeurons) {
         weightsT_ = Matrix(config_.numInputs, config_.numNeurons);
     }
-    for (std::size_t n = 0; n < config_.numNeurons; ++n) {
+    const std::size_t num_neurons = config_.numNeurons;
+    float *weights_t = weightsT_.data().data();
+    for (std::size_t n = 0; n < num_neurons; ++n) {
         const float *row = weights_.row(n);
         for (std::size_t p = 0; p < config_.numInputs; ++p)
-            weightsT_(p, n) = row[p];
+            weights_t[p * num_neurons + n] = row[p];
     }
     weightsTDirty_ = false;
 }
@@ -338,14 +351,25 @@ PresentationResult
 SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
 {
     checkGridComplete(grid);
-    return walkEvents(grid, learn, /*untilFirstSpike=*/false);
+    refreshWeightsT();
+    walkEvents(grid, state_, learn ? this : nullptr,
+               /*untilFirstSpike=*/false);
+    if (learn) {
+        homeostasis_.advance(config_.coding.periodMs, thresholds_.data(),
+                             fireCounts_.data(), config_.numNeurons);
+    }
+    return std::move(state_.result);
 }
 
 int
-SnnNetwork::firstSpikeWinner(const PackedSpikeGrid &grid, bool *fired)
+SnnNetwork::firstSpikeWinner(const PackedSpikeGrid &grid,
+                             PresentationState &state, bool *fired) const
 {
-    const PresentationResult result =
-        walkEvents(grid, /*learn=*/false, /*untilFirstSpike=*/true);
+    NEURO_ASSERT(!weightsTDirty_,
+                 "first-spike walk on stale transposed weights: call "
+                 "refreshWeightsT() after writing weights()");
+    walkEvents(grid, state, /*learner=*/nullptr, /*untilFirstSpike=*/true);
+    const PresentationResult &result = state.result;
     if (fired)
         *fired = result.firstSpikeNeuron >= 0;
     if (result.firstSpikeNeuron < 0 && !grid.complete())
@@ -353,27 +377,25 @@ SnnNetwork::firstSpikeWinner(const PackedSpikeGrid &grid, bool *fired)
     return result.winner();
 }
 
-PresentationResult
-SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
-                       bool untilFirstSpike)
+void
+SnnNetwork::walkEvents(const PackedSpikeGrid &grid, PresentationState &state,
+                       SnnNetwork *learner, bool untilFirstSpike) const
 {
     NEURO_PROFILE_SCOPE("snn/present_events");
     const std::size_t num_neurons = config_.numNeurons;
     const int period = config_.coding.periodMs;
     checkGridShape(grid, config_);
 
-    refreshWeightsT();
-
-    PresentationResult result;
-    beginPresentation(result);
-
-    driveScratch_.resize(num_neurons);
+    beginPresentation(state);
+    PresentationResult &result = state.result;
 
     const auto &active = grid.activeTicks();
-    double *__restrict drive = driveScratch_.data();
-    double *__restrict pot = potentials_.data();
+    double *__restrict drive = state.drive.data();
+    double *__restrict pot = state.potentials.data();
     const double *__restrict thr = thresholds_.data();
-    int64_t *__restrict last = lastUpdateMs_.data();
+    int64_t *__restrict last = state.lastUpdateMs.data();
+    const int64_t *gate = state.gateUntil.data();
+    int64_t *input_times = state.lastInputSpike.data();
     const double *__restrict decay = decayFactors_.data();
     const float *weights_t = weightsT_.data().data();
 
@@ -381,8 +403,9 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
     // before gated_until, the earliest gate the last firing left.
     // uniform_at is the tick every neuron outside `held` was last
     // updated at, or -1 when the update times differ; while it is
-    // >= 0, lastUpdateMs_ is stale and is written only before it is
-    // read. Every neuron outside `held` is open from peers_open on.
+    // >= 0, the stored update times are stale and are written only
+    // before they are read. Every neuron outside `held` is open from
+    // peers_open on.
     int64_t gated_until = -1;
     int64_t peers_open = -1;
     int64_t uniform_at = 0;
@@ -411,7 +434,7 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
             // change.
             ++all_gated_ticks;
             for (std::size_t s = 0; s < spike_count; ++s)
-                lastInputSpike_[spikes[s]] = t;
+                input_times[spikes[s]] = t;
             continue;
         }
 
@@ -439,7 +462,7 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
             ++(num_held == 0 ? uniform_ticks : near_uniform_ticks);
             for (std::size_t h = 0; h < num_held; ++h) {
                 held[h].pot = pot[held[h].n];
-                if (gatedAt(held[h].n, t))
+                if (t < gate[held[h].n])
                     pot[held[h].n] = -std::numeric_limits<double>::infinity();
             }
             const double factor =
@@ -449,7 +472,7 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
             std::size_t still_held = 0;
             for (std::size_t h = 0; h < num_held; ++h) {
                 const std::size_t n = held[h].n;
-                if (gatedAt(n, t)) {
+                if (t < gate[n]) {
                     held[still_held++] = held[h];
                     continue;
                 }
@@ -479,7 +502,7 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
             bool overflow = false;
             double best_margin = 0.0;
             for (std::size_t n = 0; n < num_neurons; ++n) {
-                if (gatedAt(n, t)) {
+                if (t < gate[n]) {
                     if (num_held < kMaxHeld)
                         held[num_held++] = {n, last[n], 0.0};
                     else
@@ -501,12 +524,16 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
             peers_open = t;
         }
         for (std::size_t s = 0; s < spike_count; ++s)
-            lastInputSpike_[spikes[s]] = t;
+            input_times[spikes[s]] = t;
         if (fire_n >= 0) {
             // Every neuron outside `held` was open at t, so the firing
             // gates it to exactly gates.peers; the winner joins `held`
             // with its own gate.
-            const FireGates gates = fireNeuron(fire_n, t, learn, result);
+            const FireGates gates = fireNeuron(fire_n, t, state);
+            if (learner) {
+                learner->learnFrom(static_cast<std::size_t>(fire_n), t,
+                                   state);
+            }
             gated_until = gates.earliest;
             peers_open = gates.peers;
             if (uniform_at >= 0 && num_held < kMaxHeld) {
@@ -516,7 +543,6 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
                 writeLastUpdates();
                 uniform_at = -1;
             }
-            ++result.spikeCountPerNeuron[static_cast<std::size_t>(fire_n)];
             decided = untilFirstSpike;
         }
     }
@@ -532,21 +558,30 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, bool learn,
     // the max-potential readout would go unread; a truncated grid has
     // no window end to read.
     if (decided || !grid.complete())
-        countEvents(result, learn);
+        countEvents(result, learner != nullptr);
     else
-        finishPresentation(learn, result);
-    return result;
+        finishPresentation(state, learner != nullptr);
 }
 
 FirstSpikeReader::FirstSpikeReader(const SnnNetwork &net,
                                    const SpikeEncoder &encoder)
-    : net_(net),
-      encoder_(encoder),
-      horizon_(std::max(encoder.config().periodMs >> kHorizonShifts, 1))
+    : net_(net), encoder_(encoder)
 {
     NEURO_ASSERT(encoder.config().periodMs == net.config().coding.periodMs,
                  "reader encoder period %d != network period %d",
                  encoder.config().periodMs, net.config().coding.periodMs);
+    needed_.fill(horizonAbove(0));
+}
+
+int
+FirstSpikeReader::horizonAbove(int64_t tick) const
+{
+    const int period = encoder_.config().periodMs;
+    for (int k = kHorizonShifts; k > 0; --k) {
+        if (tick < (period >> k))
+            return period >> k;
+    }
+    return period;
 }
 
 int
@@ -554,17 +589,22 @@ FirstSpikeReader::winner(const uint8_t *pixels, std::size_t numPixels,
                          uint64_t streamSeed, bool *fired)
 {
     Rng rng(streamSeed);
-    encoder_.encodeHorizon(pixels, numPixels, rng, horizon_, grid_);
-    const int winner = net_.firstSpikeWinner(grid_, fired);
-    if (winner != SnnNetwork::kUndecided)
-        return winner;
-    // Nothing fired below the horizon: the answer needs the whole
-    // window, and the next images get twice the horizon.
-    obsCount<"snn.encode.horizon_restarts">();
-    horizon_ = std::min(2 * horizon_, encoder_.config().periodMs);
-    Rng full(streamSeed);
-    encoder_.encodePacked(pixels, numPixels, full, grid_);
-    return net_.firstSpikeWinner(grid_, fired);
+    encoder_.encodeHorizon(pixels, numPixels, rng, horizonMs(), grid_);
+    int winner = net_.firstSpikeWinner(grid_, state_, fired);
+    if (winner == SnnNetwork::kUndecided) {
+        // Nothing fired below the horizon: this image needs the whole
+        // window.
+        obsCount<"snn.encode.horizon_restarts">();
+        Rng full(streamSeed);
+        encoder_.encodePacked(pixels, numPixels, full, grid_);
+        winner = net_.firstSpikeWinner(grid_, state_, fired);
+    }
+    const PresentationResult &result = state_.result;
+    needed_[nextNeeded_] = result.firstSpikeNeuron >= 0
+        ? horizonAbove(result.firstSpikeTimeMs)
+        : encoder_.config().periodMs;
+    nextNeeded_ = (nextNeeded_ + 1) % kHorizonHistory;
+    return winner;
 }
 
 } // namespace snn

@@ -24,7 +24,8 @@
  *    per-neuron update times are written only before that loop or
  *    the window end reads them. Training runs it, and so does
  *    firstSpikeWinner(), the same loop ended at the first output
- *    spike, which labeling, evaluation and serving run;
+ *    spike and run on a const network with caller-owned state, which
+ *    labeling, evaluation and serving run;
  *  - presentImage(): the reference walk over every tick of the same
  *    packed grid, with the closed-form leak and the row-major weights,
  *    kept as the test oracle and as the Figure 3 trace path. The two
@@ -39,6 +40,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -116,6 +119,27 @@ struct PresentationResult
 };
 
 /**
+ * Everything one presentation writes apart from the network's learned
+ * parameters: the per-neuron LIF state, the inputs' last spike times,
+ * the drive scratch and the result. The network keeps one for its own
+ * walks; each FirstSpikeReader keeps its own, so readers on any number
+ * of threads share one const network. Every walk resizes and resets
+ * it, reusing its buffers.
+ */
+struct PresentationState
+{
+    std::vector<double> potentials;     ///< membrane potentials.
+    std::vector<int64_t> lastUpdateMs;  ///< tick each potential is at.
+    /** Ignores input before this tick: the later of the refractory
+     *  and the WTA inhibition expiry. */
+    std::vector<int64_t> gateUntil;
+    /** Per-input time of the last presynaptic spike, -1 if none. */
+    std::vector<int64_t> lastInputSpike;
+    std::vector<double> drive;          ///< one tick's drive per neuron.
+    PresentationResult result;          ///< the walk's outcome.
+};
+
+/**
  * The single-layer WTA spiking network. Owns the synaptic weight matrix
  * (numNeurons x numInputs, weights in [0, wMax]), the per-neuron LIF
  * state (structure-of-arrays) and the STDP + homeostasis machinery.
@@ -131,8 +155,9 @@ class SnnNetwork
 
     /** @return the weight matrix (numNeurons x numInputs). */
     const Matrix &weights() const { return weights_; }
-    /** @return mutable weights (tests, SNN+BP); invalidates present()'s
-     *  transposed copy, which is rebuilt lazily. */
+    /** @return mutable weights (tests, loading); invalidates the
+     *  transposed copy, which present() rebuilds lazily and
+     *  refreshWeightsT() rebuilds at once. */
     Matrix &
     weights()
     {
@@ -140,8 +165,13 @@ class SnnNetwork
         return weights_;
     }
 
-    /** @return per-neuron membrane potentials. */
-    const std::vector<double> &potentials() const { return potentials_; }
+    /** @return per-neuron membrane potentials (of the network's own
+     *  last presentation). */
+    const std::vector<double> &
+    potentials() const
+    {
+        return state_.potentials;
+    }
     /** @return per-neuron firing thresholds. */
     const std::vector<double> &thresholds() const { return thresholds_; }
     /** @return mutable thresholds (serialization, tests). */
@@ -166,20 +196,30 @@ class SnnNetwork
      * `present(grid, false).winner()`, but the walk ends at the first
      * output spike, which fixes that answer. A grid that fires no
      * neuron still runs to the window end for the max-potential
-     * fallback. The potentials are left at the tick the
-     * walk ended on; the next presentation resets them.
+     * fallback. The walk writes only @p state (its result included),
+     * so any number of threads may run it on one network; the
+     * transposed weights must be fresh (refreshWeightsT()).
      *
      * A truncated grid (spike_bits.h) holds the full grid's events
      * below its horizon, so a firing there is the full grid's answer;
      * a walk that reaches the horizon without one is undecided.
      *
      * @param grid   the input spike train (finalized).
+     * @param state  the walk's state, owned by the caller.
      * @param fired  optional sink: true when a neuron fired, false when
      *               the answer is the max-potential fallback or
      *               undecided.
      * @return the winning neuron index, or kUndecided.
      */
-    int firstSpikeWinner(const PackedSpikeGrid &grid, bool *fired = nullptr);
+    int firstSpikeWinner(const PackedSpikeGrid &grid,
+                         PresentationState &state,
+                         bool *fired = nullptr) const;
+
+    /** Rebuild the transposed weight copy if the weights changed
+     *  through weights(): required before firstSpikeWinner() runs on
+     *  a network whose weights were written that way. The constructor
+     *  and learning keep it fresh. */
+    void refreshWeightsT();
 
     /**
      * The reference walk over every tick of the window, silent ones
@@ -201,24 +241,21 @@ class SnnNetwork
     }
 
   private:
-    /** @return true if neuron @p n ignores inputs at time @p t. */
-    bool gatedAt(std::size_t n, int64_t t) const { return t < gateUntil_[n]; }
-
-    /** Reset the per-presentation state (start of a window). */
-    void beginPresentation(PresentationResult &result);
+    /** Reset @p state for a presentation (start of a window). */
+    void beginPresentation(PresentationState &state) const;
 
     /** presentImage()'s step: integrate the @p count spikes arriving
      *  at tick @p t and run the WTA. */
     void stepTick(int64_t t, const uint16_t *spikes, std::size_t count,
-                  bool learn, PresentationResult &result,
-                  PresentationTrace *trace);
+                  bool learn, PresentationTrace *trace);
 
-    /** present()'s and firstSpikeWinner()'s event loop. With
-     *  @p untilFirstSpike it returns right after the first firing, or
-     *  at the horizon of a truncated grid; that result has no
-     *  max-potential readout and counts only the ticks stepped. */
-    PresentationResult walkEvents(const PackedSpikeGrid &grid, bool learn,
-                                  bool untilFirstSpike);
+    /** present()'s and firstSpikeWinner()'s event loop over @p state.
+     *  @p learner is this network when the walk learns, else nullptr.
+     *  With @p untilFirstSpike it returns right after the first
+     *  firing, or at the horizon of a truncated grid; that result has
+     *  no max-potential readout and counts only the ticks stepped. */
+    void walkEvents(const PackedSpikeGrid &grid, PresentationState &state,
+                    SnnNetwork *learner, bool untilFirstSpike) const;
 
     /** The gates one firing leaves, until the next firing. */
     struct FireGates
@@ -231,31 +268,28 @@ class SnnNetwork
 
     /** Shared fire-and-inhibit path of both walks (tick @p t).
      *  @return the gates it left. */
-    FireGates fireNeuron(int fire_n, int64_t t, bool learn,
-                         PresentationResult &result);
+    FireGates fireNeuron(int fire_n, int64_t t,
+                         PresentationState &state) const;
 
-    /** Decay to the window end, resolve the max-potential readout and
-     *  (when learning) advance homeostasis. */
-    void finishPresentation(bool learn, PresentationResult &result);
+    /** STDP on neuron @p fire_n's firing at tick @p t, which reads
+     *  @p state's input spike times; keeps the transposed copy fresh
+     *  and counts the firing for homeostasis. */
+    void learnFrom(std::size_t fire_n, int64_t t, PresentationState &state);
 
-    /** Rebuild the transposed weight copy if weights changed. */
-    void refreshWeightsT();
+    /** Decay @p state to the window end and resolve the max-potential
+     *  readout. */
+    void finishPresentation(PresentationState &state, bool learn) const;
 
     SnnConfig config_;
     Matrix weights_;
-    /** Transposed weights (numInputs x numNeurons) for present()'s
-     *  contiguous drive accumulation; lazily rebuilt. */
+    /** Transposed weights (numInputs x numNeurons) for the event
+     *  walk's contiguous drive accumulation; built by the constructor,
+     *  rebuilt after writes through weights(). */
     Matrix weightsT_;
     bool weightsTDirty_ = true;
 
-    // Per-neuron LIF state, structure-of-arrays (lif.h holds the
-    // closed-form leak each potential follows).
-    std::vector<double> potentials_;
+    /** Per-neuron firing thresholds (homeostasis moves them). */
     std::vector<double> thresholds_;
-    std::vector<int64_t> lastUpdateMs_;
-    /** Ignores input before this time: the later of the refractory
-     *  and the WTA inhibition expiry. */
-    std::vector<int64_t> gateUntil_;
     /** Firings per neuron in the current homeostasis epoch, counted
      *  only by learning presentations. */
     std::vector<uint32_t> fireCounts_;
@@ -265,28 +299,34 @@ class SnnNetwork
 
     StdpRule stdp_;
     Homeostasis homeostasis_;
-    /** Per-input time of last presynaptic spike (presentation-local). */
-    std::vector<int64_t> lastInputSpike_;
-
-    // present() scratch (presentation-local, reused across calls).
-    std::vector<double> driveScratch_;
+    /** The state of present() and presentImage(): structure-of-arrays
+     *  LIF state (lif.h holds the closed-form leak each potential
+     *  follows). */
+    PresentationState state_;
 };
 
 /**
  * SNNwt inference over images, the one path labeling, evaluation and
- * the serving backend run: a network copy (walks scribble on it), a
- * reused grid, and a horizon. Each image is encoded only below the
- * horizon (SpikeEncoder::encodeHorizon) and walked to its first output
- * spike. An image that fires nothing there is re-encoded in full and
- * walked again, and the horizon doubles, from period >> kHorizonShifts
- * up to the period. Every answer is the full grid's: the horizon only
- * sets how much of each window is encoded.
+ * the serving backend run. A reader shares the trained network (const,
+ * its transposed weights fresh) and owns a grid, a PresentationState
+ * and a horizon. Each image is encoded only below the horizon
+ * (SpikeEncoder::encodeHorizon) and walked to its first output spike.
+ * An image that fires nothing there is re-encoded in full and walked
+ * again. The next image starts at the smallest of the horizons
+ * period >> k, k = kHorizonShifts..0, that held the first spike of
+ * each of the last kHorizonHistory images (a silent one needs the
+ * period), so one late image raises the horizon for a while, not for
+ * good. Every answer is the full grid's: the horizon only sets how
+ * much of each window is encoded.
  */
 class FirstSpikeReader
 {
   public:
-    /** Copies @p net; @p encoder (the network's coding) must outlive
-     *  the reader. */
+    /** Images whose first spikes choose the next start horizon. */
+    static constexpr std::size_t kHorizonHistory = 8;
+
+    /** @p net and @p encoder (the network's coding) must outlive the
+     *  reader; readers on many threads may share them. */
     FirstSpikeReader(const SnnNetwork &net, const SpikeEncoder &encoder);
 
     /**
@@ -299,14 +339,24 @@ class FirstSpikeReader
     int winner(const uint8_t *pixels, std::size_t numPixels,
                uint64_t streamSeed, bool *fired = nullptr);
 
-    /** @return the current horizon in ticks. */
-    int horizonMs() const { return horizon_; }
+    /** @return the horizon the next image starts at, in ticks. */
+    int
+    horizonMs() const
+    {
+        return *std::max_element(needed_.begin(), needed_.end());
+    }
 
   private:
-    SnnNetwork net_;
+    /** @return the smallest tabulated horizon above tick @p tick. */
+    int horizonAbove(int64_t tick) const;
+
+    const SnnNetwork &net_;
     const SpikeEncoder &encoder_;
     PackedSpikeGrid grid_;
-    int horizon_;
+    PresentationState state_;
+    /** The horizon each of the last images needed (a ring). */
+    std::array<int, kHorizonHistory> needed_{};
+    std::size_t nextNeeded_ = 0;
 };
 
 } // namespace snn

@@ -240,15 +240,10 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
 
 namespace {
 
-/** Shard the evaluation range into runs that amortize a worker's setup,
- *  while leaving the pool enough chunks to balance the
- *  (sample-dependent) presentation cost. */
-std::size_t
-evalGrain(std::size_t n)
-{
-    const std::size_t threads = parallelThreadCount();
-    return std::max<std::size_t>(8, n / (threads * 4));
-}
+/** Images per evaluation shard: small, so the pool balances the
+ *  (sample-dependent) inference cost and no thread idles behind a long
+ *  last shard. A shard's setup is only a reader's scratch buffers. */
+constexpr std::size_t kEvalGrain = 32;
 
 /** The SNNwot winner of every sample: one shared const datapath,
  *  integer arithmetic, so any sharding gives the same winners. */
@@ -259,7 +254,7 @@ wotWinners(const SnnWotDatapath &datapath, const datasets::Dataset &data)
                  "dataset input size != SNNwot inputs");
     const std::size_t n = data.size();
     std::vector<int> winners(n);
-    parallelForRange(0, n, evalGrain(n), [&](std::size_t i0,
+    parallelForRange(0, n, kEvalGrain, [&](std::size_t i0,
                                              std::size_t i1) {
         NEURO_PROFILE_SCOPE("snn/eval/shard");
         for (std::size_t i = i0; i < i1; ++i)
@@ -299,14 +294,14 @@ SnnStdpTrainer::winnersFor(const SnnNetwork &net,
     if (fired)
         fired->assign(n, 0);
 
-    // One reader per shard: a worker-local copy of the frozen network
-    // (presentations scribble on neuron dynamics), and one encoding
-    // per sample keyed by (seed, i) via SplitMix64 — spike encodings
-    // do not depend on iteration order, so any thread count produces
-    // the same winners. The reader encodes only the ticks up to the
-    // first spike, and nothing goes through the grid store: a pass
-    // reads each grid once.
-    parallelForRange(0, n, evalGrain(n), [&](std::size_t i0,
+    // One reader per shard over the shared const network (each reader
+    // owns the neuron state its walks write), and one encoding per
+    // sample keyed by (seed, i) via SplitMix64: spike encodings do not
+    // depend on iteration order, so any thread count produces the
+    // same winners. The reader encodes only the ticks up to the first
+    // spike, and nothing goes through the grid store: a pass reads
+    // each grid once.
+    parallelForRange(0, n, kEvalGrain, [&](std::size_t i0,
                                              std::size_t i1) {
         NEURO_PROFILE_SCOPE("snn/eval/shard");
         FirstSpikeReader reader(net, encoder_);
@@ -328,6 +323,7 @@ SnnStdpTrainer::labelNeurons(SnnNetwork &net, const datasets::Dataset &data,
 {
     NEURO_ASSERT(!data.empty(), "cannot label on an empty dataset");
     NEURO_PROFILE_SCOPE("snn/label");
+    net.refreshWeightsT();
     const std::vector<int> winners = mode == EvalMode::Wot
         ? wotWinners(SnnWotDatapath(net), data)
         : winnersFor(net, data, seed, nullptr);
@@ -353,6 +349,7 @@ SnnStdpTrainer::evaluate(SnnNetwork &net, const std::vector<int> &labels,
     NEURO_PROFILE_SCOPE("snn/eval");
     if (mode == EvalMode::Wot)
         return evaluateWot(SnnWotDatapath(net), labels, data);
+    net.refreshWeightsT();
     std::vector<uint8_t> fired;
     SnnEvalResult result =
         scoreWinners(winnersFor(net, data, seed, &fired), labels, data);

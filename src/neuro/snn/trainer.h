@@ -132,12 +132,12 @@ class SnnStdpTrainer
      * label it wins most often, normalized by class frequency.
      *
      * Samples are sharded across the thread pool. Under EvalMode::Wt
-     * each shard's FirstSpikeReader encodes each sample from an Rng
-     * seeded from (seed, sampleIndex); under EvalMode::Wot every
-     * shard reads one SnnWotDatapath built from @p net (integer
-     * arithmetic, no Rng). Either way the result is bit-identical at
-     * any thread count (docs/parallelism.md). @p net itself is left
-     * untouched.
+     * each shard's FirstSpikeReader reads @p net, shared, and encodes
+     * each sample from an Rng seeded from (seed, sampleIndex); under
+     * EvalMode::Wot every shard reads one SnnWotDatapath built from
+     * @p net (integer arithmetic, no Rng). Either way the result is
+     * bit-identical at any thread count (docs/parallelism.md). Only
+     * @p net's transposed weight copy is refreshed.
      */
     std::vector<int> labelNeurons(SnnNetwork &net,
                                   const datasets::Dataset &data,

@@ -25,6 +25,7 @@
 #include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
 #include "neuro/common/serialize.h"
+#include "neuro/datasets/synth_digits.h"
 #include "neuro/kernels/kernels.h"
 #include "neuro/mlp/mlp.h"
 #include "neuro/serve/backend.h"
@@ -679,6 +680,54 @@ TEST(SnnBackend, ClassifyIsTheReferenceFirstSpikeLabel)
     }
     EXPECT_EQ(forward, expected);
     EXPECT_EQ(backward, expected);
+}
+
+/**
+ * An SNN session is a FirstSpikeReader over the backend's shared
+ * network: fed the same requests in the same order, it gives the
+ * reader's labels. The 10-neuron layer with raised thresholds fires
+ * late or never, and dark requests never fire, so the horizon rises
+ * and falls along the trace.
+ */
+TEST(SnnBackend, SessionEqualsFirstSpikeReaderOverATrace)
+{
+    snn::SnnConfig config;
+    config.numNeurons = 10;
+    config.initialThreshold *= 2.5;
+    Rng rng(10);
+    snn::TrainedSnn model{snn::SnnNetwork(config, rng),
+                          {0, 1, 2, 3, 4, -1, 5, 6, 7, 8}};
+    const datasets::Dataset data = datasets::mnistLike(48, 0, 4).train;
+    std::vector<serve::InferenceRequest> trace(data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        trace[i].pixels = data[i].pixels;
+        if (i % 12 == 5)
+            std::fill(trace[i].pixels.begin(), trace[i].pixels.end(), 0);
+        trace[i].streamSeed = deriveStreamSeed(61, i);
+    }
+
+    const snn::SpikeEncoder encoder(config.coding);
+    snn::FirstSpikeReader reader(model.network, encoder);
+    std::vector<int> expected;
+    for (const serve::InferenceRequest &r : trace) {
+        const int w =
+            reader.winner(r.pixels.data(), r.pixels.size(), r.streamSeed);
+        expected.push_back(w >= 0 && static_cast<std::size_t>(w) <
+                                         model.labels.size()
+                               ? model.labels[static_cast<std::size_t>(w)]
+                               : -1);
+    }
+
+    const std::shared_ptr<serve::InferenceBackend> backend =
+        serve::makeSnnBackend(std::move(model));
+    const std::unique_ptr<serve::BackendSession> session =
+        backend->newSession();
+    std::vector<int> served;
+    for (const serve::InferenceRequest &r : trace) {
+        served.push_back(
+            session->classify(r.pixels.data(), r.pixels.size(), r.streamSeed));
+    }
+    EXPECT_EQ(served, expected);
 }
 
 // ----------------------------------------------------------- registry

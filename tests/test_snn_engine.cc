@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 
 #include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
@@ -24,6 +26,18 @@
 
 namespace neuro {
 namespace snn {
+
+/** Reaches into SpikeEncoder's horizon band. */
+class SpikeEncoderTestPeer
+{
+  public:
+    static void
+    setBand(SpikeEncoder &encoder, double band)
+    {
+        encoder.horizonBand_ = band;
+    }
+};
+
 namespace {
 
 /** Two-class task (same construction as test_trainer). */
@@ -125,17 +139,17 @@ expectHandBuiltGridAgrees(const SnnNetwork &net,
     return r;
 }
 
-/** firstSpikeWinner() on a copy of @p net against the reference
+/** firstSpikeWinner() on @p net against the reference
  *  presentImage(grid, false) on a copy of @p oracle. */
 void
 expectFirstSpikeWinnerAgrees(const SnnNetwork &net,
                              const SnnNetwork &oracle,
                              const PackedSpikeGrid &grid, std::size_t i)
 {
-    SnnNetwork probe(net);
     SnnNetwork oracle_copy(oracle);
+    PresentationState state;
     bool fired = false;
-    const int winner = probe.firstSpikeWinner(grid, &fired);
+    const int winner = net.firstSpikeWinner(grid, state, &fired);
     const auto ref = oracle_copy.presentImage(grid, /*learn=*/false);
     EXPECT_EQ(winner, ref.winner()) << "sample " << i;
     EXPECT_EQ(fired, ref.firstSpikeNeuron >= 0) << "sample " << i;
@@ -496,8 +510,8 @@ TEST(SnnPresent, RepeatedFiringsBitIdenticalToPresentImage)
 }
 
 /**
- * firstSpikeWinner() on a copy of @p net against presentImage() on
- * another: the same answer, and counters that cover only the ticks it
+ * firstSpikeWinner() on @p net against presentImage() on a copy: the
+ * same answer, and counters that cover only the ticks it
  * stepped. @p stepped_ticks and @p stepped_spikes are those of the
  * ticks up to and including the decision (all of them when silent).
  */
@@ -518,9 +532,9 @@ expectFirstSpikeCut(const SnnNetwork &net, const PackedSpikeGrid &grid,
     const uint64_t outputs0 = outputs->value();
     const uint64_t inhibitions0 = inhibitions->value();
 
-    SnnNetwork probe(net);
+    PresentationState state;
     bool fired = !expect_fired;
-    const int winner = probe.firstSpikeWinner(grid, &fired);
+    const int winner = net.firstSpikeWinner(grid, state, &fired);
 
     EXPECT_EQ(active->value() - active0, stepped_ticks);
     EXPECT_EQ(skipped->value() - skipped0,
@@ -593,8 +607,9 @@ TEST(SnnFirstSpike, LeavesNextPresentationUntouched)
         for (const bool learn : {false, true}) {
             SnnNetwork probed(net);
             SnnNetwork fresh(net);
+            PresentationState state;
             bool fired = false;
-            probed.firstSpikeWinner(grid, &fired);
+            probed.firstSpikeWinner(grid, state, &fired);
             fired_count += fired;
             const auto r = probed.present(next, learn);
             const auto ref = fresh.present(next, learn);
@@ -641,20 +656,24 @@ fullGridAnswers(const SnnNetwork &net, const datasets::Dataset &data,
 }
 
 /** The answers of one FirstSpikeReader per shard, as the trainer's
- *  inference runs them; @p horizon gets the largest horizon a reader
- *  ended on. */
+ *  inference runs them, through @p encoder; @p horizon gets the
+ *  largest horizon a reader ended on. With @p copy_per_shard each
+ *  reader reads its own copy of @p net instead of sharing it. */
 Answers
-readerAnswers(const SnnNetwork &net, const datasets::Dataset &data,
-              uint64_t seed, int *horizon)
+readerAnswers(const SnnNetwork &net, const SpikeEncoder &encoder,
+              const datasets::Dataset &data, uint64_t seed, int *horizon,
+              bool copy_per_shard = false)
 {
-    const SpikeEncoder encoder(net.config().coding);
     Answers answers;
     answers.winners.assign(data.size(), -1);
     answers.fired.assign(data.size(), 0);
     std::vector<int> horizons(data.size(), 0);
     parallelForRange(0, data.size(), 16, [&](std::size_t i0,
                                              std::size_t i1) {
-        FirstSpikeReader reader(net, encoder);
+        std::optional<SnnNetwork> copy;
+        if (copy_per_shard)
+            copy.emplace(net);
+        FirstSpikeReader reader(copy ? *copy : net, encoder);
         for (std::size_t i = i0; i < i1; ++i) {
             bool fired = false;
             answers.winners[i] = reader.winner(
@@ -690,6 +709,7 @@ TEST(FirstSpikeReader, AnswersEqualFullGridAcrossThreadsAndIsas)
         config.initialThreshold *= c.thresholdScale;
         Rng init(c.neurons);
         const SnnNetwork net(config, init);
+        const SpikeEncoder encoder(config.coding);
         const Answers expected = fullGridAnswers(net, data, 17);
         const auto fired = static_cast<std::size_t>(
             std::count(expected.fired.begin(), expected.fired.end(), 1));
@@ -701,7 +721,8 @@ TEST(FirstSpikeReader, AnswersEqualFullGridAcrossThreadsAndIsas)
                 setParallelThreadCount(threads);
                 const uint64_t restarts0 = restarts->value();
                 int horizon = 0;
-                const Answers got = readerAnswers(net, data, 17, &horizon);
+                const Answers got =
+                    readerAnswers(net, encoder, data, 17, &horizon);
                 const uint64_t restarted = restarts->value() - restarts0;
                 EXPECT_TRUE(got == expected)
                     << c.neurons << " neurons, threshold x"
@@ -724,6 +745,123 @@ TEST(FirstSpikeReader, AnswersEqualFullGridAcrossThreadsAndIsas)
     }
     kernels::setSimdMode(kernels::SimdMode::Auto);
     setParallelThreadCount(saved);
+}
+
+TEST(FirstSpikeReader, SharedNetworkMatchesPerThreadCopies)
+{
+    // Readers on four pool threads share one const network; each
+    // writes only its own state, so they answer as readers that each
+    // walk a private copy. The 10-neuron layer restarts, so both the
+    // truncated and the full walks run concurrently.
+    const datasets::Dataset data = datasets::mnistLike(160, 0, 5).train;
+    const std::size_t saved = parallelThreadCount();
+    setParallelThreadCount(4);
+    for (const std::size_t neurons : {300u, 10u}) {
+        SnnConfig config;
+        config.numNeurons = neurons;
+        config.initialThreshold *= neurons == 10 ? 2.5 : 1.0;
+        Rng init(neurons + 1);
+        const SnnNetwork net(config, init);
+        const SpikeEncoder encoder(config.coding);
+        int horizon = 0;
+        const Answers shared = readerAnswers(net, encoder, data, 23, &horizon);
+        const Answers copies = readerAnswers(net, encoder, data, 23, &horizon,
+                                             /*copy_per_shard=*/true);
+        EXPECT_TRUE(shared == copies) << neurons << " neurons";
+        EXPECT_TRUE(shared == fullGridAnswers(net, data, 23))
+            << neurons << " neurons";
+    }
+    setParallelThreadCount(saved);
+}
+
+TEST(FirstSpikeReader, ForcedEncoderFallbackGivesTheSameAnswers)
+{
+    // An infinite band sends every lit image a reader encodes below the
+    // period to the full encode; the readers then walk complete grids
+    // and answer as before.
+    const datasets::Dataset data = datasets::mnistLike(64, 0, 6).train;
+    SnnConfig config;
+    config.numNeurons = 10;
+    config.initialThreshold *= 2.5;
+    Rng init(12);
+    const SnnNetwork net(config, init);
+    SpikeEncoder encoder(config.coding);
+    SpikeEncoderTestPeer::setBand(encoder,
+                                  std::numeric_limits<double>::infinity());
+    const auto fallbacks = telemetry::MetricRegistry::instance().counter(
+        "snn.encode.horizon_fallbacks");
+    const uint64_t fallbacks0 = fallbacks->value();
+    int horizon = 0;
+    EXPECT_TRUE(readerAnswers(net, encoder, data, 31, &horizon) ==
+                fullGridAnswers(net, data, 31));
+    EXPECT_GT(fallbacks->value() - fallbacks0, 0u);
+}
+
+TEST(FirstSpikeReader, HorizonFallsBackAfterALateImage)
+{
+    // The 300-neuron layer answers these digits below period/4. A
+    // dimmed digit first fires in [period/4, period/2), and a dark
+    // image never fires. Each raises the start horizon until
+    // kHorizonHistory early images have followed it.
+    const datasets::Dataset data = datasets::mnistLike(24, 0, 3).train;
+    const SnnConfig config;
+    Rng init(300);
+    const SnnNetwork net(config, init);
+    const SpikeEncoder encoder(config.coding);
+    const int period = config.coding.periodMs;
+
+    // The first dimming of digit 0 whose full grid fires late.
+    auto firstSpikeTick = [&](const std::vector<uint8_t> &pixels,
+                              uint64_t seed) {
+        Rng rng(seed);
+        PackedSpikeGrid grid;
+        encoder.encodePacked(pixels.data(), pixels.size(), rng, grid);
+        SnnNetwork probe(net);
+        return probe.present(grid, /*learn=*/false).firstSpikeTimeMs;
+    };
+    const uint64_t late_seed = deriveStreamSeed(17, 1000);
+    std::vector<uint8_t> late;
+    for (int divisor = 2; divisor <= 12 && late.empty(); ++divisor) {
+        std::vector<uint8_t> dim = data[0].pixels;
+        for (uint8_t &p : dim)
+            p = static_cast<uint8_t>(p / divisor);
+        const int64_t tick = firstSpikeTick(dim, late_seed);
+        if (tick >= period / 4 && tick < period / 2)
+            late = dim;
+    }
+    ASSERT_FALSE(late.empty());
+    const std::vector<uint8_t> dark(config.numInputs, 0);
+
+    auto &reg = telemetry::MetricRegistry::instance();
+    const auto restarts = reg.counter("snn.encode.horizon_restarts");
+    FirstSpikeReader reader(net, encoder);
+    std::size_t next = 0;
+    auto readEarly = [&](int expected_horizon) {
+        const auto &pixels = data[next].pixels;
+        const uint64_t seed = deriveStreamSeed(17, next++);
+        const int64_t tick = firstSpikeTick(pixels, seed);
+        ASSERT_GE(tick, 0);
+        ASSERT_LT(tick, period / 4);
+        reader.winner(pixels.data(), pixels.size(), seed);
+        EXPECT_EQ(reader.horizonMs(), expected_horizon) << "image " << next;
+    };
+    readEarly(period / 4);
+    struct Outlier
+    {
+        const std::vector<uint8_t> &pixels;
+        int raised; ///< the horizon it needs.
+    };
+    for (const Outlier outlier : {Outlier{late, period / 2},
+                                  Outlier{dark, period}}) {
+        const uint64_t restarts0 = restarts->value();
+        reader.winner(outlier.pixels.data(), outlier.pixels.size(),
+                      late_seed);
+        EXPECT_EQ(restarts->value() - restarts0, 1u);
+        EXPECT_EQ(reader.horizonMs(), outlier.raised);
+        for (std::size_t k = 1; k < FirstSpikeReader::kHorizonHistory; ++k)
+            readEarly(outlier.raised);
+        readEarly(period / 4);
+    }
 }
 
 /** Thresholds after learning on grids[0] and grids[1], with the

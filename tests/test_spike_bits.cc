@@ -1,6 +1,6 @@
 // Tests for the event-indexed spike grid: per-scheme encoding
-// determinism, horizon encoding against the full window, duplicate
-// merging, and the event index.
+// determinism, horizon encoding (its two passes and its fallback)
+// against the full window, duplicate merging, and the event index.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "neuro/datasets/synth_digits.h"
 #include "neuro/snn/coding.h"
 #include "neuro/snn/spike_bits.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 namespace snn {
@@ -181,25 +182,85 @@ INSTANTIATE_TEST_SUITE_P(
                       CodingScheme::TimeToFirstSpike,
                       CodingScheme::RankOrder));
 
+/** Reads the horizon encoder's fallback count since construction. */
+class FallbackCount
+{
+  public:
+    FallbackCount()
+        : counter_(telemetry::MetricRegistry::instance().counter(
+              "snn.encode.horizon_fallbacks")),
+          start_(counter_->value())
+    {
+    }
+
+    uint64_t since() const { return counter_->value() - start_; }
+
+  private:
+    std::shared_ptr<telemetry::Counter> counter_;
+    uint64_t start_;
+};
+
 TEST(HorizonEncoding, ExactReplayOfEveryPixelMatches)
 {
-    // An infinite band puts every product inside it, so every pixel
-    // that reaches the horizon replays its draws through the exact
-    // recurrence: the replay alone must reproduce the full encode's
-    // stream. A 5 ms minimum interval gives bright pixels ~100 draws.
+    // An infinite band puts every product inside it, so every lit
+    // image falls back to the full encode: its complete grid, and the
+    // Rng it leaves, must still match. A 5 ms minimum interval gives
+    // bright pixels ~100 draws.
     for (const int min_interval : {50, 5}) {
         CodingConfig config = makeConfig(CodingScheme::RatePoisson);
         config.minIntervalMs = min_interval;
         SpikeEncoder encoder(config);
         SpikeEncoderTestPeer::setBand(
             encoder, std::numeric_limits<double>::infinity());
+        const FallbackCount forced;
         EXPECT_EQ(expectHorizonGridsMatch(encoder, horizonImages(40),
                                           {1, 125, 250, 499}),
-                  4u * 41u);
+                  0u);
+        EXPECT_EQ(forced.since(), 4u * 41u);
         SpikeEncoderTestPeer::setBand(encoder, 1e-9);
+        const FallbackCount normal;
         EXPECT_EQ(expectHorizonGridsMatch(encoder, horizonImages(40),
                                           {125, 250}),
                   2u * 41u);
+        EXPECT_EQ(normal.since(), 0u);
+    }
+}
+
+TEST(HorizonEncoding, TwoPassMatchesFullEncodeOnDarkBrightNoisyImages)
+{
+    // Dark (no lit pixel, or every pixel at luminance 1), bright
+    // (every pixel at 255) and noisy images at the paper's coding and
+    // at two other windows: every horizon below the period truncates
+    // without a fallback, and matches the full encode below it.
+    std::vector<std::vector<uint8_t>> images = {
+        std::vector<uint8_t>(784, 0), std::vector<uint8_t>(784, 1),
+        std::vector<uint8_t>(784, 255)};
+    Rng noise(23);
+    for (int k = 0; k < 3; ++k) {
+        std::vector<uint8_t> px(784);
+        for (auto &p : px)
+            p = static_cast<uint8_t>(noise.uniformInt(256));
+        images.push_back(std::move(px));
+    }
+    const std::vector<int> horizons = {1, 31, 62, 125, 250, 499, 500};
+    struct Window
+    {
+        int periodMs;
+        int minIntervalMs;
+    };
+    for (const Window w : {Window{500, 50}, Window{250, 20}, Window{1000, 7}}) {
+        CodingConfig config = makeConfig(CodingScheme::RatePoisson);
+        config.periodMs = w.periodMs;
+        config.minIntervalMs = w.minIntervalMs;
+        const SpikeEncoder encoder(config);
+        const FallbackCount fallbacks;
+        const auto below = static_cast<std::size_t>(
+            std::count_if(horizons.begin(), horizons.end(),
+                          [&](int h) { return h < w.periodMs; }));
+        EXPECT_EQ(expectHorizonGridsMatch(encoder, images, horizons),
+                  below * images.size())
+            << "period " << w.periodMs;
+        EXPECT_EQ(fallbacks.since(), 0u) << "period " << w.periodMs;
     }
 }
 
