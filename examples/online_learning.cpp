@@ -60,7 +60,7 @@ main(int argc, char **argv)
         const auto labels = labeling.finalize(label_counts);
         // ...while the same presentation also learns (STDP is online:
         // no separate training phase).
-        const auto result = net.present(grid, /*learn=*/true);
+        const auto result = net.present(grid);
         const int winner = result.winner();
         if (winner >= 0 &&
             labels[static_cast<std::size_t>(winner)] == sample.label) {

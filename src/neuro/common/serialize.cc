@@ -5,8 +5,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "neuro/common/logging.h"
-
 namespace neuro {
 
 namespace {
@@ -88,30 +86,27 @@ Archive::has(const std::string &name) const
     return floatArrays_.count(name) != 0 || intArrays_.count(name) != 0;
 }
 
-const std::vector<float> &
+const std::vector<float> *
 Archive::floats(const std::string &name) const
 {
     auto it = floatArrays_.find(name);
-    NEURO_ASSERT(it != floatArrays_.end(),
-                 "archive has no float array '%s'", name.c_str());
-    return it->second;
+    return it != floatArrays_.end() ? &it->second : nullptr;
 }
 
-const std::vector<int64_t> &
+const std::vector<int64_t> *
 Archive::ints(const std::string &name) const
 {
     auto it = intArrays_.find(name);
-    NEURO_ASSERT(it != intArrays_.end(), "archive has no int array '%s'",
-                 name.c_str());
-    return it->second;
+    return it != intArrays_.end() ? &it->second : nullptr;
 }
 
-double
+std::optional<double>
 Archive::scalar(const std::string &name) const
 {
-    const auto &values = floats(name);
-    NEURO_ASSERT(!values.empty(), "scalar '%s' is empty", name.c_str());
-    return values[0];
+    const std::vector<float> *values = floats(name);
+    if (values == nullptr || values->size() != 1)
+        return std::nullopt;
+    return (*values)[0];
 }
 
 bool

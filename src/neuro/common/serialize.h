@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,14 +36,15 @@ class Archive
     /** @return true if @p name exists (either type). */
     bool has(const std::string &name) const;
 
-    /** @return the float array (panics if absent; check has() first). */
-    const std::vector<float> &floats(const std::string &name) const;
+    /** @return the float array, or nullptr (absent or an int array). */
+    const std::vector<float> *floats(const std::string &name) const;
 
-    /** @return the int array (panics if absent). */
-    const std::vector<int64_t> &ints(const std::string &name) const;
+    /** @return the int array, or nullptr (absent or a float array). */
+    const std::vector<int64_t> *ints(const std::string &name) const;
 
-    /** @return scalar stored by putScalar (panics if absent/empty). */
-    double scalar(const std::string &name) const;
+    /** @return scalar stored by putScalar (nullopt unless @p name is a
+     *  one-element float array). */
+    std::optional<double> scalar(const std::string &name) const;
 
     /** Write to @p path. @return false on I/O failure. */
     bool save(const std::string &path) const;

@@ -91,39 +91,40 @@ Mlp::serialize(Archive &archive, const std::string &prefix) const
 std::optional<Mlp>
 Mlp::deserialize(const Archive &archive, const std::string &prefix)
 {
-    if (!archive.has(prefix + ".layers") ||
-        !archive.has(prefix + ".activation")) {
+    const std::vector<int64_t> *layers = archive.ints(prefix + ".layers");
+    const std::optional<double> kind = archive.scalar(prefix + ".activation");
+    const std::optional<double> slope = archive.scalar(prefix + ".slope");
+    if (!layers || layers->size() < 2 || !(kind >= 0.0) ||
+        !(kind <= static_cast<int>(ActivationKind::Step)) ||
+        !(slope > 0.0 && std::isfinite(*slope))) {
         return std::nullopt;
     }
     Mlp net;
     net.config_.layerSizes.clear(); // drop MlpConfig's defaults.
-    for (int64_t s : archive.ints(prefix + ".layers")) {
+    for (int64_t s : *layers) {
         if (s <= 0)
             return std::nullopt;
         net.config_.layerSizes.push_back(static_cast<std::size_t>(s));
     }
-    if (net.config_.layerSizes.size() < 2)
-        return std::nullopt;
-    const int kind_raw =
-        static_cast<int>(archive.scalar(prefix + ".activation"));
-    if (kind_raw < 0 || kind_raw > static_cast<int>(ActivationKind::Step))
-        return std::nullopt;
-    net.config_.activation = static_cast<ActivationKind>(kind_raw);
-    net.config_.slope =
-        static_cast<float>(archive.scalar(prefix + ".slope"));
+    net.config_.activation =
+        static_cast<ActivationKind>(static_cast<int>(*kind));
+    net.config_.slope = static_cast<float>(*slope);
     net.activation_ =
         Activation(net.config_.activation, net.config_.slope);
 
     for (std::size_t l = 0; l + 1 < net.config_.layerSizes.size(); ++l) {
-        const std::string key = prefix + ".weights" + std::to_string(l);
-        if (!archive.has(key))
+        const std::size_t rows = net.config_.layerSizes[l + 1];
+        const std::size_t cols = net.config_.layerSizes[l] + 1;
+        const std::vector<float> *values =
+            archive.floats(prefix + ".weights" + std::to_string(l));
+        // Checked before the layer is allocated, by division: the
+        // declared product may overflow.
+        if (!values || values->size() % cols != 0 ||
+            values->size() / cols != rows) {
             return std::nullopt;
-        Matrix w(net.config_.layerSizes[l + 1],
-                 net.config_.layerSizes[l] + 1);
-        const auto &values = archive.floats(key);
-        if (values.size() != w.size())
-            return std::nullopt;
-        w.data() = values;
+        }
+        Matrix w(rows, cols);
+        w.data() = *values;
         net.weights_.push_back(std::move(w));
     }
     return net;

@@ -188,8 +188,6 @@ class SnnBackend final : public InferenceBackend
         : model_(std::move(model)),
           encoder_(model_.network.config().coding)
     {
-        // Every session's reader walks this network, shared and const.
-        model_.network.refreshWeightsT();
     }
 
     BackendKind kind() const override { return BackendKind::Snn; }

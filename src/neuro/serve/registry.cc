@@ -3,7 +3,9 @@
 #include <utility>
 
 #include "neuro/common/serialize.h"
+#include "neuro/mlp/activation.h"
 #include "neuro/mlp/mlp.h"
+#include "neuro/snn/coding.h"
 #include "neuro/snn/serialize.h"
 
 namespace neuro {
@@ -63,9 +65,12 @@ ModelRegistry::loadFile(const std::string &name, const std::string &path,
         if (!net)
             return setError("'" + path +
                             "': mlp records present but inconsistent");
-        add(name + ".q8", makeQuantizedMlpBackend(*net));
+        registered = {name};
+        if (net->activation().kind() != mlp::ActivationKind::Step) {
+            add(name + ".q8", makeQuantizedMlpBackend(*net));
+            registered.push_back(name + ".q8");
+        }
         add(name, makeMlpBackend(std::move(*net)));
-        registered = {name, name + ".q8"};
     } else if (archive.has("snn.shape")) {
         std::optional<snn::TrainedSnn> model = snn::loadSnn(archive);
         if (!model)
@@ -75,9 +80,13 @@ ModelRegistry::loadFile(const std::string &name, const std::string &path,
             return setError("'" + path +
                             "': snn checkpoint has no neuron labels "
                             "(train with self-labeling before serving)");
-        add(name + ".wot", makeSnnWotBackend(*model));
+        registered = {name};
+        if (snn::SpikeEncoder(model->network.config().coding)
+                .maxSpikeCount() < 16) {
+            add(name + ".wot", makeSnnWotBackend(*model));
+            registered.push_back(name + ".wot");
+        }
         add(name, makeSnnBackend(std::move(*model)));
-        registered = {name, name + ".wot"};
     } else {
         return setError("'" + path +
                         "': no recognized model records "

@@ -54,14 +54,17 @@ class ModelRegistry
      * supports:
      *
      *  - an MLP checkpoint ("mlp.*" records) registers "<name>"
-     *    (float forward) and "<name>.q8" (8-bit datapath);
+     *    (float forward) and, unless its activation is the step,
+     *    "<name>.q8" (8-bit sigmoid datapath);
      *  - a labeled SNN checkpoint ("snn.*" records) registers
-     *    "<name>" (timed SNNwt path) and "<name>.wot" (count-based
-     *    SNNwot datapath, the natural SLO fallback).
+     *    "<name>" (timed SNNwt path) and, when a full-luminance
+     *    pixel's spike count fits in 4 bits, "<name>.wot"
+     *    (count-based SNNwot datapath, the natural SLO fallback).
      *
      * @return the registered names; empty on failure with @p error
      *         (if non-null) describing why — including the archive
-     *         layer's corrupt-file diagnostics.
+     *         layer's corrupt-file diagnostics and any inconsistent
+     *         record, which is refused, never asserted on.
      */
     std::vector<std::string> loadFile(const std::string &name,
                                       const std::string &path,

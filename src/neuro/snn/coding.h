@@ -6,9 +6,12 @@
  *
  * A pixel emits at most one spike per 1 ms tick: one clock cycle models
  * one millisecond, and the hardware spike generator cannot fire twice in
- * a cycle, so sub-millisecond Poisson inter-arrivals merge into one
- * spike. Trains land in an event-indexed `PackedSpikeGrid`, in emission
- * order (its finalize() would merge a repeat too).
+ * a cycle. The encoder alone enforces it, for every scheme and horizon:
+ * sub-millisecond Poisson inter-arrivals merge into one spike as they
+ * are emitted, Gaussian and regular trains step at least 1 ms, and
+ * Bernoulli and the temporal codes emit at most once per pixel per
+ * tick. Trains land in an event-indexed `PackedSpikeGrid`, in emission
+ * order; its finalize() relies on this rule and checks nothing.
  *
  * Rate codes (four variants, rate proportional to luminance; maximum
  * luminance 255 maps to the minimum mean inter-spike interval U = 50 ms,

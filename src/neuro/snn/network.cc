@@ -72,16 +72,21 @@ struct HeldNeuron
  *  firing rate allows. Beyond it the slow path runs. */
 constexpr std::size_t kMaxHeld = 8;
 
-/** Add one presentation's events to the registry counters. */
+/** Add one presentation's events to the registry counters. Each
+ *  firing gates every peer and, when learning, moves every synapse of
+ *  its row: potentiated or depressed. */
 void
-countEvents(const PresentationResult &result, bool learn)
+countEvents(const PresentationResult &result, bool learn,
+            const SnnConfig &config)
 {
     obsCount<"snn.input_spikes">(result.inputSpikeCount);
     obsCount<"snn.output_spikes">(result.outputSpikeCount);
-    obsCount<"snn.wta_inhibitions">(result.wtaInhibitions);
+    obsCount<"snn.wta_inhibitions">(result.outputSpikeCount *
+                                    (config.numNeurons - 1));
     if (learn) {
         obsCount<"snn.stdp_potentiations">(result.stdpPotentiated);
-        obsCount<"snn.stdp_depressions">(result.stdpDepressed);
+        const std::size_t moved = result.outputSpikeCount * config.numInputs;
+        obsCount<"snn.stdp_depressions">(moved - result.stdpPotentiated);
     }
 }
 
@@ -89,7 +94,7 @@ countEvents(const PresentationResult &result, bool learn)
 
 SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
     : config_(config),
-      weights_(config.numNeurons, config.numInputs),
+      weightsT_(config.numInputs, config.numNeurons),
       thresholds_(config.numNeurons, 0.0),
       fireCounts_(config.numNeurons, 0),
       stdp_(config.stdp),
@@ -100,8 +105,9 @@ SnnNetwork::SnnNetwork(const SnnConfig &config, Rng &rng)
     NEURO_ASSERT(config_.initialThreshold > 0.0, "threshold must be > 0");
     const int period = config_.coding.periodMs;
     NEURO_ASSERT(period > 0, "presentation period must be > 0");
-    weights_.fillUniform(rng, config_.wInitMin, config_.wInitMax);
-    refreshWeightsT();
+    Matrix weights(config_.numNeurons, config_.numInputs);
+    weights.fillUniform(rng, config_.wInitMin, config_.wInitMax);
+    setWeights(std::move(weights));
     for (auto &threshold : thresholds_) {
         threshold = config_.initialThreshold *
             (1.0 + config_.thresholdJitter * (rng.uniform() - 0.5));
@@ -123,11 +129,7 @@ void
 SnnNetwork::beginPresentation(PresentationState &state) const
 {
     const std::size_t num_neurons = config_.numNeurons;
-    // The result starts afresh, keeping its per-neuron buffer.
-    std::vector<uint16_t> counts = std::move(state.result.spikeCountPerNeuron);
     state.result = PresentationResult();
-    counts.assign(num_neurons, 0);
-    state.result.spikeCountPerNeuron = std::move(counts);
     state.potentials.assign(num_neurons, 0.0);
     state.lastUpdateMs.assign(num_neurons, 0);
     state.gateUntil.assign(num_neurons, int64_t{-1});
@@ -164,8 +166,6 @@ SnnNetwork::fireNeuron(int fire_n, int64_t t, PresentationState &state) const
         if (config_.wtaReset)
             pot[n] = 0.0;
     }
-    result.wtaInhibitions += num_neurons - 1;
-    ++result.spikeCountPerNeuron[fn];
     if (Tracer::enabled())
         Tracer::instance().instant("snn.fire", "spike");
     return gates;
@@ -184,13 +184,27 @@ SnnNetwork::learnFrom(std::size_t fire_n, int64_t t, PresentationState &state)
     const std::size_t potentiated = stdp_.onPostSpike(
         row, state.lastInputSpike.data(), t, num_inputs);
     state.result.stdpPotentiated += potentiated;
-    state.result.stdpDepressed += num_inputs - potentiated;
-    if (!weightsTDirty_) {
-        // Keep the transposed copy coherent: the STDP update rewrote
-        // one weight row = one column of it.
-        float *column = weightsT_.data().data() + fire_n;
-        for (std::size_t p = 0; p < num_inputs; ++p)
-            column[p * num_neurons] = row[p];
+    // Keep the transposed copy coherent: the STDP update rewrote one
+    // weight row = one column of it.
+    float *column = weightsT_.data().data() + fire_n;
+    for (std::size_t p = 0; p < num_inputs; ++p)
+        column[p * num_neurons] = row[p];
+}
+
+void
+SnnNetwork::setWeights(Matrix weights)
+{
+    NEURO_ASSERT(weights.rows() == config_.numNeurons &&
+                     weights.cols() == config_.numInputs,
+                 "weights %zux%zu != network %zux%zu", weights.rows(),
+                 weights.cols(), config_.numNeurons, config_.numInputs);
+    weights_ = std::move(weights);
+    const std::size_t num_neurons = config_.numNeurons;
+    float *weights_t = weightsT_.data().data();
+    for (std::size_t n = 0; n < num_neurons; ++n) {
+        const float *row = weights_.row(n);
+        for (std::size_t p = 0; p < config_.numInputs; ++p)
+            weights_t[p * num_neurons + n] = row[p];
     }
 }
 
@@ -277,7 +291,7 @@ SnnNetwork::finishPresentation(PresentationState &state, bool learn) const
             state.result.maxPotentialNeuron = static_cast<int>(n);
         }
     }
-    countEvents(state.result, learn);
+    countEvents(state.result, learn, config_);
 }
 
 PresentationResult
@@ -328,36 +342,13 @@ SnnNetwork::presentImage(const PackedSpikeGrid &grid, bool learn,
     return std::move(state_.result);
 }
 
-void
-SnnNetwork::refreshWeightsT()
-{
-    if (!weightsTDirty_)
-        return;
-    if (weightsT_.rows() != config_.numInputs ||
-        weightsT_.cols() != config_.numNeurons) {
-        weightsT_ = Matrix(config_.numInputs, config_.numNeurons);
-    }
-    const std::size_t num_neurons = config_.numNeurons;
-    float *weights_t = weightsT_.data().data();
-    for (std::size_t n = 0; n < num_neurons; ++n) {
-        const float *row = weights_.row(n);
-        for (std::size_t p = 0; p < config_.numInputs; ++p)
-            weights_t[p * num_neurons + n] = row[p];
-    }
-    weightsTDirty_ = false;
-}
-
 PresentationResult
-SnnNetwork::present(const PackedSpikeGrid &grid, bool learn)
+SnnNetwork::present(const PackedSpikeGrid &grid)
 {
     checkGridComplete(grid);
-    refreshWeightsT();
-    walkEvents(grid, state_, learn ? this : nullptr,
-               /*untilFirstSpike=*/false);
-    if (learn) {
-        homeostasis_.advance(config_.coding.periodMs, thresholds_.data(),
-                             fireCounts_.data(), config_.numNeurons);
-    }
+    walkEvents(grid, state_, this);
+    homeostasis_.advance(config_.coding.periodMs, thresholds_.data(),
+                         fireCounts_.data(), config_.numNeurons);
     return std::move(state_.result);
 }
 
@@ -365,10 +356,7 @@ int
 SnnNetwork::firstSpikeWinner(const PackedSpikeGrid &grid,
                              PresentationState &state, bool *fired) const
 {
-    NEURO_ASSERT(!weightsTDirty_,
-                 "first-spike walk on stale transposed weights: call "
-                 "refreshWeightsT() after writing weights()");
-    walkEvents(grid, state, /*learner=*/nullptr, /*untilFirstSpike=*/true);
+    walkEvents(grid, state, /*learner=*/nullptr);
     const PresentationResult &result = state.result;
     if (fired)
         *fired = result.firstSpikeNeuron >= 0;
@@ -379,7 +367,7 @@ SnnNetwork::firstSpikeWinner(const PackedSpikeGrid &grid,
 
 void
 SnnNetwork::walkEvents(const PackedSpikeGrid &grid, PresentationState &state,
-                       SnnNetwork *learner, bool untilFirstSpike) const
+                       SnnNetwork *learner) const
 {
     NEURO_PROFILE_SCOPE("snn/present_events");
     const std::size_t num_neurons = config_.numNeurons;
@@ -543,7 +531,7 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, PresentationState &state,
                 writeLastUpdates();
                 uniform_at = -1;
             }
-            decided = untilFirstSpike;
+            decided = learner == nullptr;
         }
     }
     if (uniform_at >= 0)
@@ -558,7 +546,7 @@ SnnNetwork::walkEvents(const PackedSpikeGrid &grid, PresentationState &state,
     // the max-potential readout would go unread; a truncated grid has
     // no window end to read.
     if (decided || !grid.complete())
-        countEvents(result, learner != nullptr);
+        countEvents(result, learner != nullptr, config_);
     else
         finishPresentation(state, learner != nullptr);
 }

@@ -103,10 +103,7 @@ struct PresentationResult
     int maxPotentialNeuron = -1;   ///< argmax of end-of-window potential.
     std::size_t inputSpikeCount = 0;  ///< total input spikes seen.
     std::size_t outputSpikeCount = 0; ///< total output spikes fired.
-    std::size_t wtaInhibitions = 0;   ///< peers gated by WTA firings.
     std::size_t stdpPotentiated = 0;  ///< synapses potentiated (learn).
-    std::size_t stdpDepressed = 0;    ///< synapses depressed (learn).
-    std::vector<uint16_t> spikeCountPerNeuron; ///< output spikes/neuron.
 
     /** The SNNwt winner: the first neuron to fire, or the max-potential
      *  neuron when none fired. */
@@ -155,15 +152,9 @@ class SnnNetwork
 
     /** @return the weight matrix (numNeurons x numInputs). */
     const Matrix &weights() const { return weights_; }
-    /** @return mutable weights (tests, loading); invalidates the
-     *  transposed copy, which present() rebuilds lazily and
-     *  refreshWeightsT() rebuilds at once. */
-    Matrix &
-    weights()
-    {
-        weightsTDirty_ = true;
-        return weights_;
-    }
+    /** Replace the weights (numNeurons x numInputs: loading, tests)
+     *  and rebuild the transposed copy the event walks read. */
+    void setWeights(Matrix weights);
 
     /** @return per-neuron membrane potentials (of the network's own
      *  last presentation). */
@@ -182,23 +173,22 @@ class SnnNetwork
     static constexpr int kUndecided = -2;
 
     /**
-     * Present one encoded image for a full window: walk only the
-     * spike-carrying ticks of the packed grid. The production path;
+     * Learn from one encoded image for a full window: walk only the
+     * spike-carrying ticks of the packed grid, apply STDP on every
+     * firing and advance homeostasis. The production training path;
      * every field of the result covers the whole window.
      *
      * @param grid   the input spike train (finalized and complete).
-     * @param learn  apply STDP on firing events and advance homeostasis.
      */
-    PresentationResult present(const PackedSpikeGrid &grid, bool learn);
+    PresentationResult present(const PackedSpikeGrid &grid);
 
     /**
      * The SNNwt answer alone, without learning: exactly
-     * `present(grid, false).winner()`, but the walk ends at the first
-     * output spike, which fixes that answer. A grid that fires no
-     * neuron still runs to the window end for the max-potential
+     * `presentImage(grid, false).winner()`, but the walk ends at the
+     * first output spike, which fixes that answer. A grid that fires
+     * no neuron still runs to the window end for the max-potential
      * fallback. The walk writes only @p state (its result included),
-     * so any number of threads may run it on one network; the
-     * transposed weights must be fresh (refreshWeightsT()).
+     * so any number of threads may run it on one network.
      *
      * A truncated grid (spike_bits.h) holds the full grid's events
      * below its horizon, so a firing there is the full grid's answer;
@@ -215,16 +205,12 @@ class SnnNetwork
                          PresentationState &state,
                          bool *fired = nullptr) const;
 
-    /** Rebuild the transposed weight copy if the weights changed
-     *  through weights(): required before firstSpikeWinner() runs on
-     *  a network whose weights were written that way. The constructor
-     *  and learning keep it fresh. */
-    void refreshWeightsT();
-
     /**
      * The reference walk over every tick of the window, silent ones
-     * included: bit-identical to present() on the same grid. Kept as
-     * the test oracle and for traces, which present() does not record.
+     * included: bit-identical to present() on the same grid when
+     * learning, and to firstSpikeWinner()'s answer when not. Kept as
+     * the test oracle and for traces, which the event walks do not
+     * record.
      *
      * @param grid   the input spike train (finalized and complete).
      * @param learn  apply STDP on firing events and advance homeostasis.
@@ -250,12 +236,13 @@ class SnnNetwork
                   bool learn, PresentationTrace *trace);
 
     /** present()'s and firstSpikeWinner()'s event loop over @p state.
-     *  @p learner is this network when the walk learns, else nullptr.
-     *  With @p untilFirstSpike it returns right after the first
-     *  firing, or at the horizon of a truncated grid; that result has
-     *  no max-potential readout and counts only the ticks stepped. */
+     *  @p learner is this network when the walk learns (the whole
+     *  window), else nullptr: the inference walk returns right after
+     *  the first firing, or at the horizon of a truncated grid, and
+     *  that result has no max-potential readout and counts only the
+     *  ticks stepped. */
     void walkEvents(const PackedSpikeGrid &grid, PresentationState &state,
-                    SnnNetwork *learner, bool untilFirstSpike) const;
+                    SnnNetwork *learner) const;
 
     /** The gates one firing leaves, until the next firing. */
     struct FireGates
@@ -283,10 +270,10 @@ class SnnNetwork
     SnnConfig config_;
     Matrix weights_;
     /** Transposed weights (numInputs x numNeurons) for the event
-     *  walk's contiguous drive accumulation; built by the constructor,
-     *  rebuilt after writes through weights(). */
+     *  walk's contiguous drive accumulation; every weight write keeps
+     *  it fresh (setWeights(), which the constructor runs, and
+     *  learnFrom()). */
     Matrix weightsT_;
-    bool weightsTDirty_ = true;
 
     /** Per-neuron firing thresholds (homeostasis moves them). */
     std::vector<double> thresholds_;
@@ -307,11 +294,11 @@ class SnnNetwork
 
 /**
  * SNNwt inference over images, the one path labeling, evaluation and
- * the serving backend run. A reader shares the trained network (const,
- * its transposed weights fresh) and owns a grid, a PresentationState
- * and a horizon. Each image is encoded only below the horizon
- * (SpikeEncoder::encodeHorizon) and walked to its first output spike.
- * An image that fires nothing there is re-encoded in full and walked
+ * the serving backend run. A reader shares the trained network (const)
+ * and owns a grid, a PresentationState and a horizon. Each image is
+ * encoded only below the horizon (SpikeEncoder::encodeHorizon) and
+ * walked to its first output spike. An image that fires nothing there
+ * is re-encoded in full and walked
  * again. The next image starts at the smallest of the horizons
  * period >> k, k = kHorizonShifts..0, that held the first spike of
  * each of the last kHorizonHistory images (a silent one needs the
@@ -330,7 +317,7 @@ class FirstSpikeReader
     FirstSpikeReader(const SnnNetwork &net, const SpikeEncoder &encoder);
 
     /**
-     * Exactly `present(grid, false).winner()` of the grid
+     * Exactly `presentImage(grid, false).winner()` of the grid
      * encodePacked() makes of @p pixels from an Rng seeded with
      * @p streamSeed.
      *

@@ -51,7 +51,6 @@ PackedSpikeGrid::finalize()
     // a spike. The scratch is per thread, so finalizing allocates
     // nothing once the thread has seen a grid this size.
     thread_local std::vector<uint32_t> tick_scratch;
-    thread_local std::vector<int32_t> last_tick_scratch;
     const auto ticks = static_cast<std::size_t>(horizonMs_);
     tick_scratch.assign(ticks, 0);
     uint32_t *cursor = tick_scratch.data();
@@ -78,28 +77,6 @@ PackedSpikeGrid::finalize()
         events_[cursor[t]++] = rawInputs_[i];
     }
 
-    // Merge duplicate (tick, input) pairs in one pass over the
-    // tick-sorted events: an input already stamped with this tick is a
-    // repeat, so the first emission wins and the order is kept. Every
-    // active tick keeps its first event, so no tick empties.
-    last_tick_scratch.assign(numInputs_, -1);
-    int32_t *last_tick = last_tick_scratch.data();
-    uint32_t kept = 0;
-    for (std::size_t k = 0; k < activeTicks_.size(); ++k) {
-        const int32_t t = activeTicks_[k];
-        const uint32_t begin = tickOffsets_[k];
-        const uint32_t end = tickOffsets_[k + 1];
-        tickOffsets_[k] = kept;
-        for (uint32_t i = begin; i < end; ++i) {
-            const uint16_t input = events_[i];
-            if (last_tick[input] == t)
-                continue;
-            last_tick[input] = t;
-            events_[kept++] = input;
-        }
-    }
-    tickOffsets_.back() = kept;
-    events_.resize(kept);
     rawTicks_.clear();
     rawInputs_.clear();
 }

@@ -12,11 +12,13 @@
  *
  * The emission order is preserved because drive sums are ordered float
  * reductions: present() and presentImage() add the same weights in the
- * same order, which is what makes them bit-identical. At most one spike
- * per (input, tick) is stored: one clock cycle models one millisecond
- * in the paper's hardware, and a per-pixel spike generator cannot emit
- * twice in one cycle. finalize() merges duplicates, keeping the first
- * emission.
+ * same order, which is what makes them bit-identical.
+ *
+ * Contract: a grid holds at most one spike per (input, tick). One clock
+ * cycle models one millisecond in the paper's hardware, and a per-pixel
+ * spike generator cannot emit twice in one cycle. The encoders own that
+ * rule (coding.h): each scheme merges or spaces its own ticks, so
+ * finalize() is a counting sort alone and keeps whatever it is given.
  *
  * A grid may be truncated: complete only below its horizon tick, with
  * no spike recorded at or past it. First-spike inference encodes such
@@ -70,8 +72,9 @@ class PackedSpikeGrid
     }
 
     /**
-     * Build the event index from the recorded spikes, merging duplicate
-     * (tick, input) pairs (the first emission wins). Must be called
+     * Build the event index from the recorded spikes: a stable counting
+     * sort by tick (the recorded spikes hold no repeated (tick, input)
+     * pair; see the file comment). Must be called
      * after the last addSpike() and before any event-side accessor;
      * addSpike() after finalize() is a usage error. The raw buffers
      * keep their capacity for the next reset(), and the sort scratch
@@ -80,7 +83,7 @@ class PackedSpikeGrid
     void finalize();
 
     /** @return a copy of the finalized event index alone, every buffer
-     *  at its exact size (what a cache keeps). */
+     *  at its exact size (what the trainer's grid store keeps). */
     PackedSpikeGrid compactCopy() const;
 
     /** @return the number of inputs (pixels). */
@@ -91,7 +94,7 @@ class PackedSpikeGrid
     int horizonMs() const { return horizonMs_; }
     /** @return true when the grid covers the whole window. */
     bool complete() const { return horizonMs_ == periodMs_; }
-    /** @return total spikes, duplicates merged (finalized grids only). */
+    /** @return total spikes (finalized grids only). */
     std::size_t totalSpikes() const { return events_.size(); }
 
     /** @return number of ticks that carry at least one spike. */
@@ -110,7 +113,8 @@ class PackedSpikeGrid
      */
     const uint16_t *inputsAt(std::size_t k, std::size_t *count) const;
 
-    /** @return approximate heap footprint in bytes (cache budgeting). */
+    /** @return approximate heap footprint in bytes (the grid store's
+     *  budget). */
     std::size_t bytes() const;
 
   private:

@@ -188,8 +188,7 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
                     if (epoch == 0)
                         store_.admit(index, encoded);
                 }
-                const PresentationResult r =
-                    net.present(*grid, /*learn=*/true);
+                const PresentationResult r = net.present(*grid);
                 report.outputSpikes += r.outputSpikeCount;
                 if (r.outputSpikeCount == 0)
                     ++report.silentImages;
@@ -318,12 +317,12 @@ SnnStdpTrainer::winnersFor(const SnnNetwork &net,
 }
 
 std::vector<int>
-SnnStdpTrainer::labelNeurons(SnnNetwork &net, const datasets::Dataset &data,
-                             EvalMode mode, uint64_t seed)
+SnnStdpTrainer::labelNeurons(const SnnNetwork &net,
+                             const datasets::Dataset &data, EvalMode mode,
+                             uint64_t seed)
 {
     NEURO_ASSERT(!data.empty(), "cannot label on an empty dataset");
     NEURO_PROFILE_SCOPE("snn/label");
-    net.refreshWeightsT();
     const std::vector<int> winners = mode == EvalMode::Wot
         ? wotWinners(SnnWotDatapath(net), data)
         : winnersFor(net, data, seed, nullptr);
@@ -339,7 +338,8 @@ SnnStdpTrainer::labelNeurons(SnnNetwork &net, const datasets::Dataset &data,
 }
 
 SnnEvalResult
-SnnStdpTrainer::evaluate(SnnNetwork &net, const std::vector<int> &labels,
+SnnStdpTrainer::evaluate(const SnnNetwork &net,
+                         const std::vector<int> &labels,
                          const datasets::Dataset &data, EvalMode mode,
                          uint64_t seed)
 {
@@ -349,7 +349,6 @@ SnnStdpTrainer::evaluate(SnnNetwork &net, const std::vector<int> &labels,
     NEURO_PROFILE_SCOPE("snn/eval");
     if (mode == EvalMode::Wot)
         return evaluateWot(SnnWotDatapath(net), labels, data);
-    net.refreshWeightsT();
     std::vector<uint8_t> fired;
     SnnEvalResult result =
         scoreWinners(winnersFor(net, data, seed, &fired), labels, data);

@@ -136,10 +136,9 @@ class SnnStdpTrainer
      * each sample from an Rng seeded from (seed, sampleIndex); under
      * EvalMode::Wot every shard reads one SnnWotDatapath built from
      * @p net (integer arithmetic, no Rng). Either way the result is
-     * bit-identical at any thread count (docs/parallelism.md). Only
-     * @p net's transposed weight copy is refreshed.
+     * bit-identical at any thread count (docs/parallelism.md).
      */
-    std::vector<int> labelNeurons(SnnNetwork &net,
+    std::vector<int> labelNeurons(const SnnNetwork &net,
                                   const datasets::Dataset &data,
                                   EvalMode mode, uint64_t seed);
 
@@ -148,7 +147,8 @@ class SnnStdpTrainer
      * like labelNeurons(), with the same determinism contract; under
      * EvalMode::Wot it is evaluateWot() of the network's datapath.
      */
-    SnnEvalResult evaluate(SnnNetwork &net, const std::vector<int> &labels,
+    SnnEvalResult evaluate(const SnnNetwork &net,
+                           const std::vector<int> &labels,
                            const datasets::Dataset &data, EvalMode mode,
                            uint64_t seed);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "neuro/common/rng.h"
 #include "neuro/snn/lif.h"
 #include "neuro/snn/network.h"
@@ -76,7 +79,9 @@ TEST(SnnNetwork, WtaResetZeroesPeers)
     config.wtaReset = true;
     SnnNetwork net(config, rng);
     // Make neuron 0 strictly stronger so it wins.
-    net.weights()(0, 0) = 200.0f;
+    Matrix weights = net.weights();
+    weights(0, 0) = 200.0f;
+    net.setWeights(std::move(weights));
     const auto grid = gridWithSpikes(100, {{0, 0}, {1, 0}});
     net.presentImage(grid, false);
     // After the presentation, losers' potentials were reset at the
@@ -112,39 +117,50 @@ gateProbeNetwork(int t_inhibit, int t_refrac, Rng &rng)
     config.tRefracMs = t_refrac;
     config.wtaReset = false;
     SnnNetwork net(config, rng);
-    net.weights().fill(0.0f);
-    net.weights()(0, 0) = 200.0f;
-    net.weights()(1, 1) = 200.0f;
-    net.weights()(0, 2) = 10.0f;
-    net.weights()(1, 3) = 10.0f;
+    Matrix weights(config.numNeurons, config.numInputs);
+    weights(0, 0) = 200.0f;
+    weights(1, 1) = 200.0f;
+    weights(0, 2) = 10.0f;
+    weights(1, 3) = 10.0f;
+    net.setWeights(std::move(weights));
     return net;
 }
 
-// Presents @p spikes through present() and presentImage(). Under both,
-// neuron n fires fires[n] times and ends the window holding only the
-// probe it integrated at probe_tick[n]: the probe one tick earlier
-// fell inside its gate.
+// Presents @p spikes through presentImage() without learning: neuron n
+// fires fires[n] times and ends the window holding only the probe it
+// integrated at probe_tick[n], the probe one tick earlier having
+// fallen inside its gate. A learning present() then matches a
+// learning presentImage() under the same gates.
 void
-expectGateExpiry(SnnNetwork &net,
+expectGateExpiry(const SnnNetwork &net,
                  const std::vector<std::pair<int, uint16_t>> &spikes,
-                 const std::vector<uint16_t> &fires,
+                 const std::vector<std::size_t> &fires,
                  const std::vector<int> &probe_tick)
 {
     const int period = net.config().coding.periodMs;
     const auto grid = gridWithSpikes(period, spikes);
-    for (const bool event_path : {true, false}) {
-        SCOPED_TRACE(event_path ? "present" : "presentImage");
-        const auto result = event_path ? net.present(grid, false)
-                                       : net.presentImage(grid, false);
-        EXPECT_EQ(result.spikeCountPerNeuron, fires);
-        for (std::size_t n = 0; n < fires.size(); ++n) {
-            const double expected = lifDecay(
-                10.0, static_cast<double>(period - probe_tick[n]),
-                net.config().tLeakMs);
-            EXPECT_NEAR(net.potentials()[n], expected, 1e-9)
-                << "neuron " << n;
-        }
+    SnnNetwork reference(net);
+    PresentationTrace trace;
+    reference.presentImage(grid, false, &trace);
+    std::vector<std::size_t> fired(fires.size(), 0);
+    for (const auto &spike : trace.outputSpikes)
+        ++fired[spike.second];
+    EXPECT_EQ(fired, fires);
+    for (std::size_t n = 0; n < fires.size(); ++n) {
+        const double expected = lifDecay(
+            10.0, static_cast<double>(period - probe_tick[n]),
+            net.config().tLeakMs);
+        EXPECT_NEAR(reference.potentials()[n], expected, 1e-9)
+            << "neuron " << n;
     }
+
+    SnnNetwork event(net);
+    SnnNetwork oracle(net);
+    const auto result = event.present(grid);
+    const auto ref = oracle.presentImage(grid, true);
+    EXPECT_EQ(result.outputSpikeCount, ref.outputSpikeCount);
+    EXPECT_EQ(event.potentials(), oracle.potentials());
+    EXPECT_EQ(event.weights().data(), oracle.weights().data());
 }
 
 TEST(SnnNetwork, InhibitionOutlastingRefractoryGatesEachNeuron)

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <optional>
+#include <string>
 #include <unistd.h>
+#include <utility>
+#include <vector>
 
 #include "neuro/common/rng.h"
 #include "neuro/common/serialize.h"
@@ -23,10 +28,30 @@ TEST(Archive, PutAndGet)
     archive.putScalar("eta", 0.25);
     EXPECT_TRUE(archive.has("w"));
     EXPECT_TRUE(archive.has("shape"));
-    EXPECT_EQ(archive.floats("w")[1], 2.0f);
-    EXPECT_EQ(archive.ints("shape")[0], 3);
-    EXPECT_DOUBLE_EQ(archive.scalar("eta"), 0.25);
+    ASSERT_NE(archive.floats("w"), nullptr);
+    EXPECT_EQ((*archive.floats("w"))[1], 2.0f);
+    ASSERT_NE(archive.ints("shape"), nullptr);
+    EXPECT_EQ((*archive.ints("shape"))[0], 3);
+    EXPECT_EQ(archive.scalar("eta"), 0.25);
     EXPECT_FALSE(archive.has("missing"));
+}
+
+TEST(Archive, TypedLookupsFindNothingAbsentOrOfTheOtherType)
+{
+    Archive archive;
+    archive.putFloats("w", {1.0f, 2.0f});
+    archive.putInts("shape", {3, 4});
+    archive.putScalar("eta", 0.25);
+    EXPECT_EQ(archive.floats("missing"), nullptr);
+    EXPECT_EQ(archive.ints("missing"), nullptr);
+    EXPECT_EQ(archive.scalar("missing"), std::nullopt);
+    EXPECT_EQ(archive.floats("shape"), nullptr);
+    EXPECT_EQ(archive.ints("w"), nullptr);
+    EXPECT_EQ(archive.scalar("shape"), std::nullopt);
+    // A scalar is a one-element float array.
+    EXPECT_EQ(archive.scalar("w"), std::nullopt);
+    archive.putFloats("empty", {});
+    EXPECT_EQ(archive.scalar("empty"), std::nullopt);
 }
 
 TEST(Archive, OverwriteChangesType)
@@ -34,7 +59,9 @@ TEST(Archive, OverwriteChangesType)
     Archive archive;
     archive.putFloats("x", {1.0f});
     archive.putInts("x", {7});
-    EXPECT_EQ(archive.ints("x")[0], 7);
+    ASSERT_NE(archive.ints("x"), nullptr);
+    EXPECT_EQ((*archive.ints("x"))[0], 7);
+    EXPECT_EQ(archive.floats("x"), nullptr);
     EXPECT_EQ(archive.size(), 1u);
 }
 
@@ -48,9 +75,11 @@ TEST(Archive, FileRoundTrip)
 
     Archive loaded;
     ASSERT_TRUE(loaded.load(path));
-    EXPECT_EQ(loaded.floats("weights"),
+    ASSERT_NE(loaded.floats("weights"), nullptr);
+    EXPECT_EQ(*loaded.floats("weights"),
               (std::vector<float>{0.5f, -1.5f, 3.25f}));
-    EXPECT_EQ(loaded.ints("layers"),
+    ASSERT_NE(loaded.ints("layers"), nullptr);
+    EXPECT_EQ(*loaded.ints("layers"),
               (std::vector<int64_t>{784, 100, 10}));
     std::remove(path.c_str());
 }
@@ -228,6 +257,57 @@ TEST(MlpSerialize, MissingRecordsRejected)
     EXPECT_FALSE(mlp::Mlp::deserialize(archive).has_value());
 }
 
+/** A saved 4-3-2 MLP with its float record @p name set to
+ *  @p values (no edit when @p name is empty). */
+Archive
+mlpWithFloats(const std::string &name, std::vector<float> values)
+{
+    mlp::MlpConfig config;
+    config.layerSizes = {4, 3, 2};
+    Rng rng(9);
+    Archive archive;
+    mlp::Mlp(config, rng).serialize(archive);
+    if (!name.empty())
+        archive.putFloats(name, std::move(values));
+    return archive;
+}
+
+/** The saved 4-3-2 MLP with its int record @p name set to @p values. */
+Archive
+mlpWithInts(const std::string &name, std::vector<int64_t> values)
+{
+    Archive archive = mlpWithFloats("", {});
+    archive.putInts(name, std::move(values));
+    return archive;
+}
+
+/** @return whether Mlp::deserialize() takes @p archive. */
+bool
+mlpLoads(const Archive &archive)
+{
+    return mlp::Mlp::deserialize(archive).has_value();
+}
+
+TEST(MlpSerialize, EachBadRecordIsRejected)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const int64_t huge = int64_t{1} << 40;
+    EXPECT_TRUE(mlpLoads(mlpWithFloats("", {})));
+    EXPECT_FALSE(mlpLoads(mlpWithInts("mlp.slope", {}))) << "no slope";
+    EXPECT_FALSE(mlpLoads(mlpWithFloats("mlp.slope", {0.0f})));
+    EXPECT_FALSE(mlpLoads(mlpWithFloats("mlp.slope", {nan})));
+    EXPECT_FALSE(mlpLoads(mlpWithFloats("mlp.activation", {3.0f})));
+    EXPECT_FALSE(mlpLoads(mlpWithFloats("mlp.activation", {-1.0f})));
+    EXPECT_FALSE(mlpLoads(mlpWithFloats("mlp.activation", {nan})));
+    EXPECT_FALSE(mlpLoads(mlpWithFloats("mlp.layers", {4.0f, 3.0f, 2.0f})));
+    EXPECT_FALSE(mlpLoads(mlpWithInts("mlp.layers", {4})));
+    EXPECT_FALSE(mlpLoads(mlpWithInts("mlp.layers", {4, -3, 2})));
+    // Sized past any payload: refused before a layer is allocated.
+    EXPECT_FALSE(mlpLoads(mlpWithInts("mlp.layers", {huge, huge})));
+    EXPECT_FALSE(mlpLoads(mlpWithInts("mlp.weights1", {0, 0, 0, 0})));
+    EXPECT_FALSE(mlpLoads(mlpWithFloats("mlp.weights0", {1.0f})));
+}
+
 TEST(SnnSerialize, RoundTripPreservesForwardCounts)
 {
     snn::SnnConfig config;
@@ -274,6 +354,88 @@ TEST(SnnSerialize, ShapeMismatchRejected)
     // Corrupt the weight record length.
     archive.putFloats("snn.weights", {1.0f, 2.0f});
     EXPECT_FALSE(snn::loadSnn(archive).has_value());
+}
+
+/** A saved, labeled 16-4 SNN with its float record @p name set to
+ *  @p values (no edit when @p name is empty). */
+Archive
+snnWithFloats(const std::string &name, std::vector<float> values)
+{
+    snn::SnnConfig config;
+    config.numInputs = 16;
+    config.numNeurons = 4;
+    Rng rng(11);
+    Archive archive;
+    snn::saveSnn(snn::SnnNetwork(config, rng), {0, 1, 2, 3}, archive);
+    if (!name.empty())
+        archive.putFloats(name, std::move(values));
+    return archive;
+}
+
+/** The saved 16-4 SNN with its int record @p name set to @p values. */
+Archive
+snnWithInts(const std::string &name, std::vector<int64_t> values)
+{
+    Archive archive = snnWithFloats("", {});
+    archive.putInts(name, std::move(values));
+    return archive;
+}
+
+/** @return whether loadSnn() takes @p archive. */
+bool
+snnLoads(const Archive &archive)
+{
+    return snn::loadSnn(archive).has_value();
+}
+
+TEST(SnnSerialize, EachBadRecordIsRejected)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const int64_t huge = int64_t{1} << 40;
+    EXPECT_TRUE(snnLoads(snnWithFloats("", {})));
+    // Scalars: absent (an int record is no float scalar), <= 0 or not
+    // finite.
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.tleak", {}))) << "no tleak";
+    EXPECT_FALSE(snnLoads(snnWithFloats("snn.tleak", {0.0f})));
+    EXPECT_FALSE(snnLoads(snnWithFloats("snn.tleak", {inf})));
+    EXPECT_FALSE(snnLoads(snnWithFloats("snn.threshold0", {-1.0f})));
+    EXPECT_FALSE(snnLoads(snnWithFloats("snn.threshold0", {nan})));
+    // Timing {period, U, Tinhibit, Trefrac, scheme}.
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.timing", {500, 0, 5, 20, 0})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.timing", {500, 50, -5, 20, 0})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.timing", {500, 50, 5, -1, 0})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.timing", {huge, 50, 5, 20, 0})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.timing", {500, 50, 5, 20, 6})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.timing", {500, 50, 5, 20, -1})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.timing", {500, 50})));
+    EXPECT_FALSE(snnLoads(snnWithFloats("snn.timing", {500, 50, 5, 20, 0})));
+    // Shape and payloads.
+    EXPECT_FALSE(snnLoads(snnWithFloats("snn.shape", {16.0f, 4.0f})));
+    // Sized past any payload: refused before the network is built.
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.shape", {65536, huge})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.weights", {0, 0, 0, 0})));
+    std::vector<float> weights(64, 1.0f);
+    weights[7] = nan;
+    EXPECT_FALSE(snnLoads(snnWithFloats("snn.weights", weights)));
+    EXPECT_FALSE(snnLoads(snnWithFloats("snn.thresholds", {1.0f})));
+    EXPECT_FALSE(
+        snnLoads(snnWithFloats("snn.thresholds", {1.0f, inf, 1.0f, 1.0f})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.labels", {0, 1})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.labels", {0, 1, -2, 3})));
+    EXPECT_FALSE(snnLoads(snnWithInts("snn.labels", {0, 1, huge, 3})));
+    EXPECT_FALSE(snnLoads(snnWithFloats("snn.labels", {0, 1, 2, 3})));
+
+    // More inputs than a grid's uint16_t inputs index, with consistent
+    // payloads.
+    Archive wide = snnWithInts("snn.shape", {65537, 1});
+    wide.putFloats("snn.weights", std::vector<float>(65537, 1.0f));
+    wide.putFloats("snn.thresholds", {1.0f});
+    wide.putInts("snn.labels", {0});
+    EXPECT_FALSE(snnLoads(wide));
+    wide.putInts("snn.shape", {65536, 1});
+    wide.putFloats("snn.weights", std::vector<float>(65536, 1.0f));
+    EXPECT_TRUE(snnLoads(wide));
 }
 
 TEST(SnnSerialize, NonPositivePeriodRejected)

@@ -824,5 +824,90 @@ TEST(ModelRegistry, LoadErrorsAreDescriptiveNotFatal)
     std::remove(emptyPath.c_str());
 }
 
+/** Save @p archive and load it into @p registry as @p name.
+ *  @return loadFile()'s names; @p error gets its message. */
+std::vector<std::string>
+loadArchive(serve::ModelRegistry &registry, const Archive &archive,
+            const std::string &name, std::string *error)
+{
+    const std::string path =
+        testing::TempDir() + "serve_registry_" + name + ".neuro";
+    EXPECT_TRUE(archive.save(path));
+    std::vector<std::string> names = registry.loadFile(name, path, error);
+    std::remove(path.c_str());
+    return names;
+}
+
+/** A labeled 16-4 SNN checkpoint under @p coding. */
+Archive
+snnCheckpoint(const snn::CodingConfig &coding = {})
+{
+    snn::SnnConfig config;
+    config.numInputs = 16;
+    config.numNeurons = 4;
+    config.coding = coding;
+    Rng rng(12);
+    Archive archive;
+    snn::saveSnn(snn::SnnNetwork(config, rng), {0, 1, 2, 3}, archive);
+    return archive;
+}
+
+/** A 16-8-4 MLP checkpoint with @p activation. */
+Archive
+mlpCheckpoint(mlp::ActivationKind activation)
+{
+    mlp::MlpConfig config;
+    config.layerSizes = {16, 8, 4};
+    config.activation = activation;
+    Rng rng(13);
+    Archive archive;
+    mlp::Mlp(config, rng).serialize(archive);
+    return archive;
+}
+
+TEST(ModelRegistry, InconsistentCheckpointsAreErrorsNotAborts)
+{
+    // One bad record per checkpoint, each of which once aborted the
+    // process: loadFile reports it and registers nothing.
+    std::vector<Archive> bad(4, snnCheckpoint());
+    bad[0].putInts("snn.tleak", {});                  // no float tleak.
+    bad[1].putInts("snn.timing", {500, 0, 5, 20, 0}); // U = 0.
+    bad[2].putScalar("snn.threshold0", -1.0);
+    bad[3].putFloats("snn.shape", {16.0f, 4.0f});
+    bad.push_back(mlpCheckpoint(mlp::ActivationKind::Sigmoid));
+    bad.back().putInts("mlp.slope", {}); // no float slope.
+    serve::ModelRegistry registry;
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        std::string error;
+        EXPECT_TRUE(loadArchive(registry, bad[i], "bad", &error).empty())
+            << "checkpoint " << i;
+        EXPECT_NE(error.find("inconsistent"), std::string::npos)
+            << "checkpoint " << i << ": " << error;
+    }
+    EXPECT_TRUE(registry.names().empty());
+}
+
+TEST(ModelRegistry, RegistersOnlyTheSiblingsAModelSupports)
+{
+    serve::ModelRegistry registry;
+    std::string error;
+    // The 8-bit datapath takes sigmoid-family activations only.
+    EXPECT_EQ(loadArchive(registry,
+                          mlpCheckpoint(mlp::ActivationKind::Step), "step",
+                          &error),
+              (std::vector<std::string>{"step"}))
+        << error;
+    // At 1000 ms and U = 50 ms a bright pixel spikes 20 times, past the
+    // SNNwot datapath's 4-bit counts.
+    snn::CodingConfig dense;
+    dense.periodMs = 1000;
+    EXPECT_EQ(loadArchive(registry, snnCheckpoint(dense), "dense", &error),
+              (std::vector<std::string>{"dense"}))
+        << error;
+    EXPECT_EQ(registry.names(), (std::vector<std::string>{"dense", "step"}));
+    EXPECT_EQ(registry.fallbackFor("step"), nullptr);
+    EXPECT_EQ(registry.fallbackFor("dense"), nullptr);
+}
+
 } // namespace
 } // namespace neuro

@@ -92,11 +92,7 @@ expectIdenticalResults(const PresentationResult &a,
     EXPECT_EQ(a.maxPotentialNeuron, b.maxPotentialNeuron) << "sample " << i;
     EXPECT_EQ(a.inputSpikeCount, b.inputSpikeCount) << "sample " << i;
     EXPECT_EQ(a.outputSpikeCount, b.outputSpikeCount) << "sample " << i;
-    EXPECT_EQ(a.wtaInhibitions, b.wtaInhibitions) << "sample " << i;
     EXPECT_EQ(a.stdpPotentiated, b.stdpPotentiated) << "sample " << i;
-    EXPECT_EQ(a.stdpDepressed, b.stdpDepressed) << "sample " << i;
-    EXPECT_EQ(a.spikeCountPerNeuron, b.spikeCountPerNeuron)
-        << "sample " << i;
 }
 
 /** Compare the full network state exactly. */
@@ -109,8 +105,9 @@ expectIdenticalState(const SnnNetwork &a, const SnnNetwork &b)
     EXPECT_EQ(a.homeostasisEpochs(), b.homeostasisEpochs());
 }
 
-/** present() vs presentImage() on @p grid, both from copies of
- *  @p net. @return present()'s result. */
+/** present() vs a learning presentImage() on @p grid, both from
+ *  copies of @p net, which the grid never fires (so nothing learns).
+ *  @return present()'s result. */
 PresentationResult
 expectHandBuiltGridAgrees(const SnnNetwork &net,
                           const PackedSpikeGrid &grid,
@@ -124,10 +121,10 @@ expectHandBuiltGridAgrees(const SnnNetwork &net,
     const auto skipped = reg.counter("snn.engine.ticks_skipped");
     const uint64_t active0 = active->value();
     const uint64_t skipped0 = skipped->value();
-    const auto r = present_net.present(grid, /*learn=*/false);
+    const auto r = present_net.present(grid);
     const uint64_t activeTicks = active->value() - active0;
     const uint64_t skippedTicks = skipped->value() - skipped0;
-    const auto ref = oracle_net.presentImage(grid, /*learn=*/false);
+    const auto ref = oracle_net.presentImage(grid, /*learn=*/true);
 
     expectIdenticalResults(ref, r, 0);
     expectIdenticalState(oracle_net, present_net);
@@ -202,9 +199,10 @@ class TickCounter
 
 /**
  * Two learning epochs (STDP + homeostasis must evolve identically),
- * then a no-learn pass over the learned network, present() against
- * presentImage() from identical copies of a @p config network.
- * @return the tick counters present() moved.
+ * present() against presentImage() from identical copies of a
+ * @p config network, then a first-spike pass over the learned network
+ * against presentImage() without learning.
+ * @return the tick counters the event walks moved.
  */
 TickCounts
 expectLearningSequenceAgrees(const SnnConfig &config)
@@ -226,8 +224,10 @@ expectLearningSequenceAgrees(const SnnConfig &config)
             encoder.encodePacked(data[i].pixels.data(),
                                  data[i].pixels.size(), rng, grid);
             expectFirstSpikeWinnerAgrees(present_net, oracle_net, grid, i);
-            const auto r = present_net.present(grid, learn);
-            const auto ref = oracle_net.presentImage(grid, learn);
+            if (!learn)
+                continue;
+            const auto r = present_net.present(grid);
+            const auto ref = oracle_net.presentImage(grid, /*learn=*/true);
             expectIdenticalResults(ref, r, i);
             potentiated += r.stdpPotentiated;
         }
@@ -316,29 +316,30 @@ TEST(SnnPresent, TiledLayerWithoutResetBitIdenticalToPresentImage)
     expectBothTickPaths(expectLearningSequenceAgrees(config));
 }
 
-TEST(SnnPresent, PresentEqualsPresentImageWithoutLearning)
+TEST(SnnPresent, FirstSpikeWinnerEqualsPresentImageWithoutLearning)
 {
-    // present() vs presentImage() on the same grids, from a fresh
-    // network with learning off: the public API contract.
+    // firstSpikeWinner() vs presentImage() on the same grids, from a
+    // fresh network with learning off: the public inference contract.
+    // Neither walk may move a learned parameter.
     const datasets::Dataset data = makeHalves(16, 3);
     const SnnConfig config = smallConfig();
     const SpikeEncoder encoder(config.coding);
 
     Rng init(4);
-    SnnNetwork present_net(config, init);
-    SnnNetwork oracle_net(present_net); // identical copy.
+    const SnnNetwork net(config, init);
+    SnnNetwork oracle_net(net); // identical copy.
 
     PackedSpikeGrid grid;
     for (std::size_t i = 0; i < data.size(); ++i) {
         Rng rng(deriveStreamSeed(5, i));
         encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
                              rng, grid);
-        expectFirstSpikeWinnerAgrees(present_net, oracle_net, grid, i);
-        const auto r = present_net.present(grid, /*learn=*/false);
-        const auto ref = oracle_net.presentImage(grid, /*learn=*/false);
-        expectIdenticalResults(ref, r, i);
+        expectFirstSpikeWinnerAgrees(net, oracle_net, grid, i);
+        oracle_net.presentImage(grid, /*learn=*/false);
     }
-    expectIdenticalState(oracle_net, present_net);
+    EXPECT_EQ(oracle_net.weights().data(), net.weights().data());
+    EXPECT_EQ(oracle_net.thresholds(), net.thresholds());
+    EXPECT_EQ(oracle_net.homeostasisEpochs(), net.homeostasisEpochs());
 }
 
 /** A 784-input, 20-neuron config for hand-built grids. Weights lie
@@ -434,7 +435,7 @@ expectLearningGridAgrees(const SnnNetwork &net, const PackedSpikeGrid &grid)
     SnnNetwork present_net(net);
     SnnNetwork oracle_net(net);
     const TickCounter ticks;
-    const auto r = present_net.present(grid, /*learn=*/true);
+    const auto r = present_net.present(grid);
     const TickCounts moved = ticks.delta();
     const auto ref = oracle_net.presentImage(grid, /*learn=*/true);
     expectIdenticalResults(ref, r, 0);
@@ -498,14 +499,19 @@ TEST(SnnPresent, RepeatedFiringsBitIdenticalToPresentImage)
         {burst(10, 0, 20), burst(13, 20, 20), burst(16, 40, 2),
          burst(40, 60, 3), burst(90, 80, 2)}));
     for (const std::size_t neurons : {20u, 6u}) {
-        const auto [r, ticks] = expectLearningGridAgrees(
-            gatedFiringNetwork(neurons, 2, 15), twice);
+        const SnnNetwork net = gatedFiringNetwork(neurons, 2, 15);
+        const auto [r, ticks] = expectLearningGridAgrees(net, twice);
         EXPECT_EQ(r.outputSpikeCount, 2u) << neurons << " neurons";
-        EXPECT_EQ(r.spikeCountPerNeuron[static_cast<std::size_t>(
-                      r.firstSpikeNeuron)],
-                  2u)
-            << neurons << " neurons";
         EXPECT_GT(ticks.slow(), 0u) << neurons << " neurons";
+        // Both firings are the first winner's.
+        SnnNetwork traced(net);
+        PresentationTrace trace;
+        traced.presentImage(twice, /*learn=*/true, &trace);
+        ASSERT_EQ(trace.outputSpikes.size(), 2u) << neurons << " neurons";
+        for (const auto &spike : trace.outputSpikes) {
+            EXPECT_EQ(spike.second, r.firstSpikeNeuron)
+                << neurons << " neurons";
+        }
     }
 }
 
@@ -604,19 +610,17 @@ TEST(SnnFirstSpike, LeavesNextPresentationUntouched)
         Rng next_rng(deriveStreamSeed(31, i + 1));
         encoder.encodePacked(data[i + 1].pixels.data(),
                              data[i + 1].pixels.size(), next_rng, next);
-        for (const bool learn : {false, true}) {
-            SnnNetwork probed(net);
-            SnnNetwork fresh(net);
-            PresentationState state;
-            bool fired = false;
-            probed.firstSpikeWinner(grid, state, &fired);
-            fired_count += fired;
-            const auto r = probed.present(next, learn);
-            const auto ref = fresh.present(next, learn);
-            expectIdenticalResults(ref, r, i);
-            expectIdenticalState(fresh, probed);
-        }
-        net.present(grid, /*learn=*/true);
+        SnnNetwork probed(net);
+        SnnNetwork fresh(net);
+        PresentationState state;
+        bool fired = false;
+        probed.firstSpikeWinner(grid, state, &fired);
+        fired_count += fired;
+        const auto r = probed.present(next);
+        const auto ref = fresh.present(next);
+        expectIdenticalResults(ref, r, i);
+        expectIdenticalState(fresh, probed);
+        net.present(grid);
     }
     EXPECT_GT(fired_count, 0u);
 }
@@ -634,7 +638,7 @@ struct Answers
     }
 };
 
-/** The reference answers: `present(full, false).winner()`
+/** The reference answers: `presentImage(full, false).winner()`
  *  of each sample's full grid under stream seed (@p seed, i). */
 Answers
 fullGridAnswers(const SnnNetwork &net, const datasets::Dataset &data,
@@ -648,7 +652,8 @@ fullGridAnswers(const SnnNetwork &net, const datasets::Dataset &data,
         Rng rng(deriveStreamSeed(seed, i));
         encoder.encodePacked(data[i].pixels.data(), data[i].pixels.size(),
                              rng, grid);
-        const PresentationResult r = probe.present(grid, /*learn=*/false);
+        const PresentationResult r =
+            probe.presentImage(grid, /*learn=*/false);
         answers.winners.push_back(r.winner());
         answers.fired.push_back(r.firstSpikeNeuron >= 0);
     }
@@ -817,7 +822,7 @@ TEST(FirstSpikeReader, HorizonFallsBackAfterALateImage)
         PackedSpikeGrid grid;
         encoder.encodePacked(pixels.data(), pixels.size(), rng, grid);
         SnnNetwork probe(net);
-        return probe.present(grid, /*learn=*/false).firstSpikeTimeMs;
+        return probe.presentImage(grid, /*learn=*/false).firstSpikeTimeMs;
     };
     const uint64_t late_seed = deriveStreamSeed(17, 1000);
     std::vector<uint8_t> late;
@@ -865,7 +870,7 @@ TEST(FirstSpikeReader, HorizonFallsBackAfterALateImage)
 }
 
 /** Thresholds after learning on grids[0] and grids[1], with the
- *  rest presented without learning in between, through present()
+ *  rest inferred in between: through present() and firstSpikeWinner()
  *  or (@p reference) presentImage(). */
 std::vector<double>
 thresholdsAfter(const SnnConfig &config,
@@ -874,14 +879,23 @@ thresholdsAfter(const SnnConfig &config,
 {
     Rng init(9);
     SnnNetwork net(config, init);
-    auto step = [&](const PackedSpikeGrid &grid, bool learn) {
-        return reference ? net.presentImage(grid, learn)
-                         : net.present(grid, learn);
+    auto learn = [&](const PackedSpikeGrid &grid) {
+        if (reference)
+            net.presentImage(grid, /*learn=*/true);
+        else
+            net.present(grid);
     };
-    step(grids[0], /*learn=*/true);
+    auto infer = [&](const PackedSpikeGrid &grid) {
+        if (reference)
+            return net.presentImage(grid, /*learn=*/false).outputSpikeCount;
+        PresentationState state;
+        net.firstSpikeWinner(grid, state);
+        return state.result.outputSpikeCount;
+    };
+    learn(grids[0]);
     for (std::size_t i = 2; i < grids.size(); ++i)
-        *inferred_spikes += step(grids[i], /*learn=*/false).outputSpikeCount;
-    step(grids[1], /*learn=*/true);
+        *inferred_spikes += infer(grids[i]);
+    learn(grids[1]);
     EXPECT_EQ(net.homeostasisEpochs(), 1);
     return net.thresholds();
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "neuro/common/rng.h"
 #include "neuro/snn/network.h"
 #include "neuro/snn/snn_wot.h"
@@ -42,9 +44,11 @@ TEST(SnnWotDatapath, QuantizesWeightsToBytes)
 {
     Rng rng(1);
     SnnNetwork net(smallConfig(), rng);
-    net.weights()(0, 0) = 41.7f;
-    net.weights()(0, 1) = 300.0f;  // clamps to 255.
-    net.weights()(0, 2) = -5.0f;   // clamps to 0.
+    Matrix weights = net.weights();
+    weights(0, 0) = 41.7f;
+    weights(0, 1) = 300.0f;  // clamps to 255.
+    weights(0, 2) = -5.0f;   // clamps to 0.
+    net.setWeights(std::move(weights));
     const SnnWotDatapath dp(net);
     EXPECT_EQ(dp.weight(0, 0), 42);
     EXPECT_EQ(dp.weight(0, 1), 255);
@@ -57,10 +61,11 @@ TEST(SnnWotDatapath, ForwardMatchesFloatReference)
     SnnNetwork net(smallConfig(), rng);
     // Integer-valued float weights: the byte datapath must agree
     // exactly with an ordered sum over the network's own weights.
+    Matrix weights = net.weights();
     for (std::size_t n = 0; n < 4; ++n)
         for (std::size_t i = 0; i < 6; ++i)
-            net.weights()(n, i) =
-                static_cast<float>(rng.uniformInt(256));
+            weights(n, i) = static_cast<float>(rng.uniformInt(256));
+    net.setWeights(std::move(weights));
     const SnnWotDatapath dp(net);
 
     for (int trial = 0; trial < 50; ++trial) {
@@ -93,8 +98,9 @@ TEST(SnnWotDatapath, ForwardPicksLargestDotProduct)
     config.numNeurons = 3;
     Rng rng(6);
     SnnNetwork net(config, rng);
-    net.weights().fill(0.0f);
-    net.weights()(1, 2) = 50.0f; // neuron 1 keyed to input 2.
+    Matrix weights(config.numNeurons, config.numInputs);
+    weights(1, 2) = 50.0f; // neuron 1 keyed to input 2.
+    net.setWeights(std::move(weights));
     const SnnWotDatapath dp(net);
     const std::vector<uint8_t> counts = {0, 0, 7, 0};
     std::vector<uint32_t> potentials;
@@ -126,7 +132,9 @@ TEST(SnnWotDatapath, TieBreaksToLowerIndex)
 {
     Rng rng(3);
     SnnNetwork net(smallConfig(), rng);
-    net.weights().fill(10.0f); // all neurons identical.
+    Matrix weights = net.weights();
+    weights.fill(10.0f); // all neurons identical.
+    net.setWeights(std::move(weights));
     const SnnWotDatapath dp(net);
     const std::vector<uint8_t> counts = {1, 2, 3, 4, 5, 6};
     EXPECT_EQ(dp.forward(counts.data()), 0);

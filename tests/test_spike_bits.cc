@@ -1,6 +1,7 @@
 // Tests for the event-indexed spike grid: per-scheme encoding
-// determinism, horizon encoding (its two passes and its fallback)
-// against the full window, duplicate merging, and the event index.
+// determinism, the encoders' one spike per (input, tick), horizon
+// encoding (its two passes and its fallback) against the full window,
+// and the event index.
 
 #include <gtest/gtest.h>
 
@@ -52,17 +53,26 @@ rampPixels(std::size_t n)
     return pixels;
 }
 
-/** The grid as (tick, input) pairs, in event-index order. */
+/** The grid as (tick, input) pairs, in event-index order. Every
+ *  grid here, encoded or hand-built, must hold no input twice in one
+ *  tick: finalize() merges nothing. */
 std::vector<std::pair<int32_t, uint16_t>>
 eventsOf(const PackedSpikeGrid &grid)
 {
     std::vector<std::pair<int32_t, uint16_t>> events;
+    std::vector<int32_t> last_tick(grid.numInputs(), -1);
+    std::size_t repeats = 0;
     for (std::size_t k = 0; k < grid.activeTickCount(); ++k) {
+        const int32_t t = grid.activeTicks()[k];
         std::size_t count = 0;
         const uint16_t *inputs = grid.inputsAt(k, &count);
-        for (std::size_t s = 0; s < count; ++s)
-            events.emplace_back(grid.activeTicks()[k], inputs[s]);
+        for (std::size_t s = 0; s < count; ++s) {
+            repeats += last_tick[inputs[s]] == t;
+            last_tick[inputs[s]] = t;
+            events.emplace_back(t, inputs[s]);
+        }
     }
+    EXPECT_EQ(repeats, 0u) << "inputs spiking twice in one tick";
     return events;
 }
 
@@ -94,6 +104,54 @@ TEST_P(PackedEncodingTest, SameStreamSameGrid)
     EXPECT_EQ(first_rng.next(), second_rng.next());
     for (const auto &[t, p] : eventsOf(first))
         EXPECT_NE(p, 0) << "zero-luminance pixel spiked at tick " << t;
+}
+
+TEST_P(PackedEncodingTest, OneSpikePerInputAndTickAtEveryHorizon)
+{
+    // The encoders alone keep a pixel to one spike per tick; finalize()
+    // does not merge. At the paper's coding and at stress settings (a
+    // 1 ms minimum interval, where bright pixels draw several Poisson
+    // arrivals per tick, and a 2 ms one that the two-pass horizon
+    // encoder still takes, a wide Gaussian spread), over saturated,
+    // ramp and noisy images, through the full encode and every
+    // tabulated horizon.
+    std::vector<std::vector<uint8_t>> images = {
+        std::vector<uint8_t>(784, 255), rampPixels(784)};
+    Rng noise(3);
+    std::vector<uint8_t> noisy(784);
+    for (auto &p : noisy)
+        p = static_cast<uint8_t>(noise.uniformInt(256));
+    images.push_back(std::move(noisy));
+    struct Coding
+    {
+        int periodMs;
+        int minIntervalMs;
+        double sigmaFactor;
+    };
+    for (const Coding c : {Coding{500, 50, 0.5}, Coding{1000, 1, 2.0},
+                           Coding{1000, 2, 2.0}}) {
+        CodingConfig config = makeConfig(GetParam());
+        config.periodMs = c.periodMs;
+        config.minIntervalMs = c.minIntervalMs;
+        config.gaussianSigmaFactor = c.sigmaFactor;
+        const SpikeEncoder encoder(config);
+        PackedSpikeGrid grid;
+        for (std::size_t i = 0; i < images.size(); ++i) {
+            SCOPED_TRACE(testing::Message()
+                         << "period " << c.periodMs << ", U "
+                         << c.minIntervalMs << ", image " << i);
+            Rng rng(deriveStreamSeed(7, i));
+            encoder.encodePacked(images[i].data(), images[i].size(), rng,
+                                 grid);
+            EXPECT_GT(eventsOf(grid).size(), 0u);
+            for (int k = 0; k <= kHorizonShifts; ++k) {
+                Rng cut_rng(deriveStreamSeed(7, i));
+                encoder.encodeHorizon(images[i].data(), images[i].size(),
+                                      cut_rng, c.periodMs >> k, grid);
+                eventsOf(grid);
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -322,44 +380,6 @@ TEST(PackedSpikeGrid, EdgeTicksRoundTrip)
     EXPECT_EQ(eventsOf(grid),
               (std::vector<std::pair<int32_t, uint16_t>>{
                   {0, 3}, {499, 3}, {499, 7}}));
-}
-
-TEST(PackedSpikeGrid, DuplicateSpikesMerge)
-{
-    PackedSpikeGrid grid(4, 100);
-    grid.addSpike(10, 2);
-    grid.addSpike(10, 2);
-    grid.finalize();
-    EXPECT_EQ(grid.totalSpikes(), 1u) << "duplicate must merge";
-    ASSERT_EQ(grid.activeTickCount(), 1u);
-    std::size_t count = 0;
-    const uint16_t *inputs = grid.inputsAt(0, &count);
-    ASSERT_EQ(count, 1u);
-    EXPECT_EQ(inputs[0], 2);
-}
-
-TEST(PackedSpikeGrid, NonAdjacentDuplicatesMergeFirstEmissionWins)
-{
-    // The repeat of (5, 2) arrives after a spike at another tick; the
-    // merge still drops it, and tick 5 keeps its emission order.
-    PackedSpikeGrid grid(4, 100);
-    grid.addSpike(5, 2);
-    grid.addSpike(3, 2);
-    grid.addSpike(5, 2);
-    grid.addSpike(5, 1);
-    grid.finalize();
-
-    EXPECT_EQ(grid.totalSpikes(), 3u);
-    ASSERT_EQ(grid.activeTickCount(), 2u);
-    EXPECT_EQ(grid.activeTicks()[0], 3);
-    EXPECT_EQ(grid.activeTicks()[1], 5);
-    std::size_t count = 0;
-    const uint16_t *inputs = grid.inputsAt(1, &count);
-    EXPECT_EQ(std::vector<uint16_t>(inputs, inputs + count),
-              (std::vector<uint16_t>{2, 1}));
-    inputs = grid.inputsAt(0, &count);
-    EXPECT_EQ(std::vector<uint16_t>(inputs, inputs + count),
-              (std::vector<uint16_t>{2}));
 }
 
 TEST(PackedSpikeGrid, EmptyGridCostsNoPerCellStorage)

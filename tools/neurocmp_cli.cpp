@@ -355,9 +355,11 @@ cmdEvalSnn(const Config &cfg)
     if (!model)
         fatal("'%s' is not a saved SNN model", path.c_str());
     const core::Workload w = loadWorkload(cfg);
-    NEURO_ASSERT(w.data.test.inputSize() ==
-                     model->network.config().numInputs,
-                 "model/workload input-size mismatch");
+    if (w.data.test.inputSize() != model->network.config().numInputs) {
+        fatal("model expects %zu pixels, %s test images have %zu",
+              model->network.config().numInputs, w.name.c_str(),
+              w.data.test.inputSize());
+    }
     snn::SnnStdpTrainer trainer(model->network.config());
     const auto result = trainer.evaluate(
         model->network, model->labels, w.data.test, snn::EvalMode::Wt,
@@ -492,10 +494,11 @@ cmdServe(const Config &cfg)
     }
 
     const core::Workload w = loadWorkload(cfg);
-    NEURO_ASSERT(w.data.test.inputSize() == backend->inputSize(),
-                 "model expects %zu pixels, %s test images have %zu",
-                 backend->inputSize(), w.name.c_str(),
-                 w.data.test.inputSize());
+    if (w.data.test.inputSize() != backend->inputSize()) {
+        fatal("model expects %zu pixels, %s test images have %zu",
+              backend->inputSize(), w.name.c_str(),
+              w.data.test.inputSize());
+    }
 
     const serve::ServeConfig sc = listenConfig;
 
