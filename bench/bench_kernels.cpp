@@ -124,7 +124,7 @@ main(int argc, char **argv)
     struct Shape
     {
         std::size_t rows, cols;
-        bool singleSampleOnly; ///< gemv/gemvBias, no strip/outer/q8.
+        bool singleSampleOnly; ///< gemvBias only, no strip/outer/q8.
     };
     const Shape shapes[] = {
         {100, 785, false}, {10, 101, false}, {2048, 785, true}};
@@ -157,16 +157,6 @@ main(int argc, char **argv)
                              kernels::gemvBias(w->data(), s.rows,
                                                s.cols, x->data(),
                                                y->data());
-                         },
-                         [=] { return bytesOf(*y); }});
-        // gemv reads all cols of x; the bias column is just one more
-        // input here.
-        const auto xg = std::make_shared<std::vector<float>>(*x);
-        xg->push_back(1.0f);
-        cases.push_back({"gemv", tag, s.rows * s.cols,
-                         [=] {
-                             kernels::gemv(w->data(), s.rows, s.cols,
-                                           xg->data(), y->data());
                          },
                          [=] { return bytesOf(*y); }});
         if (s.singleSampleOnly)

@@ -2,7 +2,6 @@
 
 #include "neuro/common/logging.h"
 #include "neuro/common/rng.h"
-#include "neuro/kernels/kernels.h"
 
 namespace neuro {
 
@@ -49,36 +48,6 @@ Matrix::fillUniform(Rng &rng, float lo, float hi)
 {
     for (auto &x : data_)
         x = static_cast<float>(rng.uniform(lo, hi));
-}
-
-// The linear-algebra entry points delegate to the unified SIMD kernel
-// layer (neuro/kernels/): one runtime-dispatched implementation shared
-// with the strip, q8 and event-engine paths, bit-identical to the
-// historical scalar loops at every ISA level (docs/kernels.md).
-
-void
-Matrix::gemv(const float *x, float *y) const
-{
-    kernels::gemv(data_.data(), rows_, cols_, x, y);
-}
-
-void
-Matrix::gemvT(const float *x, float *y) const
-{
-    kernels::gemvT(data_.data(), rows_, cols_, x, y);
-}
-
-void
-Matrix::addOuter(float eta, const float *d, const float *x)
-{
-    kernels::addOuter(data_.data(), rows_, cols_, eta, d, x);
-}
-
-void
-Matrix::gemvBias(const float *x, float *y) const
-{
-    NEURO_ASSERT(cols_ > 0, "gemvBias needs a bias column");
-    kernels::gemvBias(data_.data(), rows_, cols_, x, y);
 }
 
 } // namespace neuro

@@ -1,8 +1,9 @@
 /**
  * @file
- * Minimal dense linear-algebra containers used by the network simulators.
- * Row-major float storage; the operations are the handful the MLP and SNN
- * implementations need (gemv, outer-product update, fills).
+ * The dense row-major float matrix the network simulators store their
+ * weights in. Storage only: the products and updates are the dispatched
+ * kernels (neuro/kernels/kernels.h), called on data(), rows() and
+ * cols().
  */
 
 #pragma once
@@ -45,22 +46,6 @@ class Matrix
 
     /** Fill with uniform deviates in [lo, hi). */
     void fillUniform(Rng &rng, float lo, float hi);
-
-    /** y = this * x (rows x cols times cols-vector). */
-    void gemv(const float *x, float *y) const;
-
-    /** y = this^T * x (transposed product; x has rows() entries). */
-    void gemvT(const float *x, float *y) const;
-
-    /** this += eta * d * x^T (outer-product weight update). */
-    void addOuter(float eta, const float *d, const float *x);
-
-    /**
-     * y = this * [x; 1]: affine product where the last column holds
-     * bias weights fed by a constant 1 (the MLP's layer layout);
-     * @p x has cols() - 1 entries.
-     */
-    void gemvBias(const float *x, float *y) const;
 
     /** @return underlying storage (for serialization / tests). */
     std::vector<float> &data() { return data_; }

@@ -225,14 +225,6 @@ parseSimdMode(const char *text, SimdMode *mode)
 }
 
 void
-gemv(const float *w, std::size_t rows, std::size_t cols, const float *x,
-     float *y)
-{
-    metrics().gemv->inc();
-    active().gemv(w, rows, cols, x, y);
-}
-
-void
 gemvT(const float *w, std::size_t rows, std::size_t cols,
       const float *x, float *y)
 {
@@ -278,14 +270,6 @@ gemvBiasQ8(const int8_t *w, std::size_t rows, std::size_t cols,
                  "gemvBiasQ8 fan-in %zu would overflow int32", cols);
     metrics().gemv->inc();
     active().gemvBiasQ8(w, rows, cols, xs, batch, y);
-}
-
-void
-addOuter(float *w, std::size_t rows, std::size_t cols, float eta,
-         const float *d, const float *x)
-{
-    metrics().outer->inc();
-    active().addOuter(w, rows, cols, eta, d, x);
 }
 
 void

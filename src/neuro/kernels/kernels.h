@@ -82,8 +82,6 @@ struct KernelTable
     const char *name = "scalar";
     SimdIsa isa = SimdIsa::Scalar;
 
-    void (*gemv)(const float *w, std::size_t rows, std::size_t cols,
-                 const float *x, float *y) = nullptr;
     void (*gemvT)(const float *w, std::size_t rows, std::size_t cols,
                   const float *x, float *y) = nullptr;
     void (*gemvBias)(const float *w, std::size_t rows, std::size_t cols,
@@ -94,8 +92,6 @@ struct KernelTable
     void (*gemvBiasQ8)(const int8_t *w, std::size_t rows,
                        std::size_t cols, const uint8_t *const *xs,
                        std::size_t batch, int32_t *y) = nullptr;
-    void (*addOuter)(float *w, std::size_t rows, std::size_t cols,
-                     float eta, const float *d, const float *x) = nullptr;
     void (*addOuterBias)(float *w, std::size_t rows, std::size_t cols,
                          float eta, const float *d,
                          const float *x) = nullptr;
@@ -135,10 +131,6 @@ bool parseSimdMode(const char *text, SimdMode *mode);
 // Dispatched kernels. Shapes follow the Matrix convention: w is
 // row-major rows x cols. See the layout notes in the file header.
 // ------------------------------------------------------------------
-
-/** y = W * x (one dot product per row, fixed 4-accumulator order). */
-void gemv(const float *w, std::size_t rows, std::size_t cols,
-          const float *x, float *y);
 
 /**
  * y = W^T * x (x has rows entries, y has cols). Row-blocked walk:
@@ -182,10 +174,6 @@ void gemvBiasQ8(const int8_t *w, std::size_t rows, std::size_t cols,
  */
 void gemvBiasQ8(const int8_t *w, std::size_t rows, std::size_t cols,
                 const uint8_t *const *xs, std::size_t batch, int32_t *y);
-
-/** W += eta * d * x^T, skipping rows whose eta * d[r] == 0. */
-void addOuter(float *w, std::size_t rows, std::size_t cols, float eta,
-              const float *d, const float *x);
 
 /**
  * W += eta * d * [x; 1]^T (@p x has cols - 1 entries; the bias column

@@ -13,11 +13,11 @@
  * lane, so each lane is one chain of that sequence.
  *
  * Every loop follows one of two shapes:
- *  - independent element chains (gemvT, addOuter*, addRowF64,
+ *  - independent element chains (gemvT, addOuterBias, addRowF64,
  *    driveTiles, lifStep): each output element owns its additions, so
  *    vectorizing across elements is order-preserving by
  *    construction;
- *  - fixed-schedule reductions (gemv, gemvBias, the strips): four
+ *  - fixed-schedule reductions (gemvBias, the strips): four
  *    partial accumulators merged as (a0+a1)+(a2+a3), then the tail,
  *    then the bias — dotUnrolled's historical order, now the layer's
  *    contract. A row's four partials are the lanes of one 4-float
@@ -64,7 +64,7 @@ namespace {
 /** Four floats as one vector: lane k is dotUnrolled's partial k. */
 typedef float Lane4 __attribute__((vector_size(16)));
 
-/** Rows one gemv column pass carries: 8 independent add chains. */
+/** Rows one gemvBias column pass carries: 8 independent add chains. */
 constexpr std::size_t kGemvRows = 8;
 
 /** Elements per fixed-trip tile of the independent-chain kernels. */
@@ -153,13 +153,6 @@ dotAllRows(const float *w, std::size_t rows, std::size_t cols,
         dotRows(w + r * cols, cols, x, n, y + r);
     for (; r < rows; ++r)
         y[r] = dotUnrolled(w + r * cols, x, n);
-}
-
-void
-kGemv(const float *w, std::size_t rows, std::size_t cols,
-      const float *x, float *y)
-{
-    dotAllRows(w, rows, cols, x, cols, y);
 }
 
 void
@@ -406,7 +399,7 @@ kGemvBiasQ8(const int8_t *__restrict w, std::size_t rows, std::size_t cols,
 
 /**
  * o[k] += scale * v[k] for k in [0, n): one weight row of the
- * outer-product updates, one mul-add per element.
+ * outer-product update, one mul-add per element.
  */
 inline void
 scaleAddRow(float *__restrict o, const float *__restrict v,
@@ -421,17 +414,6 @@ scaleAddRow(float *__restrict o, const float *__restrict v,
     }
     for (; c < n; ++c)
         o[c] += scale * v[c];
-}
-
-void
-kAddOuter(float *w, std::size_t rows, std::size_t cols, float eta,
-          const float *d, const float *x)
-{
-    for (std::size_t r = 0; r < rows; ++r) {
-        const float scale = eta * d[r];
-        if (scale != 0.0f)
-            scaleAddRow(w + r * cols, x, cols, scale);
-    }
 }
 
 void
@@ -573,12 +555,10 @@ table()
         KernelTable kt;
         kt.name = NEURO_KERNELS_ISA_NAME;
         kt.isa = NEURO_KERNELS_ISA_ENUM;
-        kt.gemv = kGemv;
         kt.gemvT = kGemvT;
         kt.gemvBias = kGemvBias;
         kt.gemvBiasStrip = kGemvBiasStrip;
         kt.gemvBiasQ8 = kGemvBiasQ8;
-        kt.addOuter = kAddOuter;
         kt.addOuterBias = kAddOuterBias;
         kt.addRowF64 = kAddRowF64;
         kt.driveTiles = kDriveTiles;

@@ -62,8 +62,8 @@ forwardBackward(const Mlp &net, const datasets::Dataset &data,
         const Matrix &w_next = net.weights(l + 1);
         const std::vector<float> &y = scratch.activations[l + 1];
         scratch.gemvT.resize(w_next.cols());
-        w_next.gemvT(scratch.deltas[l + 1].data(),
-                     scratch.gemvT.data());
+        kernels::gemvT(w_next.data().data(), w_next.rows(), w_next.cols(),
+                       scratch.deltas[l + 1].data(), scratch.gemvT.data());
         scratch.deltas[l].resize(y.size());
         for (std::size_t j = 0; j < y.size(); ++j) {
             scratch.deltas[l][j] =

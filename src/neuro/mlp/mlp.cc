@@ -47,7 +47,8 @@ Mlp::forward(const float *input, float *output) const
     for (std::size_t l = 0; l < weights_.size(); ++l) {
         const Matrix &w = weights_[l];
         next.resize(w.rows());
-        w.gemvBias(cur.data(), next.data());
+        kernels::gemvBias(w.data().data(), w.rows(), w.cols(), cur.data(),
+                          next.data());
         for (std::size_t j = 0; j < w.rows(); ++j)
             next[j] = activation_.apply(next[j]);
         cur.swap(next);
@@ -66,7 +67,8 @@ Mlp::forwardTrace(const float *input,
         const std::vector<float> &cur = activations[l];
         std::vector<float> &next = activations[l + 1];
         next.resize(w.rows());
-        w.gemvBias(cur.data(), next.data());
+        kernels::gemvBias(w.data().data(), w.rows(), w.cols(), cur.data(),
+                          next.data());
         for (std::size_t j = 0; j < w.rows(); ++j)
             next[j] = activation_.apply(next[j]);
     }

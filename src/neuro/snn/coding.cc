@@ -123,9 +123,10 @@ emitRate(const CodingConfig &config, const uint8_t *pixels, std::size_t n,
           case CodingScheme::RateGaussian: {
             // Gaussian inter-arrival, standing in for the SNNwt
             // hardware's CLT generator with Box-Muller deviates (sigma
-            // configurable, truncated at 1 ms, so ticks are always
+            // half the mean, truncated at 1 ms, so ticks are always
             // distinct).
-            const double sigma = config.gaussianSigmaFactor * mean;
+            constexpr double kSigmaFactor = 0.5;
+            const double sigma = kSigmaFactor * mean;
             double t = std::max(1.0, rng.gaussian(mean, sigma));
             while (t < period) {
                 grid.addSpike(static_cast<int>(t), static_cast<uint16_t>(p));

@@ -62,9 +62,6 @@ struct CodingConfig
     CodingScheme scheme = CodingScheme::RatePoisson;
     int periodMs = 500;      ///< Tperiod, image presentation window.
     int minIntervalMs = 50;  ///< U, mean interval at max luminance.
-    /** RateGaussian: inter-arrival stddev as a fraction of the mean
-     *  (the CLT generator's spread; 0 degenerates to regular firing). */
-    double gaussianSigmaFactor = 0.5;
 };
 
 /** First-spike inference encodes each image below one of the horizons

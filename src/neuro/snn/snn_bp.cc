@@ -5,21 +5,29 @@
 
 #include "neuro/common/logging.h"
 #include "neuro/common/rng.h"
+#include "neuro/kernels/kernels.h"
 
 namespace neuro {
 namespace snn {
 
 SnnBp::SnnBp(const SnnBpConfig &config, Rng &rng)
     : config_(config), encoder_(config.coding),
-      weights_(config.numNeurons, config.numInputs),
-      bias_(config.numNeurons, -1.0f)
+      weights_(config.numNeurons, config.numInputs + 1)
 {
     NEURO_ASSERT(config_.numNeurons >=
                      static_cast<std::size_t>(config_.numClasses),
                  "need at least one neuron per class");
     const float bound =
         1.0f / std::sqrt(static_cast<float>(config_.numInputs));
-    weights_.fillUniform(rng, -bound, bound);
+    // Each row's input columns draw in row-major order (fillUniform
+    // would draw the bias column too), then the bias starts at -1:
+    // threshold 1.
+    for (std::size_t n = 0; n < config_.numNeurons; ++n) {
+        float *row = weights_.row(n);
+        for (std::size_t p = 0; p < config_.numInputs; ++p)
+            row[p] = static_cast<float>(rng.uniform(-bound, bound));
+        row[config_.numInputs] = -1.0f;
+    }
 }
 
 int
@@ -60,11 +68,12 @@ SnnBp::forward(const std::vector<float> &features,
                std::vector<float> &y) const
 {
     y.assign(config_.numNeurons, 0.0f);
-    weights_.gemv(features.data(), y.data());
+    kernels::gemvBias(weights_.data().data(), weights_.rows(),
+                      weights_.cols(), features.data(), y.data());
     for (std::size_t n = 0; n < y.size(); ++n) {
         // Spiking logistic unit: fires (y > 0.5) when the potential
         // exceeds the (trainable) threshold -bias.
-        y[n] = 1.0f / (1.0f + std::exp(-(y[n] + bias_[n])));
+        y[n] = 1.0f / (1.0f + std::exp(-y[n]));
     }
 }
 
@@ -93,10 +102,9 @@ SnnBp::train(const datasets::Dataset &data)
                 const float e = target - y[j];
                 delta[j] = e * y[j] * (1.0f - y[j]);
             }
-            weights_.addOuter(config_.learningRate, delta.data(),
-                              features.data());
-            for (std::size_t j = 0; j < config_.numNeurons; ++j)
-                bias_[j] += config_.learningRate * delta[j];
+            kernels::addOuterBias(weights_.data().data(), weights_.rows(),
+                                  weights_.cols(), config_.learningRate,
+                                  delta.data(), features.data());
         }
     }
 }

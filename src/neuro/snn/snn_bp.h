@@ -14,6 +14,9 @@
  * is a spiking logistic unit y = sigma(v - theta); neurons are assigned
  * round-robin to classes and trained with the delta rule on one-hot
  * targets, which is exactly back-propagation for this single-layer net.
+ * The layer keeps the MLP's dense layout: the bias weight is the last
+ * column of the weight matrix, fed by a constant 1, so the forward
+ * pass and the update run the MLP's gemvBias and addOuterBias kernels.
  */
 
 #pragma once
@@ -81,8 +84,9 @@ class SnnBp
 
     SnnBpConfig config_;
     SpikeEncoder encoder_;
-    Matrix weights_;            ///< numNeurons x numInputs.
-    std::vector<float> bias_;   ///< per-neuron bias (-threshold).
+    /** numNeurons x (numInputs + 1); the last column is the bias
+     *  (-threshold). */
+    Matrix weights_;
 };
 
 } // namespace snn

@@ -49,15 +49,6 @@ refDot(const float *w, const float *x, std::size_t n)
 }
 
 void
-refGemv(const std::vector<float> &w, std::size_t rows, std::size_t cols,
-        const std::vector<float> &x, std::vector<float> &y)
-{
-    y.resize(rows);
-    for (std::size_t r = 0; r < rows; ++r)
-        y[r] = refDot(w.data() + r * cols, x.data(), cols);
-}
-
-void
 refGemvBias(const std::vector<float> &w, std::size_t rows,
             std::size_t cols, const std::vector<float> &x,
             std::vector<float> &y)
@@ -110,21 +101,6 @@ refAddOuterBias(std::vector<float> &w, std::size_t rows,
     }
 }
 
-/** addOuter's schedule: one scale per row, zero-scale rows skipped. */
-void
-refAddOuter(std::vector<float> &w, std::size_t rows, std::size_t cols,
-            float eta, const std::vector<float> &d,
-            const std::vector<float> &x)
-{
-    for (std::size_t r = 0; r < rows; ++r) {
-        const float scale = eta * d[r];
-        if (scale == 0.0f)
-            continue;
-        for (std::size_t c = 0; c < cols; ++c)
-            w[r * cols + c] += scale * x[c];
-    }
-}
-
 int32_t
 refDotQ8(const int8_t *wr, const uint8_t *x, std::size_t fan_in)
 {
@@ -136,11 +112,11 @@ refDotQ8(const int8_t *wr, const uint8_t *x, std::size_t fan_in)
 
 // --------------------------------------------------------- fixtures
 
-/** Ragged shapes: unroll tails (every cols % 4 and (cols - 1) % 4
- *  with at least one full 8-row gemv block), row-block remainders on
- *  both sides of the 4-row strip and 8-row gemv blocks, degenerate
+/** Ragged shapes: unroll tails (every (cols - 1) % 4 with at least
+ *  one full 8-row gemvBias block), row-block remainders on both sides
+ *  of the 4-row strip and 8-row gemvBias blocks, degenerate
  *  single-row/column cases, and column counts below, at and above
- *  one and four 16-element tiles (gemvT, addOuter), including the
+ *  one and four 16-element tiles (gemvT, addOuterBias), including the
  *  SNN's 300-neuron row. */
 const std::size_t kShapes[][2] = {
     {1, 1},   {1, 5},   {3, 2},    {4, 4},    {5, 3},
@@ -187,32 +163,6 @@ class KernelsTest : public ::testing::Test
 };
 
 // ----------------------------------------------------- float kernels
-
-TEST_F(KernelsTest, GemvMatchesReferenceAtEveryIsa)
-{
-    Rng rng(101);
-    for (const auto &shape : kShapes) {
-        const std::size_t rows = shape[0], cols = shape[1];
-        const auto w = randomVec(rng, rows * cols);
-        const auto x = randomVec(rng, cols);
-        std::vector<float> expect;
-        refGemv(w, rows, cols, x, expect);
-        for (std::size_t offset : kWeightOffsets) {
-            std::vector<float> buf(offset, 0.0f);
-            buf.insert(buf.end(), w.begin(), w.end());
-            for (SimdMode mode : reachableModes()) {
-                setSimdMode(mode);
-                std::vector<float> y(rows, -1.0f);
-                gemv(buf.data() + offset, rows, cols, x.data(),
-                     y.data());
-                ASSERT_EQ(0, std::memcmp(expect.data(), y.data(),
-                                         rows * sizeof(float)))
-                    << "gemv " << rows << "x" << cols << " offset "
-                    << offset << " differs at " << isaName(activeIsa());
-            }
-        }
-    }
-}
 
 TEST_F(KernelsTest, GemvBiasMatchesReferenceAtEveryIsa)
 {
@@ -320,29 +270,6 @@ TEST_F(KernelsTest, AddOuterBiasMatchesReferenceAtEveryIsa)
                                      w.size() * sizeof(float)))
                 << "addOuterBias " << rows << "x" << cols
                 << " differs at " << isaName(activeIsa());
-        }
-    }
-}
-
-TEST_F(KernelsTest, AddOuterMatchesReferenceAtEveryIsa)
-{
-    Rng rng(110);
-    for (const auto &shape : kShapes) {
-        const std::size_t rows = shape[0], cols = shape[1];
-        const auto w0 = randomVec(rng, rows * cols);
-        auto d = randomVec(rng, rows);
-        d[0] = 0.0f; // exercise the zero-delta row skip.
-        const auto x = randomVec(rng, cols);
-        auto expect = w0;
-        refAddOuter(expect, rows, cols, 0.25f, d, x);
-        for (SimdMode mode : reachableModes()) {
-            setSimdMode(mode);
-            auto w = w0;
-            addOuter(w.data(), rows, cols, 0.25f, d.data(), x.data());
-            ASSERT_EQ(0, std::memcmp(expect.data(), w.data(),
-                                     w.size() * sizeof(float)))
-                << "addOuter " << rows << "x" << cols << " differs at "
-                << isaName(activeIsa());
         }
     }
 }

@@ -71,6 +71,27 @@ TEST(SnnBp, LearnsDigitsFarAboveChanceAndAboveStdpRange)
     // The paper's point: BP on the spiking forward path recovers most
     // of the accuracy gap.
     EXPECT_GT(acc, 0.8);
+
+    // Pin the trained network bit for bit: replay evaluate()'s
+    // prediction stream and FNV-1a hash every predicted class. Any
+    // change to the forward product, the update or the weight draws
+    // moves the hash even when the accuracy holds. Like the datasets'
+    // golden hashes, the values assume GCC 12.2's float results
+    // (libm exp included); the kernels make them ISA-independent.
+    Rng eval_rng(5);
+    std::size_t correct = 0;
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < split.test.size(); ++i) {
+        const int predicted =
+            net.predict(split.test[i].pixels.data(), eval_rng);
+        correct += predicted == split.test[i].label ? 1 : 0;
+        hash ^= static_cast<uint8_t>(predicted);
+        hash *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(acc, static_cast<double>(correct) /
+                       static_cast<double>(split.test.size()));
+    EXPECT_EQ(correct, 192u);
+    EXPECT_EQ(hash, 0x02b9e4af64ef3ab6ULL);
 }
 
 } // namespace

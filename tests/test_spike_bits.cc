@@ -111,10 +111,10 @@ TEST_P(PackedEncodingTest, OneSpikePerInputAndTickAtEveryHorizon)
     // The encoders alone keep a pixel to one spike per tick; finalize()
     // does not merge. At the paper's coding and at stress settings (a
     // 1 ms minimum interval, where bright pixels draw several Poisson
-    // arrivals per tick, and a 2 ms one that the two-pass horizon
-    // encoder still takes, a wide Gaussian spread), over saturated,
-    // ramp and noisy images, through the full encode and every
-    // tabulated horizon.
+    // arrivals per tick and about half the Gaussian intervals hit the
+    // 1 ms truncation, and a 2 ms one that the two-pass horizon
+    // encoder still takes), over saturated, ramp and noisy images,
+    // through the full encode and every tabulated horizon.
     std::vector<std::vector<uint8_t>> images = {
         std::vector<uint8_t>(784, 255), rampPixels(784)};
     Rng noise(3);
@@ -126,14 +126,12 @@ TEST_P(PackedEncodingTest, OneSpikePerInputAndTickAtEveryHorizon)
     {
         int periodMs;
         int minIntervalMs;
-        double sigmaFactor;
     };
-    for (const Coding c : {Coding{500, 50, 0.5}, Coding{1000, 1, 2.0},
-                           Coding{1000, 2, 2.0}}) {
+    for (const Coding c :
+         {Coding{500, 50}, Coding{1000, 1}, Coding{1000, 2}}) {
         CodingConfig config = makeConfig(GetParam());
         config.periodMs = c.periodMs;
         config.minIntervalMs = c.minIntervalMs;
-        config.gaussianSigmaFactor = c.sigmaFactor;
         const SpikeEncoder encoder(config);
         PackedSpikeGrid grid;
         for (std::size_t i = 0; i < images.size(); ++i) {
@@ -221,16 +219,21 @@ class HorizonEncodingTest : public ::testing::TestWithParam<CodingScheme>
 
 TEST_P(HorizonEncodingTest, EventsBelowHorizonAndRngEndStateMatch)
 {
-    // Poisson grids stop at the horizon; every other scheme encodes
-    // its whole window. Horizons 125 and 250 read the encoder's
-    // tables, the others compute their thresholds per pixel.
+    // Poisson grids stop at the horizon; horizons 125 and 250 read the
+    // encoder's tables, the others compute their thresholds per pixel.
+    // Every other scheme encodes its whole window at any horizon, so
+    // one horizon below the period and one above cover it.
     const SpikeEncoder encoder(makeConfig(GetParam()));
-    const std::size_t truncated = expectHorizonGridsMatch(
-        encoder, horizonImages(200), {1, 37, 125, 250, 499, 500, 800});
-    if (GetParam() == CodingScheme::RatePoisson)
-        EXPECT_EQ(truncated, 5u * 201u);
-    else
-        EXPECT_EQ(truncated, 0u);
+    if (GetParam() == CodingScheme::RatePoisson) {
+        EXPECT_EQ(expectHorizonGridsMatch(
+                      encoder, horizonImages(200),
+                      {1, 37, 125, 250, 499, 500, 800}),
+                  5u * 201u);
+    } else {
+        EXPECT_EQ(expectHorizonGridsMatch(encoder, horizonImages(200),
+                                          {125, 800}),
+                  0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
