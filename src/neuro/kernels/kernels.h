@@ -64,6 +64,13 @@ enum class SimdMode
 /** Samples per strip of the batched kernels (fixed SoA width). */
 constexpr std::size_t kStripWidth = 16;
 
+/**
+ * Rows one gemvBias column pass carries (eight independent add
+ * chains). A row range that starts at a multiple of it runs in whole
+ * passes; any row's result is the same wherever a range starts.
+ */
+constexpr std::size_t kGemvRows = 8;
+
 /** Output rows computed together per pass of the strip kernels. */
 constexpr std::size_t kRowBlock = 4;
 

@@ -64,9 +64,6 @@ namespace {
 /** Four floats as one vector: lane k is dotUnrolled's partial k. */
 typedef float Lane4 __attribute__((vector_size(16)));
 
-/** Rows one gemvBias column pass carries: 8 independent add chains. */
-constexpr std::size_t kGemvRows = 8;
-
 /** Elements per fixed-trip tile of the independent-chain kernels. */
 constexpr std::size_t kTile = 16;
 

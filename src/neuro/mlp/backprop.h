@@ -7,6 +7,9 @@
  * delta = f'(s) * e and hidden-layer gradient back-propagated through the
  * next layer's weights. Every sample updates the weights before the
  * next one is presented (kernels::addOuterBias, one call per layer).
+ * Within a sample, layer 0's rows are split across a small team of
+ * pool threads; the weights are bit-identical at any thread count
+ * (docs/parallelism.md, "Row-split BP training").
  */
 
 #pragma once

@@ -57,24 +57,6 @@ Mlp::forward(const float *input, float *output) const
 }
 
 void
-Mlp::forwardTrace(const float *input,
-                  std::vector<std::vector<float>> &activations) const
-{
-    activations.resize(weights_.size() + 1);
-    activations[0].assign(input, input + inputSize());
-    for (std::size_t l = 0; l < weights_.size(); ++l) {
-        const Matrix &w = weights_[l];
-        const std::vector<float> &cur = activations[l];
-        std::vector<float> &next = activations[l + 1];
-        next.resize(w.rows());
-        kernels::gemvBias(w.data().data(), w.rows(), w.cols(), cur.data(),
-                          next.data());
-        for (std::size_t j = 0; j < w.rows(); ++j)
-            next[j] = activation_.apply(next[j]);
-    }
-}
-
-void
 Mlp::serialize(Archive &archive, const std::string &prefix) const
 {
     std::vector<int64_t> layers;

@@ -67,14 +67,6 @@ class Mlp
      */
     void forward(const float *input, float *output) const;
 
-    /**
-     * Feed-forward keeping every layer's activations, for BP.
-     * activations[0] is the input copy; activations[l+1] the output of
-     * neuron layer l. Buffers are resized as needed.
-     */
-    void forwardTrace(const float *input,
-                      std::vector<std::vector<float>> &activations) const;
-
     /** @return argmax class of the output for @p input. */
     int predict(const float *input) const;
 

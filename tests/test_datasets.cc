@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "neuro/common/parallel.h"
 #include "neuro/datasets/glyphs.h"
@@ -31,6 +34,28 @@ TEST(Dataset, AddAndAccess)
     EXPECT_FLOAT_EQ(buf[0], 0.0f);
     EXPECT_FLOAT_EQ(buf[2], 1.0f);
     EXPECT_NEAR(buf[1], 128.0f / 255.0f, 1e-6);
+}
+
+TEST(Dataset, NormalizedMapsEveryByteExactly)
+{
+    // A 16x16 image holds every byte value once (whole 16-pixel
+    // tiles); a 5x3 one covers the scalar tail.
+    for (const auto &[w, h] : {std::pair<std::size_t, std::size_t>{16, 16},
+                               {5, 3}}) {
+        Dataset d("bytes", w, h, 1);
+        Sample s;
+        for (std::size_t k = 0; k < w * h; ++k)
+            s.pixels.push_back(static_cast<uint8_t>(255 - k));
+        d.add(s);
+        std::vector<float> out(w * h);
+        d.normalized(0, out.data());
+        for (std::size_t k = 0; k < w * h; ++k) {
+            const float expect =
+                static_cast<float>(s.pixels[k]) / 255.0f;
+            EXPECT_EQ(0, std::memcmp(&expect, &out[k], sizeof(float)))
+                << "byte " << int{s.pixels[k]};
+        }
+    }
 }
 
 TEST(Dataset, SliceAndHistogram)

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "neuro/common/parallel.h"
@@ -12,6 +15,7 @@
 #include "neuro/kernels/kernels.h"
 #include "neuro/mlp/backprop.h"
 #include "neuro/mlp/mlp.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 namespace mlp {
@@ -45,24 +49,6 @@ TEST(Mlp, ForwardMatchesManualComputation)
     const float h1 = sig(0.5f * 1 + 0.5f * 0.5f + 0.25f);
     const float expected = sig(2.0f * h0 - 2.0f * h1 + 0.5f);
     EXPECT_NEAR(out[0], expected, 1e-6f);
-}
-
-TEST(Mlp, ForwardTraceMatchesForward)
-{
-    MlpConfig config;
-    config.layerSizes = {5, 4, 3};
-    Rng rng(2);
-    Mlp net(config, rng);
-    std::vector<float> x = {0.1f, 0.9f, 0.3f, 0.0f, 1.0f};
-    std::vector<float> out(3);
-    net.forward(x.data(), out.data());
-    std::vector<std::vector<float>> acts;
-    net.forwardTrace(x.data(), acts);
-    ASSERT_EQ(acts.size(), 3u);
-    ASSERT_EQ(acts[2].size(), 3u);
-    for (int i = 0; i < 3; ++i)
-        EXPECT_FLOAT_EQ(acts[2][static_cast<std::size_t>(i)],
-                        out[static_cast<std::size_t>(i)]);
 }
 
 TEST(Mlp, WeightCountMatchesTopology)
@@ -150,54 +136,193 @@ TEST(Mlp, ClassifyPixelsEqualsPredictPerImage)
     }
 }
 
-TEST(Backprop, PerSampleTrainingIsBitIdenticalAcrossIsas)
+/** Every layer's weights, concatenated, after two epochs of
+ *  per-sample SGD on @p data. */
+std::vector<float>
+trainedWeights(const std::vector<std::size_t> &layers,
+               const datasets::Dataset &data)
 {
-    // One epoch of per-sample SGD must leave the same weights, bit for
-    // bit, at every kernel table and thread count. 784 inputs fill
-    // whole 16-column tiles of addOuterBias; 21 hidden units leave a
-    // ragged tail.
-    datasets::SynthDigitsOptions opt;
-    opt.trainSize = 200;
-    opt.testSize = 10;
-    const datasets::Split split = datasets::makeSynthDigits(opt);
     MlpConfig config;
-    config.layerSizes = {784, 21, 10};
+    config.layerSizes = layers;
+    Rng rng(13);
+    Mlp net(config, rng);
     TrainConfig train;
-    train.epochs = 1;
-    auto trainedWeights = [&] {
-        Rng rng(13);
-        Mlp net(config, rng);
-        mlp::train(net, split.train, train);
-        std::vector<float> flat;
-        for (std::size_t l = 0; l < net.numLayers(); ++l) {
-            const auto &w = net.weights(l).data();
-            flat.insert(flat.end(), w.begin(), w.end());
-        }
-        return flat;
-    };
+    train.epochs = 2;
+    mlp::train(net, data, train);
+    std::vector<float> flat;
+    for (std::size_t l = 0; l < net.numLayers(); ++l) {
+        const auto &w = net.weights(l).data();
+        flat.insert(flat.end(), w.begin(), w.end());
+    }
+    return flat;
+}
 
-    const std::size_t saved = parallelThreadCount();
-    kernels::setSimdMode(kernels::SimdMode::Off);
-    setParallelThreadCount(1);
-    const std::vector<float> expect = trainedWeights();
-    for (kernels::SimdMode mode :
-         {kernels::SimdMode::Off, kernels::SimdMode::Avx2,
-          kernels::SimdMode::Avx512}) {
-        // Forcing a level the machine lacks falls back to a narrower
-        // one, which is simply covered twice.
-        kernels::setSimdMode(mode);
-        for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-            setParallelThreadCount(threads);
-            const std::vector<float> got = trainedWeights();
-            ASSERT_EQ(expect.size(), got.size());
-            EXPECT_EQ(0, std::memcmp(expect.data(), got.data(),
-                                     got.size() * sizeof(float)))
-                << threads << " threads at "
-                << kernels::isaName(kernels::activeIsa());
+double
+gaugeValue(const char *name)
+{
+    return telemetry::MetricRegistry::instance().gauge(name)->value();
+}
+
+/** Restores the pool width and the kernel table on scope exit. */
+struct PoolAndSimdRestore
+{
+    std::size_t threads = parallelThreadCount();
+    ~PoolAndSimdRestore()
+    {
+        setParallelThreadCount(threads);
+        kernels::setSimdMode(kernels::SimdMode::Auto);
+    }
+};
+
+datasets::Split
+smallDigits(std::size_t train)
+{
+    datasets::SynthDigitsOptions opt;
+    opt.trainSize = train;
+    opt.testSize = 10;
+    return datasets::makeSynthDigits(opt);
+}
+
+TEST(Backprop, RowSplitTrainingIsBitIdenticalAtAnyThreadCount)
+{
+    // Two epochs of per-sample SGD must leave the same weights, bit
+    // for bit, at every kernel table and thread count. Layer 0 of 100
+    // and 103 rows forms a team of two (103 leaves a ragged last
+    // slice); 21 rows stays below the team threshold and leaves a
+    // ragged tail of addOuterBias's 16-column tiles; the 150-40 net
+    // forms a team of three under two hidden layers. maxTeam is the
+    // team train() plans at enough threads.
+    struct Case
+    {
+        std::vector<std::size_t> layers;
+        std::size_t maxTeam;
+    };
+    const Case cases[] = {{{784, 100, 10}, 2},
+                          {{784, 103, 10}, 2},
+                          {{784, 21, 10}, 1},
+                          {{784, 150, 40, 10}, 3}};
+    const datasets::Split split = smallDigits(64);
+    PoolAndSimdRestore restore;
+    for (const Case &c : cases) {
+        kernels::setSimdMode(kernels::SimdMode::Off);
+        setParallelThreadCount(1);
+        const std::vector<float> expect =
+            trainedWeights(c.layers, split.train);
+        for (kernels::SimdMode mode :
+             {kernels::SimdMode::Off, kernels::SimdMode::Avx2,
+              kernels::SimdMode::Avx512}) {
+            // Forcing a level the machine lacks falls back to a
+            // narrower one, which is simply covered twice.
+            kernels::setSimdMode(mode);
+            for (std::size_t threads : {1, 2, 3, 4, 8}) {
+                setParallelThreadCount(threads);
+                const std::vector<float> got =
+                    trainedWeights(c.layers, split.train);
+                ASSERT_EQ(expect.size(), got.size());
+                EXPECT_EQ(0, std::memcmp(expect.data(), got.data(),
+                                         got.size() * sizeof(float)))
+                    << "hidden " << c.layers[1] << ", " << threads
+                    << " threads at "
+                    << kernels::isaName(kernels::activeIsa());
+                EXPECT_EQ(gaugeValue("mlp.train.team_size"),
+                          static_cast<double>(
+                              std::min(threads, c.maxTeam)));
+            }
         }
     }
-    setParallelThreadCount(saved);
-    kernels::setSimdMode(kernels::SimdMode::Auto);
+}
+
+TEST(Backprop, EpochErrorMatchesForwardAtZeroRate)
+{
+    // At eta = 0 the weights stay put, so the epoch error, taken from
+    // the training pass's row-split forward, is forward()'s squared
+    // error over the set (summed in another order, hence the bound).
+    const datasets::Split split = smallDigits(60);
+    const datasets::Dataset &data = split.train;
+    MlpConfig config;
+    config.layerSizes = {784, 100, 10};
+    Rng rng(14);
+    Mlp net(config, rng);
+    double expect = 0.0;
+    std::vector<float> input(net.inputSize()), out(net.outputSize());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        data.normalized(i, input.data());
+        net.forward(input.data(), out.data());
+        for (std::size_t j = 0; j < out.size(); ++j) {
+            const float target = static_cast<int>(j) == data[i].label;
+            const float e = target - out[j];
+            expect += static_cast<double>(e) * e;
+        }
+    }
+    expect /= static_cast<double>(data.size() * net.outputSize());
+
+    TrainConfig train;
+    train.epochs = 2;
+    train.learningRate = 0.0f;
+    PoolAndSimdRestore restore;
+    for (std::size_t threads : {1, 2}) {
+        setParallelThreadCount(threads);
+        std::vector<double> errors;
+        mlp::train(net, data, train, [&](const EpochReport &r) {
+            errors.push_back(r.trainError);
+        });
+        ASSERT_EQ(errors.size(), 2u);
+        for (double e : errors)
+            EXPECT_NEAR(e, expect, 1e-12) << threads << " threads";
+    }
+}
+
+TEST(Backprop, TrainingInsideAPoolTaskMatchesSerial)
+{
+    // Inside a pool task the team has one member; two trainings of
+    // separate nets run side by side on the caller and a worker.
+    const datasets::Split split = smallDigits(120);
+    const std::vector<std::size_t> layers = {784, 100, 10};
+    PoolAndSimdRestore restore;
+    setParallelThreadCount(1);
+    const std::vector<float> expect = trainedWeights(layers, split.train);
+    setParallelThreadCount(4);
+    std::vector<float> got[2];
+    parallelInvoke({
+        [&] { got[0] = trainedWeights(layers, split.train); },
+        [&] { got[1] = trainedWeights(layers, split.train); },
+    });
+    for (const std::vector<float> &g : got) {
+        ASSERT_EQ(expect.size(), g.size());
+        EXPECT_EQ(0, std::memcmp(expect.data(), g.data(),
+                                 g.size() * sizeof(float)));
+    }
+    EXPECT_EQ(gaugeValue("mlp.train.team_size"), 1.0);
+}
+
+TEST(Backprop, TrainingFinishesWhileThePoolIsBusy)
+{
+    // Another thread's job holds the pool when train() starts; the
+    // training waits its turn, forms its team and ends with the
+    // serial weights.
+    const datasets::Split split = smallDigits(120);
+    const std::vector<std::size_t> layers = {784, 100, 10};
+    PoolAndSimdRestore restore;
+    setParallelThreadCount(1);
+    const std::vector<float> expect = trainedWeights(layers, split.train);
+    setParallelThreadCount(2);
+    std::atomic<bool> busy{false};
+    std::thread other([&] {
+        parallelInvoke({
+            [] {},
+            [&] {
+                busy.store(true, std::memory_order_release);
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            },
+        });
+    });
+    while (!busy.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    const std::vector<float> got = trainedWeights(layers, split.train);
+    other.join();
+    ASSERT_EQ(expect.size(), got.size());
+    EXPECT_EQ(0, std::memcmp(expect.data(), got.data(),
+                             got.size() * sizeof(float)));
 }
 
 class HiddenSizeTest : public ::testing::TestWithParam<std::size_t>
