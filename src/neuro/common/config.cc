@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -90,11 +91,15 @@ Config::getInt(const std::string &key, long fallback) const
     auto it = entries_.find(key);
     if (it == entries_.end())
         return fallback;
+    // The whole value must parse and fit: `2e3` or `7411x` is not a
+    // truncated integer, and an overflow is not LONG_MAX.
+    const char *text = it->second.c_str();
     char *end = nullptr;
-    const long v = std::strtol(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str()) {
+    errno = 0;
+    const long v = std::strtol(text, &end, 0);
+    if (end == text || *end != '\0' || errno == ERANGE) {
         warn("config key '%s' = '%s' is not an integer; using %ld",
-             key.c_str(), it->second.c_str(), fallback);
+             key.c_str(), text, fallback);
         return fallback;
     }
     return v;
@@ -106,11 +111,13 @@ Config::getDouble(const std::string &key, double fallback) const
     auto it = entries_.find(key);
     if (it == entries_.end())
         return fallback;
+    const char *text = it->second.c_str();
     char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str()) {
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE) {
         warn("config key '%s' = '%s' is not a number; using %g",
-             key.c_str(), it->second.c_str(), fallback);
+             key.c_str(), text, fallback);
         return fallback;
     }
     return v;

@@ -351,11 +351,39 @@ setParallelThreadCount(std::size_t n)
     ThreadPool::instance().setThreadCount(n);
 }
 
+std::size_t
+parallelWidth()
+{
+    return ThreadPool::inParallelRegion() ? 1 : parallelThreadCount();
+}
+
 void
 parallelInvoke(std::vector<std::function<void()>> tasks)
 {
     parallelFor(std::size_t{0}, tasks.size(), std::size_t{1},
                 [&](std::size_t i) { tasks[i](); });
+}
+
+uint64_t
+awaitAtLeast(const std::atomic<uint64_t> &word, uint64_t target)
+{
+    // Polls a wait spins through before it starts yielding its core.
+    constexpr int kSpinsBeforeYield = 256;
+    for (int polls = 0;;) {
+        const uint64_t v = word.load(std::memory_order_acquire);
+        if (v >= target)
+            return v;
+        if (polls < kSpinsBeforeYield) {
+            ++polls;
+#if defined(__x86_64__) || defined(__i386__)
+            __builtin_ia32_pause();
+#endif
+        } else {
+            // Another tenant of the host may have descheduled the
+            // thread this one waits for.
+            std::this_thread::yield();
+        }
+    }
 }
 
 } // namespace neuro

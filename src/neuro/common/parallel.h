@@ -2,7 +2,7 @@
  * @file
  * Work-chunking parallel execution subsystem.
  *
- * A single lazily-started, process-wide thread pool backs three
+ * A single lazily-started, process-wide thread pool backs four
  * primitives used across the simulators:
  *
  *  - parallelFor(begin, end, grain, fn): fn(i) for every index in
@@ -31,10 +31,15 @@
  * Nesting: a parallel primitive invoked from inside a pool task runs
  * serially inline on that worker. The outer layer already saturates
  * the pool, and running nested work inline cannot deadlock.
+ *
+ * Tasks that wait for each other: parallelInvoke() promises that up to
+ * parallelWidth() tasks run at the same time (see there), and
+ * awaitAtLeast() is the one wait such tasks use.
  */
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -106,6 +111,11 @@ std::size_t parallelThreadCount();
 /** Set the parallelism width (0 = hardware_concurrency). */
 void setParallelThreadCount(std::size_t n);
 
+/** @return how many tasks a parallelInvoke() from this thread runs at
+ *  the same time: 1 inside a pool task, parallelThreadCount()
+ *  otherwise. */
+std::size_t parallelWidth();
+
 /** fn(i0, i1) per chunk; see ThreadPool::forRange. */
 inline void
 parallelForRange(std::size_t begin, std::size_t end, std::size_t grain,
@@ -151,11 +161,26 @@ parallelMap(std::size_t n, const Fn &fn)
 }
 
 /**
- * Run a handful of independent heterogeneous tasks (e.g. the three
- * model trainings of the Table 3 comparison) across the pool. The
- * first task runs on the calling thread.
+ * Run a handful of heterogeneous tasks (e.g. the three model trainings
+ * of the Table 3 comparison) across the pool.
+ *
+ * The pool contract: called outside a pool task with at most
+ * parallelThreadCount() tasks, parallelInvoke runs every task at the
+ * same time. Task 0 runs on the caller and each other task on its own
+ * worker, so the tasks may wait for one another. This holds because
+ * top-level jobs take the pool one at a time, and a job is queued only
+ * after every worker has let go of the job before it: all
+ * parallelThreadCount() - 1 workers are free to take a task each.
+ * Inside a pool task the tasks run inline, in order, on the calling
+ * thread, so there they must not wait for one another.
+ * parallelWidth() says which case holds.
  */
 void parallelInvoke(std::vector<std::function<void()>> tasks);
+
+/** Spin, then yield, until @p word reaches @p target. For tasks of one
+ *  parallelInvoke() that wait for each other under its contract.
+ *  @return the value seen (acquire). */
+uint64_t awaitAtLeast(const std::atomic<uint64_t> &word, uint64_t target);
 
 } // namespace neuro
 

@@ -69,9 +69,10 @@ isoAccuracyComparison(const Workload &workload, double snn_accuracy,
     // Each candidate's accuracy depends only on (seed, hidden), so the
     // candidates can be trained concurrently; scanning the results in
     // candidate order afterwards selects the same "smallest matching
-    // size" the sequential early-exit loop found. With one thread the
-    // loop below is strictly sequential and keeps the early exit, so
-    // no extra candidates are ever trained in serial mode.
+    // size" the sequential early-exit loop found. Where one task runs
+    // at a time (one thread, or inside a pool task) the loop below is
+    // strictly sequential and keeps the early exit, so no extra
+    // candidates are ever trained there.
     const auto trainCandidate = [&](std::size_t hidden) {
         mlp::MlpConfig config = defaultMlpConfig(workload);
         config.layerSizes[1] = hidden;
@@ -82,7 +83,7 @@ isoAccuracyComparison(const Workload &workload, double snn_accuracy,
                                      seed * 61 + hidden);
     };
 
-    if (parallelThreadCount() == 1) {
+    if (parallelWidth() == 1) {
         for (std::size_t hidden : candidate_sizes) {
             const double acc = trainCandidate(hidden);
             result.mlpHidden = hidden;

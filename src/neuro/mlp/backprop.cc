@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "neuro/common/logging.h"
@@ -23,62 +22,20 @@ namespace {
  *  member's share of a sample costs less than its two barriers. */
 constexpr std::size_t kRowsPerMember = 48;
 
-/** Polls a wait spins through before it starts yielding its core. */
-constexpr int kSpinsBeforeYield = 256;
-
-/** Team::joinedAt_ of a member that has not joined. */
-constexpr std::size_t kNotJoined = SIZE_MAX;
-
-/** MemberSignals::start of a member the epoch ended without. */
-constexpr uint64_t kEnded = UINT64_MAX;
-
 /** One monotonic signal word on its own cache line. */
 struct alignas(64) Signal
 {
     std::atomic<uint64_t> value{0};
 };
 
-/** Spin, then yield, until @p signal reaches @p target.
- *  @return the value seen (acquire). */
-uint64_t
-awaitAtLeast(const Signal &signal, uint64_t target)
-{
-    for (int polls = 0;; ++polls) {
-        const uint64_t v = signal.value.load(std::memory_order_acquire);
-        if (v >= target)
-            return v;
-        if (polls < kSpinsBeforeYield) {
-#if defined(__x86_64__) || defined(__i386__)
-            __builtin_ia32_pause();
-#endif
-        } else {
-            // Another tenant of the host may have descheduled the
-            // thread this one waits for.
-            std::this_thread::yield();
-        }
-    }
-}
-
-/** A member's signals. The member raises `joined` when its task
- *  starts; the leader answers in `start` with one past the first
- *  sample whose update the member runs, or kEnded. `forwarded`
- *  counts the samples whose forward slice the member has finished. */
-struct MemberSignals
-{
-    Signal joined;
-    Signal start;
-    Signal forwarded;
-};
-
-/** @return the members of a train() of @p net: one inside a pool
- *  task or at one thread, else one per kRowsPerMember layer-0 rows. */
+/** @return the members of a train() of @p net: one per kRowsPerMember
+ *  layer-0 rows, at most the tasks that run at once from here (one
+ *  inside a pool task or at one thread). */
 std::size_t
 teamSize(const Mlp &net)
 {
-    if (ThreadPool::inParallelRegion())
-        return 1;
     return std::max<std::size_t>(
-        1, std::min(parallelThreadCount(),
+        1, std::min(parallelWidth(),
                     net.weights(0).rows() / kRowsPerMember));
 }
 
@@ -95,16 +52,17 @@ teamSize(const Mlp &net)
  *   3. each member updates its slice and goes on to sample i + 1.
  * Every row gets the kernel call it gets serially, on the same data,
  * so the weights are the same for any team. A team of one is the
- * serial loop. The caller allocates every buffer here; members
- * allocate nothing.
+ * serial loop. Members wait for each other from sample 0: a team is
+ * never wider than parallelWidth(), so parallelInvoke() runs every
+ * member at once (common/parallel.h). The caller allocates every
+ * buffer here; members allocate nothing.
  */
 class Team
 {
   public:
     Team(Mlp &net, const datasets::Dataset &data, float eta,
          std::size_t members)
-        : net_(net), data_(data), eta_(eta), signals_(members),
-          joinedAt_(members, kNotJoined)
+        : net_(net), data_(data), eta_(eta), forwarded_(members)
     {
         Matrix &w0 = net.weights(0);
         w0_ = w0.data().data();
@@ -133,11 +91,7 @@ class Team
     }
 
     /** @return the members, leader included. */
-    std::size_t members() const { return signals_.size(); }
-
-    /** @return samples of the last epoch the leader began with fewer
-     *  members than members(). */
-    uint64_t shortSamples() const { return shortSamples_; }
+    std::size_t members() const { return forwarded_.size(); }
 
     /** Train one epoch in @p order. @return its summed squared
      *  output error. */
@@ -147,17 +101,13 @@ class Team
         order_ = order.data();
         n_ = order.size();
         sqError_ = 0.0;
-        shortSamples_ = 0;
-        joined_ = 0;
-        std::fill(joinedAt_.begin(), joinedAt_.end(), kNotJoined);
-        // Publishing the job to the pool orders these resets before
-        // any member's first load.
+        // Publishing the job to the pool orders these resets and
+        // sample 0's input before any member's first load.
         for (Signal *s : {&passedA_, &normalized_, &released_})
             s->value.store(0, std::memory_order_relaxed);
-        for (MemberSignals &m : signals_) {
-            for (Signal *s : {&m.joined, &m.start, &m.forwarded})
-                s->value.store(0, std::memory_order_relaxed);
-        }
+        for (Signal &s : forwarded_)
+            s.value.store(0, std::memory_order_relaxed);
+        data_.normalized(order_[0], input_[0].data());
         if (members() == 1) {
             lead();
         } else {
@@ -189,25 +139,6 @@ class Team
     {
         kernels::addOuterBias(w0_ + r0 * cols0_, r1 - r0, cols0_, eta_,
                               delta_[0].data() + r0, x);
-    }
-
-    /** fn(r0, r1) over each run of layer-0 rows the leader covers in
-     *  a phase: its own slice and the slice of every member that has
-     *  not joined before sample @p limit. */
-    template <typename Fn>
-    void
-    forLeaderRows(std::size_t limit, const Fn &fn) const
-    {
-        const std::size_t m = members();
-        for (std::size_t k = 0; k < m;) {
-            const std::size_t r0 = bounds_[k];
-            do
-                ++k;
-            while (k < m && joinedAt_[k] >= limit);
-            fn(r0, bounds_[k]);
-            while (k < m && joinedAt_[k] < limit)
-                ++k;
-        }
     }
 
     /**
@@ -271,85 +202,53 @@ class Team
     lead()
     {
         const std::size_t m = members();
-        data_.normalized(order_[0], input_[0].data());
+        const std::size_t r1 = bounds_[1];
         for (std::size_t i = 0; i < n_; ++i) {
             const float *x = input_[i % 2].data();
-            if (joined_ + 1 < m)
-                ++shortSamples_;
-            forLeaderRows(i, [&](std::size_t r0, std::size_t r1) {
-                forwardRows(r0, r1, x);
-            });
+            forwardRows(0, r1, x);
             // Barrier A: every member's slice of layer 0 is done.
-            for (std::size_t k = 1; k < m; ++k) {
-                if (joinedAt_[k] < i)
-                    awaitAtLeast(signals_[k].forwarded, i + 1);
-            }
+            for (std::size_t k = 1; k < m; ++k)
+                awaitAtLeast(forwarded_[k].value, i + 1);
             passedA_.value.store(i + 1, std::memory_order_release);
 
             sqError_ += upperLayers(order_[i]);
             if (i + 1 < n_) {
-                if (m > 1 && joinedAt_[1] < i)
-                    awaitAtLeast(normalized_, i + 2);
+                if (m > 1)
+                    awaitAtLeast(normalized_.value, i + 2);
                 else
                     data_.normalized(order_[i + 1],
                                      input_[(i + 1) % 2].data());
             }
-            // The team is fixed here: a member that has joined takes
-            // its slice from this sample's update on.
-            for (std::size_t k = 1; k < m; ++k) {
-                if (joinedAt_[k] == kNotJoined &&
-                    signals_[k].joined.value.load(
-                        std::memory_order_acquire) != 0) {
-                    joinedAt_[k] = i;
-                    ++joined_;
-                    signals_[k].start.value.store(
-                        i + 1, std::memory_order_release);
-                }
-            }
             // Barrier B: the deltas and the next input are ready.
             released_.value.store(i + 1, std::memory_order_release);
-            forLeaderRows(i + 1, [&](std::size_t r0, std::size_t r1) {
-                updateRows(r0, r1, x);
-            });
-        }
-        for (std::size_t k = 1; k < m; ++k) {
-            if (joinedAt_[k] == kNotJoined)
-                signals_[k].start.value.store(kEnded,
-                                              std::memory_order_release);
+            updateRows(0, r1, x);
         }
     }
 
     /**
-     * Member k's loop, on a pool worker (or on the caller after the
-     * leader, if no worker took it). Its update of sample i reads
-     * input_[i % 2] and delta_[0]; nobody rewrites either before every
-     * member has passed barrier A of sample i + 1.
+     * Member k's loop, on its own pool worker. Its update of sample i
+     * reads input_[i % 2] and delta_[0]; nobody rewrites either before
+     * every member has passed barrier A of sample i + 1.
      */
     void
     follow(std::size_t k)
     {
-        MemberSignals &self = signals_[k];
-        self.joined.value.store(1, std::memory_order_release);
-        const uint64_t start = awaitAtLeast(self.start, 1);
-        if (start == kEnded)
-            return;
         const std::size_t r0 = bounds_[k];
         const std::size_t r1 = bounds_[k + 1];
-        for (std::size_t i = start - 1;;) {
-            updateRows(r0, r1, input_[i % 2].data());
-            if (++i == n_)
-                return;
-            forwardRows(r0, r1, input_[i % 2].data());
-            self.forwarded.value.store(i + 1, std::memory_order_release);
+        for (std::size_t i = 0; i < n_; ++i) {
+            const float *x = input_[i % 2].data();
+            forwardRows(r0, r1, x);
+            forwarded_[k].value.store(i + 1, std::memory_order_release);
             if (k == 1 && i + 1 < n_) {
                 // input_[(i + 1) % 2] held sample i - 1, whose updates
                 // are done once the leader has passed barrier A.
-                awaitAtLeast(passedA_, i + 1);
+                awaitAtLeast(passedA_.value, i + 1);
                 data_.normalized(order_[i + 1],
                                  input_[(i + 1) % 2].data());
                 normalized_.value.store(i + 2, std::memory_order_release);
             }
-            awaitAtLeast(released_, i + 1);
+            awaitAtLeast(released_.value, i + 1);
+            updateRows(r0, r1, x);
         }
     }
 
@@ -364,8 +263,9 @@ class Team
     std::vector<std::vector<float>> delta_; ///< per neuron layer.
     std::vector<float> gemvT_;              ///< transposed-product sink.
 
-    /** Entry k for member k; the leader's entry 0 stays unused. */
-    std::vector<MemberSignals> signals_;
+    /** Samples whose forward slice member k has finished, in entry k;
+     *  the leader's entry 0 stays unused. */
+    std::vector<Signal> forwarded_;
     Signal passedA_;    ///< samples whose barrier A the leader passed.
     Signal normalized_; ///< samples whose input is in its buffer.
     Signal released_;   ///< samples whose barrier B has opened.
@@ -374,9 +274,6 @@ class Team
     const uint32_t *order_ = nullptr;
     std::size_t n_ = 0;
     double sqError_ = 0.0;
-    uint64_t shortSamples_ = 0;
-    std::size_t joined_ = 0;             ///< members joined so far.
-    std::vector<std::size_t> joinedAt_; ///< sample at whose B k joined.
 };
 
 } // namespace
@@ -414,7 +311,6 @@ train(Mlp &net, const datasets::Dataset &data, const TrainConfig &config,
         obsGauge<"mlp.epoch_error">(mse);
         obsGauge<"mlp.train.team_size">(
             static_cast<double>(team.members()));
-        obsCount<"mlp.train.short_team_samples">(team.shortSamples());
         if (callback) {
             EpochReport report;
             report.epoch = epoch;

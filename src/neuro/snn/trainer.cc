@@ -1,6 +1,7 @@
 #include "neuro/snn/trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -78,72 +79,6 @@ SnnStdpTrainer::gridFor(const datasets::Dataset &data, std::size_t index,
     return std::make_unique<const PackedSpikeGrid>(scratch.compactCopy());
 }
 
-namespace {
-
-/**
- * Epoch 1's hand-off between the presentation loop and the grid
- * prefetcher on a pool worker. Each step is claimed once: the loop
- * claims each step it begins, and the prefetcher claims the next step
- * neither has. A step the loop begins while the prefetcher encodes it
- * waits for that encode; any other step the loop finds stored or
- * encodes itself. So every grid is encoded once. The prefetcher runs
- * unpaced: every grid it encodes stays in the store.
- */
-class EpochPrefetch
-{
-  public:
-    /** The loop begins step @p step; returns once the prefetcher is
-     *  not encoding it. */
-    void
-    begin(std::size_t step)
-    {
-        MutexGuard lock(mutex_);
-        begun_ = step + 1;
-        while (inFlight_ == step)
-            landed_.wait(mutex_);
-    }
-
-    /** The loop has ended (or is unwinding): stop the prefetcher. */
-    void
-    finish()
-    {
-        MutexGuard lock(mutex_);
-        finished_ = true;
-    }
-
-    /** Prefetcher side: the previous claim has landed (or the
-     *  prefetcher is unwinding); wake a loop waiting on it. */
-    void
-    landed()
-    {
-        {
-            MutexGuard lock(mutex_);
-            inFlight_ = SIZE_MAX;
-        }
-        landed_.notifyOne();
-    }
-
-    /** Prefetcher side: claim the first step at or after @p step that
-     *  the loop has not begun. @return that step, or SIZE_MAX once the
-     *  loop has finished. */
-    std::size_t
-    next(std::size_t step)
-    {
-        MutexGuard lock(mutex_);
-        inFlight_ = finished_ ? SIZE_MAX : std::max(step, begun_);
-        return inFlight_;
-    }
-
-  private:
-    Mutex mutex_;
-    CondVar landed_; ///< the loop waits here.
-    std::size_t begun_ NEURO_GUARDED_BY(mutex_) = 0;
-    std::size_t inFlight_ NEURO_GUARDED_BY(mutex_) = SIZE_MAX;
-    bool finished_ NEURO_GUARDED_BY(mutex_) = false;
-};
-
-} // namespace
-
 void
 SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
                       const SnnTrainConfig &config,
@@ -166,17 +101,29 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
     // whoever encodes one makes the same grid. At one thread, or
     // inside a pool task, where a nested primitive would run the two
     // in turn, the loop encodes inline.
-    const bool prefetch =
-        parallelThreadCount() > 1 && !ThreadPool::inParallelRegion();
+    const bool prefetch = parallelWidth() > 1;
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
         NEURO_PROFILE_SCOPE("snn/train/epoch");
         rng.shuffle(order.data(), n);
         SnnEpochReport report;
         report.epoch = epoch;
-        auto presentEpoch = [&](EpochPrefetch *ahead) {
+        // Epoch 1's hand-off to the prefetcher. Steps are claimed in
+        // order, each once: `claimed` counts the steps claimed, and
+        // `done` is one past the last step the prefetcher stored, or n
+        // once it has stopped. The loop claims a step the prefetcher
+        // has not reached and encodes it inline; a step the prefetcher
+        // holds, the loop waits for. So every grid is encoded once.
+        std::atomic<uint64_t> claimed{0};
+        std::atomic<uint64_t> done{0};
+        auto presentEpoch = [&](bool ahead) {
             for (std::size_t step = 0; step < n; ++step) {
-                if (ahead)
-                    ahead->begin(step);
+                uint64_t expect = step;
+                // Relaxed: the claim only splits the steps; the grid
+                // itself is published through `done`.
+                if (ahead &&
+                    !claimed.compare_exchange_strong(
+                        expect, step + 1, std::memory_order_relaxed))
+                    awaitAtLeast(done, step + 1);
                 const std::size_t index = order[step];
                 const PackedSpikeGrid *grid = store_.held(index);
                 std::unique_ptr<const PackedSpikeGrid> encoded;
@@ -195,37 +142,40 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
             }
         };
         if (epoch == 0 && prefetch) {
-            EpochPrefetch ahead;
             parallelInvoke({
                 [&] {
-                    // Stop the prefetcher however the loop exits.
-                    struct Finish
-                    {
-                        EpochPrefetch &ahead;
-                        ~Finish() { ahead.finish(); }
-                    } finish{ahead};
-                    presentEpoch(&ahead);
+                    try {
+                        presentEpoch(true);
+                    } catch (...) {
+                        // Stop the prefetcher at its next claim.
+                        claimed.store(n, std::memory_order_relaxed);
+                        throw;
+                    }
                 },
                 [&] {
                     // Release a waiting loop however this exits.
-                    struct Landed
+                    struct Stop
                     {
-                        EpochPrefetch &ahead;
-                        ~Landed() { ahead.landed(); }
-                    } landed{ahead};
-                    for (std::size_t step = ahead.next(0); step < n;
-                         step = ahead.next(step + 1)) {
+                        std::atomic<uint64_t> &done;
+                        uint64_t n;
+                        ~Stop() { done.store(n, std::memory_order_release); }
+                    } stop{done, n};
+                    for (;;) {
+                        const uint64_t step =
+                            claimed.fetch_add(1, std::memory_order_relaxed);
+                        if (step >= n)
+                            break;
                         auto encoded = gridFor(data, order[step],
                                                config.seed);
                         // The store is full: the loop encodes the rest.
                         if (!store_.admit(order[step], encoded))
                             break;
-                        ahead.landed();
+                        done.store(step + 1, std::memory_order_release);
                     }
                 },
             });
         } else {
-            presentEpoch(nullptr);
+            presentEpoch(false);
             if (epoch > 0)
                 store_.countEpochHits();
         }

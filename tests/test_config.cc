@@ -41,6 +41,23 @@ TEST(Config, FallbackOnUnparsableValue)
     EXPECT_DOUBLE_EQ(cfg.getDouble("n", 2.0), 2.0);
     cfg.set("b", "maybe");
     EXPECT_TRUE(cfg.getBool("b", true));
+    // A value parses whole and in range, or not at all: no prefix of
+    // it is read.
+    cfg.set("train", "2e3");
+    EXPECT_EQ(cfg.getInt("train", 500), 500);
+    cfg.set("port", "7411x");
+    EXPECT_EQ(cfg.getInt("port", 7400), 7400);
+    cfg.set("latency_us", "3.5ms");
+    EXPECT_DOUBLE_EQ(cfg.getDouble("latency_us", 100.0), 100.0);
+    cfg.set("big", "99999999999999999999999");
+    EXPECT_EQ(cfg.getInt("big", 3), 3);
+    cfg.set("huge", "1e999");
+    EXPECT_DOUBLE_EQ(cfg.getDouble("huge", 4.0), 4.0);
+    // Whole values still parse.
+    cfg.set("train", "2000");
+    EXPECT_EQ(cfg.getInt("train", 500), 2000);
+    cfg.set("latency_us", "3.5");
+    EXPECT_DOUBLE_EQ(cfg.getDouble("latency_us", 100.0), 3.5);
 }
 
 TEST(Config, ParseArgsKeyValueOnly)

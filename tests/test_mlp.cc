@@ -297,9 +297,10 @@ TEST(Backprop, TrainingInsideAPoolTaskMatchesSerial)
 
 TEST(Backprop, TrainingFinishesWhileThePoolIsBusy)
 {
-    // Another thread's job holds the pool when train() starts; the
-    // training waits its turn, forms its team and ends with the
-    // serial weights.
+    // Another thread's job holds the pool when train() starts. Top-level
+    // jobs take the pool one at a time, so the training waits for that
+    // job to let go of every worker, then runs its whole team from
+    // sample 0 and ends with the serial weights.
     const datasets::Split split = smallDigits(120);
     const std::vector<std::size_t> layers = {784, 100, 10};
     PoolAndSimdRestore restore;

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -185,6 +187,81 @@ TEST(ThreadPool, CallerRunsTheFirstChunk)
                 firstChunk = std::this_thread::get_id();
         });
         ASSERT_EQ(firstChunk, caller) << "round " << round;
+    }
+}
+
+/**
+ * parallelInvoke()s parallelThreadCount() tasks that meet: each one
+ * arrives, then waits for all the others, for at most 10 s.
+ * @return the tasks that gave up waiting; @p first gets the thread
+ * task 0 ran on.
+ */
+std::size_t
+meetingMisses(std::thread::id &first)
+{
+    const std::size_t width = parallelThreadCount();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::atomic<std::size_t> arrived{0};
+    std::atomic<std::size_t> misses{0};
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t t = 0; t < width; ++t) {
+        tasks.push_back([&, t] {
+            if (t == 0)
+                first = std::this_thread::get_id();
+            arrived.fetch_add(1, std::memory_order_acq_rel);
+            while (arrived.load(std::memory_order_acquire) < width) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    misses.fetch_add(1, std::memory_order_relaxed);
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+    }
+    parallelInvoke(std::move(tasks));
+    return misses.load(std::memory_order_relaxed);
+}
+
+TEST(ParallelInvoke, TasksUpToTheThreadCountRunAtOnce)
+{
+    // The pool contract both trainers' hand-offs rest on: at top level,
+    // as many tasks as threads all run at once, task 0 on the caller,
+    // also when another thread's job holds the pool as they start. A
+    // pool short of a worker fails here (after the deadline) instead
+    // of hanging.
+    const std::thread::id caller = std::this_thread::get_id();
+    for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+        ThreadCountGuard guard(threads);
+        EXPECT_EQ(parallelWidth(), threads);
+        std::thread::id first;
+        EXPECT_EQ(meetingMisses(first), 0u) << threads << " threads";
+        EXPECT_EQ(first, caller);
+
+        // Another thread's job occupies every worker when the meeting
+        // starts; the meeting takes the pool once that job lets go.
+        std::atomic<bool> busy{false};
+        std::thread other([&] {
+            std::vector<std::function<void()>> hold(threads, [] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            });
+            hold[1] = [&] {
+                busy.store(true, std::memory_order_release);
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            };
+            parallelInvoke(std::move(hold));
+        });
+        while (!busy.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        EXPECT_EQ(meetingMisses(first), 0u)
+            << threads << " threads, pool busy";
+        EXPECT_EQ(first, caller);
+        other.join();
+
+        // Inside a pool task the tasks run inline, one at a time.
+        std::size_t inner = 0;
+        parallelInvoke({[&] { inner = parallelWidth(); }, [] {}});
+        EXPECT_EQ(inner, 1u) << threads << " threads";
     }
 }
 

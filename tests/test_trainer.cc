@@ -164,15 +164,12 @@ struct TrainedState
     std::size_t storeBytes = 0; ///< grid bytes the store holds.
 };
 
-/** Two epochs over @p data with a fresh network and a trainer whose
- *  grid store holds @p budget bytes. A wider layer than halvesConfig()
- *  presents slower than it encodes, so the prefetcher runs ahead. */
+/** Two epochs of @p config over @p data with a fresh network and a
+ *  trainer whose grid store holds @p budget bytes. */
 TrainedState
-trainHalves(const datasets::Dataset &data,
-            std::size_t budget = GridStore::kBudgetBytes)
+trainState(const SnnConfig &config, const datasets::Dataset &data,
+           std::size_t budget = GridStore::kBudgetBytes)
 {
-    SnnConfig config = halvesConfig();
-    config.numNeurons = 64;
     Rng rng(21);
     SnnNetwork net(config, rng);
     SnnStdpTrainer trainer(config);
@@ -189,6 +186,17 @@ trainHalves(const datasets::Dataset &data,
     state.cache = trainer.gridCache().stats();
     state.storeBytes = GridStoreTestPeer::bytes(trainer);
     return state;
+}
+
+/** trainState() of a wider layer than halvesConfig(), which presents
+ *  slower than it encodes, so the prefetcher runs ahead. */
+TrainedState
+trainHalves(const datasets::Dataset &data,
+            std::size_t budget = GridStore::kBudgetBytes)
+{
+    SnnConfig config = halvesConfig();
+    config.numNeurons = 64;
+    return trainState(config, data, budget);
 }
 
 TEST(SnnStdpTrainer, PrefetchedTrainingIsThreadCountInvariant)
@@ -224,6 +232,50 @@ TEST(SnnStdpTrainer, PrefetchedTrainingIsThreadCountInvariant)
     EXPECT_EQ(nested.weights, serial.weights);
     EXPECT_EQ(nested.thresholds, serial.thresholds);
     EXPECT_EQ(nested.cache.misses, data.size());
+    setParallelThreadCount(saved);
+}
+
+/** @p count 28x28 images with every pixel bright. */
+datasets::Dataset
+makeBright(std::size_t count, uint64_t seed)
+{
+    datasets::Dataset data("bright", 28, 28, 2);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < count; ++i) {
+        datasets::Sample s;
+        s.label = static_cast<int>(i % 2);
+        s.pixels.resize(784);
+        for (uint8_t &p : s.pixels)
+            p = static_cast<uint8_t>(200 + rng.uniformInt(56));
+        data.add(std::move(s));
+    }
+    return data;
+}
+
+TEST(SnnStdpTrainer, LaggingPrefetcherKeepsTheSerialResult)
+{
+    // Two neurons present a bright 28x28 image faster than the
+    // prefetcher encodes one, so the loop keeps catching up with it:
+    // while it runs, the loop encodes the steps it has not reached and
+    // waits for the one it holds. Each grid is still encoded once.
+    SnnConfig config;
+    config.numInputs = 784;
+    config.numNeurons = 2;
+    config.homeostasis.epochMs = 20 * config.coding.periodMs;
+    const datasets::Dataset data = makeBright(120, 26);
+    const std::size_t saved = parallelThreadCount();
+    setParallelThreadCount(1);
+    const TrainedState serial = trainState(config, data);
+    for (const std::size_t threads : {2u, 4u}) {
+        setParallelThreadCount(threads);
+        const TrainedState run = trainState(config, data);
+        EXPECT_EQ(run.weights, serial.weights) << threads << " threads";
+        EXPECT_EQ(run.thresholds, serial.thresholds);
+        EXPECT_EQ(run.outputSpikes, serial.outputSpikes);
+        EXPECT_EQ(run.silentImages, serial.silentImages);
+        EXPECT_EQ(run.cache.entries, data.size());
+        EXPECT_EQ(run.cache.misses, data.size()) << threads << " threads";
+    }
     setParallelThreadCount(saved);
 }
 
