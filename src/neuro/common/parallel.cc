@@ -294,9 +294,9 @@ ThreadPool::forRange(std::size_t begin, std::size_t end,
     job.numChunks = (n + grain - 1) / grain;
     job.fn = &fn;
     // Chunk 0 is the caller's, so a task list's first task always runs
-    // on the calling thread. SNN training relies on it to keep its grid
-    // prefetcher (task 1) and so the grid store off the caller's malloc
-    // arena (docs/parallelism.md).
+    // on the calling thread. SNN training relies on it to encode the
+    // same share of its grid store into each thread's malloc arena in
+    // every train() (docs/parallelism.md).
     job.nextChunk.store(1, std::memory_order_relaxed);
 
     // One top-level job at a time: concurrent callers queue up here
@@ -364,25 +364,31 @@ parallelInvoke(std::vector<std::function<void()>> tasks)
                 [&](std::size_t i) { tasks[i](); });
 }
 
-uint64_t
-awaitAtLeast(const std::atomic<uint64_t> &word, uint64_t target)
+void
+awaitBackoff(int &polls)
 {
     // Polls a wait spins through before it starts yielding its core.
     constexpr int kSpinsBeforeYield = 256;
+    if (polls < kSpinsBeforeYield) {
+        ++polls;
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+    } else {
+        // Another tenant of the host may have descheduled the thread
+        // this one waits for.
+        std::this_thread::yield();
+    }
+}
+
+uint64_t
+awaitAtLeast(const std::atomic<uint64_t> &word, uint64_t target)
+{
     for (int polls = 0;;) {
         const uint64_t v = word.load(std::memory_order_acquire);
         if (v >= target)
             return v;
-        if (polls < kSpinsBeforeYield) {
-            ++polls;
-#if defined(__x86_64__) || defined(__i386__)
-            __builtin_ia32_pause();
-#endif
-        } else {
-            // Another tenant of the host may have descheduled the
-            // thread this one waits for.
-            std::this_thread::yield();
-        }
+        awaitBackoff(polls);
     }
 }
 

@@ -34,7 +34,8 @@
  *
  * Tasks that wait for each other: parallelInvoke() promises that up to
  * parallelWidth() tasks run at the same time (see there), and
- * awaitAtLeast() is the one wait such tasks use.
+ * awaitAtLeast() (one word) or awaitUntil() (a condition over several)
+ * is the one wait such tasks use.
  */
 
 #pragma once
@@ -181,6 +182,20 @@ void parallelInvoke(std::vector<std::function<void()>> tasks);
  *  parallelInvoke() that wait for each other under its contract.
  *  @return the value seen (acquire). */
 uint64_t awaitAtLeast(const std::atomic<uint64_t> &word, uint64_t target);
+
+/** The wait policy's step after the @p polls-th failed poll (counted
+ *  up here): pause the core for the first polls, then yield it. */
+void awaitBackoff(int &polls);
+
+/** awaitAtLeast() for a condition over several words: poll @p done,
+ *  which loads them (acquire), until it returns true. */
+template <typename Done>
+void
+awaitUntil(const Done &done)
+{
+    for (int polls = 0; !done();)
+        awaitBackoff(polls);
+}
 
 } // namespace neuro
 

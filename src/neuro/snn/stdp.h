@@ -2,18 +2,24 @@
  * @file
  * Simplified Spike-Timing-Dependent Plasticity (Sections 2.2 and 4.4),
  * the rule the paper's online-learning circuit implements: when a neuron
- * fires at time t, every input synapse whose most recent presynaptic
- * spike falls within the LTP window [t - TLTP, t] is potentiated by a
- * constant increment; every other synapse (spike too old, or none) is
- * depressed by a constant decrement. Weights saturate at [wMin, wMax].
- * STDP applies only to the excitatory input synapses, never to the
- * lateral inhibition.
+ * fires at time t, every input synapse with a presynaptic spike in the
+ * LTP window [t - TLTP, t] is potentiated by a constant increment;
+ * every other synapse (spike too old, or none) is depressed by a
+ * constant decrement. Weights saturate at [wMin, wMax]. STDP applies
+ * only to the excitatory input synapses, never to the lateral
+ * inhibition.
+ *
+ * The causal set is read from the presentation's spike grid, so a walk
+ * keeps no per-input spike times: an input spiked in the window iff
+ * its latest spike at or before t did.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
+
+#include "neuro/snn/spike_bits.h"
 
 namespace neuro {
 namespace snn {
@@ -46,19 +52,28 @@ class StdpRule
     const StdpConfig &config() const { return config_; }
 
     /**
-     * Update one neuron's input weights after it fired.
+     * Mark the causal inputs of a firing at @p fire_time_ms: every
+     * input of @p grid with a spike in [fire_time_ms - TLTP,
+     * fire_time_ms].
      *
-     * @param weights            the neuron's synaptic row (num_inputs).
-     * @param last_input_spike   per-input time of the most recent
-     *                           presynaptic spike (-1 = never).
-     * @param fire_time_ms       postsynaptic spike time.
-     * @param num_inputs         synapse count.
-     * @return number of potentiated synapses (for stats/tests).
+     * @param causal  one entry per input, all 0 on entry; each causal
+     *                input's entry is set to 1.
+     * @return the number of causal inputs.
      */
-    std::size_t onPostSpike(float *weights,
-                            const int64_t *last_input_spike,
-                            int64_t fire_time_ms,
-                            std::size_t num_inputs) const;
+    std::size_t markCausal(const PackedSpikeGrid &grid,
+                           int64_t fire_time_ms, uint32_t *causal) const;
+
+    /**
+     * Update one neuron's input weights after it fired: potentiate
+     * the marked synapses and depress the rest. Branch-free over
+     * fixed-trip tiles, so it vectorizes at -O2.
+     *
+     * @param weights     the neuron's synaptic row (num_inputs).
+     * @param causal      markCausal()'s marks.
+     * @param num_inputs  synapse count.
+     */
+    void onPostSpike(float *weights, const uint32_t *causal,
+                     std::size_t num_inputs) const;
 
   private:
     StdpConfig config_;
@@ -66,4 +81,3 @@ class StdpRule
 
 } // namespace snn
 } // namespace neuro
-

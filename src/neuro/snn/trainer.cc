@@ -1,8 +1,8 @@
 #include "neuro/snn/trainer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "neuro/common/logging.h"
@@ -80,6 +80,33 @@ SnnStdpTrainer::gridFor(const datasets::Dataset &data, std::size_t index,
 }
 
 void
+SnnStdpTrainer::storeGrids(const datasets::Dataset &data, uint64_t seed)
+{
+    const std::size_t n = data.size();
+    store_.reset(n);
+    // Task j encodes the samples [n * j / m, n * (j + 1) / m) on the
+    // same thread in every train() (parallelInvoke runs task 0 on the
+    // caller and each other task on its own worker), so each thread's
+    // malloc arena holds the same share of the store every time.
+    // Grids are a function of (seed, index): any split makes the same
+    // grids.
+    const std::size_t tasks = std::min(parallelWidth(), n);
+    std::vector<std::function<void()>> shares;
+    for (std::size_t j = 0; j < tasks; ++j) {
+        shares.emplace_back([&, j] {
+            for (std::size_t i = n * j / tasks; i < n * (j + 1) / tasks;
+                 ++i) {
+                auto grid = gridFor(data, i, seed);
+                // A grid the full store refuses is encoded again
+                // wherever it is presented.
+                store_.admit(i, grid);
+            }
+        });
+    }
+    parallelInvoke(std::move(shares));
+}
+
+void
 SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
                       const SnnTrainConfig &config,
                       const SnnEpochCallback &callback)
@@ -94,92 +121,47 @@ SnnStdpTrainer::train(SnnNetwork &net, const datasets::Dataset &data,
     const std::size_t n = data.size();
     std::vector<uint32_t> order(n);
     rng.shuffle(order.data(), n);
-    store_.reset(n);
+    storeGrids(data, config.seed);
 
-    // In epoch 1 a pool worker encodes grids into the store ahead of
-    // the presentation loop. Grids are a function of (seed, index), so
-    // whoever encodes one makes the same grid. At one thread, or
-    // inside a pool task, where a nested primitive would run the two
-    // in turn, the loop encodes inline.
-    const bool prefetch = parallelWidth() > 1;
+    // Every presentation is walked by a team that splits the neurons
+    // (docs/parallelism.md, "Neuron-split STDP training"); a team of
+    // one is the one-member walk.
+    PresentationTeam team(net, PresentationTeam::sizeFor(net.config(),
+                                                         parallelWidth()));
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
         NEURO_PROFILE_SCOPE("snn/train/epoch");
         rng.shuffle(order.data(), n);
         SnnEpochReport report;
         report.epoch = epoch;
-        // Epoch 1's hand-off to the prefetcher. Steps are claimed in
-        // order, each once: `claimed` counts the steps claimed, and
-        // `done` is one past the last step the prefetcher stored, or n
-        // once it has stopped. The loop claims a step the prefetcher
-        // has not reached and encodes it inline; a step the prefetcher
-        // holds, the loop waits for. So every grid is encoded once.
-        std::atomic<uint64_t> claimed{0};
-        std::atomic<uint64_t> done{0};
-        auto presentEpoch = [&](bool ahead) {
+        auto presentEpoch = [&](std::size_t member) {
             for (std::size_t step = 0; step < n; ++step) {
-                uint64_t expect = step;
-                // Relaxed: the claim only splits the steps; the grid
-                // itself is published through `done`.
-                if (ahead &&
-                    !claimed.compare_exchange_strong(
-                        expect, step + 1, std::memory_order_relaxed))
-                    awaitAtLeast(done, step + 1);
                 const std::size_t index = order[step];
                 const PackedSpikeGrid *grid = store_.held(index);
                 std::unique_ptr<const PackedSpikeGrid> encoded;
                 if (!grid) {
-                    // Not stored yet (epoch 1) or refused by the full
-                    // store (any epoch).
+                    // Refused by the full store: every member encodes
+                    // the same grid.
                     encoded = gridFor(data, index, config.seed);
                     grid = encoded.get();
-                    if (epoch == 0)
-                        store_.admit(index, encoded);
                 }
-                const PresentationResult r = net.present(*grid);
+                const PresentationResult r =
+                    net.present(*grid, team, member);
+                if (member != 0)
+                    continue;
                 report.outputSpikes += r.outputSpikeCount;
                 if (r.outputSpikeCount == 0)
                     ++report.silentImages;
             }
         };
-        if (epoch == 0 && prefetch) {
-            parallelInvoke({
-                [&] {
-                    try {
-                        presentEpoch(true);
-                    } catch (...) {
-                        // Stop the prefetcher at its next claim.
-                        claimed.store(n, std::memory_order_relaxed);
-                        throw;
-                    }
-                },
-                [&] {
-                    // Release a waiting loop however this exits.
-                    struct Stop
-                    {
-                        std::atomic<uint64_t> &done;
-                        uint64_t n;
-                        ~Stop() { done.store(n, std::memory_order_release); }
-                    } stop{done, n};
-                    for (;;) {
-                        const uint64_t step =
-                            claimed.fetch_add(1, std::memory_order_relaxed);
-                        if (step >= n)
-                            break;
-                        auto encoded = gridFor(data, order[step],
-                                               config.seed);
-                        // The store is full: the loop encodes the rest.
-                        if (!store_.admit(order[step], encoded))
-                            break;
-                        done.store(step + 1, std::memory_order_release);
-                    }
-                },
-            });
-        } else {
-            presentEpoch(false);
-            if (epoch > 0)
-                store_.countEpochHits();
-        }
+        std::vector<std::function<void()>> members;
+        for (std::size_t k = 0; k < team.members(); ++k)
+            members.emplace_back([&presentEpoch, k] { presentEpoch(k); });
+        parallelInvoke(std::move(members));
+        if (epoch > 0)
+            store_.countEpochHits();
         obsCount<"snn.images_presented">(n);
+        obsCount<"snn.train.discarded_ticks">(team.takeDiscardedTicks());
+        obsGauge<"snn.train.team_size">(static_cast<double>(team.members()));
         obsSample<"snn.epoch_output_spikes">(
             static_cast<double>(report.outputSpikes));
         if (callback)

@@ -67,11 +67,11 @@ struct GridCacheStats
 };
 
 /**
- * The training grids of one train(): one slot per sample, filled in
- * epoch 1 and read by every later epoch. A sample's grid is a function
- * of (seed, index), so a slot never goes stale within a train(). Grids
- * are admitted while they fit the byte budget; the sample of a refused
- * grid is encoded inline in every epoch.
+ * The training grids of one train(): one slot per sample, filled
+ * before epoch 1 and read by every epoch. A sample's grid is a
+ * function of (seed, index), so a slot never goes stale within a
+ * train(). Grids are admitted while they fit the byte budget; the
+ * sample of a refused grid is encoded inline in every epoch.
  */
 class GridStore
 {
@@ -102,7 +102,7 @@ class GridStore
     bool admit(std::size_t index,
                std::unique_ptr<const PackedSpikeGrid> &grid);
 
-    /** A later epoch presented every held grid once. */
+    /** An epoch after the first presented every held grid once. */
     void countEpochHits();
 
     std::size_t budgetBytes_ = kBudgetBytes;
@@ -119,10 +119,11 @@ class SnnStdpTrainer
     /** The encoder is derived from the network's coding config. */
     explicit SnnStdpTrainer(const SnnConfig &config);
 
-    /** Run unsupervised STDP over @p data. Resets the grid store:
-     *  epoch 1 encodes every sample into it (a pool worker encodes
-     *  ahead of the presentation loop above one thread), later epochs
-     *  present from it. */
+    /** Run unsupervised STDP over @p data. Resets the grid store and
+     *  encodes every sample into it on the pool before epoch 1; every
+     *  epoch presents from it. Above one thread a team of pool threads
+     *  presents each grid, each over its own neurons (PresentationTeam);
+     *  the learned state is the same at any thread count. */
     void train(SnnNetwork &net, const datasets::Dataset &data,
                const SnnTrainConfig &config,
                const SnnEpochCallback &callback = {});
@@ -167,6 +168,10 @@ class SnnStdpTrainer
             uint64_t seed) const;
 
   private:
+    /** Reset the grid store to @p data's samples and encode each into
+     *  it under @p seed, split over the pool. */
+    void storeGrids(const datasets::Dataset &data, uint64_t seed);
+
     /** SNNwt winners (and fired flags) for every sample of @p data. */
     std::vector<int> winnersFor(const SnnNetwork &net,
                                 const datasets::Dataset &data,

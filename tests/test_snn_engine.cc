@@ -7,14 +7,19 @@
 // must give the reference's first-spike answer and count only the
 // ticks it stepped. FirstSpikeReader, which encodes only up to a
 // horizon, must give the full grid's answers at any thread count and
-// kernel ISA. Also covers the trainer's grid-cache routing and that
-// inference leaves homeostasis alone.
+// kernel ISA. A PresentationTeam, whose members walk disjoint neuron
+// ranges and agree on each firing, must present bit-identically to
+// presentImage() too. Also covers the trainer's grid-cache routing and
+// that inference leaves homeostasis alone.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
@@ -563,6 +568,270 @@ expectFirstSpikeCut(const SnnNetwork &net, const PackedSpikeGrid &grid,
     }
 }
 
+/** Restores the thread count and the kernel table on scope exit. */
+struct PoolAndSimdRestore
+{
+    std::size_t threads = parallelThreadCount();
+    ~PoolAndSimdRestore()
+    {
+        setParallelThreadCount(threads);
+        kernels::setSimdMode(kernels::SimdMode::Auto);
+    }
+};
+
+/** Present @p grids in order to @p net with a team of @p members, each
+ *  member on a thread of its own. @return member 0's results. */
+std::vector<PresentationResult>
+presentByTeam(SnnNetwork &net, const std::vector<PackedSpikeGrid> &grids,
+              std::size_t members)
+{
+    PresentationTeam team(net, members);
+    std::vector<PresentationResult> results(grids.size());
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t k = 0; k < members; ++k) {
+        tasks.emplace_back([&, k] {
+            for (std::size_t i = 0; i < grids.size(); ++i) {
+                PresentationResult r = net.present(grids[i], team, k);
+                if (k == 0)
+                    results[i] = r;
+                else
+                    EXPECT_EQ(r.outputSpikeCount, 0u); // empty.
+            }
+        });
+    }
+    parallelInvoke(std::move(tasks));
+    return results;
+}
+
+/** Each grid of @p grids presented, learning, by teams of 2 and 3
+ *  members from copies of @p net, against presentImage() on another:
+ *  the same results and learned state. */
+void
+expectTeamsAgree(const SnnNetwork &net,
+                 const std::vector<PackedSpikeGrid> &grids,
+                 const std::string &what)
+{
+    PoolAndSimdRestore restore;
+    SnnNetwork oracle(net);
+    std::vector<PresentationResult> refs;
+    for (const PackedSpikeGrid &grid : grids)
+        refs.push_back(oracle.presentImage(grid, /*learn=*/true));
+    for (const std::size_t members : {2u, 3u}) {
+        if (net.config().numNeurons < 16 * members)
+            continue;
+        setParallelThreadCount(members);
+        SnnNetwork team_net(net);
+        const auto results = presentByTeam(team_net, grids, members);
+        for (std::size_t i = 0; i < grids.size(); ++i)
+            expectIdenticalResults(refs[i], results[i], i);
+        EXPECT_EQ(team_net.weights().data(), oracle.weights().data())
+            << what << ", " << members << " members";
+        EXPECT_EQ(team_net.thresholds(), oracle.thresholds())
+            << what << ", " << members << " members";
+        EXPECT_EQ(team_net.homeostasisEpochs(), oracle.homeostasisEpochs());
+    }
+}
+
+/** A handBuiltConfig(threshold) net of 48 neurons (two members split
+ *  it at 16, three at 16 and 32) with every threshold at @p threshold
+ *  and every weight at 10, except the rows @p rows, at their weights. */
+SnnNetwork
+shapedNetwork(double threshold,
+              const std::vector<std::pair<std::size_t, float>> &rows,
+              int refrac_ms = 20, int inhibit_ms = 5)
+{
+    SnnConfig config = handBuiltConfig(threshold);
+    config.numNeurons = 48;
+    config.tRefracMs = refrac_ms;
+    config.tInhibitMs = inhibit_ms;
+    Rng rng(3);
+    SnnNetwork net(config, rng);
+    Matrix weights(config.numNeurons, config.numInputs);
+    weights.data().assign(weights.data().size(), 10.0f);
+    for (const auto &[n, w] : rows)
+        std::fill(weights.row(n), weights.row(n) + config.numInputs, w);
+    net.setWeights(std::move(weights));
+    std::fill(net.thresholds().begin(), net.thresholds().end(), threshold);
+    return net;
+}
+
+TEST(SnnTeam, PresentationsBitIdenticalToPresentImage)
+{
+    // Poisson-coded learning sequences with homeostasis, at the
+    // default gates and with the winner reopening first: members race,
+    // cross on ticks their peers have stepped past and drop them.
+    const datasets::Dataset data = makeHalves(40, 7);
+    for (const int refrac : {20, 2}) {
+        SnnConfig config = smallConfig();
+        config.numNeurons = 48;
+        config.tRefracMs = refrac;
+        config.tInhibitMs = refrac == 2 ? 6 : 5;
+        const SpikeEncoder encoder(config.coding);
+        std::vector<PackedSpikeGrid> grids;
+        for (std::size_t i = 0; i < data.size(); ++i) {
+            Rng rng(deriveStreamSeed(21, i));
+            grids.emplace_back();
+            encoder.encodePacked(data[i].pixels.data(),
+                                 data[i].pixels.size(), rng, grids.back());
+        }
+        Rng init(9);
+        expectTeamsAgree(SnnNetwork(config, init), grids,
+                         "refractory " + std::to_string(refrac));
+    }
+}
+
+TEST(SnnTeam, EqualMarginsOnOneTickGoToTheLowerIndex)
+{
+    // Neurons 5 (member 0) and 40 (the last member) cross on tick 3
+    // with the same margin; so do 15 and 16, and 31 and 32, the two
+    // sides of each bound.
+    const PackedSpikeGrid grid = handBuiltGrid(
+        concat({burst(3, 0, 10), burst(60, 10, 10), burst(120, 20, 2)}));
+    for (const auto &[low, high] :
+         {std::pair<std::size_t, std::size_t>{5, 40}, {15, 16}, {31, 32}}) {
+        const SnnNetwork net =
+            shapedNetwork(1000.0, {{low, 200.0f}, {high, 200.0f}});
+        SnnNetwork oracle(net);
+        EXPECT_EQ(oracle.presentImage(grid, true).firstSpikeNeuron,
+                  static_cast<int>(low));
+        expectTeamsAgree(net, {grid, grid}, "tie");
+    }
+}
+
+TEST(SnnTeam, WinnerAtEitherSideOfAMemberBound)
+{
+    // The last neuron of one member, then the first of the next,
+    // wins, at each bound.
+    const PackedSpikeGrid grid = handBuiltGrid(
+        concat({burst(3, 0, 10), burst(40, 10, 10), burst(90, 30, 10)}));
+    for (const std::size_t winner : {15u, 16u, 31u, 32u}) {
+        const SnnNetwork net =
+            shapedNetwork(1000.0, {{winner, 200.0f}, {7, 150.0f}});
+        SnnNetwork oracle(net);
+        EXPECT_EQ(oracle.presentImage(grid, true).firstSpikeNeuron,
+                  static_cast<int>(winner));
+        expectTeamsAgree(net, {grid, grid}, "winner " +
+                                                std::to_string(winner));
+    }
+}
+
+TEST(SnnTeam, MemberCrossesWhileItsPeerIsAllGated)
+{
+    // A 2-tick refractory period inside a 15-tick inhibition: neuron 3
+    // (member 0) fires at 10 and again at 13, while every neuron of
+    // the other members is still inhibited.
+    const PackedSpikeGrid grid = handBuiltGrid(
+        concat({burst(10, 0, 10), burst(13, 10, 10), burst(16, 20, 10),
+                burst(40, 30, 3), burst(90, 40, 2)}));
+    const SnnNetwork net =
+        shapedNetwork(1000.0, {{3, 200.0f}, {44, 120.0f}}, 2, 15);
+    SnnNetwork oracle(net);
+    PresentationTrace trace;
+    oracle.presentImage(grid, true, &trace);
+    ASSERT_GE(trace.outputSpikes.size(), 2u);
+    EXPECT_EQ(trace.outputSpikes[1].first, 13);
+    EXPECT_EQ(trace.outputSpikes[1].second, 3u);
+    expectTeamsAgree(net, {grid, grid}, "all-gated peer");
+}
+
+TEST(SnnTeam, RefractoryWinnerFiresAgainAfterAPeer)
+{
+    // Neuron 3 (member 0) fires at 10 and stays refractory until 60;
+    // neuron 20 (another member) fires at 13, inside it; a weak burst
+    // at 30 steps member 0 while neuron 3 is still gated; neuron 3
+    // fires again at 100. Member 0's held list after the firing at 13
+    // must hold neuron 3 once, with the potential the reset left.
+    const PackedSpikeGrid grid = handBuiltGrid(
+        concat({burst(10, 0, 10), burst(13, 10, 10), burst(30, 40, 2),
+                burst(100, 20, 10), burst(150, 30, 2)}));
+    const SnnNetwork net =
+        shapedNetwork(1000.0, {{3, 200.0f}, {20, 150.0f}}, 50, 2);
+    SnnNetwork oracle(net);
+    PresentationTrace trace;
+    oracle.presentImage(grid, true, &trace);
+    ASSERT_EQ(trace.outputSpikes.size(), 3u);
+    EXPECT_EQ(trace.outputSpikes[1].second, 20u);
+    EXPECT_EQ(trace.outputSpikes[2].first, 100);
+    EXPECT_EQ(trace.outputSpikes[2].second, 3u);
+    expectTeamsAgree(net, {grid, grid}, "refractory winner");
+}
+
+TEST(SnnTeam, FiringOnTickZeroAndOnTheLastActiveTick)
+{
+    const PackedSpikeGrid first = handBuiltGrid(
+        concat({burst(0, 0, 10), burst(50, 10, 2), burst(150, 20, 2)}));
+    const PackedSpikeGrid last = handBuiltGrid(
+        concat({burst(3, 0, 2), burst(50, 10, 2), burst(150, 20, 10)}));
+    const SnnNetwork net = shapedNetwork(1000.0, {{36, 200.0f}});
+    for (const PackedSpikeGrid *grid : {&first, &last}) {
+        SnnNetwork oracle(net);
+        const auto ref = oracle.presentImage(*grid, true);
+        EXPECT_EQ(ref.outputSpikeCount, 1u);
+        EXPECT_EQ(ref.firstSpikeTimeMs, grid == &first ? 0 : 150);
+    }
+    expectTeamsAgree(net, {first, last, first}, "tick 0 / last tick");
+}
+
+TEST(SnnTeam, SilentWindowCombinesTheMaxPotentials)
+{
+    // Nothing fires; the largest end-of-window potential is the last
+    // member's neuron 45, and in a second network neurons 20 and 45
+    // tie for the index-order scan.
+    const PackedSpikeGrid grid = handBuiltGrid(
+        concat({burst(3, 0, 10), burst(60, 10, 10)}));
+    const SnnNetwork net =
+        shapedNetwork(30000.0, {{45, 60.0f}, {20, 50.0f}});
+    SnnNetwork oracle(net);
+    const auto ref = oracle.presentImage(grid, true);
+    EXPECT_EQ(ref.outputSpikeCount, 0u);
+    EXPECT_EQ(ref.maxPotentialNeuron, 45);
+    const SnnNetwork tied =
+        shapedNetwork(30000.0, {{45, 60.0f}, {20, 60.0f}});
+    expectTeamsAgree(net, {grid, handBuiltGrid({})}, "silent");
+    expectTeamsAgree(tied, {grid}, "silent tie");
+}
+
+TEST(SnnTeam, NoResetRunsOneMember)
+{
+    // Dropping ticks past a firing is exact only when the firing
+    // zeroes every potential.
+    SnnConfig config = smallConfig();
+    config.numNeurons = 300;
+    EXPECT_EQ(PresentationTeam::sizeFor(config, 16), 9u);
+    EXPECT_EQ(PresentationTeam::sizeFor(config, 2), 2u);
+    config.wtaReset = false;
+    EXPECT_EQ(PresentationTeam::sizeFor(config, 8), 1u);
+    config.wtaReset = true;
+    config.numNeurons = 2 * PresentationTeam::kNeuronsPerMember - 1;
+    EXPECT_EQ(PresentationTeam::sizeFor(config, 8), 1u);
+    config.numNeurons = 2 * PresentationTeam::kNeuronsPerMember;
+    EXPECT_EQ(PresentationTeam::sizeFor(config, 8), 2u);
+
+    // Training without the reset at 4 threads runs one member and
+    // learns what one thread learns.
+    config.numNeurons = 64;
+    config.wtaReset = false;
+    const datasets::Dataset data = makeHalves(40, 17);
+    auto trained = [&] {
+        Rng rng(18);
+        SnnNetwork net(config, rng);
+        SnnStdpTrainer trainer(config);
+        SnnTrainConfig train;
+        train.epochs = 2;
+        trainer.train(net, data, train);
+        return net.weights().data();
+    };
+    PoolAndSimdRestore restore;
+    setParallelThreadCount(1);
+    const std::vector<float> serial = trained();
+    setParallelThreadCount(4);
+    EXPECT_EQ(trained(), serial);
+    EXPECT_EQ(telemetry::MetricRegistry::instance()
+                  .gauge("snn.train.team_size")
+                  ->value(),
+              1.0);
+}
+
 TEST(SnnFirstSpike, FiringOnTickZeroStopsThere)
 {
     // A present() would go on to step ticks 10, 50 and 150.
@@ -977,8 +1246,8 @@ TEST(SnnPresent, TrainerServesSecondPassFromGridCache)
     SnnNetwork net(config, rng);
     SnnStdpTrainer trainer(config);
 
-    // At one thread training encodes inline, so every lookup is the
-    // presentation loop's (test_trainer covers the prefetching run).
+    // At one thread the store is filled on the calling thread
+    // (test_trainer covers the pool's split and teams).
     const std::size_t saved = parallelThreadCount();
     setParallelThreadCount(1);
     SnnTrainConfig train;
@@ -986,8 +1255,8 @@ TEST(SnnPresent, TrainerServesSecondPassFromGridCache)
     trainer.train(net, data, train);
     setParallelThreadCount(saved);
 
-    // Epoch 1 encodes every grid into the store; epoch 2 must be
-    // served from it entirely.
+    // Every grid is encoded into the store before epoch 1; epoch 2
+    // must be served from it entirely.
     const GridCacheStats after_train = trainer.gridCache().stats();
     EXPECT_EQ(after_train.misses, data.size());
     EXPECT_EQ(after_train.hits, data.size());

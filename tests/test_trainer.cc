@@ -1,6 +1,7 @@
 // Tests for the STDP training pipeline: unsupervised learning +
 // self-labeling + evaluation, on a small two-class task so the suite
-// stays fast.
+// stays fast; and the training grid store and neuron-split team at
+// every thread count, on the paper's 784-300 layer.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,12 @@
 #include "neuro/common/parallel.h"
 #include "neuro/common/rng.h"
 #include "neuro/common/serialize.h"
+#include "neuro/datasets/synth_digits.h"
+#include "neuro/kernels/kernels.h"
 #include "neuro/serve/registry.h"
 #include "neuro/snn/serialize.h"
 #include "neuro/snn/trainer.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 namespace snn {
@@ -188,8 +192,7 @@ trainState(const SnnConfig &config, const datasets::Dataset &data,
     return state;
 }
 
-/** trainState() of a wider layer than halvesConfig(), which presents
- *  slower than it encodes, so the prefetcher runs ahead. */
+/** trainState() of a wider layer than halvesConfig(). */
 TrainedState
 trainHalves(const datasets::Dataset &data,
             std::size_t budget = GridStore::kBudgetBytes)
@@ -199,84 +202,148 @@ trainHalves(const datasets::Dataset &data,
     return trainState(config, data, budget);
 }
 
-TEST(SnnStdpTrainer, PrefetchedTrainingIsThreadCountInvariant)
+/** The paper's 784-300 layer, with homeostasis epochs short enough to
+ *  move the thresholds (which the per-neuron fire counts decide)
+ *  within a small training set. */
+SnnConfig
+paperLayerConfig()
 {
-    // Above one thread a pool worker encodes each epoch's grids ahead
-    // of the presentation loop; inside a pool task the loop encodes
-    // inline. The learned state must not depend on either.
-    const datasets::Dataset data = makeHalves(150, 22);
-    const std::size_t saved = parallelThreadCount();
-    setParallelThreadCount(1);
-    const TrainedState serial = trainHalves(data);
-    EXPECT_EQ(serial.cache.misses, data.size());
-    for (const std::size_t threads : {2u, 4u}) {
+    SnnConfig config;
+    config.homeostasis.epochMs = 16 * config.coding.periodMs;
+    config.homeostasis.activityTarget = 2.0;
+    return config;
+}
+
+/** @p count MNIST-like 28x28 digits. */
+datasets::Dataset
+smallDigits(std::size_t count)
+{
+    datasets::SynthDigitsOptions options;
+    options.trainSize = count;
+    options.testSize = 10;
+    return datasets::makeSynthDigits(options).train;
+}
+
+/** Restores the thread count and the kernel table on scope exit. */
+struct PoolAndSimdRestore
+{
+    std::size_t threads = parallelThreadCount();
+    ~PoolAndSimdRestore()
+    {
         setParallelThreadCount(threads);
-        const TrainedState run = trainHalves(data);
-        EXPECT_EQ(run.weights, serial.weights) << threads << " threads";
-        EXPECT_EQ(run.thresholds, serial.thresholds);
-        EXPECT_EQ(run.outputSpikes, serial.outputSpikes);
-        EXPECT_EQ(run.silentImages, serial.silentImages);
-        // Each grid is encoded once: the loop and the prefetcher claim
-        // each step, and the loop waits for a claim in flight.
-        EXPECT_EQ(run.cache.entries, data.size());
-        EXPECT_EQ(run.cache.misses, data.size()) << threads << " threads";
+        kernels::setSimdMode(kernels::SimdMode::Auto);
+    }
+};
+
+double
+gaugeValue(const char *name)
+{
+    return telemetry::MetricRegistry::instance().gauge(name)->value();
+}
+
+/** Every field of @p run equals @p expect's. */
+void
+expectSameTraining(const TrainedState &run, const TrainedState &expect,
+                   const std::string &where)
+{
+    EXPECT_EQ(run.weights, expect.weights) << where;
+    EXPECT_EQ(run.thresholds, expect.thresholds) << where;
+    EXPECT_EQ(run.outputSpikes, expect.outputSpikes) << where;
+    EXPECT_EQ(run.silentImages, expect.silentImages) << where;
+}
+
+TEST(SnnStdpTrainer, NeuronSplitTrainingIsBitIdenticalAtAnyThreadCount)
+{
+    // Two epochs of the 784-300 layer leave the same weights,
+    // thresholds and epoch reports at every kernel table and thread
+    // count: 300 neurons form a team of one member per thread.
+    const SnnConfig config = paperLayerConfig();
+    const datasets::Dataset data = smallDigits(48);
+    PoolAndSimdRestore restore;
+    kernels::setSimdMode(kernels::SimdMode::Off);
+    setParallelThreadCount(1);
+    const TrainedState serial = trainState(config, data);
+    ASSERT_GT(serial.outputSpikes[0], data.size());
+    std::vector<double> thresholds(config.numNeurons);
+    for (kernels::SimdMode mode :
+         {kernels::SimdMode::Off, kernels::SimdMode::Avx2,
+          kernels::SimdMode::Avx512}) {
+        // Forcing a level the machine lacks falls back to a narrower
+        // one, which is simply covered twice.
+        kernels::setSimdMode(mode);
+        for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+            setParallelThreadCount(threads);
+            const std::string where = std::to_string(threads) +
+                " threads at " + kernels::isaName(kernels::activeIsa());
+            expectSameTraining(trainState(config, data), serial, where);
+            EXPECT_EQ(gaugeValue("snn.train.team_size"),
+                      static_cast<double>(threads))
+                << where;
+        }
+    }
+    // Homeostasis moved the thresholds, so the fire counts agreed.
+    Rng rng(21);
+    const SnnNetwork fresh(config, rng);
+    EXPECT_NE(serial.thresholds, fresh.thresholds());
+}
+
+TEST(SnnStdpTrainer, UpFrontEncodeMissesOncePerGrid)
+{
+    // The grid store is filled before epoch 1, split over the pool
+    // above one thread and inline inside a pool task: one miss per
+    // grid, one hit per grid in epoch 2, and the serial result.
+    const datasets::Dataset data = smallDigits(40);
+    const SnnConfig config = paperLayerConfig();
+    PoolAndSimdRestore restore;
+    setParallelThreadCount(1);
+    const TrainedState serial = trainState(config, data);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        setParallelThreadCount(threads);
+        const TrainedState run = trainState(config, data);
+        const std::string where = std::to_string(threads) + " threads";
+        expectSameTraining(run, serial, where);
+        EXPECT_EQ(run.cache.entries, data.size()) << where;
+        EXPECT_EQ(run.cache.misses, data.size()) << where;
+        EXPECT_EQ(run.cache.hits, data.size()) << where;
+        EXPECT_EQ(run.cache.evictions, 0u) << where;
     }
     TrainedState nested;
     bool in_task = false;
     parallelInvoke({[&] {
                         in_task = ThreadPool::inParallelRegion();
-                        nested = trainHalves(data);
+                        nested = trainState(config, data);
                     },
                     [] {}});
     EXPECT_TRUE(in_task);
-    EXPECT_EQ(nested.weights, serial.weights);
-    EXPECT_EQ(nested.thresholds, serial.thresholds);
+    expectSameTraining(nested, serial, "inside a pool task");
     EXPECT_EQ(nested.cache.misses, data.size());
-    setParallelThreadCount(saved);
+    EXPECT_EQ(gaugeValue("snn.train.team_size"), 1.0);
 }
 
-/** @p count 28x28 images with every pixel bright. */
-datasets::Dataset
-makeBright(std::size_t count, uint64_t seed)
+TEST(SnnStdpTrainer, StoreSmallerThanTheTrainingSetKeepsTheSerialResult)
 {
-    datasets::Dataset data("bright", 28, 28, 2);
-    Rng rng(seed);
-    for (std::size_t i = 0; i < count; ++i) {
-        datasets::Sample s;
-        s.label = static_cast<int>(i % 2);
-        s.pixels.resize(784);
-        for (uint8_t &p : s.pixels)
-            p = static_cast<uint8_t>(200 + rng.uniformInt(56));
-        data.add(std::move(s));
-    }
-    return data;
-}
-
-TEST(SnnStdpTrainer, LaggingPrefetcherKeepsTheSerialResult)
-{
-    // Two neurons present a bright 28x28 image faster than the
-    // prefetcher encodes one, so the loop keeps catching up with it:
-    // while it runs, the loop encodes the steps it has not reached and
-    // waits for the one it holds. Each grid is still encoded once.
-    SnnConfig config;
-    config.numInputs = 784;
-    config.numNeurons = 2;
-    config.homeostasis.epochMs = 20 * config.coding.periodMs;
-    const datasets::Dataset data = makeBright(120, 26);
-    const std::size_t saved = parallelThreadCount();
+    // Every member of a team encodes the grids the full store refused
+    // for itself, from the same (seed, index) streams.
+    const datasets::Dataset data = smallDigits(40);
+    const SnnConfig config = paperLayerConfig();
+    const std::size_t budget =
+        10 * SnnStdpTrainer(config)
+                 .gridFor(data, 0, SnnTrainConfig{}.seed)
+                 ->bytes();
+    PoolAndSimdRestore restore;
     setParallelThreadCount(1);
     const TrainedState serial = trainState(config, data);
     for (const std::size_t threads : {2u, 4u}) {
         setParallelThreadCount(threads);
-        const TrainedState run = trainState(config, data);
-        EXPECT_EQ(run.weights, serial.weights) << threads << " threads";
-        EXPECT_EQ(run.thresholds, serial.thresholds);
-        EXPECT_EQ(run.outputSpikes, serial.outputSpikes);
-        EXPECT_EQ(run.silentImages, serial.silentImages);
-        EXPECT_EQ(run.cache.entries, data.size());
-        EXPECT_EQ(run.cache.misses, data.size()) << threads << " threads";
+        const TrainedState run = trainState(config, data, budget);
+        const std::string where = std::to_string(threads) + " threads";
+        expectSameTraining(run, serial, where);
+        EXPECT_GT(run.cache.entries, 0u) << where;
+        EXPECT_LT(run.cache.entries, data.size()) << where;
+        EXPECT_EQ(run.cache.evictions, data.size() - run.cache.entries)
+            << where;
+        EXPECT_EQ(run.cache.hits, run.cache.entries) << where;
     }
-    setParallelThreadCount(saved);
 }
 
 TEST(SnnStdpTrainer, FullGridStoreEncodesTheRestInline)
@@ -301,8 +368,7 @@ TEST(SnnStdpTrainer, FullGridStoreEncodesTheRestInline)
         EXPECT_EQ(run.thresholds, unbounded.thresholds) << where;
         EXPECT_EQ(run.outputSpikes, unbounded.outputSpikes) << where;
         EXPECT_EQ(run.silentImages, unbounded.silentImages) << where;
-        // The store stops at its budget; each refusal is counted, and
-        // the prefetcher stops at its first.
+        // The store stops at its budget, and each refusal is counted.
         EXPECT_GT(run.cache.entries, 0u) << where;
         EXPECT_LT(run.cache.entries, data.size()) << where;
         EXPECT_LE(run.storeBytes, budget) << where;
@@ -324,14 +390,16 @@ TEST(SnnStdpTrainer, FullGridStoreEncodesTheRestInline)
     setParallelThreadCount(saved);
 }
 
-TEST(SnnStdpTrainer, ThrowingEpochCallbackStopsThePrefetcher)
+TEST(SnnStdpTrainer, ThrowingEpochCallbackLeavesNoMemberWaiting)
 {
-    // The exception reaches the caller, and the pool is free again:
-    // a second training run on it completes with the serial result.
-    const datasets::Dataset data = makeHalves(100, 23);
-    const std::size_t saved = parallelThreadCount();
+    // The callback runs after the epoch's team has finished, so the
+    // exception reaches the caller with no member waiting, and the
+    // pool is free again: a second training run on it completes with
+    // the serial result.
+    const datasets::Dataset data = smallDigits(24);
+    const SnnConfig config = paperLayerConfig();
+    PoolAndSimdRestore restore;
     setParallelThreadCount(4);
-    const SnnConfig config = halvesConfig();
     Rng rng(24);
     SnnNetwork net(config, rng);
     SnnStdpTrainer trainer(config);
@@ -345,12 +413,12 @@ TEST(SnnStdpTrainer, ThrowingEpochCallbackStopsThePrefetcher)
                                }),
                  std::runtime_error);
     EXPECT_EQ(epochs_seen, 1u);
+    EXPECT_EQ(gaugeValue("snn.train.team_size"), 4.0);
 
-    const TrainedState after = trainHalves(data);
+    const TrainedState after = trainState(config, data);
     setParallelThreadCount(1);
-    const TrainedState serial = trainHalves(data);
-    EXPECT_EQ(after.weights, serial.weights);
-    setParallelThreadCount(saved);
+    const TrainedState serial = trainState(config, data);
+    expectSameTraining(after, serial, "after the throw");
 }
 
 /**
